@@ -7,7 +7,4 @@ superline, and cross-validates the brute-force dimensions against
 closed-form kernel descriptions and explicit cocycles.
 """
 
-from .linalg import BACKEND
-
-__all__ = ["BACKEND"]
 __version__ = "0.1.0"

@@ -1,56 +1,64 @@
-"""Integer row-elimination kernel, pure-Python backend.
+"""Integer row-elimination kernel.
 
 A matrix is a list of sparse rows, each row a dict {column: int}. All
 arithmetic is fraction-free: eliminations cross-multiply whole rows and
 every updated row is divided by the gcd of its entries, which keeps the
 integers small (Bareiss-style growth control) without ever leaving Z.
 
-`ospcoho._kernels_cy` is the compiled twin of this module; both must
-produce bit-identical output, which the test suite checks.
+Pivot columns come from an index instead of a scan of every row: rows
+wait in buckets keyed by their leading column, and a heap of the
+occupied columns yields the next pivot column (Markowitz 1957 chooses
+pivots from such an index; here the column order is fixed and only the
+row is chosen by sparsity).
 """
 
+from heapq import heappop, heappush
 from math import gcd
-
-BACKEND_NAME = "python"
 
 
 def normalize_row(row):
-    """Divide `row` by the gcd of its entries; make the leading entry > 0.
+    """Divide a nonempty `row` by the gcd of its entries, leading entry > 0.
 
-    Mutates and returns `row`. The leading entry is the one in the
-    smallest column.
+    Mutates `row` and returns its leading column, the smallest one.
     """
-    if not row:
-        return row
+    lead = min(row)
     g = 0
     for v in row.values():
         g = gcd(g, v)
-    if row[min(row)] < 0:
+        if g == 1:
+            break
+    if row[lead] < 0:
         g = -g
     if g != 1:
         for c in row:
             row[c] //= g
-    return row
+    return lead
 
 
 def eliminate(row, piv_row, col):
-    """row := piv*row - row[col]*piv_row, content-normalized.
+    """row := (piv*row - row[col]*piv_row) / g, content-normalized.
 
-    `piv_row` must have an entry at `col`; afterwards `row` has none.
+    g = gcd(piv, row[col]). `piv_row` must have an entry at `col`;
+    afterwards `row` has none. Returns the new leading column, or None
+    when the row vanished.
     """
     factor = row.pop(col)
     piv = piv_row[col]
-    for c, v in row.items():
-        row[c] = v * piv
+    g = gcd(factor, piv)
+    if g != 1:
+        factor //= g
+        piv //= g
+    if piv != 1:
+        for c in row:
+            row[c] *= piv
     for c, v in piv_row.items():
-        if c == col:
-            continue
-        w = row.get(c, 0) - factor * v
-        if w:
-            row[c] = w
-        else:
-            row.pop(c, None)
-    return normalize_row(row)
+        if c != col:
+            w = row.get(c, 0) - factor * v
+            if w:
+                row[c] = w
+            else:
+                del row[c]
+    return normalize_row(row) if row else None
 
 
 def echelon(rows, full):
@@ -60,35 +68,46 @@ def echelon(rows, full):
     positive pivot) and sorted by pivot column. With full=True every
     pivot column is also cleared above its pivot, giving the integer
     reduced row echelon form, which is unique for a given row space.
-    Pivot rows are picked among candidates by sparsity.
+    The pivot row of a column is the sparsest row leading there, ties
+    broken by the smaller pivot entry.
     """
-    work = [normalize_row(r) for r in rows if r]
+    buckets = {}     # leading column -> rows that lead there
+    heap = []        # the keys of `buckets`
+    for row in rows:
+        if row:
+            lead = normalize_row(row)
+            if lead in buckets:
+                buckets[lead].append(row)
+            else:
+                buckets[lead] = [row]
+                heappush(heap, lead)
     done = []
     pivots = []
-    while work:
-        col = min(min(r) for r in work)
-        best = -1
-        best_key = None
-        for idx, r in enumerate(work):
-            if col in r:
-                key = (len(r), abs(r[col]))
-                if best < 0 or key < best_key:
-                    best, best_key = idx, key
-        piv_row = work.pop(best)
-        nxt = []
-        for r in work:
-            if col in r:
-                r = eliminate(r, piv_row, col)
-            if r:
-                nxt.append(r)
-        work = nxt
+    while heap:
+        col = heappop(heap)
+        bucket = buckets.pop(col)
+        if len(bucket) == 1:
+            piv_row = bucket.pop()
+        else:
+            best = min(range(len(bucket)),
+                       key=lambda i: (len(bucket[i]), abs(bucket[i][col])))
+            piv_row = bucket.pop(best)
+        for row in bucket:
+            lead = eliminate(row, piv_row, col)
+            if lead is None:
+                continue
+            if lead in buckets:
+                buckets[lead].append(row)
+            else:
+                buckets[lead] = [row]
+                heappush(heap, lead)
         done.append(piv_row)
         pivots.append(col)
     if full:
-        for i in range(len(done) - 1, -1, -1):
+        for i in range(len(done) - 1, 0, -1):
             piv_row = done[i]
             col = pivots[i]
-            for j in range(i):
-                if col in done[j]:
-                    done[j] = eliminate(done[j], piv_row, col)
+            for row in done[:i]:
+                if col in row:
+                    eliminate(row, piv_row, col)
     return pivots, done

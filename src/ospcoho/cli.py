@@ -18,9 +18,9 @@ import sys
 from fractions import Fraction
 
 from . import algebra, engine
-from .cochains import (coboundary, cochain_to_json, cup, is_reduced,
-                       make_f_k, make_ftilde_k, make_h_lambda,
-                       restrict_sl2)
+from .cochains import (NoCocycle, SolveFailed, coboundary, cochain_to_json,
+                       cup, is_reduced, make_f_k, make_ftilde_k,
+                       make_h_lambda, restrict_sl2)
 from .superdiff import op_str
 from .weightmod import to_oppoly
 
@@ -41,26 +41,44 @@ def parse_rational(text):
 
 
 def parse_grid(spec):
-    """'halfints:LO..HI' -> all half-integer pairs; 'pairs:l,m;l,m' -> list."""
+    """'halfints:LO..HI' -> all half-integer pairs; 'pairs:l,m;l,m' -> list.
+
+    Raises argparse.ArgumentTypeError on a malformed or empty grid.
+    """
     kind, _, body = spec.partition(":")
     if kind == "halfints":
-        lo_s, _, hi_s = body.partition("..")
+        lo_s, sep, hi_s = body.partition("..")
+        if not sep:
+            raise argparse.ArgumentTypeError(
+                f"grid {spec!r}: expected halfints:LO..HI")
         lo, hi = parse_rational(lo_s), parse_rational(hi_s)
         vals = []
         v = lo
         while v <= hi:
             vals.append(v)
             v += Fraction(1, 2)
-        return [(a, b) for a in vals for b in vals]
-    if kind == "pairs":
+        out = [(a, b) for a in vals for b in vals]
+    elif kind == "pairs":
         out = []
         for chunk in body.split(";"):
             if not chunk.strip():
                 continue
-            l_s, m_s = chunk.split(",")
-            out.append((parse_rational(l_s), parse_rational(m_s)))
-        return out
-    raise argparse.ArgumentTypeError(f"unknown grid spec {spec!r}")
+            parts = chunk.split(",")
+            if len(parts) != 2:
+                raise argparse.ArgumentTypeError(
+                    f"grid {spec!r}: {chunk.strip()!r} is not a pair l,m")
+            out.append((parse_rational(parts[0]), parse_rational(parts[1])))
+    else:
+        raise argparse.ArgumentTypeError(f"unknown grid spec {spec!r}")
+    if not out:
+        raise argparse.ArgumentTypeError(f"grid {spec!r} has no points")
+    return out
+
+
+def _require(ok, message):
+    """Reject bad input; main() reports it on one line with exit 2."""
+    if not ok:
+        raise argparse.ArgumentTypeError(message)
 
 
 def _emit(text, out_path):
@@ -109,7 +127,7 @@ def cmd_audit(args):
         report = engine.run_audit()
     except algebra.NoConsistentRepair as exc:
         print(f"audit failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_MISMATCH
     payload = report.to_json()
     if args.format == "csv":
         buf = io.StringIO()
@@ -124,6 +142,10 @@ def cmd_audit(args):
 
 
 def cmd_dims(args):
+    _require(args.kmax is None or args.kmax >= 0,
+             f"--kmax must be >= 0, got {args.kmax}")
+    _require(args.threads is None or args.threads >= 1,
+             f"--threads must be >= 1, got {args.threads}")
     if args.grid:
         pairs = parse_grid(args.grid)
     elif args.lam is not None and args.mu is not None:
@@ -155,6 +177,7 @@ def _verify_cocycle(f, table):
 
 
 def cmd_cocycles(args):
+    _require(args.k >= 0, f"--k must be >= 0, got {args.k}")
     table = algebra.adopted_table()
     try:
         if args.kind == "h":
@@ -187,7 +210,8 @@ def cmd_cocycles(args):
                        "gelfand_fuchs": gf, "checks": checks}
             _emit(json.dumps(payload, indent=2), args.out)
             return EXIT_OK if all(checks.values()) else EXIT_MISMATCH
-    except Exception as exc:
+    except (NoCocycle, SolveFailed, engine.NotACocycle,
+            engine.NotProportional) as exc:
         print(f"cocycles: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     checks = _verify_cocycle(f, table)
@@ -282,6 +306,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        print(f"ospcoho {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:  # pragma: no cover
         return EXIT_OK
 

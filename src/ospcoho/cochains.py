@@ -20,13 +20,16 @@ the solve is guaranteed to succeed, and the output is verified.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from . import linalg
 from .algebra import (GENS, PARITY, SL2, adopted_table, canonicalize,
                       monomial_basis, monomial_parity, monomial_str,
                       monomial_weight, parse_monomial)
-from .weightmod import (FAMILY_PARITY, TruncatedDlm, from_oppoly, to_oppoly,
-                        vec_add, vec_from_json, vec_scale, vec_to_json)
+from .weightmod import (FAMILY_PARITY, TruncatedDlm, from_oppoly,
+                        module_memo, to_oppoly, vec_add, vec_from_json,
+                        vec_scale, vec_to_json)
 
 
 class SolveFailed(RuntimeError):
@@ -140,40 +143,59 @@ def _term2_sign(i, j, parities, prefix):
     return s
 
 
-def coboundary(f, table=None):
-    """The differential of f; degree n+1, same parity, same weight."""
-    table = table if table is not None else adopted_table()
-    n = f.degree
-    out = {}
-    for target in monomial_basis(n + 1, f.universe):
+@lru_cache(maxsize=64)
+def _koszul_terms(n, q, universe, table):
+    """The two sums of the differential on n-cochains of parity q.
+
+    One entry per target monomial of degree n+1:
+    (target, [(gen, source monomial, sign)], [(source monomial, coeff)]),
+    so that (df)(target) = sum sign * gen.f(source) + sum coeff * f(source).
+    The bracket terms of one source monomial are already added up.
+    """
+    out = []
+    for target in monomial_basis(n + 1, universe):
         parities = [PARITY[g] for g in target]
         prefix = [0]
         for p in parities:
             prefix.append(prefix[-1] + p)
-        acc = {}
-        for i, gen in enumerate(target):
-            sub = target[:i] + target[i + 1:]
-            vec = f.values.get(sub)
-            if vec:
-                sgn = _term1_sign(i, parities, prefix, f.parity)
-                vec_add(acc, f.mod.act(gen, vec), Fraction(sgn))
+        acts = tuple((gen, target[:i] + target[i + 1:],
+                      _term1_sign(i, parities, prefix, q))
+                     for i, gen in enumerate(target))
+        brackets = {}
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
-                row = table.bracket(target[i], target[j])
-                if not row:
-                    continue
-                rest = (target[:i] + target[i + 1:j] + target[j + 1:])
+                rest = target[:i] + target[i + 1:j] + target[j + 1:]
                 sgn = _term2_sign(i, j, parities, prefix)
-                for g, cg in row.items():
+                for g, cg in table.bracket(target[i], target[j]).items():
                     mono, s = canonicalize((g,) + rest)
-                    if not s:
-                        continue
-                    vec = f.values.get(mono)
-                    if vec:
-                        vec_add(acc, vec, Fraction(sgn * s) * cg)
+                    if s:
+                        c = brackets.get(mono, Fraction(0)) + sgn * s * cg
+                        if c:
+                            brackets[mono] = c
+                        else:
+                            del brackets[mono]
+        out.append((target, acts, tuple(brackets.items())))
+    return tuple(out)
+
+
+def coboundary(f, table=None):
+    """The differential of f; degree n+1, same parity, same weight."""
+    table = table if table is not None else adopted_table()
+    out = {}
+    for target, acts, brackets in _koszul_terms(f.degree, f.parity,
+                                                f.universe, table):
+        acc = {}
+        for gen, sub, sgn in acts:
+            vec = f.values.get(sub)
+            if vec:
+                vec_add(acc, f.mod.act(gen, vec), Fraction(sgn))
+        for mono, coeff in brackets:
+            vec = f.values.get(mono)
+            if vec:
+                vec_add(acc, vec, coeff)
         if acc:
             out[target] = acc
-    return Cochain(f.mod, n + 1, f.parity, out, f.universe)
+    return Cochain(f.mod, f.degree + 1, f.parity, out, f.universe)
 
 
 # --- weight blocks of the differential -------------------------------------
@@ -184,15 +206,78 @@ def block_basis(mod, n, w, parity, universe=GENS):
     A delta cochain u -> bv has cochain parity parity(u) + parity(bv);
     the `parity` argument filters to one homogeneous component.
     """
-    w = Fraction(w)
+    t = 2 * (Fraction(w) + mod.p)
+    if t.denominator != 1:      # twice a monomial weight is an integer
+        return []
+    t = t.numerator
     out = []
-    for u in monomial_basis(n, universe):
+    for u, u_parity, u_weight2 in _graded_monomials(n, universe):
         bvpar = None
         if parity is not None:
-            bvpar = (parity + monomial_parity(u)) % 2
-        for bv in mod.weight_basis(w + monomial_weight(u), parity=bvpar):
+            bvpar = (parity + u_parity) % 2
+        for bv in mod.twice_weight_basis(t + u_weight2, parity=bvpar):
             out.append((u, bv))
     return out
+
+
+@lru_cache(maxsize=32)
+def _graded_monomials(n, universe):
+    """(monomial, parity, twice the weight) for the degree-n monomials."""
+    return tuple((u, monomial_parity(u), int(2 * monomial_weight(u)))
+                 for u in monomial_basis(n, universe))
+
+
+def delta_block(mod, n, w, parity, table=None, universe=GENS):
+    """Integer matrix of d: C^n_w -> C^{n+1}_w on one parity component.
+
+    Returns (domain_basis, codomain_basis, rows, scale): rows[r] is a
+    {column: int} dict and the exact matrix is rows / scale, column c
+    being the coboundary of the delta cochain at domain_basis[c]. The
+    scale is the lcm of the module's action scale (see `module_memo`)
+    and the denominators of the bracket coefficients.
+    """
+    table = table if table is not None else adopted_table()
+    w = Fraction(w)
+    dom = block_basis(mod, n, w, parity, universe)
+    cod = block_basis(mod, n + 1, w, parity, universe)
+    rows = [dict() for _ in cod]
+    memo = module_memo(mod)
+    terms = _koszul_terms(n, parity if parity is not None else 0,
+                          universe, table)
+    scale = lcm(memo.scale, *(c.denominator for _, _, brackets in terms
+                              for _, c in brackets))
+    act_factor = scale // memo.scale
+    dom_slice = {}
+    for col, (u, bv) in enumerate(dom):
+        dom_slice.setdefault(u, []).append((bv, col))
+    cod_index = {pair: r for r, pair in enumerate(cod)}
+    for target, acts, brackets in terms:
+        for gen, sub, sgn in acts:
+            cols = dom_slice.get(sub)
+            if not cols:
+                continue
+            sgn *= act_factor
+            for bv, col in cols:
+                for tbv, c in memo.image(gen, bv):
+                    row = rows[cod_index[(target, tbv)]]
+                    v = row.get(col, 0) + sgn * c
+                    if v:
+                        row[col] = v
+                    else:
+                        del row[col]
+        for mono, coeff in brackets:
+            cols = dom_slice.get(mono)
+            if not cols:
+                continue
+            coeff = (coeff * scale).numerator     # integral by the lcm
+            for bv, col in cols:
+                row = rows[cod_index[(target, bv)]]
+                v = row.get(col, 0) + coeff
+                if v:
+                    row[col] = v
+                else:
+                    del row[col]
+    return dom, cod, rows, scale
 
 
 def delta_matrix(mod, n, w, parity, table=None, universe=GENS):
@@ -200,60 +285,13 @@ def delta_matrix(mod, n, w, parity, table=None, universe=GENS):
 
     Returns (domain_basis, codomain_basis, SparseMatrix); column c of
     the matrix is the coboundary of the delta cochain at domain_basis[c].
+    It is `delta_block` divided by its scale.
     """
-    table = table if table is not None else adopted_table()
-    w = Fraction(w)
-    dom = block_basis(mod, n, w, parity, universe)
-    cod = block_basis(mod, n + 1, w, parity, universe)
-    dom_slice = {}
-    for col, (u, bv) in enumerate(dom):
-        dom_slice.setdefault(u, []).append((bv, col))
-    cod_index = {pair: r for r, pair in enumerate(cod)}
-    rows = [dict() for _ in cod]
-    q = parity if parity is not None else 0
-    for target in monomial_basis(n + 1, universe):
-        parities = [PARITY[g] for g in target]
-        prefix = [0]
-        for p in parities:
-            prefix.append(prefix[-1] + p)
-        for i, gen in enumerate(target):
-            sub = target[:i] + target[i + 1:]
-            cols = dom_slice.get(sub)
-            if not cols:
-                continue
-            sgn = Fraction(_term1_sign(i, parities, prefix, q))
-            for bv, col in cols:
-                for tbv, c in mod.act_basis(gen, bv).items():
-                    r = cod_index[(target, tbv)]
-                    s = rows[r].get(col, Fraction(0)) + sgn * c
-                    if s:
-                        rows[r][col] = s
-                    else:
-                        del rows[r][col]
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                row = table.bracket(target[i], target[j])
-                if not row:
-                    continue
-                rest = (target[:i] + target[i + 1:j] + target[j + 1:])
-                sgn = _term2_sign(i, j, parities, prefix)
-                for g, cg in row.items():
-                    mono, s = canonicalize((g,) + rest)
-                    if not s:
-                        continue
-                    cols = dom_slice.get(mono)
-                    if not cols:
-                        continue
-                    coeff = Fraction(sgn * s) * cg
-                    for bv, col in cols:
-                        r = cod_index[(target, bv)]
-                        val = rows[r].get(col, Fraction(0)) + coeff
-                        if val:
-                            rows[r][col] = val
-                        else:
-                            del rows[r][col]
-    m = linalg.SparseMatrix(len(cod), len(dom), rows)
-    return dom, cod, m
+    dom, cod, rows, scale = delta_block(mod, n, w, parity, table, universe)
+    for row in rows:
+        for c, v in row.items():
+            row[c] = Fraction(v, scale)
+    return dom, cod, linalg.SparseMatrix(len(cod), len(dom), rows)
 
 
 def cochain_coords(f, basis):

@@ -24,13 +24,14 @@ from fractions import Fraction
 from . import algebra, linalg
 from .algebra import GENS, adopted_table
 from .cochains import (Cochain, _a_monomial, coboundary, cochain_coords,
-                       cochain_from_coords, cup, delta_matrix, is_reduced,
-                       make_f_k, make_ftilde_k, make_h_lambda,
+                       cochain_from_coords, cup, delta_block, delta_matrix,
+                       is_reduced, make_f_k, make_ftilde_k, make_h_lambda,
                        reduce_cochain, restrict_sl2, zero_cochain)
 from .superdiff import OpPoly, derived_module_action, op_str, \
     solve_realization_constants
 from .weightmod import (TruncatedDlm, from_oppoly, image_of_subspace,
-                        module_axiom_holds, quotient_dim, to_oppoly)
+                        module_axiom_holds, module_memo, quotient_dim,
+                        to_oppoly)
 
 NMAX_DEFAULT = 4
 WMAX_DEFAULT = Fraction(2)
@@ -77,18 +78,15 @@ def build_block(mod, n, w, parity, table=None, universe=GENS):
     return WeightBlock(n, Fraction(w), parity, dom, mat_out, mat_in)
 
 
-_rank_cache = {}
-
-
 def _block_rank_and_cols(mod, n, w, parity, table, universe):
-    key = (mod, n, Fraction(w), parity, table.key(), universe)
-    hit = _rank_cache.get(key)
-    if hit is not None:
-        return hit
-    dom, _, mat = delta_matrix(mod, n, w, parity, table, universe)
-    out = (linalg.rank(mat), len(dom))
-    _rank_cache[key] = out
-    return out
+    """(rank, columns) of d on C^n_w, filed in the module's memo."""
+    ranks = module_memo(mod).ranks
+    key = (n, Fraction(w), parity, table.key(), universe)
+    hit = ranks.get(key)
+    if hit is None:
+        dom, _, rows, _ = delta_block(mod, n, w, parity, table, universe)
+        hit = ranks[key] = (linalg.int_rank(rows), len(dom))
+    return hit
 
 
 @dataclass(frozen=True)
@@ -457,13 +455,13 @@ def grid_reports(pairs, K=None, nmax=NMAX_DEFAULT, wmax=WMAX_DEFAULT,
                  threads=None):
     """Reports over a list of (lambda, mu) pairs, in parallel for grids.
 
-    threads=None uses the available parallelism; results are identical
-    regardless of worker count (pure block computations).
+    threads=None uses the available parallelism; more workers than
+    points or CPUs are never started. Results are identical regardless
+    of worker count (pure block computations).
     """
     jobs = [(Fraction(l), Fraction(m), K, nmax, wmax) for l, m in pairs]
-    if threads is None:
-        threads = os.cpu_count() or 1
-    threads = min(threads, len(jobs))
+    cpus = os.cpu_count() or 1
+    threads = min(cpus if threads is None else threads, cpus, len(jobs))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_report_worker, jobs))

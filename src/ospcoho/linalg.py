@@ -1,49 +1,26 @@
 """Exact sparse linear algebra over the rationals.
 
 Matrices and vectors carry `fractions.Fraction` entries at the API
-boundary; internally every computation is handed to an integer
-fraction-free elimination kernel (rows are scaled to integers first,
-which changes neither row spaces nor solution sets of the encoded
-equations). Echelon output is canonical, so two subspaces are equal iff
-their `rref` bases are equal.
-
-The kernel backend is selected at import time: the compiled extension
-`ospcoho._kernels_cy` when it is available, otherwise the pure-Python
-twin. Set OSPCOHO_PURE_PYTHON=1 to force the fallback.
+boundary; internally every computation is handed to the integer
+fraction-free elimination kernel in `ospcoho._kernels_py` (rows are
+scaled to integers first, which changes neither row spaces nor
+solution sets of the encoded equations). Callers that already hold
+integer rows, such as the weight blocks of the differential, rank them
+with `int_rank` and skip that conversion. Echelon output is canonical,
+so two subspaces are equal iff their `rref` bases are equal.
 """
 
-import os
 from fractions import Fraction
+from math import lcm
 
-from . import _kernels_py
-
-if os.environ.get("OSPCOHO_PURE_PYTHON"):
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels_cy as _impl
-    except ImportError:
-        _impl = _kernels_py
-
-BACKEND = _impl.BACKEND_NAME
+from ._kernels_py import echelon
 
 
 def _to_int_row(row):
     """Scale a {col: Fraction} row to a primitive {col: int} row."""
-    scale = 1
-    for v in row.values():
-        scale = scale * v.denominator // _gcd(scale, v.denominator)
-    out = {}
-    for c, v in row.items():
-        if v:
-            out[c] = v.numerator * (scale // v.denominator)
-    return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    scale = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (scale // v.denominator)
+            for c, v in row.items() if v}
 
 
 def _as_fraction_row(row):
@@ -89,13 +66,6 @@ class SparseMatrix:
 
     def column(self, j):
         return {i: r[j] for i, r in enumerate(self.rows) if j in r}
-
-    def transpose(self):
-        t = SparseMatrix(self.ncols, self.nrows)
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                t.rows[j][i] = v
-        return t
 
     def mul(self, other):
         """Matrix product self @ other."""
@@ -143,11 +113,15 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
+def int_rank(rows):
+    """Rank of integer {col: int} rows; the rows are consumed."""
+    pivots, _ = echelon(rows, False)
+    return len(pivots)
+
+
 def rank(m):
     """Exact rank via fraction-free elimination."""
-    rows = [_to_int_row(r) for r in m.rows]
-    pivots, _ = _impl.echelon(rows, False)
-    return len(pivots)
+    return int_rank([_to_int_row(r) for r in m.rows])
 
 
 def rref(vectors, ncols):
@@ -158,7 +132,7 @@ def rref(vectors, ncols):
     column; this form is unique for the row space.
     """
     rows = [_to_int_row(_as_fraction_row(v)) for v in vectors]
-    pivots, out = _impl.echelon(rows, True)
+    pivots, out = echelon(rows, True)
     result = []
     for col, row in zip(pivots, out):
         piv = Fraction(row[col])
@@ -173,7 +147,7 @@ def kernel_basis(m):
     are ncols - rank(m) of them.
     """
     rows = [_to_int_row(r) for r in m.rows]
-    pivots, out = _impl.echelon(rows, True)
+    pivots, out = echelon(rows, True)
     pivot_set = set(pivots)
     free_cols = [j for j in range(m.ncols) if j not in pivot_set]
     basis = []
@@ -202,7 +176,7 @@ def solve(m, b):
             r[aug] = b[i]
         if r:
             rows.append(_to_int_row(_as_fraction_row(r)))
-    pivots, out = _impl.echelon(rows, True)
+    pivots, out = echelon(rows, True)
     x = {}
     for col, row in zip(pivots, out):
         if col == aug:

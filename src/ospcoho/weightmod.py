@@ -16,9 +16,15 @@ k <= K yields a genuine submodule on which H is diagonal and A is onto.
 
 Weight slices are finite (at most 4(K+1) vectors) because fixing the
 weight pins m as a function of k within each family.
+
+`module_memo` keeps, for the few most recently used modules, the action
+scaled to integers by one module-wide factor (each image computed once)
+and the block ranks the engine derives from it.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from . import linalg
 from .algebra import GENS, PARITY, WEIGHT
@@ -33,6 +39,7 @@ FAMILY_SHIFT = {
     "c": Fraction(-1, 2),
     "d": Fraction(1, 2),
 }
+_SHIFT2 = {f: int(2 * s) for f, s in FAMILY_SHIFT.items()}
 
 
 class TruncationViolation(ValueError):
@@ -41,6 +48,10 @@ class TruncationViolation(ValueError):
 
 class NotContained(linalg.NotContained):
     pass
+
+
+class NonIntegralScale(ArithmeticError):
+    """A scaled action coefficient is not an integer; nothing is rounded."""
 
 
 def vec_add(target, src, coeff=Fraction(1)):
@@ -189,15 +200,20 @@ class TruncatedDlm:
 
     def weight_basis(self, alpha, parity=None):
         """All basis vectors of weight alpha with k <= K, family-major."""
-        alpha = Fraction(alpha)
+        t = 2 * (Fraction(alpha) + self.p)    # = 2(k - m) + 2 shift
+        if t.denominator != 1:
+            return []
+        return self.twice_weight_basis(t.numerator, parity)
+
+    def twice_weight_basis(self, t, parity=None):
+        """weight_basis(alpha) for the integer t = 2(alpha + p)."""
         out = []
         for f in FAMILIES:
             if parity is not None and FAMILY_PARITY[f] != parity:
                 continue
-            s = alpha + self.p - FAMILY_SHIFT[f]  # = k - m
-            if s.denominator != 1:
+            s, odd = divmod(t - _SHIFT2[f], 2)   # s = k - m
+            if odd:
                 continue
-            s = int(s)
             for k in range(max(0, s), self.K + 1):
                 out.append((f, k - s, k))
         return out
@@ -281,6 +297,57 @@ class TruncatedDlm:
             if linalg.rank(m) != len(target):
                 return False
         return True
+
+
+def action_scale(mod):
+    """A common denominator of every action coefficient of `mod`.
+
+    With L = lcm(den 2lam, den 2p): B's coefficients lie in (1/L)Z, so
+    Y = -B o B needs L^2, and H's weights k - m - p + shift need 2L.
+    """
+    L = lcm((2 * mod.lam).denominator, (2 * mod.p).denominator)
+    return 2 * L * L
+
+
+class ModuleMemo:
+    """Integer action images of one module, and its block ranks.
+
+    `image(gen, bv)` is act_basis(gen, bv) * scale as a tuple of
+    (BasisVector, int) pairs, computed on first use. `ranks` belongs to
+    the engine, which files block ranks there.
+    """
+
+    __slots__ = ("mod", "scale", "ranks", "_images")
+
+    def __init__(self, mod):
+        self.mod = mod
+        self.scale = action_scale(mod)
+        self.ranks = {}
+        self._images = {g: {} for g in GENS}
+
+    def image(self, gen, bv):
+        images = self._images[gen]
+        img = images.get(bv)
+        if img is None:
+            img = []
+            for tbv, c in self.mod.act_basis(gen, bv).items():
+                v = c * self.scale
+                if v.denominator != 1:
+                    raise NonIntegralScale(
+                        f"{gen}.{bv} has coefficient {c}, not in "
+                        f"(1/{self.scale})Z")
+                img.append((tbv, v.numerator))
+            img = images[bv] = tuple(img)
+        return img
+
+
+MEMO_MODULES = 2
+
+
+@lru_cache(maxsize=MEMO_MODULES)
+def module_memo(mod):
+    """The ModuleMemo of `mod`, kept for the MEMO_MODULES latest modules."""
+    return ModuleMemo(mod)
 
 
 class Subspace:

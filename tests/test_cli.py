@@ -140,3 +140,45 @@ def test_threads_flag_same_output(capsys):
                           "--nmax", "2", "--wmax", "0")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--grid", "pairs:0"],
+    ["dims", "--grid", "foo:1"],
+    ["dims", "--grid", "halfints:0..x"],
+    ["dims", "--grid", "pairs:"],
+    ["dims", "--lambda", "0", "--mu", "1/2", "--kmax", "-5"],
+    ["dims", "--lambda", "0", "--mu", "1/2", "--threads", "0"],
+    ["cocycles", "--kind", "f", "--k", "-1"],
+])
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_dims_mismatch_exits_1(capsys, monkeypatch):
+    wrong = {n: 7 for n in range(5)}
+    monkeypatch.setattr(cli.engine, "predict_proposition",
+                        lambda lam, mu, nmax=4: wrong)
+    code, out = run_cli(capsys, "dims", "--lambda", "1", "--mu", "1",
+                        "--threads", "1")
+    assert code == 1
+    assert json.loads(out)["match"] is False
+
+
+def test_cocycles_no_cocycle_exits_1(capsys, monkeypatch):
+    def fail(k, table=None):
+        raise cli.NoCocycle("expected a 2-dimensional cocycle space")
+    monkeypatch.setattr(cli, "make_f_k", fail)
+    assert cli.main(["cocycles", "--kind", "f", "--k", "1"]) == 1
+    assert capsys.readouterr().err.startswith("cocycles: expected")
+
+
+def test_audit_without_consistent_repair_exits_1(capsys, monkeypatch):
+    def fail():
+        raise cli.algebra.NoConsistentRepair("no variant passes")
+    monkeypatch.setattr(cli.engine, "run_audit", fail)
+    assert cli.main(["audit"]) == 1

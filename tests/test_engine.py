@@ -239,3 +239,47 @@ def test_selftest_all_green():
     assert results
     assert all(ok for _, ok, _ in results), \
         [n for n, ok, _ in results if not ok]
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_grid_workers_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    _InlinePool.sizes.clear()
+    pairs = [(F(j, 2), F(j, 2)) for j in range(5)]
+    reports = grid_reports(pairs, nmax=0, wmax=F(0), threads=64)
+    assert _InlinePool.sizes == [3]
+    assert len(reports) == 5 and all(r.match for r in reports)
+    grid_reports(pairs, nmax=0, wmax=F(0))
+    assert _InlinePool.sizes == [3, 3]
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
+    grid_reports(pairs, nmax=0, wmax=F(0), threads=64)
+    assert _InlinePool.sizes == [3, 3]      # one CPU: no pool at all
+
+
+def test_module_memo_stays_bounded_over_a_grid():
+    from ospcoho.weightmod import MEMO_MODULES, module_memo
+    vals = [F(j, 2) for j in range(-2, 3)]
+    pairs = [(a, b) for a in vals for b in vals]
+    reports = grid_reports(pairs, nmax=1, wmax=F(0), threads=1)
+    assert len(reports) == 25 and all(r.match for r in reports)
+    assert module_memo.cache_info().currsize <= MEMO_MODULES
+    last = TruncatedDlm(pairs[-1][0], pairs[-1][1], reports[-1].K)
+    assert module_memo(last).ranks     # the latest module's ranks are kept

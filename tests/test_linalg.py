@@ -1,5 +1,6 @@
 """Exact linear algebra against a naive dense oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospcoho import linalg
+from ospcoho._kernels_py import echelon
 from ospcoho.linalg import SparseMatrix
 
 
 # independent dense oracle, kept deliberately naive
-from tests_support_dense import dense_rank  # noqa: E402
+from tests_support_dense import dense_rank, dense_rref  # noqa: E402
 
 
 def random_sparse(rng, nrows, ncols, density=0.3):
@@ -143,24 +145,28 @@ def test_rank_nullity_property(rows):
     assert linalg.rank(m) + len(linalg.kernel_basis(m)) == 4
 
 
-def test_backends_agree():
-    from ospcoho import _kernels_py
-    try:
-        from ospcoho import _kernels_cy
-    except ImportError:
-        pytest.skip("compiled kernel not built")
+def test_echelon_full_is_primitive_rref_of_dense_oracle():
     rng = random.Random(4242)
-    for _ in range(30):
-        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
         rows = []
         for _ in range(nrows):
             row = {j: rng.randint(-9, 9) for j in range(ncols)
                    if rng.random() < 0.5}
             rows.append({c: v for c, v in row.items() if v})
-        for full in (False, True):
-            a = _kernels_py.echelon([dict(r) for r in rows], full)
-            b = _kernels_cy.echelon([dict(r) for r in rows], full)
-            assert a == b
+        m = SparseMatrix.from_entries(
+            nrows, ncols, [(i, j, v) for i, r in enumerate(rows)
+                           for j, v in r.items()])
+        pivots, out = echelon([dict(r) for r in rows], True)
+        assert pivots == sorted(pivots) == [min(r) for r in out]
+        for col, r in zip(pivots, out):
+            assert r[col] > 0
+            assert math.gcd(*r.values()) == 1
+        scaled = [{c: Fraction(v, r[col]) for c, v in r.items()}
+                  for col, r in zip(pivots, out)]
+        assert scaled == dense_rref(m)
+        ranked, _ = echelon([dict(r) for r in rows], False)
+        assert ranked == pivots
 
 
 def test_matrix_dump_and_mul():

@@ -240,3 +240,27 @@ def test_vec_serialization_roundtrip():
     data = wm.vec_to_json(vec)
     assert data == [["a", 0, 0, "1"], ["d", 2, 1, "-7/3"]]
     assert wm.vec_from_json(data) == vec
+
+
+def test_memo_images_are_scaled_actions():
+    mod = TruncatedDlm(F(1, 3), F(-1, 2), 3)
+    memo = wm.ModuleMemo(mod)
+    assert memo.scale == 2 * 3 * 3      # L = lcm(den 2/3, den -5/3)
+    for gen in GENS:
+        for bv in mod.weight_basis(F(-1, 6)) + mod.weight_basis(F(5, 6)):
+            img = memo.image(gen, bv)
+            assert img is memo.image(gen, bv)
+            assert dict(img) == {t: c * memo.scale
+                                 for t, c in mod.act_basis(gen, bv).items()}
+
+
+def test_memo_refuses_non_integral_coefficients():
+    class Sevenths(TruncatedDlm):
+        __slots__ = ()
+
+        def act_basis(self, gen, bv):
+            return {bv: F(1, 7)}
+
+    memo = wm.ModuleMemo(Sevenths(0, 0, 2))
+    with pytest.raises(wm.NonIntegralScale):
+        memo.image("H", ("a", 0, 0))

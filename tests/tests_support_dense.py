@@ -2,6 +2,11 @@
 
 
 def dense_rank(m):
+    return len(dense_rref(m))
+
+
+def dense_rref(m):
+    """Nonzero rows of the reduced row echelon form, as {col: Fraction}."""
     rows = [[m.entry(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
     rank = 0
     col = 0
@@ -23,4 +28,4 @@ def dense_rank(m):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
         col += 1
-    return rank
+    return [{j: v for j, v in enumerate(row) if v} for row in rows[:rank]]
