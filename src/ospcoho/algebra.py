@@ -87,12 +87,14 @@ class StructureTable:
 
     Rows are stored for the pairs in PAIR_ORDER; every other ordered
     pair is filled in through graded antisymmetry
-    [U,V] = -(-1)^{UV} [V,U], and even diagonals are zero.
+    [U,V] = -(-1)^{UV} [V,U], and even diagonals are zero. The rows
+    are never changed after construction, so `key()` is computed once.
     """
 
     def __init__(self, rows, label):
         self.label = label
         self._rows = {}
+        self._key = None
         for pair in PAIR_ORDER:
             row = {g: Fraction(v) for g, v in rows.get(pair, {}).items() if v}
             self._rows[pair] = row
@@ -161,7 +163,10 @@ class StructureTable:
         return True
 
     def key(self):
-        return tuple(tuple(sorted(self._rows[p].items())) for p in PAIR_ORDER)
+        if self._key is None:
+            self._key = tuple(tuple(sorted(self._rows[p].items()))
+                              for p in PAIR_ORDER)
+        return self._key
 
     def changes_from(self, other):
         """[(pair_label, other_row_str, self_row_str)] for differing rows."""
@@ -282,6 +287,11 @@ def audit_and_repair(printed, module_check):
     triples AND `module_check(table)` confirms the differential-operator
     action satisfies the module axiom for it. Among accepted candidates
     the one with the fewest changed rows wins.
+
+    A rescaling multiplies the Jacobi defect of (u, v, w) in component h
+    by s_u s_v s_w / s_h, so it fails Jacobi on exactly the triples the
+    input fails on: the rescalings are searched only when the input
+    passes Jacobi.
     """
     failures = printed.jacobi_failures()
     candidates = []
@@ -293,7 +303,7 @@ def audit_and_repair(printed, module_check):
         consistent.append(changes)
         if module_check(table):
             candidates.append((len(changes), changes, table))
-    if not candidates:
+    if not candidates and not failures:
         for scales in itertools.product(_RESCALE_VALUES, repeat=len(GENS)):
             table = _rescaled(printed, dict(zip(GENS, scales)))
             if not table.is_jacobi():

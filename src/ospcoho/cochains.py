@@ -227,12 +227,14 @@ def _graded_monomials(n, universe):
                  for u in monomial_basis(n, universe))
 
 
-def delta_block(mod, n, w, parity, table=None, universe=GENS):
-    """Integer matrix of d: C^n_w -> C^{n+1}_w on one parity component.
+def delta_block(mod, n, w, parity, table=None, universe=GENS, skip=()):
+    """Integer columns of d: C^n_w -> C^{n+1}_w on one parity component.
 
-    Returns (domain_basis, codomain_basis, rows, scale): rows[r] is a
-    {column: int} dict and the exact matrix is rows / scale, column c
-    being the coboundary of the delta cochain at domain_basis[c]. The
+    Returns (domain_basis, codomain_basis, cols, scale): cols[c] is a
+    {codomain index: int} dict, and cols[c] / scale is column c of the
+    exact matrix, the coboundary of the delta cochain at
+    domain_basis[c]. The columns whose domain index is in `skip` are
+    left empty and never assembled. The
     scale is the lcm of the module's action scale (see `module_memo`)
     and the denominators of the bracket coefficients.
     """
@@ -240,44 +242,46 @@ def delta_block(mod, n, w, parity, table=None, universe=GENS):
     w = Fraction(w)
     dom = block_basis(mod, n, w, parity, universe)
     cod = block_basis(mod, n + 1, w, parity, universe)
-    rows = [dict() for _ in cod]
+    cols = [dict() for _ in dom]
     memo = module_memo(mod)
     terms = _koszul_terms(n, parity if parity is not None else 0,
                           universe, table)
     scale = lcm(memo.scale, *(c.denominator for _, _, brackets in terms
                               for _, c in brackets))
     act_factor = scale // memo.scale
+    skip = frozenset(skip)
     dom_slice = {}
-    for col, (u, bv) in enumerate(dom):
-        dom_slice.setdefault(u, []).append((bv, col))
+    for c, (u, bv) in enumerate(dom):
+        if c not in skip:
+            dom_slice.setdefault(u, []).append((bv, cols[c]))
     cod_index = {pair: r for r, pair in enumerate(cod)}
     for target, acts, brackets in terms:
         for gen, sub, sgn in acts:
-            cols = dom_slice.get(sub)
-            if not cols:
+            entries = dom_slice.get(sub)
+            if not entries:
                 continue
             sgn *= act_factor
-            for bv, col in cols:
+            for bv, col in entries:
                 for tbv, c in memo.image(gen, bv):
-                    row = rows[cod_index[(target, tbv)]]
-                    v = row.get(col, 0) + sgn * c
+                    r = cod_index[(target, tbv)]
+                    v = col.get(r, 0) + sgn * c
                     if v:
-                        row[col] = v
+                        col[r] = v
                     else:
-                        del row[col]
+                        del col[r]
         for mono, coeff in brackets:
-            cols = dom_slice.get(mono)
-            if not cols:
+            entries = dom_slice.get(mono)
+            if not entries:
                 continue
             coeff = (coeff * scale).numerator     # integral by the lcm
-            for bv, col in cols:
-                row = rows[cod_index[(target, bv)]]
-                v = row.get(col, 0) + coeff
+            for bv, col in entries:
+                r = cod_index[(target, bv)]
+                v = col.get(r, 0) + coeff
                 if v:
-                    row[col] = v
+                    col[r] = v
                 else:
-                    del row[col]
-    return dom, cod, rows, scale
+                    del col[r]
+    return dom, cod, cols, scale
 
 
 def delta_matrix(mod, n, w, parity, table=None, universe=GENS):
@@ -287,10 +291,11 @@ def delta_matrix(mod, n, w, parity, table=None, universe=GENS):
     the matrix is the coboundary of the delta cochain at domain_basis[c].
     It is `delta_block` divided by its scale.
     """
-    dom, cod, rows, scale = delta_block(mod, n, w, parity, table, universe)
-    for row in rows:
-        for c, v in row.items():
-            row[c] = Fraction(v, scale)
+    dom, cod, cols, scale = delta_block(mod, n, w, parity, table, universe)
+    rows = [dict() for _ in cod]
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r][c] = Fraction(v, scale)
     return dom, cod, linalg.SparseMatrix(len(cod), len(dom), rows)
 
 

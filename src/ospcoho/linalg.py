@@ -5,9 +5,10 @@ boundary; internally every computation is handed to the integer
 fraction-free elimination kernel in `ospcoho._kernels_py` (rows are
 scaled to integers first, which changes neither row spaces nor
 solution sets of the encoded equations). Callers that already hold
-integer rows, such as the weight blocks of the differential, rank them
-with `int_rank` and skip that conversion. Echelon output is canonical,
-so two subspaces are equal iff their `rref` bases are equal.
+integer rows, such as the weight blocks of the differential, take
+their pivots with `int_pivots` and skip that conversion. Echelon output
+is canonical, so two subspaces are equal iff their `rref` bases are
+equal.
 """
 
 from fractions import Fraction
@@ -113,15 +114,18 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-def int_rank(rows):
-    """Rank of integer {col: int} rows; the rows are consumed."""
+def int_pivots(rows):
+    """Pivot columns of an echelon form of integer {col: int} rows.
+
+    Their number is the rank; the rows are consumed.
+    """
     pivots, _ = echelon(rows, False)
-    return len(pivots)
+    return pivots
 
 
 def rank(m):
     """Exact rank via fraction-free elimination."""
-    return int_rank([_to_int_row(r) for r in m.rows])
+    return len(int_pivots([_to_int_row(r) for r in m.rows]))
 
 
 def rref(vectors, ncols):

@@ -28,6 +28,7 @@ from math import lcm
 
 from . import linalg
 from .algebra import GENS, PARITY, WEIGHT
+from .linalg import NotContained
 from .superdiff import OpPoly
 
 FAMILIES = ("a", "b", "c", "d")
@@ -43,10 +44,6 @@ _SHIFT2 = {f: int(2 * s) for f, s in FAMILY_SHIFT.items()}
 
 
 class TruncationViolation(ValueError):
-    pass
-
-
-class NotContained(linalg.NotContained):
     pass
 
 
@@ -422,10 +419,7 @@ def image_of_subspace(mod, gen, s):
 def quotient_dim(s, t):
     """dim(s / t); raises NotContained when t is not a subspace of s."""
     s._check_ambient(t)
-    try:
-        return linalg.quotient_dim(list(s.rows), list(t.rows))
-    except linalg.NotContained as exc:
-        raise NotContained(str(exc)) from None
+    return linalg.quotient_dim(list(s.rows), list(t.rows))
 
 
 def complement(s, inside):

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ospcoho import algebra
-from ospcoho.algebra import (GENS, NoConsistentRepair, StructureTable,
-                             adopted_table, audit_and_repair, canonicalize,
+from ospcoho.algebra import (GENS, PAIR_ORDER, NoConsistentRepair,
+                             StructureTable, _rescaled, adopted_table,
+                             audit_and_repair, canonicalize,
                              monomial_basis, monomial_parity, monomial_str,
                              monomial_weight, parse_monomial, printed_table)
 
@@ -37,6 +39,32 @@ def test_printed_table_fails_jacobi_at_AAB():
 def test_adopted_table_passes_jacobi_everywhere():
     t = adopted_table()
     assert t.jacobi_failures() == []
+
+
+def test_table_key_is_cached():
+    t = printed_table()
+    key = t.key()
+    assert key is t.key()
+    assert key == tuple(tuple(sorted(t.row(p).items())) for p in PAIR_ORDER)
+    rows = {p: t.row(p) for p in PAIR_ORDER}
+    twin = StructureTable(rows, "twin")
+    assert twin == t and hash(twin) == hash(t) == hash(key)
+    assert twin != adopted_table()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(*[st.fractions(min_value=-4, max_value=4,
+                                max_denominator=4).filter(bool)] * 5))
+def test_rescaling_keeps_the_failing_jacobi_triples(scales):
+    # g -> s_g g multiplies the defect of (u,v,w) in h by s_u s_v s_w / s_h
+    s = dict(zip(GENS, scales))
+    printed = printed_table()
+    rescaled = _rescaled(printed, s)
+    assert [t for t, _ in rescaled.jacobi_failures()] \
+        == [t for t, _ in printed.jacobi_failures()]
+    for (u, v, w), defect in printed.jacobi_failures():
+        assert rescaled.jacobi_defect(u, v, w) == {
+            h: c * s[u] * s[v] * s[w] / s[h] for h, c in defect.items()}
 
 
 def test_jacobi_trivial_triples():

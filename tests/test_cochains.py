@@ -198,29 +198,34 @@ def test_delta_matrix_against_coboundary():
 @pytest.mark.parametrize("lam, mu", [(F(1, 3), F(0)), (F(-1, 2), F(1)),
                                      (F(1, 3), F(5, 6)), (F(0), F(1, 2))])
 def test_integer_block_is_scaled_delta_matrix(lam, mu):
-    # denominators 3 and 2 in lambda and p: the integer block is D times
-    # the exact matrix, and its columns are D times the coboundaries of
-    # delta cochains (computed by the Fraction action)
+    # denominators 3 and 2 in lambda and p: the integer columns are D
+    # times the exact matrix's columns, and each is D times the
+    # coboundary of a delta cochain (computed by the Fraction action)
     rng = random.Random(7)
     mod = TruncatedDlm(lam, mu, 3)
     w0 = -mod.p                     # the weight of a_{0,0}
     fractional = False
     for n, w, parity in ((0, w0, 0), (1, w0, 0), (1, w0 + F(1, 2), 1),
                          (2, w0, 0), (2, w0 - F(1, 2), 1)):
-        dom, cod, rows, scale = cc.delta_block(mod, n, w, parity, TABLE)
-        assert scale == action_scale(mod) and rows and dom
-        assert all(type(v) is int for r in rows for v in r.values())
+        dom, cod, cols, scale = cc.delta_block(mod, n, w, parity, TABLE)
+        assert scale == action_scale(mod) and cod and dom
+        assert len(cols) == len(dom)
+        assert all(type(v) is int for col in cols for v in col.values())
         _, _, mat = delta_matrix(mod, n, w, parity, TABLE)
-        assert [{c: v * scale for c, v in r.items()} for r in mat.rows] \
-            == rows
+        assert [{r: v * scale for r, v in mat.column(c).items()}
+                for c in range(len(dom))] == cols
         fractional |= any(v.denominator > 1 for r in mat.rows
                           for v in r.values())
-        for col in rng.sample(range(len(dom)), min(6, len(dom))):
-            u, bv = dom[col]
+        for c in rng.sample(range(len(dom)), min(6, len(dom))):
+            u, bv = dom[c]
             dd = coboundary(Cochain(mod, n, parity, {u: {bv: F(1)}}), TABLE)
-            column = {r: row[col] for r, row in enumerate(rows) if col in row}
-            assert column == {r: c * scale for r, c
-                              in cc.cochain_coords(dd, cod).items()}
+            assert cols[c] == {r: v * scale for r, v
+                               in cc.cochain_coords(dd, cod).items()}
+        # left-out columns stay empty, the others are unchanged
+        skip = range(0, len(dom), 2)
+        *_, part, _ = cc.delta_block(mod, n, w, parity, TABLE, skip=skip)
+        assert part == [{} if c in skip else col
+                        for c, col in enumerate(cols)]
     assert fractional
 
 
@@ -228,9 +233,9 @@ def test_integer_block_scale_covers_bracket_denominators():
     thirds = {g: F(1) for g in GENS}
     thirds["H"] = F(1, 3)           # [H,A] = A/6 in the rescaled basis
     table = _rescaled(TABLE, thirds)
-    dom, cod, rows, scale = cc.delta_block(MOD, 1, 0, 0, table)
+    dom, cod, cols, scale = cc.delta_block(MOD, 1, 0, 0, table)
     assert scale % 3 == 0 and scale % action_scale(MOD) == 0
-    assert all(type(v) is int for r in rows for v in r.values())
+    assert all(type(v) is int for col in cols for v in col.values())
 
 
 # --- explicit cocycles -------------------------------------------------------

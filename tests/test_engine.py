@@ -6,16 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from ospcoho import engine
-from ospcoho.algebra import SL2, adopted_table
-from ospcoho.cochains import (Cochain, coboundary, make_f_k, make_ftilde_k,
-                              make_h_lambda, restrict_sl2)
+from ospcoho import engine, linalg
+from ospcoho.algebra import GENS, SL2, adopted_table
+from ospcoho.cochains import (Cochain, coboundary, delta_block, make_f_k,
+                              make_ftilde_k, make_h_lambda, restrict_sl2)
 from ospcoho.engine import (NotACocycle, build_report, class_representatives,
                             gelfand_fuchs_check, grid_reports, h_dim,
                             is_coboundary, predict_proposition, predict_sl2,
                             predict_theorem, restriction_injectivity_check,
                             run_audit, selftest)
-from ospcoho.weightmod import TruncatedDlm
+from ospcoho.weightmod import TruncatedDlm, module_memo
 
 F = Fraction
 TABLE = adopted_table()
@@ -42,6 +42,38 @@ def test_h_dim_parity_split():
     assert (dc.total, dc.even, dc.odd) == (1, 0, 1)
     dc1 = h_dim(mod, 1, 0, TABLE)
     assert (dc1.even, dc1.odd) == (0, 2)
+
+
+def test_chained_ranks_equal_full_block_ranks():
+    # the chain leaves out the columns at the pivots of im d_{n-1}; the
+    # rank of the full block must come out the same
+    module_memo.cache_clear()
+    weights = [F(j, 2) for j in range(-2, 3)]
+    mods = [TruncatedDlm(lam, mu, 3) for lam, mu in GRID + [(F(-3, 2), F(2))]]
+    mods.append(TruncatedDlm(F(1, 3), F(5, 6), 5))
+    for mod in mods:
+        for universe in (GENS, SL2):
+            for w in weights:
+                for parity in (0, 1):
+                    for n in range(5):
+                        rank, cols, _ = engine._block_rank_and_cols(
+                            mod, n, w, parity, TABLE, universe)
+                        dom, _, full, _ = delta_block(mod, n, w, parity,
+                                                      TABLE, universe)
+                        assert (rank, cols) == (
+                            len(linalg.int_pivots(full)), len(dom)), \
+                            (mod, universe, w, parity, n)
+
+
+def test_h_dim_out_of_order():
+    for mod in (TruncatedDlm(0, F(1, 2), 3),
+                TruncatedDlm(F(1, 3), F(5, 6), 5)):
+        for w in (F(0), F(1, 2)):
+            module_memo.cache_clear()
+            in_order = [h_dim(mod, n, w, TABLE) for n in range(5)]
+            module_memo.cache_clear()
+            shuffled = {n: h_dim(mod, n, w, TABLE) for n in (3, 0, 4, 1, 2)}
+            assert [shuffled[n] for n in range(5)] == in_order
 
 
 def test_predict_proposition_cases():

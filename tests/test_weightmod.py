@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ospcoho import weightmod as wm
+from ospcoho import linalg, weightmod as wm
 from ospcoho.algebra import GENS, WEIGHT, adopted_table, printed_table
 from ospcoho.superdiff import solve_realization_constants, \
     derived_module_action
@@ -186,6 +186,7 @@ def test_quotient_not_contained():
     line = mod.subspace(0, [{("a", 0, 0): F(1)}])
     with pytest.raises(wm.NotContained):
         quotient_dim(line, full)
+    assert wm.NotContained is linalg.NotContained
 
 
 def test_complement_cases():
