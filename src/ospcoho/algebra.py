@@ -88,16 +88,23 @@ class StructureTable:
     Rows are stored for the pairs in PAIR_ORDER; every other ordered
     pair is filled in through graded antisymmetry
     [U,V] = -(-1)^{UV} [V,U], and even diagonals are zero. The rows
-    are never changed after construction, so `key()` is computed once.
+    are never changed after construction, so `key()` and the hash are
+    computed once, together with an all-integer copy of the key that
+    `==` compares: tables are compared often, as cache keys, and ints
+    compare without `Fraction.__eq__`.
     """
 
     def __init__(self, rows, label):
         self.label = label
         self._rows = {}
-        self._key = None
         for pair in PAIR_ORDER:
             row = {g: Fraction(v) for g, v in rows.get(pair, {}).items() if v}
             self._rows[pair] = row
+        self._key = tuple(tuple(sorted(self._rows[p].items()))
+                          for p in PAIR_ORDER)
+        self._hash = hash(self._key)
+        self._ints = tuple(tuple((g, c.numerator, c.denominator)
+                                 for g, c in row) for row in self._key)
 
     def row(self, pair):
         return dict(self._rows[pair])
@@ -163,9 +170,6 @@ class StructureTable:
         return True
 
     def key(self):
-        if self._key is None:
-            self._key = tuple(tuple(sorted(self._rows[p].items()))
-                              for p in PAIR_ORDER)
         return self._key
 
     def changes_from(self, other):
@@ -179,10 +183,10 @@ class StructureTable:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, StructureTable) and self.key() == other.key()
+        return isinstance(other, StructureTable) and self._ints == other._ints
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return f"StructureTable({self.label!r})"

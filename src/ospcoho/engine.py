@@ -22,6 +22,9 @@ compared against two independent predictions:
 
 The sl(2) analogue (ker X / Y((ker X)^0) formulas) is checked the same
 way, and explicit cocycles are certified nontrivial by exact solves.
+Class representatives come from the same integer blocks: the integer
+kernel vectors of d_n that `linalg.greedy_independent` finds outside
+the span of im d_{n-1} and of the vectors kept before them.
 """
 
 import math
@@ -32,10 +35,11 @@ from fractions import Fraction
 
 from . import algebra, linalg
 from .algebra import GENS, adopted_table
-from .cochains import (Cochain, _a_monomial, coboundary, cochain_coords,
-                       cochain_from_coords, cup, delta_block, delta_matrix,
-                       is_reduced, make_f_k, make_ftilde_k, make_h_lambda,
-                       reduce_cochain, restrict_sl2, zero_cochain)
+from .cochains import (Cochain, _a_monomial, block_basis, coboundary,
+                       cochain_coords, cochain_from_coords, cup, delta_block,
+                       delta_matrix, is_reduced, make_f_k, make_ftilde_k,
+                       make_h_lambda, reduce_cochain, restrict_sl2,
+                       zero_cochain)
 from .superdiff import OpPoly, derived_module_action, op_str, \
     solve_realization_constants
 from .weightmod import (TruncatedDlm, from_oppoly, image_of_subspace,
@@ -93,10 +97,13 @@ def _block_rank_and_cols(mod, n, w, parity, table, universe):
     `pivots` are the pivot coordinates, in C^{n+1}_w, of an echelon
     basis of im d_n. The columns of d_n at the pivots of im d_{n-1}
     are left out (step n-1 is computed first if it is missing): they
-    lie in the span of the others because d_n d_{n-1} = 0.
+    lie in the span of the others because d_n d_{n-1} = 0. The memo key
+    holds w as two ints and the table itself, whose hash is cached, so
+    a lookup hashes no Fraction.
     """
     ranks = module_memo(mod).ranks
-    key = (n, Fraction(w), parity, table.key(), universe)
+    w = Fraction(w)
+    key = (n, w.numerator, w.denominator, parity, table, universe)
     hit = ranks.get(key)
     if hit is None:
         skip = ()
@@ -233,24 +240,44 @@ def is_coboundary(f, table=None):
     return g
 
 
-def class_representatives(mod, n, w, parity, table=None, universe=GENS):
-    """Cocycle representatives of a basis of H^n_w (one parity)."""
-    table = table if table is not None else adopted_table()
-    dom, cod, mat = delta_matrix(mod, n, w, parity, table, universe)
-    kernel = linalg.kernel_basis(mat)
-    current = []
-    if n > 0:
-        dom_prev, cod_prev, mat_prev = delta_matrix(mod, n - 1, w, parity,
-                                                    table, universe)
-        cols = [mat_prev.column(j) for j in range(mat_prev.ncols)]
-        current = linalg.rref(cols, len(dom))
+def _representatives(mod, n, parity, universe, block, prev_cols):
+    """class_representatives from the integer blocks of d_n and d_{n-1}.
+
+    `block` is `delta_block`'s output for d_n and `prev_cols` the
+    columns of d_{n-1} (empty for n = 0); they span im d_{n-1}, and a
+    kernel vector is kept iff it enlarges the span of that image and
+    the vectors kept before it (`linalg.greedy_independent`). Only the
+    kept vectors become Fraction cochains, scaled to lead with 1.
+    """
+    dom, _, cols, _ = block
+    rows = {}
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = v
+    kernel = linalg.int_kernel_basis(list(rows.values()), len(dom))
     reps = []
-    for kv in kernel:
-        if not linalg.span_contains(current, kv):
-            reps.append(cochain_from_coords(mod, n, parity, dom, kv,
-                                            universe))
-            current = linalg.rref(current + [kv], len(dom))
+    for i in linalg.greedy_independent([c for c in prev_cols if c], kernel):
+        vec = kernel[i]
+        lead = vec[min(vec)]
+        coords = {c: Fraction(v, lead) for c, v in vec.items()}
+        reps.append(cochain_from_coords(mod, n, parity, dom, coords,
+                                        universe))
     return reps
+
+
+def class_representatives(mod, n, w, parity, table=None, universe=GENS):
+    """Cocycle representatives of a basis of H^n_w (one parity).
+
+    They are the `linalg.kernel_basis` vectors of d_n that enlarge the
+    span of im d_{n-1} and of the vectors picked before them, taken in
+    order; both blocks are ranked in integers (`_representatives`).
+    """
+    table = table if table is not None else adopted_table()
+    block = delta_block(mod, n, w, parity, table, universe)
+    prev_cols = ()
+    if n > 0:
+        prev_cols = delta_block(mod, n - 1, w, parity, table, universe)[2]
+    return _representatives(mod, n, parity, universe, block, prev_cols)
 
 
 # --- localization and restriction checks -------------------------------------
@@ -259,29 +286,38 @@ def localization_kernel_dim(mod, n, w, parity, table=None):
     """dim of {reduced n-cocycles at weight w with f(B^n) = 0}.
 
     Zero for every weight certifies that a reduced cocycle is determined
-    by its value on B^n.
+    by its value on B^n. The cocycles vanishing on the listed slots are
+    the kernel of d_n stacked with one unit row per such slot; the unit
+    rows clear their columns, so the rank is their number plus the rank
+    of the other columns, which are all that is assembled.
     """
     table = table if table is not None else adopted_table()
-    dom, cod, mat = delta_matrix(mod, n, w, parity, table)
     b_mono = tuple(["B"] * n)
-    extra = []
-    for col, (u, bv) in enumerate(dom):
-        if _a_monomial(u) or u == b_mono:
-            extra.append({col: Fraction(1)})
-    rows = [dict(r) for r in mat.rows] + extra
-    stacked = linalg.SparseMatrix(len(rows), mat.ncols, rows)
-    return len(linalg.kernel_basis(stacked))
+    dom = block_basis(mod, n, w, parity)
+    units = {col for col, (u, _) in enumerate(dom)
+             if _a_monomial(u) or u == b_mono}
+    cols = delta_block(mod, n, w, parity, table, GENS, units)[2]
+    return (len(dom) - len(units)
+            - len(linalg.int_pivots([c for c in cols if c])))
 
 
 def restriction_injectivity_check(lam, mu, K=None, table=None, nmax=2):
-    """Restrictions of nontrivial classes must stay nontrivial on sl(2)."""
+    """Restrictions of nontrivial classes must stay nontrivial on sl(2).
+
+    Each block d_n is assembled once: it gives the cocycles at degree n
+    and the coboundaries at degree n + 1.
+    """
     table = table if table is not None else adopted_table()
     mod = TruncatedDlm(lam, mu, guard_K(lam, mu, K))
     entries = []
+    prev_cols = {0: (), 1: ()}
     for n in range(nmax + 1):
         for parity in (0, 1):
-            for i, rep in enumerate(class_representatives(
-                    mod, n, 0, parity, table)):
+            block = delta_block(mod, n, 0, parity, table)
+            reps = _representatives(mod, n, parity, GENS, block,
+                                    prev_cols[parity])
+            prev_cols[parity] = block[2]
+            for i, rep in enumerate(reps):
                 res = restrict_sl2(rep)
                 if res.is_zero():
                     verdict = False

@@ -6,15 +6,18 @@ fraction-free elimination kernel in `ospcoho._kernels_py` (rows are
 scaled to integers first, which changes neither row spaces nor
 solution sets of the encoded equations). Callers that already hold
 integer rows, such as the weight blocks of the differential, take
-their pivots with `int_pivots` and skip that conversion. Echelon output
-is canonical, so two subspaces are equal iff their `rref` bases are
-equal.
+their pivots with `int_pivots` and their null space with
+`int_kernel_basis`, and skip that conversion. `greedy_independent`
+picks, in order, the vectors that enlarge a span, by reducing each one
+against an integer echelon basis that grows as vectors are kept.
+Echelon output is canonical, so two subspaces are equal iff their
+`rref` bases are equal.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from ._kernels_py import echelon
+from ._kernels_py import echelon, eliminate, normalize_row
 
 
 def _to_int_row(row):
@@ -144,24 +147,43 @@ def rref(vectors, ncols):
     return result
 
 
+def int_kernel_basis(rows, ncols):
+    """Integer basis of the null space of integer {col: int} rows.
+
+    One vector per free column f of the reduced row echelon form, in
+    increasing f: e_f minus the pivot coordinates it fixes, cleared of
+    denominators. The rows are consumed.
+    """
+    pivots, reduced = echelon(rows, True)
+    fixing = {}     # free column -> the reduced rows that have it
+    for col, row in zip(pivots, reduced):
+        for f in row:
+            if f != col:
+                fixing.setdefault(f, []).append((col, row))
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        fixed = fixing.get(f, ())
+        scale = lcm(*(row[col] for col, row in fixed))
+        v = {f: scale}
+        for col, row in fixed:
+            v[col] = -row[f] * (scale // row[col])
+        basis.append(v)
+    return basis
+
+
 def kernel_basis(m):
     """Echelon basis of the null space of m, leading coefficient 1.
 
     Each returned vector v satisfies m.apply(v) == {} exactly, and there
     are ncols - rank(m) of them.
     """
-    rows = [_to_int_row(r) for r in m.rows]
-    pivots, out = echelon(rows, True)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(m.ncols) if j not in pivot_set]
     basis = []
-    for f in free_cols:
-        v = {f: Fraction(1)}
-        for col, row in zip(pivots, out):
-            if f in row:
-                v[col] = Fraction(-row[f], row[col])
+    for v in int_kernel_basis([_to_int_row(r) for r in m.rows], m.ncols):
         lead = v[min(v)]
-        basis.append({c: val / lead for c, val in v.items()})
+        basis.append({c: Fraction(x, lead) for c, x in v.items()})
     return basis
 
 
@@ -208,6 +230,30 @@ def span_contains(rref_rows, vector):
                 else:
                     v.pop(c, None)
     return not v
+
+
+def greedy_independent(base, candidates):
+    """Indices of the candidates that enlarge the span, scanning in order.
+
+    Candidate i is kept iff it is not in the span of `base` and of the
+    candidates kept before it, so the kept ones extend a basis of
+    span(base) to one of span(base + candidates). Rows are
+    {col: Fraction|int} dicts and are not modified; each is scaled to
+    integers and reduced against an integer echelon basis that grows by
+    the kept rows, one pivot column each.
+    """
+    _, rows = echelon([_to_int_row(r) for r in base], False)
+    basis = {min(r): r for r in rows}
+    kept = []
+    for i, cand in enumerate(candidates):
+        row = _to_int_row(cand)
+        lead = normalize_row(row) if row else None
+        while lead in basis:
+            lead = eliminate(row, basis[lead], lead)
+        if lead is not None:
+            basis[lead] = row
+            kept.append(i)
+    return kept
 
 
 def subspace_sum(u_rows, w_rows, ncols):

@@ -18,8 +18,11 @@ Weight slices are finite (at most 4(K+1) vectors) because fixing the
 weight pins m as a function of k within each family.
 
 `module_memo` keeps, for the few most recently used modules, the action
-scaled to integers by one module-wide factor (each image computed once)
-and the block ranks the engine derives from it.
+scaled to integers by one module-wide factor D (each image computed once)
+and the block ranks the engine derives from it. `module_axiom_holds`
+checks the module axiom on those images: it scales each defect by
+T * D^2, with T the lcm of the bracket table's denominators, so that it
+is an integer vector.
 """
 
 from fractions import Fraction
@@ -426,19 +429,15 @@ def complement(s, inside):
     """Deterministic complement of s in `inside` by greedy pivots.
 
     Scans the canonical basis of `inside` in order and keeps the vectors
-    that enlarge span(s); the result C satisfies inside = s (+) C.
+    that enlarge the span of s and of the vectors kept so far
+    (`linalg.greedy_independent`); the result C satisfies
+    inside = s (+) C.
     """
     s._check_ambient(inside)
     if not inside.contains(s):
         raise NotContained("s is not contained in the ambient subspace")
-    ncols = len(s.basis)
-    current = list(s.rows)
-    chosen = []
-    for row in inside.rows:
-        if not linalg.span_contains(current, row):
-            chosen.append(row)
-            current = linalg.rref(current + [row], ncols)
-    picked = [{s.basis[i]: c for i, c in row.items()} for row in chosen]
+    picked = [{s.basis[c]: v for c, v in inside.rows[i].items()}
+              for i in linalg.greedy_independent(s.rows, inside.rows)]
     return s.mod.subspace(s.alpha, picked, s.parity)
 
 
@@ -458,15 +457,49 @@ def action_compat_defect(mod, table, u, v, bv):
 
 
 def module_axiom_holds(mod, table, max_m=3, max_k=None):
-    """Check the module axiom on all generator pairs and small vectors."""
+    """Check the module axiom on all generator pairs and small vectors.
+
+    The same predicate as "every `action_compat_defect` over these
+    inputs is {}", decided in integers: with D = `module_memo(mod).scale`
+    (so `image(g, bv)` is D * g.bv) and T the lcm of the denominators of
+    the table's bracket coefficients, T * D^2 * defect is an integer
+    vector, zero iff the defect is. Each generator image is computed
+    once per module, whatever the table.
+    """
     if max_k is None:
         max_k = mod.K
+    memo = module_memo(mod)
+    image = memo.image
+    brackets = {(u, v): table.bracket(u, v) for u in GENS for v in GENS}
+    T = lcm(*(c.denominator for b in brackets.values() for c in b.values()))
+
+    def act_twice(u, img):
+        # u.(v.w) * D^2, from img = D * v.w
+        out = {}
+        for t, c in img:
+            for t2, c2 in image(u, t):
+                out[t2] = out.get(t2, 0) + c * c2
+        return out
+
     for u in GENS:
         for v in GENS:
+            # T * D * [u,v], so that its terms meet D * g.bv
+            bracket = [(g, (c * T).numerator * memo.scale)
+                       for g, c in brackets[(u, v)].items()]
+            sign = -T if PARITY[u] and PARITY[v] else T
             for f in FAMILIES:
                 for m in range(max_m + 1):
                     for k in range(min(max_k, mod.K) + 1):
-                        if action_compat_defect(mod, table, u, v, (f, m, k)):
+                        bv = (f, m, k)
+                        defect = {}
+                        for g, c in bracket:
+                            for t, x in image(g, bv):
+                                defect[t] = defect.get(t, 0) + c * x
+                        for t, x in act_twice(u, image(v, bv)).items():
+                            defect[t] = defect.get(t, 0) - T * x
+                        for t, x in act_twice(v, image(u, bv)).items():
+                            defect[t] = defect.get(t, 0) + sign * x
+                        if any(defect.values()):
                             return False
     return True
 

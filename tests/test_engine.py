@@ -171,6 +171,42 @@ def test_class_representatives_count_and_reduction_localization():
         assert red.values.get(b_mono)  # localization slot is nonzero
 
 
+ACCEPTANCE_GRID = GRID + [(F(-3, 2), F(2))]
+
+
+def _reference_representatives(mod, n, w, parity):
+    # the Fraction greedy: kernel vectors outside the span of im d_{n-1}
+    # and of the vectors kept before them
+    from ospcoho.cochains import cochain_from_coords, delta_matrix
+    dom, _, mat = delta_matrix(mod, n, w, parity, TABLE)
+    current = []
+    if n > 0:
+        _, _, prev = delta_matrix(mod, n - 1, w, parity, TABLE)
+        current = linalg.rref([prev.column(j) for j in range(prev.ncols)],
+                              len(dom))
+    reps = []
+    for kv in linalg.kernel_basis(mat):
+        if not linalg.span_contains(current, kv):
+            reps.append(cochain_from_coords(mod, n, parity, dom, kv))
+            current = linalg.rref(current + [kv], len(dom))
+    return reps
+
+
+def test_class_representatives_match_reference_greedy():
+    assert len(ACCEPTANCE_GRID) == 10
+    count = 0
+    for lam, mu in ACCEPTANCE_GRID:
+        mod = TruncatedDlm(lam, mu, engine.guard_K(lam, mu, 8))
+        for n in range(3):
+            for w in (F(0), F(1, 2), F(-1)):
+                for parity in (0, 1):
+                    got = class_representatives(mod, n, w, parity, TABLE)
+                    assert got == _reference_representatives(
+                        mod, n, w, parity), (lam, mu, n, w, parity)
+                    count += len(got)
+    assert count == 22
+
+
 def test_localization_kernel_zero():
     mod = TruncatedDlm(0, F(1, 2), 3)
     for n in (1, 2, 3):

@@ -145,6 +145,41 @@ def test_rank_nullity_property(rows):
     assert linalg.rank(m) + len(linalg.kernel_basis(m)) == 4
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5),
+                                st.fractions(min_value=-3, max_value=3,
+                                             max_denominator=3),
+                                max_size=4), max_size=5),
+       st.lists(st.dictionaries(st.integers(0, 5),
+                                st.integers(-3, 3), max_size=4),
+                max_size=8))
+def test_greedy_independent_keeps_the_rank_raising_candidates(base, cands):
+    def rank_of(rows):
+        return linalg.rank(SparseMatrix(len(rows), 6,
+                                        [linalg._as_fraction_row(r)
+                                         for r in rows]))
+    before = [dict(r) for r in base], [dict(r) for r in cands]
+    want = [i for i in range(len(cands))
+            if rank_of(base + cands[:i + 1]) > rank_of(base + cands[:i])]
+    assert linalg.greedy_independent(base, cands) == want
+    assert (base, cands) == before      # the rows are not consumed
+
+
+def test_int_kernel_basis_is_an_integer_null_space_basis():
+    rng = random.Random(4242)
+    for _ in range(25):
+        m = random_sparse(rng, rng.randint(1, 12), rng.randint(1, 15))
+        ints = linalg.int_kernel_basis(
+            [linalg._to_int_row(r) for r in m.rows], m.ncols)
+        assert len(ints) == m.ncols - dense_rank(m)
+        for v in ints:
+            assert all(isinstance(x, int) and x for x in v.values())
+            assert m.apply({c: Fraction(x) for c, x in v.items()}) == {}
+        spanned = SparseMatrix(len(ints), m.ncols,
+                               [linalg._as_fraction_row(v) for v in ints])
+        assert dense_rank(spanned) == len(ints)
+
+
 def test_echelon_full_is_primitive_rref_of_dense_oracle():
     rng = random.Random(4242)
     for _ in range(60):

@@ -90,6 +90,43 @@ def test_printed_table_fails_module_axiom():
     assert not module_axiom_holds(mod, printed_table(), max_m=2, max_k=2)
 
 
+def _axiom_oracle(mod, table, max_m, max_k):
+    # the Fraction definition: every defect on the checked range is {}
+    return all(not action_compat_defect(mod, table, u, v, (f, m, k))
+               for u in GENS for v in GENS for f in FAMILIES
+               for m in range(max_m + 1) for k in range(min(max_k, mod.K) + 1))
+
+
+def test_integer_axiom_check_matches_fraction_oracle():
+    import random
+    from ospcoho import algebra
+    printed = printed_table()
+    tables = [t for t, _ in algebra._flip_variants(printed) if t.is_jacobi()]
+    rng = random.Random(2024)
+    for i in range(50):
+        rows = {p: printed.row(p) for p in algebra.PAIR_ORDER}
+        for pair in algebra.OFF_DIAGONAL_PAIRS:
+            if rng.random() < 0.5:
+                rows[pair] = algebra.combo_scale(rows[pair], F(-1))
+        tables.append(algebra.StructureTable(rows, f"random-flip-{i}"))
+    for scales in ((1, F(1, 2), 2, 4, F(1, 4)), (F(1, 2), 1, 1, 1, F(1, 2)),
+                   (2, F(1, 4), F(1, 2), 1, 4)):
+        tables.append(algebra._rescaled(adopted_table(),
+                                        dict(zip(GENS, map(F, scales)))))
+    assert any(c.denominator > 1 for t in tables[-3:] for row in t.key()
+               for _, c in row)
+    verdicts = []
+    for lam, mu, K in ((F(1, 3), F(1, 3), 2), (F(0), F(1, 2), 3),
+                       (F(-1, 2), F(1), 3)):
+        mod = TruncatedDlm(lam, mu, K)
+        for table in tables:
+            got = module_axiom_holds(mod, table, max_m=2)
+            assert got == _axiom_oracle(mod, table, 2, mod.K), \
+                (mod, table.changes_from(printed))
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
 def test_oracle_equivalence_sample():
     table = adopted_table()
     consts = solve_realization_constants(table)
