@@ -1,10 +1,11 @@
 """Action rows of the truncated module and its kernel subspaces."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from ospcoho import linalg, weightmod as wm
+from ospcoho import algebra, linalg, weightmod as wm
 from ospcoho.algebra import GENS, WEIGHT, adopted_table, printed_table
 from ospcoho.superdiff import solve_realization_constants, \
     derived_module_action
@@ -98,8 +99,6 @@ def _axiom_oracle(mod, table, max_m, max_k):
 
 
 def test_integer_axiom_check_matches_fraction_oracle():
-    import random
-    from ospcoho import algebra
     printed = printed_table()
     tables = [t for t, _ in algebra._flip_variants(printed) if t.is_jacobi()]
     rng = random.Random(2024)
