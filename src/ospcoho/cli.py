@@ -146,6 +146,9 @@ def cmd_dims(args):
              f"--kmax must be >= 0, got {args.kmax}")
     _require(args.threads is None or args.threads >= 1,
              f"--threads must be >= 1, got {args.threads}")
+    _require(args.wmax >= 0 and (2 * args.wmax).denominator == 1,
+             f"--wmax must be a non-negative multiple of 1/2, "
+             f"got {args.wmax}")
     if args.grid:
         pairs = parse_grid(args.grid)
     elif args.lam is not None and args.mu is not None:

@@ -147,11 +147,15 @@ def _term2_sign(i, j, parities, prefix):
 def _koszul_terms(n, q, universe, table):
     """The two sums of the differential on n-cochains of parity q.
 
-    One entry per target monomial of degree n+1:
+    Returns (T, terms), T being the lcm of the table's bracket
+    denominators (`StructureTable.scaled_brackets`), with one entry per
+    target monomial of degree n+1 in terms:
     (target, [(gen, source monomial, sign)], [(source monomial, coeff)]),
-    so that (df)(target) = sum sign * gen.f(source) + sum coeff * f(source).
-    The bracket terms of one source monomial are already added up.
+    so that (df)(target) = sum sign * gen.f(source)
+    + sum (coeff / T) * f(source), every coeff an int. The bracket terms
+    of one source monomial are already added up.
     """
+    T, scaled = table.scaled_brackets()
     out = []
     for target in monomial_basis(n + 1, universe):
         parities = [PARITY[g] for g in target]
@@ -166,35 +170,63 @@ def _koszul_terms(n, q, universe, table):
             for j in range(i + 1, n + 1):
                 rest = target[:i] + target[i + 1:j] + target[j + 1:]
                 sgn = _term2_sign(i, j, parities, prefix)
-                for g, cg in table.bracket(target[i], target[j]).items():
+                for g, cg in scaled[(target[i], target[j])]:
                     mono, s = canonicalize((g,) + rest)
                     if s:
-                        c = brackets.get(mono, Fraction(0)) + sgn * s * cg
-                        if c:
-                            brackets[mono] = c
-                        else:
-                            del brackets[mono]
-        out.append((target, acts, tuple(brackets.items())))
-    return tuple(out)
+                        brackets[mono] = brackets.get(mono, 0) + sgn * s * cg
+        out.append((target, acts,
+                    tuple((m, c) for m, c in brackets.items() if c)))
+    return T, tuple(out)
+
+
+def _scales(memo, T):
+    """(scale, act factor, bracket factor) of one integer evaluation.
+
+    scale = lcm(D, T) for the memo's action scale D and the bracket
+    denominator T; the factors lift D * gen.bv and T * [u, v] to it.
+    """
+    scale = lcm(memo.scale, T)
+    return scale, scale // memo.scale, scale // T
 
 
 def coboundary(f, table=None):
-    """The differential of f; degree n+1, same parity, same weight."""
+    """The differential of f; degree n+1, same parity, same weight.
+
+    Evaluated in integers on the module's memo images (`module_memo`),
+    the way `delta_block` assembles its columns: with Q the lcm of the
+    denominators of f's values, Q * f is an integer cochain, each entry
+    of Q * scale * df is accumulated as an int (scale = lcm of the
+    action scale and the bracket denominators), and the result is
+    divided by Q * scale once per entry. The module's `act` is never
+    called.
+    """
     table = table if table is not None else adopted_table()
+    Q = lcm(*(c.denominator for vec in f.values.values()
+              for c in vec.values()))
+    values = {u: [(bv, c.numerator * (Q // c.denominator))
+                  for bv, c in vec.items()]
+              for u, vec in f.values.items()}
+    memo = module_memo(f.mod)
+    image = memo.image
+    T, terms = _koszul_terms(f.degree, f.parity, f.universe, table)
+    scale, act_factor, bracket_factor = _scales(memo, T)
+    den = Q * scale
     out = {}
-    for target, acts, brackets in _koszul_terms(f.degree, f.parity,
-                                                f.universe, table):
+    for target, acts, brackets in terms:
         acc = {}
         for gen, sub, sgn in acts:
-            vec = f.values.get(sub)
-            if vec:
-                vec_add(acc, f.mod.act(gen, vec), Fraction(sgn))
+            sgn *= act_factor
+            for bv, c in values.get(sub, ()):
+                c *= sgn
+                for tbv, x in image(gen, bv):
+                    acc[tbv] = acc.get(tbv, 0) + c * x
         for mono, coeff in brackets:
-            vec = f.values.get(mono)
-            if vec:
-                vec_add(acc, vec, coeff)
-        if acc:
-            out[target] = acc
+            coeff *= bracket_factor
+            for bv, c in values.get(mono, ()):
+                acc[bv] = acc.get(bv, 0) + coeff * c
+        vec = {bv: Fraction(v, den) for bv, v in acc.items() if v}
+        if vec:
+            out[target] = vec
     return Cochain(f.mod, f.degree + 1, f.parity, out, f.universe)
 
 
@@ -244,11 +276,9 @@ def delta_block(mod, n, w, parity, table=None, universe=GENS, skip=()):
     cod = block_basis(mod, n + 1, w, parity, universe)
     cols = [dict() for _ in dom]
     memo = module_memo(mod)
-    terms = _koszul_terms(n, parity if parity is not None else 0,
-                          universe, table)
-    scale = lcm(memo.scale, *(c.denominator for _, _, brackets in terms
-                              for _, c in brackets))
-    act_factor = scale // memo.scale
+    T, terms = _koszul_terms(n, parity if parity is not None else 0,
+                             universe, table)
+    scale, act_factor, bracket_factor = _scales(memo, T)
     skip = frozenset(skip)
     dom_slice = {}
     for c, (u, bv) in enumerate(dom):
@@ -273,7 +303,7 @@ def delta_block(mod, n, w, parity, table=None, universe=GENS, skip=()):
             entries = dom_slice.get(mono)
             if not entries:
                 continue
-            coeff = (coeff * scale).numerator     # integral by the lcm
+            coeff *= bracket_factor
             for bv, col in entries:
                 r = cod_index[(target, bv)]
                 v = col.get(r, 0) + coeff

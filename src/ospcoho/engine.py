@@ -64,33 +64,6 @@ class NotProportional(RuntimeError):
 
 # --- brute-force dimensions -------------------------------------------------
 
-@dataclass
-class WeightBlock:
-    """One weight and degree of the complex, with its two matrices."""
-
-    degree: int
-    weight: Fraction
-    parity: int
-    domain: list            # [(monomial, BasisVector)]
-    matrix_out: object      # d: C^n_w -> C^{n+1}_w
-    matrix_in: object       # d: C^{n-1}_w -> C^n_w, or None for n = 0
-
-    def composes_to_zero(self):
-        if self.matrix_in is None:
-            return True
-        return self.matrix_out.mul(self.matrix_in).is_zero()
-
-
-def build_block(mod, n, w, parity, table=None, universe=GENS):
-    """Assemble the outgoing and incoming differentials at one weight."""
-    table = table if table is not None else adopted_table()
-    dom, _, mat_out = delta_matrix(mod, n, w, parity, table, universe)
-    mat_in = None
-    if n > 0:
-        _, _, mat_in = delta_matrix(mod, n - 1, w, parity, table, universe)
-    return WeightBlock(n, Fraction(w), parity, dom, mat_out, mat_in)
-
-
 def _block_rank_and_cols(mod, n, w, parity, table, universe):
     """(rank, columns, pivots) of d_n on C^n_w, filed in the module's memo.
 

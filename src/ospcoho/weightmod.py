@@ -19,10 +19,24 @@ weight pins m as a function of k within each family.
 
 `module_memo` keeps, for the few most recently used modules, the action
 scaled to integers by one module-wide factor D (each image computed once)
-and the block ranks the engine derives from it. `module_axiom_holds`
-checks the module axiom on those images: it scales each defect by
-T * D^2, with T the lcm of the bracket table's denominators, so that it
-is an integer vector.
+and the block ranks the engine derives from it. Only the first-order
+H, A and B images are read from `act_basis`. The X and Y images are
+composed in integers from the memo's A and B images:
+
+    D * X.bv =  (A_D o A_D)(bv) / D,    D * Y.bv = -(B_D o B_D)(bv) / D,
+
+with g_D = D * g. The numerators are D^2 * X.bv and D^2 * Y.bv, so each
+division is exact as soon as D * X.bv and D * Y.bv are integer vectors.
+For D_{lambda,mu} that holds with D = 2 L^2 (`action_scale`): A's
+coefficients are integers and B's lie in (1/L)Z, so B o B needs only L^2.
+Every quotient is still checked with divmod, and a remainder raises
+NonIntegralScale; nothing is rounded. The composition uses nothing but
+the odd action, so it serves any osp(1|2) module that defines
+`act_basis` for H, A and B.
+
+`module_axiom_holds` checks the module axiom on those images: it scales
+each defect by T * D^2, with T the lcm of the bracket table's
+denominators, so that it is an integer vector.
 """
 
 from fractions import Fraction
@@ -313,8 +327,13 @@ class ModuleMemo:
     """Integer action images of one module, and its block ranks.
 
     `image(gen, bv)` is act_basis(gen, bv) * scale as a tuple of
-    (BasisVector, int) pairs, computed on first use. `ranks` belongs to
-    the engine, which files block ranks there.
+    (BasisVector, int) pairs, computed on first use. The H, A and B
+    images are read from `act_basis`; the X and Y images are composed
+    from the memo's own A and B images as (A_D o A_D) / D and
+    -(B_D o B_D) / D, with D = `scale` and g_D = D * g. The division is
+    exact because D * X.bv and D * Y.bv are integer vectors (see the
+    module docstring); a remainder raises NonIntegralScale. `ranks`
+    belongs to the engine, which files block ranks there.
     """
 
     __slots__ = ("mod", "scale", "ranks", "_images")
@@ -329,16 +348,42 @@ class ModuleMemo:
         images = self._images[gen]
         img = images.get(bv)
         if img is None:
-            img = []
-            for tbv, c in self.mod.act_basis(gen, bv).items():
-                v = c * self.scale
-                if v.denominator != 1:
-                    raise NonIntegralScale(
-                        f"{gen}.{bv} has coefficient {c}, not in "
-                        f"(1/{self.scale})Z")
-                img.append((tbv, v.numerator))
+            if gen in _SQUARES:
+                img = self._square(gen, bv)
+            else:
+                img = []
+                for tbv, c in self.mod.act_basis(gen, bv).items():
+                    v = c * self.scale
+                    if v.denominator != 1:
+                        raise NonIntegralScale(
+                            f"{gen}.{bv} has coefficient {c}, not in "
+                            f"(1/{self.scale})Z")
+                    img.append((tbv, v.numerator))
             img = images[bv] = tuple(img)
         return img
+
+    def _square(self, gen, bv):
+        # D * gen.bv = sign * (odd_D o odd_D)(bv) / D, in integers
+        odd, sign = _SQUARES[gen]
+        acc = {}
+        for t, c in self.image(odd, bv):
+            for t2, c2 in self.image(odd, t):
+                acc[t2] = acc.get(t2, 0) + c * c2
+        img = []
+        for t, v in acc.items():
+            q, r = divmod(sign * v, self.scale)
+            if r:
+                c = Fraction(sign * v, self.scale ** 2)
+                raise NonIntegralScale(
+                    f"{gen}.{bv} has coefficient {c} at {t}, not in "
+                    f"(1/{self.scale})Z")
+            if q:
+                img.append((t, q))
+        return img
+
+
+# X = A o A and Y = -B o B: (odd generator, sign)
+_SQUARES = {"X": ("A", 1), "Y": ("B", -1)}
 
 
 MEMO_MODULES = 2
@@ -470,8 +515,7 @@ def module_axiom_holds(mod, table, max_m=3, max_k=None):
         max_k = mod.K
     memo = module_memo(mod)
     image = memo.image
-    brackets = {(u, v): table.bracket(u, v) for u in GENS for v in GENS}
-    T = lcm(*(c.denominator for b in brackets.values() for c in b.values()))
+    T, brackets = table.scaled_brackets()
 
     def act_twice(u, img):
         # u.(v.w) * D^2, from img = D * v.w
@@ -484,8 +528,7 @@ def module_axiom_holds(mod, table, max_m=3, max_k=None):
     for u in GENS:
         for v in GENS:
             # T * D * [u,v], so that its terms meet D * g.bv
-            bracket = [(g, (c * T).numerator * memo.scale)
-                       for g, c in brackets[(u, v)].items()]
+            bracket = [(g, c * memo.scale) for g, c in brackets[(u, v)]]
             sign = -T if PARITY[u] and PARITY[v] else T
             for f in FAMILIES:
                 for m in range(max_m + 1):

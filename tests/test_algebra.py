@@ -1,5 +1,6 @@
 """Bracket tables, the Jacobi audit, and monomial bookkeeping."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospcoho import algebra
-from ospcoho.algebra import (GENS, PAIR_ORDER, NoConsistentRepair,
+from ospcoho.algebra import (GENS, OFF_DIAGONAL_PAIRS, PAIR_ORDER,
+                             NoConsistentRepair,
                              StructureTable, _rescaled, adopted_table,
                              audit_and_repair, canonicalize,
                              monomial_basis, monomial_parity, monomial_str,
@@ -65,6 +67,35 @@ def test_rescaling_keeps_the_failing_jacobi_triples(scales):
     for (u, v, w), defect in printed.jacobi_failures():
         assert rescaled.jacobi_defect(u, v, w) == {
             h: c * s[u] * s[v] * s[w] / s[h] for h, c in defect.items()}
+
+
+FLIPPABLE = [p for p in OFF_DIAGONAL_PAIRS if printed_table().row(p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.sampled_from(FLIPPABLE)),
+       st.tuples(*[st.fractions(min_value=-4, max_value=4,
+                                max_denominator=4).filter(bool)] * 5),
+       st.booleans())
+def test_integer_jacobi_equals_fraction_defect(flips, scales, rescale):
+    # sign-flip variants of the printed table, optionally rescaled so
+    # that brackets get denominators: the integer decision must report
+    # exactly the triples and defects of the Fraction definition
+    printed = printed_table()
+    rows = {p: printed.row(p) for p in PAIR_ORDER}
+    for p in flips:
+        rows[p] = {g: -c for g, c in rows[p].items()}
+    table = StructureTable(rows, "flipped")
+    if rescale:
+        table = _rescaled(table, dict(zip(GENS, scales)))
+    expected = []
+    for triple in itertools.product(GENS, repeat=3):
+        defect = table.jacobi_defect(*triple)
+        if defect:
+            expected.append((triple, defect))
+    assert table.jacobi_failures() == expected
+    assert table.is_jacobi() == (not expected)
+    assert table.jacobi_failures(stop_at_first=True) == expected[:1]
 
 
 def test_jacobi_trivial_triples():

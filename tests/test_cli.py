@@ -150,6 +150,8 @@ def test_threads_flag_same_output(capsys):
     ["dims", "--lambda", "0", "--mu", "1/2", "--kmax", "-5"],
     ["dims", "--lambda", "0", "--mu", "1/2", "--threads", "0"],
     ["cocycles", "--kind", "f", "--k", "-1"],
+    ["dims", "--lambda", "0", "--mu", "1/2", "--wmax", "-1"],
+    ["dims", "--lambda", "0", "--mu", "1/2", "--wmax", "1/3"],
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert cli.main(argv) == 2

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ospcoho import cochains as cc
-from ospcoho.algebra import (GENS, _rescaled, adopted_table,
+from ospcoho import algebra, cochains as cc
+from ospcoho.algebra import (GENS, SL2, _rescaled, adopted_table,
                              monomial_basis, monomial_parity,
                              monomial_weight)
 from ospcoho.cochains import (Cochain, NoCocycle, TypeMismatch, coboundary,
@@ -14,8 +14,8 @@ from ospcoho.cochains import (Cochain, NoCocycle, TypeMismatch, coboundary,
                               delta_matrix, is_reduced, make_f_k,
                               make_ftilde_k, make_h_lambda, reduce_cochain,
                               restrict_sl2, sl2_coboundary, zero_cochain)
-from ospcoho.weightmod import (TruncatedDlm, action_scale, to_oppoly,
-                               vec_scale)
+from ospcoho.weightmod import (TruncatedDlm, action_scale, module_memo,
+                               to_oppoly, vec_add, vec_scale)
 from ospcoho.superdiff import OpPoly
 
 F = Fraction
@@ -98,6 +98,80 @@ def test_d_squared_zero_spanning_wide_window():
                 _, _, d_n = delta_matrix(MOD, n, w, parity, TABLE)
                 _, _, d_next = delta_matrix(MOD, n + 1, w, parity, TABLE)
                 assert d_next.mul(d_n).is_zero(), (n, parity, w)
+
+
+def reference_coboundary(f, table):
+    """The Fraction coboundary: the Koszul terms applied through mod.act."""
+    out = {}
+    T, terms = cc._koszul_terms(f.degree, f.parity, f.universe, table)
+    for target, acts, brackets in terms:
+        acc = {}
+        for gen, sub, sgn in acts:
+            vec = f.values.get(sub)
+            if vec:
+                vec_add(acc, f.mod.act(gen, vec), F(sgn))
+        for mono, coeff in brackets:
+            vec = f.values.get(mono)
+            if vec:
+                vec_add(acc, vec, F(coeff, T))
+        if acc:
+            out[target] = acc
+    return Cochain(f.mod, f.degree + 1, f.parity, out, f.universe)
+
+
+def test_integer_coboundary_matches_fraction_reference():
+    thirds = {g: F(1) for g in GENS}
+    thirds["H"] = F(1, 3)           # [H,A] = A/6 in the rescaled basis
+    rescaled = _rescaled(TABLE, thirds)
+    assert any(c.denominator > 2 for p in algebra.PAIR_ORDER
+               for c in rescaled.row(p).values())
+    rng = random.Random(31)
+    nonzero = 0
+    for lam, mu in ((F(1, 3), F(5, 6)), (F(0), F(1, 2)), (F(-1, 2), F(1))):
+        mod = TruncatedDlm(lam, mu, 3)
+        for table in (TABLE, rescaled):
+            for universe in (GENS, SL2):
+                for degree in (0, 1, 2):
+                    for parity in (0, 1):
+                        f = random_cochain(mod, degree, parity, rng,
+                                           universe)
+                        df = coboundary(f, table)
+                        assert df == reference_coboundary(f, table), \
+                            (lam, mu, table, universe, degree, parity)
+                        nonzero += not df.is_zero()
+    assert nonzero > 50
+
+
+def test_integer_paths_never_use_the_fraction_action(monkeypatch):
+    # the memo composes X and Y from its A and B images, and coboundary
+    # reads memo images: neither may fall back to the Fraction action
+    calls = []
+    act_basis, act = TruncatedDlm.act_basis, TruncatedDlm.act
+
+    def counted_act_basis(self, gen, bv):
+        calls.append(("act_basis", gen))
+        return act_basis(self, gen, bv)
+
+    def counted_act(self, gen, vec):
+        calls.append(("act", gen))
+        return act(self, gen, vec)
+
+    monkeypatch.setattr(TruncatedDlm, "act_basis", counted_act_basis)
+    monkeypatch.setattr(TruncatedDlm, "act", counted_act)
+    mod = TruncatedDlm(F(1, 3), F(5, 6), 4)
+    memo = module_memo(mod)
+    for bv in mod.weight_basis(F(1, 2)) + mod.weight_basis(F(-1, 2)):
+        memo.image("X", bv)
+        memo.image("Y", bv)
+    assert calls and set(calls) <= {("act_basis", "A"), ("act_basis", "B")}
+    calls.clear()
+    module_memo.cache_clear()
+    rng = random.Random(5)
+    for degree in (0, 1, 2):
+        for parity in (0, 1):
+            f = random_cochain(mod, degree, parity, rng)
+            assert not coboundary(f, TABLE).is_zero()
+    assert calls and set(calls) <= {("act_basis", g) for g in "HAB"}
 
 
 def test_coboundary_preserves_parity_and_weight():

@@ -216,15 +216,27 @@ def test_localization_kernel_zero():
                     mod, n, w, parity, TABLE) == 0
 
 
-def test_build_block_composes_to_zero():
+def test_delta_block_composes_to_zero():
+    # d_{n+1} d_n = 0 on the integer columns: the image of each column of
+    # d_n under d_{n+1} is the zero vector
     mod = TruncatedDlm(0, F(1, 2), 3)
-    for n in (0, 1, 2):
+    checked = 0
+    for n in range(4):
         for parity in (0, 1):
-            block = engine.build_block(mod, n, 0, parity, TABLE)
-            assert block.composes_to_zero()
-            assert block.matrix_out.ncols == len(block.domain)
-    empty = engine.build_block(mod, 1, F(19, 2), 0, TABLE)
-    assert empty.domain == [] and empty.matrix_out.ncols == 0
+            dom, cod, cols, _ = delta_block(mod, n, 0, parity, TABLE)
+            assert len(cols) == len(dom)
+            checked += len(cols)
+            next_cols = delta_block(mod, n + 1, 0, parity, TABLE)[2]
+            assert len(next_cols) == len(cod)
+            for col in cols:
+                image = {}
+                for r, v in col.items():
+                    for s, x in next_cols[r].items():
+                        image[s] = image.get(s, 0) + v * x
+                assert not any(image.values()), (n, parity)
+    assert checked
+    dom, cod, cols, _ = delta_block(mod, 1, F(19, 2), 0, TABLE)
+    assert dom == [] and cols == []
 
 
 def test_reduced_cocycle_vanishing_on_HB_is_coboundary():

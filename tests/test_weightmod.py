@@ -7,6 +7,7 @@ import pytest
 
 from ospcoho import algebra, linalg, weightmod as wm
 from ospcoho.algebra import GENS, WEIGHT, adopted_table, printed_table
+from ospcoho.engine import guard_K
 from ospcoho.superdiff import solve_realization_constants, \
     derived_module_action
 from ospcoho.weightmod import (FAMILIES, FAMILY_PARITY,
@@ -301,3 +302,30 @@ def test_memo_refuses_non_integral_coefficients():
     memo = wm.ModuleMemo(Sevenths(0, 0, 2))
     with pytest.raises(wm.NonIntegralScale):
         memo.image("H", ("a", 0, 0))
+
+
+ACCEPTANCE_GRID = [(F(0), F(0)), (F(1), F(1)), (F(5, 2), F(5, 2)),
+                   (F(0), F(1, 2)), (F(-1, 2), F(1)), (F(-1), F(3, 2)),
+                   (F(-3, 2), F(2)), (F(1, 3), F(0)), (F(0), F(2)),
+                   (F(1), F(1, 2))]
+
+
+@pytest.mark.parametrize("lam, mu, K", [
+    (lam, mu, guard_K(lam, mu, 8)) for lam, mu in ACCEPTANCE_GRID
+] + [(F(1, 3), F(-1, 2), 3)])
+def test_memo_images_of_all_generators_are_scaled_actions(lam, mu, K):
+    # X and Y are composed in integers from the memo's A and B images;
+    # they must equal the scaled Fraction action, X = A o A, Y = -B o B
+    mod = TruncatedDlm(lam, mu, K)
+    memo = wm.ModuleMemo(mod)
+    for gen in GENS:
+        for f in FAMILIES:
+            for m in range(4):
+                for k in range(K + 1):
+                    bv = (f, m, k)
+                    img = memo.image(gen, bv)
+                    assert all(type(c) is int and c for _, c in img)
+                    assert dict(img) == {
+                        t: c * memo.scale
+                        for t, c in mod.act_basis(gen, bv).items()}, \
+                        (gen, bv)
