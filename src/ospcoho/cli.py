@@ -83,10 +83,14 @@ def _require(ok, message):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(
+                f"cannot write {out_path}: {exc.strerror}") from None
     else:
         print(text)
 

@@ -319,7 +319,8 @@ def delta_matrix(mod, n, w, parity, table=None, universe=GENS):
 
     Returns (domain_basis, codomain_basis, SparseMatrix); column c of
     the matrix is the coboundary of the delta cochain at domain_basis[c].
-    It is `delta_block` divided by its scale.
+    It is `delta_block` divided by its scale, and serves the tests as
+    the Fraction oracle; the program itself solves on `delta_block`.
     """
     dom, cod, cols, scale = delta_block(mod, n, w, parity, table, universe)
     rows = [dict() for _ in cod]
@@ -365,36 +366,49 @@ def is_reduced(f):
     return not any(_a_monomial(u) for u in f.values)
 
 
+def primitive(f, table=None, target=None):
+    """Some g of degree n-1 with (dg)(u) = f(u) on the target monomials.
+
+    Solved per cochain weight w of f on the integer columns of
+    d_{n-1}: C^{n-1}_w -> C^n_w (`delta_block`), keeping only the rows
+    whose monomial u passes `target` (every row when it is None).
+    Returns None when some weight has no solution.
+    """
+    table = table if table is not None else adopted_table()
+    n = f.degree
+    g = zero_cochain(f.mod, n - 1, f.parity, f.universe)
+    for w, part in f.weight_components().items():
+        dom, cod, cols, scale = delta_block(f.mod, n - 1, w, f.parity,
+                                            table, f.universe)
+        rhs = cochain_coords(part, cod)
+        if target is not None:
+            rows = {r for r, (u, _) in enumerate(cod) if target(u)}
+            cols = [{r: v for r, v in col.items() if r in rows}
+                    for col in cols]
+            rhs = {r: c for r, c in rhs.items() if r in rows}
+        sol = linalg.solve(cols, scale, rhs)
+        if sol is None:
+            return None
+        g = g.add(cochain_from_coords(f.mod, n - 1, f.parity, dom, sol,
+                                      f.universe))
+    return g
+
+
 def reduce_cochain(f, table=None):
     """Return (g, f_red) with f_red = f - dg reduced.
 
     g is solved per cochain weight from the linear system
-    (dg)(A-monomials) = f(A-monomials); solvability is guaranteed, so a
-    failed solve raises SolveFailed.
+    (dg)(A-monomials) = f(A-monomials) (`primitive`); solvability is
+    guaranteed, so a failed solve raises SolveFailed.
     """
     table = table if table is not None else adopted_table()
     n = f.degree
     if n == 0 or is_reduced(f):
         return zero_cochain(f.mod, max(n - 1, 0), f.parity, f.universe), f
-    g = zero_cochain(f.mod, n - 1, f.parity, f.universe)
-    for w, part in f.weight_components().items():
-        dom, cod, mat = delta_matrix(f.mod, n - 1, w, f.parity, table,
-                                     f.universe)
-        rows_a = [r for r, (u, _) in enumerate(cod) if _a_monomial(u)]
-        if not rows_a:
-            continue
-        reindex = {r: i for i, r in enumerate(rows_a)}
-        sub = linalg.SparseMatrix(len(rows_a), mat.ncols,
-                                  [mat.rows[r] for r in rows_a])
-        rhs_full = cochain_coords(part, cod)
-        rhs = {reindex[r]: c for r, c in rhs_full.items() if r in reindex}
-        sol = linalg.solve(sub, rhs)
-        if sol is None:
-            raise SolveFailed(
-                f"reduction solve failed at weight {w}; sign conventions "
-                "are inconsistent")
-        g = g.add(cochain_from_coords(f.mod, n - 1, f.parity, dom, sol,
-                                      f.universe))
+    g = primitive(f, table, _a_monomial)
+    if g is None:
+        raise SolveFailed("reduction solve failed; sign conventions are "
+                          "inconsistent")
     f_red = f.sub(coboundary(g, table))
     if not is_reduced(f_red):
         raise SolveFailed("reduction produced a non-reduced cochain")
@@ -475,15 +489,23 @@ def cup(f, h, table=None):
 # --- explicit cocycle constructors ------------------------------------------
 
 def _reduced_cocycle_space(mod, parity, slots, table):
-    """Weight-0 cocycles supported on the given 1-slots, as Cochains."""
-    dom, cod, mat = delta_matrix(mod, 1, 0, parity, table)
+    """Weight-0 cocycles supported on the given 1-slots, as Cochains.
+
+    The kernel of d_1 on the slot columns only (the others are never
+    assembled), each vector divided by its leading entry.
+    """
+    dom = block_basis(mod, 1, 0, parity)
     keep = [c for c, (u, _) in enumerate(dom) if u[0] in slots]
-    reindex = dict(enumerate(keep))
-    cols = [mat.column(c) for c in keep]
-    sub = linalg.SparseMatrix.from_columns(mat.nrows, cols)
+    skip = set(range(len(dom))).difference(keep)
+    cols = delta_block(mod, 1, 0, parity, table, GENS, skip)[2]
+    rows = {}
+    for i, c in enumerate(keep):
+        for r, v in cols[c].items():
+            rows.setdefault(r, {})[i] = v
     out = []
-    for kv in linalg.kernel_basis(sub):
-        coords = {reindex[i]: c for i, c in kv.items()}
+    for vec in linalg.int_kernel_basis(list(rows.values()), len(keep)):
+        lead = vec[min(vec)]
+        coords = {keep[i]: Fraction(v, lead) for i, v in vec.items()}
         out.append(cochain_from_coords(mod, 1, parity, dom, coords))
     return out
 

@@ -21,10 +21,13 @@ compared against two independent predictions:
     case split on p = mu - lambda over exact rationals.
 
 The sl(2) analogue (ker X / Y((ker X)^0) formulas) is checked the same
-way, and explicit cocycles are certified nontrivial by exact solves.
-Class representatives come from the same integer blocks: the integer
-kernel vectors of d_n that `linalg.greedy_independent` finds outside
-the span of im d_{n-1} and of the vectors kept before them.
+way. Class representatives come from the same integer blocks: the
+integer kernel vectors of d_n that `linalg.greedy_independent` finds
+outside the span of im d_{n-1} and of the vectors kept before them.
+A cocycle is certified nontrivial when the integer solve for a
+primitive on those blocks has no solution (`is_coboundary`), and the
+restriction to sl(2) is certified injective by ranking the restricted
+representatives against the sl(2) coboundaries in integers.
 """
 
 import math
@@ -34,12 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra, linalg
-from .algebra import GENS, adopted_table
+from .algebra import GENS, SL2, adopted_table
 from .cochains import (Cochain, _a_monomial, block_basis, coboundary,
                        cochain_coords, cochain_from_coords, cup, delta_block,
-                       delta_matrix, is_reduced, make_f_k, make_ftilde_k,
-                       make_h_lambda, reduce_cochain, restrict_sl2,
-                       zero_cochain)
+                       is_reduced, make_f_k, make_ftilde_k, make_h_lambda,
+                       primitive, reduce_cochain, restrict_sl2, zero_cochain)
 from .superdiff import OpPoly, derived_module_action, op_str, \
     solve_realization_constants
 from .weightmod import (TruncatedDlm, from_oppoly, image_of_subspace,
@@ -198,17 +200,8 @@ def is_coboundary(f, table=None):
     if n == 0:
         return zero_cochain(f.mod, 0, f.parity, f.universe) \
             if f.is_zero() else None
-    g = zero_cochain(f.mod, n - 1, f.parity, f.universe)
-    for w, part in f.weight_components().items():
-        dom, cod, mat = delta_matrix(f.mod, n - 1, w, f.parity, table,
-                                     f.universe)
-        rhs = cochain_coords(part, cod)
-        sol = linalg.solve(mat, rhs)
-        if sol is None:
-            return None
-        g = g.add(cochain_from_coords(f.mod, n - 1, f.parity, dom, sol,
-                                      f.universe))
-    if not coboundary(g, table).sub(f).is_zero():
+    g = primitive(f, table)
+    if g is None or not coboundary(g, table).sub(f).is_zero():
         return None
     return g
 
@@ -275,14 +268,21 @@ def localization_kernel_dim(mod, n, w, parity, table=None):
 
 
 def restriction_injectivity_check(lam, mu, K=None, table=None, nmax=2):
-    """Restrictions of nontrivial classes must stay nontrivial on sl(2).
+    """Restriction to sl(2) must be injective on H^n at weight 0.
 
-    Each block d_n is assembled once: it gives the cocycles at degree n
-    and the coboundaries at degree n + 1.
+    Per (n, parity) the sl(2) restrictions of the class representatives
+    become coordinates in the sl(2) block basis of C^n_0 and are ranked
+    in integers against the columns of the sl(2) differential d_{n-1}
+    (`linalg.greedy_independent`): the restriction is injective iff
+    every one of them enlarges the span, and a class restricts
+    nontrivially iff its vector alone lies outside that image. Each
+    block d_n is assembled once: it gives the cocycles at degree n and
+    the coboundaries at degree n + 1.
     """
     table = table if table is not None else adopted_table()
     mod = TruncatedDlm(lam, mu, guard_K(lam, mu, K))
     entries = []
+    ok = True
     prev_cols = {0: (), 1: ()}
     for n in range(nmax + 1):
         for parity in (0, 1):
@@ -290,21 +290,25 @@ def restriction_injectivity_check(lam, mu, K=None, table=None, nmax=2):
             reps = _representatives(mod, n, parity, GENS, block,
                                     prev_cols[parity])
             prev_cols[parity] = block[2]
-            for i, rep in enumerate(reps):
-                res = restrict_sl2(rep)
-                if res.is_zero():
-                    verdict = False
-                else:
-                    verdict = is_coboundary(res, table) is None
+            if not reps:
+                continue
+            basis = block_basis(mod, n, 0, parity, SL2)
+            vecs = [cochain_coords(restrict_sl2(rep), basis) for rep in reps]
+            image = []
+            if n > 0:
+                image = [c for c in delta_block(mod, n - 1, 0, parity, table,
+                                                SL2)[2] if c]
+            ok &= len(linalg.greedy_independent(image, vecs)) == len(vecs)
+            for i, vec in enumerate(vecs):
                 entries.append({
                     "n": n,
                     "parity": parity,
                     "class": i,
-                    "restriction_nontrivial": verdict,
+                    "restriction_nontrivial":
+                        linalg.greedy_independent(image, [vec]) == [0],
                 })
     return {"lambda": str(Fraction(lam)), "mu": str(Fraction(mu)),
-            "K": mod.K, "classes": entries,
-            "ok": all(e["restriction_nontrivial"] for e in entries)}
+            "K": mod.K, "classes": entries, "ok": ok}
 
 
 # --- cup product and its vector-field restriction -----------------------------

@@ -1,15 +1,16 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices and vectors carry `fractions.Fraction` entries at the API
-boundary; internally every computation is handed to the integer
-fraction-free elimination kernel in `ospcoho._kernels_py` (rows are
-scaled to integers first, which changes neither row spaces nor
-solution sets of the encoded equations). Callers that already hold
-integer rows, such as the weight blocks of the differential, take
-their pivots with `int_pivots` and their null space with
-`int_kernel_basis`, and skip that conversion. `greedy_independent`
-picks, in order, the vectors that enlarge a span, by reducing each one
-against an integer echelon basis that grows as vectors are kept.
+Every computation is handed to the integer fraction-free elimination
+kernel in `ospcoho._kernels_py`. The weight blocks of the differential
+arrive as integer rows or columns: `int_pivots` takes their rank,
+`int_kernel_basis` their null space and `solve` a solution of
+(cols / scale) x = b for a rational right-hand side.
+`greedy_independent` picks, in order, the vectors that enlarge a span,
+by reducing each one against an integer echelon basis that grows as
+vectors are kept. Only the subspaces of the closed-form predictions
+still enter as `fractions.Fraction` matrices (`SparseMatrix`, `rank`,
+`kernel_basis`, `rref`, `span_contains`); their rows are scaled to
+integers first, which changes neither row spaces nor null spaces.
 Echelon output is canonical, so two subspaces are equal iff their
 `rref` bases are equal.
 """
@@ -105,14 +106,6 @@ class SparseMatrix:
     def nnz(self):
         return sum(len(r) for r in self.rows)
 
-    def dump(self):
-        """Matrix-market style text dump, for debugging."""
-        lines = [f"% sparse rational {self.nrows} x {self.ncols}"]
-        for i, row in enumerate(self.rows):
-            for j in sorted(row):
-                lines.append(f"{i} {j} {row[j]}")
-        return "\n".join(lines)
-
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
@@ -187,33 +180,41 @@ def kernel_basis(m):
     return basis
 
 
-def solve(m, b):
-    """Some x with m x = b, or None when the system is inconsistent.
+def solve(cols, scale, b):
+    """Some x with (cols / scale) x = b, or None when there is none.
 
-    b is {row: Fraction}. Any returned solution is verified by
-    substitution before being handed back.
+    cols are integer {row: int} columns and b is {row: Fraction}. With Q
+    the lcm of b's denominators, augmented row r is
+    cols[.][r] | Q * scale * b_r, all integers, and its solutions are
+    Q * x. One reduced echelon form gives them with the free variables
+    set to 0; that form is unique, so x depends only on the system. Any
+    returned x is verified by substitution in integers.
     """
-    aug = m.ncols
-    b = {i: Fraction(v) for i, v in b.items() if v}
-    rows = []
-    for i, row in enumerate(m.rows):
-        r = dict(row)
-        if i in b:
-            r[aug] = b[i]
-        if r:
-            rows.append(_to_int_row(_as_fraction_row(r)))
-    pivots, out = echelon(rows, True)
-    x = {}
+    aug = len(cols)
+    b = {r: Fraction(v) for r, v in b.items() if v}
+    Q = lcm(*(v.denominator for v in b.values()))
+    rhs = {r: v.numerator * (Q // v.denominator) * scale
+           for r, v in b.items()}
+    rows = {r: {aug: v} for r, v in rhs.items()}
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = v
+    pivots, out = echelon(list(rows.values()), True)
+    qx = {}     # Q * x; free variables are 0, so only the rhs survives
     for col, row in zip(pivots, out):
         if col == aug:
             return None
-        rhs = Fraction(row.get(aug, 0))
-        # free variables are set to 0, so only the rhs survives
-        x[col] = rhs / Fraction(row[col])
-    x = {c: v for c, v in x.items() if v}
-    if m.apply(x) != b:
+        if aug in row:
+            qx[col] = Fraction(row[aug], row[col])
+    den = lcm(*(v.denominator for v in qx.values()))
+    residue = {r: -v * den for r, v in rhs.items()}    # den * (cols qx - rhs)
+    for c, v in qx.items():
+        v = v.numerator * (den // v.denominator)
+        for r, a in cols[c].items():
+            residue[r] = residue.get(r, 0) + a * v
+    if any(residue.values()):
         return None
-    return x
+    return {c: v / Q for c, v in qx.items()}
 
 
 def span_contains(rref_rows, vector):
@@ -254,33 +255,6 @@ def greedy_independent(base, candidates):
             basis[lead] = row
             kept.append(i)
     return kept
-
-
-def subspace_sum(u_rows, w_rows, ncols):
-    return rref(list(u_rows) + list(w_rows), ncols)
-
-
-def subspace_intersect(u_rows, w_rows, ncols):
-    """Canonical basis of span(u) ∩ span(w)."""
-    u_rows = list(u_rows)
-    w_rows = list(w_rows)
-    cols = [dict(r) for r in u_rows]
-    cols += [{c: -v for c, v in r.items()} for r in w_rows]
-    m = SparseMatrix.from_columns(ncols, cols)
-    inter = []
-    for kv in kernel_basis(m):
-        vec = {}
-        for idx, coeff in kv.items():
-            if idx < len(u_rows):
-                for c, v in u_rows[idx].items():
-                    s = vec.get(c, Fraction(0)) + coeff * v
-                    if s:
-                        vec[c] = s
-                    else:
-                        vec.pop(c, None)
-        if vec:
-            inter.append(vec)
-    return rref(inter, ncols)
 
 
 def quotient_dim(u_rows, w_rows):

@@ -45,7 +45,7 @@ from math import lcm
 
 from . import linalg
 from .algebra import GENS, PARITY, WEIGHT
-from .linalg import NotContained
+from .linalg import NotContained  # noqa: F401  (raised by quotient_dim)
 from .superdiff import OpPoly
 
 FAMILIES = ("a", "b", "c", "d")
@@ -88,31 +88,6 @@ def vec_scale(src, coeff):
     return {bv: coeff * v for bv, v in src.items()}
 
 
-def vec_parity(vec):
-    ps = {FAMILY_PARITY[f] for (f, _, _) in vec}
-    return ps.pop() if len(ps) == 1 else None
-
-
-def vec_str(vec):
-    if not vec:
-        return "0"
-    parts = []
-    for bv in sorted(vec, key=lambda t: (FAMILIES.index(t[0]), t[1], t[2])):
-        f, m, k = bv
-        c = vec[bv]
-        body = f"{f}[{m},{k}]"
-        if c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{c}*{body}")
-    out = parts[0]
-    for t in parts[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
-
-
 def vec_to_json(vec):
     """[["a", m, k, "num/den"], ...] in deterministic order."""
     out = []
@@ -129,13 +104,15 @@ def vec_from_json(data):
 class TruncatedDlm:
     """D_{lambda,mu} truncated to dx-order k <= K."""
 
-    __slots__ = ("lam", "mu", "K", "p")
+    __slots__ = ("lam", "mu", "K", "p", "_hash")
 
     def __init__(self, lam, mu, K):
         self.lam = Fraction(lam)
         self.mu = Fraction(mu)
         self.K = int(K)
         self.p = self.mu - self.lam
+        # the module is immutable; every memo lookup hashes it
+        self._hash = hash((self.lam, self.mu, self.K))
 
     def __repr__(self):
         return f"TruncatedDlm(lam={self.lam}, mu={self.mu}, K={self.K})"
@@ -146,7 +123,7 @@ class TruncatedDlm:
                 == (other.lam, other.mu, other.K))
 
     def __hash__(self):
-        return hash((self.lam, self.mu, self.K))
+        return self._hash
 
     def basis_weight(self, bv):
         f, m, k = bv
@@ -248,11 +225,6 @@ class TruncatedDlm:
             rows.append(row)
         return Subspace(self, alpha, parity, tuple(basis),
                         tuple(linalg.rref(rows, len(basis))))
-
-    def full_slice(self, alpha, parity=None):
-        basis = self.weight_basis(alpha, parity)
-        rows = [{i: Fraction(1)} for i in range(len(basis))]
-        return Subspace(self, alpha, parity, tuple(basis), tuple(rows))
 
     def kernel_slice(self, gens, alpha, parity=None):
         """Joint kernel of the listed generator actions in one slice."""
@@ -427,27 +399,9 @@ class Subspace:
             return False
         return linalg.span_contains(list(self.rows), row)
 
-    def contains(self, other):
-        self._check_ambient(other)
-        return all(linalg.span_contains(list(self.rows), r)
-                   for r in other.rows)
-
     def _check_ambient(self, other):
         if self.basis != other.basis:
             raise ValueError("subspaces live in different slices")
-
-    def sum(self, other):
-        self._check_ambient(other)
-        rows = linalg.subspace_sum(self.rows, other.rows, len(self.basis))
-        return Subspace(self.mod, self.alpha, self.parity, self.basis,
-                        tuple(rows))
-
-    def intersect(self, other):
-        self._check_ambient(other)
-        rows = linalg.subspace_intersect(self.rows, other.rows,
-                                         len(self.basis))
-        return Subspace(self.mod, self.alpha, self.parity, self.basis,
-                        tuple(rows))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.basis == other.basis
@@ -468,22 +422,6 @@ def quotient_dim(s, t):
     """dim(s / t); raises NotContained when t is not a subspace of s."""
     s._check_ambient(t)
     return linalg.quotient_dim(list(s.rows), list(t.rows))
-
-
-def complement(s, inside):
-    """Deterministic complement of s in `inside` by greedy pivots.
-
-    Scans the canonical basis of `inside` in order and keeps the vectors
-    that enlarge the span of s and of the vectors kept so far
-    (`linalg.greedy_independent`); the result C satisfies
-    inside = s (+) C.
-    """
-    s._check_ambient(inside)
-    if not inside.contains(s):
-        raise NotContained("s is not contained in the ambient subspace")
-    picked = [{s.basis[c]: v for c, v in inside.rows[i].items()}
-              for i in linalg.greedy_independent(s.rows, inside.rows)]
-    return s.mod.subspace(s.alpha, picked, s.parity)
 
 
 def action_compat_defect(mod, table, u, v, bv):

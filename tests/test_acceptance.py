@@ -216,7 +216,7 @@ def test_criterion_11_b_image_lemma():
 
 
 def test_criterion_12_exact_linalg_oracle():
-    from tests_support_dense import dense_rank  # local helper below
+    from tests_support_dense import dense_rank, int_columns
     rng = random.Random(321)
     for _ in range(100):
         nrows = rng.randint(1, 30)
@@ -238,7 +238,7 @@ def test_criterion_12_exact_linalg_oracle():
         x0 = {j: F(rng.randint(-3, 3)) for j in range(ncols)
               if rng.random() < 0.4}
         b = m.apply(x0)
-        x = linalg.solve(m, b)
+        x = linalg.solve(*int_columns(m), b)
         assert x is not None and m.apply(x) == b
     print("PASS criterion 12: rank/kernel/solve agree with the dense "
           "oracle on 100 random matrices")

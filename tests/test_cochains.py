@@ -14,6 +14,7 @@ from ospcoho.cochains import (Cochain, NoCocycle, TypeMismatch, coboundary,
                               delta_matrix, is_reduced, make_f_k,
                               make_ftilde_k, make_h_lambda, reduce_cochain,
                               restrict_sl2, sl2_coboundary, zero_cochain)
+from ospcoho.engine import is_coboundary
 from ospcoho.weightmod import (TruncatedDlm, action_scale, module_memo,
                                to_oppoly, vec_add, vec_scale)
 from ospcoho.superdiff import OpPoly
@@ -144,9 +145,16 @@ def test_integer_coboundary_matches_fraction_reference():
 
 def test_integer_paths_never_use_the_fraction_action(monkeypatch):
     # the memo composes X and Y from its A and B images, and coboundary
-    # reads memo images: neither may fall back to the Fraction action
+    # reads memo images: neither may fall back to the Fraction action;
+    # the solves and the cocycle constructors run on delta_block's
+    # integer columns, never on the Fraction delta_matrix
     calls = []
     act_basis, act = TruncatedDlm.act_basis, TruncatedDlm.act
+    delta_matrix_calls = []
+
+    def counted_delta_matrix(*args, **kwargs):
+        delta_matrix_calls.append(args)
+        return delta_matrix(*args, **kwargs)
 
     def counted_act_basis(self, gen, bv):
         calls.append(("act_basis", gen))
@@ -158,6 +166,7 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
 
     monkeypatch.setattr(TruncatedDlm, "act_basis", counted_act_basis)
     monkeypatch.setattr(TruncatedDlm, "act", counted_act)
+    monkeypatch.setattr(cc, "delta_matrix", counted_delta_matrix)
     mod = TruncatedDlm(F(1, 3), F(5, 6), 4)
     memo = module_memo(mod)
     for bv in mod.weight_basis(F(1, 2)) + mod.weight_basis(F(-1, 2)):
@@ -172,6 +181,20 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
             f = random_cochain(mod, degree, parity, rng)
             assert not coboundary(f, TABLE).is_zero()
     assert calls and set(calls) <= {("act_basis", g) for g in "HAB"}
+    calls.clear()
+    module_memo.cache_clear()
+    for degree in (1, 2):
+        for parity in (0, 1):
+            f = random_cochain(mod, degree, parity, rng)
+            g, f_red = reduce_cochain(f, TABLE)
+            assert is_reduced(f_red) and not g.is_zero()
+            assert is_coboundary(coboundary(f, TABLE), TABLE) is not None
+    for k in (0, 1):
+        make_f_k(k, table=TABLE)
+        make_ftilde_k(k, table=TABLE)
+        make_h_lambda(F(k, 2), table=TABLE)
+    assert calls and set(calls) <= {("act_basis", g) for g in "HAB"}
+    assert delta_matrix_calls == []
 
 
 def test_coboundary_preserves_parity_and_weight():

@@ -1,5 +1,6 @@
 """Brute-force dimensions, predictions, reports, and the cup checks."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -171,7 +172,10 @@ def test_class_representatives_count_and_reduction_localization():
         assert red.values.get(b_mono)  # localization slot is nonzero
 
 
-ACCEPTANCE_GRID = GRID + [(F(-3, 2), F(2))]
+ACCEPTANCE_GRID = [(F(0), F(0)), (F(1), F(1)), (F(5, 2), F(5, 2)),
+                   (F(0), F(1, 2)), (F(-1, 2), F(1)), (F(-1), F(3, 2)),
+                   (F(-3, 2), F(2)), (F(1, 3), F(0)), (F(0), F(2)),
+                   (F(1), F(1, 2))]
 
 
 def _reference_representatives(mod, n, w, parity):
@@ -286,6 +290,40 @@ def test_restriction_injectivity_reports():
     rep2 = restriction_injectivity_check(F(-1, 2), 1, table=TABLE)
     assert rep2["ok"]
     assert any(e["n"] == 2 for e in rep2["classes"])
+
+
+def test_restriction_check_rejects_dependent_restrictions(monkeypatch):
+    # each representative doubled: every restriction is nontrivial, but
+    # the two of each part are dependent, so the map is not injective
+    representatives = engine._representatives
+
+    def doubled(*args):
+        reps = representatives(*args)
+        return reps + [rep.scale(2) for rep in reps]
+
+    monkeypatch.setattr(engine, "_representatives", doubled)
+    rep = restriction_injectivity_check(0, F(1, 2), table=TABLE)
+    assert len(rep["classes"]) == 8
+    assert all(e["restriction_nontrivial"] for e in rep["classes"])
+    assert not rep["ok"]
+
+
+def test_outputs_are_pinned(tmp_path):
+    # the dims CSV and the restriction checks of the acceptance grid,
+    # byte for byte
+    from ospcoho import cli
+    out = tmp_path / "dims.csv"
+    assert cli.main(["dims", "--grid", "halfints:-1..1", "--format", "csv",
+                     "--threads", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3a8916cc9b0dfeaad039de0359b86cde03debf109050368029d61b45027f4d5b")
+    checks = [restriction_injectivity_check(lam, mu, K=8, nmax=2)
+              for lam, mu in ACCEPTANCE_GRID]
+    assert sum(len(c["classes"]) for c in checks) == 22
+    assert all(c["ok"] for c in checks)
+    text = json.dumps(checks, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ed7d908ef2eb04f36f37b757a5471a92e1ce6b2063ab45b2ec4b32e0044b8181")
 
 
 def test_report_json_schema_and_match():

@@ -1,5 +1,7 @@
 """Naive dense Gaussian elimination, the oracle for the sparse kernels."""
 
+from math import lcm
+
 
 def dense_rank(m):
     return len(dense_rref(m))
@@ -29,3 +31,13 @@ def dense_rref(m):
         rank += 1
         col += 1
     return [{j: v for j, v in enumerate(row) if v} for row in rows[:rank]]
+
+
+def int_columns(m):
+    """(cols, scale): integer {row: int} columns with cols / scale == m."""
+    scale = lcm(*(v.denominator for row in m.rows for v in row.values()))
+    cols = [dict() for _ in range(m.ncols)]
+    for i, row in enumerate(m.rows):
+        for j, v in row.items():
+            cols[j][i] = int(v * scale)
+    return cols, scale
