@@ -43,7 +43,8 @@ def parse_rational(text):
 def parse_grid(spec):
     """'halfints:LO..HI' -> all half-integer pairs; 'pairs:l,m;l,m' -> list.
 
-    Raises argparse.ArgumentTypeError on a malformed or empty grid.
+    Raises argparse.ArgumentTypeError on a malformed or empty grid, or
+    on a halfints bound that is not a multiple of 1/2.
     """
     kind, _, body = spec.partition(":")
     if kind == "halfints":
@@ -52,6 +53,10 @@ def parse_grid(spec):
             raise argparse.ArgumentTypeError(
                 f"grid {spec!r}: expected halfints:LO..HI")
         lo, hi = parse_rational(lo_s), parse_rational(hi_s)
+        for bound in (lo, hi):
+            if (2 * bound).denominator != 1:
+                raise argparse.ArgumentTypeError(
+                    f"grid {spec!r}: bound {bound} is not a half-integer")
         vals = []
         v = lo
         while v <= hi:

@@ -236,12 +236,18 @@ def block_basis(mod, n, w, parity, universe=GENS):
     """Ordered basis [(monomial, BasisVector)] of the weight-w part of C^n.
 
     A delta cochain u -> bv has cochain parity parity(u) + parity(bv);
-    the `parity` argument filters to one homogeneous component.
+    the `parity` argument filters to one homogeneous component. Twice
+    a weight carries its parity: 2 weight(u) = parity(u) and, for
+    D_{lambda,mu}, 2 (weight(bv) + p) = parity(bv) mod 2 (the family
+    shifts). So 2 (w + p) = cochain parity mod 2, and a parity of the
+    other residue has an empty block, returned without a scan.
     """
     t = 2 * (Fraction(w) + mod.p)
     if t.denominator != 1:      # twice a monomial weight is an integer
         return []
     t = t.numerator
+    if parity is not None and (t - parity) % 2:
+        return []
     out = []
     for u, u_parity, u_weight2 in _graded_monomials(n, universe):
         bvpar = None
@@ -279,6 +285,8 @@ def delta_block(mod, n, w, parity, table=None, universe=GENS, skip=()):
     T, terms = _koszul_terms(n, parity if parity is not None else 0,
                              universe, table)
     scale, act_factor, bracket_factor = _scales(memo, T)
+    if not dom or not cod:
+        return dom, cod, cols, scale
     skip = frozenset(skip)
     dom_slice = {}
     for c, (u, bv) in enumerate(dom):

@@ -24,6 +24,8 @@ The sl(2) analogue (ker X / Y((ker X)^0) formulas) is checked the same
 way. Class representatives come from the same integer blocks: the
 integer kernel vectors of d_n that `linalg.greedy_independent` finds
 outside the span of im d_{n-1} and of the vectors kept before them.
+The chained ranks are asked first, so a part with dim H^n_w = 0 is
+answered without a kernel (same d^2 = 0 premise).
 A cocycle is certified nontrivial when the integer solve for a
 primitive on those blocks has no solution (`is_coboundary`), and the
 restriction to sl(2) is certified injective by ranking the restricted
@@ -234,11 +236,18 @@ def _representatives(mod, n, parity, universe, block, prev_cols):
 def class_representatives(mod, n, w, parity, table=None, universe=GENS):
     """Cocycle representatives of a basis of H^n_w (one parity).
 
-    They are the `linalg.kernel_basis` vectors of d_n that enlarge the
-    span of im d_{n-1} and of the vectors picked before them, taken in
-    order; both blocks are ranked in integers (`_representatives`).
+    The chained ranks are asked first (`h_dim`): where the requested
+    parity of H^n_w is zero, the answer is [] and neither d_n nor
+    d_{n-1} is assembled in full and no kernel is taken. That gate
+    presumes d^2 = 0, as `h_dim` does. Otherwise the representatives
+    are the integer kernel vectors of d_n that enlarge the span of
+    im d_{n-1} and of the vectors picked before them, taken in order;
+    both blocks are ranked in integers (`_representatives`).
     """
     table = table if table is not None else adopted_table()
+    dims = h_dim(mod, n, w, table, universe)
+    if not (dims.even, dims.odd)[parity]:
+        return []
     block = delta_block(mod, n, w, parity, table, universe)
     prev_cols = ()
     if n > 0:
@@ -275,21 +284,17 @@ def restriction_injectivity_check(lam, mu, K=None, table=None, nmax=2):
     in integers against the columns of the sl(2) differential d_{n-1}
     (`linalg.greedy_independent`): the restriction is injective iff
     every one of them enlarges the span, and a class restricts
-    nontrivially iff its vector alone lies outside that image. Each
-    block d_n is assembled once: it gives the cocycles at degree n and
-    the coboundaries at degree n + 1.
+    nontrivially iff its vector alone lies outside that image. The
+    representatives come from `class_representatives`, whose chained
+    ranks (premise d^2 = 0) skip every part where H^n_0 is zero.
     """
     table = table if table is not None else adopted_table()
     mod = TruncatedDlm(lam, mu, guard_K(lam, mu, K))
     entries = []
     ok = True
-    prev_cols = {0: (), 1: ()}
     for n in range(nmax + 1):
         for parity in (0, 1):
-            block = delta_block(mod, n, 0, parity, table)
-            reps = _representatives(mod, n, parity, GENS, block,
-                                    prev_cols[parity])
-            prev_cols[parity] = block[2]
+            reps = class_representatives(mod, n, 0, parity, table)
             if not reps:
                 continue
             basis = block_basis(mod, n, 0, parity, SL2)

@@ -154,6 +154,8 @@ def test_threads_flag_same_output(capsys):
     ["dims", "--lambda", "0", "--mu", "1/2", "--wmax", "1/3"],
     ["dims", "--lambda", "0", "--mu", "1/2", "--out", "/nonexistent/d/x.json"],
     ["selftest", "--out", "/nonexistent/d/x.json"],
+    ["dims", "--grid", "halfints:1/3..1"],
+    ["dims", "--grid", "halfints:0..3/4"],
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert cli.main(argv) == 2

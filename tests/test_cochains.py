@@ -335,6 +335,37 @@ def test_integer_block_scale_covers_bracket_denominators():
     assert all(type(v) is int for col in cols for v in col.values())
 
 
+@pytest.mark.parametrize("lam, mu", [(F(0), F(1, 2)), (F(1, 3), F(0)),
+                                     (F(1, 3), F(5, 6))])
+def test_block_parity_rule_matches_monomial_scan(lam, mu):
+    # 2(w + p) = cochain parity (mod 2): the blocks the rule leaves empty
+    # are exactly the ones the scan over monomials finds empty; the
+    # weights shifted by -p reach the blocks of p = -1/3 as well
+    mod = TruncatedDlm(lam, mu, 3)
+    empty = full = 0
+    weights = [F(j, 2) for j in range(-4, 5)]
+    for n in range(5):
+        for w in weights + [w - mod.p for w in weights]:
+            for parity in (0, 1):
+                scan = [(u, bv) for u in monomial_basis(n)
+                        for bv in mod.weight_basis(
+                            w + monomial_weight(u),
+                            (parity + monomial_parity(u)) % 2)]
+                assert cc.block_basis(mod, n, w, parity) == scan
+                if (2 * (w + mod.p) - parity) % 2:
+                    assert scan == []
+                    empty += 1
+                    # the empty block still carries its true scale
+                    dom, cod, cols, scale = cc.delta_block(
+                        mod, n, w, parity, TABLE)
+                    assert dom == cod == cols == []
+                    assert scale == cc.delta_block(
+                        mod, n, w + F(1, 2), parity, TABLE)[3]
+                else:
+                    full += bool(scan)
+    assert empty and full
+
+
 # --- explicit cocycles -------------------------------------------------------
 
 def test_h_lambda_solved_slots():

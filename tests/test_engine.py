@@ -211,6 +211,61 @@ def test_class_representatives_match_reference_greedy():
     assert count == 22
 
 
+def test_representatives_only_where_classes_are(monkeypatch):
+    # the chained ranks gate the kernels: over the acceptance grid the
+    # restriction checks take 18 kernels, one per nonzero (n, parity)
+    # part of H^n_0, and the representatives are unchanged
+    from ospcoho.cochains import cochain_to_json
+    calls = []
+    representatives = engine._representatives
+
+    def counted(*args):
+        calls.append(args)
+        return representatives(*args)
+
+    monkeypatch.setattr(engine, "_representatives", counted)
+    for lam, mu in ACCEPTANCE_GRID:
+        restriction_injectivity_check(lam, mu, K=8, nmax=2, table=TABLE)
+    assert len(calls) == 18
+    digest = hashlib.sha256()
+    count = 0
+    for lam, mu in ACCEPTANCE_GRID:
+        mod = TruncatedDlm(lam, mu, engine.guard_K(lam, mu, 8))
+        for n in range(3):
+            for parity in (0, 1):
+                for rep in class_representatives(mod, n, 0, parity, TABLE):
+                    digest.update(json.dumps(cochain_to_json(rep),
+                                             sort_keys=True).encode())
+                    count += 1
+    assert count == 22
+    assert digest.hexdigest() == (
+        "5c7f6f90567fe019449175467a539c8fb29b30dfbf756b6c74156f2bb0dcc619")
+
+
+def test_gated_representatives_equal_ungated_sl2():
+    # the gate reads the sl(2) chained ranks when asked for sl(2) classes;
+    # at (-1, 1) H^n_0(sl(2)) has classes where H^n_0(osp(1|2)) has none
+    found = 0
+    for lam, mu in ((F(0), F(1, 2)), (F(-1, 2), F(1)), (F(1, 3), F(0)),
+                    (F(-1), F(1))):
+        mod = TruncatedDlm(lam, mu, 3)
+        for n in range(4):
+            for w in (F(-1), F(-1, 2), F(0), F(1, 2), F(1), -mod.p):
+                for parity in (0, 1):
+                    block = delta_block(mod, n, w, parity, TABLE, SL2)
+                    prev = ()
+                    if n > 0:
+                        prev = delta_block(mod, n - 1, w, parity, TABLE,
+                                           SL2)[2]
+                    want = engine._representatives(mod, n, parity, SL2,
+                                                   block, prev)
+                    got = class_representatives(mod, n, w, parity, TABLE,
+                                                SL2)
+                    assert got == want, (lam, mu, n, w, parity)
+                    found += len(got)
+    assert found
+
+
 def test_localization_kernel_zero():
     mod = TruncatedDlm(0, F(1, 2), 3)
     for n in (1, 2, 3):
