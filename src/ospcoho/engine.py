@@ -16,7 +16,9 @@ compared against two independent predictions:
 
   * the kernel description  H^0 = ker A o+ ker B,
     H^1 ~ H^0 (+) (ker A)^{-1/2}/B((ker A)^0), H^2 ~ that quotient,
-    H^{>2} = 0, evaluated by exact subspace arithmetic on the truncation;
+    H^{>2} = 0, evaluated on the truncation in integers: the kernels
+    are integer null spaces of the module memo's action images, and the
+    quotient is ranked with `linalg.greedy_independent`;
   * the closed-form dimension table for D_{lambda,mu}, decided by the
     case split on p = mu - lambda over exact rationals.
 
@@ -46,9 +48,8 @@ from .cochains import (Cochain, _a_monomial, block_basis, coboundary,
                        primitive, reduce_cochain, restrict_sl2, zero_cochain)
 from .superdiff import OpPoly, derived_module_action, op_str, \
     solve_realization_constants
-from .weightmod import (TruncatedDlm, from_oppoly, image_of_subspace,
-                        module_axiom_holds, module_memo, quotient_dim,
-                        to_oppoly)
+from .weightmod import (TruncatedDlm, from_oppoly, module_axiom_holds,
+                        module_memo, to_oppoly)
 
 NMAX_DEFAULT = 4
 WMAX_DEFAULT = Fraction(2)
@@ -128,7 +129,25 @@ def h_dim(mod, n, w, table=None, universe=GENS):
 # --- closed-form predictions ------------------------------------------------
 
 def _total_kernel_dim(mod, gens):
-    return sum(mod.kernel_slice(gens, a).dim for a in mod.kernel_weights())
+    return sum(len(mod.kernel_slice(gens, a)) for a in mod.kernel_weights())
+
+
+def _kernel_quotient_dim(mod, kernel_gen, top, image_gen):
+    """dim (ker g)^top / h((ker g)^0) with g = kernel_gen, h = image_gen.
+
+    The (ker g)^0 vectors are mapped through the memo's h images; the
+    quotient is ranked in integers (`linalg.quotient_dim`), which raises
+    NotContained when the image does not lie in (ker g)^top.
+    """
+    image = module_memo(mod).image
+    images = []
+    for vec in mod.kernel_slice((kernel_gen,), Fraction(0)):
+        out = {}
+        for bv, c in vec.items():
+            for t, x in image(image_gen, bv):
+                out[t] = out.get(t, 0) + c * x
+        images.append(out)
+    return linalg.quotient_dim(mod.kernel_slice((kernel_gen,), top), images)
 
 
 def _theorem_shape(d0, q, nmax):
@@ -141,20 +160,14 @@ def predict_theorem(mod, nmax=NMAX_DEFAULT):
     if not mod.check_a_onto():
         raise HypothesisViolated(f"A is not onto on {mod}")
     d0 = _total_kernel_dim(mod, ("A", "B"))
-    ker_half = mod.kernel_slice(("A",), Fraction(-1, 2))
-    ker_zero = mod.kernel_slice(("A",), Fraction(0))
-    image = image_of_subspace(mod, "B", ker_zero)
-    q = quotient_dim(ker_half, image)
+    q = _kernel_quotient_dim(mod, "A", Fraction(-1, 2), "B")
     return _theorem_shape(d0, q, nmax)
 
 
 def predict_sl2(mod, nmax=NMAX_DEFAULT):
     """sl(2) dimensions from the ker X / Y((ker X)^0) description."""
     d0 = _total_kernel_dim(mod, ("X", "Y"))
-    ker_m1 = mod.kernel_slice(("X",), Fraction(-1))
-    ker_zero = mod.kernel_slice(("X",), Fraction(0))
-    image = image_of_subspace(mod, "Y", ker_zero)
-    q = quotient_dim(ker_m1, image)
+    q = _kernel_quotient_dim(mod, "X", Fraction(-1), "Y")
     return _theorem_shape(d0, q, nmax)
 
 

@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra in integers.
 
 Every computation is handed to the integer fraction-free elimination
 kernel in `ospcoho._kernels_py`. The weight blocks of the differential
@@ -7,12 +7,11 @@ arrive as integer rows or columns: `int_pivots` takes their rank,
 (cols / scale) x = b for a rational right-hand side.
 `greedy_independent` picks, in order, the vectors that enlarge a span,
 by reducing each one against an integer echelon basis that grows as
-vectors are kept. Only the subspaces of the closed-form predictions
-still enter as `fractions.Fraction` matrices (`SparseMatrix`, `rank`,
-`kernel_basis`, `rref`, `span_contains`); their rows are scaled to
-integers first, which changes neither row spaces nor null spaces.
-Echelon output is canonical, so two subspaces are equal iff their
-`rref` bases are equal.
+vectors are kept, and `quotient_dim` decides a subspace inclusion with
+it. Rows with Fraction entries are scaled to integer rows first
+(`_to_int_row`), which changes neither row spaces nor null
+spaces. `SparseMatrix` holds the Fraction matrices that the tests
+compare these routines against.
 """
 
 from fractions import Fraction
@@ -26,10 +25,6 @@ def _to_int_row(row):
     scale = lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (scale // v.denominator)
             for c, v in row.items() if v}
-
-
-def _as_fraction_row(row):
-    return {c: Fraction(v) for c, v in row.items() if v}
 
 
 class SparseMatrix:
@@ -54,16 +49,6 @@ class SparseMatrix:
                 m.rows[i][j] = m.rows[i].get(j, Fraction(0)) + v
                 if not m.rows[i][j]:
                     del m.rows[i][j]
-        return m
-
-    @classmethod
-    def from_columns(cls, nrows, columns):
-        """columns: list of {row: value} dicts."""
-        m = cls(nrows, len(columns))
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if v:
-                    m.rows[i][j] = Fraction(v)
         return m
 
     def entry(self, i, j):
@@ -119,27 +104,6 @@ def int_pivots(rows):
     return pivots
 
 
-def rank(m):
-    """Exact rank via fraction-free elimination."""
-    return len(int_pivots([_to_int_row(r) for r in m.rows]))
-
-
-def rref(vectors, ncols):
-    """Canonical reduced row echelon basis of span(vectors).
-
-    vectors: iterable of {col: Fraction|int} dicts. Returns a list of
-    {col: Fraction} rows with leading coefficient 1, sorted by pivot
-    column; this form is unique for the row space.
-    """
-    rows = [_to_int_row(_as_fraction_row(v)) for v in vectors]
-    pivots, out = echelon(rows, True)
-    result = []
-    for col, row in zip(pivots, out):
-        piv = Fraction(row[col])
-        result.append({c: Fraction(v) / piv for c, v in row.items()})
-    return result
-
-
 def int_kernel_basis(rows, ncols):
     """Integer basis of the null space of integer {col: int} rows.
 
@@ -164,19 +128,6 @@ def int_kernel_basis(rows, ncols):
         for col, row in fixed:
             v[col] = -row[f] * (scale // row[col])
         basis.append(v)
-    return basis
-
-
-def kernel_basis(m):
-    """Echelon basis of the null space of m, leading coefficient 1.
-
-    Each returned vector v satisfies m.apply(v) == {} exactly, and there
-    are ncols - rank(m) of them.
-    """
-    basis = []
-    for v in int_kernel_basis([_to_int_row(r) for r in m.rows], m.ncols):
-        lead = v[min(v)]
-        basis.append({c: Fraction(x, lead) for c, x in v.items()})
     return basis
 
 
@@ -217,22 +168,6 @@ def solve(cols, scale, b):
     return {c: v / Q for c, v in qx.items()}
 
 
-def span_contains(rref_rows, vector):
-    """Is `vector` in the span of canonical rref rows?"""
-    v = _as_fraction_row(vector)
-    for row in rref_rows:
-        piv = min(row)
-        if piv in v:
-            coeff = v[piv]
-            for c, w in row.items():
-                s = v.get(c, Fraction(0)) - coeff * w
-                if s:
-                    v[c] = s
-                else:
-                    v.pop(c, None)
-    return not v
-
-
 def greedy_independent(base, candidates):
     """Indices of the candidates that enlarge the span, scanning in order.
 
@@ -258,11 +193,17 @@ def greedy_independent(base, candidates):
 
 
 def quotient_dim(u_rows, w_rows):
-    """dim(span u / span w); raises if w is not contained in u."""
-    for r in w_rows:
-        if not span_contains(u_rows, r):
-            raise NotContained("quotient by a non-subspace")
-    return len(u_rows) - len(w_rows)
+    """dim(span u / span w); raises NotContained if w is not in span u.
+
+    Rows are {col: Fraction|int} dicts over mutually ordered column keys
+    and are not modified. w lies in span u iff `greedy_independent`
+    keeps none of its rows; the dimension is the difference of the
+    integer ranks.
+    """
+    if greedy_independent(u_rows, w_rows):
+        raise NotContained("quotient by a non-subspace")
+    return (len(int_pivots([_to_int_row(r) for r in u_rows]))
+            - len(int_pivots([_to_int_row(r) for r in w_rows])))
 
 
 class NotContained(ValueError):

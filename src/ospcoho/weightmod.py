@@ -36,7 +36,10 @@ the odd action, so it serves any osp(1|2) module that defines
 
 `module_axiom_holds` checks the module axiom on those images: it scales
 each defect by T * D^2, with T the lcm of the bracket table's
-denominators, so that it is an integer vector.
+denominators, so that it is an integer vector. `kernel_slice` and
+`check_a_onto`, which the closed-form predictions read, rank the same
+images in integers. `act` and `action_compat_defect` keep the Fraction
+definition and serve as the tests' oracles.
 """
 
 from fractions import Fraction
@@ -44,8 +47,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import linalg
-from .algebra import GENS, PARITY, WEIGHT
-from .linalg import NotContained  # noqa: F401  (raised by quotient_dim)
+from .algebra import GENS, PARITY
 from .superdiff import OpPoly
 
 FAMILIES = ("a", "b", "c", "d")
@@ -118,7 +120,9 @@ class TruncatedDlm:
         return f"TruncatedDlm(lam={self.lam}, mu={self.mu}, K={self.K})"
 
     def __eq__(self, other):
-        return (isinstance(other, TruncatedDlm)
+        # exact types: a subclass may override the action, and equal
+        # modules share one module_memo
+        return (type(other) is type(self)
                 and (self.lam, self.mu, self.K)
                 == (other.lam, other.mu, other.K))
 
@@ -209,48 +213,25 @@ class TruncatedDlm:
                 out.append((f, k - s, k))
         return out
 
-    # --- subspaces of a weight slice -----------------------------------
+    def kernel_slice(self, gens, alpha):
+        """Integer basis of the joint kernel of `gens` on the alpha slice.
 
-    def subspace(self, alpha, vectors, parity=None):
-        basis = self.weight_basis(alpha, parity)
-        index = {bv: i for i, bv in enumerate(basis)}
-        rows = []
-        for vec in vectors:
-            row = {}
-            for bv, c in vec.items():
-                if bv not in index:
-                    raise ValueError(
-                        f"{bv} is not in the weight-{alpha} slice")
-                row[index[bv]] = c
-            rows.append(row)
-        return Subspace(self, alpha, parity, tuple(basis),
-                        tuple(linalg.rref(rows, len(basis))))
-
-    def kernel_slice(self, gens, alpha, parity=None):
-        """Joint kernel of the listed generator actions in one slice."""
-        basis = self.weight_basis(alpha, parity)
-        if not basis:
-            return self.subspace(alpha, [], parity)
-        columns = []
-        row_offset = {}
-        targets = {}
-        for g in sorted(set(gens)):
-            t_basis = self.weight_basis(alpha + WEIGHT[g])
-            row_offset[g] = sum(len(t) for t in targets.values())
-            targets[g] = {bv: i for i, bv in enumerate(t_basis)}
-        nrows = sum(len(t) for t in targets.values())
-        for bv in basis:
-            col = {}
-            for g in sorted(set(gens)):
-                image = self.act_basis(g, bv)
-                for tbv, c in image.items():
-                    col[row_offset[g] + targets[g][tbv]] = c
-            columns.append(col)
-        m = linalg.SparseMatrix.from_columns(nrows, columns)
-        vecs = []
-        for kv in linalg.kernel_basis(m):
-            vecs.append({basis[i]: c for i, c in kv.items()})
-        return self.subspace(alpha, vecs, parity)
+        The memo images of the slice's basis vectors are stacked as rows
+        (one per generator and target vector) and their null space is
+        taken in integers (`linalg.int_kernel_basis`); the memo's scale
+        changes no kernel. Returns {BasisVector: int} vectors, one per
+        free column of the unique reduced echelon form.
+        """
+        basis = self.weight_basis(alpha)
+        image = module_memo(self).image
+        rows = {}
+        for col, bv in enumerate(basis):
+            for g in gens:
+                for t, x in image(g, bv):
+                    rows.setdefault((g, t), {})[col] = x
+        return [{basis[c]: x for c, x in v.items()}
+                for v in linalg.int_kernel_basis(list(rows.values()),
+                                                 len(basis))]
 
     def kernel_weights(self):
         """Weights that can support m = 0 vectors (k <= K).
@@ -266,21 +247,16 @@ class TruncatedDlm:
                 out.add(k - self.p + FAMILY_SHIFT[f])
         return sorted(out)
 
-    def check_a_onto(self, weights=None):
-        """rank(A : M^w -> M^{w+1/2}) == dim M^{w+1/2} on the window."""
-        if weights is None:
-            weights = self.kernel_weights()
-        for w in weights:
+    def check_a_onto(self):
+        """rank(A : M^w -> M^{w+1/2}) == dim M^{w+1/2} on the kernel weights.
+
+        Ranked in integers on the memo's A images.
+        """
+        image = module_memo(self).image
+        for w in self.kernel_weights():
             target = self.weight_basis(w + Fraction(1, 2))
-            if not target:
-                continue
-            index = {bv: i for i, bv in enumerate(target)}
-            cols = []
-            for bv in self.weight_basis(w):
-                img = self.act_basis("A", bv)
-                cols.append({index[t]: c for t, c in img.items()})
-            m = linalg.SparseMatrix.from_columns(len(target), cols)
-            if linalg.rank(m) != len(target):
+            rows = [dict(image("A", bv)) for bv in self.weight_basis(w)]
+            if len(linalg.int_pivots(rows)) != len(target):
                 return False
         return True
 
@@ -365,63 +341,6 @@ MEMO_MODULES = 2
 def module_memo(mod):
     """The ModuleMemo of `mod`, kept for the MEMO_MODULES latest modules."""
     return ModuleMemo(mod)
-
-
-class Subspace:
-    """Subspace of one weight slice, held as a canonical echelon basis."""
-
-    __slots__ = ("mod", "alpha", "parity", "basis", "rows")
-
-    def __init__(self, mod, alpha, parity, basis, rows):
-        self.mod = mod
-        self.alpha = Fraction(alpha)
-        self.parity = parity
-        self.basis = basis
-        self.rows = rows
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def vectors(self):
-        """Basis as {BasisVector: Fraction} dicts."""
-        return [{self.basis[i]: c for i, c in row.items()}
-                for row in self.rows]
-
-    def _coords(self, vec):
-        index = {bv: i for i, bv in enumerate(self.basis)}
-        return {index[bv]: c for bv, c in vec.items()}
-
-    def contains_vector(self, vec):
-        try:
-            row = self._coords(vec)
-        except KeyError:
-            return False
-        return linalg.span_contains(list(self.rows), row)
-
-    def _check_ambient(self, other):
-        if self.basis != other.basis:
-            raise ValueError("subspaces live in different slices")
-
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.basis == other.basis
-                and self.rows == other.rows)
-
-    def __repr__(self):
-        return (f"Subspace(alpha={self.alpha}, dim={self.dim}, "
-                f"ambient={len(self.basis)})")
-
-
-def image_of_subspace(mod, gen, s):
-    """Echelon basis of gen . s inside the shifted weight slice."""
-    vecs = [mod.act(gen, v) for v in s.vectors()]
-    return mod.subspace(s.alpha + WEIGHT[gen], [v for v in vecs if v])
-
-
-def quotient_dim(s, t):
-    """dim(s / t); raises NotContained when t is not a subspace of s."""
-    s._check_ambient(t)
-    return linalg.quotient_dim(list(s.rows), list(t.rows))
 
 
 def action_compat_defect(mod, table, u, v, bv):

@@ -14,7 +14,8 @@ from ospcoho.cochains import (Cochain, NoCocycle, TypeMismatch, coboundary,
                               delta_matrix, is_reduced, make_f_k,
                               make_ftilde_k, make_h_lambda, reduce_cochain,
                               restrict_sl2, sl2_coboundary, zero_cochain)
-from ospcoho.engine import is_coboundary
+from ospcoho.engine import (guard_K, is_coboundary, predict_sl2,
+                            predict_theorem)
 from ospcoho.weightmod import (TruncatedDlm, action_scale, module_memo,
                                to_oppoly, vec_add, vec_scale)
 from ospcoho.superdiff import OpPoly
@@ -147,7 +148,8 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
     # the memo composes X and Y from its A and B images, and coboundary
     # reads memo images: neither may fall back to the Fraction action;
     # the solves and the cocycle constructors run on delta_block's
-    # integer columns, never on the Fraction delta_matrix
+    # integer columns, never on the Fraction delta_matrix; the closed-form
+    # predictions rank memo images too
     calls = []
     act_basis, act = TruncatedDlm.act_basis, TruncatedDlm.act
     delta_matrix_calls = []
@@ -195,6 +197,14 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
         make_h_lambda(F(k, 2), table=TABLE)
     assert calls and set(calls) <= {("act_basis", g) for g in "HAB"}
     assert delta_matrix_calls == []
+    calls.clear()
+    module_memo.cache_clear()
+    for lam, mu in ((F(0), F(1, 2)), (F(1, 3), F(5, 6)), (F(0), F(2))):
+        pmod = TruncatedDlm(lam, mu, guard_K(lam, mu))
+        assert pmod.check_a_onto()
+        predict_theorem(pmod)
+        predict_sl2(pmod)
+    assert calls and set(calls) <= {("act_basis", g) for g in "HAB"}
 
 
 def test_coboundary_preserves_parity_and_weight():

@@ -77,6 +77,37 @@ def test_h_dim_out_of_order():
             assert [shuffled[n] for n in range(5)] == in_order
 
 
+class _AZero(TruncatedDlm):
+    """D_{lambda,mu} with A acting as 0: A is not onto."""
+
+    __slots__ = ()
+
+    def act_basis(self, gen, bv):
+        return {} if gen == "A" else super().act_basis(gen, bv)
+
+
+def test_subclass_gets_its_own_memo():
+    # equal parameters, different action: the memo must not be shared,
+    # whichever module is ranked first
+    base, sub = TruncatedDlm(0, F(1, 2), 3), _AZero(0, F(1, 2), 3)
+    assert base != sub and sub != base
+    module_memo.cache_clear()
+    fresh = h_dim(sub, 1, 0, TABLE)
+    module_memo.cache_clear()
+    assert h_dim(base, 1, 0, TABLE).total == 2
+    assert module_memo(sub) is not module_memo(base)
+    assert h_dim(sub, 1, 0, TABLE) == fresh
+
+
+def test_a_not_onto_violates_the_hypothesis():
+    base, sub = TruncatedDlm(0, F(1, 2), 3), _AZero(0, F(1, 2), 3)
+    module_memo.cache_clear()
+    assert predict_theorem(base) == predict_proposition(0, F(1, 2))
+    assert base.check_a_onto() and not sub.check_a_onto()
+    with pytest.raises(engine.HypothesisViolated):
+        predict_theorem(sub)
+
+
 def test_predict_proposition_cases():
     assert predict_proposition(F(7, 3), F(7, 3)) == \
         {0: 1, 1: 1, 2: 0, 3: 0, 4: 0}
@@ -180,19 +211,26 @@ ACCEPTANCE_GRID = [(F(0), F(0)), (F(1), F(1)), (F(5, 2), F(5, 2)),
 
 def _reference_representatives(mod, n, w, parity):
     # the Fraction greedy: kernel vectors outside the span of im d_{n-1}
-    # and of the vectors kept before them
+    # and of the vectors kept before them, each kept iff it raises the
+    # rank of an echelon basis of that span
+    from ospcoho._kernels_py import echelon
     from ospcoho.cochains import cochain_from_coords, delta_matrix
     dom, _, mat = delta_matrix(mod, n, w, parity, TABLE)
     current = []
     if n > 0:
         _, _, prev = delta_matrix(mod, n - 1, w, parity, TABLE)
-        current = linalg.rref([prev.column(j) for j in range(prev.ncols)],
-                              len(dom))
+        current = [linalg._to_int_row(prev.column(j))
+                   for j in range(prev.ncols)]
+    _, current = echelon(current, False)
     reps = []
-    for kv in linalg.kernel_basis(mat):
-        if not linalg.span_contains(current, kv):
+    for v in linalg.int_kernel_basis(
+            [linalg._to_int_row(r) for r in mat.rows], mat.ncols):
+        kv = {c: F(x, v[min(v)]) for c, x in v.items()}
+        pivots, rows = echelon([dict(r) for r in current]
+                               + [linalg._to_int_row(kv)], False)
+        if len(pivots) > len(current):
             reps.append(cochain_from_coords(mod, n, parity, dom, kv))
-            current = linalg.rref(current + [kv], len(dom))
+            current = rows
     return reps
 
 
@@ -312,9 +350,9 @@ def test_reduced_cocycle_vanishing_on_HB_is_coboundary():
             for col, (u, _) in enumerate(dom):
                 if _a_monomial(u) or u == hb:
                     extra.append({col: F(1)})
-            rows = [dict(r) for r in mat.rows] + extra
-            stacked = linalg.SparseMatrix(len(rows), mat.ncols, rows)
-            for kv in linalg.kernel_basis(stacked):
+            rows = [linalg._to_int_row(r) for r in mat.rows + extra]
+            for v in linalg.int_kernel_basis(rows, mat.ncols):
+                kv = {c: F(x) for c, x in v.items()}
                 f = cochain_from_coords(mod, n, parity, dom, kv)
                 assert is_coboundary(f, TABLE) is not None, (n, parity)
 
