@@ -356,6 +356,28 @@ def cochain_from_coords(mod, degree, parity, basis, coords, universe=GENS):
     return Cochain(mod, degree, parity, vals, universe)
 
 
+def _kernel_cochains(mod, n, w, parity, table, universe, skip):
+    """Integer kernel of d_n on the columns outside `skip`, as Cochains.
+
+    Only those columns of `delta_block` are assembled; each kernel
+    vector is divided by its leading entry.
+    """
+    dom, _, cols, _ = delta_block(mod, n, w, parity, table, universe, skip)
+    skip = frozenset(skip)
+    keep = [c for c in range(len(dom)) if c not in skip]
+    rows = {}
+    for i, c in enumerate(keep):
+        for r, v in cols[c].items():
+            rows.setdefault(r, {})[i] = v
+    out = []
+    for vec in linalg.int_kernel_basis(list(rows.values()), len(keep)):
+        lead = vec[min(vec)]
+        coords = {keep[i]: Fraction(v, lead) for i, v in vec.items()}
+        out.append(cochain_from_coords(mod, n, parity, dom, coords,
+                                       universe))
+    return out
+
+
 # --- reduction --------------------------------------------------------------
 
 def _a_monomial(u):
@@ -432,13 +454,6 @@ def restrict_sl2(f):
     return Cochain(f.mod, f.degree, f.parity, vals, SL2)
 
 
-def sl2_coboundary(f, table=None):
-    """Classical Chevalley-Eilenberg differential on the (X,H,Y) complex."""
-    if tuple(f.universe) != SL2:
-        raise ValueError("expected an sl(2) cochain")
-    return coboundary(f, table)
-
-
 # --- cup product ------------------------------------------------------------
 
 def _slot_op(f, gen):
@@ -497,25 +512,10 @@ def cup(f, h, table=None):
 # --- explicit cocycle constructors ------------------------------------------
 
 def _reduced_cocycle_space(mod, parity, slots, table):
-    """Weight-0 cocycles supported on the given 1-slots, as Cochains.
-
-    The kernel of d_1 on the slot columns only (the others are never
-    assembled), each vector divided by its leading entry.
-    """
-    dom = block_basis(mod, 1, 0, parity)
-    keep = [c for c, (u, _) in enumerate(dom) if u[0] in slots]
-    skip = set(range(len(dom))).difference(keep)
-    cols = delta_block(mod, 1, 0, parity, table, GENS, skip)[2]
-    rows = {}
-    for i, c in enumerate(keep):
-        for r, v in cols[c].items():
-            rows.setdefault(r, {})[i] = v
-    out = []
-    for vec in linalg.int_kernel_basis(list(rows.values()), len(keep)):
-        lead = vec[min(vec)]
-        coords = {keep[i]: Fraction(v, lead) for i, v in vec.items()}
-        out.append(cochain_from_coords(mod, 1, parity, dom, coords))
-    return out
+    """Weight-0 cocycles supported on the given 1-slots, as Cochains."""
+    skip = [c for c, (u, _) in enumerate(block_basis(mod, 1, 0, parity))
+            if u[0] not in slots]
+    return _kernel_cochains(mod, 1, 0, parity, table, GENS, skip)
 
 
 def _normalized(f, slot, bv):

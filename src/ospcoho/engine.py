@@ -23,11 +23,13 @@ compared against two independent predictions:
     case split on p = mu - lambda over exact rationals.
 
 The sl(2) analogue (ker X / Y((ker X)^0) formulas) is checked the same
-way. Class representatives come from the same integer blocks: the
-integer kernel vectors of d_n that `linalg.greedy_independent` finds
-outside the span of im d_{n-1} and of the vectors kept before them.
+way. Class representatives are read off the cleared block: the
+integer kernel of d_n[:, N] maps isomorphically onto H^n_w, because a
+cocycle reduces modulo the echelon basis of im d_{n-1} to one that is
+zero on P, and no nonzero vector zero on P lies in im d_{n-1}; so
+dim ker d_n[:, N] = |N| - rank d_n = dim H^n_w (same d^2 = 0 premise).
 The chained ranks are asked first, so a part with dim H^n_w = 0 is
-answered without a kernel (same d^2 = 0 premise).
+answered without a kernel.
 A cocycle is certified nontrivial when the integer solve for a
 primitive on those blocks has no solution (`is_coboundary`), and the
 restriction to sl(2) is certified injective by ranking the restricted
@@ -42,8 +44,8 @@ from fractions import Fraction
 
 from . import algebra, linalg
 from .algebra import GENS, SL2, adopted_table
-from .cochains import (Cochain, _a_monomial, block_basis, coboundary,
-                       cochain_coords, cochain_from_coords, cup, delta_block,
+from .cochains import (Cochain, _a_monomial, _kernel_cochains, block_basis,
+                       coboundary, cochain_coords, cup, delta_block,
                        is_reduced, make_f_k, make_ftilde_k, make_h_lambda,
                        primitive, reduce_cochain, restrict_sl2, zero_cochain)
 from .superdiff import OpPoly, derived_module_action, op_str, \
@@ -221,51 +223,29 @@ def is_coboundary(f, table=None):
     return g
 
 
-def _representatives(mod, n, parity, universe, block, prev_cols):
-    """class_representatives from the integer blocks of d_n and d_{n-1}.
-
-    `block` is `delta_block`'s output for d_n and `prev_cols` the
-    columns of d_{n-1} (empty for n = 0); they span im d_{n-1}, and a
-    kernel vector is kept iff it enlarges the span of that image and
-    the vectors kept before it (`linalg.greedy_independent`). Only the
-    kept vectors become Fraction cochains, scaled to lead with 1.
-    """
-    dom, _, cols, _ = block
-    rows = {}
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            rows.setdefault(r, {})[c] = v
-    kernel = linalg.int_kernel_basis(list(rows.values()), len(dom))
-    reps = []
-    for i in linalg.greedy_independent([c for c in prev_cols if c], kernel):
-        vec = kernel[i]
-        lead = vec[min(vec)]
-        coords = {c: Fraction(v, lead) for c, v in vec.items()}
-        reps.append(cochain_from_coords(mod, n, parity, dom, coords,
-                                        universe))
-    return reps
-
-
 def class_representatives(mod, n, w, parity, table=None, universe=GENS):
     """Cocycle representatives of a basis of H^n_w (one parity).
 
     The chained ranks are asked first (`h_dim`): where the requested
-    parity of H^n_w is zero, the answer is [] and neither d_n nor
-    d_{n-1} is assembled in full and no kernel is taken. That gate
-    presumes d^2 = 0, as `h_dim` does. Otherwise the representatives
-    are the integer kernel vectors of d_n that enlarge the span of
-    im d_{n-1} and of the vectors picked before them, taken in order;
-    both blocks are ranked in integers (`_representatives`).
+    parity of H^n_w is zero, the answer is [] and nothing is assembled.
+    Otherwise the representatives are the integer kernel of d_n[:, N],
+    the block the chain ranked: N is the coordinates outside the pivots
+    P of an echelon basis of im d_{n-1}. A cocycle reduces modulo that
+    basis to one that is zero on P, and a nonzero vector zero on P is
+    not in im d_{n-1} (a nonzero combination of the echelon rows is
+    nonzero at its smallest pivot), so v -> [v] maps ker d_n[:, N]
+    isomorphically onto H^n_w. Both steps presume d^2 = 0, as `h_dim`
+    does.
     """
     table = table if table is not None else adopted_table()
     dims = h_dim(mod, n, w, table, universe)
     if not (dims.even, dims.odd)[parity]:
         return []
-    block = delta_block(mod, n, w, parity, table, universe)
-    prev_cols = ()
+    skip = ()
     if n > 0:
-        prev_cols = delta_block(mod, n - 1, w, parity, table, universe)[2]
-    return _representatives(mod, n, parity, universe, block, prev_cols)
+        skip = _block_rank_and_cols(mod, n - 1, w, parity, table,
+                                    universe)[2]
+    return _kernel_cochains(mod, n, w, parity, table, universe, skip)
 
 
 # --- localization and restriction checks -------------------------------------
@@ -545,7 +525,12 @@ def _random_cochain(mod, degree, parity, rng, universe=GENS,
 
 
 def selftest(suite="all", rng_seed=20240917):
-    """Run an invariant suite; returns a list of (name, ok, detail)."""
+    """Run an invariant suite; returns a list of (name, ok, detail).
+
+    An unknown suite name raises ValueError rather than passing empty.
+    """
+    if suite not in ("algebra", "module", "oracle", "complex", "all"):
+        raise ValueError(f"unknown selftest suite {suite!r}")
     import random
     rng = random.Random(rng_seed)
     results = []

@@ -235,6 +235,10 @@ def _reference_representatives(mod, n, w, parity):
 
 
 def test_class_representatives_match_reference_greedy():
+    # the cleared kernel and the Fraction greedy choose different bases
+    # of the same H^n_w: equal counts, cocycles, and each set lies in
+    # the span of im d_{n-1} and the other
+    from ospcoho.cochains import cochain_coords, delta_matrix
     assert len(ACCEPTANCE_GRID) == 10
     count = 0
     for lam, mu in ACCEPTANCE_GRID:
@@ -242,9 +246,20 @@ def test_class_representatives_match_reference_greedy():
         for n in range(3):
             for w in (F(0), F(1, 2), F(-1)):
                 for parity in (0, 1):
+                    where = (lam, mu, n, w, parity)
                     got = class_representatives(mod, n, w, parity, TABLE)
-                    assert got == _reference_representatives(
-                        mod, n, w, parity), (lam, mu, n, w, parity)
+                    ref = _reference_representatives(mod, n, w, parity)
+                    assert len(got) == len(ref), where
+                    dom, _, mat = delta_matrix(mod, n, w, parity, TABLE)
+                    got = [cochain_coords(f, dom) for f in got]
+                    ref = [cochain_coords(f, dom) for f in ref]
+                    assert all(v and not mat.apply(v) for v in got), where
+                    image = []
+                    if n > 0:
+                        prev = delta_matrix(mod, n - 1, w, parity, TABLE)[2]
+                        image = [prev.column(j) for j in range(prev.ncols)]
+                    assert linalg.greedy_independent(image + ref, got) == []
+                    assert linalg.greedy_independent(image + got, ref) == []
                     count += len(got)
     assert count == 22
 
@@ -252,16 +267,16 @@ def test_class_representatives_match_reference_greedy():
 def test_representatives_only_where_classes_are(monkeypatch):
     # the chained ranks gate the kernels: over the acceptance grid the
     # restriction checks take 18 kernels, one per nonzero (n, parity)
-    # part of H^n_0, and the representatives are unchanged
+    # part of H^n_0, and the representatives are pinned
     from ospcoho.cochains import cochain_to_json
     calls = []
-    representatives = engine._representatives
+    kernel_cochains = engine._kernel_cochains
 
     def counted(*args):
         calls.append(args)
-        return representatives(*args)
+        return kernel_cochains(*args)
 
-    monkeypatch.setattr(engine, "_representatives", counted)
+    monkeypatch.setattr(engine, "_kernel_cochains", counted)
     for lam, mu in ACCEPTANCE_GRID:
         restriction_injectivity_check(lam, mu, K=8, nmax=2, table=TABLE)
     assert len(calls) == 18
@@ -277,12 +292,49 @@ def test_representatives_only_where_classes_are(monkeypatch):
                     count += 1
     assert count == 22
     assert digest.hexdigest() == (
-        "5c7f6f90567fe019449175467a539c8fb29b30dfbf756b6c74156f2bb0dcc619")
+        "5650c9426d5b49eb7e6c4023af3f3d37d06298e0a3ef10d6585d383a540a7406")
+
+
+def test_representatives_assemble_one_cleared_block(monkeypatch):
+    # with the chain's ranks filed, class_representatives assembles one
+    # block per class-carrying part: d_n without the columns at the
+    # pivots of im d_{n-1}, and no d_{n-1} block
+    import ospcoho.cochains as cc
+    calls = []
+
+    def recorder(inner):
+        def counted(mod, n, w, parity, table=None, universe=GENS, skip=()):
+            calls.append((n, parity, universe, frozenset(skip)))
+            return inner(mod, n, w, parity, table, universe, skip)
+        return counted
+
+    monkeypatch.setattr(cc, "delta_block", recorder(cc.delta_block))
+    monkeypatch.setattr(engine, "delta_block", recorder(engine.delta_block))
+    parts = 0
+    for lam, mu in ACCEPTANCE_GRID:
+        mod = TruncatedDlm(lam, mu, engine.guard_K(lam, mu, 8))
+        dims = [h_dim(mod, n, 0, TABLE) for n in range(3)]  # files the ranks
+        calls.clear()
+        want = []
+        for n in range(3):
+            for parity in (0, 1):
+                reps = class_representatives(mod, n, 0, parity, TABLE)
+                assert len(reps) == (dims[n].even, dims[n].odd)[parity]
+                if reps:
+                    skip = frozenset()
+                    if n > 0:
+                        skip = engine._block_rank_and_cols(
+                            mod, n - 1, 0, parity, TABLE, GENS)[2]
+                    want.append((n, parity, GENS, skip))
+        assert calls == want, (lam, mu)
+        parts += len(want)
+    assert parts == 18
 
 
 def test_gated_representatives_equal_ungated_sl2():
     # the gate reads the sl(2) chained ranks when asked for sl(2) classes;
-    # at (-1, 1) H^n_0(sl(2)) has classes where H^n_0(osp(1|2)) has none
+    # at (-1, 1) H^n_0(sl(2)) has classes where H^n_0(osp(1|2)) has none.
+    # Ungated, the cleared kernel is empty wherever the gate answers []
     found = 0
     for lam, mu in ((F(0), F(1, 2)), (F(-1, 2), F(1)), (F(1, 3), F(0)),
                     (F(-1), F(1))):
@@ -290,13 +342,12 @@ def test_gated_representatives_equal_ungated_sl2():
         for n in range(4):
             for w in (F(-1), F(-1, 2), F(0), F(1, 2), F(1), -mod.p):
                 for parity in (0, 1):
-                    block = delta_block(mod, n, w, parity, TABLE, SL2)
-                    prev = ()
+                    skip = ()
                     if n > 0:
-                        prev = delta_block(mod, n - 1, w, parity, TABLE,
-                                           SL2)[2]
-                    want = engine._representatives(mod, n, parity, SL2,
-                                                   block, prev)
+                        skip = engine._block_rank_and_cols(
+                            mod, n - 1, w, parity, TABLE, SL2)[2]
+                    want = engine._kernel_cochains(mod, n, w, parity, TABLE,
+                                                   SL2, skip)
                     got = class_representatives(mod, n, w, parity, TABLE,
                                                 SL2)
                     assert got == want, (lam, mu, n, w, parity)
@@ -388,13 +439,13 @@ def test_restriction_injectivity_reports():
 def test_restriction_check_rejects_dependent_restrictions(monkeypatch):
     # each representative doubled: every restriction is nontrivial, but
     # the two of each part are dependent, so the map is not injective
-    representatives = engine._representatives
+    kernel_cochains = engine._kernel_cochains
 
     def doubled(*args):
-        reps = representatives(*args)
+        reps = kernel_cochains(*args)
         return reps + [rep.scale(2) for rep in reps]
 
-    monkeypatch.setattr(engine, "_representatives", doubled)
+    monkeypatch.setattr(engine, "_kernel_cochains", doubled)
     rep = restriction_injectivity_check(0, F(1, 2), table=TABLE)
     assert len(rep["classes"]) == 8
     assert all(e["restriction_nontrivial"] for e in rep["classes"])
@@ -450,6 +501,12 @@ def test_selftest_all_green():
     assert results
     assert all(ok for _, ok, _ in results), \
         [n for n, ok, _ in results if not ok]
+
+
+def test_selftest_rejects_unknown_suite():
+    # an unknown suite would otherwise run no check and read as all ok
+    with pytest.raises(ValueError, match="nosuch"):
+        selftest("nosuch")
 
 
 class _InlinePool:
