@@ -111,6 +111,9 @@ def _reports_csv(reports):
 
 
 def cmd_audit(args):
+    _require(args.no_repair or args.table == "printed",
+             "--table repaired needs --no-repair: the audit always starts "
+             "from the printed table")
     if args.no_repair:
         table = (algebra.printed_table() if args.table == "printed"
                  else algebra.adopted_table())
@@ -306,8 +309,7 @@ def build_parser():
 
     p_self = sub.add_parser("selftest", help="run invariant suites")
     p_self.add_argument("--suite", default="all",
-                        choices=("algebra", "module", "complex", "oracle",
-                                 "all"))
+                        choices=engine.SELFTEST_SUITES)
     p_self.add_argument("--out", default=None)
     p_self.set_defaults(func=cmd_selftest)
     return parser

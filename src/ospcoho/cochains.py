@@ -14,6 +14,11 @@ with generator parities in the exponents. Restricting the generator
 universe to (X, H, Y) turns the same formula into the classical sl(2)
 differential (all parity exponents vanish).
 
+The weight blocks d_n: C^n_w -> C^{n+1}_w are assembled per weight
+chain (`_WeightChain`): each C^n_w is laid out once, and the Koszul
+terms, grouped by (target, source), are written from the module memo's
+integer stencils with one write per matrix entry.
+
 Reduction to cochains vanishing on A-monomials is done by an exact
 linear solve per cochain weight instead of the inductive construction;
 the solve is guaranteed to succeed, and the output is verified.
@@ -145,15 +150,16 @@ def _term2_sign(i, j, parities, prefix):
 
 @lru_cache(maxsize=64)
 def _koszul_terms(n, q, universe, table):
-    """The two sums of the differential on n-cochains of parity q.
+    """The differential on n-cochains of parity q, by (target, source).
 
     Returns (T, terms), T being the lcm of the table's bracket
     denominators (`StructureTable.scaled_brackets`), with one entry per
     target monomial of degree n+1 in terms:
-    (target, [(gen, source monomial, sign)], [(source monomial, coeff)]),
-    so that (df)(target) = sum sign * gen.f(source)
-    + sum (coeff / T) * f(source), every coeff an int. The bracket terms
-    of one source monomial are already added up.
+    (target, [(source, gen, sign, coeff)]), so that (df)(target) sums
+    sign * gen.f(source) + (coeff / T) * f(source), sign and coeff ints.
+    gen = target - source, a single generator, or None when that is not
+    one or its summed sign is 0. A bracket term lands on such a source
+    only for gen = H: [U, V] has a U component only for V = H.
     """
     T, scaled = table.scaled_brackets()
     out = []
@@ -162,10 +168,11 @@ def _koszul_terms(n, q, universe, table):
         prefix = [0]
         for p in parities:
             prefix.append(prefix[-1] + p)
-        acts = tuple((gen, target[:i] + target[i + 1:],
-                      _term1_sign(i, parities, prefix, q))
-                     for i, gen in enumerate(target))
-        brackets = {}
+        groups = {}     # source -> [gen, sign, coeff]
+        for i, gen in enumerate(target):
+            group = groups.setdefault(target[:i] + target[i + 1:],
+                                      [gen, 0, 0])
+            group[1] += _term1_sign(i, parities, prefix, q)
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 rest = target[:i] + target[i + 1:j] + target[j + 1:]
@@ -173,9 +180,11 @@ def _koszul_terms(n, q, universe, table):
                 for g, cg in scaled[(target[i], target[j])]:
                     mono, s = canonicalize((g,) + rest)
                     if s:
-                        brackets[mono] = brackets.get(mono, 0) + sgn * s * cg
-        out.append((target, acts,
-                    tuple((m, c) for m, c in brackets.items() if c)))
+                        groups.setdefault(mono, [None, 0, 0])[2] += \
+                            sgn * s * cg
+        out.append((target, tuple((src, gen if sign else None, sign, coeff)
+                                  for src, (gen, sign, coeff)
+                                  in groups.items() if sign or coeff)))
     return T, tuple(out)
 
 
@@ -212,18 +221,20 @@ def coboundary(f, table=None):
     scale, act_factor, bracket_factor = _scales(memo, T)
     den = Q * scale
     out = {}
-    for target, acts, brackets in terms:
+    for target, groups in terms:
         acc = {}
-        for gen, sub, sgn in acts:
-            sgn *= act_factor
-            for bv, c in values.get(sub, ()):
-                c *= sgn
-                for tbv, x in image(gen, bv):
-                    acc[tbv] = acc.get(tbv, 0) + c * x
-        for mono, coeff in brackets:
-            coeff *= bracket_factor
-            for bv, c in values.get(mono, ()):
-                acc[bv] = acc.get(bv, 0) + coeff * c
+        for src, gen, sgn, coeff in groups:
+            vals = values.get(src, ())
+            if gen:
+                sgn *= act_factor
+                for bv, c in vals:
+                    c *= sgn
+                    for tbv, x in image(gen, bv):
+                        acc[tbv] = acc.get(tbv, 0) + c * x
+            if coeff:
+                coeff *= bracket_factor
+                for bv, c in vals:
+                    acc[bv] = acc.get(bv, 0) + coeff * c
         vec = {bv: Fraction(v, den) for bv, v in acc.items() if v}
         if vec:
             out[target] = vec
@@ -232,30 +243,10 @@ def coboundary(f, table=None):
 
 # --- weight blocks of the differential -------------------------------------
 
-def block_basis(mod, n, w, parity, universe=GENS):
-    """Ordered basis [(monomial, BasisVector)] of the weight-w part of C^n.
-
-    A delta cochain u -> bv has cochain parity parity(u) + parity(bv);
-    the `parity` argument filters to one homogeneous component. Twice
-    a weight carries its parity: 2 weight(u) = parity(u) and, for
-    D_{lambda,mu}, 2 (weight(bv) + p) = parity(bv) mod 2 (the family
-    shifts). So 2 (w + p) = cochain parity mod 2, and a parity of the
-    other residue has an empty block, returned without a scan.
-    """
+def _twice_shifted(mod, w):
+    """t = 2(w + p) as an int, or None when no cochain has weight w."""
     t = 2 * (Fraction(w) + mod.p)
-    if t.denominator != 1:      # twice a monomial weight is an integer
-        return []
-    t = t.numerator
-    if parity is not None and (t - parity) % 2:
-        return []
-    out = []
-    for u, u_parity, u_weight2 in _graded_monomials(n, universe):
-        bvpar = None
-        if parity is not None:
-            bvpar = (parity + u_parity) % 2
-        for bv in mod.twice_weight_basis(t + u_weight2, parity=bvpar):
-            out.append((u, bv))
-    return out
+    return t.numerator if t.denominator == 1 else None
 
 
 @lru_cache(maxsize=32)
@@ -265,6 +256,112 @@ def _graded_monomials(n, universe):
                  for u in monomial_basis(n, universe))
 
 
+def _layout(memo, n, t, parity, universe):
+    """C^n at t = 2(w + p), as {monomial: (offset, slice key, length)}.
+
+    The key is the (t, parity) of the module slice holding the
+    monomial's values. 2 weight(u) = parity(u) and, for D_{lambda,mu},
+    2 (weight(bv) + p) = parity(bv) mod 2 (the family shifts), so t is
+    congruent to the cochain parity mod 2 or C^n is empty, unscanned.
+    """
+    out, size = {}, 0
+    if t is None or (parity is not None and (t - parity) % 2):
+        return out
+    for u, up, w2 in _graded_monomials(n, universe):
+        key = (t + w2, None if parity is None else (parity + up) % 2)
+        length = len(memo.slice(*key))
+        if length:
+            out[u] = (size, key, length)
+            size += length
+    return out
+
+
+def block_basis(mod, n, w, parity, universe=GENS):
+    """Ordered basis [(monomial, BasisVector)] of the weight-w part of C^n,
+    on one parity component (both when `parity` is None)."""
+    memo = module_memo(mod)
+    layout = _layout(memo, n, _twice_shifted(mod, w), parity, universe)
+    return [(u, bv) for u, (_, key, _) in layout.items()
+            for bv in memo.slice(*key)]
+
+
+class _WeightChain:
+    """The blocks d_n: C^n_w -> C^{n+1}_w of one weight and parity.
+
+    Each C^n_w is laid out once (`_layout`), as the codomain of d_{n-1}
+    and the domain of d_n. An index is a monomial's offset plus a slice
+    position, so d_n is written from the memo's integer stencils
+    (`ModuleMemo.stencil`) without hashing a basis vector. Target minus
+    source of a grouped term (`_koszul_terms`) is one generator, so each
+    entry is written once; only H's diagonal meets the bracket term, and
+    the two are summed. The memo is passed in, never stored: an evicted
+    memo and its chains go by reference counting alone. `ranks` is
+    filed by the engine.
+    """
+
+    __slots__ = ("t", "parity", "table", "universe", "ranks", "_layouts")
+
+    def __init__(self, t, parity, table, universe):
+        self.t, self.parity, self.table = t, parity, table
+        self.universe = universe
+        self.ranks, self._layouts = {}, {}
+
+    def block(self, memo, n, skip):
+        """(cols, scale) of d_n as in `delta_block`."""
+        T, terms = _koszul_terms(n, self.parity or 0, self.universe,
+                                 self.table)
+        scale, act_factor, bracket_factor = _scales(memo, T)
+        for m in (n, n + 1):
+            if m not in self._layouts:
+                self._layouts[m] = _layout(memo, m, self.t, self.parity,
+                                           self.universe)
+        dom, cod = self._layouts[n], self._layouts[n + 1]
+        cols = [{} for _ in range(sum(v[2] for v in dom.values()))]
+        if not cod:
+            return cols, scale
+        live = {}       # source -> [(position, column)] outside skip
+        for target, groups in terms:
+            if target not in cod:
+                continue
+            row0 = cod[target][0]
+            for src, gen, s, b in groups:
+                if src not in dom:
+                    continue
+                col0, key, length = dom[src]
+                at = live.get(src)
+                if at is None:
+                    at = live[src] = [(i, cols[col0 + i])
+                                      for i in range(length)
+                                      if col0 + i not in skip]
+                s *= act_factor
+                b *= bracket_factor
+                if gen == "H":      # H.bv is a multiple of bv
+                    st = memo.stencil(gen, *key)
+                    for i, col in at:
+                        v = b + sum(s * x for _, x in st[i])
+                        if v:
+                            col[row0 + i] = v
+                    continue
+                if gen:
+                    st = memo.stencil(gen, *key)
+                    for i, col in at:
+                        for pos, x in st[i]:
+                            col[row0 + pos] = s * x
+                if b:
+                    for i, col in at:
+                        col[row0 + i] = b
+        return cols, scale
+
+
+def _weight_chain(mod, t, parity, table, universe):
+    """(memo, chain) of `mod` at t = 2(w + p) (`_twice_shifted`)."""
+    memo = module_memo(mod)
+    key = (t, parity, table, universe)
+    if key not in memo.chains:
+        memo.chains[key] = _WeightChain(*key)
+    return memo, memo.chains[key]
+
+
 def delta_block(mod, n, w, parity, table=None, universe=GENS, skip=()):
     """Integer columns of d: C^n_w -> C^{n+1}_w on one parity component.
 
@@ -272,70 +369,17 @@ def delta_block(mod, n, w, parity, table=None, universe=GENS, skip=()):
     {codomain index: int} dict, and cols[c] / scale is column c of the
     exact matrix, the coboundary of the delta cochain at
     domain_basis[c]. The columns whose domain index is in `skip` are
-    left empty and never assembled. The
-    scale is the lcm of the module's action scale (see `module_memo`)
-    and the denominators of the bracket coefficients.
+    left empty and never assembled. The scale is the lcm of the
+    module's action scale (see `module_memo`) and the denominators of
+    the bracket coefficients. The columns come from the module's
+    weight chain (`_WeightChain`).
     """
     table = table if table is not None else adopted_table()
-    w = Fraction(w)
-    dom = block_basis(mod, n, w, parity, universe)
-    cod = block_basis(mod, n + 1, w, parity, universe)
-    cols = [dict() for _ in dom]
-    memo = module_memo(mod)
-    T, terms = _koszul_terms(n, parity if parity is not None else 0,
-                             universe, table)
-    scale, act_factor, bracket_factor = _scales(memo, T)
-    if not dom or not cod:
-        return dom, cod, cols, scale
-    skip = frozenset(skip)
-    dom_slice = {}
-    for c, (u, bv) in enumerate(dom):
-        if c not in skip:
-            dom_slice.setdefault(u, []).append((bv, cols[c]))
-    cod_index = {pair: r for r, pair in enumerate(cod)}
-    for target, acts, brackets in terms:
-        for gen, sub, sgn in acts:
-            entries = dom_slice.get(sub)
-            if not entries:
-                continue
-            sgn *= act_factor
-            for bv, col in entries:
-                for tbv, c in memo.image(gen, bv):
-                    r = cod_index[(target, tbv)]
-                    v = col.get(r, 0) + sgn * c
-                    if v:
-                        col[r] = v
-                    else:
-                        del col[r]
-        for mono, coeff in brackets:
-            entries = dom_slice.get(mono)
-            if not entries:
-                continue
-            coeff *= bracket_factor
-            for bv, col in entries:
-                r = cod_index[(target, bv)]
-                v = col.get(r, 0) + coeff
-                if v:
-                    col[r] = v
-                else:
-                    del col[r]
-    return dom, cod, cols, scale
-
-
-def delta_matrix(mod, n, w, parity, table=None, universe=GENS):
-    """Exact matrix of d: C^n_w -> C^{n+1}_w on one parity component.
-
-    Returns (domain_basis, codomain_basis, SparseMatrix); column c of
-    the matrix is the coboundary of the delta cochain at domain_basis[c].
-    It is `delta_block` divided by its scale, and serves the tests as
-    the Fraction oracle; the program itself solves on `delta_block`.
-    """
-    dom, cod, cols, scale = delta_block(mod, n, w, parity, table, universe)
-    rows = [dict() for _ in cod]
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            rows[r][c] = Fraction(v, scale)
-    return dom, cod, linalg.SparseMatrix(len(cod), len(dom), rows)
+    t = _twice_shifted(mod, w)
+    memo, chain = _weight_chain(mod, t, parity, table, universe)
+    cols, scale = chain.block(memo, n, frozenset(skip))
+    return (block_basis(mod, n, w, parity, universe),
+            block_basis(mod, n + 1, w, parity, universe), cols, scale)
 
 
 def cochain_coords(f, basis):

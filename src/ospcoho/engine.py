@@ -3,16 +3,17 @@
 For one truncated module and one cochain weight w the differential
 d_n: C^n_w -> C^{n+1}_w is a finite exact matrix per parity;
 dim H^n_w = dim C^n_w - rank d_n - rank d_{n-1}. The ranks of one
-(w, parity) chain are taken in the order n = 0, 1, ... and each step
-hands the next the pivot coordinates of an echelon basis V of
-im d_{n-1}. Since d_n d_{n-1} = 0 (the adopted table satisfies Jacobi
-and the module axiom holds), d_n V = 0 gives
-d_n[:, P] = -d_n[:, N] V_N V_P^{-1} with P the pivots and N the other
-coordinates, V_P being triangular with a nonzero diagonal; so
-rank d_n = rank d_n[:, N], and the columns at P are never assembled
-(the "clearing" of persistent-homology reduction: Chen-Kerber 2011,
-Bauer-Kerber-Reininghaus 2014). These brute-force numbers are
-compared against two independent predictions:
+(w, parity) chain are filed on its `cochains._WeightChain` (each C^n_w
+laid out once, each block entry written once from integer stencils),
+in the order n = 0, 1, ...; each step hands the next the pivot
+coordinates of an echelon basis V of im d_{n-1}. Since d_n d_{n-1} = 0
+(the adopted table satisfies Jacobi and the module axiom holds),
+d_n V = 0 gives d_n[:, P] = -d_n[:, N] V_N V_P^{-1} with P the pivots
+and N the other coordinates, V_P being triangular with a nonzero
+diagonal; so rank d_n = rank d_n[:, N], and the columns at P are never
+assembled (the "clearing" of persistent-homology reduction:
+Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014). These brute-force
+numbers are compared against two independent predictions:
 
   * the kernel description  H^0 = ker A o+ ker B,
     H^1 ~ H^0 (+) (ker A)^{-1/2}/B((ker A)^0), H^2 ~ that quotient,
@@ -44,7 +45,8 @@ from fractions import Fraction
 
 from . import algebra, linalg
 from .algebra import GENS, SL2, adopted_table
-from .cochains import (Cochain, _a_monomial, _kernel_cochains, block_basis,
+from .cochains import (Cochain, _a_monomial, _kernel_cochains,
+                       _twice_shifted, _weight_chain, block_basis,
                        coboundary, cochain_coords, cup, delta_block,
                        is_reduced, make_f_k, make_ftilde_k, make_h_lambda,
                        primitive, reduce_cochain, restrict_sl2, zero_cochain)
@@ -72,28 +74,25 @@ class NotProportional(RuntimeError):
 # --- brute-force dimensions -------------------------------------------------
 
 def _block_rank_and_cols(mod, n, w, parity, table, universe):
-    """(rank, columns, pivots) of d_n on C^n_w, filed in the module's memo.
+    """(rank, columns, pivots) of d_n on C^n_w; see `_chain_rank`."""
+    t = _twice_shifted(mod, w)
+    return _chain_rank(*_weight_chain(mod, t, parity, table, universe), n)
+
+
+def _chain_rank(memo, chain, n):
+    """(rank, columns, pivots) of d_n, filed on its weight chain.
 
     `pivots` are the pivot coordinates, in C^{n+1}_w, of an echelon
     basis of im d_n. The columns of d_n at the pivots of im d_{n-1}
     are left out (step n-1 is computed first if it is missing): they
-    lie in the span of the others because d_n d_{n-1} = 0. The memo key
-    holds w as two ints and the table itself, whose hash is cached, so
-    a lookup hashes no Fraction.
+    lie in the span of the others because d_n d_{n-1} = 0.
     """
-    ranks = module_memo(mod).ranks
-    w = Fraction(w)
-    key = (n, w.numerator, w.denominator, parity, table, universe)
-    hit = ranks.get(key)
+    hit = chain.ranks.get(n)
     if hit is None:
-        skip = ()
-        if n > 0:
-            skip = _block_rank_and_cols(mod, n - 1, w, parity, table,
-                                        universe)[2]
-        dom, _, cols, _ = delta_block(mod, n, w, parity, table, universe,
-                                      skip)
+        skip = _chain_rank(memo, chain, n - 1)[2] if n > 0 else frozenset()
+        cols, _ = chain.block(memo, n, skip)
         pivots = frozenset(linalg.int_pivots([c for c in cols if c]))
-        hit = ranks[key] = (len(pivots), len(dom), pivots)
+        hit = chain.ranks[n] = (len(pivots), len(cols), pivots)
     return hit
 
 
@@ -110,20 +109,19 @@ class DimCount:
 def h_dim(mod, n, w, table=None, universe=GENS):
     """dim H^n at cochain weight w, split by cochain parity.
 
-    dim H^n_w = cols_n - rank d_n - rank d_{n-1} per parity. The ranks
-    are chained (see `_block_rank_and_cols`), which presumes d^2 = 0;
-    the adopted table and the module axiom guarantee it, and blocks may
-    be asked for in any order.
+    dim H^n_w = cols_n - rank d_n - rank d_{n-1} per parity. w becomes
+    the int t = 2(w + p) once; the ranks are chained on the weight chain
+    of (t, parity) (see `_chain_rank`), which presumes d^2 = 0; the
+    adopted table and the module axiom guarantee it, and blocks may be
+    asked for in any order.
     """
     table = table if table is not None else adopted_table()
+    t = _twice_shifted(mod, w)
     per = {}
     for parity in (0, 1):
-        rank_n, cols, _ = _block_rank_and_cols(mod, n, w, parity, table,
-                                               universe)
-        rank_prev = 0
-        if n > 0:
-            rank_prev = _block_rank_and_cols(mod, n - 1, w, parity, table,
-                                             universe)[0]
+        chain = _weight_chain(mod, t, parity, table, universe)
+        rank_n, cols, _ = _chain_rank(*chain, n)
+        rank_prev = _chain_rank(*chain, n - 1)[0] if n > 0 else 0
         per[parity] = cols - rank_n - rank_prev
     return DimCount(per[0] + per[1], per[0], per[1])
 
@@ -524,12 +522,15 @@ def _random_cochain(mod, degree, parity, rng, universe=GENS,
     return Cochain(mod, degree, parity, vals, universe)
 
 
+SELFTEST_SUITES = ("algebra", "module", "complex", "oracle", "all")
+
+
 def selftest(suite="all", rng_seed=20240917):
     """Run an invariant suite; returns a list of (name, ok, detail).
 
     An unknown suite name raises ValueError rather than passing empty.
     """
-    if suite not in ("algebra", "module", "oracle", "complex", "all"):
+    if suite not in SELFTEST_SUITES:
         raise ValueError(f"unknown selftest suite {suite!r}")
     import random
     rng = random.Random(rng_seed)

@@ -10,8 +10,7 @@ by reducing each one against an integer echelon basis that grows as
 vectors are kept, and `quotient_dim` decides a subspace inclusion with
 it. Rows with Fraction entries are scaled to integer rows first
 (`_to_int_row`), which changes neither row spaces nor null
-spaces. `SparseMatrix` holds the Fraction matrices that the tests
-compare these routines against.
+spaces.
 """
 
 from fractions import Fraction
@@ -25,74 +24,6 @@ def _to_int_row(row):
     scale = lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (scale // v.denominator)
             for c, v in row.items() if v}
-
-
-class SparseMatrix:
-    """Immutable-by-convention sparse rational matrix, row-major."""
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, nrows, ncols, rows=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        if rows is None:
-            rows = [dict() for _ in range(nrows)]
-        self.rows = rows
-
-    @classmethod
-    def from_entries(cls, nrows, ncols, entries):
-        """entries: iterable of (i, j, value)."""
-        m = cls(nrows, ncols)
-        for i, j, v in entries:
-            v = Fraction(v)
-            if v:
-                m.rows[i][j] = m.rows[i].get(j, Fraction(0)) + v
-                if not m.rows[i][j]:
-                    del m.rows[i][j]
-        return m
-
-    def entry(self, i, j):
-        return self.rows[i].get(j, Fraction(0))
-
-    def column(self, j):
-        return {i: r[j] for i, r in enumerate(self.rows) if j in r}
-
-    def mul(self, other):
-        """Matrix product self @ other."""
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        out = SparseMatrix(self.nrows, other.ncols)
-        for i, row in enumerate(self.rows):
-            acc = out.rows[i]
-            for j, v in row.items():
-                for k, w in other.rows[j].items():
-                    s = acc.get(k, Fraction(0)) + v * w
-                    if s:
-                        acc[k] = s
-                    else:
-                        del acc[k]
-        return out
-
-    def apply(self, vec):
-        """Matrix-vector product; vec is {col: Fraction}."""
-        out = {}
-        for i, row in enumerate(self.rows):
-            s = Fraction(0)
-            for j, v in row.items():
-                if j in vec:
-                    s += v * vec[j]
-            if s:
-                out[i] = s
-        return out
-
-    def is_zero(self):
-        return all(not r for r in self.rows)
-
-    def nnz(self):
-        return sum(len(r) for r in self.rows)
-
-    def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
 def int_pivots(rows):

@@ -17,11 +17,12 @@ k <= K yields a genuine submodule on which H is diagonal and A is onto.
 Weight slices are finite (at most 4(K+1) vectors) because fixing the
 weight pins m as a function of k within each family.
 
-`module_memo` keeps, for the few most recently used modules, the action
-scaled to integers by one module-wide factor D (each image computed once)
-and the block ranks the engine derives from it. Only the first-order
-H, A and B images are read from `act_basis`. The X and Y images are
-composed in integers from the memo's A and B images:
+`module_memo` keeps, for the most recently used module, the action
+scaled to integers by one module-wide factor D (each image computed once),
+its weight slices, their integer stencils, and the weight chains of
+blocks built on them. Only the first-order H, A and B images are read
+from `act_basis`. The X and Y images are composed in integers from the
+memo's A and B images:
 
     D * X.bv =  (A_D o A_D)(bv) / D,    D * Y.bv = -(B_D o B_D)(bv) / D,
 
@@ -47,7 +48,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import linalg
-from .algebra import GENS, PARITY
+from .algebra import GENS, PARITY, WEIGHT
 from .superdiff import OpPoly
 
 FAMILIES = ("a", "b", "c", "d")
@@ -272,25 +273,45 @@ def action_scale(mod):
 
 
 class ModuleMemo:
-    """Integer action images of one module, and its block ranks.
+    """Integer action images of one module, its weight slices and chains.
 
     `image(gen, bv)` is act_basis(gen, bv) * scale as a tuple of
-    (BasisVector, int) pairs, computed on first use. The H, A and B
-    images are read from `act_basis`; the X and Y images are composed
-    from the memo's own A and B images as (A_D o A_D) / D and
-    -(B_D o B_D) / D, with D = `scale` and g_D = D * g. The division is
-    exact because D * X.bv and D * Y.bv are integer vectors (see the
-    module docstring); a remainder raises NonIntegralScale. `ranks`
-    belongs to the engine, which files block ranks there.
+    (BasisVector, int) pairs, computed on first use; X and Y are
+    composed from the A and B images (see the module docstring). A
+    weight slice is keyed by the int t = 2(alpha + p) and a parity, and
+    `stencil` holds a generator's images on it by slice positions.
+    `chains` belongs to `cochains`, which files its weight chains there.
     """
 
-    __slots__ = ("mod", "scale", "ranks", "_images")
+    __slots__ = ("mod", "scale", "chains", "_images", "_slices",
+                 "_stencils")
 
     def __init__(self, mod):
         self.mod = mod
         self.scale = action_scale(mod)
-        self.ranks = {}
+        self.chains, self._slices, self._stencils = {}, {}, {}
         self._images = {g: {} for g in GENS}
+
+    def slice(self, t, parity):
+        """{BasisVector: position} of twice_weight_basis(t, parity)."""
+        hit = self._slices.get((t, parity))
+        if hit is None:
+            hit = self._slices[(t, parity)] = {
+                bv: i for i, bv in
+                enumerate(self.mod.twice_weight_basis(t, parity))}
+        return hit
+
+    def stencil(self, gen, t, parity):
+        """gen's images on the slice (t, parity), one tuple per vector,
+        of (position in the slice gen maps into, int) pairs."""
+        hit = self._stencils.get((gen, t, parity))
+        if hit is None:
+            to = parity if parity is None else (parity + PARITY[gen]) % 2
+            pos = self.slice(t + _TWICE_WEIGHT[gen], to)
+            hit = self._stencils[(gen, t, parity)] = tuple(
+                tuple((pos[tbv], x) for tbv, x in self.image(gen, bv))
+                for bv in self.slice(t, parity))
+        return hit
 
     def image(self, gen, bv):
         images = self._images[gen]
@@ -332,9 +353,10 @@ class ModuleMemo:
 
 # X = A o A and Y = -B o B: (odd generator, sign)
 _SQUARES = {"X": ("A", 1), "Y": ("B", -1)}
+_TWICE_WEIGHT = {g: int(2 * w) for g, w in WEIGHT.items()}
 
-
-MEMO_MODULES = 2
+# one module at a time: nothing in the program ranks two modules at once
+MEMO_MODULES = 1
 
 
 @lru_cache(maxsize=MEMO_MODULES)

@@ -14,14 +14,15 @@ import pytest
 
 from ospcoho import algebra, engine, linalg
 from ospcoho.algebra import SL2, adopted_table, printed_table
-from ospcoho.cochains import (coboundary, cup, delta_matrix, is_reduced,
-                              make_f_k, make_ftilde_k, make_h_lambda,
-                              reduce_cochain, restrict_sl2)
+from ospcoho.cochains import (coboundary, cup, is_reduced, make_f_k,
+                              make_ftilde_k, make_h_lambda, reduce_cochain,
+                              restrict_sl2)
 from ospcoho.engine import _random_cochain
 from ospcoho.superdiff import derived_module_action, \
     solve_realization_constants
 from ospcoho.weightmod import (FAMILIES, TruncatedDlm, from_oppoly,
                                module_axiom_holds, to_oppoly)
+from tests_support_dense import delta_matrix
 
 F = Fraction
 TABLE = adopted_table()
@@ -214,7 +215,7 @@ def test_criterion_11_b_image_lemma():
 
 
 def test_criterion_12_exact_linalg_oracle():
-    from tests_support_dense import dense_rank, int_columns
+    from tests_support_dense import SparseMatrix, dense_rank, int_columns
     rng = random.Random(321)
     for _ in range(100):
         nrows = rng.randint(1, 30)
@@ -226,7 +227,7 @@ def test_criterion_12_exact_linalg_oracle():
                     num = rng.randint(-8, 8)
                     if num:
                         entries.append((i, j, F(num, rng.randint(1, 5))))
-        m = linalg.SparseMatrix.from_entries(nrows, ncols, entries)
+        m = SparseMatrix.from_entries(nrows, ncols, entries)
         r = len(linalg.int_pivots([linalg._to_int_row(x) for x in m.rows]))
         assert r == dense_rank(m)
         kern = linalg.int_kernel_basis(

@@ -1,5 +1,6 @@
 """Exit codes, output schemas, and flag handling of the CLI."""
 
+import argparse
 import csv
 import io
 import json
@@ -122,6 +123,19 @@ def test_selftest_suite(capsys):
                for r in data["results"])
 
 
+def test_selftest_suite_names_agree():
+    # the CLI offers exactly the engine's suites, and each one runs checks
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["selftest"]._actions
+                 if a.dest == "suite")
+    assert tuple(suite.choices) == cli.engine.SELFTEST_SUITES
+    for name in suite.choices:
+        if name != "all":
+            assert cli.engine.selftest(name), name
+
+
 def test_out_file_roundtrip(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = cli.main(["dims", "--lambda", "1", "--mu", "1",
@@ -156,6 +170,7 @@ def test_threads_flag_same_output(capsys):
     ["selftest", "--out", "/nonexistent/d/x.json"],
     ["dims", "--grid", "halfints:1/3..1"],
     ["dims", "--grid", "halfints:0..3/4"],
+    ["audit", "--table", "repaired"],
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert cli.main(argv) == 2

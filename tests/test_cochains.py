@@ -11,14 +11,15 @@ from ospcoho.algebra import (GENS, SL2, _rescaled, adopted_table,
                              monomial_weight)
 from ospcoho.cochains import (Cochain, NoCocycle, TypeMismatch, coboundary,
                               cochain_from_json, cochain_to_json, cup,
-                              delta_matrix, is_reduced, make_f_k,
-                              make_ftilde_k, make_h_lambda, reduce_cochain,
-                              restrict_sl2, zero_cochain)
+                              is_reduced, make_f_k, make_ftilde_k,
+                              make_h_lambda, reduce_cochain, restrict_sl2,
+                              zero_cochain)
 from ospcoho.engine import (guard_K, is_coboundary, predict_sl2,
                             predict_theorem)
 from ospcoho.weightmod import (TruncatedDlm, action_scale, module_memo,
                                to_oppoly, vec_add, vec_scale)
 from ospcoho.superdiff import OpPoly
+from tests_support_dense import delta_matrix, reference_koszul_terms
 
 F = Fraction
 TABLE = adopted_table()
@@ -103,9 +104,10 @@ def test_d_squared_zero_spanning_wide_window():
 
 
 def reference_coboundary(f, table):
-    """The Fraction coboundary: the Koszul terms applied through mod.act."""
+    """The Fraction coboundary: the per-target Koszul sums (ungrouped)
+    applied through mod.act."""
     out = {}
-    T, terms = cc._koszul_terms(f.degree, f.parity, f.universe, table)
+    T, terms = reference_koszul_terms(f.degree, f.parity, f.universe, table)
     for target, acts, brackets in terms:
         acc = {}
         for gen, sub, sgn in acts:
@@ -148,8 +150,9 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
     # the memo composes X and Y from its A and B images, and coboundary
     # reads memo images: neither may fall back to the Fraction action;
     # the solves and the cocycle constructors run on delta_block's
-    # integer columns, never on the Fraction delta_matrix; the closed-form
-    # predictions rank memo images too
+    # integer columns, never on the Fraction delta_matrix (a test oracle,
+    # patched into cochains in case it ever returns there); the
+    # closed-form predictions rank memo images too
     calls = []
     act_basis, act = TruncatedDlm.act_basis, TruncatedDlm.act
     delta_matrix_calls = []
@@ -168,7 +171,8 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
 
     monkeypatch.setattr(TruncatedDlm, "act_basis", counted_act_basis)
     monkeypatch.setattr(TruncatedDlm, "act", counted_act)
-    monkeypatch.setattr(cc, "delta_matrix", counted_delta_matrix)
+    monkeypatch.setattr(cc, "delta_matrix", counted_delta_matrix,
+                        raising=False)
     mod = TruncatedDlm(F(1, 3), F(5, 6), 4)
     memo = module_memo(mod)
     for bv in mod.weight_basis(F(1, 2)) + mod.weight_basis(F(-1, 2)):

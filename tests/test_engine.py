@@ -214,7 +214,8 @@ def _reference_representatives(mod, n, w, parity):
     # and of the vectors kept before them, each kept iff it raises the
     # rank of an echelon basis of that span
     from ospcoho._kernels_py import echelon
-    from ospcoho.cochains import cochain_from_coords, delta_matrix
+    from ospcoho.cochains import cochain_from_coords
+    from tests_support_dense import delta_matrix
     dom, _, mat = delta_matrix(mod, n, w, parity, TABLE)
     current = []
     if n > 0:
@@ -238,7 +239,8 @@ def test_class_representatives_match_reference_greedy():
     # the cleared kernel and the Fraction greedy choose different bases
     # of the same H^n_w: equal counts, cocycles, and each set lies in
     # the span of im d_{n-1} and the other
-    from ospcoho.cochains import cochain_coords, delta_matrix
+    from ospcoho.cochains import cochain_coords
+    from tests_support_dense import delta_matrix
     assert len(ACCEPTANCE_GRID) == 10
     count = 0
     for lam, mu in ACCEPTANCE_GRID:
@@ -389,8 +391,8 @@ def test_delta_block_composes_to_zero():
 
 def test_reduced_cocycle_vanishing_on_HB_is_coboundary():
     # reduced n-cocycles killed on H B^{n-1} are exact, n >= 2
-    from ospcoho.cochains import _a_monomial, delta_matrix, \
-        cochain_from_coords
+    from ospcoho.cochains import _a_monomial, cochain_from_coords
+    from tests_support_dense import delta_matrix
     from ospcoho import linalg
     mod = TruncatedDlm(0, F(1, 2), 3)
     for n in (2, 3):
@@ -550,4 +552,61 @@ def test_module_memo_stays_bounded_over_a_grid():
     assert len(reports) == 25 and all(r.match for r in reports)
     assert module_memo.cache_info().currsize <= MEMO_MODULES
     last = TruncatedDlm(pairs[-1][0], pairs[-1][1], reports[-1].K)
-    assert module_memo(last).ranks     # the latest module's ranks are kept
+    # the latest module's chains, with their ranks, are kept
+    assert any(c.ranks for c in module_memo(last).chains.values())
+
+
+def test_delta_block_equals_the_per_block_reference():
+    # the weight chains write each entry once from integer stencils; the
+    # per-block assembler they replaced must give the same bases, columns
+    # and scale, with and without the chained ranks' skipped columns
+    from tests_support_dense import reference_delta_block
+    mods = [TruncatedDlm(lam, mu, engine.guard_K(lam, mu))
+            for lam, mu in ACCEPTANCE_GRID]
+    mods.append(TruncatedDlm(F(1, 3), F(5, 6), 5))
+    module_memo.cache_clear()
+    entries = 0
+    for mod in mods:
+        for universe in (GENS, SL2):
+            for j in range(-4, 5):
+                w = F(j, 2)
+                for parity in (0, 1):
+                    for n in range(5):
+                        skips = [()]
+                        if n > 0:
+                            skips.append(engine._block_rank_and_cols(
+                                mod, n - 1, w, parity, TABLE, universe)[2])
+                        for skip in skips:
+                            got = delta_block(mod, n, w, parity, TABLE,
+                                              universe, skip)
+                            assert got == reference_delta_block(
+                                mod, n, w, parity, TABLE, universe, skip), \
+                                (mod, universe, w, parity, n, skip)
+                            entries += sum(map(len, got[2]))
+    assert entries > 400000
+
+
+def test_evicted_memos_and_chains_are_freed_without_the_collector():
+    # a chain never refers to the memo that holds it, so an evicted memo
+    # and its chains go by reference counting alone, with the cyclic
+    # collector off
+    import gc
+    from ospcoho.cochains import _WeightChain
+    from ospcoho.weightmod import MEMO_MODULES, ModuleMemo
+    gc.collect()
+    gc.disable()
+    try:
+        module_memo.cache_clear()
+        for lam, mu in ((F(0), F(1, 2)), (F(1, 3), F(5, 6)), (F(-1), F(1))):
+            mod = TruncatedDlm(lam, mu, 3)
+            for n in range(3):
+                h_dim(mod, n, 0, TABLE)
+        alive = gc.get_objects()
+        memos = [o for o in alive if isinstance(o, ModuleMemo)]
+        chains = [o for o in alive if isinstance(o, _WeightChain)]
+        del alive
+    finally:
+        gc.enable()
+    assert 1 <= len(memos) <= MEMO_MODULES
+    held = {id(c) for m in memos for c in m.chains.values()}
+    assert chains and all(id(c) in held for c in chains)

@@ -9,12 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from ospcoho import linalg
 from ospcoho._kernels_py import echelon
-from ospcoho.linalg import SparseMatrix
-
 
 # independent dense oracle, kept deliberately naive
-from tests_support_dense import (dense_rank, dense_rref,  # noqa: E402
-                                 int_columns)
+from tests_support_dense import (SparseMatrix, dense_rank,  # noqa: E402
+                                 dense_rref, int_columns)
 
 
 def random_sparse(rng, nrows, ncols, density=0.3):

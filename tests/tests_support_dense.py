@@ -1,6 +1,100 @@
-"""Naive dense Gaussian elimination, the oracle for the sparse kernels."""
+"""Oracles: naive dense Gaussian elimination, the Fraction matrices of
+the differential, and the per-block assembler the weight chains replaced."""
 
+from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+
+from ospcoho.algebra import GENS, PARITY, adopted_table, canonicalize, \
+    monomial_basis
+from ospcoho.cochains import (_graded_monomials, _scales, _term1_sign,
+                              _term2_sign, delta_block)
+from ospcoho.weightmod import module_memo
+
+
+class SparseMatrix:
+    """Immutable-by-convention sparse rational matrix, row-major."""
+
+    __slots__ = ("nrows", "ncols", "rows")
+
+    def __init__(self, nrows, ncols, rows=None):
+        self.nrows = nrows
+        self.ncols = ncols
+        if rows is None:
+            rows = [dict() for _ in range(nrows)]
+        self.rows = rows
+
+    @classmethod
+    def from_entries(cls, nrows, ncols, entries):
+        """entries: iterable of (i, j, value)."""
+        m = cls(nrows, ncols)
+        for i, j, v in entries:
+            v = Fraction(v)
+            if v:
+                m.rows[i][j] = m.rows[i].get(j, Fraction(0)) + v
+                if not m.rows[i][j]:
+                    del m.rows[i][j]
+        return m
+
+    def entry(self, i, j):
+        return self.rows[i].get(j, Fraction(0))
+
+    def column(self, j):
+        return {i: r[j] for i, r in enumerate(self.rows) if j in r}
+
+    def mul(self, other):
+        """Matrix product self @ other."""
+        if self.ncols != other.nrows:
+            raise ValueError("dimension mismatch")
+        out = SparseMatrix(self.nrows, other.ncols)
+        for i, row in enumerate(self.rows):
+            acc = out.rows[i]
+            for j, v in row.items():
+                for k, w in other.rows[j].items():
+                    s = acc.get(k, Fraction(0)) + v * w
+                    if s:
+                        acc[k] = s
+                    else:
+                        del acc[k]
+        return out
+
+    def apply(self, vec):
+        """Matrix-vector product; vec is {col: Fraction}."""
+        out = {}
+        for i, row in enumerate(self.rows):
+            s = Fraction(0)
+            for j, v in row.items():
+                if j in vec:
+                    s += v * vec[j]
+            if s:
+                out[i] = s
+        return out
+
+    def is_zero(self):
+        return all(not r for r in self.rows)
+
+    def nnz(self):
+        return sum(len(r) for r in self.rows)
+
+    def __repr__(self):
+        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
+
+
+
+def delta_matrix(mod, n, w, parity, table=None, universe=GENS):
+    """Exact matrix of d: C^n_w -> C^{n+1}_w on one parity component.
+
+    Returns (domain_basis, codomain_basis, SparseMatrix); column c of
+    the matrix is the coboundary of the delta cochain at domain_basis[c].
+    It is `delta_block` divided by its scale, the Fraction view of the
+    program's integer blocks.
+    """
+    dom, cod, cols, scale = delta_block(mod, n, w, parity, table, universe)
+    rows = [dict() for _ in cod]
+    for c, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r][c] = Fraction(v, scale)
+    return dom, cod, SparseMatrix(len(cod), len(dom), rows)
 
 
 def dense_rank(m):
@@ -41,3 +135,127 @@ def int_columns(m):
         for j, v in row.items():
             cols[j][i] = int(v * scale)
     return cols, scale
+
+
+# --- the weight-block assembler as it was before the weight chains ----------
+#
+# Kept verbatim (names prefixed) as the oracle for `cochains.delta_block`:
+# per-block bases, per-target Koszul sums and accumulating writes.
+
+@lru_cache(maxsize=64)
+def reference_koszul_terms(n, q, universe, table):
+    """The two sums of the differential on n-cochains of parity q.
+
+    Returns (T, terms), T being the lcm of the table's bracket
+    denominators (`StructureTable.scaled_brackets`), with one entry per
+    target monomial of degree n+1 in terms:
+    (target, [(gen, source monomial, sign)], [(source monomial, coeff)]),
+    so that (df)(target) = sum sign * gen.f(source)
+    + sum (coeff / T) * f(source), every coeff an int. The bracket terms
+    of one source monomial are already added up.
+    """
+    T, scaled = table.scaled_brackets()
+    out = []
+    for target in monomial_basis(n + 1, universe):
+        parities = [PARITY[g] for g in target]
+        prefix = [0]
+        for p in parities:
+            prefix.append(prefix[-1] + p)
+        acts = tuple((gen, target[:i] + target[i + 1:],
+                      _term1_sign(i, parities, prefix, q))
+                     for i, gen in enumerate(target))
+        brackets = {}
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                rest = target[:i] + target[i + 1:j] + target[j + 1:]
+                sgn = _term2_sign(i, j, parities, prefix)
+                for g, cg in scaled[(target[i], target[j])]:
+                    mono, s = canonicalize((g,) + rest)
+                    if s:
+                        brackets[mono] = brackets.get(mono, 0) + sgn * s * cg
+        out.append((target, acts,
+                    tuple((m, c) for m, c in brackets.items() if c)))
+    return T, tuple(out)
+
+
+def reference_block_basis(mod, n, w, parity, universe=GENS):
+    """Ordered basis [(monomial, BasisVector)] of the weight-w part of C^n.
+
+    A delta cochain u -> bv has cochain parity parity(u) + parity(bv);
+    the `parity` argument filters to one homogeneous component. Twice
+    a weight carries its parity: 2 weight(u) = parity(u) and, for
+    D_{lambda,mu}, 2 (weight(bv) + p) = parity(bv) mod 2 (the family
+    shifts). So 2 (w + p) = cochain parity mod 2, and a parity of the
+    other residue has an empty block, returned without a scan.
+    """
+    t = 2 * (Fraction(w) + mod.p)
+    if t.denominator != 1:      # twice a monomial weight is an integer
+        return []
+    t = t.numerator
+    if parity is not None and (t - parity) % 2:
+        return []
+    out = []
+    for u, u_parity, u_weight2 in _graded_monomials(n, universe):
+        bvpar = None
+        if parity is not None:
+            bvpar = (parity + u_parity) % 2
+        for bv in mod.twice_weight_basis(t + u_weight2, parity=bvpar):
+            out.append((u, bv))
+    return out
+
+
+def reference_delta_block(mod, n, w, parity, table=None, universe=GENS, skip=()):
+    """Integer columns of d: C^n_w -> C^{n+1}_w on one parity component.
+
+    Returns (domain_basis, codomain_basis, cols, scale): cols[c] is a
+    {codomain index: int} dict, and cols[c] / scale is column c of the
+    exact matrix, the coboundary of the delta cochain at
+    domain_basis[c]. The columns whose domain index is in `skip` are
+    left empty and never assembled. The
+    scale is the lcm of the module's action scale (see `module_memo`)
+    and the denominators of the bracket coefficients.
+    """
+    table = table if table is not None else adopted_table()
+    w = Fraction(w)
+    dom = reference_block_basis(mod, n, w, parity, universe)
+    cod = reference_block_basis(mod, n + 1, w, parity, universe)
+    cols = [dict() for _ in dom]
+    memo = module_memo(mod)
+    T, terms = reference_koszul_terms(n, parity if parity is not None else 0,
+                             universe, table)
+    scale, act_factor, bracket_factor = _scales(memo, T)
+    if not dom or not cod:
+        return dom, cod, cols, scale
+    skip = frozenset(skip)
+    dom_slice = {}
+    for c, (u, bv) in enumerate(dom):
+        if c not in skip:
+            dom_slice.setdefault(u, []).append((bv, cols[c]))
+    cod_index = {pair: r for r, pair in enumerate(cod)}
+    for target, acts, brackets in terms:
+        for gen, sub, sgn in acts:
+            entries = dom_slice.get(sub)
+            if not entries:
+                continue
+            sgn *= act_factor
+            for bv, col in entries:
+                for tbv, c in memo.image(gen, bv):
+                    r = cod_index[(target, tbv)]
+                    v = col.get(r, 0) + sgn * c
+                    if v:
+                        col[r] = v
+                    else:
+                        del col[r]
+        for mono, coeff in brackets:
+            entries = dom_slice.get(mono)
+            if not entries:
+                continue
+            coeff *= bracket_factor
+            for bv, col in entries:
+                r = cod_index[(target, bv)]
+                v = col.get(r, 0) + coeff
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
+    return dom, cod, cols, scale
