@@ -89,11 +89,11 @@ class StructureTable:
     Rows are stored for the pairs in PAIR_ORDER; every other ordered
     pair is filled in through graded antisymmetry
     [U,V] = -(-1)^{UV} [V,U], and even diagonals are zero. The rows
-    are never changed after construction, so `key()` and the hash are
-    computed once, together with an all-integer copy of the key that
-    `==` compares: tables are compared often, as cache keys, and ints
-    compare without `Fraction.__eq__`. The integer brackets that decide
-    the Jacobi identity are built once too, on first use.
+    are never changed after construction, so `key()` is computed once,
+    and the integer brackets that decide the Jacobi identity are built
+    once too, on first use. Tables vary only in the
+    audit, the module-axiom check and the realization oracle; the
+    cohomology layers use the adopted table as a constant.
     """
 
     def __init__(self, rows, label):
@@ -104,9 +104,6 @@ class StructureTable:
             self._rows[pair] = row
         self._key = tuple(tuple(sorted(self._rows[p].items()))
                           for p in PAIR_ORDER)
-        self._hash = hash(self._key)
-        self._ints = tuple(tuple((g, c.numerator, c.denominator)
-                                 for g, c in row) for row in self._key)
         self._scaled = None
 
     def row(self, pair):
@@ -230,10 +227,10 @@ class StructureTable:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, StructureTable) and self._ints == other._ints
+        return isinstance(other, StructureTable) and self._key == other._key
 
     def __hash__(self):
-        return self._hash
+        return hash(self._key)
 
     def __repr__(self):
         return f"StructureTable({self.label!r})"

@@ -12,8 +12,10 @@ input error.
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -84,6 +86,22 @@ def _require(ok, message):
     """Reject bad input; main() reports it on one line with exit 2."""
     if not ok:
         raise argparse.ArgumentTypeError(message)
+
+
+def _check_out(path):
+    """Reject, with `_emit`'s message, an --out path that cannot be
+    written; checked before any work, nothing is created or truncated."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        err = errno.EISDIR
+    elif not os.path.isdir(parent):
+        err = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        err = errno.EACCES
+    else:
+        return
+    raise argparse.ArgumentTypeError(
+        f"cannot write {path}: {os.strerror(err)}")
 
 
 def _emit(text, out_path):
@@ -179,49 +197,47 @@ def cmd_dims(args):
     return EXIT_OK if all(r.match for r in reports) else EXIT_MISMATCH
 
 
-def _verify_cocycle(f, table):
+def _verify_cocycle(f):
     checks = {
-        "closed": coboundary(f, table).is_zero(),
+        "closed": coboundary(f).is_zero(),
         "reduced": is_reduced(f),
-        "nontrivial": engine.is_coboundary(f, table) is None,
+        "nontrivial": engine.is_coboundary(f) is None,
     }
     res = restrict_sl2(f)
     checks["restriction_nontrivial"] = (
-        not res.is_zero() and engine.is_coboundary(res, table) is None)
+        not res.is_zero() and engine.is_coboundary(res) is None)
     return checks
 
 
 def cmd_cocycles(args):
     _require(args.k >= 0, f"--k must be >= 0, got {args.k}")
-    table = algebra.adopted_table()
     try:
         if args.kind == "h":
             if args.lam is None:
                 print("cocycles --kind h needs --lambda", file=sys.stderr)
                 return EXIT_USAGE
-            f, ratios = make_h_lambda(args.lam, table=table)
+            f, ratios = make_h_lambda(args.lam)
         elif args.kind == "f":
-            f, ratios = make_f_k(args.k, table=table)
+            f, ratios = make_f_k(args.k)
         elif args.kind == "ftilde":
-            f, ratios = make_ftilde_k(args.k, table=table)
+            f, ratios = make_ftilde_k(args.k)
         else:  # cup
-            fk, _ = make_f_k(args.k, table=table)
-            h, _ = make_h_lambda(Fraction(-args.k, 2), table=table)
-            omega, variant = cup(fk, h, table)
-            gf = engine.gelfand_fuchs_check(args.k, table)
+            fk, _ = make_f_k(args.k)
+            h, _ = make_h_lambda(Fraction(-args.k, 2))
+            omega = cup(fk, h)
+            gf = engine.gelfand_fuchs_check(args.k)
             slots = {
                 algebra.monomial_str(u): op_str(to_oppoly(v))
                 for u, v in sorted(omega.values.items())
             }
             checks = {
-                "closed": coboundary(omega, table).is_zero(),
-                "nontrivial": engine.is_coboundary(omega, table) is None,
+                "closed": coboundary(omega).is_zero(),
+                "nontrivial": engine.is_coboundary(omega) is None,
                 "restriction_nontrivial":
-                    engine.is_coboundary(restrict_sl2(omega), table)
-                    is None,
+                    engine.is_coboundary(restrict_sl2(omega)) is None,
             }
             payload = {"kind": "cup", "k": args.k, "slots": slots,
-                       "cup_sign_variant": variant,
+                       "cup_sign_variant": "printed",
                        "gelfand_fuchs": gf, "checks": checks}
             _emit(json.dumps(payload, indent=2), args.out)
             return EXIT_OK if all(checks.values()) else EXIT_MISMATCH
@@ -229,7 +245,7 @@ def cmd_cocycles(args):
             engine.NotProportional) as exc:
         print(f"cocycles: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    checks = _verify_cocycle(f, table)
+    checks = _verify_cocycle(f)
     payload = {
         "kind": args.kind,
         "k": args.k,
@@ -319,6 +335,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
         print(f"ospcoho {args.command}: {exc}", file=sys.stderr)

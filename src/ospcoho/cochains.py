@@ -19,6 +19,9 @@ chain (`_WeightChain`): each C^n_w is laid out once, and the Koszul
 terms, grouped by (target, source), are written from the module memo's
 integer stencils with one write per matrix entry.
 
+The bracket table is a constant of this layer, the adopted one; the
+self-test's `audit-finds-repaired-V` ties it to the audit's result.
+
 Reduction to cochains vanishing on A-monomials is done by an exact
 linear solve per cochain weight instead of the inductive construction;
 the solve is guaranteed to succeed, and the output is verified.
@@ -149,10 +152,10 @@ def _term2_sign(i, j, parities, prefix):
 
 
 @lru_cache(maxsize=64)
-def _koszul_terms(n, q, universe, table):
+def _koszul_terms(n, q, universe):
     """The differential on n-cochains of parity q, by (target, source).
 
-    Returns (T, terms), T being the lcm of the table's bracket
+    Returns (T, terms), T being the lcm of the adopted table's bracket
     denominators (`StructureTable.scaled_brackets`), with one entry per
     target monomial of degree n+1 in terms:
     (target, [(source, gen, sign, coeff)]), so that (df)(target) sums
@@ -161,7 +164,7 @@ def _koszul_terms(n, q, universe, table):
     one or its summed sign is 0. A bracket term lands on such a source
     only for gen = H: [U, V] has a U component only for V = H.
     """
-    T, scaled = table.scaled_brackets()
+    T, scaled = adopted_table().scaled_brackets()
     out = []
     for target in monomial_basis(n + 1, universe):
         parities = [PARITY[g] for g in target]
@@ -198,7 +201,7 @@ def _scales(memo, T):
     return scale, scale // memo.scale, scale // T
 
 
-def coboundary(f, table=None):
+def coboundary(f):
     """The differential of f; degree n+1, same parity, same weight.
 
     Evaluated in integers on the module's memo images (`module_memo`),
@@ -209,7 +212,6 @@ def coboundary(f, table=None):
     divided by Q * scale once per entry. The module's `act` is never
     called.
     """
-    table = table if table is not None else adopted_table()
     Q = lcm(*(c.denominator for vec in f.values.values()
               for c in vec.values()))
     values = {u: [(bv, c.numerator * (Q // c.denominator))
@@ -217,7 +219,7 @@ def coboundary(f, table=None):
               for u, vec in f.values.items()}
     memo = module_memo(f.mod)
     image = memo.image
-    T, terms = _koszul_terms(f.degree, f.parity, f.universe, table)
+    T, terms = _koszul_terms(f.degree, f.parity, f.universe)
     scale, act_factor, bracket_factor = _scales(memo, T)
     den = Q * scale
     out = {}
@@ -265,10 +267,10 @@ def _layout(memo, n, t, parity, universe):
     congruent to the cochain parity mod 2 or C^n is empty, unscanned.
     """
     out, size = {}, 0
-    if t is None or (parity is not None and (t - parity) % 2):
+    if t is None or (t - parity) % 2:
         return out
     for u, up, w2 in _graded_monomials(n, universe):
-        key = (t + w2, None if parity is None else (parity + up) % 2)
+        key = (t + w2, (parity + up) % 2)
         length = len(memo.slice(*key))
         if length:
             out[u] = (size, key, length)
@@ -278,7 +280,7 @@ def _layout(memo, n, t, parity, universe):
 
 def block_basis(mod, n, w, parity, universe=GENS):
     """Ordered basis [(monomial, BasisVector)] of the weight-w part of C^n,
-    on one parity component (both when `parity` is None)."""
+    on the parity component `parity` (0 or 1)."""
     memo = module_memo(mod)
     layout = _layout(memo, n, _twice_shifted(mod, w), parity, universe)
     return [(u, bv) for u, (_, key, _) in layout.items()
@@ -299,17 +301,15 @@ class _WeightChain:
     filed by the engine.
     """
 
-    __slots__ = ("t", "parity", "table", "universe", "ranks", "_layouts")
+    __slots__ = ("t", "parity", "universe", "ranks", "_layouts")
 
-    def __init__(self, t, parity, table, universe):
-        self.t, self.parity, self.table = t, parity, table
-        self.universe = universe
+    def __init__(self, t, parity, universe):
+        self.t, self.parity, self.universe = t, parity, universe
         self.ranks, self._layouts = {}, {}
 
     def block(self, memo, n, skip):
         """(cols, scale) of d_n as in `delta_block`."""
-        T, terms = _koszul_terms(n, self.parity or 0, self.universe,
-                                 self.table)
+        T, terms = _koszul_terms(n, self.parity, self.universe)
         scale, act_factor, bracket_factor = _scales(memo, T)
         for m in (n, n + 1):
             if m not in self._layouts:
@@ -353,16 +353,16 @@ class _WeightChain:
         return cols, scale
 
 
-def _weight_chain(mod, t, parity, table, universe):
+def _weight_chain(mod, t, parity, universe):
     """(memo, chain) of `mod` at t = 2(w + p) (`_twice_shifted`)."""
     memo = module_memo(mod)
-    key = (t, parity, table, universe)
+    key = (t, parity, universe)
     if key not in memo.chains:
         memo.chains[key] = _WeightChain(*key)
     return memo, memo.chains[key]
 
 
-def delta_block(mod, n, w, parity, table=None, universe=GENS, skip=()):
+def delta_block(mod, n, w, parity, universe=GENS, skip=()):
     """Integer columns of d: C^n_w -> C^{n+1}_w on one parity component.
 
     Returns (domain_basis, codomain_basis, cols, scale): cols[c] is a
@@ -374,9 +374,8 @@ def delta_block(mod, n, w, parity, table=None, universe=GENS, skip=()):
     the bracket coefficients. The columns come from the module's
     weight chain (`_WeightChain`).
     """
-    table = table if table is not None else adopted_table()
     t = _twice_shifted(mod, w)
-    memo, chain = _weight_chain(mod, t, parity, table, universe)
+    memo, chain = _weight_chain(mod, t, parity, universe)
     cols, scale = chain.block(memo, n, frozenset(skip))
     return (block_basis(mod, n, w, parity, universe),
             block_basis(mod, n + 1, w, parity, universe), cols, scale)
@@ -400,13 +399,13 @@ def cochain_from_coords(mod, degree, parity, basis, coords, universe=GENS):
     return Cochain(mod, degree, parity, vals, universe)
 
 
-def _kernel_cochains(mod, n, w, parity, table, universe, skip):
+def _kernel_cochains(mod, n, w, parity, universe, skip):
     """Integer kernel of d_n on the columns outside `skip`, as Cochains.
 
     Only those columns of `delta_block` are assembled; each kernel
     vector is divided by its leading entry.
     """
-    dom, _, cols, _ = delta_block(mod, n, w, parity, table, universe, skip)
+    dom, _, cols, _ = delta_block(mod, n, w, parity, universe, skip)
     skip = frozenset(skip)
     keep = [c for c in range(len(dom)) if c not in skip]
     rows = {}
@@ -440,7 +439,7 @@ def is_reduced(f):
     return not any(_a_monomial(u) for u in f.values)
 
 
-def primitive(f, table=None, target=None):
+def primitive(f, target=None):
     """Some g of degree n-1 with (dg)(u) = f(u) on the target monomials.
 
     Solved per cochain weight w of f on the integer columns of
@@ -448,12 +447,11 @@ def primitive(f, table=None, target=None):
     whose monomial u passes `target` (every row when it is None).
     Returns None when some weight has no solution.
     """
-    table = table if table is not None else adopted_table()
     n = f.degree
     g = zero_cochain(f.mod, n - 1, f.parity, f.universe)
     for w, part in f.weight_components().items():
         dom, cod, cols, scale = delta_block(f.mod, n - 1, w, f.parity,
-                                            table, f.universe)
+                                            f.universe)
         rhs = cochain_coords(part, cod)
         if target is not None:
             rows = {r for r, (u, _) in enumerate(cod) if target(u)}
@@ -468,22 +466,21 @@ def primitive(f, table=None, target=None):
     return g
 
 
-def reduce_cochain(f, table=None):
+def reduce_cochain(f):
     """Return (g, f_red) with f_red = f - dg reduced.
 
     g is solved per cochain weight from the linear system
     (dg)(A-monomials) = f(A-monomials) (`primitive`); solvability is
     guaranteed, so a failed solve raises SolveFailed.
     """
-    table = table if table is not None else adopted_table()
     n = f.degree
     if n == 0 or is_reduced(f):
         return zero_cochain(f.mod, max(n - 1, 0), f.parity, f.universe), f
-    g = primitive(f, table, _a_monomial)
+    g = primitive(f, _a_monomial)
     if g is None:
         raise SolveFailed("reduction solve failed; sign conventions are "
                           "inconsistent")
-    f_red = f.sub(coboundary(g, table))
+    f_red = f.sub(coboundary(g))
     if not is_reduced(f_red):
         raise SolveFailed("reduction produced a non-reduced cochain")
     return g, f_red
@@ -505,61 +502,50 @@ def _slot_op(f, gen):
     return to_oppoly(vec) if vec else to_oppoly({})
 
 
-def cup(f, h, table=None):
+def cup(f, h):
     """Operator-composition cup product of two 1-cochains.
 
     f maps into operators from lam2- to mu-densities, h into operators
     from lam1- to lam2-densities; the product is the 2-cochain
     (U,V) -> f(U) o h(V) - (-1)^{UV} f(V) o h(U) into the lam1-to-mu
-    module. If both factors are cocycles but that sign convention fails
-    to produce a cocycle, the Koszul variant weighted by the cochain
-    parities is used instead; the variant actually used is returned.
+    module, with the printed sign. h must be even: for an even h the
+    Koszul signs weighted by the cochain parities are these same
+    signs, so there is one convention. When both factors are cocycles
+    the product is checked to be one (NoCocycle otherwise).
     """
-    table = table if table is not None else adopted_table()
     if f.degree != 1 or h.degree != 1:
         raise ValueError("cup factors must be 1-cochains")
+    if h.parity:
+        raise ValueError("the second cup factor must be even")
     if h.mod.mu != f.mod.lam:
         raise TypeMismatch(
             f"factor modules do not compose: {h.mod} then {f.mod}")
-    factors_are_cocycles = (coboundary(f, table).is_zero()
-                            and coboundary(h, table).is_zero())
-    for variant in ("printed", "koszul"):
-        ops = {}
-        max_k = 0
-        for mono in monomial_basis(2):
-            u, v = mono
-            fu_hv = _slot_op(f, u).compose(_slot_op(h, v))
-            fv_hu = _slot_op(f, v).compose(_slot_op(h, u))
-            if variant == "printed":
-                s1 = Fraction(1)
-                s2 = Fraction(-1 if PARITY[u] * PARITY[v] == 0 else 1)
-            else:
-                ph = h.parity
-                s1 = Fraction(-1 if (ph * PARITY[u]) % 2 else 1)
-                s2 = Fraction(
-                    1 if (PARITY[u] * PARITY[v] + ph * PARITY[v]) % 2
-                    else -1)
-            op = fu_hv.scale(s1) + fv_hu.scale(s2)
-            if not op.is_zero():
-                ops[mono] = op
-                max_k = max(max_k, op.max_dx_order() + 1)
-        mod_out = TruncatedDlm(h.mod.lam, f.mod.mu, max(3, max_k))
-        vals = {mono: from_oppoly(op, mod_out) for mono, op in ops.items()}
-        result = Cochain(mod_out, 2, (f.parity + h.parity) % 2, vals)
-        if not factors_are_cocycles:
-            return result, variant  # nothing to certify against
-        if coboundary(result, table).is_zero():
-            return result, variant
-    raise NoCocycle("no cup sign variant makes the product a cocycle")
+    ops = {}
+    max_k = 0
+    for mono in monomial_basis(2):
+        u, v = mono
+        fu_hv = _slot_op(f, u).compose(_slot_op(h, v))
+        fv_hu = _slot_op(f, v).compose(_slot_op(h, u))
+        op = fu_hv + fv_hu if PARITY[u] * PARITY[v] else fu_hv - fv_hu
+        if not op.is_zero():
+            ops[mono] = op
+            max_k = max(max_k, op.max_dx_order() + 1)
+    mod_out = TruncatedDlm(h.mod.lam, f.mod.mu, max(3, max_k))
+    vals = {mono: from_oppoly(op, mod_out) for mono, op in ops.items()}
+    result = Cochain(mod_out, 2, f.parity, vals)
+    if (coboundary(f).is_zero() and coboundary(h).is_zero()
+            and not coboundary(result).is_zero()):
+        raise NoCocycle("the cup product of two cocycles is not a cocycle")
+    return result
 
 
 # --- explicit cocycle constructors ------------------------------------------
 
-def _reduced_cocycle_space(mod, parity, slots, table):
+def _reduced_cocycle_space(mod, parity, slots):
     """Weight-0 cocycles supported on the given 1-slots, as Cochains."""
     skip = [c for c, (u, _) in enumerate(block_basis(mod, 1, 0, parity))
             if u[0] not in slots]
-    return _kernel_cochains(mod, 1, 0, parity, table, GENS, skip)
+    return _kernel_cochains(mod, 1, 0, parity, GENS, skip)
 
 
 def _normalized(f, slot, bv):
@@ -621,17 +607,16 @@ def ftilde_k_template(k):
     }
 
 
-def make_h_lambda(lam, K=3, table=None):
-    """The reduced generating 1-cocycle of D_{lam,lam}.
+def make_h_lambda(lam):
+    """The reduced generating 1-cocycle of D_{lam,lam}, on K = 3.
 
     Slot support matches the reference template (zero on X and A, the
     H/B/Y slots proportional to id, theta, x); coefficients are solved
     from the cocycle equations and normalized so the B slot equals the
     reference. Returns (cochain, per-slot ratios to the reference).
     """
-    table = table if table is not None else adopted_table()
-    mod = TruncatedDlm(lam, lam, K)
-    space = _reduced_cocycle_space(mod, 0, ("H", "B", "Y"), table)
+    mod = TruncatedDlm(lam, lam, 3)
+    space = _reduced_cocycle_space(mod, 0, ("H", "B", "Y"))
     if len(space) != 1:
         raise NoCocycle(
             f"expected a single reduced cocycle, found {len(space)}")
@@ -639,17 +624,15 @@ def make_h_lambda(lam, K=3, table=None):
     return f, slot_ratios(f, h_lambda_template())
 
 
-def _special_module(k, K):
-    if K is None:
-        K = max(3, k + 1)
-    return TruncatedDlm(Fraction(-k, 2), Fraction(k + 1, 2), K)
+def _special_module(k):
+    """D_{-k/2,(k+1)/2} on K = max(3, k + 1)."""
+    return TruncatedDlm(Fraction(-k, 2), Fraction(k + 1, 2), max(3, k + 1))
 
 
-def make_f_k(k, K=None, table=None):
+def make_f_k(k):
     """The odd reduced 1-cocycle with nonzero H slot of D_{-k/2,(k+1)/2}."""
-    table = table if table is not None else adopted_table()
-    mod = _special_module(k, K)
-    space = _reduced_cocycle_space(mod, 1, ("H", "B", "Y"), table)
+    mod = _special_module(k)
+    space = _reduced_cocycle_space(mod, 1, ("H", "B", "Y"))
     if len(space) != 2:
         raise NoCocycle(
             f"expected a 2-dimensional cocycle space, found {len(space)}")
@@ -668,11 +651,10 @@ def make_f_k(k, K=None, table=None):
     return f, slot_ratios(f, f_k_template(k))
 
 
-def make_ftilde_k(k, K=None, table=None):
+def make_ftilde_k(k):
     """The odd reduced 1-cocycle with zero H slot of D_{-k/2,(k+1)/2}."""
-    table = table if table is not None else adopted_table()
-    mod = _special_module(k, K)
-    space = _reduced_cocycle_space(mod, 1, ("B", "Y"), table)
+    mod = _special_module(k)
+    space = _reduced_cocycle_space(mod, 1, ("B", "Y"))
     if len(space) != 1:
         raise NoCocycle(
             f"expected a single H-free cocycle, found {len(space)}")

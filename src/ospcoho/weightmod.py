@@ -306,8 +306,8 @@ class ModuleMemo:
         of (position in the slice gen maps into, int) pairs."""
         hit = self._stencils.get((gen, t, parity))
         if hit is None:
-            to = parity if parity is None else (parity + PARITY[gen]) % 2
-            pos = self.slice(t + _TWICE_WEIGHT[gen], to)
+            pos = self.slice(t + _TWICE_WEIGHT[gen],
+                             (parity + PARITY[gen]) % 2)
             hit = self._stencils[(gen, t, parity)] = tuple(
                 tuple((pos[tbv], x) for tbv, x in self.image(gen, bv))
                 for bv in self.slice(t, parity))

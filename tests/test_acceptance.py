@@ -87,8 +87,8 @@ def test_criterion_03_d_squared_zero_full_bases():
     for w in weights:
         for n in range(4):
             for parity in (0, 1):
-                _, _, d_n = delta_matrix(mod, n, w, parity, TABLE)
-                _, _, d_next = delta_matrix(mod, n + 1, w, parity, TABLE)
+                _, _, d_n = delta_matrix(mod, n, w, parity)
+                _, _, d_next = delta_matrix(mod, n + 1, w, parity)
                 assert d_next.mul(d_n).is_zero(), (n, w, parity)
     print("PASS criterion 3: d∘d = 0 on full delta bases, |w| <= 3")
 
@@ -128,15 +128,15 @@ def test_criterion_06_weight_vanishing(grid_reports):
 def test_criterion_07_explicit_cocycles():
     cocycles = []
     for lam in (F(0), F(1), F(-3, 2)):
-        cocycles.append(make_h_lambda(lam, table=TABLE))
+        cocycles.append(make_h_lambda(lam))
     for k in range(4):
-        cocycles.append(make_f_k(k, table=TABLE))
-        cocycles.append(make_ftilde_k(k, table=TABLE))
+        cocycles.append(make_f_k(k))
+        cocycles.append(make_ftilde_k(k))
     for f, ratios in cocycles:
-        assert coboundary(f, TABLE).is_zero()
+        assert coboundary(f).is_zero()
         assert is_reduced(f)
         assert ("X",) not in f.values and ("A",) not in f.values
-        assert engine.is_coboundary(f, TABLE) is None
+        assert engine.is_coboundary(f) is None
         assert all(r != 0 for r in ratios.values())
     print("PASS criterion 7: explicit cocycles re-derived and certified")
 
@@ -147,14 +147,14 @@ def test_criterion_08_localization_and_reduction():
         for w in (F(0), F(1, 2), F(-1, 2), F(1), F(-3, 2)):
             for parity in (0, 1):
                 assert engine.localization_kernel_dim(
-                    mod, n, w, parity, TABLE) == 0, (n, w, parity)
+                    mod, n, w, parity) == 0, (n, w, parity)
     rng = random.Random(20240917)
     for degree in (1, 2, 3):
         for _ in range(50):
             f = _random_cochain(mod, degree, rng.randint(0, 1), rng)
-            g, f_red = reduce_cochain(f, TABLE)
+            g, f_red = reduce_cochain(f)
             assert is_reduced(f_red)
-            assert f.sub(f_red).sub(coboundary(g, TABLE)).is_zero()
+            assert f.sub(f_red).sub(coboundary(g)).is_zero()
     print("PASS criterion 8: localization injective; reduction verified "
           "on 150 random cochains")
 
@@ -165,17 +165,17 @@ def test_criterion_09_restriction(grid_reports):
     for degree in (1, 2):
         for parity in (0, 1):
             f = _random_cochain(mod, degree, parity, rng)
-            assert restrict_sl2(coboundary(f, TABLE)) == \
-                coboundary(restrict_sl2(f), TABLE)
+            assert restrict_sl2(coboundary(f)) == \
+                coboundary(restrict_sl2(f))
     for lam, mu in GRID:
-        rep = engine.restriction_injectivity_check(lam, mu, table=TABLE)
+        rep = engine.restriction_injectivity_check(lam, mu)
         assert rep["ok"], (lam, mu)
         expected_classes = sum(EXPECTED[(lam, mu)][:3])
         assert len(rep["classes"]) == expected_classes, (lam, mu)
     for lam, mu in ORACLE_GRID:
         mod = TruncatedDlm(lam, mu, 3)
         predicted = engine.predict_sl2(mod, nmax=3)
-        computed = {n: engine.h_dim(mod, n, 0, TABLE, universe=SL2).total
+        computed = {n: engine.h_dim(mod, n, 0, universe=SL2).total
                     for n in range(4)}
         assert computed == predicted, (lam, mu)
     print("PASS criterion 9: sl(2) restriction injective; "
@@ -184,16 +184,16 @@ def test_criterion_09_restriction(grid_reports):
 
 def test_criterion_10_cup_product_gelfand_fuchs():
     for k in (0, 1, 2):
-        f, _ = make_f_k(k, table=TABLE)
-        h, _ = make_h_lambda(F(-k, 2), table=TABLE)
-        omega, _ = cup(f, h, TABLE)
-        assert coboundary(omega, TABLE).is_zero()
-        report = engine.gelfand_fuchs_check(k, TABLE)
+        f, _ = make_f_k(k)
+        h, _ = make_h_lambda(F(-k, 2))
+        omega = cup(f, h)
+        assert coboundary(omega).is_zero()
+        report = engine.gelfand_fuchs_check(k)
         assert report["C_k"] == "-1/4"
-        assert engine.is_coboundary(omega, TABLE) is None
+        assert engine.is_coboundary(omega) is None
         res = restrict_sl2(omega)
         assert not res.is_zero()
-        assert engine.is_coboundary(res, TABLE) is None
+        assert engine.is_coboundary(res) is None
     print("PASS criterion 10: cup products are nontrivial cocycles with "
           "one restriction constant per k")
 

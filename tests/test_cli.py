@@ -172,12 +172,32 @@ def test_threads_flag_same_output(capsys):
     ["dims", "--grid", "halfints:0..3/4"],
     ["audit", "--table", "repaired"],
 ])
-def test_bad_input_exits_2_with_one_line(capsys, argv):
+def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv):
+    # bad input is rejected before any computation, an unwritable --out
+    # included: the self-test suites and the grid are never run
+    def never(*args, **kwargs):
+        raise AssertionError("computed before rejecting the input")
+    monkeypatch.setattr(cli.engine, "selftest", never)
+    monkeypatch.setattr(cli.engine, "grid_reports", never)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+def test_usage_error_leaves_out_file_alone(tmp_path, capsys):
+    # a usage error creates no --out file and truncates no existing one
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    for path in (new, old):
+        assert cli.main(["dims", "--lambda", "0", "--mu", "1/2",
+                         "--kmax", "-5", "--out", str(path)]) == 2
+    assert not new.exists() and old.read_text() == "kept\n"
+    assert cli.main(["selftest", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == (f"ospcoho selftest: cannot write {tmp_path}: "
+                       "Is a directory")
 
 
 def test_dims_mismatch_exits_1(capsys, monkeypatch):
@@ -191,7 +211,7 @@ def test_dims_mismatch_exits_1(capsys, monkeypatch):
 
 
 def test_cocycles_no_cocycle_exits_1(capsys, monkeypatch):
-    def fail(k, table=None):
+    def fail(k):
         raise cli.NoCocycle("expected a 2-dimensional cocycle space")
     monkeypatch.setattr(cli, "make_f_k", fail)
     assert cli.main(["cocycles", "--kind", "f", "--k", "1"]) == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ospcoho import algebra, cochains as cc
+from ospcoho import cochains as cc
 from ospcoho.algebra import (GENS, SL2, _rescaled, adopted_table,
                              monomial_basis, monomial_parity,
                              monomial_weight)
@@ -58,7 +58,7 @@ def test_zero_cochain_coboundary_formula():
     # (dv)(U) = (-1)^{vU} U v for 0-cochains of both parities
     for parity, bv in ((0, ("a", 1, 1)), (1, ("d", 0, 0))):
         v = Cochain(MOD, 0, parity, {(): {bv: F(1)}})
-        dv = coboundary(v, TABLE)
+        dv = coboundary(v)
         for g in GENS:
             sign = -1 if parity and g in ("A", "B") else 1
             assert dv.evaluate((g,)) == vec_scale(
@@ -72,7 +72,7 @@ def test_reduced_one_cochain_AB_identity():
                      for bv in MOD.weight_basis(0, 1)[:2]},
             ("H",): {bv: F(1) for bv in MOD.weight_basis(F(1, 2), 0)[:1]}}
     f = Cochain(MOD, 1, 0, vals)
-    df = coboundary(f, TABLE)
+    df = coboundary(f)
     expected = MOD.act("A", f.values[("B",)])
     for g, c in TABLE.bracket("A", "B").items():
         expected = {k: v for k, v in expected.items()}
@@ -89,7 +89,7 @@ def test_d_squared_zero_random():
         for parity in (0, 1):
             for _ in range(8):
                 f = random_cochain(MOD, degree, parity, rng)
-                assert coboundary(coboundary(f, TABLE), TABLE).is_zero()
+                assert coboundary(coboundary(f)).is_zero()
 
 
 def test_d_squared_zero_spanning_wide_window():
@@ -98,8 +98,8 @@ def test_d_squared_zero_spanning_wide_window():
         for parity in (0, 1):
             for j in range(-8, 9):
                 w = F(j, 2)
-                _, _, d_n = delta_matrix(MOD, n, w, parity, TABLE)
-                _, _, d_next = delta_matrix(MOD, n + 1, w, parity, TABLE)
+                _, _, d_n = delta_matrix(MOD, n, w, parity)
+                _, _, d_next = delta_matrix(MOD, n + 1, w, parity)
                 assert d_next.mul(d_n).is_zero(), (n, parity, w)
 
 
@@ -124,25 +124,21 @@ def reference_coboundary(f, table):
 
 
 def test_integer_coboundary_matches_fraction_reference():
-    thirds = {g: F(1) for g in GENS}
-    thirds["H"] = F(1, 3)           # [H,A] = A/6 in the rescaled basis
-    rescaled = _rescaled(TABLE, thirds)
-    assert any(c.denominator > 2 for p in algebra.PAIR_ORDER
-               for c in rescaled.row(p).values())
+    # 6 modules x 2 universes x 3 degrees x 2 parities = 72 cochains, on
+    # action scales with denominators 2, 3 and 5
     rng = random.Random(31)
     nonzero = 0
-    for lam, mu in ((F(1, 3), F(5, 6)), (F(0), F(1, 2)), (F(-1, 2), F(1))):
+    for lam, mu in ((F(1, 3), F(5, 6)), (F(0), F(1, 2)), (F(-1, 2), F(1)),
+                    (F(1, 3), F(0)), (F(-1), F(3, 2)), (F(2, 5), F(-1, 10))):
         mod = TruncatedDlm(lam, mu, 3)
-        for table in (TABLE, rescaled):
-            for universe in (GENS, SL2):
-                for degree in (0, 1, 2):
-                    for parity in (0, 1):
-                        f = random_cochain(mod, degree, parity, rng,
-                                           universe)
-                        df = coboundary(f, table)
-                        assert df == reference_coboundary(f, table), \
-                            (lam, mu, table, universe, degree, parity)
-                        nonzero += not df.is_zero()
+        for universe in (GENS, SL2):
+            for degree in (0, 1, 2):
+                for parity in (0, 1):
+                    f = random_cochain(mod, degree, parity, rng, universe)
+                    df = coboundary(f)
+                    assert df == reference_coboundary(f, TABLE), \
+                        (lam, mu, universe, degree, parity)
+                    nonzero += not df.is_zero()
     assert nonzero > 50
 
 
@@ -185,20 +181,20 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
     for degree in (0, 1, 2):
         for parity in (0, 1):
             f = random_cochain(mod, degree, parity, rng)
-            assert not coboundary(f, TABLE).is_zero()
+            assert not coboundary(f).is_zero()
     assert calls and set(calls) <= {("act_basis", g) for g in "HAB"}
     calls.clear()
     module_memo.cache_clear()
     for degree in (1, 2):
         for parity in (0, 1):
             f = random_cochain(mod, degree, parity, rng)
-            g, f_red = reduce_cochain(f, TABLE)
+            g, f_red = reduce_cochain(f)
             assert is_reduced(f_red) and not g.is_zero()
-            assert is_coboundary(coboundary(f, TABLE), TABLE) is not None
+            assert is_coboundary(coboundary(f)) is not None
     for k in (0, 1):
-        make_f_k(k, table=TABLE)
-        make_ftilde_k(k, table=TABLE)
-        make_h_lambda(F(k, 2), table=TABLE)
+        make_f_k(k)
+        make_ftilde_k(k)
+        make_h_lambda(F(k, 2))
     assert calls and set(calls) <= {("act_basis", g) for g in "HAB"}
     assert delta_matrix_calls == []
     calls.clear()
@@ -214,7 +210,7 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
 def test_coboundary_preserves_parity_and_weight():
     rng = random.Random(9)
     f = random_cochain(MOD, 1, 1, rng)
-    df = coboundary(f, TABLE)
+    df = coboundary(f)
     assert df.parity == f.parity
     assert set(df.weight_components()) <= set(f.weight_components())
 
@@ -232,7 +228,7 @@ def test_is_reduced():
 
 def test_reduce_already_reduced_is_identity():
     fk, _ = make_f_k(1)
-    g, fred = reduce_cochain(fk, TABLE)
+    g, fred = reduce_cochain(fk)
     assert g.is_zero()
     assert fred == fk
 
@@ -242,17 +238,17 @@ def test_reduce_random_cochains():
     for degree in (1, 2, 3):
         for _ in range(6):
             f = random_cochain(MOD, degree, rng.randint(0, 1), rng)
-            g, fred = reduce_cochain(f, TABLE)
+            g, fred = reduce_cochain(f)
             assert is_reduced(fred)
-            assert f.sub(fred).sub(coboundary(g, TABLE)).is_zero()
+            assert f.sub(fred).sub(coboundary(g)).is_zero()
 
 
 def test_reduce_pure_A_slot():
     # odd value on the odd A slot: an even cochain
     f = Cochain(MOD, 1, 0, {("A",): {("c", 0, 1): F(2)}})
-    g, fred = reduce_cochain(f, TABLE)
+    g, fred = reduce_cochain(f)
     assert is_reduced(fred)
-    assert f.sub(fred).sub(coboundary(g, TABLE)).is_zero()
+    assert f.sub(fred).sub(coboundary(g)).is_zero()
 
 
 def test_cochain_rejects_parity_mixing():
@@ -263,11 +259,11 @@ def test_cochain_rejects_parity_mixing():
 def test_reduce_of_coboundary_stays_cohomologous():
     rng = random.Random(55)
     g0 = random_cochain(MOD, 1, 0, rng)
-    f = coboundary(g0, TABLE)
-    g, fred = reduce_cochain(f, TABLE)
+    f = coboundary(g0)
+    g, fred = reduce_cochain(f)
     assert is_reduced(fred)
     # f was exact, so its reduced form is the coboundary of g0 - g
-    assert fred.sub(coboundary(g0.sub(g), TABLE)).is_zero()
+    assert fred.sub(coboundary(g0.sub(g))).is_zero()
 
 
 def test_restriction_commutes_with_coboundary():
@@ -275,8 +271,8 @@ def test_restriction_commutes_with_coboundary():
     for degree in (1, 2):
         for parity in (0, 1):
             f = random_cochain(MOD, degree, parity, rng)
-            lhs = restrict_sl2(coboundary(f, TABLE))
-            rhs = coboundary(restrict_sl2(f), TABLE)
+            lhs = restrict_sl2(coboundary(f))
+            rhs = coboundary(restrict_sl2(f))
             assert lhs == rhs
 
 
@@ -297,11 +293,11 @@ def test_delta_matrix_against_coboundary():
     # the assembled block columns equal coboundaries of delta cochains
     rng = random.Random(13)
     for n, parity, w in ((1, 0, F(0)), (2, 1, F(1, 2))):
-        dom, cod, mat = delta_matrix(MOD, n, w, parity, TABLE)
+        dom, cod, mat = delta_matrix(MOD, n, w, parity)
         for col in rng.sample(range(len(dom)), min(5, len(dom))):
             u, bv = dom[col]
             delta = Cochain(MOD, n, parity, {u: {bv: F(1)}})
-            dd = coboundary(delta, TABLE)
+            dd = coboundary(delta)
             expected = cc.cochain_coords(dd, cod)
             assert mat.column(col) == expected
 
@@ -318,34 +314,40 @@ def test_integer_block_is_scaled_delta_matrix(lam, mu):
     fractional = False
     for n, w, parity in ((0, w0, 0), (1, w0, 0), (1, w0 + F(1, 2), 1),
                          (2, w0, 0), (2, w0 - F(1, 2), 1)):
-        dom, cod, cols, scale = cc.delta_block(mod, n, w, parity, TABLE)
+        dom, cod, cols, scale = cc.delta_block(mod, n, w, parity)
         assert scale == action_scale(mod) and cod and dom
         assert len(cols) == len(dom)
         assert all(type(v) is int for col in cols for v in col.values())
-        _, _, mat = delta_matrix(mod, n, w, parity, TABLE)
+        _, _, mat = delta_matrix(mod, n, w, parity)
         assert [{r: v * scale for r, v in mat.column(c).items()}
                 for c in range(len(dom))] == cols
         fractional |= any(v.denominator > 1 for r in mat.rows
                           for v in r.values())
         for c in rng.sample(range(len(dom)), min(6, len(dom))):
             u, bv = dom[c]
-            dd = coboundary(Cochain(mod, n, parity, {u: {bv: F(1)}}), TABLE)
+            dd = coboundary(Cochain(mod, n, parity, {u: {bv: F(1)}}))
             assert cols[c] == {r: v * scale for r, v
                                in cc.cochain_coords(dd, cod).items()}
         # left-out columns stay empty, the others are unchanged
         skip = range(0, len(dom), 2)
-        *_, part, _ = cc.delta_block(mod, n, w, parity, TABLE, skip=skip)
+        *_, part, _ = cc.delta_block(mod, n, w, parity, skip=skip)
         assert part == [{} if c in skip else col
                         for c, col in enumerate(cols)]
     assert fractional
 
 
 def test_integer_block_scale_covers_bracket_denominators():
+    # a block's scale is lcm(D, T), D the action scale and T the bracket
+    # denominator: T = 3 for the rescaled table, 1 for the adopted one
     thirds = {g: F(1) for g in GENS}
     thirds["H"] = F(1, 3)           # [H,A] = A/6 in the rescaled basis
-    table = _rescaled(TABLE, thirds)
-    dom, cod, cols, scale = cc.delta_block(MOD, 1, 0, 0, table)
-    assert scale % 3 == 0 and scale % action_scale(MOD) == 0
+    T = _rescaled(TABLE, thirds).scaled_brackets()[0]
+    memo = module_memo(MOD)
+    scale, act_factor, bracket_factor = cc._scales(memo, T)
+    assert T % 3 == 0 and scale % T == 0 and scale % action_scale(MOD) == 0
+    assert act_factor * memo.scale == bracket_factor * T == scale
+    dom, cod, cols, scale = cc.delta_block(MOD, 1, 0, 0)
+    assert scale == cc._scales(memo, TABLE.scaled_brackets()[0])[0]
     assert all(type(v) is int for col in cols for v in col.values())
 
 
@@ -371,13 +373,25 @@ def test_block_parity_rule_matches_monomial_scan(lam, mu):
                     empty += 1
                     # the empty block still carries its true scale
                     dom, cod, cols, scale = cc.delta_block(
-                        mod, n, w, parity, TABLE)
+                        mod, n, w, parity)
                     assert dom == cod == cols == []
                     assert scale == cc.delta_block(
-                        mod, n, w + F(1, 2), parity, TABLE)[3]
+                        mod, n, w + F(1, 2), parity)[3]
                 else:
                     full += bool(scan)
     assert empty and full
+
+
+def test_blocks_need_a_parity():
+    # a block is one parity component; parity None (both components)
+    # used to be laid out with the parity-0 Koszul signs and gave wrong
+    # columns, so it must raise
+    mod = TruncatedDlm(0, F(1, 2), 3)
+    for n in range(3):
+        with pytest.raises(TypeError):
+            cc.delta_block(mod, n, 0, None)
+        with pytest.raises(TypeError):
+            cc.block_basis(mod, n, 0, None)
 
 
 # --- explicit cocycles -------------------------------------------------------
@@ -390,7 +404,7 @@ def test_h_lambda_solved_slots():
         assert h.values[("Y",)] == {("a", 1, 0): F(-1)}
         assert set(h.values) == {("H",), ("B",), ("Y",)}
         assert ratios == {"H": F(1, 2), "B": F(1), "Y": F(1, 2)}
-        assert coboundary(h, TABLE).is_zero()
+        assert coboundary(h).is_zero()
         assert is_reduced(h)
         assert h.parity == 0
 
@@ -402,7 +416,7 @@ def test_f_k_solved_slots():
         assert f.values[("B",)] == {("b", 0, k): F(1)}
         assert f.values[("Y",)] == {("d", 1, k): F(1)}
         assert ratios == {"H": F(1, 2), "B": F(1), "Y": F(1, 2)}
-        assert coboundary(f, TABLE).is_zero()
+        assert coboundary(f).is_zero()
         assert is_reduced(f)
         assert f.parity == 1
 
@@ -418,7 +432,7 @@ def test_ftilde_k_solved_slots():
         assert ("H",) not in f.values
         assert ratios["B"] == F(1)
         assert ratios["Y"] == F(1, 2)
-        assert coboundary(f, TABLE).is_zero()
+        assert coboundary(f).is_zero()
         assert is_reduced(f)
 
 
@@ -435,13 +449,13 @@ def test_cup_type_mismatch():
     f0, _ = make_f_k(0)   # by D_{0,1/2}
     h1, _ = make_h_lambda(F(1))  # D_{1,1}: does not compose with f0
     with pytest.raises(TypeMismatch):
-        cup(f0, h1, TABLE)
+        cup(f0, h1)
 
 
 def test_cup_bilinearity_zero_factor():
     f0, _ = make_f_k(0)
     zero = zero_cochain(TruncatedDlm(0, 0, 3), 1, 0)
-    omega, _ = cup(f0, zero, TABLE)
+    omega = cup(f0, zero)
     assert omega.is_zero()
 
 
@@ -449,10 +463,34 @@ def test_cup_is_cocycle_and_printed_sign_works():
     for k in (0, 1, 2):
         f, _ = make_f_k(k)
         h, _ = make_h_lambda(F(-k, 2))
-        omega, variant = cup(f, h, TABLE)
-        assert variant == "printed"
+        omega = cup(f, h)      # raises NoCocycle if d omega != 0
         assert omega.parity == 1
-        assert coboundary(omega, TABLE).is_zero()
+        assert coboundary(omega).is_zero()
+
+
+def test_cup_rejects_an_odd_second_factor():
+    # for an even h the Koszul signs are the printed ones; an odd h is
+    # the one case where they differ, and no caller has one
+    f0, _ = make_f_k(0)
+    with pytest.raises(ValueError, match="even"):
+        cup(f0, f0)
+
+
+def test_cup_of_cocycles_that_is_not_a_cocycle_raises(monkeypatch):
+    # a product of two cocycles is certified: a wrong value on one slot
+    # of Omega_0 must raise, not return
+    f, _ = make_f_k(0)
+    h, _ = make_h_lambda(F(0))
+    from_oppoly = cc.from_oppoly
+    calls = []
+
+    def one_slot_doubled(op, mod):
+        calls.append(op)
+        return from_oppoly(op.scale(2) if len(calls) == 1 else op, mod)
+
+    monkeypatch.setattr(cc, "from_oppoly", one_slot_doubled)
+    with pytest.raises(NoCocycle):
+        cup(f, h)
 
 
 def test_cup_HY_value():
@@ -460,7 +498,7 @@ def test_cup_HY_value():
     for k in (0, 1, 2):
         f, _ = make_f_k(k)
         h, _ = make_h_lambda(F(-k, 2))
-        omega, _ = cup(f, h, TABLE)
+        omega = cup(f, h)
         val = to_oppoly(omega.evaluate(("H", "Y")))
         expected = OpPoly({(0, 1, 0, k): F(k + 1, 2)})
         if k:

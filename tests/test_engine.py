@@ -28,20 +28,20 @@ GRID = [(F(0), F(0)), (F(1), F(1)), (F(5, 2), F(5, 2)),
 
 def test_h_dim_examples():
     mod = TruncatedDlm(0, F(1, 2), 3)
-    dims = [h_dim(mod, n, 0, TABLE).total for n in range(4)]
+    dims = [h_dim(mod, n, 0).total for n in range(4)]
     assert dims == [1, 2, 1, 0]
     mod = TruncatedDlm(1, 1, 3)
-    assert [h_dim(mod, n, 0, TABLE).total for n in range(3)] == [1, 1, 0]
+    assert [h_dim(mod, n, 0).total for n in range(3)] == [1, 1, 0]
     mod = TruncatedDlm(F(1, 3), 0, 3)
-    assert [h_dim(mod, n, 0, TABLE).total for n in range(3)] == [0, 0, 0]
+    assert [h_dim(mod, n, 0).total for n in range(3)] == [0, 0, 0]
 
 
 def test_h_dim_parity_split():
     # the special-family classes are odd: representative d_{0,k}
     mod = TruncatedDlm(0, F(1, 2), 3)
-    dc = h_dim(mod, 0, 0, TABLE)
+    dc = h_dim(mod, 0, 0)
     assert (dc.total, dc.even, dc.odd) == (1, 0, 1)
-    dc1 = h_dim(mod, 1, 0, TABLE)
+    dc1 = h_dim(mod, 1, 0)
     assert (dc1.even, dc1.odd) == (0, 2)
 
 
@@ -58,9 +58,9 @@ def test_chained_ranks_equal_full_block_ranks():
                 for parity in (0, 1):
                     for n in range(5):
                         rank, cols, _ = engine._block_rank_and_cols(
-                            mod, n, w, parity, TABLE, universe)
+                            mod, n, w, parity, universe)
                         dom, _, full, _ = delta_block(mod, n, w, parity,
-                                                      TABLE, universe)
+                                                      universe)
                         assert (rank, cols) == (
                             len(linalg.int_pivots(full)), len(dom)), \
                             (mod, universe, w, parity, n)
@@ -71,9 +71,9 @@ def test_h_dim_out_of_order():
                 TruncatedDlm(F(1, 3), F(5, 6), 5)):
         for w in (F(0), F(1, 2)):
             module_memo.cache_clear()
-            in_order = [h_dim(mod, n, w, TABLE) for n in range(5)]
+            in_order = [h_dim(mod, n, w) for n in range(5)]
             module_memo.cache_clear()
-            shuffled = {n: h_dim(mod, n, w, TABLE) for n in (3, 0, 4, 1, 2)}
+            shuffled = {n: h_dim(mod, n, w) for n in (3, 0, 4, 1, 2)}
             assert [shuffled[n] for n in range(5)] == in_order
 
 
@@ -92,11 +92,11 @@ def test_subclass_gets_its_own_memo():
     base, sub = TruncatedDlm(0, F(1, 2), 3), _AZero(0, F(1, 2), 3)
     assert base != sub and sub != base
     module_memo.cache_clear()
-    fresh = h_dim(sub, 1, 0, TABLE)
+    fresh = h_dim(sub, 1, 0)
     module_memo.cache_clear()
-    assert h_dim(base, 1, 0, TABLE).total == 2
+    assert h_dim(base, 1, 0).total == 2
     assert module_memo(sub) is not module_memo(base)
-    assert h_dim(sub, 1, 0, TABLE) == fresh
+    assert h_dim(sub, 1, 0) == fresh
 
 
 def test_a_not_onto_violates_the_hypothesis():
@@ -141,7 +141,7 @@ def test_sl2_brute_force_matches_remark_formula():
                     (F(-1, 2), F(1)), (F(1, 3), F(0)), (F(-1), F(3, 2))]:
         mod = TruncatedDlm(lam, mu, 3)
         predicted = predict_sl2(mod, nmax=3)
-        computed = {n: h_dim(mod, n, 0, TABLE, universe=SL2).total
+        computed = {n: h_dim(mod, n, 0, universe=SL2).total
                     for n in range(4)}
         assert computed == predicted, (lam, mu)
 
@@ -157,7 +157,7 @@ def test_weight_vanishing():
         for w in (F(1, 2), F(-1, 2), F(1), F(-1), F(3, 2), F(-3, 2),
                   F(2), F(-2)):
             for n in range(3):
-                assert h_dim(mod, n, w, TABLE).total == 0, (lam, mu, n, w)
+                assert h_dim(mod, n, w).total == 0, (lam, mu, n, w)
 
 
 def test_is_coboundary_constructed_case():
@@ -165,41 +165,41 @@ def test_is_coboundary_constructed_case():
     mod = TruncatedDlm(0, F(1, 2), 3)
     from ospcoho.engine import _random_cochain
     g0 = _random_cochain(mod, 1, 1, rng)
-    f = coboundary(g0, TABLE)
-    g = is_coboundary(f, TABLE)
+    f = coboundary(g0)
+    g = is_coboundary(f)
     assert g is not None
-    assert coboundary(g, TABLE).sub(f).is_zero()
+    assert coboundary(g).sub(f).is_zero()
 
 
 def test_is_coboundary_rejects_noncocycles():
     mod = TruncatedDlm(0, F(1, 2), 3)
     f = Cochain(mod, 1, 0, {("A",): {("c", 0, 1): F(2)}})
-    assert not coboundary(f, TABLE).is_zero()
+    assert not coboundary(f).is_zero()
     with pytest.raises(NotACocycle):
-        is_coboundary(f, TABLE)
+        is_coboundary(f)
 
 
 def test_explicit_cocycles_are_nontrivial():
     h, _ = make_h_lambda(F(1))
-    assert is_coboundary(h, TABLE) is None
+    assert is_coboundary(h) is None
     for k in (0, 1, 2):
         fk, _ = make_f_k(k)
         ftk, _ = make_ftilde_k(k)
-        assert is_coboundary(fk, TABLE) is None
-        assert is_coboundary(ftk, TABLE) is None
+        assert is_coboundary(fk) is None
+        assert is_coboundary(ftk) is None
         # nontrivial classes restrict nontrivially
-        assert is_coboundary(restrict_sl2(fk), TABLE) is None
-        assert is_coboundary(restrict_sl2(ftk), TABLE) is None
+        assert is_coboundary(restrict_sl2(fk)) is None
+        assert is_coboundary(restrict_sl2(ftk)) is None
 
 
 def test_class_representatives_count_and_reduction_localization():
     from ospcoho.cochains import reduce_cochain
     mod = TruncatedDlm(0, F(1, 2), 3)
-    reps = class_representatives(mod, 1, 0, 1, TABLE)
+    reps = class_representatives(mod, 1, 0, 1)
     assert len(reps) == 2
     b_mono = ("B",)
     for rep in reps:
-        g, red = reduce_cochain(rep, TABLE)
+        g, red = reduce_cochain(rep)
         assert red.values.get(b_mono)  # localization slot is nonzero
 
 
@@ -216,10 +216,10 @@ def _reference_representatives(mod, n, w, parity):
     from ospcoho._kernels_py import echelon
     from ospcoho.cochains import cochain_from_coords
     from tests_support_dense import delta_matrix
-    dom, _, mat = delta_matrix(mod, n, w, parity, TABLE)
+    dom, _, mat = delta_matrix(mod, n, w, parity)
     current = []
     if n > 0:
-        _, _, prev = delta_matrix(mod, n - 1, w, parity, TABLE)
+        _, _, prev = delta_matrix(mod, n - 1, w, parity)
         current = [linalg._to_int_row(prev.column(j))
                    for j in range(prev.ncols)]
     _, current = echelon(current, False)
@@ -249,16 +249,16 @@ def test_class_representatives_match_reference_greedy():
             for w in (F(0), F(1, 2), F(-1)):
                 for parity in (0, 1):
                     where = (lam, mu, n, w, parity)
-                    got = class_representatives(mod, n, w, parity, TABLE)
+                    got = class_representatives(mod, n, w, parity)
                     ref = _reference_representatives(mod, n, w, parity)
                     assert len(got) == len(ref), where
-                    dom, _, mat = delta_matrix(mod, n, w, parity, TABLE)
+                    dom, _, mat = delta_matrix(mod, n, w, parity)
                     got = [cochain_coords(f, dom) for f in got]
                     ref = [cochain_coords(f, dom) for f in ref]
                     assert all(v and not mat.apply(v) for v in got), where
                     image = []
                     if n > 0:
-                        prev = delta_matrix(mod, n - 1, w, parity, TABLE)[2]
+                        prev = delta_matrix(mod, n - 1, w, parity)[2]
                         image = [prev.column(j) for j in range(prev.ncols)]
                     assert linalg.greedy_independent(image + ref, got) == []
                     assert linalg.greedy_independent(image + got, ref) == []
@@ -280,7 +280,7 @@ def test_representatives_only_where_classes_are(monkeypatch):
 
     monkeypatch.setattr(engine, "_kernel_cochains", counted)
     for lam, mu in ACCEPTANCE_GRID:
-        restriction_injectivity_check(lam, mu, K=8, nmax=2, table=TABLE)
+        restriction_injectivity_check(lam, mu, K=8, nmax=2)
     assert len(calls) == 18
     digest = hashlib.sha256()
     count = 0
@@ -288,7 +288,7 @@ def test_representatives_only_where_classes_are(monkeypatch):
         mod = TruncatedDlm(lam, mu, engine.guard_K(lam, mu, 8))
         for n in range(3):
             for parity in (0, 1):
-                for rep in class_representatives(mod, n, 0, parity, TABLE):
+                for rep in class_representatives(mod, n, 0, parity):
                     digest.update(json.dumps(cochain_to_json(rep),
                                              sort_keys=True).encode())
                     count += 1
@@ -305,9 +305,9 @@ def test_representatives_assemble_one_cleared_block(monkeypatch):
     calls = []
 
     def recorder(inner):
-        def counted(mod, n, w, parity, table=None, universe=GENS, skip=()):
+        def counted(mod, n, w, parity, universe=GENS, skip=()):
             calls.append((n, parity, universe, frozenset(skip)))
-            return inner(mod, n, w, parity, table, universe, skip)
+            return inner(mod, n, w, parity, universe, skip)
         return counted
 
     monkeypatch.setattr(cc, "delta_block", recorder(cc.delta_block))
@@ -315,18 +315,18 @@ def test_representatives_assemble_one_cleared_block(monkeypatch):
     parts = 0
     for lam, mu in ACCEPTANCE_GRID:
         mod = TruncatedDlm(lam, mu, engine.guard_K(lam, mu, 8))
-        dims = [h_dim(mod, n, 0, TABLE) for n in range(3)]  # files the ranks
+        dims = [h_dim(mod, n, 0) for n in range(3)]  # files the ranks
         calls.clear()
         want = []
         for n in range(3):
             for parity in (0, 1):
-                reps = class_representatives(mod, n, 0, parity, TABLE)
+                reps = class_representatives(mod, n, 0, parity)
                 assert len(reps) == (dims[n].even, dims[n].odd)[parity]
                 if reps:
                     skip = frozenset()
                     if n > 0:
                         skip = engine._block_rank_and_cols(
-                            mod, n - 1, 0, parity, TABLE, GENS)[2]
+                            mod, n - 1, 0, parity, GENS)[2]
                     want.append((n, parity, GENS, skip))
         assert calls == want, (lam, mu)
         parts += len(want)
@@ -347,10 +347,10 @@ def test_gated_representatives_equal_ungated_sl2():
                     skip = ()
                     if n > 0:
                         skip = engine._block_rank_and_cols(
-                            mod, n - 1, w, parity, TABLE, SL2)[2]
-                    want = engine._kernel_cochains(mod, n, w, parity, TABLE,
+                            mod, n - 1, w, parity, SL2)[2]
+                    want = engine._kernel_cochains(mod, n, w, parity,
                                                    SL2, skip)
-                    got = class_representatives(mod, n, w, parity, TABLE,
+                    got = class_representatives(mod, n, w, parity,
                                                 SL2)
                     assert got == want, (lam, mu, n, w, parity)
                     found += len(got)
@@ -363,7 +363,7 @@ def test_localization_kernel_zero():
         for w in (F(0), F(1, 2), F(-3, 2)):
             for parity in (0, 1):
                 assert engine.localization_kernel_dim(
-                    mod, n, w, parity, TABLE) == 0
+                    mod, n, w, parity) == 0
 
 
 def test_delta_block_composes_to_zero():
@@ -373,10 +373,10 @@ def test_delta_block_composes_to_zero():
     checked = 0
     for n in range(4):
         for parity in (0, 1):
-            dom, cod, cols, _ = delta_block(mod, n, 0, parity, TABLE)
+            dom, cod, cols, _ = delta_block(mod, n, 0, parity)
             assert len(cols) == len(dom)
             checked += len(cols)
-            next_cols = delta_block(mod, n + 1, 0, parity, TABLE)[2]
+            next_cols = delta_block(mod, n + 1, 0, parity)[2]
             assert len(next_cols) == len(cod)
             for col in cols:
                 image = {}
@@ -385,7 +385,7 @@ def test_delta_block_composes_to_zero():
                         image[s] = image.get(s, 0) + v * x
                 assert not any(image.values()), (n, parity)
     assert checked
-    dom, cod, cols, _ = delta_block(mod, 1, F(19, 2), 0, TABLE)
+    dom, cod, cols, _ = delta_block(mod, 1, F(19, 2), 0)
     assert dom == [] and cols == []
 
 
@@ -398,7 +398,7 @@ def test_reduced_cocycle_vanishing_on_HB_is_coboundary():
     for n in (2, 3):
         hb = tuple(["H"] + ["B"] * (n - 1))
         for parity in (0, 1):
-            dom, cod, mat = delta_matrix(mod, n, 0, parity, TABLE)
+            dom, cod, mat = delta_matrix(mod, n, 0, parity)
             extra = []
             for col, (u, _) in enumerate(dom):
                 if _a_monomial(u) or u == hb:
@@ -407,21 +407,21 @@ def test_reduced_cocycle_vanishing_on_HB_is_coboundary():
             for v in linalg.int_kernel_basis(rows, mat.ncols):
                 kv = {c: F(x) for c, x in v.items()}
                 f = cochain_from_coords(mod, n, parity, dom, kv)
-                assert is_coboundary(f, TABLE) is not None, (n, parity)
+                assert is_coboundary(f) is not None, (n, parity)
 
 
 def test_h2_representative_localizes():
     from ospcoho.cochains import reduce_cochain
     mod = TruncatedDlm(0, F(1, 2), 3)
-    reps = class_representatives(mod, 2, 0, 1, TABLE)
+    reps = class_representatives(mod, 2, 0, 1)
     assert len(reps) == 1
-    _, red = reduce_cochain(reps[0], TABLE)
+    _, red = reduce_cochain(reps[0])
     assert red.values.get(("B", "B"))
 
 
 def test_gelfand_fuchs_constant():
     for k in (0, 1, 2):
-        rep = gelfand_fuchs_check(k, TABLE)
+        rep = gelfand_fuchs_check(k)
         assert rep["C_k"] == "-1/4"
         assert rep["cup_sign_variant"] == "printed"
         assert rep["printed_constant"] == str(F(-(-1) ** k))
@@ -429,11 +429,11 @@ def test_gelfand_fuchs_constant():
 
 
 def test_restriction_injectivity_reports():
-    rep = restriction_injectivity_check(0, F(1, 2), table=TABLE)
+    rep = restriction_injectivity_check(0, F(1, 2))
     assert rep["ok"]
     ns = sorted(e["n"] for e in rep["classes"])
     assert ns == [0, 1, 1, 2]
-    rep2 = restriction_injectivity_check(F(-1, 2), 1, table=TABLE)
+    rep2 = restriction_injectivity_check(F(-1, 2), 1)
     assert rep2["ok"]
     assert any(e["n"] == 2 for e in rep2["classes"])
 
@@ -448,14 +448,15 @@ def test_restriction_check_rejects_dependent_restrictions(monkeypatch):
         return reps + [rep.scale(2) for rep in reps]
 
     monkeypatch.setattr(engine, "_kernel_cochains", doubled)
-    rep = restriction_injectivity_check(0, F(1, 2), table=TABLE)
+    rep = restriction_injectivity_check(0, F(1, 2))
     assert len(rep["classes"]) == 8
     assert all(e["restriction_nontrivial"] for e in rep["classes"])
     assert not rep["ok"]
 
 
-def test_outputs_are_pinned(tmp_path):
-    # the dims CSV and the restriction checks of the acceptance grid,
+def test_outputs_are_pinned(tmp_path, capsys):
+    # the dims CSV, the restriction checks of the acceptance grid, and
+    # the stdout of selftest, audit and the f, ftilde and cup cocycles,
     # byte for byte
     from ospcoho import cli
     out = tmp_path / "dims.csv"
@@ -470,6 +471,20 @@ def test_outputs_are_pinned(tmp_path):
     text = json.dumps(checks, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ed7d908ef2eb04f36f37b757a5471a92e1ce6b2063ab45b2ec4b32e0044b8181")
+
+    def stdout(*argvs):
+        capsys.readouterr()
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    assert stdout(["selftest"]) == (
+        "764ddd5350532a28ab1171898c2d7b60ea9d2ea76abe3087608af830984a1e58")
+    assert stdout(["audit"]) == (
+        "60ec0617cea8b02d3434d7b99c388b9087d599588685833e70fcf469e3100454")
+    assert stdout(*(["cocycles", "--kind", kind, "--k", str(k)]
+                    for k in range(3) for kind in ("f", "ftilde", "cup"))) == (
+        "4388a8626a844bc6d352c4e44e0ca418783a397b1f3799d35d1d2173a573d1e6")
 
 
 def test_report_json_schema_and_match():
@@ -575,12 +590,12 @@ def test_delta_block_equals_the_per_block_reference():
                         skips = [()]
                         if n > 0:
                             skips.append(engine._block_rank_and_cols(
-                                mod, n - 1, w, parity, TABLE, universe)[2])
+                                mod, n - 1, w, parity, universe)[2])
                         for skip in skips:
-                            got = delta_block(mod, n, w, parity, TABLE,
+                            got = delta_block(mod, n, w, parity,
                                               universe, skip)
                             assert got == reference_delta_block(
-                                mod, n, w, parity, TABLE, universe, skip), \
+                                mod, n, w, parity, universe, skip), \
                                 (mod, universe, w, parity, n, skip)
                             entries += sum(map(len, got[2]))
     assert entries > 400000
@@ -600,7 +615,7 @@ def test_evicted_memos_and_chains_are_freed_without_the_collector():
         for lam, mu in ((F(0), F(1, 2)), (F(1, 3), F(5, 6)), (F(-1), F(1))):
             mod = TruncatedDlm(lam, mu, 3)
             for n in range(3):
-                h_dim(mod, n, 0, TABLE)
+                h_dim(mod, n, 0)
         alive = gc.get_objects()
         memos = [o for o in alive if isinstance(o, ModuleMemo)]
         chains = [o for o in alive if isinstance(o, _WeightChain)]

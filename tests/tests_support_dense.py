@@ -81,7 +81,7 @@ class SparseMatrix:
 
 
 
-def delta_matrix(mod, n, w, parity, table=None, universe=GENS):
+def delta_matrix(mod, n, w, parity, universe=GENS):
     """Exact matrix of d: C^n_w -> C^{n+1}_w on one parity component.
 
     Returns (domain_basis, codomain_basis, SparseMatrix); column c of
@@ -89,7 +89,7 @@ def delta_matrix(mod, n, w, parity, table=None, universe=GENS):
     It is `delta_block` divided by its scale, the Fraction view of the
     program's integer blocks.
     """
-    dom, cod, cols, scale = delta_block(mod, n, w, parity, table, universe)
+    dom, cod, cols, scale = delta_block(mod, n, w, parity, universe)
     rows = [dict() for _ in cod]
     for c, col in enumerate(cols):
         for r, v in col.items():
@@ -204,7 +204,7 @@ def reference_block_basis(mod, n, w, parity, universe=GENS):
     return out
 
 
-def reference_delta_block(mod, n, w, parity, table=None, universe=GENS, skip=()):
+def reference_delta_block(mod, n, w, parity, universe=GENS, skip=()):
     """Integer columns of d: C^n_w -> C^{n+1}_w on one parity component.
 
     Returns (domain_basis, codomain_basis, cols, scale): cols[c] is a
@@ -215,14 +215,13 @@ def reference_delta_block(mod, n, w, parity, table=None, universe=GENS, skip=())
     scale is the lcm of the module's action scale (see `module_memo`)
     and the denominators of the bracket coefficients.
     """
-    table = table if table is not None else adopted_table()
     w = Fraction(w)
     dom = reference_block_basis(mod, n, w, parity, universe)
     cod = reference_block_basis(mod, n + 1, w, parity, universe)
     cols = [dict() for _ in dom]
     memo = module_memo(mod)
     T, terms = reference_koszul_terms(n, parity if parity is not None else 0,
-                             universe, table)
+                             universe, adopted_table())
     scale, act_factor, bracket_factor = _scales(memo, T)
     if not dom or not cod:
         return dom, cod, cols, scale
