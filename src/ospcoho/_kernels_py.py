@@ -64,18 +64,22 @@ def eliminate(row, piv_row, col):
 def echelon(rows, full):
     """Row-reduce integer rows; returns (pivot_cols, reduced_rows).
 
-    Rows are consumed (mutated). Output rows are primitive (content 1,
-    positive pivot) and sorted by pivot column. With full=True every
-    pivot column is also cleared above its pivot, giving the integer
-    reduced row echelon form, which is unique for a given row space.
-    The pivot row of a column is the sparsest row leading there, ties
-    broken by the smaller pivot entry.
+    Rows are consumed (mutated). Output rows are sorted by pivot column.
+    With full=True every pivot column is also cleared above its pivot,
+    giving the integer reduced row echelon form, which is unique for a
+    given row space; its rows are primitive (content 1, positive pivot).
+    With full=False (the rank-only path) the input rows are not
+    content-normalized, only the rows an elimination produces are, so an
+    output row need not be primitive. The pivot columns are the leading
+    columns of the row space either way, hence the same. The pivot row
+    of a column is the sparsest row leading there, ties broken by the
+    smaller pivot entry.
     """
     buckets = {}     # leading column -> rows that lead there
     heap = []        # the keys of `buckets`
     for row in rows:
         if row:
-            lead = normalize_row(row)
+            lead = normalize_row(row) if full else min(row)
             if lead in buckets:
                 buckets[lead].append(row)
             else:

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from . import algebra, engine
 from .cochains import (NoCocycle, SolveFailed, coboundary, cochain_to_json,
-                       cup, is_reduced, make_f_k, make_ftilde_k,
-                       make_h_lambda, restrict_sl2)
+                       is_reduced, make_f_k, make_ftilde_k, make_h_lambda,
+                       restrict_sl2)
 from .superdiff import op_str
 from .weightmod import to_oppoly
 
@@ -222,10 +222,7 @@ def cmd_cocycles(args):
         elif args.kind == "ftilde":
             f, ratios = make_ftilde_k(args.k)
         else:  # cup
-            fk, _ = make_f_k(args.k)
-            h, _ = make_h_lambda(Fraction(-args.k, 2))
-            omega = cup(fk, h)
-            gf = engine.gelfand_fuchs_check(args.k)
+            gf, omega = engine.gelfand_fuchs_check(args.k)
             slots = {
                 algebra.monomial_str(u): op_str(to_oppoly(v))
                 for u, v in sorted(omega.values.items())

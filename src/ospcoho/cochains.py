@@ -245,12 +245,6 @@ def coboundary(f):
 
 # --- weight blocks of the differential -------------------------------------
 
-def _twice_shifted(mod, w):
-    """t = 2(w + p) as an int, or None when no cochain has weight w."""
-    t = 2 * (Fraction(w) + mod.p)
-    return t.numerator if t.denominator == 1 else None
-
-
 @lru_cache(maxsize=32)
 def _graded_monomials(n, universe):
     """(monomial, parity, twice the weight) for the degree-n monomials."""
@@ -282,7 +276,7 @@ def block_basis(mod, n, w, parity, universe=GENS):
     """Ordered basis [(monomial, BasisVector)] of the weight-w part of C^n,
     on the parity component `parity` (0 or 1)."""
     memo = module_memo(mod)
-    layout = _layout(memo, n, _twice_shifted(mod, w), parity, universe)
+    layout = _layout(memo, n, mod.twice_shifted(w), parity, universe)
     return [(u, bv) for u, (_, key, _) in layout.items()
             for bv in memo.slice(*key)]
 
@@ -295,8 +289,10 @@ class _WeightChain:
     position, so d_n is written from the memo's integer stencils
     (`ModuleMemo.stencil`) without hashing a basis vector. Target minus
     source of a grouped term (`_koszul_terms`) is one generator, so each
-    entry is written once; only H's diagonal meets the bracket term, and
-    the two are summed. The memo is passed in, never stored: an evicted
+    entry is written once; only H's diagonal meets the bracket term. H
+    acts on a slice by its weight (`TruncatedDlm.scaled_weight`), so an
+    H group is one int, the two terms summed, written down the diagonal
+    with no stencil. The memo is passed in, never stored: an evicted
     memo and its chains go by reference counting alone. `ranks` is
     filed by the engine.
     """
@@ -335,11 +331,10 @@ class _WeightChain:
                                       if col0 + i not in skip]
                 s *= act_factor
                 b *= bracket_factor
-                if gen == "H":      # H.bv is a multiple of bv
-                    st = memo.stencil(gen, *key)
-                    for i, col in at:
-                        v = b + sum(s * x for _, x in st[i])
-                        if v:
+                if gen == "H":      # H acts on the slice by its weight
+                    v = b + s * memo.mod.scaled_weight(key[0])
+                    if v:
+                        for i, col in at:
                             col[row0 + i] = v
                     continue
                 if gen:
@@ -354,7 +349,7 @@ class _WeightChain:
 
 
 def _weight_chain(mod, t, parity, universe):
-    """(memo, chain) of `mod` at t = 2(w + p) (`_twice_shifted`)."""
+    """(memo, chain) of `mod` at t = 2(w + p) (`twice_shifted`)."""
     memo = module_memo(mod)
     key = (t, parity, universe)
     if key not in memo.chains:
@@ -374,7 +369,7 @@ def delta_block(mod, n, w, parity, universe=GENS, skip=()):
     the bracket coefficients. The columns come from the module's
     weight chain (`_WeightChain`).
     """
-    t = _twice_shifted(mod, w)
+    t = mod.twice_shifted(w)
     memo, chain = _weight_chain(mod, t, parity, universe)
     cols, scale = chain.block(memo, n, frozenset(skip))
     return (block_basis(mod, n, w, parity, universe),

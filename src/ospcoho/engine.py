@@ -49,14 +49,14 @@ from fractions import Fraction
 from . import algebra, linalg
 from .algebra import GENS, SL2, adopted_table
 from .cochains import (Cochain, _a_monomial, _kernel_cochains,
-                       _twice_shifted, _weight_chain, block_basis,
-                       coboundary, cochain_coords, cup, delta_block,
-                       is_reduced, make_f_k, make_ftilde_k, make_h_lambda,
-                       primitive, reduce_cochain, restrict_sl2, zero_cochain)
+                       _weight_chain, block_basis, coboundary,
+                       cochain_coords, cup, delta_block, is_reduced,
+                       make_f_k, make_ftilde_k, make_h_lambda, primitive,
+                       reduce_cochain, restrict_sl2, zero_cochain)
 from .superdiff import OpPoly, derived_module_action, op_str, \
     solve_realization_constants
-from .weightmod import (TruncatedDlm, from_oppoly, module_axiom_holds,
-                        module_memo, to_oppoly)
+from .weightmod import (TWICE_WEIGHT, TruncatedDlm, from_oppoly,
+                        module_axiom_holds, module_memo, to_oppoly)
 
 NMAX_DEFAULT = 4
 WMAX_DEFAULT = Fraction(2)
@@ -78,7 +78,7 @@ class NotProportional(RuntimeError):
 
 def _block_rank_and_cols(mod, n, w, parity, universe):
     """(rank, columns, pivots) of d_n on C^n_w; see `_chain_rank`."""
-    t = _twice_shifted(mod, w)
+    t = mod.twice_shifted(w)
     return _chain_rank(*_weight_chain(mod, t, parity, universe), n)
 
 
@@ -118,7 +118,7 @@ def h_dim(mod, n, w, universe=GENS):
     adopted table and the module axiom guarantee it, and blocks may be
     asked for in any order.
     """
-    t = _twice_shifted(mod, w)
+    t = mod.twice_shifted(w)
     per = {}
     for parity in (0, 1):
         chain = _weight_chain(mod, t, parity, universe)
@@ -131,24 +131,30 @@ def h_dim(mod, n, w, universe=GENS):
 # --- closed-form predictions ------------------------------------------------
 
 def _total_kernel_dim(mod, gens):
-    return sum(len(mod.kernel_slice(gens, a)) for a in mod.kernel_weights())
+    return sum(len(mod.kernel_slice(gens, t)) for t in mod.kernel_weights())
 
 
-def _kernel_quotient_dim(mod, kernel_gen, top, image_gen):
+def _kernel_quotient_dim(mod, kernel_gen, image_gen):
     """dim (ker g)^top / h((ker g)^0) with g = kernel_gen, h = image_gen.
 
-    The (ker g)^0 vectors are mapped through the memo's h images; the
-    quotient is ranked in integers (`linalg.quotient_dim`), which raises
-    NotContained when the image does not lie in (ker g)^top.
+    top is the weight of h. The (ker g)^0 vectors are mapped through the
+    memo's h images; the quotient is ranked in integers
+    (`linalg.quotient_dim`), which raises NotContained when the image
+    does not lie in (ker g)^top. With 2p not an integer no vector has
+    weight 0 or top, and the quotient is 0.
     """
+    t = mod.twice_shifted(0)
+    if t is None:
+        return 0
     image = module_memo(mod).image
     images = []
-    for vec in mod.kernel_slice((kernel_gen,), Fraction(0)):
+    for vec in mod.kernel_slice((kernel_gen,), t):
         out = {}
         for bv, c in vec.items():
-            for t, x in image(image_gen, bv):
-                out[t] = out.get(t, 0) + c * x
+            for tbv, x in image(image_gen, bv):
+                out[tbv] = out.get(tbv, 0) + c * x
         images.append(out)
+    top = t + TWICE_WEIGHT[image_gen]
     return linalg.quotient_dim(mod.kernel_slice((kernel_gen,), top), images)
 
 
@@ -162,14 +168,14 @@ def predict_theorem(mod, nmax=NMAX_DEFAULT):
     if not mod.check_a_onto():
         raise HypothesisViolated(f"A is not onto on {mod}")
     d0 = _total_kernel_dim(mod, ("A", "B"))
-    q = _kernel_quotient_dim(mod, "A", Fraction(-1, 2), "B")
+    q = _kernel_quotient_dim(mod, "A", "B")
     return _theorem_shape(d0, q, nmax)
 
 
 def predict_sl2(mod, nmax=NMAX_DEFAULT):
     """sl(2) dimensions from the ker X / Y((ker X)^0) description."""
     d0 = _total_kernel_dim(mod, ("X", "Y"))
-    q = _kernel_quotient_dim(mod, "X", Fraction(-1), "Y")
+    q = _kernel_quotient_dim(mod, "X", "Y")
     return _theorem_shape(d0, q, nmax)
 
 
@@ -321,7 +327,7 @@ def gelfand_fuchs_check(k):
     Omega_k = f_k v h_{-k/2} must be an exact 2-cocycle, and on the
     contact fields of 1, x, x^2 (identified with X, -H, -Y) its values
     must equal C_k * omega(f,g) * (k dtheta dx^{k-1} - (k+1) theta dx^k)
-    for a single constant C_k.
+    for a single constant C_k. Returns (report, Omega_k).
     """
     f, _ = make_f_k(k)
     h, _ = make_h_lambda(Fraction(-k, 2))
@@ -365,7 +371,7 @@ def gelfand_fuchs_check(k):
         "cup_sign_variant": "printed",
         "omega_is_cocycle": True,
         "target": op_str(target),
-    }
+    }, omega
 
 
 # --- audit wiring -------------------------------------------------------------

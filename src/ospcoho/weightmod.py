@@ -8,21 +8,32 @@ Basis operators, with p = mu - lambda:
     d_{m,k} = x^m dtheta dx^k - x^m theta dx^{k+1}
                                           (odd,  weight k-m-p+1/2)
 
-The H, A and B actions are the tabulated first-order rows; X and Y act
-through the odd generators as X = A o A and Y = -B o B, which are forced
-by [A,A] = 2X and [B,B] = -2Y and keep the module axiom an identity
-instead of a separate assumption. No row ever increases k, so cutting at
-k <= K yields a genuine submodule on which H is diagonal and A is onto.
+The H, A and B actions are the tabulated first-order rows;
+X and Y act through the odd generators as X = A o A and Y = -B o B,
+which are forced by [A,A] = 2X and [B,B] = -2Y and keep the module
+axiom an identity instead of a separate assumption. No row ever
+increases k, so cutting at k <= K yields a genuine submodule on which H
+is diagonal and A is onto.
 
 Weight slices are finite (at most 4(K+1) vectors) because fixing the
-weight pins m as a function of k within each family.
+weight pins m as a function of k within each family. A slice is keyed
+by the int t = 2(alpha + p) (`twice_shifted`) and holds one parity, t
+mod 2.
+
+The first-order rows are tabulated once, in integers:
+`TruncatedDlm.scaled_act_basis` gives D * g.bv for g in H, A and B as
+(BasisVector, int) pairs, with D = `action_scale`. Its entries are
+built from the integers D, D * 2lam and D * 2p, which are exact
+because den(2lam) and den(2p) divide L; H acts on the slice t by
+D * alpha = (D t - D 2p) / 2 (`scaled_weight`). This table is the one
+definition of the action: `act_basis` is its Fraction view (divided by
+D), and a module with another action overrides the table.
 
 `module_memo` keeps, for the most recently used module, the action
-scaled to integers by one module-wide factor D (each image computed once),
-its weight slices, their integer stencils, and the weight chains of
-blocks built on them. Only the first-order H, A and B images are read
-from `act_basis`. The X and Y images are composed in integers from the
-memo's A and B images:
+images (each computed once), its weight slices, their integer
+stencils, and the weight chains of blocks built on them. The memo reads
+the H, A and B images off the table and composes X and Y in integers
+from its own A and B images:
 
     D * X.bv =  (A_D o A_D)(bv) / D,    D * Y.bv = -(B_D o B_D)(bv) / D,
 
@@ -31,16 +42,19 @@ division is exact as soon as D * X.bv and D * Y.bv are integer vectors.
 For D_{lambda,mu} that holds with D = 2 L^2 (`action_scale`): A's
 coefficients are integers and B's lie in (1/L)Z, so B o B needs only L^2.
 Every quotient is still checked with divmod, and a remainder raises
-NonIntegralScale; nothing is rounded. The composition uses nothing but
-the odd action, so it serves any osp(1|2) module that defines
-`act_basis` for H, A and B.
+NonIntegralScale, as does a table entry that is not an int; nothing is
+rounded. The composition uses nothing but the odd action, so it serves
+any osp(1|2) module that tabulates H, A and B.
 
 `module_axiom_holds` checks the module axiom on those images: it scales
 each defect by T * D^2, with T the lcm of the bracket table's
 denominators, so that it is an integer vector. `kernel_slice` and
 `check_a_onto`, which the closed-form predictions read, rank the same
-images in integers. `act` and `action_compat_defect` keep the Fraction
-definition and serve as the tests' oracles.
+images in integers on the int-keyed slices. `act` (the linear extension
+of `act_basis`, composing X and Y in Fractions) and
+`action_compat_defect` keep a Fraction evaluation and serve as the
+tests' oracles; `derived_module_action` (superdiff) is the independent
+check of the table itself.
 """
 
 from fractions import Fraction
@@ -107,7 +121,7 @@ def vec_from_json(data):
 class TruncatedDlm:
     """D_{lambda,mu} truncated to dx-order k <= K."""
 
-    __slots__ = ("lam", "mu", "K", "p", "_hash")
+    __slots__ = ("lam", "mu", "K", "p", "_hash", "_ints")
 
     def __init__(self, lam, mu, K):
         self.lam = Fraction(lam)
@@ -116,6 +130,11 @@ class TruncatedDlm:
         self.p = self.mu - self.lam
         # the module is immutable; every memo lookup hashes it
         self._hash = hash((self.lam, self.mu, self.K))
+        # D, D * 2lam and D * 2p: integers, as den(2lam) and den(2p)
+        # divide L (see action_scale)
+        D = action_scale(self)
+        self._ints = (D, (D * 2 * self.lam).numerator,
+                      (D * 2 * self.p).numerator)
 
     def __repr__(self):
         return f"TruncatedDlm(lam={self.lam}, mu={self.mu}, K={self.K})"
@@ -134,58 +153,76 @@ class TruncatedDlm:
         f, m, k = bv
         return k - m - self.p + FAMILY_SHIFT[f]
 
-    def act_basis(self, gen, bv):
-        """Action of one generator on one basis vector."""
+    def scaled_act_basis(self, gen, bv):
+        """D * gen.bv for gen in H, A and B, as (BasisVector, int) pairs.
+
+        D = action_scale(self). This table is the one definition of the
+        action: `act_basis` is its Fraction view, and the module memo
+        reads it directly. A module with another action overrides it.
+        """
         f, m, k = bv
         if k > self.K:
             raise TruncationViolation(f"{bv} exceeds K={self.K}")
-        lam, p = self.lam, self.p
-        out = {}
+        D, lam2, p2 = self._ints
         if gen == "H":
-            w = self.basis_weight(bv)
-            if w:
-                out[bv] = w
-        elif gen == "A":
+            w = self.scaled_weight(2 * (k - m) + _SHIFT2[f])
+            return ((bv, w),) if w else ()
+        if gen == "A":
             if f == "a":
-                if m:
-                    out[("c", m - 1, k)] = Fraction(m)
-            elif f == "b":
-                out[("d", m, k)] = Fraction(1)
-            elif f == "c":
-                out[("a", m, k)] = Fraction(1)
-            else:
-                if m:
-                    out[("b", m - 1, k)] = Fraction(m)
-        elif gen == "B":
-            if f == "a":
-                c1 = Fraction(m - 2 * k) + 2 * p
-                if c1:
-                    out[("c", m, k)] = c1
-                if k:
-                    out[("d", m, k - 1)] = Fraction(-k)
-            elif f == "b":
-                out[("d", m + 1, k)] = Fraction(1)
-                c1 = 2 * lam + k
-                if c1:
-                    out[("c", m, k)] = -c1
-            elif f == "c":
-                out[("a", m + 1, k)] = Fraction(1)
-                if k:
-                    out[("b", m, k - 1)] = Fraction(k)
-            else:
-                c1 = Fraction(m - 2 * k - 1) + 2 * p
-                if c1:
-                    out[("b", m, k)] = c1
-                c2 = 2 * lam + k
-                if c2:
-                    out[("a", m, k)] = c2
-        elif gen == "X":
-            out = self.act("A", self.act_basis("A", bv))
-        elif gen == "Y":
-            out = vec_scale(self.act("B", self.act_basis("B", bv)), -1)
+                return ((("c", m - 1, k), D * m),) if m else ()
+            if f == "b":
+                return ((("d", m, k), D),)
+            if f == "c":
+                return ((("a", m, k), D),)
+            return ((("b", m - 1, k), D * m),) if m else ()
+        if gen != "B":
+            raise ValueError(f"no first-order row for generator {gen!r}")
+        out = []
+        if f == "a":
+            c1 = D * (m - 2 * k) + p2
+            if c1:
+                out.append((("c", m, k), c1))
+            if k:
+                out.append((("d", m, k - 1), -D * k))
+        elif f == "b":
+            out.append((("d", m + 1, k), D))
+            c1 = lam2 + D * k
+            if c1:
+                out.append((("c", m, k), -c1))
+        elif f == "c":
+            out.append((("a", m + 1, k), D))
+            if k:
+                out.append((("b", m, k - 1), D * k))
         else:
-            raise ValueError(f"unknown generator {gen!r}")
-        return out
+            c1 = D * (m - 2 * k - 1) + p2
+            if c1:
+                out.append((("b", m, k), c1))
+            c2 = lam2 + D * k
+            if c2:
+                out.append((("a", m, k), c2))
+        return tuple(out)
+
+    def scaled_weight(self, t):
+        """D * alpha for the weight alpha of the slice t = 2(alpha + p).
+
+        H acts on that slice as alpha times the identity. D * t and
+        D * 2p are even (D = 2L^2), so the halving is exact.
+        """
+        D, _, p2 = self._ints
+        return (D * t - p2) // 2
+
+    def act_basis(self, gen, bv):
+        """Action of one generator on one basis vector, {bv: Fraction}.
+
+        H, A and B are `scaled_act_basis` divided by D; X = A o A and
+        Y = -B o B are composed in Fractions.
+        """
+        if gen == "X":
+            return self.act("A", self.act_basis("A", bv))
+        if gen == "Y":
+            return vec_scale(self.act("B", self.act_basis("B", bv)), -1)
+        D = self._ints[0]
+        return {t: Fraction(c, D) for t, c in self.scaled_act_basis(gen, bv)}
 
     def act(self, gen, vec):
         """Linear extension of act_basis to {BasisVector: Fraction}."""
@@ -194,12 +231,16 @@ class TruncatedDlm:
             vec_add(out, self.act_basis(gen, bv), c)
         return out
 
+    def twice_shifted(self, alpha):
+        """t = 2(alpha + p) as an int, or None when no vector has weight
+        alpha."""
+        t = 2 * (alpha + self.p)
+        return t.numerator if t.denominator == 1 else None
+
     def weight_basis(self, alpha, parity=None):
         """All basis vectors of weight alpha with k <= K, family-major."""
-        t = 2 * (Fraction(alpha) + self.p)    # = 2(k - m) + 2 shift
-        if t.denominator != 1:
-            return []
-        return self.twice_weight_basis(t.numerator, parity)
+        t = self.twice_shifted(alpha)
+        return [] if t is None else self.twice_weight_basis(t, parity)
 
     def twice_weight_basis(self, t, parity=None):
         """weight_basis(alpha) for the integer t = 2(alpha + p)."""
@@ -214,49 +255,48 @@ class TruncatedDlm:
                 out.append((f, k - s, k))
         return out
 
-    def kernel_slice(self, gens, alpha):
-        """Integer basis of the joint kernel of `gens` on the alpha slice.
+    def kernel_slice(self, gens, t):
+        """Integer basis of the joint kernel of `gens` on the slice t.
 
-        The memo images of the slice's basis vectors are stacked as rows
-        (one per generator and target vector) and their null space is
-        taken in integers (`linalg.int_kernel_basis`); the memo's scale
-        changes no kernel. Returns {BasisVector: int} vectors, one per
-        free column of the unique reduced echelon form.
+        t = 2(alpha + p) is an int (`twice_shifted`); the slice holds one
+        parity, t mod 2. The memo images of its basis vectors are stacked
+        as rows (one per generator and target vector) and their null
+        space is taken in integers (`linalg.int_kernel_basis`); the
+        memo's scale changes no kernel. Returns {BasisVector: int}
+        vectors, one per free column of the unique reduced echelon form.
         """
-        basis = self.weight_basis(alpha)
-        image = module_memo(self).image
+        memo = module_memo(self)
+        basis = list(memo.slice(t, t % 2))
         rows = {}
         for col, bv in enumerate(basis):
             for g in gens:
-                for t, x in image(g, bv):
-                    rows.setdefault((g, t), {})[col] = x
+                for tbv, x in memo.image(g, bv):
+                    rows.setdefault((g, tbv), {})[col] = x
         return [{basis[c]: x for c, x in v.items()}
                 for v in linalg.int_kernel_basis(list(rows.values()),
                                                  len(basis))]
 
     def kernel_weights(self):
-        """Weights that can support m = 0 vectors (k <= K).
+        """The slices t = 2(alpha + p) that hold m = 0 vectors (k <= K),
+        increasing.
 
         Kernels of the raising/odd generators consist of m = 0 vectors
         only (every action row on an m > 0 vector keeps an m >= 1 tail
-        with a nonzero coefficient m), so scanning these weights sees
+        with a nonzero coefficient m), so scanning these slices sees
         every kernel element.
         """
-        out = set()
-        for f in FAMILIES:
-            for k in range(self.K + 1):
-                out.add(k - self.p + FAMILY_SHIFT[f])
-        return sorted(out)
+        return sorted({2 * k + s for s in _SHIFT2.values()
+                       for k in range(self.K + 1)})
 
     def check_a_onto(self):
-        """rank(A : M^w -> M^{w+1/2}) == dim M^{w+1/2} on the kernel weights.
+        """rank(A : M^t -> M^{t+1}) == dim M^{t+1} on the kernel slices.
 
         Ranked in integers on the memo's A images.
         """
-        image = module_memo(self).image
-        for w in self.kernel_weights():
-            target = self.weight_basis(w + Fraction(1, 2))
-            rows = [dict(image("A", bv)) for bv in self.weight_basis(w)]
+        memo = module_memo(self)
+        for t in self.kernel_weights():
+            rows = [dict(memo.image("A", bv)) for bv in memo.slice(t, t % 2)]
+            target = memo.slice(t + 1, (t + 1) % 2)
             if len(linalg.int_pivots(rows)) != len(target):
                 return False
         return True
@@ -275,11 +315,12 @@ def action_scale(mod):
 class ModuleMemo:
     """Integer action images of one module, its weight slices and chains.
 
-    `image(gen, bv)` is act_basis(gen, bv) * scale as a tuple of
-    (BasisVector, int) pairs, computed on first use; X and Y are
-    composed from the A and B images (see the module docstring). A
-    weight slice is keyed by the int t = 2(alpha + p) and a parity, and
-    `stencil` holds a generator's images on it by slice positions.
+    `image(gen, bv)` is scale * gen.bv as a tuple of (BasisVector, int)
+    pairs, computed on first use: the module's integer table
+    (`scaled_act_basis`) for H, A and B, and X and Y composed from the
+    A and B images (see the module docstring). A weight slice is keyed
+    by the int t = 2(alpha + p) and a parity, and `stencil` holds a
+    generator's images on it by slice positions.
     `chains` belongs to `cochains`, which files its weight chains there.
     """
 
@@ -306,7 +347,7 @@ class ModuleMemo:
         of (position in the slice gen maps into, int) pairs."""
         hit = self._stencils.get((gen, t, parity))
         if hit is None:
-            pos = self.slice(t + _TWICE_WEIGHT[gen],
+            pos = self.slice(t + TWICE_WEIGHT[gen],
                              (parity + PARITY[gen]) % 2)
             hit = self._stencils[(gen, t, parity)] = tuple(
                 tuple((pos[tbv], x) for tbv, x in self.image(gen, bv))
@@ -320,14 +361,12 @@ class ModuleMemo:
             if gen in _SQUARES:
                 img = self._square(gen, bv)
             else:
-                img = []
-                for tbv, c in self.mod.act_basis(gen, bv).items():
-                    v = c * self.scale
-                    if v.denominator != 1:
+                img = self.mod.scaled_act_basis(gen, bv)
+                for _, x in img:
+                    if type(x) is not int:
                         raise NonIntegralScale(
-                            f"{gen}.{bv} has coefficient {c}, not in "
-                            f"(1/{self.scale})Z")
-                    img.append((tbv, v.numerator))
+                            f"{gen}.{bv} has scaled coefficient {x!r}, "
+                            f"not an int")
             img = images[bv] = tuple(img)
         return img
 
@@ -353,7 +392,7 @@ class ModuleMemo:
 
 # X = A o A and Y = -B o B: (odd generator, sign)
 _SQUARES = {"X": ("A", 1), "Y": ("B", -1)}
-_TWICE_WEIGHT = {g: int(2 * w) for g, w in WEIGHT.items()}
+TWICE_WEIGHT = {g: int(2 * w) for g, w in WEIGHT.items()}
 
 # one module at a time: nothing in the program ranks two modules at once
 MEMO_MODULES = 1

@@ -188,7 +188,7 @@ def test_criterion_10_cup_product_gelfand_fuchs():
         h, _ = make_h_lambda(F(-k, 2))
         omega = cup(f, h)
         assert coboundary(omega).is_zero()
-        report = engine.gelfand_fuchs_check(k)
+        report, _ = engine.gelfand_fuchs_check(k)
         assert report["C_k"] == "-1/4"
         assert engine.is_coboundary(omega) is None
         res = restrict_sl2(omega)
@@ -203,9 +203,10 @@ def test_criterion_11_b_image_lemma():
         for lam in (F(-k0, 2), F(1), F(1, 3), F(-2)):
             mu = lam + k0 + F(1, 2)
             mod = TruncatedDlm(lam, mu, max(3, k0 + 1))
-            ker_half = mod.kernel_slice(("A",), F(-1, 2))
-            y_img = [mod.act("Y", v) for v in mod.kernel_slice(("X",), F(0))]
-            b_img = [mod.act("B", v) for v in mod.kernel_slice(("A",), F(0))]
+            t = mod.twice_shifted(0)     # kernel slices are keyed by t
+            ker_half = mod.kernel_slice(("A",), t - 1)
+            y_img = [mod.act("Y", v) for v in mod.kernel_slice(("X",), t)]
+            b_img = [mod.act("B", v) for v in mod.kernel_slice(("A",), t)]
             for vec in ker_half:
                 bw = mod.act("B", vec)
                 if not bw or linalg.greedy_independent(y_img, [bw]) == []:

@@ -114,6 +114,30 @@ def test_cocycles_cup(capsys):
     assert all(data["checks"].values())
 
 
+def test_cocycles_cup_builds_each_factor_once(capsys, monkeypatch):
+    # the Gelfand-Fuchs check reads the Omega_k that the command built
+    from ospcoho import cochains, engine
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("make_f_k", "make_h_lambda", "cup"):
+        wrapped = counted(name, getattr(cochains, name))
+        for module in (cochains, engine, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    for k in (0, 2):
+        counts.clear()
+        code, out = run_cli(capsys, "cocycles", "--kind", "cup",
+                            "--k", str(k))
+        assert code == 0 and json.loads(out)["gelfand_fuchs"]["k"] == k
+        assert counts == {"make_f_k": 1, "make_h_lambda": 1, "cup": 1}
+
+
 def test_selftest_suite(capsys):
     code, out = run_cli(capsys, "selftest", "--suite", "algebra")
     assert code == 0

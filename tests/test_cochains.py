@@ -14,7 +14,7 @@ from ospcoho.cochains import (Cochain, NoCocycle, TypeMismatch, coboundary,
                               is_reduced, make_f_k, make_ftilde_k,
                               make_h_lambda, reduce_cochain, restrict_sl2,
                               zero_cochain)
-from ospcoho.engine import (guard_K, is_coboundary, predict_sl2,
+from ospcoho.engine import (guard_K, h_dim, is_coboundary, predict_sl2,
                             predict_theorem)
 from ospcoho.weightmod import (TruncatedDlm, action_scale, module_memo,
                                to_oppoly, vec_add, vec_scale)
@@ -143,14 +143,15 @@ def test_integer_coboundary_matches_fraction_reference():
 
 
 def test_integer_paths_never_use_the_fraction_action(monkeypatch):
-    # the memo composes X and Y from its A and B images, and coboundary
-    # reads memo images: neither may fall back to the Fraction action;
-    # the solves and the cocycle constructors run on delta_block's
-    # integer columns, never on the Fraction delta_matrix (a test oracle,
-    # patched into cochains in case it ever returns there); the
-    # closed-form predictions rank memo images too
-    calls = []
+    # the memo reads the integer table (`scaled_act_basis`) and composes X
+    # and Y from its A and B rows; coboundary, the weight chains, the
+    # solves, the cocycle constructors and the closed-form predictions
+    # read memo images. None of them may call the Fraction action
+    # (`act_basis`, `act`) or the Fraction delta_matrix (a test oracle,
+    # patched into cochains in case it ever returns there)
+    calls, table_calls = [], []
     act_basis, act = TruncatedDlm.act_basis, TruncatedDlm.act
+    scaled_act_basis = TruncatedDlm.scaled_act_basis
     delta_matrix_calls = []
 
     def counted_delta_matrix(*args, **kwargs):
@@ -165,26 +166,40 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
         calls.append(("act", gen))
         return act(self, gen, vec)
 
+    def counted_table(self, gen, bv):
+        table_calls.append(gen)
+        return scaled_act_basis(self, gen, bv)
+
+    def phase_done():
+        # the table was read, the Fraction action never; the next phase
+        # starts from a cold memo
+        assert table_calls and calls == []
+        table_calls.clear()
+        module_memo.cache_clear()
+
     monkeypatch.setattr(TruncatedDlm, "act_basis", counted_act_basis)
     monkeypatch.setattr(TruncatedDlm, "act", counted_act)
+    monkeypatch.setattr(TruncatedDlm, "scaled_act_basis", counted_table)
     monkeypatch.setattr(cc, "delta_matrix", counted_delta_matrix,
                         raising=False)
+    module_memo.cache_clear()
     mod = TruncatedDlm(F(1, 3), F(5, 6), 4)
     memo = module_memo(mod)
     for bv in mod.weight_basis(F(1, 2)) + mod.weight_basis(F(-1, 2)):
         memo.image("X", bv)
         memo.image("Y", bv)
-    assert calls and set(calls) <= {("act_basis", "A"), ("act_basis", "B")}
-    calls.clear()
-    module_memo.cache_clear()
+    assert set(table_calls) == {"A", "B"}
+    phase_done()
     rng = random.Random(5)
     for degree in (0, 1, 2):
         for parity in (0, 1):
             f = random_cochain(mod, degree, parity, rng)
             assert not coboundary(f).is_zero()
-    assert calls and set(calls) <= {("act_basis", g) for g in "HAB"}
-    calls.clear()
-    module_memo.cache_clear()
+    phase_done()
+    for w in (F(0), F(1, 2), F(-1)):
+        for n in range(4):
+            h_dim(mod, n, w)
+    phase_done()
     for degree in (1, 2):
         for parity in (0, 1):
             f = random_cochain(mod, degree, parity, rng)
@@ -195,16 +210,14 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
         make_f_k(k)
         make_ftilde_k(k)
         make_h_lambda(F(k, 2))
-    assert calls and set(calls) <= {("act_basis", g) for g in "HAB"}
     assert delta_matrix_calls == []
-    calls.clear()
-    module_memo.cache_clear()
+    phase_done()
     for lam, mu in ((F(0), F(1, 2)), (F(1, 3), F(5, 6)), (F(0), F(2))):
         pmod = TruncatedDlm(lam, mu, guard_K(lam, mu))
         assert pmod.check_a_onto()
         predict_theorem(pmod)
         predict_sl2(pmod)
-    assert calls and set(calls) <= {("act_basis", g) for g in "HAB"}
+    phase_done()
 
 
 def test_coboundary_preserves_parity_and_weight():

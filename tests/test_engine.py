@@ -82,8 +82,8 @@ class _AZero(TruncatedDlm):
 
     __slots__ = ()
 
-    def act_basis(self, gen, bv):
-        return {} if gen == "A" else super().act_basis(gen, bv)
+    def scaled_act_basis(self, gen, bv):
+        return () if gen == "A" else super().scaled_act_basis(gen, bv)
 
 
 def test_subclass_gets_its_own_memo():
@@ -421,7 +421,8 @@ def test_h2_representative_localizes():
 
 def test_gelfand_fuchs_constant():
     for k in (0, 1, 2):
-        rep = gelfand_fuchs_check(k)
+        rep, omega = gelfand_fuchs_check(k)
+        assert omega.degree == 2 and coboundary(omega).is_zero()
         assert rep["C_k"] == "-1/4"
         assert rep["cup_sign_variant"] == "printed"
         assert rep["printed_constant"] == str(F(-(-1) ** k))
@@ -455,15 +456,21 @@ def test_restriction_check_rejects_dependent_restrictions(monkeypatch):
 
 
 def test_outputs_are_pinned(tmp_path, capsys):
-    # the dims CSV, the restriction checks of the acceptance grid, and
-    # the stdout of selftest, audit and the f, ftilde and cup cocycles,
-    # byte for byte
+    # the dims CSVs of the half-integer grid and of five other points,
+    # the restriction checks of the acceptance grid, and the stdout of
+    # selftest, audit and the f, ftilde and cup cocycles, byte for byte
     from ospcoho import cli
     out = tmp_path / "dims.csv"
     assert cli.main(["dims", "--grid", "halfints:-1..1", "--format", "csv",
                      "--threads", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "3a8916cc9b0dfeaad039de0359b86cde03debf109050368029d61b45027f4d5b")
+    # points off the half-integer lattice: action scales D = 18 and 50
+    assert cli.main(["dims", "--grid", "pairs:1/3,0;1/3,5/6;2/5,-1/10;"
+                     "-1/3,7/6;1/6,1/6", "--format", "csv",
+                     "--threads", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f4e2d8db7f8e0942ed5497bfbffab7e4cdb668ff3b642d890ce7081cdc59107e")
     checks = [restriction_injectivity_check(lam, mu, K=8, nmax=2)
               for lam, mu in ACCEPTANCE_GRID]
     assert sum(len(c["classes"]) for c in checks) == 22

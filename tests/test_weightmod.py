@@ -12,8 +12,8 @@ from ospcoho.superdiff import solve_realization_constants, \
     derived_module_action
 from ospcoho.weightmod import (FAMILIES, FAMILY_PARITY,
                                TruncatedDlm, TruncationViolation,
-                               action_compat_defect, from_oppoly,
-                               module_axiom_holds, to_oppoly)
+                               action_compat_defect, action_scale,
+                               from_oppoly, module_axiom_holds, to_oppoly)
 
 F = Fraction
 
@@ -150,11 +150,16 @@ def test_weight_basis_examples():
     assert TruncatedDlm(0, 0, 3).weight_basis(F(17, 3)) == []
 
 
+def _kernel_at(mod, gens, alpha):
+    # kernel slices are keyed by the int t = 2(alpha + p)
+    return mod.kernel_slice(gens, mod.twice_shifted(alpha))
+
+
 def test_ker_a_is_m_zero_span():
     mod = TruncatedDlm(0, 0, 3)
     found = {}
-    for alpha in mod.kernel_weights():
-        for v in mod.kernel_slice(("A",), alpha):
+    for t in mod.kernel_weights():
+        for v in mod.kernel_slice(("A",), t):
             assert set(v) <= {("a", 0, k) for k in range(4)} | \
                 {("d", 0, k) for k in range(4)}
             found.update(v)
@@ -165,20 +170,20 @@ def test_joint_kernel_cases():
     # p = 0: span(a_{0,0})
     mod = TruncatedDlm(F(5), F(5), 3)
     total = []
-    for alpha in mod.kernel_weights():
-        total += mod.kernel_slice(("A", "B"), alpha)
+    for t in mod.kernel_weights():
+        total += mod.kernel_slice(("A", "B"), t)
     assert total == [{("a", 0, 0): 1}]
     # p = k0 + 1/2 with 2 lam + k0 = 0: span(d_{0,k0})
     k0 = 2
     mod = TruncatedDlm(F(-k0, 2), F(k0 + 1, 2), 3)
     total = []
-    for alpha in mod.kernel_weights():
-        total += mod.kernel_slice(("A", "B"), alpha)
+    for t in mod.kernel_weights():
+        total += mod.kernel_slice(("A", "B"), t)
     assert total == [{("d", 0, k0): 1}]
     # generic p: zero
     mod = TruncatedDlm(F(1, 3), F(0), 3)
-    for alpha in mod.kernel_weights():
-        assert mod.kernel_slice(("A", "B"), alpha) == []
+    for t in mod.kernel_weights():
+        assert mod.kernel_slice(("A", "B"), t) == []
 
 
 def _int_rank(vecs):
@@ -194,34 +199,34 @@ def test_image_and_quotient_cases():
     # p = k0 + 1/2, 2 lam + k0 = 0: B((ker A)^0) = 0, quotient dim 1
     k0 = 1
     mod = TruncatedDlm(F(-k0, 2), F(k0 + 1, 2), 3)
-    ker0 = mod.kernel_slice(("A",), 0)
+    ker0 = _kernel_at(mod, ("A",), 0)
     assert ker0 == [{("d", 0, k0): 1}]
     image = _b_image(mod, ker0)
     assert _int_rank(image) == 0
-    ker_half = mod.kernel_slice(("A",), F(-1, 2))
+    ker_half = _kernel_at(mod, ("A",), F(-1, 2))
     assert ker_half == [{("a", 0, k0): 1}]
     assert linalg.quotient_dim(ker_half, image) == 1
     # same p but 2 lam + k0 != 0: image spans (ker A)^{-1/2}
     mod = TruncatedDlm(F(1), F(1) + k0 + F(1, 2), 3)
     assert mod.p == k0 + F(1, 2)
-    image = _b_image(mod, mod.kernel_slice(("A",), 0))
-    ker_half = mod.kernel_slice(("A",), F(-1, 2))
+    image = _b_image(mod, _kernel_at(mod, ("A",), 0))
+    ker_half = _kernel_at(mod, ("A",), F(-1, 2))
     assert _int_rank(image) == _int_rank(ker_half)
     assert linalg.greedy_independent(ker_half, image) == []
     assert linalg.quotient_dim(ker_half, image) == 0
     # p = k0 + 1: needs K >= k0 + 1; quotient 0
     mod = TruncatedDlm(F(0), F(k0 + 1), k0 + 2)
-    ker0 = mod.kernel_slice(("A",), 0)
+    ker0 = _kernel_at(mod, ("A",), 0)
     assert ker0 == [{("a", 0, k0 + 1): 1}]
     image = _b_image(mod, ker0)
-    ker_half = mod.kernel_slice(("A",), F(-1, 2))
+    ker_half = _kernel_at(mod, ("A",), F(-1, 2))
     assert ker_half == [{("d", 0, k0): 1}]
     assert _int_rank(image) == _int_rank(ker_half)
     assert linalg.greedy_independent(ker_half, image) == []
     assert linalg.quotient_dim(ker_half, image) == 0
     # p = 1 instance: B((ker A)^0) = span(d_{0,0}) up to scale
     mod = TruncatedDlm(F(1, 3), F(4, 3), 3)
-    image = _b_image(mod, mod.kernel_slice(("A",), 0))
+    image = _b_image(mod, _kernel_at(mod, ("A",), 0))
     assert _int_rank(image) == 1
     assert linalg.greedy_independent(image, [{("d", 0, 0): F(7)}]) == []
 
@@ -246,9 +251,9 @@ def test_lemma_b_image_characterization():
     for k0 in (0, 1, 2):
         for lam in (F(-k0, 2), F(1), F(1, 3)):
             mod = TruncatedDlm(lam, lam + k0 + F(1, 2), max(3, k0 + 1))
-            ker_half = mod.kernel_slice(("A",), F(-1, 2))
-            y_img = [mod.act("Y", v) for v in mod.kernel_slice(("X",), 0)]
-            b_img = _b_image(mod, mod.kernel_slice(("A",), 0))
+            ker_half = _kernel_at(mod, ("A",), F(-1, 2))
+            y_img = [mod.act("Y", v) for v in _kernel_at(mod, ("X",), 0)]
+            b_img = _b_image(mod, _kernel_at(mod, ("A",), 0))
             for vec in ker_half:
                 bw = mod.act("B", vec)
                 if not bw or linalg.greedy_independent(y_img, [bw]) == []:
@@ -291,8 +296,8 @@ def test_memo_refuses_non_integral_coefficients():
     class Sevenths(TruncatedDlm):
         __slots__ = ()
 
-        def act_basis(self, gen, bv):
-            return {bv: F(1, 7)}
+        def scaled_act_basis(self, gen, bv):
+            return ((bv, F(1, 7)),)
 
     memo = wm.ModuleMemo(Sevenths(0, 0, 2))
     with pytest.raises(wm.NonIntegralScale):
@@ -324,3 +329,49 @@ def test_memo_images_of_all_generators_are_scaled_actions(lam, mu, K):
                         t: c * memo.scale
                         for t, c in mod.act_basis(gen, bv).items()}, \
                         (gen, bv)
+
+
+def _table_mismatches(mod, consts, max_m=2):
+    # memo images of all five generators against D times the realization
+    # oracle's commutator action, read back in the a/b/c/d basis
+    memo = wm.ModuleMemo(mod)
+    bad = []
+    for gen in GENS:
+        for f in FAMILIES:
+            for m in range(max_m + 1):
+                for k in range(mod.K + 1):
+                    bv = (f, m, k)
+                    oracle = from_oppoly(derived_module_action(
+                        gen, to_oppoly({bv: F(1)}), mod.lam, mod.mu, consts),
+                        mod)
+                    if dict(memo.image(gen, bv)) != {
+                            t: c * memo.scale for t, c in oracle.items()}:
+                        bad.append((gen, bv))
+    return bad
+
+
+def test_integer_table_matches_the_realization_oracle():
+    # the integer table is the one definition of the action, so it is
+    # checked against the independent realization on modules with
+    # L = lcm(den 2lam, den 2p) > 1, which the half-integer grid never
+    # reaches (there D <= 2)
+    consts = solve_realization_constants(adopted_table())
+    mods = [TruncatedDlm(F(1, 3), F(5, 6), 3),       # L = 3
+            TruncatedDlm(F(2, 5), F(-1, 10), 3),     # L = 5
+            TruncatedDlm(F(1, 6), F(-1, 5), 3)]      # L = 15
+    assert [action_scale(mod) for mod in mods] == [18, 50, 450]
+    for mod in mods:
+        assert _table_mismatches(mod, consts) == [], mod
+
+    class OneCoefficientOff(TruncatedDlm):
+        __slots__ = ()
+
+        def scaled_act_basis(self, gen, bv):
+            img = super().scaled_act_basis(gen, bv)
+            if gen == "B" and bv == ("d", 1, 1):
+                (t0, c0), *rest = img     # one coefficient off by 1
+                img = ((t0, c0 + action_scale(self)), *rest)
+            return img
+
+    bad = _table_mismatches(OneCoefficientOff(F(1, 3), F(5, 6), 2), consts)
+    assert ("B", ("d", 1, 1)) in bad and ("Y", ("d", 1, 1)) in bad
