@@ -44,17 +44,6 @@ class NoConsistentRepair(RuntimeError):
     """No table in the audit search space passes both consistency checks."""
 
 
-def combo_add(target, src, coeff=Fraction(1)):
-    """target += coeff * src for {generator: Fraction} combinations."""
-    for g, v in src.items():
-        s = target.get(g, Fraction(0)) + coeff * v
-        if s:
-            target[g] = s
-        else:
-            target.pop(g, None)
-    return target
-
-
 def combo_scale(src, coeff):
     if not coeff:
         return {}
@@ -118,27 +107,6 @@ class StructureTable:
             return combo_scale(self._rows[(v, u)], Fraction(sign))
         return {}  # even diagonal
 
-    def bracket_combo(self, cu, cv):
-        out = {}
-        for u, a in cu.items():
-            for v, b in cv.items():
-                combo_add(out, self.bracket(u, v), a * b)
-        return out
-
-    def jacobi_defect(self, u, v, w):
-        """[[u,v],w] + (-1)^{uv} [v,[u,w]] - [u,[v,w]].
-
-        Zero on every triple iff ad_u is a graded derivation for all u,
-        i.e. iff the table is a Lie superalgebra.
-        """
-        sign = Fraction(-1 if PARITY[u] and PARITY[v] else 1)
-        out = self.bracket_combo(self.bracket(u, v), {w: Fraction(1)})
-        combo_add(out, self.bracket_combo({v: Fraction(1)},
-                                          self.bracket(u, w)), sign)
-        combo_add(out, self.bracket_combo({u: Fraction(1)},
-                                          self.bracket(v, w)), Fraction(-1))
-        return out
-
     def scaled_brackets(self):
         """(T, {(u, v): ((g, T * c), ...)}) for all 25 ordered pairs.
 
@@ -160,12 +128,14 @@ class StructureTable:
         return self._scaled
 
     def jacobi_failures(self, stop_at_first=False):
-        """[((u, v, w), jacobi_defect(u, v, w))] for the failing triples.
+        """[((u, v, w), defect)] for the failing triples.
 
-        Decided in integers: T^2 * defect is accumulated from the
-        brackets scaled by T (`scaled_brackets`), and only a nonzero
-        defect is divided by T^2, so it equals `jacobi_defect`, which
-        stays the Fraction definition.
+        The defect is [[u,v],w] + (-1)^{uv} [v,[u,w]] - [u,[v,w]], zero on
+        every triple iff ad_u is a graded derivation for all u, i.e. iff
+        the table is a Lie superalgebra. Decided in integers: T^2 * defect
+        is accumulated from the brackets scaled by T (`scaled_brackets`),
+        and only a nonzero defect is divided by T^2, so it equals the
+        Fraction definition (`jacobi_defect` in tests_support_dense).
         """
         T, br = self.scaled_brackets()
         fails = []
@@ -436,23 +406,3 @@ def monomial_str(mono):
         n = len(list(group))
         parts.append(g if n == 1 else f"{g}^{n}")
     return " ".join(parts)
-
-
-def parse_monomial(text):
-    text = text.strip()
-    if text in ("", "1"):
-        return ()
-    out = []
-    for tok in text.split():
-        if "^" in tok:
-            g, n = tok.split("^")
-            out.extend([g] * int(n))
-        else:
-            out.append(tok)
-    for g in out:
-        if g not in PARITY:
-            raise ValueError(f"unknown generator {g!r}")
-    mono, sign = canonicalize(out)
-    if sign != 1:
-        raise ValueError(f"{text!r} is not a canonical monomial")
-    return mono

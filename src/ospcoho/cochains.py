@@ -34,10 +34,10 @@ from math import lcm
 from . import linalg
 from .algebra import (GENS, PARITY, SL2, adopted_table, canonicalize,
                       monomial_basis, monomial_parity, monomial_str,
-                      monomial_weight, parse_monomial)
+                      monomial_weight)
 from .weightmod import (FAMILY_PARITY, TruncatedDlm, from_oppoly,
-                        module_memo, to_oppoly, vec_add, vec_from_json,
-                        vec_scale, vec_to_json)
+                        module_memo, to_oppoly, vec_add, vec_scale,
+                        vec_to_json)
 
 
 class SolveFailed(RuntimeError):
@@ -575,7 +575,7 @@ def slot_ratios(f, template):
     return ratios
 
 
-def h_lambda_template(lam=None):
+def h_lambda_template():
     """Reference slots of the lam = mu generating 1-cocycle."""
     return {
         "H": {("a", 0, 0): Fraction(-1)},
@@ -670,12 +670,3 @@ def cochain_to_json(f):
         "values": {monomial_str(u): vec_to_json(v)
                    for u, v in sorted(f.values.items())},
     }
-
-
-def cochain_from_json(data):
-    mod = TruncatedDlm(Fraction(data["lambda"]), Fraction(data["mu"]),
-                       data["K"])
-    universe = SL2 if data.get("universe") == "sl2" else GENS
-    vals = {parse_monomial(u): vec_from_json(v)
-            for u, v in data["values"].items()}
-    return Cochain(mod, data["degree"], data["parity"], vals, universe)

@@ -110,15 +110,20 @@ class DimCount:
 
 
 def h_dim(mod, n, w, universe=GENS):
-    """dim H^n at cochain weight w, split by cochain parity.
+    """dim H^n at cochain weight w, split by cochain parity; w becomes
+    the int t = 2(w + p) once (`twice_h_dim`)."""
+    return twice_h_dim(mod, n, mod.twice_shifted(w), universe)
 
-    dim H^n_w = cols_n - rank d_n - rank d_{n-1} per parity. w becomes
-    the int t = 2(w + p) once; the ranks are chained on the weight chain
-    of (t, parity) (see `_chain_rank`), which presumes d^2 = 0; the
-    adopted table and the module axiom guarantee it, and blocks may be
-    asked for in any order.
+
+def twice_h_dim(mod, n, t, universe=GENS):
+    """`h_dim` at t = 2(w + p) (`twice_shifted`: an int, or None when no
+    vector has weight w and every block is empty).
+
+    dim H^n_w = cols_n - rank d_n - rank d_{n-1} per parity. The ranks
+    are chained on the weight chain of (t, parity) (see `_chain_rank`),
+    which presumes d^2 = 0; the adopted table and the module axiom
+    guarantee it, and blocks may be asked for in any order.
     """
-    t = mod.twice_shifted(w)
     per = {}
     for parity in (0, 1):
         chain = _weight_chain(mod, t, parity, universe)
@@ -172,6 +177,7 @@ def predict_theorem(mod, nmax=NMAX_DEFAULT):
     return _theorem_shape(d0, q, nmax)
 
 
+# no caller in the program yet: `ospcoho restrict` is to print it
 def predict_sl2(mod, nmax=NMAX_DEFAULT):
     """sl(2) dimensions from the ker X / Y((ker X)^0) description."""
     d0 = _total_kernel_dim(mod, ("X", "Y"))
@@ -253,6 +259,7 @@ def class_representatives(mod, n, w, parity, universe=GENS):
 
 # --- localization and restriction checks -------------------------------------
 
+# no caller in the program yet: `ospcoho restrict` is to print it
 def localization_kernel_dim(mod, n, w, parity):
     """dim of {reduced n-cocycles at weight w with f(B^n) = 0}.
 
@@ -390,12 +397,8 @@ def run_audit(printed=None):
 # --- reports ------------------------------------------------------------------
 
 def _half_range(wmax):
-    out = []
-    j = -int(Fraction(wmax) * 2)
-    while j <= int(Fraction(wmax) * 2):
-        out.append(Fraction(j, 2))
-        j += 1
-    return out
+    m = int(2 * Fraction(wmax))
+    return [Fraction(j, 2) for j in range(-m, m + 1)]
 
 
 @dataclass
@@ -461,13 +464,15 @@ def build_report(lam, mu, K=None, nmax=NMAX_DEFAULT, wmax=WMAX_DEFAULT):
     K_eff = guard_K(lam, mu, K)
     mod = TruncatedDlm(lam, mu, K_eff)
     computed = {}
+    t = mod.twice_shifted(0)
     for n in range(nmax + 1):
-        computed[n] = {Fraction(0): h_dim(mod, n, 0)}
+        computed[n] = {Fraction(0): twice_h_dim(mod, n, t)}
     for w in _half_range(wmax):
         if w == 0:
             continue
+        t = mod.twice_shifted(w)
         for n in range(min(nmax, 2) + 1):
-            computed[n][w] = h_dim(mod, n, w)
+            computed[n][w] = twice_h_dim(mod, n, t)
     theorem = predict_theorem(mod, nmax)
     proposition = predict_proposition(lam, mu, nmax)
     match = True
@@ -506,11 +511,10 @@ def grid_reports(pairs, K=None, nmax=NMAX_DEFAULT, wmax=WMAX_DEFAULT,
 
 # --- self-test suites ----------------------------------------------------------
 
-def _random_cochain(mod, degree, parity, rng, universe=GENS,
-                    weights=(Fraction(0), Fraction(1, 2), Fraction(-1))):
+def _random_cochain(mod, degree, parity, rng):
     vals = {}
-    for u in algebra.monomial_basis(degree, universe):
-        for w in weights:
+    for u in algebra.monomial_basis(degree):
+        for w in (Fraction(0), Fraction(1, 2), Fraction(-1)):
             bvpar = (parity + algebra.monomial_parity(u)) % 2
             basis = mod.weight_basis(w + algebra.monomial_weight(u),
                                      parity=bvpar)
@@ -519,7 +523,7 @@ def _random_cochain(mod, degree, parity, rng, universe=GENS,
                     c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                     if c:
                         vals.setdefault(u, {})[bv] = c
-    return Cochain(mod, degree, parity, vals, universe)
+    return Cochain(mod, degree, parity, vals)
 
 
 SELFTEST_SUITES = ("algebra", "module", "complex", "oracle", "all")
@@ -573,18 +577,22 @@ def selftest(suite="all"):
         check("realization-constants",
               (consts.cH, consts.cX, consts.cY, consts.cA, consts.cB)
               == (-1, 1, -1, 2, 2), str(consts))
+        # the memo images every complex is built on (X and Y composed
+        # in integers) must be D times the oracle's commutator action
         ok = True
         mod = TruncatedDlm(Fraction(-1, 2), Fraction(1), 3)
+        memo = module_memo(mod)
         for gen in GENS:
             for f in ("a", "b", "c", "d"):
                 for m in range(3):
                     for k in range(3):
                         bv = (f, m, k)
-                        direct = mod.act_basis(gen, bv)
                         oracle = derived_module_action(
                             gen, to_oppoly({bv: Fraction(1)}),
                             mod.lam, mod.mu, consts)
-                        if from_oppoly(oracle, mod) != direct:
+                        if dict(memo.image(gen, bv)) != {
+                                v: memo.scale * c for v, c
+                                in from_oppoly(oracle, mod).items()}:
                             ok = False
         check("table-action-equals-realization", ok)
 

@@ -11,18 +11,19 @@ x^m theta^e1 dtheta^e2 dx^k; composition rewrites with
 while x and dx commute past theta and dtheta.
 
 The contact structure enters through eta = dtheta + theta dx and
-etabar = dtheta - theta dx: the bracket {F,G} = F G' - F' G +
-1/2 eta(F) etabar(G) and the contact field X_G = G dx + 1/2 eta(G) etabar.
-Scaled copies of X_1, X_x, X_{x^2}, X_theta, X_{x theta} realize
-osp(1|2); the scaling constants are solved from the adopted bracket
-table, not assumed.
+etabar = dtheta - theta dx: the contact field of G is
+X_G = G dx + 1/2 eta(G) etabar, and [X_F, X_G] = X_{F,G} for the bracket
+{F,G} = F G' - F' G + 1/2 eta(F) etabar(G) (checked in the tests,
+`contact_bracket`). Scaled copies of X_1, X_x, X_{x^2}, X_theta and
+X_{x theta} realize osp(1|2); the scaling constants are solved from the
+adopted bracket table, not assumed.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GENS, PARITY
+from .algebra import PARITY
 
 _ZERO = Fraction(0)
 
@@ -217,12 +218,6 @@ ETA = OpPoly({(0, 0, 1, 0): 1, (0, 1, 0, 1): 1})
 ETABAR = OpPoly({(0, 0, 1, 0): 1, (0, 1, 0, 1): -1})
 
 
-def contact_bracket(f, g):
-    """{F,G} = F G' - F' G + 1/2 eta(F) etabar(G)."""
-    out = f * g.dx() - f.dx() * g
-    return out + (ETA.apply(f) * ETABAR.apply(g)).scale(Fraction(1, 2))
-
-
 def vector_field(g):
     """X_G = G dx + 1/2 eta(G) etabar."""
     gdx = OpPoly({(m, e, 0, 1): c for (m, e), c in g.terms.items()})
@@ -261,15 +256,6 @@ class RealizationConstants:
 
     def symbol(self, gen):
         return _BASE_SYMBOLS[gen].scale(self.scale_of(gen))
-
-    def field(self, gen):
-        return vector_field(self.symbol(gen))
-
-
-def fields_match_table(consts, table):
-    """All 25 graded commutators of the scaled fields equal the table."""
-    fields = {g: consts.field(g) for g in GENS}
-    return _partial_match(fields, table, GENS)
 
 
 def _partial_match(fields, table, assigned):
@@ -339,7 +325,7 @@ def derived_module_action(gen, op, lam, mu, consts):
     return l_mu.compose(op) - op.compose(l_lam).scale(sign)
 
 
-# --- pretty-printing and parsing ------------------------------------------
+# --- pretty-printing -----------------------------------------------------
 
 def _factor_str(base, power):
     if power == 0:
@@ -371,44 +357,4 @@ def op_str(op):
     out = parts[0]
     for t in parts[1:]:
         out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
-
-
-_ALIASES = {"theta": "θ", "dθ": "∂θ", "dtheta": "∂θ", "dx": "∂x",
-            "∂_x": "∂x", "∂_θ": "∂θ"}
-
-
-def parse_op(text):
-    """Parse the grammar emitted by op_str back into an OpPoly."""
-    text = text.strip()
-    if not text or text == "0":
-        return OpPoly()
-    text = text.replace(" - ", " + -")
-    out = OpPoly()
-    for chunk in text.split(" + "):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        coeff = Fraction(1)
-        if chunk.startswith("-"):
-            coeff = -coeff
-            chunk = chunk[1:]
-        m = e1 = e2 = k = 0
-        for tok in chunk.split():
-            base, _, power = tok.partition("^")
-            base = _ALIASES.get(base, base)
-            power = int(power) if power else 1
-            if base == "x":
-                m += power
-            elif base == "θ":
-                e1 += power
-            elif base == "∂θ":
-                e2 += power
-            elif base == "∂x":
-                k += power
-            elif base == "1":
-                pass
-            else:
-                coeff *= Fraction(base) ** power
-        out = out + OpPoly.term(m, e1, e2, k, coeff)
     return out

@@ -26,8 +26,7 @@ The first-order rows are tabulated once, in integers:
 built from the integers D, D * 2lam and D * 2p, which are exact
 because den(2lam) and den(2p) divide L; H acts on the slice t by
 D * alpha = (D t - D 2p) / 2 (`scaled_weight`). This table is the one
-definition of the action: `act_basis` is its Fraction view (divided by
-D), and a module with another action overrides the table.
+definition of the action; a module with another action overrides it.
 
 `module_memo` keeps, for the most recently used module, the action
 images (each computed once), its weight slices, their integer
@@ -44,17 +43,17 @@ coefficients are integers and B's lie in (1/L)Z, so B o B needs only L^2.
 Every quotient is still checked with divmod, and a remainder raises
 NonIntegralScale, as does a table entry that is not an int; nothing is
 rounded. The composition uses nothing but the odd action, so it serves
-any osp(1|2) module that tabulates H, A and B.
+any osp(1|2) module that tabulates H, A and B. This is the only
+composition of X and Y in the program: the self-test compares these
+images, scale included, with the realization oracle
+(`superdiff.derived_module_action`), the independent check of the
+table.
 
 `module_axiom_holds` checks the module axiom on those images: it scales
 each defect by T * D^2, with T the lcm of the bracket table's
 denominators, so that it is an integer vector. `kernel_slice` and
 `check_a_onto`, which the closed-form predictions read, rank the same
-images in integers on the int-keyed slices. `act` (the linear extension
-of `act_basis`, composing X and Y in Fractions) and
-`action_compat_defect` keep a Fraction evaluation and serve as the
-tests' oracles; `derived_module_action` (superdiff) is the independent
-check of the table itself.
+images in integers on the int-keyed slices.
 """
 
 from fractions import Fraction
@@ -114,10 +113,6 @@ def vec_to_json(vec):
     return out
 
 
-def vec_from_json(data):
-    return {(f, m, k): Fraction(c) for f, m, k, c in data}
-
-
 class TruncatedDlm:
     """D_{lambda,mu} truncated to dx-order k <= K."""
 
@@ -157,8 +152,9 @@ class TruncatedDlm:
         """D * gen.bv for gen in H, A and B, as (BasisVector, int) pairs.
 
         D = action_scale(self). This table is the one definition of the
-        action: `act_basis` is its Fraction view, and the module memo
-        reads it directly. A module with another action overrides it.
+        action, and the module memo reads it directly; X and Y are
+        composed there (`ModuleMemo`). A module with another action
+        overrides it.
         """
         f, m, k = bv
         if k > self.K:
@@ -210,26 +206,6 @@ class TruncatedDlm:
         """
         D, _, p2 = self._ints
         return (D * t - p2) // 2
-
-    def act_basis(self, gen, bv):
-        """Action of one generator on one basis vector, {bv: Fraction}.
-
-        H, A and B are `scaled_act_basis` divided by D; X = A o A and
-        Y = -B o B are composed in Fractions.
-        """
-        if gen == "X":
-            return self.act("A", self.act_basis("A", bv))
-        if gen == "Y":
-            return vec_scale(self.act("B", self.act_basis("B", bv)), -1)
-        D = self._ints[0]
-        return {t: Fraction(c, D) for t, c in self.scaled_act_basis(gen, bv)}
-
-    def act(self, gen, vec):
-        """Linear extension of act_basis to {BasisVector: Fraction}."""
-        out = {}
-        for bv, c in vec.items():
-            vec_add(out, self.act_basis(gen, bv), c)
-        return out
 
     def twice_shifted(self, alpha):
         """t = 2(alpha + p) as an int, or None when no vector has weight
@@ -404,30 +380,17 @@ def module_memo(mod):
     return ModuleMemo(mod)
 
 
-def action_compat_defect(mod, table, u, v, bv):
-    """[u,v].w - (u.(v.w) - (-1)^{uv} v.(u.w)) for a basis vector w.
-
-    Zero for all inputs iff the action is a module for `table`.
-    """
-    w = {bv: Fraction(1)}
-    out = {}
-    for g, c in table.bracket(u, v).items():
-        vec_add(out, mod.act(g, w), c)
-    vec_add(out, mod.act(u, mod.act(v, w)), Fraction(-1))
-    sign = Fraction(-1 if PARITY[u] and PARITY[v] else 1)
-    vec_add(out, mod.act(v, mod.act(u, w)), sign)
-    return out
-
-
 def module_axiom_holds(mod, table, max_m=3, max_k=None):
     """Check the module axiom on all generator pairs and small vectors.
 
-    The same predicate as "every `action_compat_defect` over these
-    inputs is {}", decided in integers: with D = `module_memo(mod).scale`
-    (so `image(g, bv)` is D * g.bv) and T the lcm of the denominators of
-    the table's bracket coefficients, T * D^2 * defect is an integer
-    vector, zero iff the defect is. Each generator image is computed
-    once per module, whatever the table.
+    The defect of (u, v, w) is [u,v].w - (u.(v.w) - (-1)^{uv} v.(u.w));
+    the predicate is "every defect over these inputs is zero", which
+    the tests also evaluate in Fractions (`action_compat_defect` in
+    tests_support_dense). It is decided in integers: with
+    D = `module_memo(mod).scale` (so `image(g, bv)` is D * g.bv) and T
+    the lcm of the denominators of the table's bracket coefficients,
+    T * D^2 * defect is an integer vector, zero iff the defect is. Each
+    generator image is computed once per module, whatever the table.
     """
     if max_k is None:
         max_k = mod.K

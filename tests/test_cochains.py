@@ -10,7 +10,7 @@ from ospcoho.algebra import (GENS, SL2, _rescaled, adopted_table,
                              monomial_basis, monomial_parity,
                              monomial_weight)
 from ospcoho.cochains import (Cochain, NoCocycle, TypeMismatch, coboundary,
-                              cochain_from_json, cochain_to_json, cup,
+                              cochain_to_json, cup,
                               is_reduced, make_f_k, make_ftilde_k,
                               make_h_lambda, reduce_cochain, restrict_sl2,
                               zero_cochain)
@@ -19,7 +19,8 @@ from ospcoho.engine import (guard_K, h_dim, is_coboundary, predict_sl2,
 from ospcoho.weightmod import (TruncatedDlm, action_scale, module_memo,
                                to_oppoly, vec_add, vec_scale)
 from ospcoho.superdiff import OpPoly
-from tests_support_dense import delta_matrix, reference_koszul_terms
+from tests_support_dense import (act, act_basis, cochain_from_json,
+                                 delta_matrix, reference_koszul_terms)
 
 F = Fraction
 TABLE = adopted_table()
@@ -62,7 +63,7 @@ def test_zero_cochain_coboundary_formula():
         for g in GENS:
             sign = -1 if parity and g in ("A", "B") else 1
             assert dv.evaluate((g,)) == vec_scale(
-                MOD.act_basis(g, bv), sign)
+                act_basis(MOD, g, bv), sign)
 
 
 def test_reduced_one_cochain_AB_identity():
@@ -73,7 +74,7 @@ def test_reduced_one_cochain_AB_identity():
             ("H",): {bv: F(1) for bv in MOD.weight_basis(F(1, 2), 0)[:1]}}
     f = Cochain(MOD, 1, 0, vals)
     df = coboundary(f)
-    expected = MOD.act("A", f.values[("B",)])
+    expected = act(MOD, "A", f.values[("B",)])
     for g, c in TABLE.bracket("A", "B").items():
         expected = {k: v for k, v in expected.items()}
         for bv, coeff in vec_scale(f.evaluate((g,)), c).items():
@@ -105,7 +106,7 @@ def test_d_squared_zero_spanning_wide_window():
 
 def reference_coboundary(f, table):
     """The Fraction coboundary: the per-target Koszul sums (ungrouped)
-    applied through mod.act."""
+    applied through the Fraction action `act`."""
     out = {}
     T, terms = reference_koszul_terms(f.degree, f.parity, f.universe, table)
     for target, acts, brackets in terms:
@@ -113,7 +114,7 @@ def reference_coboundary(f, table):
         for gen, sub, sgn in acts:
             vec = f.values.get(sub)
             if vec:
-                vec_add(acc, f.mod.act(gen, vec), F(sgn))
+                vec_add(acc, act(f.mod, gen, vec), F(sgn))
         for mono, coeff in brackets:
             vec = f.values.get(mono)
             if vec:
@@ -146,11 +147,13 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
     # the memo reads the integer table (`scaled_act_basis`) and composes X
     # and Y from its A and B rows; coboundary, the weight chains, the
     # solves, the cocycle constructors and the closed-form predictions
-    # read memo images. None of them may call the Fraction action
-    # (`act_basis`, `act`) or the Fraction delta_matrix (a test oracle,
-    # patched into cochains in case it ever returns there)
-    calls, table_calls = [], []
-    act_basis, act = TruncatedDlm.act_basis, TruncatedDlm.act
+    # read memo images. The module has no Fraction action to call (the
+    # tests' `act_basis` and `act` are that reference), and none of
+    # them may call the Fraction delta_matrix (a test oracle, patched
+    # into cochains in case it ever returns there)
+    assert not hasattr(TruncatedDlm, "act_basis")
+    assert not hasattr(TruncatedDlm, "act")
+    table_calls = []
     scaled_act_basis = TruncatedDlm.scaled_act_basis
     delta_matrix_calls = []
 
@@ -158,27 +161,16 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
         delta_matrix_calls.append(args)
         return delta_matrix(*args, **kwargs)
 
-    def counted_act_basis(self, gen, bv):
-        calls.append(("act_basis", gen))
-        return act_basis(self, gen, bv)
-
-    def counted_act(self, gen, vec):
-        calls.append(("act", gen))
-        return act(self, gen, vec)
-
     def counted_table(self, gen, bv):
         table_calls.append(gen)
         return scaled_act_basis(self, gen, bv)
 
     def phase_done():
-        # the table was read, the Fraction action never; the next phase
-        # starts from a cold memo
-        assert table_calls and calls == []
+        # the table was read; the next phase starts from a cold memo
+        assert table_calls
         table_calls.clear()
         module_memo.cache_clear()
 
-    monkeypatch.setattr(TruncatedDlm, "act_basis", counted_act_basis)
-    monkeypatch.setattr(TruncatedDlm, "act", counted_act)
     monkeypatch.setattr(TruncatedDlm, "scaled_act_basis", counted_table)
     monkeypatch.setattr(cc, "delta_matrix", counted_delta_matrix,
                         raising=False)

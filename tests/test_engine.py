@@ -16,7 +16,7 @@ from ospcoho.engine import (NotACocycle, build_report, class_representatives,
                             is_coboundary, predict_proposition, predict_sl2,
                             predict_theorem, restriction_injectivity_check,
                             run_audit, selftest)
-from ospcoho.weightmod import TruncatedDlm, module_memo
+from ospcoho.weightmod import ModuleMemo, TruncatedDlm, module_memo
 
 F = Fraction
 TABLE = adopted_table()
@@ -531,6 +531,25 @@ def test_selftest_rejects_unknown_suite():
     # an unknown suite would otherwise run no check and read as all ok
     with pytest.raises(ValueError, match="nosuch"):
         selftest("nosuch")
+
+
+def test_selftest_oracle_sees_the_integer_composition(monkeypatch):
+    # the realization check compares the oracle with the memo images the
+    # complexes are built on, X and Y composed in integers by
+    # `ModuleMemo._square`: a composition that drops one term fails it
+    square = ModuleMemo._square
+
+    def dropped(self, gen, bv):
+        return square(self, gen, bv)[1:]
+
+    module_memo.cache_clear()
+    monkeypatch.setattr(ModuleMemo, "_square", dropped)
+    try:
+        verdict = {name: ok for name, ok, _ in selftest("oracle")}
+    finally:
+        module_memo.cache_clear()
+    assert verdict["table-action-equals-realization"] is False
+    assert verdict["realization-constants"] is True
 
 
 class _InlinePool:

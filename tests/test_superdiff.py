@@ -5,11 +5,11 @@ import random
 from fractions import Fraction
 
 from ospcoho.algebra import adopted_table
-from ospcoho.superdiff import (ETA, ETABAR, OpPoly, SFun, contact_bracket,
-                               density_action, derived_module_action,
-                               fields_match_table, graded_commutator,
-                               op_str, parse_op, solve_realization_constants,
+from ospcoho.superdiff import (ETA, ETABAR, OpPoly, SFun, density_action,
+                               derived_module_action, graded_commutator,
+                               op_str, solve_realization_constants,
                                vector_field)
+from tests_support_dense import contact_bracket, fields_match_table, parse_op
 
 X_ = lambda: OpPoly.term(1, 0, 0, 0)
 DX = lambda: OpPoly.term(0, 0, 0, 1)

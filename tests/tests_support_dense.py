@@ -1,16 +1,197 @@
-"""Oracles: naive dense Gaussian elimination, the Fraction matrices of
-the differential, and the per-block assembler the weight chains replaced."""
+"""Oracles and decoders that the program does not need.
+
+Naive dense Gaussian elimination, the Fraction matrices of the
+differential and the per-block assembler the weight chains replaced;
+the Fraction definitions that the program decides in integers (the
+action with X = A o A and Y = -B o B composed in Fractions, the module
+axiom defect, the Jacobi defect); the contact bracket and the check of
+the scaled contact fields against a bracket table; and the decoders of
+the program's printed formats (operators, monomials, cochains).
+"""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from ospcoho.algebra import GENS, PARITY, adopted_table, canonicalize, \
-    monomial_basis
-from ospcoho.cochains import (_graded_monomials, _scales, _term1_sign,
-                              _term2_sign, delta_block)
-from ospcoho.weightmod import module_memo
+from ospcoho.algebra import (GENS, PARITY, SL2, adopted_table,
+                             canonicalize, monomial_basis)
+from ospcoho.cochains import (Cochain, _graded_monomials, _scales,
+                              _term1_sign, _term2_sign, delta_block)
+from ospcoho.superdiff import (ETA, ETABAR, OpPoly, _partial_match,
+                               vector_field)
+from ospcoho.weightmod import (TruncatedDlm, module_memo, vec_add,
+                               vec_scale)
 
+
+# --- the Fraction action ----------------------------------------------------
+
+def act_basis(mod, gen, bv):
+    """Action of one generator on one basis vector, {bv: Fraction}.
+
+    H, A and B are `scaled_act_basis` divided by D; X = A o A and
+    Y = -B o B are composed in Fractions.
+    """
+    if gen == "X":
+        return act(mod, "A", act_basis(mod, "A", bv))
+    if gen == "Y":
+        return vec_scale(act(mod, "B", act_basis(mod, "B", bv)), -1)
+    D = mod._ints[0]
+    return {t: Fraction(c, D) for t, c in mod.scaled_act_basis(gen, bv)}
+
+
+def act(mod, gen, vec):
+    """Linear extension of act_basis to {BasisVector: Fraction}."""
+    out = {}
+    for bv, c in vec.items():
+        vec_add(out, act_basis(mod, gen, bv), c)
+    return out
+
+
+def action_compat_defect(mod, table, u, v, bv):
+    """[u,v].w - (u.(v.w) - (-1)^{uv} v.(u.w)) for a basis vector w.
+
+    Zero for all inputs iff the action is a module for `table`.
+    """
+    w = {bv: Fraction(1)}
+    out = {}
+    for g, c in table.bracket(u, v).items():
+        vec_add(out, act(mod, g, w), c)
+    vec_add(out, act(mod, u, act(mod, v, w)), Fraction(-1))
+    sign = Fraction(-1 if PARITY[u] and PARITY[v] else 1)
+    vec_add(out, act(mod, v, act(mod, u, w)), sign)
+    return out
+
+
+# --- the Fraction Jacobi defect ---------------------------------------------
+
+def combo_add(target, src, coeff=Fraction(1)):
+    """target += coeff * src for {generator: Fraction} combinations."""
+    for g, v in src.items():
+        s = target.get(g, Fraction(0)) + coeff * v
+        if s:
+            target[g] = s
+        else:
+            target.pop(g, None)
+    return target
+
+
+def bracket_combo(table, cu, cv):
+    out = {}
+    for u, a in cu.items():
+        for v, b in cv.items():
+            combo_add(out, table.bracket(u, v), a * b)
+    return out
+
+
+def jacobi_defect(table, u, v, w):
+    """[[u,v],w] + (-1)^{uv} [v,[u,w]] - [u,[v,w]].
+
+    Zero on every triple iff ad_u is a graded derivation for all u,
+    i.e. iff the table is a Lie superalgebra.
+    """
+    sign = Fraction(-1 if PARITY[u] and PARITY[v] else 1)
+    out = bracket_combo(table, table.bracket(u, v), {w: Fraction(1)})
+    combo_add(out, bracket_combo(table, {v: Fraction(1)},
+                                 table.bracket(u, w)), sign)
+    combo_add(out, bracket_combo(table, {u: Fraction(1)},
+                                 table.bracket(v, w)), Fraction(-1))
+    return out
+
+
+# --- the contact realization ------------------------------------------------
+
+def contact_bracket(f, g):
+    """{F,G} = F G' - F' G + 1/2 eta(F) etabar(G)."""
+    out = f * g.dx() - f.dx() * g
+    return out + (ETA.apply(f) * ETABAR.apply(g)).scale(Fraction(1, 2))
+
+
+def field(consts, gen):
+    return vector_field(consts.symbol(gen))
+
+
+def fields_match_table(consts, table):
+    """All 25 graded commutators of the scaled fields equal the table."""
+    fields = {g: field(consts, g) for g in GENS}
+    return _partial_match(fields, table, GENS)
+
+
+# --- decoders of the printed formats ----------------------------------------
+
+_ALIASES = {"theta": "θ", "dθ": "∂θ", "dtheta": "∂θ", "dx": "∂x",
+            "∂_x": "∂x", "∂_θ": "∂θ"}
+
+
+def parse_op(text):
+    """Parse the grammar emitted by op_str back into an OpPoly."""
+    text = text.strip()
+    if not text or text == "0":
+        return OpPoly()
+    text = text.replace(" - ", " + -")
+    out = OpPoly()
+    for chunk in text.split(" + "):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        coeff = Fraction(1)
+        if chunk.startswith("-"):
+            coeff = -coeff
+            chunk = chunk[1:]
+        m = e1 = e2 = k = 0
+        for tok in chunk.split():
+            base, _, power = tok.partition("^")
+            base = _ALIASES.get(base, base)
+            power = int(power) if power else 1
+            if base == "x":
+                m += power
+            elif base == "θ":
+                e1 += power
+            elif base == "∂θ":
+                e2 += power
+            elif base == "∂x":
+                k += power
+            elif base == "1":
+                pass
+            else:
+                coeff *= Fraction(base) ** power
+        out = out + OpPoly.term(m, e1, e2, k, coeff)
+    return out
+
+
+def parse_monomial(text):
+    text = text.strip()
+    if text in ("", "1"):
+        return ()
+    out = []
+    for tok in text.split():
+        if "^" in tok:
+            g, n = tok.split("^")
+            out.extend([g] * int(n))
+        else:
+            out.append(tok)
+    for g in out:
+        if g not in PARITY:
+            raise ValueError(f"unknown generator {g!r}")
+    mono, sign = canonicalize(out)
+    if sign != 1:
+        raise ValueError(f"{text!r} is not a canonical monomial")
+    return mono
+
+
+def vec_from_json(data):
+    return {(f, m, k): Fraction(c) for f, m, k, c in data}
+
+
+def cochain_from_json(data):
+    mod = TruncatedDlm(Fraction(data["lambda"]), Fraction(data["mu"]),
+                       data["K"])
+    universe = SL2 if data.get("universe") == "sl2" else GENS
+    vals = {parse_monomial(u): vec_from_json(v)
+            for u, v in data["values"].items()}
+    return Cochain(mod, data["degree"], data["parity"], vals, universe)
+
+
+# --- dense matrices ---------------------------------------------------------
 
 class SparseMatrix:
     """Immutable-by-convention sparse rational matrix, row-major."""
