@@ -234,26 +234,58 @@ def adopted_table():
     return StructureTable(rows, "repaired-V")
 
 
-def _flip_variants(base):
-    """All tables obtained from `base` by sign flips of stored rows.
+def _signed_defects(base):
+    """(flippable, defects): T^2 * the Jacobi defects of all sign flips.
 
-    Yields (table, n_changed_rows); tables with identical content are
-    deduplicated (flipping a zero row changes nothing).
+    The variant `mask` negates the row flippable[i] for each bit i of
+    mask; T is the same for every variant. A product c * d of the defect
+    (`jacobi_failures`) takes the signs of its two rows, so each
+    (triple, component) is one entry of (bits, x) pairs, and its defect
+    in the variant `mask` is sum x * (-1)^popcount(mask & bits).
     """
     flippable = [p for p in OFF_DIAGONAL_PAIRS if base._rows[p]]
-    seen = set()
+    bits = dict.fromkeys(itertools.product(GENS, repeat=2), 0)
+    for i, (u, v) in enumerate(flippable):
+        bits[(u, v)] = bits[(v, u)] = 1 << i
+    _, br = base.scaled_brackets()
+    acc = {}        # (triple, component) -> {bits: x}
+    for u, v, w in itertools.product(GENS, repeat=3):
+        sign = -1 if PARITY[u] and PARITY[v] else 1
+        terms = [((u, v), (g, w), h, c * d)
+                 for g, c in br[(u, v)] for h, d in br[(g, w)]]
+        terms += [((u, w), (v, g), h, sign * c * d)
+                  for g, c in br[(u, w)] for h, d in br[(v, g)]]
+        terms += [((v, w), (u, g), h, -c * d)
+                  for g, c in br[(v, w)] for h, d in br[(u, g)]]
+        for p, q, h, x in terms:
+            entry, b = acc.setdefault((u, v, w, h), {}), bits[p] ^ bits[q]
+            entry[b] = entry.get(b, 0) + x
+    return flippable, [[(b, x) for b, x in entry.items() if x]
+                       for entry in acc.values()]
+
+
+def _flip_is_jacobi(defects, mask):
+    """True iff the variant `mask` has no Jacobi defect (`_signed_defects`)."""
+    return not any(sum(-x if (mask & b).bit_count() & 1 else x
+                       for b, x in terms) for terms in defects)
+
+
+def _flip_variants(base):
+    """The sign-flip variants of `base` that satisfy Jacobi, in mask order.
+
+    Each mask is decided on the signed defects; only a passing one
+    becomes a StructureTable, confirmed by `is_jacobi()`.
+    """
+    flippable, defects = _signed_defects(base)
     for mask in range(1 << len(flippable)):
-        rows = {p: dict(base._rows[p]) for p in PAIR_ORDER}
-        n = 0
-        for idx, pair in enumerate(flippable):
-            if mask >> idx & 1:
-                rows[pair] = combo_scale(rows[pair], Fraction(-1))
-                n += 1
-        t = StructureTable(rows, f"flip-{mask:#x}")
-        if t.key() in seen:
-            continue
-        seen.add(t.key())
-        yield t, n
+        if _flip_is_jacobi(defects, mask):
+            rows = {p: base.row(p) for p in PAIR_ORDER}
+            for i, pair in enumerate(flippable):
+                if mask >> i & 1:
+                    rows[pair] = combo_scale(rows[pair], Fraction(-1))
+            table = StructureTable(rows, f"flip-{mask:#x}")
+            if table.is_jacobi():
+                yield table
 
 
 _RESCALE_VALUES = tuple(
@@ -314,9 +346,7 @@ def audit_and_repair(printed, module_check):
     failures = printed.jacobi_failures()
     candidates = []
     consistent = []
-    for table, n in _flip_variants(printed):
-        if not table.is_jacobi():
-            continue
+    for table in _flip_variants(printed):
         changes = table.changes_from(printed)
         consistent.append(changes)
         if module_check(table):

@@ -303,15 +303,18 @@ class _WeightChain:
         self.t, self.parity, self.universe = t, parity, universe
         self.ranks, self._layouts = {}, {}
 
+    def layout(self, memo, n):
+        """C^n_w of this chain (`_layout`), laid out once."""
+        if n not in self._layouts:
+            self._layouts[n] = _layout(memo, n, self.t, self.parity,
+                                       self.universe)
+        return self._layouts[n]
+
     def block(self, memo, n, skip):
         """(cols, scale) of d_n as in `delta_block`."""
         T, terms = _koszul_terms(n, self.parity, self.universe)
         scale, act_factor, bracket_factor = _scales(memo, T)
-        for m in (n, n + 1):
-            if m not in self._layouts:
-                self._layouts[m] = _layout(memo, m, self.t, self.parity,
-                                           self.universe)
-        dom, cod = self._layouts[n], self._layouts[n + 1]
+        dom, cod = self.layout(memo, n), self.layout(memo, n + 1)
         cols = [{} for _ in range(sum(v[2] for v in dom.values()))]
         if not cod:
             return cols, scale

@@ -88,9 +88,12 @@ def _chain_rank(memo, chain, n):
     `pivots` are the pivot coordinates, in C^{n+1}_w, of an echelon
     basis of im d_n. The columns of d_n at the pivots of im d_{n-1}
     are left out (step n-1 is computed first if it is missing): they
-    lie in the span of the others because d_n d_{n-1} = 0.
+    lie in the span of the others because d_n d_{n-1} = 0. An empty
+    C^n_w answers (0, 0, {}) with nothing assembled.
     """
     hit = chain.ranks.get(n)
+    if hit is None and not chain.layout(memo, n):
+        hit = chain.ranks[n] = (0, 0, frozenset())
     if hit is None:
         skip = _chain_rank(memo, chain, n - 1)[2] if n > 0 else frozenset()
         cols, _ = chain.block(memo, n, skip)

@@ -22,6 +22,7 @@ adopted bracket table, not assumed.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import PARITY
 
@@ -91,14 +92,6 @@ class SFun:
                 _dict_add(out, (m - 1, e), m * v)
         return SFun(out)
 
-    def parity(self):
-        """0 or 1 when homogeneous, None for mixed or zero."""
-        ps = {e for (_, e) in self.terms}
-        return ps.pop() if len(ps) == 1 else None
-
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         return isinstance(other, SFun) and self.terms == other.terms
 
@@ -116,10 +109,6 @@ class OpPoly:
 
     def __init__(self, terms=None):
         self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def term(cls, m, e1, e2, k, coeff=1):
-        return cls({(m, e1, e2, k): Fraction(coeff)})
 
     @classmethod
     def multiplication(cls, f):
@@ -258,20 +247,6 @@ class RealizationConstants:
         return _BASE_SYMBOLS[gen].scale(self.scale_of(gen))
 
 
-def _partial_match(fields, table, assigned):
-    for u, v in itertools.product(assigned, repeat=2):
-        row = table.bracket(u, v)
-        if any(g not in fields for g in row):
-            continue
-        lhs = graded_commutator(fields[u], fields[v])
-        rhs = OpPoly()
-        for g, c in row.items():
-            rhs = rhs + fields[g].scale(c)
-        if lhs != rhs:
-            return False
-    return True
-
-
 _CANDIDATE_SCALES = tuple(
     s * Fraction(n, d)
     for n, d in ((1, 1), (2, 1), (4, 1), (1, 2), (1, 4))
@@ -285,20 +260,39 @@ def solve_realization_constants(table):
     Backtracking over candidate rationals (+-1, +-2, +-4, +-1/2, +-1/4
     per generator); each partial assignment is pruned against every
     bracket row it already determines, and a full assignment is accepted
-    only if all 25 commutators reproduce the table exactly.
+    only if all 25 commutators reproduce the table exactly. Each
+    candidate field and each commutator of two is built once per solve.
     """
     order = ("X", "H", "Y", "A", "B")  # gauge first, cheap prunes early
+    fields, commutators = {}, {}        # built once per solve
+
+    def field(g, c):
+        if (g, c) not in fields:
+            fields[(g, c)] = vector_field(_BASE_SYMBOLS[g].scale(c))
+        return fields[(g, c)]
+
+    def matches(scales):
+        for u, v in itertools.product(scales, repeat=2):
+            row = table.bracket(u, v)
+            if any(g not in scales for g in row):
+                continue
+            key = (u, scales[u], v, scales[v])
+            if key not in commutators:
+                commutators[key] = graded_commutator(field(u, scales[u]),
+                                                     field(v, scales[v]))
+            if commutators[key] != sum((field(g, scales[g]).scale(c)
+                                        for g, c in row.items()), OpPoly()):
+                return False
+        return True
 
     def extend(scales, depth):
         if depth == len(order):
             return scales
         g = order[depth]
-        fields = {h: vector_field(_BASE_SYMBOLS[h].scale(c))
-                  for h, c in scales.items()}
         for c in _CANDIDATE_SCALES:
-            fields[g] = vector_field(_BASE_SYMBOLS[g].scale(c))
-            if _partial_match(fields, table, order[:depth + 1]):
-                found = extend({**scales, g: c}, depth + 1)
+            trial = {**scales, g: c}
+            if matches(trial):
+                found = extend(trial, depth + 1)
                 if found is not None:
                     return found
         return None
@@ -311,6 +305,12 @@ def solve_realization_constants(table):
                                 cB=scales["B"])
 
 
+@lru_cache(maxsize=16)
+def _generator_action(gen, lam, consts):
+    """density_action of gen's field at weight lam; the 16 latest kept."""
+    return density_action(consts.symbol(gen), lam)
+
+
 def derived_module_action(gen, op, lam, mu, consts):
     """Action of a generator on an operator from lam- to mu-densities.
 
@@ -318,11 +318,9 @@ def derived_module_action(gen, op, lam, mu, consts):
     L^mu_G o T - (-1)^{T G} T o L^lam_G, a representation by
     construction; it serves as the oracle for the tabulated action.
     """
-    g = consts.symbol(gen)
-    l_mu = density_action(g, mu)
-    l_lam = density_action(g, lam)
     sign = -1 if PARITY[gen] and op.parity() else 1
-    return l_mu.compose(op) - op.compose(l_lam).scale(sign)
+    return (_generator_action(gen, mu, consts).compose(op)
+            - op.compose(_generator_action(gen, lam, consts)).scale(sign))
 
 
 # --- pretty-printing -----------------------------------------------------

@@ -294,9 +294,10 @@ class ModuleMemo:
     `image(gen, bv)` is scale * gen.bv as a tuple of (BasisVector, int)
     pairs, computed on first use: the module's integer table
     (`scaled_act_basis`) for H, A and B, and X and Y composed from the
-    A and B images (see the module docstring). A weight slice is keyed
-    by the int t = 2(alpha + p) and a parity, and `stencil` holds a
-    generator's images on it by slice positions.
+    A and B images (see the module docstring) through `composed`, which
+    the module-axiom check reads too. A weight slice is keyed by the
+    int t = 2(alpha + p) and a parity, and `stencil` holds a generator's
+    images on it by slice positions.
     `chains` belongs to `cochains`, which files its weight chains there.
     """
 
@@ -346,15 +347,19 @@ class ModuleMemo:
             img = images[bv] = tuple(img)
         return img
 
+    def composed(self, u, v, bv):
+        """D^2 * u.(v.bv) as {BasisVector: int}, from the memo's images."""
+        out = {}
+        for t, c in self.image(v, bv):
+            for t2, c2 in self.image(u, t):
+                out[t2] = out.get(t2, 0) + c * c2
+        return out
+
     def _square(self, gen, bv):
         # D * gen.bv = sign * (odd_D o odd_D)(bv) / D, in integers
         odd, sign = _SQUARES[gen]
-        acc = {}
-        for t, c in self.image(odd, bv):
-            for t2, c2 in self.image(odd, t):
-                acc[t2] = acc.get(t2, 0) + c * c2
         img = []
-        for t, v in acc.items():
+        for t, v in self.composed(odd, odd, bv).items():
             q, r = divmod(sign * v, self.scale)
             if r:
                 c = Fraction(sign * v, self.scale ** 2)
@@ -390,41 +395,39 @@ def module_axiom_holds(mod, table, max_m=3, max_k=None):
     D = `module_memo(mod).scale` (so `image(g, bv)` is D * g.bv) and T
     the lcm of the denominators of the table's bracket coefficients,
     T * D^2 * defect is an integer vector, zero iff the defect is. Each
-    generator image is computed once per module, whatever the table.
+    generator image is computed once per module, whatever the table, and
+    each composition u.(v.bv) once per vector and call, for both pairs
+    (u, v) and (v, u).
     """
     if max_k is None:
         max_k = mod.K
     memo = module_memo(mod)
     image = memo.image
+    composed = memo.composed
     T, brackets = table.scaled_brackets()
 
-    def act_twice(u, img):
-        # u.(v.w) * D^2, from img = D * v.w
-        out = {}
-        for t, c in img:
-            for t2, c2 in image(u, t):
-                out[t2] = out.get(t2, 0) + c * c2
-        return out
-
-    for u in GENS:
-        for v in GENS:
-            # T * D * [u,v], so that its terms meet D * g.bv
-            bracket = [(g, c * memo.scale) for g, c in brackets[(u, v)]]
-            sign = -T if PARITY[u] and PARITY[v] else T
-            for f in FAMILIES:
-                for m in range(max_m + 1):
-                    for k in range(min(max_k, mod.K) + 1):
-                        bv = (f, m, k)
-                        defect = {}
-                        for g, c in bracket:
-                            for t, x in image(g, bv):
-                                defect[t] = defect.get(t, 0) + c * x
-                        for t, x in act_twice(u, image(v, bv)).items():
-                            defect[t] = defect.get(t, 0) - T * x
-                        for t, x in act_twice(v, image(u, bv)).items():
-                            defect[t] = defect.get(t, 0) + sign * x
-                        if any(defect.values()):
-                            return False
+    # T * D * [u,v], so that its terms meet D * g.bv, and the sign
+    pairs = [(u, v, [(g, c * memo.scale) for g, c in brackets[(u, v)]],
+              -T if PARITY[u] and PARITY[v] else T)
+             for u in GENS for v in GENS]
+    for f in FAMILIES:
+        for m in range(max_m + 1):
+            for k in range(min(max_k, mod.K) + 1):
+                bv = (f, m, k)
+                # D^2 * u.(v.bv), each read by the pairs (u, v) and (v, u)
+                twice = {(u, v): composed(u, v, bv)
+                         for u in GENS for v in GENS}
+                for u, v, bracket, sign in pairs:
+                    defect = {}
+                    for g, c in bracket:
+                        for t, x in image(g, bv):
+                            defect[t] = defect.get(t, 0) + c * x
+                    for t, x in twice[(u, v)].items():
+                        defect[t] = defect.get(t, 0) - T * x
+                    for t, x in twice[(v, u)].items():
+                        defect[t] = defect.get(t, 0) + sign * x
+                    if any(defect.values()):
+                        return False
     return True
 
 

@@ -139,12 +139,40 @@ def test_audit_logs_single_flip_variant():
     assert {("[X,B]", "A", "-A")} in variant_changes
 
 
-def test_audit_no_consistent_repair():
+def _broken_table():
+    # [A,A] emptied: no sign flip or rescaling repairs it
     rows = {pair: printed_table().row(pair) for pair in algebra.PAIR_ORDER}
     rows[("A", "A")] = {}
-    broken = StructureTable(rows, "broken")
+    return StructureTable(rows, "broken")
+
+
+def test_audit_no_consistent_repair():
     with pytest.raises(NoConsistentRepair):
-        audit_and_repair(broken, _accept_all)
+        audit_and_repair(_broken_table(), _accept_all)
+
+
+@pytest.mark.parametrize("base, passing", [
+    (printed_table(), 4), (adopted_table(), 4), (_broken_table(), 0)],
+    ids=["printed", "adopted", "broken"])
+def test_flip_predicate_equals_is_jacobi(base, passing):
+    # the precomputed signed defects decide every sign-flip variant as
+    # is_jacobi() does on the variant's own table; with a passing mask
+    # present, a dropped or mis-signed product term shows
+    flippable, defects = algebra._signed_defects(base)
+    masks = range(1 << len(flippable))
+    verdicts = [algebra._flip_is_jacobi(defects, mask) for mask in masks]
+    assert len(flippable) == 8 and sum(verdicts) == passing
+    for mask in masks:
+        rows = {p: base.row(p) for p in PAIR_ORDER}
+        for i, pair in enumerate(flippable):
+            if mask >> i & 1:
+                rows[pair] = {g: -c for g, c in rows[pair].items()}
+        assert verdicts[mask] == StructureTable(rows, "flip").is_jacobi()
+    assert [t.label for t in algebra._flip_variants(base)] == \
+        [f"flip-{mask:#x}" for mask in masks if verdicts[mask]]
+    if not passing:
+        with pytest.raises(NoConsistentRepair):
+            audit_and_repair(base, _module_check())
 
 
 def test_audit_json_schema():

@@ -4,17 +4,22 @@ import itertools
 import random
 from fractions import Fraction
 
-from ospcoho.algebra import adopted_table
-from ospcoho.superdiff import (ETA, ETABAR, OpPoly, SFun, density_action,
+from ospcoho import engine
+from ospcoho.algebra import GENS, PARITY, adopted_table
+from ospcoho.superdiff import (ETA, ETABAR, OpPoly, SFun,
+                               _generator_action, density_action,
                                derived_module_action, graded_commutator,
                                op_str, solve_realization_constants,
                                vector_field)
-from tests_support_dense import contact_bracket, fields_match_table, parse_op
+from ospcoho.weightmod import FAMILIES, to_oppoly
+from tests_support_dense import (contact_bracket, fields_match_table,
+                                 op_term, parse_op, sfun_is_zero,
+                                 sfun_parity)
 
-X_ = lambda: OpPoly.term(1, 0, 0, 0)
-DX = lambda: OpPoly.term(0, 0, 0, 1)
-TH = lambda: OpPoly.term(0, 1, 0, 0)
-DTH = lambda: OpPoly.term(0, 0, 1, 0)
+X_ = lambda: op_term(1, 0, 0, 0)
+DX = lambda: op_term(0, 0, 0, 1)
+TH = lambda: op_term(0, 1, 0, 0)
+DTH = lambda: op_term(0, 0, 1, 0)
 
 
 def sfun_monomials(max_m):
@@ -53,12 +58,13 @@ def test_apply_examples():
     theta = SFun.term(0, 1)
     assert ETA.apply(theta) == SFun.term(0, 0)
     assert ETABAR.apply(SFun.term(1, 1)) == SFun.term(1, 0)
-    assert OpPoly.term(2, 1, 1, 1).apply(SFun({})).is_zero()
+    assert sfun_is_zero(op_term(2, 1, 1, 1).apply(SFun({})))
+    assert sfun_parity(theta) == 1 and sfun_parity(SFun({})) is None
 
 
 def test_apply_compose_consistency():
-    gens = [DX(), DTH(), TH(), X_(), OpPoly.term(1, 1, 0, 2),
-            OpPoly.term(0, 1, 1, 1)]
+    gens = [DX(), DTH(), TH(), X_(), op_term(1, 1, 0, 2),
+            op_term(0, 1, 1, 1)]
     for a, b in itertools.product(gens, repeat=2):
         ab = a.compose(b)
         for f in sfun_monomials(5):
@@ -68,9 +74,9 @@ def test_apply_compose_consistency():
 def test_compose_associative_random():
     rng = random.Random(314)
     for _ in range(200):
-        ops = [OpPoly.term(rng.randint(0, 3), rng.randint(0, 1),
-                           rng.randint(0, 1), rng.randint(0, 3),
-                           Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+        ops = [op_term(rng.randint(0, 3), rng.randint(0, 1),
+                       rng.randint(0, 1), rng.randint(0, 3),
+                       Fraction(rng.randint(1, 4), rng.randint(1, 3)))
                for _ in range(3)]
         left = ops[0].compose(ops[1]).compose(ops[2])
         right = ops[0].compose(ops[1].compose(ops[2]))
@@ -102,7 +108,7 @@ def test_density_action_examples():
     lam = Fraction(5, 7)
     assert density_action(theta, lam) == vector_field(theta)
     assert density_action(one, lam) == DX()
-    assert density_action(x2, lam) == vector_field(x2) + OpPoly.term(
+    assert density_action(x2, lam) == vector_field(x2) + op_term(
         1, 0, 0, 0, 2 * lam)
 
 
@@ -127,23 +133,54 @@ def test_derived_action_examples():
     consts = solve_realization_constants(table)
     # A on x^m dx^k gives m x^{m-1} theta dx^k
     for m, k in ((1, 0), (3, 2), (0, 1)):
-        out = derived_module_action("A", OpPoly.term(m, 0, 0, k),
+        out = derived_module_action("A", op_term(m, 0, 0, k),
                                     Fraction(1, 3), Fraction(1, 5), consts)
         assert out == OpPoly({(m - 1, 1, 0, k): m} if m else {})
     # A on the identity
-    ident = OpPoly.term(0, 0, 0, 0)
+    ident = op_term(0, 0, 0, 0)
     assert derived_module_action("A", ident, Fraction(2), Fraction(5, 2),
                                  consts).is_zero()
     # B on (theta .) within lam = mu gives (x .)
-    out = derived_module_action("B", OpPoly.term(0, 1, 0, 0),
+    out = derived_module_action("B", op_term(0, 1, 0, 0),
                                 Fraction(3), Fraction(3), consts)
-    assert out == OpPoly.term(1, 0, 0, 0)
+    assert out == op_term(1, 0, 0, 0)
+
+
+def test_derived_action_equals_fresh_commutator():
+    # the cached density actions change nothing: every call equals the
+    # commutator on density actions built afresh
+    consts = solve_realization_constants(adopted_table())
+    rng = random.Random(15)
+    for lam, mu in ((Fraction(0), Fraction(1, 2)),
+                    (Fraction(1, 3), Fraction(1, 3)),
+                    (Fraction(-1, 2), Fraction(1))):
+        for _ in range(15):
+            gen = rng.choice(GENS)
+            bv = (rng.choice(FAMILIES), rng.randint(0, 3), rng.randint(0, 3))
+            op = to_oppoly({bv: Fraction(1)})
+            g = consts.symbol(gen)
+            sign = -1 if PARITY[gen] and op.parity() else 1
+            fresh = density_action(g, mu).compose(op) - \
+                op.compose(density_action(g, lam)).scale(sign)
+            assert derived_module_action(gen, op, lam, mu, consts) == fresh
+
+
+def test_density_action_cache_is_bounded():
+    engine.selftest("all")
+    engine.run_audit()
+    consts = solve_realization_constants(adopted_table())
+    for i in range(20):
+        for gen in GENS:
+            derived_module_action(gen, op_term(1, 1, 0, 1), Fraction(i, 7),
+                                  Fraction(i - 3, 5), consts)
+    info = _generator_action.cache_info()
+    assert info.maxsize == 16 and info.currsize <= info.maxsize
 
 
 def test_op_str_and_parse_roundtrip():
     rng = random.Random(27)
-    assert op_str(OpPoly.term(2, 1, 0, 3)) == "x^2 θ ∂x^3"
-    assert parse_op("x^2 θ ∂x^3") == OpPoly.term(2, 1, 0, 3)
+    assert op_str(op_term(2, 1, 0, 3)) == "x^2 θ ∂x^3"
+    assert parse_op("x^2 θ ∂x^3") == op_term(2, 1, 0, 3)
     assert parse_op("0").is_zero()
     for _ in range(40):
         op = OpPoly({(rng.randint(0, 3), rng.randint(0, 1),
@@ -151,4 +188,4 @@ def test_op_str_and_parse_roundtrip():
                      Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                      for _ in range(3)})
         assert parse_op(op_str(op)) == op
-    assert parse_op("dtheta dx^2") == OpPoly.term(0, 0, 1, 2)
+    assert parse_op("dtheta dx^2") == op_term(0, 0, 1, 2)

@@ -9,6 +9,7 @@ the scaled contact fields against a bracket table; and the decoders of
 the program's printed formats (operators, monomials, cochains).
 """
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -17,7 +18,7 @@ from ospcoho.algebra import (GENS, PARITY, SL2, adopted_table,
                              canonicalize, monomial_basis)
 from ospcoho.cochains import (Cochain, _graded_monomials, _scales,
                               _term1_sign, _term2_sign, delta_block)
-from ospcoho.superdiff import (ETA, ETABAR, OpPoly, _partial_match,
+from ospcoho.superdiff import (ETA, ETABAR, OpPoly, graded_commutator,
                                vector_field)
 from ospcoho.weightmod import (TruncatedDlm, module_memo, vec_add,
                                vec_scale)
@@ -113,7 +114,30 @@ def field(consts, gen):
 def fields_match_table(consts, table):
     """All 25 graded commutators of the scaled fields equal the table."""
     fields = {g: field(consts, g) for g in GENS}
-    return _partial_match(fields, table, GENS)
+    for u, v in itertools.product(GENS, repeat=2):
+        rhs = OpPoly()
+        for g, c in table.bracket(u, v).items():
+            rhs = rhs + fields[g].scale(c)
+        if graded_commutator(fields[u], fields[v]) != rhs:
+            return False
+    return True
+
+
+# --- superline helpers the program does not call ----------------------------
+
+def op_term(m, e1, e2, k, coeff=1):
+    """The single-term operator coeff x^m theta^e1 dtheta^e2 dx^k."""
+    return OpPoly({(m, e1, e2, k): Fraction(coeff)})
+
+
+def sfun_parity(f):
+    """0 or 1 when the SFun f is homogeneous, None for mixed or zero."""
+    ps = {e for (_, e) in f.terms}
+    return ps.pop() if len(ps) == 1 else None
+
+
+def sfun_is_zero(f):
+    return not f.terms
 
 
 # --- decoders of the printed formats ----------------------------------------
@@ -154,7 +178,7 @@ def parse_op(text):
                 pass
             else:
                 coeff *= Fraction(base) ** power
-        out = out + OpPoly.term(m, e1, e2, k, coeff)
+        out = out + op_term(m, e1, e2, k, coeff)
     return out
 
 
