@@ -4,7 +4,7 @@ Subcommands: `audit` (bracket-table consistency), `dims` (brute-force
 dimension tables vs predictions over parameter grids), `cocycles`
 (re-derived explicit cocycles with verification), `selftest` (invariant
 suites). Rationals on the command line are exact "p/q" or integer
-literals; floats are rejected.
+literals, negative ones included (`--lambda -1/2`); floats are rejected.
 
 Exit codes: 0 all checks pass, 1 a mathematical mismatch, 2 usage or
 input error.
@@ -16,6 +16,7 @@ import errno
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -29,6 +30,8 @@ from .weightmod import to_oppoly
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
 
 
 def parse_rational(text):
@@ -179,6 +182,8 @@ def cmd_dims(args):
     _require(args.wmax >= 0 and (2 * args.wmax).denominator == 1,
              f"--wmax must be a non-negative multiple of 1/2, "
              f"got {args.wmax}")
+    _require(not args.grid or (args.lam is None and args.mu is None),
+             "--grid cannot be combined with --lambda/--mu")
     if args.grid:
         pairs = parse_grid(args.grid)
     elif args.lam is not None and args.mu is not None:
@@ -186,6 +191,11 @@ def cmd_dims(args):
     else:
         print("dims: provide --lambda/--mu or --grid", file=sys.stderr)
         return EXIT_USAGE
+    for lam, mu in pairs:
+        K = engine.guard_K(lam, mu, args.kmax)
+        _require(K <= engine.K_MAX,
+                 f"truncation depth K = {K} at lambda = {lam}, mu = {mu} "
+                 f"is above {engine.K_MAX}")
     reports = engine.grid_reports(pairs, K=args.kmax, nmax=args.nmax,
                                   wmax=args.wmax, threads=args.threads)
     if args.format == "csv":
@@ -211,6 +221,8 @@ def _verify_cocycle(f):
 
 def cmd_cocycles(args):
     _require(args.k >= 0, f"--k must be >= 0, got {args.k}")
+    _require(args.kind == "h" or args.lam is None,
+             f"--lambda applies to --kind h only, not --kind {args.kind}")
     try:
         if args.kind == "h":
             if args.lam is None:
@@ -328,9 +340,27 @@ def build_parser():
     return parser
 
 
+def _join_negative_fractions(argv):
+    """`--opt -p/q` as `--opt=-p/q`.
+
+    argparse reads a token that starts with '-' as an option unless it
+    looks like a negative int or decimal, so a negative fraction needs
+    the '=' form; the special points lambda = -k/2 are such values.
+    """
+    out = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and out[-1] != "--"
+                and "=" not in out[-1] and _NEGATIVE_FRACTION.fullmatch(tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_join_negative_fractions(argv))
     try:
         if args.out:
             _check_out(args.out)

@@ -17,7 +17,10 @@ differential (all parity exponents vanish).
 The weight blocks d_n: C^n_w -> C^{n+1}_w are assembled per weight
 chain (`_WeightChain`): each C^n_w is laid out once, and the Koszul
 terms, grouped by (target, source), are written from the module memo's
-integer stencils with one write per matrix entry.
+integer stencils with one write per matrix entry. That assembler is the
+one evaluator of the formula: `coboundary` applies a block's integer
+columns to a cochain's coordinates on the chain's layout, one weight
+component at a time.
 
 The bracket table is a constant of this layer, the adopted one; the
 self-test's `audit-finds-repaired-V` ties it to the audit's result.
@@ -35,9 +38,9 @@ from . import linalg
 from .algebra import (GENS, PARITY, SL2, adopted_table, canonicalize,
                       monomial_basis, monomial_parity, monomial_str,
                       monomial_weight)
-from .weightmod import (FAMILY_PARITY, TruncatedDlm, from_oppoly,
-                        module_memo, to_oppoly, vec_add, vec_scale,
-                        vec_to_json)
+from .weightmod import (FAMILY_PARITY, TWICE_WEIGHT, TruncatedDlm,
+                        from_oppoly, module_memo, to_oppoly, vec_add,
+                        vec_scale, vec_to_json)
 
 
 class SolveFailed(RuntimeError):
@@ -204,43 +207,42 @@ def _scales(memo, T):
 def coboundary(f):
     """The differential of f; degree n+1, same parity, same weight.
 
-    Evaluated in integers on the module's memo images (`module_memo`),
-    the way `delta_block` assembles its columns: with Q the lcm of the
-    denominators of f's values, Q * f is an integer cochain, each entry
-    of Q * scale * df is accumulated as an int (scale = lcm of the
-    action scale and the bracket denominators), and the result is
-    divided by Q * scale once per entry. The module's `act` is never
-    called.
+    Applied per weight chain: f's values on C^n_w, for each weight w it
+    has, are scaled to integer coordinates Q * f on the chain's layout
+    (Q the lcm of their denominators), the block's integer columns
+    (`_WeightChain.block`) are applied to them, and each entry of the
+    image, read off the layout of C^{n+1}_w, is divided once by
+    Q * scale. So the coboundary is the one assembler of the blocks.
     """
+    mod, n = f.mod, f.degree
     Q = lcm(*(c.denominator for vec in f.values.values()
               for c in vec.values()))
-    values = {u: [(bv, c.numerator * (Q // c.denominator))
-                  for bv, c in vec.items()]
-              for u, vec in f.values.items()}
-    memo = module_memo(f.mod)
-    image = memo.image
-    T, terms = _koszul_terms(f.degree, f.parity, f.universe)
-    scale, act_factor, bracket_factor = _scales(memo, T)
-    den = Q * scale
+    parts = {}      # chain index t -> {monomial: [(bv, Q * value)]}
+    for u, vec in f.values.items():
+        w2 = sum(TWICE_WEIGHT[g] for g in u)
+        for bv, c in vec.items():
+            t = mod.twice_shifted_weight(bv) - w2
+            parts.setdefault(t, {}).setdefault(u, []).append(
+                (bv, c.numerator * (Q // c.denominator)))
     out = {}
-    for target, groups in terms:
+    for t, part in parts.items():
+        memo, chain = _weight_chain(mod, t, f.parity, f.universe)
+        dom = chain.layout(memo, n)
+        cols, scale = chain.block(memo, n, frozenset())
         acc = {}
-        for src, gen, sgn, coeff in groups:
-            vals = values.get(src, ())
-            if gen:
-                sgn *= act_factor
-                for bv, c in vals:
-                    c *= sgn
-                    for tbv, x in image(gen, bv):
-                        acc[tbv] = acc.get(tbv, 0) + c * x
-            if coeff:
-                coeff *= bracket_factor
-                for bv, c in vals:
-                    acc[bv] = acc.get(bv, 0) + coeff * c
-        vec = {bv: Fraction(v, den) for bv, v in acc.items() if v}
-        if vec:
-            out[target] = vec
-    return Cochain(f.mod, f.degree + 1, f.parity, out, f.universe)
+        for u, vals in part.items():
+            col0, key, _ = dom[u]
+            pos = memo.slice(*key)
+            for bv, c in vals:
+                for r, x in cols[col0 + pos[bv]].items():
+                    acc[r] = acc.get(r, 0) + c * x
+        den = Q * scale
+        for u, (row0, key, _) in chain.layout(memo, n + 1).items():
+            vec = {bv: Fraction(v, den) for bv, i in memo.slice(*key).items()
+                   if (v := acc.get(row0 + i))}
+            if vec:
+                out.setdefault(u, {}).update(vec)
+    return Cochain(mod, n + 1, f.parity, out, f.universe)
 
 
 # --- weight blocks of the differential -------------------------------------
@@ -252,39 +254,19 @@ def _graded_monomials(n, universe):
                  for u in monomial_basis(n, universe))
 
 
-def _layout(memo, n, t, parity, universe):
-    """C^n at t = 2(w + p), as {monomial: (offset, slice key, length)}.
-
-    The key is the (t, parity) of the module slice holding the
-    monomial's values. 2 weight(u) = parity(u) and, for D_{lambda,mu},
-    2 (weight(bv) + p) = parity(bv) mod 2 (the family shifts), so t is
-    congruent to the cochain parity mod 2 or C^n is empty, unscanned.
-    """
-    out, size = {}, 0
-    if t is None or (t - parity) % 2:
-        return out
-    for u, up, w2 in _graded_monomials(n, universe):
-        key = (t + w2, (parity + up) % 2)
-        length = len(memo.slice(*key))
-        if length:
-            out[u] = (size, key, length)
-            size += length
-    return out
-
-
 def block_basis(mod, n, w, parity, universe=GENS):
     """Ordered basis [(monomial, BasisVector)] of the weight-w part of C^n,
-    on the parity component `parity` (0 or 1)."""
-    memo = module_memo(mod)
-    layout = _layout(memo, n, mod.twice_shifted(w), parity, universe)
-    return [(u, bv) for u, (_, key, _) in layout.items()
+    on the parity component `parity` (0 or 1): the weight chain's layout
+    of C^n_w, expanded."""
+    memo, chain = _weight_chain(mod, mod.twice_shifted(w), parity, universe)
+    return [(u, bv) for u, (_, key, _) in chain.layout(memo, n).items()
             for bv in memo.slice(*key)]
 
 
 class _WeightChain:
     """The blocks d_n: C^n_w -> C^{n+1}_w of one weight and parity.
 
-    Each C^n_w is laid out once (`_layout`), as the codomain of d_{n-1}
+    Each C^n_w is laid out once (`layout`), as the codomain of d_{n-1}
     and the domain of d_n. An index is a monomial's offset plus a slice
     position, so d_n is written from the memo's integer stencils
     (`ModuleMemo.stencil`) without hashing a basis vector. Target minus
@@ -304,11 +286,25 @@ class _WeightChain:
         self.ranks, self._layouts = {}, {}
 
     def layout(self, memo, n):
-        """C^n_w of this chain (`_layout`), laid out once."""
-        if n not in self._layouts:
-            self._layouts[n] = _layout(memo, n, self.t, self.parity,
-                                       self.universe)
-        return self._layouts[n]
+        """C^n_w as {monomial: (offset, slice key, length)}, laid out once.
+
+        The key is the (t, parity) of the module slice holding the
+        monomial's values. 2 weight(u) = parity(u) and, for D_{lambda,mu},
+        2 (weight(bv) + p) = parity(bv) mod 2 (the family shifts), so t is
+        congruent to the cochain parity mod 2 or C^n_w is empty, unscanned.
+        """
+        out = self._layouts.get(n)
+        if out is None:
+            out, size, t = {}, 0, self.t
+            if t is not None and (t - self.parity) % 2 == 0:
+                for u, up, w2 in _graded_monomials(n, self.universe):
+                    key = (t + w2, (self.parity + up) % 2)
+                    length = len(memo.slice(*key))
+                    if length:
+                        out[u] = (size, key, length)
+                        size += length
+            self._layouts[n] = out
+        return out
 
     def block(self, memo, n, skip):
         """(cols, scale) of d_n as in `delta_block`."""

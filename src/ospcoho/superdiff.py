@@ -135,7 +135,9 @@ class OpPoly:
             for (m2, a2, b2, k2), v2 in other.terms.items():
                 coeff0 = v1 * v2
                 for j in range(min(k1, m2) + 1):
-                    c = coeff0 * _binom(k1, j) * _falling(m2, j)
+                    c = coeff0
+                    if j:       # binom * falling is 1 at j = 0
+                        c *= _binom(k1, j) * _falling(m2, j)
                     if not c:
                         continue
                     m = m1 + m2 - j

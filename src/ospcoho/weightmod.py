@@ -161,7 +161,7 @@ class TruncatedDlm:
             raise TruncationViolation(f"{bv} exceeds K={self.K}")
         D, lam2, p2 = self._ints
         if gen == "H":
-            w = self.scaled_weight(2 * (k - m) + _SHIFT2[f])
+            w = self.scaled_weight(self.twice_shifted_weight(bv))
             return ((bv, w),) if w else ()
         if gen == "A":
             if f == "a":
@@ -217,6 +217,12 @@ class TruncatedDlm:
         """All basis vectors of weight alpha with k <= K, family-major."""
         t = self.twice_shifted(alpha)
         return [] if t is None else self.twice_weight_basis(t, parity)
+
+    def twice_shifted_weight(self, bv):
+        """The int t = 2(weight(bv) + p) of the slice holding bv, the
+        inverse of `twice_weight_basis`."""
+        f, m, k = bv
+        return 2 * (k - m) + _SHIFT2[f]
 
     def twice_weight_basis(self, t, parity=None):
         """weight_basis(alpha) for the integer t = 2(alpha + p)."""

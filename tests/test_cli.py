@@ -195,19 +195,65 @@ def test_threads_flag_same_output(capsys):
     ["dims", "--grid", "halfints:1/3..1"],
     ["dims", "--grid", "halfints:0..3/4"],
     ["audit", "--table", "repaired"],
+    # a flag that the command would ignore
+    ["dims", "--grid", "pairs:0,1/2", "--lambda", "1", "--mu", "1"],
+    ["dims", "--grid", "pairs:0,1/2", "--mu", "1"],
+    ["cocycles", "--kind", "f", "--lambda", "1/3"],
+    ["cocycles", "--kind", "cup", "--lambda", "0"],
+    # a truncation deeper than K_MAX, from the guard or from --kmax
+    ["dims", "--lambda", "10000001/3", "--mu", "1/7", "--nmax", "1",
+     "--wmax", "0"],
+    ["dims", "--grid", "pairs:0,1/2;0,200", "--nmax", "1"],
+    ["dims", "--lambda", "0", "--mu", "0",
+     "--kmax", str(cli.engine.K_MAX + 1)],
 ])
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv):
     # bad input is rejected before any computation, an unwritable --out
-    # included: the self-test suites and the grid are never run
+    # included: the self-test suites, the grid and the cocycles are never
+    # built
     def never(*args, **kwargs):
         raise AssertionError("computed before rejecting the input")
     monkeypatch.setattr(cli.engine, "selftest", never)
     monkeypatch.setattr(cli.engine, "grid_reports", never)
+    monkeypatch.setattr(cli.engine, "gelfand_fuchs_check", never)
+    for name in ("make_h_lambda", "make_f_k", "make_ftilde_k"):
+        monkeypatch.setattr(cli, name, never)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+def test_depth_at_the_cap_is_accepted(capsys, monkeypatch):
+    seen = []
+
+    def reports(pairs, K, **kwargs):
+        seen.append(K)
+        return []
+    monkeypatch.setattr(cli.engine, "grid_reports", reports)
+    K_MAX = cli.engine.K_MAX
+    assert cli.main(["dims", "--lambda", "0", "--mu", "0",
+                     "--kmax", str(K_MAX)]) == 0
+    # the guard's depth ceil|p| + 1 reaches K_MAX at p = K_MAX - 1
+    assert cli.main(["dims", "--lambda", "0", "--mu", str(K_MAX - 1)]) == 0
+    assert cli.main(["dims", "--lambda", "0", "--mu", str(K_MAX)]) == 2
+    assert seen == [K_MAX, None]
+
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    (["dims", "--mu", "1", "--nmax", "2", "--wmax", "1/2"], "--lambda",
+     "-1/2"),
+    (["dims", "--lambda", "1", "--nmax", "1", "--wmax", "0"], "--mu", "-3/2"),
+    (["cocycles", "--kind", "h"], "--lambda", "-1/2"),
+])
+def test_negative_fraction_may_follow_its_flag(capsys, cmd, flag, value):
+    # argparse alone reads "-1/2" as an option; the output must be the
+    # one of the joined form "--lambda=-1/2", byte for byte
+    spaced = run_cli(capsys, *cmd, flag, value)
+    joined = run_cli(capsys, *cmd, f"{flag}={value}")
+    assert spaced == joined and spaced[0] == 0
+    assert f'"{value}"' in spaced[1]
 
 
 def test_usage_error_leaves_out_file_alone(tmp_path, capsys):

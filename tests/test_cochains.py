@@ -20,7 +20,9 @@ from ospcoho.weightmod import (TruncatedDlm, action_scale, module_memo,
                                to_oppoly, vec_add, vec_scale)
 from ospcoho.superdiff import OpPoly
 from tests_support_dense import (act, act_basis, cochain_from_json,
-                                 delta_matrix, reference_koszul_terms)
+                                 delta_matrix, reference_block_coboundary,
+                                 reference_delta_block,
+                                 reference_koszul_terms)
 
 F = Fraction
 TABLE = adopted_table()
@@ -295,16 +297,41 @@ def test_restriction_of_ftilde_has_zero_H_slot():
 
 
 def test_delta_matrix_against_coboundary():
-    # the assembled block columns equal coboundaries of delta cochains
+    # coboundaries of delta cochains equal the columns of the per-block
+    # reference assembler, which enumerates the Koszul terms itself and
+    # accumulates its writes
     rng = random.Random(13)
     for n, parity, w in ((1, 0, F(0)), (2, 1, F(1, 2))):
-        dom, cod, mat = delta_matrix(MOD, n, w, parity)
+        dom, cod, cols, scale = reference_delta_block(MOD, n, w, parity)
         for col in rng.sample(range(len(dom)), min(5, len(dom))):
             u, bv = dom[col]
             delta = Cochain(MOD, n, parity, {u: {bv: F(1)}})
-            dd = coboundary(delta)
-            expected = cc.cochain_coords(dd, cod)
-            assert mat.column(col) == expected
+            expected = {r: F(v, scale) for r, v in cols[col].items()}
+            assert cc.cochain_coords(coboundary(delta), cod) == expected
+
+
+@pytest.mark.parametrize("lam, mu", [(F(1, 3), F(0)), (F(-1, 2), F(1)),
+                                     (F(1, 3), F(5, 6)), (F(0), F(1, 2))])
+def test_coboundary_matches_the_per_block_reference(lam, mu):
+    # random cochains with several weight components, so that the images
+    # of two components meet on one monomial: each must be added, never
+    # written over the other
+    rng = random.Random(61)
+    mod = TruncatedDlm(lam, mu, 3)
+    weights = [F(j, 2) - mod.p for j in range(-4, 5)]
+    met = 0
+    for universe in (GENS, SL2):
+        for degree in range(4):
+            for parity in (0, 1):
+                f = random_cochain(mod, degree, parity, rng, universe,
+                                   weights)
+                assert len(f.weight_components()) > 1
+                df = coboundary(f)
+                assert df == reference_block_coboundary(f), \
+                    (universe, degree, parity)
+                met += any(len({mod.basis_weight(bv) for bv in vec}) > 1
+                           for vec in df.values.values())
+    assert met
 
 
 @pytest.mark.parametrize("lam, mu", [(F(1, 3), F(0)), (F(-1, 2), F(1)),
@@ -312,7 +339,8 @@ def test_delta_matrix_against_coboundary():
 def test_integer_block_is_scaled_delta_matrix(lam, mu):
     # denominators 3 and 2 in lambda and p: the integer columns are D
     # times the exact matrix's columns, and each is D times the
-    # coboundary of a delta cochain (computed by the Fraction action)
+    # coboundary of a delta cochain, computed by the Fraction action
+    # (`reference_coboundary`)
     rng = random.Random(7)
     mod = TruncatedDlm(lam, mu, 3)
     w0 = -mod.p                     # the weight of a_{0,0}
@@ -330,7 +358,8 @@ def test_integer_block_is_scaled_delta_matrix(lam, mu):
                           for v in r.values())
         for c in rng.sample(range(len(dom)), min(6, len(dom))):
             u, bv = dom[c]
-            dd = coboundary(Cochain(mod, n, parity, {u: {bv: F(1)}}))
+            dd = reference_coboundary(
+                Cochain(mod, n, parity, {u: {bv: F(1)}}), TABLE)
             assert cols[c] == {r: v * scale for r, v
                                in cc.cochain_coords(dd, cod).items()}
         # left-out columns stay empty, the others are unchanged

@@ -1,7 +1,8 @@
 """Oracles and decoders that the program does not need.
 
 Naive dense Gaussian elimination, the Fraction matrices of the
-differential and the per-block assembler the weight chains replaced;
+differential, the per-block assembler the weight chains replaced and
+the coboundary built on it;
 the Fraction definitions that the program decides in integers (the
 action with X = A o A and Y = -B o B composed in Fractions, the module
 axiom defect, the Jacobi defect); the contact bracket and the check of
@@ -463,3 +464,27 @@ def reference_delta_block(mod, n, w, parity, universe=GENS, skip=()):
                 else:
                     del col[r]
     return dom, cod, cols, scale
+
+
+def reference_block_coboundary(f):
+    """The coboundary of f from the per-block reference assembler.
+
+    Each weight component of f, as coordinates on `reference_block_basis`,
+    is multiplied by the columns of `reference_delta_block`; the images
+    of all the components are added into one cochain value by value.
+    """
+    out = {}
+    for w, part in f.weight_components().items():
+        dom, cod, cols, scale = reference_delta_block(
+            f.mod, f.degree, w, f.parity, f.universe)
+        index = {pair: c for c, pair in enumerate(dom)}
+        image = {}
+        for u, vec in part.values.items():
+            for bv, c in vec.items():
+                for r, x in cols[index[(u, bv)]].items():
+                    image[r] = image.get(r, 0) + c * x
+        for r, v in image.items():
+            u, bv = cod[r]
+            if v:
+                vec_add(out.setdefault(u, {}), {bv: Fraction(v) / scale})
+    return Cochain(f.mod, f.degree + 1, f.parity, out, f.universe)
