@@ -1,18 +1,21 @@
-"""Integer row-elimination kernel.
+"""Integer elimination kernel: one in-order reducer.
 
-A matrix is a list of sparse rows, each row a dict {column: int}. All
-arithmetic is fraction-free: eliminations cross-multiply whole rows and
-every updated row is divided by the gcd of its entries, which keeps the
-integers small (Bareiss-style growth control) without ever leaving Z.
+A vector is a sparse dict {coordinate: int} over mutually ordered
+coordinates; its lead is its smallest coordinate. All arithmetic is
+fraction-free: an elimination cross-multiplies whole vectors and
+divides the result by the gcd of its entries, which keeps the integers
+small (Bareiss-style growth control) without ever leaving Z.
 
-Pivot columns come from an index instead of a scan of every row: rows
-wait in buckets keyed by their leading column, and a heap of the
-occupied columns yields the next pivot column (Markowitz 1957 chooses
-pivots from such an index; here the column order is fixed and only the
-row is chosen by sparsity).
+`reduce_in_order` is the column reduction of persistent homology
+(Cohen-Steiner-Edelsbrunner-Morozov 2006): each vector, in input order,
+is eliminated at its lead while a filed vector leads there, and is
+filed if it survives. A caller that needs the integer combination
+behind each result (R = D V) appends record coordinates after every
+real one; `min`, `eliminate` and `normalize_row` then carry the record
+unchanged, and a vector has vanished once its lead is a record
+coordinate.
 """
 
-from heapq import heappop, heappush
 from math import gcd
 
 
@@ -61,57 +64,21 @@ def eliminate(row, piv_row, col):
     return normalize_row(row) if row else None
 
 
-def echelon(rows, full):
-    """Row-reduce integer rows; returns (pivot_cols, reduced_rows).
+def reduce_in_order(vectors, basis, top=None):
+    """Reduce each vector, in order, against `basis`; returns their leads.
 
-    Rows are consumed (mutated). Output rows are sorted by pivot column.
-    With full=True every pivot column is also cleared above its pivot,
-    giving the integer reduced row echelon form, which is unique for a
-    given row space; its rows are primitive (content 1, positive pivot).
-    With full=False (the rank-only path) the input rows are not
-    content-normalized, only the rows an elimination produces are, so an
-    output row need not be primitive. The pivot columns are the leading
-    columns of the row space either way, hence the same. The pivot row
-    of a column is the sparsest row leading there, ties broken by the
-    smaller pivot entry.
+    `basis` maps a lead to the filed vector that leads there. Each
+    vector is mutated: it is eliminated at its lead while a filed vector
+    leads there, and is then filed if it keeps a lead below `top` (any
+    lead when `top` is None). Its final lead is None when it vanished
+    outright, or at least `top` when only record coordinates are left.
     """
-    buckets = {}     # leading column -> rows that lead there
-    heap = []        # the keys of `buckets`
-    for row in rows:
-        if row:
-            lead = normalize_row(row) if full else min(row)
-            if lead in buckets:
-                buckets[lead].append(row)
-            else:
-                buckets[lead] = [row]
-                heappush(heap, lead)
-    done = []
-    pivots = []
-    while heap:
-        col = heappop(heap)
-        bucket = buckets.pop(col)
-        if len(bucket) == 1:
-            piv_row = bucket.pop()
-        else:
-            best = min(range(len(bucket)),
-                       key=lambda i: (len(bucket[i]), abs(bucket[i][col])))
-            piv_row = bucket.pop(best)
-        for row in bucket:
-            lead = eliminate(row, piv_row, col)
-            if lead is None:
-                continue
-            if lead in buckets:
-                buckets[lead].append(row)
-            else:
-                buckets[lead] = [row]
-                heappush(heap, lead)
-        done.append(piv_row)
-        pivots.append(col)
-    if full:
-        for i in range(len(done) - 1, 0, -1):
-            piv_row = done[i]
-            col = pivots[i]
-            for row in done[:i]:
-                if col in row:
-                    eliminate(row, piv_row, col)
-    return pivots, done
+    leads = []
+    for vec in vectors:
+        lead = min(vec) if vec else None
+        while lead in basis:
+            lead = eliminate(vec, basis[lead], lead)
+        if lead is not None and (top is None or lead < top):
+            basis[lead] = vec
+        leads.append(lead)
+    return leads

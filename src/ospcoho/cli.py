@@ -179,8 +179,9 @@ def cmd_dims(args):
              f"--kmax must be >= 0, got {args.kmax}")
     _require(args.threads is None or args.threads >= 1,
              f"--threads must be >= 1, got {args.threads}")
-    _require(args.wmax >= 0 and (2 * args.wmax).denominator == 1,
-             f"--wmax must be a non-negative multiple of 1/2, "
+    _require(0 <= args.wmax <= engine.W_MAX
+             and (2 * args.wmax).denominator == 1,
+             f"--wmax must be a multiple of 1/2 in [0, {engine.W_MAX}], "
              f"got {args.wmax}")
     _require(not args.grid or (args.lam is None and args.mu is None),
              "--grid cannot be combined with --lambda/--mu")
@@ -220,9 +221,13 @@ def _verify_cocycle(f):
 
 
 def cmd_cocycles(args):
-    _require(args.k >= 0, f"--k must be >= 0, got {args.k}")
+    _require(args.k is None or args.k >= 0,
+             f"--k must be >= 0, got {args.k}")
     _require(args.kind == "h" or args.lam is None,
              f"--lambda applies to --kind h only, not --kind {args.kind}")
+    _require(args.kind != "h" or args.k is None,
+             "--k does not apply to --kind h")
+    k = args.k or 0
     try:
         if args.kind == "h":
             if args.lam is None:
@@ -230,11 +235,11 @@ def cmd_cocycles(args):
                 return EXIT_USAGE
             f, ratios = make_h_lambda(args.lam)
         elif args.kind == "f":
-            f, ratios = make_f_k(args.k)
+            f, ratios = make_f_k(k)
         elif args.kind == "ftilde":
-            f, ratios = make_ftilde_k(args.k)
+            f, ratios = make_ftilde_k(k)
         else:  # cup
-            gf, omega = engine.gelfand_fuchs_check(args.k)
+            gf, omega = engine.gelfand_fuchs_check(k)
             slots = {
                 algebra.monomial_str(u): op_str(to_oppoly(v))
                 for u, v in sorted(omega.values.items())
@@ -245,7 +250,7 @@ def cmd_cocycles(args):
                 "restriction_nontrivial":
                     engine.is_coboundary(restrict_sl2(omega)) is None,
             }
-            payload = {"kind": "cup", "k": args.k, "slots": slots,
+            payload = {"kind": "cup", "k": k, "slots": slots,
                        "cup_sign_variant": "printed",
                        "gelfand_fuchs": gf, "checks": checks}
             _emit(json.dumps(payload, indent=2), args.out)
@@ -257,7 +262,7 @@ def cmd_cocycles(args):
     checks = _verify_cocycle(f)
     payload = {
         "kind": args.kind,
-        "k": args.k,
+        "k": k,
         "lambda": str(args.lam) if args.lam is not None else None,
         "slots": {algebra.monomial_str(u): op_str(to_oppoly(v))
                   for u, v in sorted(f.values.items())},
@@ -326,7 +331,8 @@ def build_parser():
     p_coc = sub.add_parser("cocycles", help="re-derived explicit cocycles")
     p_coc.add_argument("--kind", choices=("h", "f", "ftilde", "cup"),
                        required=True)
-    p_coc.add_argument("--k", type=int, default=0)
+    p_coc.add_argument("--k", type=int, default=None,
+                       help="k of --kind f, ftilde or cup (default 0)")
     p_coc.add_argument("--lambda", dest="lam", type=parse_rational,
                        default=None)
     p_coc.add_argument("--out", default=None)

@@ -396,18 +396,15 @@ def cochain_from_coords(mod, degree, parity, basis, coords, universe=GENS):
 def _kernel_cochains(mod, n, w, parity, universe, skip):
     """Integer kernel of d_n on the columns outside `skip`, as Cochains.
 
-    Only those columns of `delta_block` are assembled; each kernel
-    vector is divided by its leading entry.
+    Only those columns of `delta_block` are assembled, and they go to
+    `linalg.int_kernel_basis` as they are; each kernel vector is divided
+    by its leading entry.
     """
     dom, _, cols, _ = delta_block(mod, n, w, parity, universe, skip)
     skip = frozenset(skip)
     keep = [c for c in range(len(dom)) if c not in skip]
-    rows = {}
-    for i, c in enumerate(keep):
-        for r, v in cols[c].items():
-            rows.setdefault(r, {})[i] = v
     out = []
-    for vec in linalg.int_kernel_basis(list(rows.values()), len(keep)):
+    for vec in linalg.int_kernel_basis([cols[c] for c in keep]):
         lead = vec[min(vec)]
         coords = {keep[i]: Fraction(v, lead) for i, v in vec.items()}
         out.append(cochain_from_coords(mod, n, parity, dom, coords,

@@ -9,7 +9,8 @@ dim H^n_w = dim C^n_w - rank d_n - rank d_{n-1}. The ranks of one
 (w, parity) chain are filed on its `cochains._WeightChain` (each C^n_w
 laid out once, each block entry written once from integer stencils),
 in the order n = 0, 1, ...; each step hands the next the pivot
-coordinates of an echelon basis V of im d_{n-1}. Since d_n d_{n-1} = 0
+coordinates of an echelon basis V of im d_{n-1}, the leads that the
+in-order reducer (`linalg.int_pivots`) filed. Since d_n d_{n-1} = 0
 (the adopted table satisfies Jacobi and the module axiom holds),
 d_n V = 0 gives d_n[:, P] = -d_n[:, N] V_N V_P^{-1} with P the pivots
 and N the other coordinates, V_P being triangular with a nonzero
@@ -32,8 +33,10 @@ integer kernel of d_n[:, N] maps isomorphically onto H^n_w, because a
 cocycle reduces modulo the echelon basis of im d_{n-1} to one that is
 zero on P, and no nonzero vector zero on P lies in im d_{n-1}; so
 dim ker d_n[:, N] = |N| - rank d_n = dim H^n_w (same d^2 = 0 premise).
-The chained ranks are asked first, so a part with dim H^n_w = 0 is
-answered without a kernel.
+That kernel is read off the records of the columns in N that the
+in-order reducer finds in the span of the columns before them
+(`linalg.int_kernel_basis`). The chained ranks are asked first, so a
+part with dim H^n_w = 0 is answered without a kernel.
 A cocycle is certified nontrivial when the integer solve for a
 primitive on those blocks has no solution (`is_coboundary`), and the
 restriction to sl(2) is certified injective by ranking the restricted
@@ -64,6 +67,11 @@ WMAX_DEFAULT = Fraction(2)
 # for it. One point at K = 128 took at most 1.6 s and 51 MB (nmax 6,
 # |w| <= 2; one Intel Xeon core, Python 3.11), at K = 256 5 s and 133 MB
 K_MAX = 128
+# the widest weight window `dims` takes: |w| <= W_MAX is 4 W_MAX + 1
+# weights per point for n <= 2, each filing a weight chain. At K = K_MAX
+# (nmax 6, same core) |w| <= 8 took 1.1 s and 66 MB, |w| <= 16 1.8 s
+# and 84 MB
+W_MAX = 8
 
 
 class NotACocycle(ValueError):
@@ -253,7 +261,9 @@ def class_representatives(mod, n, w, parity, universe=GENS):
     not in im d_{n-1} (a nonzero combination of the echelon rows is
     nonzero at its smallest pivot), so v -> [v] maps ker d_n[:, N]
     isomorphically onto H^n_w. Both steps presume d^2 = 0, as `h_dim`
-    does.
+    does. The columns in N are reduced in order as they are, and each
+    one that vanishes gives its record, the reduced echelon form's null
+    vector of that free column (`linalg.int_kernel_basis`).
     """
     dims = h_dim(mod, n, w, universe)
     if not (dims.even, dims.odd)[parity]:
@@ -293,7 +303,8 @@ def restriction_injectivity_check(lam, mu, K=None, nmax=2):
     in integers against the columns of the sl(2) differential d_{n-1}
     (`linalg.greedy_independent`): the restriction is injective iff
     every one of them enlarges the span, and a class restricts
-    nontrivially iff its vector alone lies outside that image. The
+    nontrivially iff its vector alone lies outside that image, as every
+    vector that enlarged the span does. The
     representatives come from `class_representatives`, whose chained
     ranks (premise d^2 = 0) skip every part where H^n_0 is zero.
     """
@@ -311,14 +322,15 @@ def restriction_injectivity_check(lam, mu, K=None, nmax=2):
             if n > 0:
                 image = [c for c in delta_block(mod, n - 1, 0, parity,
                                                 SL2)[2] if c]
-            ok &= len(linalg.greedy_independent(image, vecs)) == len(vecs)
+            kept = set(linalg.greedy_independent(image, vecs))
+            ok &= len(kept) == len(vecs)
             for i, vec in enumerate(vecs):
                 entries.append({
                     "n": n,
                     "parity": parity,
                     "class": i,
-                    "restriction_nontrivial":
-                        linalg.greedy_independent(image, [vec]) == [0],
+                    "restriction_nontrivial": i in kept
+                    or linalg.greedy_independent(image, [vec]) == [0],
                 })
     return {"lambda": str(Fraction(lam)), "mu": str(Fraction(mu)),
             "K": mod.K, "classes": entries, "ok": ok}

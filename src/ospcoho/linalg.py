@@ -1,22 +1,27 @@
 """Exact sparse linear algebra in integers.
 
-Every computation is handed to the integer fraction-free elimination
-kernel in `ospcoho._kernels_py`. The weight blocks of the differential
-arrive as integer rows or columns: `int_pivots` takes their rank,
-`int_kernel_basis` their null space and `solve` a solution of
-(cols / scale) x = b for a rational right-hand side.
+Every computation is one pass of the in-order reducer of
+`ospcoho._kernels_py`. The weight blocks of the differential arrive as
+integer rows or columns: `int_pivots` takes the rank of rows,
+`int_kernel_basis` the null space of columns and `solve` a solution of
+(cols / scale) x = b for a rational right-hand side; the last two read
+their answers off the records of the columns that vanish.
 `greedy_independent` picks, in order, the vectors that enlarge a span,
-by reducing each one against an integer echelon basis that grows as
-vectors are kept, and `quotient_dim` decides a subspace inclusion with
-it. Rows with Fraction entries are scaled to integer rows first
-(`_to_int_row`), which changes neither row spaces nor null
-spaces.
+and `quotient_dim` decides a subspace inclusion with it. Rows with
+Fraction entries are scaled to integer rows first (`_to_int_row`),
+which changes neither row spaces nor null spaces.
+
+Columns are reduced in input order, so a column is filed iff it is not
+in the span of the columns before it: the filed columns are the pivot
+columns of the reduced row echelon form, and the record of a vanished
+column is supported on it and on filed columns before it. That record
+is therefore, up to scale, the RREF null vector of its free column.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from ._kernels_py import echelon, eliminate, normalize_row
+from ._kernels_py import reduce_in_order
 
 
 def _to_int_row(row):
@@ -27,38 +32,47 @@ def _to_int_row(row):
 
 
 def int_pivots(rows):
-    """Pivot columns of an echelon form of integer {col: int} rows.
+    """Leading columns of the row space of integer {col: int} rows,
+    increasing.
 
     Their number is the rank; the rows are consumed.
     """
-    pivots, _ = echelon(rows, False)
-    return pivots
+    basis = {}
+    reduce_in_order(rows, basis)
+    return sorted(basis)
 
 
-def int_kernel_basis(rows, ncols):
-    """Integer basis of the null space of integer {col: int} rows.
+def _reduce_recorded(cols):
+    """Reduce integer {row: int} columns in order, each with its record.
 
-    One vector per free column f of the reduced row echelon form, in
-    increasing f: e_f minus the pivot coordinates it fixes, cleared of
-    denominators. The rows are consumed.
+    Column j gets the record coordinate top + j, after every row, so
+    afterwards cols[j] is (its reduced rows) + (the integer combination
+    of the input columns that it equals). Returns (top, leads); a
+    column vanished iff its lead is at least top. The columns are
+    consumed.
     """
-    pivots, reduced = echelon(rows, True)
-    fixing = {}     # free column -> the reduced rows that have it
-    for col, row in zip(pivots, reduced):
-        for f in row:
-            if f != col:
-                fixing.setdefault(f, []).append((col, row))
-    pivot_set = set(pivots)
+    top = 1 + max((max(c) for c in cols if c), default=-1)
+    for j, col in enumerate(cols):
+        col[top + j] = 1
+    return top, reduce_in_order(cols, {}, top)
+
+
+def int_kernel_basis(cols):
+    """Integer basis of the null space of integer {row: int} columns.
+
+    One vector per column j in the span of the columns before it, in
+    increasing j: its primitive record, positive at j and supported on
+    j and the pivot columns before it, i.e. the reduced row echelon
+    form's null vector of the free column j, cleared of denominators.
+    The columns are consumed.
+    """
+    top, leads = _reduce_recorded(cols)
     basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        fixed = fixing.get(f, ())
-        scale = lcm(*(row[col] for col, row in fixed))
-        v = {f: scale}
-        for col, row in fixed:
-            v[col] = -row[f] * (scale // row[col])
-        basis.append(v)
+    for j, lead in enumerate(leads):
+        if lead >= top:
+            rec = cols[j]
+            sign = 1 if rec[top + j] > 0 else -1
+            basis.append({c - top: sign * x for c, x in sorted(rec.items())})
     return basis
 
 
@@ -66,28 +80,24 @@ def solve(cols, scale, b):
     """Some x with (cols / scale) x = b, or None when there is none.
 
     cols are integer {row: int} columns and b is {row: Fraction}. With Q
-    the lcm of b's denominators, augmented row r is
-    cols[.][r] | Q * scale * b_r, all integers, and its solutions are
-    Q * x. One reduced echelon form gives them with the free variables
-    set to 0; that form is unique, so x depends only on the system. Any
-    returned x is verified by substitution in integers.
+    the lcm of b's denominators, the column Q * scale * b is appended to
+    (copies of) cols; it lies in their span iff it vanishes, and then its
+    record r gives Q * x = -r[:-1] / r[-1]: supported on the pivot
+    columns, it is the solution with the free variables set to 0, so x
+    depends only on the system. Any returned x is verified by
+    substitution in integers.
     """
-    aug = len(cols)
     b = {r: Fraction(v) for r, v in b.items() if v}
     Q = lcm(*(v.denominator for v in b.values()))
     rhs = {r: v.numerator * (Q // v.denominator) * scale
            for r, v in b.items()}
-    rows = {r: {aug: v} for r, v in rhs.items()}
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            rows.setdefault(r, {})[c] = v
-    pivots, out = echelon(list(rows.values()), True)
-    qx = {}     # Q * x; free variables are 0, so only the rhs survives
-    for col, row in zip(pivots, out):
-        if col == aug:
-            return None
-        if aug in row:
-            qx[col] = Fraction(row[aug], row[col])
+    aug = [dict(col) for col in cols] + [dict(rhs)]
+    top, leads = _reduce_recorded(aug)
+    if leads[-1] < top:
+        return None
+    rec = aug[-1]
+    d = -rec.pop(top + len(cols))
+    qx = {c - top: Fraction(x, d) for c, x in sorted(rec.items())}
     den = lcm(*(v.denominator for v in qx.values()))
     residue = {r: -v * den for r, v in rhs.items()}    # den * (cols qx - rhs)
     for c, v in qx.items():
@@ -106,21 +116,12 @@ def greedy_independent(base, candidates):
     candidates kept before it, so the kept ones extend a basis of
     span(base) to one of span(base + candidates). Rows are
     {col: Fraction|int} dicts and are not modified; each is scaled to
-    integers and reduced against an integer echelon basis that grows by
-    the kept rows, one pivot column each.
+    integers and reduced against the basis filed by the rows before it.
     """
-    _, rows = echelon([_to_int_row(r) for r in base], False)
-    basis = {min(r): r for r in rows}
-    kept = []
-    for i, cand in enumerate(candidates):
-        row = _to_int_row(cand)
-        lead = normalize_row(row) if row else None
-        while lead in basis:
-            lead = eliminate(row, basis[lead], lead)
-        if lead is not None:
-            basis[lead] = row
-            kept.append(i)
-    return kept
+    basis = {}
+    reduce_in_order([_to_int_row(r) for r in base], basis)
+    leads = reduce_in_order([_to_int_row(r) for r in candidates], basis)
+    return [i for i, lead in enumerate(leads) if lead is not None]
 
 
 def quotient_dim(u_rows, w_rows):

@@ -241,22 +241,21 @@ class TruncatedDlm:
         """Integer basis of the joint kernel of `gens` on the slice t.
 
         t = 2(alpha + p) is an int (`twice_shifted`); the slice holds one
-        parity, t mod 2. The memo images of its basis vectors are stacked
-        as rows (one per generator and target vector) and their null
-        space is taken in integers (`linalg.int_kernel_basis`); the
-        memo's scale changes no kernel. Returns {BasisVector: int}
-        vectors, one per free column of the unique reduced echelon form.
+        parity, t mod 2. The memo images of each basis vector under
+        `gens` form one integer column (a row per generator and target
+        vector), and the null space of those columns is taken in
+        integers (`linalg.int_kernel_basis`); the memo's scale changes
+        no kernel. Returns {BasisVector: int} vectors, one per free
+        column of the unique reduced echelon form.
         """
         memo = module_memo(self)
         basis = list(memo.slice(t, t % 2))
-        rows = {}
-        for col, bv in enumerate(basis):
-            for g in gens:
-                for tbv, x in memo.image(g, bv):
-                    rows.setdefault((g, tbv), {})[col] = x
+        rows = {}       # (generator, target vector) -> row index
+        cols = [{rows.setdefault((g, tbv), len(rows)): x
+                 for g in gens for tbv, x in memo.image(g, bv)}
+                for bv in basis]
         return [{basis[c]: x for c, x in v.items()}
-                for v in linalg.int_kernel_basis(list(rows.values()),
-                                                 len(basis))]
+                for v in linalg.int_kernel_basis(cols)]
 
     def kernel_weights(self):
         """The slices t = 2(alpha + p) that hold m = 0 vectors (k <= K),

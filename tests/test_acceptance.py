@@ -231,8 +231,7 @@ def test_criterion_12_exact_linalg_oracle():
         m = SparseMatrix.from_entries(nrows, ncols, entries)
         r = len(linalg.int_pivots([linalg._to_int_row(x) for x in m.rows]))
         assert r == dense_rank(m)
-        kern = linalg.int_kernel_basis(
-            [linalg._to_int_row(x) for x in m.rows], ncols)
+        kern = linalg.int_kernel_basis(int_columns(m)[0])
         assert len(kern) == ncols - r
         for v in kern:
             assert m.apply(v) == {}

@@ -206,6 +206,13 @@ def test_threads_flag_same_output(capsys):
     ["dims", "--grid", "pairs:0,1/2;0,200", "--nmax", "1"],
     ["dims", "--lambda", "0", "--mu", "0",
      "--kmax", str(cli.engine.K_MAX + 1)],
+    # --k with --kind h, which has no k
+    ["cocycles", "--kind", "h", "--lambda", "0", "--k", "3"],
+    ["cocycles", "--kind", "h", "--lambda", "0", "--k", "0"],
+    # a weight window wider than W_MAX
+    ["dims", "--lambda", "0", "--mu", "1/2", "--wmax", "1000000"],
+    ["dims", "--lambda", "0", "--mu", "1/2",
+     "--wmax", f"{2 * cli.engine.W_MAX + 1}/2"],
 ])
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv):
     # bad input is rejected before any computation, an unwritable --out
@@ -239,6 +246,11 @@ def test_depth_at_the_cap_is_accepted(capsys, monkeypatch):
     assert cli.main(["dims", "--lambda", "0", "--mu", str(K_MAX - 1)]) == 0
     assert cli.main(["dims", "--lambda", "0", "--mu", str(K_MAX)]) == 2
     assert seen == [K_MAX, None]
+    # and so is the widest weight window, at the deepest truncation
+    assert cli.main(["dims", "--lambda", "0", "--mu", "0",
+                     "--kmax", str(K_MAX),
+                     "--wmax", str(cli.engine.W_MAX)]) == 0
+    assert seen == [K_MAX, None, K_MAX]
 
 
 @pytest.mark.parametrize("cmd, flag, value", [

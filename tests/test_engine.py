@@ -210,29 +210,20 @@ ACCEPTANCE_GRID = [(F(0), F(0)), (F(1), F(1)), (F(5, 2), F(5, 2)),
 
 
 def _reference_representatives(mod, n, w, parity):
-    # the Fraction greedy: kernel vectors outside the span of im d_{n-1}
-    # and of the vectors kept before them, each kept iff it raises the
-    # rank of an echelon basis of that span
-    from ospcoho._kernels_py import echelon
+    # the Fraction greedy: null vectors of the whole d_n, from the dense
+    # oracle's matrix, kept iff outside the span of im d_{n-1} and of the
+    # vectors kept before them, i.e. iff they raise its rank
     from ospcoho.cochains import cochain_from_coords
-    from tests_support_dense import delta_matrix
+    from tests_support_dense import delta_matrix, int_columns
     dom, _, mat = delta_matrix(mod, n, w, parity)
-    current = []
+    image = []
     if n > 0:
-        _, _, prev = delta_matrix(mod, n - 1, w, parity)
-        current = [linalg._to_int_row(prev.column(j))
-                   for j in range(prev.ncols)]
-    _, current = echelon(current, False)
-    reps = []
-    for v in linalg.int_kernel_basis(
-            [linalg._to_int_row(r) for r in mat.rows], mat.ncols):
-        kv = {c: F(x, v[min(v)]) for c, x in v.items()}
-        pivots, rows = echelon([dict(r) for r in current]
-                               + [linalg._to_int_row(kv)], False)
-        if len(pivots) > len(current):
-            reps.append(cochain_from_coords(mod, n, parity, dom, kv))
-            current = rows
-    return reps
+        prev = delta_matrix(mod, n - 1, w, parity)[2]
+        image = [prev.column(j) for j in range(prev.ncols)]
+    kernel = [{c: F(x, v[min(v)]) for c, x in v.items()}
+              for v in linalg.int_kernel_basis(int_columns(mat)[0])]
+    return [cochain_from_coords(mod, n, parity, dom, kernel[i])
+            for i in linalg.greedy_independent(image, kernel)]
 
 
 def test_class_representatives_match_reference_greedy():
@@ -392,7 +383,7 @@ def test_delta_block_composes_to_zero():
 def test_reduced_cocycle_vanishing_on_HB_is_coboundary():
     # reduced n-cocycles killed on H B^{n-1} are exact, n >= 2
     from ospcoho.cochains import _a_monomial, cochain_from_coords
-    from tests_support_dense import delta_matrix
+    from tests_support_dense import SparseMatrix, delta_matrix, int_columns
     from ospcoho import linalg
     mod = TruncatedDlm(0, F(1, 2), 3)
     for n in (2, 3):
@@ -403,8 +394,9 @@ def test_reduced_cocycle_vanishing_on_HB_is_coboundary():
             for col, (u, _) in enumerate(dom):
                 if _a_monomial(u) or u == hb:
                     extra.append({col: F(1)})
-            rows = [linalg._to_int_row(r) for r in mat.rows + extra]
-            for v in linalg.int_kernel_basis(rows, mat.ncols):
+            stacked = SparseMatrix(mat.nrows + len(extra), mat.ncols,
+                                   mat.rows + extra)
+            for v in linalg.int_kernel_basis(int_columns(stacked)[0]):
                 kv = {c: F(x) for c, x in v.items()}
                 f = cochain_from_coords(mod, n, parity, dom, kv)
                 assert is_coboundary(f) is not None, (n, parity)

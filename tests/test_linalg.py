@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospcoho import linalg
-from ospcoho._kernels_py import echelon
 
 # independent dense oracle, kept deliberately naive
 from tests_support_dense import (SparseMatrix, dense_rank,  # noqa: E402
@@ -41,12 +40,12 @@ def test_identity_and_zero_rank():
 
 def test_kernel_of_identity_is_empty():
     ident = SparseMatrix.from_entries(3, 3, [(i, i, 1) for i in range(3)])
-    assert linalg.int_kernel_basis(int_rows(ident), 3) == []
+    assert linalg.int_kernel_basis(int_columns(ident)[0]) == []
 
 
 def test_kernel_one_one_matrix():
     m = SparseMatrix.from_entries(1, 2, [(0, 0, 1), (0, 1, 1)])
-    assert linalg.int_kernel_basis(int_rows(m), 2) == [{0: -1, 1: 1}]
+    assert linalg.int_kernel_basis(int_columns(m)[0]) == [{0: -1, 1: 1}]
 
 
 def test_rank_matches_dense_oracle_on_100_matrices():
@@ -62,7 +61,7 @@ def test_kernel_annihilates_and_rank_nullity():
     rng = random.Random(777)
     for _ in range(25):
         m = random_sparse(rng, rng.randint(1, 20), rng.randint(1, 30))
-        kern = linalg.int_kernel_basis(int_rows(m), m.ncols)
+        kern = linalg.int_kernel_basis(int_columns(m)[0])
         assert len(kern) == m.ncols - len(linalg.int_pivots(int_rows(m)))
         for v in kern:
             assert m.apply(v) == {}
@@ -118,7 +117,7 @@ def test_rank_nullity_property(rows):
                for j, v in enumerate(row) if v]
     m = SparseMatrix.from_entries(len(rows), 4, entries)
     assert (len(linalg.int_pivots(int_rows(m)))
-            + len(linalg.int_kernel_basis(int_rows(m), 4))) == 4
+            + len(linalg.int_kernel_basis(int_columns(m)[0]))) == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,10 +144,11 @@ def test_int_kernel_basis_is_an_integer_null_space_basis():
     rng = random.Random(4242)
     for _ in range(25):
         m = random_sparse(rng, rng.randint(1, 12), rng.randint(1, 15))
-        ints = linalg.int_kernel_basis(int_rows(m), m.ncols)
+        ints = linalg.int_kernel_basis(int_columns(m)[0])
         assert len(ints) == m.ncols - dense_rank(m)
         for v in ints:
             assert all(isinstance(x, int) and x for x in v.values())
+            assert math.gcd(*v.values()) == 1 and v[max(v)] > 0
             assert m.apply({c: Fraction(x) for c, x in v.items()}) == {}
         spanned = SparseMatrix.from_entries(
             len(ints), m.ncols,
@@ -156,28 +156,48 @@ def test_int_kernel_basis_is_an_integer_null_space_basis():
         assert dense_rank(spanned) == len(ints)
 
 
-def test_echelon_full_is_primitive_rref_of_dense_oracle():
+def test_reducer_reads_the_rref_of_dense_oracle():
+    # in-order reduction: the kernel vectors are the RREF null vectors of
+    # the free columns, solve sets the free variables to 0 and the
+    # pivots are the leading columns of the row space; tall, square and
+    # wide random sparse matrices, consistent and inconsistent systems
     rng = random.Random(4242)
-    for _ in range(60):
+    for trial in range(90):
         nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
-        rows = []
-        for _ in range(nrows):
-            row = {j: rng.randint(-9, 9) for j in range(ncols)
-                   if rng.random() < 0.5}
-            rows.append({c: v for c, v in row.items() if v})
+        if trial % 3 == 0:
+            nrows = ncols + rng.randint(1, 16)
         m = SparseMatrix.from_entries(
-            nrows, ncols, [(i, j, v) for i, r in enumerate(rows)
-                           for j, v in r.items()])
-        pivots, out = echelon([dict(r) for r in rows], True)
-        assert pivots == sorted(pivots) == [min(r) for r in out]
-        for col, r in zip(pivots, out):
-            assert r[col] > 0
-            assert math.gcd(*r.values()) == 1
-        scaled = [{c: Fraction(v, r[col]) for c, v in r.items()}
-                  for col, r in zip(pivots, out)]
-        assert scaled == dense_rref(m)
-        ranked, _ = echelon([dict(r) for r in rows], False)
-        assert ranked == pivots
+            nrows, ncols, [(i, j, rng.randint(-9, 9)) for i in range(nrows)
+                           for j in range(ncols) if rng.random() < 0.4])
+        rref = dense_rref(m)
+        pivots = [min(r) for r in rref]
+        assert linalg.int_pivots(int_rows(m)) == pivots
+        free = [f for f in range(ncols) if f not in pivots]
+        kern = linalg.int_kernel_basis(int_columns(m)[0])
+        assert [max(v) for v in kern] == free
+        for f, v in zip(free, kern):
+            null = {f: Fraction(1)}
+            for p, r in zip(pivots, rref):
+                if f in r:
+                    null[p] = -r[f]
+            assert {c: Fraction(x, v[f]) for c, x in v.items()} == null
+        if trial % 2:
+            x0 = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  for j in range(ncols) if rng.random() < 0.6}
+            b = m.apply(x0)
+        else:
+            b = {i: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                             rng.randint(1, 3))
+                 for i in range(nrows) if rng.random() < 0.5}
+        aug = SparseMatrix(nrows, ncols + 1,
+                           [{**r, ncols: b[i]} if i in b else r
+                            for i, r in enumerate(m.rows)])
+        aug_rref = dense_rref(aug)
+        if any(min(r) == ncols for r in aug_rref):
+            want = None
+        else:
+            want = {min(r): r[ncols] for r in aug_rref if ncols in r}
+        assert linalg.solve(*int_columns(m), b) == want
 
 
 def test_matrix_dump_and_mul():
