@@ -13,7 +13,6 @@ compatibility with the differential-operator module action.
 """
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -304,13 +303,14 @@ def _rescaled(base, scales):
     return StructureTable(rows, "rescaled")
 
 
-@dataclass
 class AuditReport:
-    variant: str
-    table: StructureTable
-    changes: list
-    jacobi_failures_printed: list
-    consistent_variants: list = field(default_factory=list)
+    def __init__(self, variant, table, changes, jacobi_failures_printed,
+                 consistent_variants):
+        self.variant = variant
+        self.table = table              # StructureTable
+        self.changes = changes
+        self.jacobi_failures_printed = jacobi_failures_printed
+        self.consistent_variants = consistent_variants
 
     def to_json(self):
         return {

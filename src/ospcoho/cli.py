@@ -41,7 +41,10 @@ def parse_rational(text):
             f"{text!r}: rationals must be exact p/q or integer literals")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: zero denominator") from None
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
@@ -290,8 +293,17 @@ def cmd_selftest(args):
     return EXIT_MISMATCH
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose own errors (an unknown flag or command, a
+    missing or malformed value) are one line, `ospcoho <cmd>: <message>`,
+    and exit 2, like the checks main() makes; its subparsers share it."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ospcoho",
         description="Exact cohomology of osp(1|2) weight modules of "
                     "differential operators on the superline.")

@@ -45,8 +45,7 @@ representatives against the sl(2) coboundaries in integers.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import algebra, linalg
@@ -114,11 +113,11 @@ def _chain_rank(memo, chain, n):
     return hit
 
 
-@dataclass(frozen=True)
-class DimCount:
-    total: int
-    even: int
-    odd: int
+class DimCount(namedtuple("DimCount", "total even odd")):
+    """dim H^n_w and its split by cochain parity; equal and hashed by
+    value, and pickled by its fields to and from pool workers."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {"total": self.total, "even": self.even, "odd": self.odd}
@@ -420,16 +419,17 @@ def _half_range(wmax):
     return [Fraction(j, 2) for j in range(-m, m + 1)]
 
 
-@dataclass
 class CohomologyReport:
-    lam: Fraction
-    mu: Fraction
-    K: int
-    nmax: int
-    computed: dict          # {n: {w: DimCount}}
-    theorem: dict           # {n: int}
-    proposition: dict       # {n: int}
-    match: bool
+    def __init__(self, lam, mu, K, nmax, computed, theorem, proposition,
+                 match):
+        self.lam = lam                  # Fraction
+        self.mu = mu                    # Fraction
+        self.K = K
+        self.nmax = nmax
+        self.computed = computed        # {n: {w: DimCount}}
+        self.theorem = theorem          # {n: int}
+        self.proposition = proposition  # {n: int}
+        self.match = match
 
     def to_json(self):
         return {
@@ -517,12 +517,15 @@ def grid_reports(pairs, K=None, nmax=NMAX_DEFAULT, wmax=WMAX_DEFAULT,
 
     threads=None uses the available parallelism; more workers than
     points or CPUs are never started. Results are identical regardless
-    of worker count (pure block computations).
+    of worker count (pure block computations). The process pool, and
+    with it `multiprocessing`, is imported only when a pool starts, so
+    a serial run never loads it.
     """
     jobs = [(Fraction(l), Fraction(m), K, nmax, wmax) for l, m in pairs]
     cpus = os.cpu_count() or 1
     threads = min(cpus if threads is None else threads, cpus, len(jobs))
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_report_worker, jobs))
     return [_report_worker(j) for j in jobs]

@@ -20,7 +20,7 @@ adopted bracket table, not assumed.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -231,15 +231,14 @@ _BASE_SYMBOLS = {
 }
 
 
-@dataclass(frozen=True)
-class RealizationConstants:
-    """Scalings g = c_g X_{symbol(g)} realizing the adopted bracket table."""
+class RealizationConstants(namedtuple("RealizationConstants",
+                                      "cH cX cY cA cB")):
+    """Scalings g = c_g X_{symbol(g)} realizing the adopted bracket table.
 
-    cH: Fraction
-    cX: Fraction
-    cY: Fraction
-    cA: Fraction
-    cB: Fraction
+    Equal and hashed by value: `_generator_action` is cached on it.
+    """
+
+    __slots__ = ()
 
     def scale_of(self, gen):
         return {"H": self.cH, "X": self.cX, "Y": self.cY,

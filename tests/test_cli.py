@@ -232,6 +232,37 @@ def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["dims", "--nmax", "7"], "ospcoho dims: "),
+    (["dims", "--lambda", "0.5", "--mu", "1"], "ospcoho dims: "),
+    (["dims", "--threads", "x"], "ospcoho dims: "),
+    (["cocycles", "--k", "1"], "ospcoho cocycles: "),
+    (["nosuchcommand"], "ospcoho: "),
+    ([], "ospcoho: "),
+])
+def test_parser_errors_exit_2_with_one_line(capsys, argv, prefix):
+    # argparse's own errors: no usage block, the same one-line form as
+    # the checks main() makes
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+    assert "Traceback" not in captured.err
+
+
+def test_zero_denominator_is_named(capsys):
+    assert cli.main(["dims", "--grid", "pairs:1/0,1"]) == 2
+    assert capsys.readouterr().err == (
+        "ospcoho dims: '1/0': zero denominator\n")
+    with pytest.raises(SystemExit):
+        cli.main(["dims", "--lambda", "1/0", "--mu", "1"])
+    assert capsys.readouterr().err == (
+        "ospcoho dims: argument --lambda: '1/0': zero denominator\n")
+
+
 def test_depth_at_the_cap_is_accepted(capsys, monkeypatch):
     seen = []
 

@@ -1,7 +1,9 @@
 """Brute-force dimensions, predictions, reports, and the cup checks."""
 
+import concurrent.futures
 import hashlib
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,9 +13,10 @@ from ospcoho import engine, linalg
 from ospcoho.algebra import GENS, SL2, adopted_table
 from ospcoho.cochains import (Cochain, coboundary, delta_block, make_f_k,
                               make_ftilde_k, make_h_lambda, restrict_sl2)
-from ospcoho.engine import (NotACocycle, build_report, class_representatives,
-                            gelfand_fuchs_check, grid_reports, h_dim,
-                            is_coboundary, predict_proposition, predict_sl2,
+from ospcoho.engine import (DimCount, NotACocycle, build_report,
+                            class_representatives, gelfand_fuchs_check,
+                            grid_reports, h_dim, is_coboundary,
+                            predict_proposition, predict_sl2,
                             predict_theorem, restriction_injectivity_check,
                             run_audit, selftest)
 from ospcoho.weightmod import ModuleMemo, TruncatedDlm, module_memo
@@ -506,6 +509,27 @@ def test_grid_reports_serial_and_parallel_agree():
     assert serial == parallel
 
 
+def test_dim_count_is_a_value():
+    dc = DimCount(3, 1, 2)
+    assert dc == DimCount(3, 1, 2) and dc != DimCount(3, 2, 1)
+    assert hash(dc) == hash(DimCount(3, 1, 2))
+    assert len({dc, DimCount(3, 1, 2)}) == 1
+    assert (dc.total, dc.even, dc.odd) == (3, 1, 2)
+    assert repr(dc) == "DimCount(total=3, even=1, odd=2)"
+    back = pickle.loads(pickle.dumps(dc))
+    assert type(back) is DimCount and back == dc
+    assert back.to_json() == {"total": 3, "even": 1, "odd": 2}
+
+
+def test_report_survives_pickling():
+    # what a pool worker sends back: every field, DimCounts included
+    rep = build_report(F(0), F(1, 2), nmax=2, wmax=F(1, 2))
+    back = pickle.loads(pickle.dumps(rep))
+    assert type(back) is type(rep)
+    assert vars(back) == vars(rep)
+    assert type(back.computed[1][F(0)]) is DimCount
+
+
 def test_run_audit_end_to_end():
     rep = run_audit()
     assert rep.variant == "repaired-V"
@@ -563,7 +587,10 @@ class _InlinePool:
 
 
 def test_grid_workers_capped_at_cpu_count(monkeypatch):
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", _InlinePool)
+    # grid_reports imports the pool only when it starts one, so the
+    # stand-in replaces it where that import finds it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InlinePool)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
     _InlinePool.sizes.clear()
     pairs = [(F(j, 2), F(j, 2)) for j in range(5)]

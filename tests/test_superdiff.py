@@ -6,8 +6,8 @@ from fractions import Fraction
 
 from ospcoho import engine
 from ospcoho.algebra import GENS, PARITY, adopted_table
-from ospcoho.superdiff import (ETA, ETABAR, OpPoly, SFun,
-                               _generator_action, density_action,
+from ospcoho.superdiff import (ETA, ETABAR, OpPoly, RealizationConstants,
+                               SFun, _generator_action, density_action,
                                derived_module_action, graded_commutator,
                                op_str, solve_realization_constants,
                                vector_field)
@@ -126,6 +126,20 @@ def test_realization_constants_solved_not_assumed():
     assert (consts.cH, consts.cX, consts.cY, consts.cA, consts.cB) == \
         (-1, 1, -1, 2, 2)
     assert fields_match_table(consts, adopted_table())
+
+
+def test_realization_constants_are_a_value():
+    # `_generator_action` is cached on them, and the selftest JSON prints
+    # their repr as a detail
+    consts = solve_realization_constants(adopted_table())
+    again = RealizationConstants(*(Fraction(c) for c in (-1, 1, -1, 2, 2)))
+    assert consts == again and hash(consts) == hash(again)
+    assert consts != RealizationConstants(*(Fraction(c)
+                                            for c in (1, 1, -1, 2, 2)))
+    assert repr(consts) == (
+        "RealizationConstants(cH=Fraction(-1, 1), cX=Fraction(1, 1), "
+        "cY=Fraction(-1, 1), cA=Fraction(2, 1), cB=Fraction(2, 1))")
+    assert consts.scale_of("A") == 2 and consts.symbol("X") == SFun.term(0, 0)
 
 
 def test_derived_action_examples():
