@@ -48,11 +48,14 @@ def parse_rational(text):
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
-def parse_grid(spec):
+def parse_grid(spec, kmax=None):
     """'halfints:LO..HI' -> all half-integer pairs; 'pairs:l,m;l,m' -> list.
 
     Raises argparse.ArgumentTypeError on a malformed or empty grid, or
-    on a halfints bound that is not a multiple of 1/2.
+    on a halfints bound that is not a multiple of 1/2. A halfints grid
+    is also rejected, before any point is listed, when its corner
+    (LO, HI), the point with the largest |p|, needs a truncation deeper
+    than `engine.K_MAX` (`_require_depth`).
     """
     kind, _, body = spec.partition(":")
     if kind == "halfints":
@@ -65,6 +68,8 @@ def parse_grid(spec):
             if (2 * bound).denominator != 1:
                 raise argparse.ArgumentTypeError(
                     f"grid {spec!r}: bound {bound} is not a half-integer")
+        if lo <= hi:
+            _require_depth(lo, hi, kmax)
         vals = []
         v = lo
         while v <= hi:
@@ -92,6 +97,14 @@ def _require(ok, message):
     """Reject bad input; main() reports it on one line with exit 2."""
     if not ok:
         raise argparse.ArgumentTypeError(message)
+
+
+def _require_depth(lam, mu, kmax):
+    """Reject a point whose truncation depth is above `engine.K_MAX`."""
+    K = engine.guard_K(lam, mu, kmax)
+    _require(K <= engine.K_MAX,
+             f"truncation depth K = {K} at lambda = {lam}, mu = {mu} "
+             f"is above {engine.K_MAX}")
 
 
 def _check_out(path):
@@ -189,17 +202,14 @@ def cmd_dims(args):
     _require(not args.grid or (args.lam is None and args.mu is None),
              "--grid cannot be combined with --lambda/--mu")
     if args.grid:
-        pairs = parse_grid(args.grid)
+        pairs = parse_grid(args.grid, args.kmax)
     elif args.lam is not None and args.mu is not None:
         pairs = [(args.lam, args.mu)]
     else:
         print("dims: provide --lambda/--mu or --grid", file=sys.stderr)
         return EXIT_USAGE
     for lam, mu in pairs:
-        K = engine.guard_K(lam, mu, args.kmax)
-        _require(K <= engine.K_MAX,
-                 f"truncation depth K = {K} at lambda = {lam}, mu = {mu} "
-                 f"is above {engine.K_MAX}")
+        _require_depth(lam, mu, args.kmax)
     reports = engine.grid_reports(pairs, K=args.kmax, nmax=args.nmax,
                                   wmax=args.wmax, threads=args.threads)
     if args.format == "csv":

@@ -15,12 +15,16 @@ universe to (X, H, Y) turns the same formula into the classical sl(2)
 differential (all parity exponents vanish).
 
 The weight blocks d_n: C^n_w -> C^{n+1}_w are assembled per weight
-chain (`_WeightChain`): each C^n_w is laid out once, and the Koszul
-terms, grouped by (target, source), are written from the module memo's
-integer stencils with one write per matrix entry. That assembler is the
-one evaluator of the formula: `coboundary` applies a block's integer
-columns to a cochain's coordinates on the chain's layout, one weight
-component at a time.
+chain (`_WeightChain`), kept once per module type and depth K: each
+C^n_w is laid out once, and the Koszul terms, grouped by (target,
+source), are listed per source as the chain's program. A column is
+built from its source's program and the module memo's integer stencils
+with one write per matrix entry (`_column`), and only when it is read:
+a rank needs each column's lead, its smallest row, which the program
+gives without building it (`_WeightChain.leads`). That per-column
+builder is the one evaluator of the formula: `coboundary` applies a
+block's integer columns to a cochain's coordinates on the chain's
+layout, one weight component at a time.
 
 The bracket table is a constant of this layer, the adopted one; the
 self-test's `audit-finds-repaired-V` ties it to the audit's result.
@@ -209,10 +213,11 @@ def coboundary(f):
 
     Applied per weight chain: f's values on C^n_w, for each weight w it
     has, are scaled to integer coordinates Q * f on the chain's layout
-    (Q the lcm of their denominators), the block's integer columns
-    (`_WeightChain.block`) are applied to them, and each entry of the
-    image, read off the layout of C^{n+1}_w, is divided once by
-    Q * scale. So the coboundary is the one assembler of the blocks.
+    (Q the lcm of their denominators), the block's integer columns at
+    those coordinates (`_column`, on `_WeightChain.sources`) are
+    applied to them, and each entry of the image, read off the layout
+    of C^{n+1}_w, is divided once by Q * scale. So the coboundary is the
+    one assembler of the blocks, and builds only the columns f reads.
     """
     mod, n = f.mod, f.degree
     Q = lcm(*(c.denominator for vec in f.values.values()
@@ -228,13 +233,13 @@ def coboundary(f):
     for t, part in parts.items():
         memo, chain = _weight_chain(mod, t, f.parity, f.universe)
         dom = chain.layout(memo, n)
-        cols, scale = chain.block(memo, n, frozenset())
+        scale, sources = chain.sources(memo, n)
+        terms = dict(zip(dom, (terms for _, _, terms in sources)))
         acc = {}
         for u, vals in part.items():
-            col0, key, _ = dom[u]
-            pos = memo.slice(*key)
+            pos = memo.slice(*dom[u][1])
             for bv, c in vals:
-                for r, x in cols[col0 + pos[bv]].items():
+                for r, x in _column(terms[u], pos[bv]).items():
                     acc[r] = acc.get(r, 0) + c * x
         den = Q * scale
         for u, (row0, key, _) in chain.layout(memo, n + 1).items():
@@ -266,24 +271,28 @@ def block_basis(mod, n, w, parity, universe=GENS):
 class _WeightChain:
     """The blocks d_n: C^n_w -> C^{n+1}_w of one weight and parity.
 
-    Each C^n_w is laid out once (`layout`), as the codomain of d_{n-1}
-    and the domain of d_n. An index is a monomial's offset plus a slice
-    position, so d_n is written from the memo's integer stencils
-    (`ModuleMemo.stencil`) without hashing a basis vector. Target minus
-    source of a grouped term (`_koszul_terms`) is one generator, so each
-    entry is written once; only H's diagonal meets the bracket term. H
-    acts on a slice by its weight (`TruncatedDlm.scaled_weight`), so an
-    H group is one int, the two terms summed, written down the diagonal
-    with no stencil. The memo is passed in, never stored: an evicted
-    memo and its chains go by reference counting alone. `ranks` is
-    filed by the engine.
+    A chain is kept in the module memo's DepthMemo, shared by every
+    module of the same type and K: neither its layouts nor its programs
+    read lambda or mu. Each C^n_w is laid out once (`layout`), as the
+    codomain of d_{n-1} and the domain of d_n. An index is a monomial's
+    offset plus a slice position, so d_n is written from the memo's
+    integer stencils (`ModuleMemo.stencil`) without hashing a basis
+    vector. `program` lists, per source monomial, the Koszul terms
+    (`_koszul_terms`) that reach a target: target minus source is one
+    generator, so each entry of a column is written once, and only H's
+    diagonal meets the bracket term. `sources` resolves the program on
+    one module, and `_column` builds one column from it: it is the one
+    assembler of the blocks. H acts on a slice by its weight
+    (`TruncatedDlm.scaled_weight`), so an H term is one int, the two
+    terms summed, written on the diagonal with no stencil. The ranks
+    are filed in the module memo (`ModuleMemo.ranks`).
     """
 
-    __slots__ = ("t", "parity", "universe", "ranks", "_layouts")
+    __slots__ = ("t", "parity", "universe", "_layouts", "_programs")
 
     def __init__(self, t, parity, universe):
         self.t, self.parity, self.universe = t, parity, universe
-        self.ranks, self._layouts = {}, {}
+        self._layouts, self._programs = {}, {}
 
     def layout(self, memo, n):
         """C^n_w as {monomial: (offset, slice key, length)}, laid out once.
@@ -306,54 +315,107 @@ class _WeightChain:
             self._layouts[n] = out
         return out
 
+    def program(self, memo, n):
+        """d_n by source: ((offset, slice key, length, target offsets,
+        groups), ...) in domain order, the groups being the source's
+        (source, gen, sign, coeff) groups of `_koszul_terms`, shared
+        with it, by increasing target offset."""
+        prog = self._programs.get(n)
+        if prog is None:
+            dom, cod = self.layout(memo, n), self.layout(memo, n + 1)
+            by_source = {u: ([], []) for u in dom}
+            for target, groups in _koszul_terms(n, self.parity,
+                                                self.universe)[1]:
+                if target in cod:
+                    row0 = cod[target][0]
+                    for group in groups:
+                        at = by_source.get(group[0])
+                        if at is not None:
+                            at[0].append(row0)
+                            at[1].append(group)
+            prog = self._programs[n] = tuple(
+                dom[u] + (tuple(rows), tuple(groups))
+                for u, (rows, groups) in by_source.items())
+        return prog
+
+    def sources(self, memo, n):
+        """(scale, [(offset, length, terms)]): d_n's program on the
+        memo's module, per source monomial in domain order. A term is
+        (target offset, int, stencil): the stencil's entries times the
+        int, or the int on the diagonal when the stencil is None."""
+        T = _koszul_terms(n, self.parity, self.universe)[0]
+        scale, act_factor, bracket_factor = _scales(memo, T)
+        weight, stencil = memo.mod.scaled_weight, memo.stencil
+        out = []
+        for col0, key, length, rows, groups in self.program(memo, n):
+            terms = []
+            for row0, (_, gen, s, b) in zip(rows, groups):
+                if gen == "H":      # H acts on the slice by its weight
+                    v = b * bracket_factor + s * act_factor * weight(key[0])
+                    if v:
+                        terms.append((row0, v, None))
+                elif gen:
+                    terms.append((row0, s * act_factor, stencil(gen, *key)))
+                elif b:
+                    terms.append((row0, b * bracket_factor, None))
+            out.append((col0, length, terms))
+        return scale, out
+
     def block(self, memo, n, skip):
         """(cols, scale) of d_n as in `delta_block`."""
-        T, terms = _koszul_terms(n, self.parity, self.universe)
-        scale, act_factor, bracket_factor = _scales(memo, T)
-        dom, cod = self.layout(memo, n), self.layout(memo, n + 1)
-        cols = [{} for _ in range(sum(v[2] for v in dom.values()))]
-        if not cod:
-            return cols, scale
-        live = {}       # source -> [(position, column)] outside skip
-        for target, groups in terms:
-            if target not in cod:
-                continue
-            row0 = cod[target][0]
-            for src, gen, s, b in groups:
-                if src not in dom:
-                    continue
-                col0, key, length = dom[src]
-                at = live.get(src)
-                if at is None:
-                    at = live[src] = [(i, cols[col0 + i])
-                                      for i in range(length)
-                                      if col0 + i not in skip]
-                s *= act_factor
-                b *= bracket_factor
-                if gen == "H":      # H acts on the slice by its weight
-                    v = b + s * memo.mod.scaled_weight(key[0])
-                    if v:
-                        for i, col in at:
-                            col[row0 + i] = v
-                    continue
-                if gen:
-                    st = memo.stencil(gen, *key)
-                    for i, col in at:
-                        for pos, x in st[i]:
-                            col[row0 + pos] = s * x
-                if b:
-                    for i, col in at:
-                        col[row0 + i] = b
+        scale, sources = self.sources(memo, n)
+        cols = []
+        for col0, length, terms in sources:
+            for i in range(length):
+                cols.append({} if col0 + i in skip else _column(terms, i))
         return cols, scale
+
+    def leads(self, memo, n, skip):
+        """(leads, build) of d_n's nonempty columns outside `skip`, in
+        order: leads[j] is the smallest row of the j-th and build(j)
+        builds it. The terms' target ranges are disjoint and increasing,
+        so the lead is read off the first term that reaches the column
+        (the smallest position of its stencil row, or the diagonal),
+        without building it."""
+        leads, owners = [], []
+        for col0, length, terms in self.sources(memo, n)[1]:
+            for i in range(length):
+                if col0 + i in skip:
+                    continue
+                for row0, v, st in terms:
+                    if st is None:
+                        lead = row0 + i
+                        break
+                    if st[i]:
+                        lead = row0 + st[i][0][0]
+                        break
+                else:
+                    continue
+                leads.append(lead)
+                owners.append((terms, i))
+        return leads, lambda j: _column(*owners[j])
+
+
+def _column(terms, i):
+    """Column i of a source's resolved terms (`_WeightChain.sources`)."""
+    col = {}
+    for row0, v, st in terms:
+        if st is None:
+            col[row0 + i] = v
+        else:
+            for pos, x in st[i]:
+                col[row0 + pos] = v * x
+    return col
 
 
 def _weight_chain(mod, t, parity, universe):
     """(memo, chain) of `mod` at t = 2(w + p) (`twice_shifted`)."""
     memo = module_memo(mod)
     key = (t, parity, universe)
-    if key not in memo.chains:
-        memo.chains[key] = _WeightChain(*key)
-    return memo, memo.chains[key]
+    chains = memo.depth.chains
+    if key not in chains:
+        chains[key] = _WeightChain(*key)
+    return memo, chains[key]
 
 
 def delta_block(mod, n, w, parity, universe=GENS, skip=()):

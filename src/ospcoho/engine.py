@@ -6,18 +6,23 @@ a table is an argument only of the audit (`run_audit`).
 For one truncated module and one cochain weight w the differential
 d_n: C^n_w -> C^{n+1}_w is a finite exact matrix per parity;
 dim H^n_w = dim C^n_w - rank d_n - rank d_{n-1}. The ranks of one
-(w, parity) chain are filed on its `cochains._WeightChain` (each C^n_w
-laid out once, each block entry written once from integer stencils),
-in the order n = 0, 1, ...; each step hands the next the pivot
-coordinates of an echelon basis V of im d_{n-1}, the leads that the
-in-order reducer (`linalg.int_pivots`) filed. Since d_n d_{n-1} = 0
-(the adopted table satisfies Jacobi and the module axiom holds),
-d_n V = 0 gives d_n[:, P] = -d_n[:, N] V_N V_P^{-1} with P the pivots
-and N the other coordinates, V_P being triangular with a nonzero
-diagonal; so rank d_n = rank d_n[:, N], and the columns at P are never
-assembled (the "clearing" of persistent-homology reduction:
-Chen-Kerber 2011, Bauer-Kerber-Reininghaus 2014). These brute-force
-numbers are compared against two independent predictions:
+(w, parity) chain (`cochains._WeightChain`: each C^n_w laid out once,
+each column written once from integer stencils) are filed in the
+module memo in the order n = 0, 1, ...; each step hands the next the
+pivot coordinates of an echelon basis V of im d_{n-1}, the leads that
+the in-order reducer filed. Since d_n d_{n-1} = 0 (the adopted table
+satisfies Jacobi and the module axiom holds), d_n V = 0 gives
+d_n[:, P] = -d_n[:, N] V_N V_P^{-1} with P the pivots and N the other
+coordinates, V_P being triangular with a nonzero diagonal; so
+rank d_n = rank d_n[:, N], and the columns at P are never assembled
+(the "clearing" of persistent-homology reduction: Chen-Kerber 2011,
+Bauer-Kerber-Reininghaus 2014). The columns in N are not assembled
+either until the reducer reads them (`linalg.lead_pivots`): each is
+filed by its lead, which the chain's program gives, and built only
+when an earlier column took that lead or a later one is reduced
+against it, as Ripser keeps its coboundary columns implicit (Bauer
+2021). These brute-force numbers are compared against two independent
+predictions:
 
   * the kernel description  H^0 = ker A o+ ker B,
     H^1 ~ H^0 (+) (ker A)^{-1/2}/B((ker A)^0), H^2 ~ that quotient,
@@ -94,22 +99,25 @@ def _block_rank_and_cols(mod, n, w, parity, universe):
 
 
 def _chain_rank(memo, chain, n):
-    """(rank, columns, pivots) of d_n, filed on its weight chain.
+    """(rank, columns, pivots) of d_n, filed in the module memo.
 
     `pivots` are the pivot coordinates, in C^{n+1}_w, of an echelon
     basis of im d_n. The columns of d_n at the pivots of im d_{n-1}
     are left out (step n-1 is computed first if it is missing): they
-    lie in the span of the others because d_n d_{n-1} = 0. An empty
-    C^n_w answers (0, 0, {}) with nothing assembled.
+    lie in the span of the others because d_n d_{n-1} = 0. The other
+    columns are filed by their leads, read off the chain's program
+    (`_WeightChain.leads`), and built only when the reducer reads one
+    (`linalg.lead_pivots`). An empty C^n_w answers (0, 0, {}) with
+    nothing assembled.
     """
-    hit = chain.ranks.get(n)
+    hit = memo.ranks.get((chain, n))
     if hit is None and not chain.layout(memo, n):
-        hit = chain.ranks[n] = (0, 0, frozenset())
+        hit = memo.ranks[(chain, n)] = (0, 0, frozenset())
     if hit is None:
         skip = _chain_rank(memo, chain, n - 1)[2] if n > 0 else frozenset()
-        cols, _ = chain.block(memo, n, skip)
-        pivots = frozenset(linalg.int_pivots([c for c in cols if c]))
-        hit = chain.ranks[n] = (len(pivots), len(cols), pivots)
+        pivots = frozenset(linalg.lead_pivots(*chain.leads(memo, n, skip)))
+        size = sum(v[2] for v in chain.layout(memo, n).values())
+        hit = memo.ranks[(chain, n)] = (len(pivots), size, pivots)
     return hit
 
 

@@ -28,11 +28,16 @@ because den(2lam) and den(2p) divide L; H acts on the slice t by
 D * alpha = (D t - D 2p) / 2 (`scaled_weight`). This table is the one
 definition of the action; a module with another action overrides it.
 
-`module_memo` keeps, for the most recently used module, the action
-images (each computed once), its weight slices, their integer
-stencils, and the weight chains of blocks built on them. The memo reads
-the H, A and B images off the table and composes X and Y in integers
-from its own A and B images:
+What the blocks need splits in two. A weight slice reads K and the
+basis, but neither lambda nor mu, and so do the layouts and programs of
+the weight chains built on the slices (`cochains`): `depth_memo` keeps
+them for the latest module type and depth, shared by every point of a
+grid at that depth. `module_memo` keeps, for the most recently used
+module, what does read lambda and mu: the integer stencils of the
+action on the slices, the images read back off them, and the ranks. A
+stencil holds a generator's images on one slice by slice positions;
+for H, A and B it is read off the table, and X and Y are composed on
+the A and B stencils, in integers on slice positions:
 
     D * X.bv =  (A_D o A_D)(bv) / D,    D * Y.bv = -(B_D o B_D)(bv) / D,
 
@@ -44,10 +49,10 @@ Every quotient is still checked with divmod, and a remainder raises
 NonIntegralScale, as does a table entry that is not an int; nothing is
 rounded. The composition uses nothing but the odd action, so it serves
 any osp(1|2) module that tabulates H, A and B. This is the only
-composition of X and Y in the program: the self-test compares these
-images, scale included, with the realization oracle
-(`superdiff.derived_module_action`), the independent check of the
-table.
+composition of X and Y in the program: `image` reads it back, and the
+self-test compares those images, scale included, with the realization
+oracle (`superdiff.derived_module_action`), the independent check of
+the table, so the oracle sees exactly the entries the blocks use.
 
 `module_axiom_holds` checks the module axiom on those images: it scales
 each defect by T * D^2, with T the lcm of the bracket table's
@@ -241,19 +246,22 @@ class TruncatedDlm:
         """Integer basis of the joint kernel of `gens` on the slice t.
 
         t = 2(alpha + p) is an int (`twice_shifted`); the slice holds one
-        parity, t mod 2. The memo images of each basis vector under
-        `gens` form one integer column (a row per generator and target
-        vector), and the null space of those columns is taken in
-        integers (`linalg.int_kernel_basis`); the memo's scale changes
+        parity, t mod 2. The memo stencils of `gens` on the slice give
+        each basis vector one integer column (a row per generator and
+        target position), and the null space of those columns is taken
+        in integers (`linalg.int_kernel_basis`); the memo's scale changes
         no kernel. Returns {BasisVector: int} vectors, one per free
         column of the unique reduced echelon form.
         """
         memo = module_memo(self)
         basis = list(memo.slice(t, t % 2))
-        rows = {}       # (generator, target vector) -> row index
-        cols = [{rows.setdefault((g, tbv), len(rows)): x
-                 for g in gens for tbv, x in memo.image(g, bv)}
-                for bv in basis]
+        cols = [{} for _ in basis]
+        row0 = 0
+        for g in gens:
+            for col, row in zip(cols, memo.stencil(g, t, t % 2)):
+                for i, x in row:
+                    col[row0 + i] = x
+            row0 += len(memo.slice(t + TWICE_WEIGHT[g], (t + PARITY[g]) % 2))
         return [{basis[c]: x for c, x in v.items()}
                 for v in linalg.int_kernel_basis(cols)]
 
@@ -272,11 +280,11 @@ class TruncatedDlm:
     def check_a_onto(self):
         """rank(A : M^t -> M^{t+1}) == dim M^{t+1} on the kernel slices.
 
-        Ranked in integers on the memo's A images.
+        Ranked in integers on the memo's A stencils.
         """
         memo = module_memo(self)
         for t in self.kernel_weights():
-            rows = [dict(memo.image("A", bv)) for bv in memo.slice(t, t % 2)]
+            rows = [dict(row) for row in memo.stencil("A", t, t % 2)]
             target = memo.slice(t + 1, (t + 1) % 2)
             if len(linalg.int_pivots(rows)) != len(target):
                 return False
@@ -293,63 +301,113 @@ def action_scale(mod):
     return 2 * L * L
 
 
-class ModuleMemo:
-    """Integer action images of one module, its weight slices and chains.
+class DepthMemo:
+    """What the blocks of every module of one type and depth K share.
 
-    `image(gen, bv)` is scale * gen.bv as a tuple of (BasisVector, int)
-    pairs, computed on first use: the module's integer table
-    (`scaled_act_basis`) for H, A and B, and X and Y composed from the
-    A and B images (see the module docstring) through `composed`, which
-    the module-axiom check reads too. A weight slice is keyed by the
-    int t = 2(alpha + p) and a parity, and `stencil` holds a generator's
-    images on it by slice positions.
-    `chains` belongs to `cochains`, which files its weight chains there.
+    A weight slice, twice_weight_basis(t, parity), reads K and the
+    type's basis but neither lambda nor mu, and so do the layouts and
+    the per-source programs of the weight chains built on the slices'
+    lengths. `ModuleMemo.slice` fills `slices`; `chains` belongs to
+    `cochains`, which files its weight chains there. The key is the
+    type and K: a module type whose basis reads more than K would have
+    to key its depth memo by that too.
     """
 
-    __slots__ = ("mod", "scale", "chains", "_images", "_slices",
+    __slots__ = ("slices", "chains")
+
+    def __init__(self):
+        self.slices, self.chains = {}, {}
+
+
+# one depth at a time: a grid's points share theirs, and the guard
+# deepens K only with |p|
+MEMO_DEPTHS = 1
+
+
+@lru_cache(maxsize=MEMO_DEPTHS)
+def depth_memo(kind, K):
+    """The DepthMemo of the modules of type `kind` cut at K, kept for
+    the MEMO_DEPTHS latest depths."""
+    return DepthMemo()
+
+
+class ModuleMemo:
+    """Integer action stencils of one module, their images and its ranks.
+
+    A weight slice is keyed by the int t = 2(alpha + p) and a parity
+    and kept in the module's DepthMemo (`depth`), shared with every
+    module of the same type and K. `stencil(gen, t, parity)` holds
+    scale * gen on a slice by slice positions, computed on first use:
+    off the module's integer table (`scaled_act_basis`) for H, A and B,
+    and composed on the A and B stencils for X and Y (see the module
+    docstring). `image(gen, bv)` is scale * gen.bv as a tuple of
+    (BasisVector, int) pairs, read back off the stencil. `ranks` is
+    filed by `engine`, per weight chain and degree.
+    """
+
+    __slots__ = ("mod", "scale", "depth", "ranks", "_images",
                  "_stencils")
 
     def __init__(self, mod):
         self.mod = mod
         self.scale = action_scale(mod)
-        self.chains, self._slices, self._stencils = {}, {}, {}
+        self.depth = depth_memo(type(mod), mod.K)
+        self.ranks, self._stencils = {}, {}
         self._images = {g: {} for g in GENS}
 
     def slice(self, t, parity):
         """{BasisVector: position} of twice_weight_basis(t, parity)."""
-        hit = self._slices.get((t, parity))
+        slices = self.depth.slices
+        hit = slices.get((t, parity))
         if hit is None:
-            hit = self._slices[(t, parity)] = {
+            hit = slices[(t, parity)] = {
                 bv: i for i, bv in
                 enumerate(self.mod.twice_weight_basis(t, parity))}
         return hit
 
     def stencil(self, gen, t, parity):
         """gen's images on the slice (t, parity), one tuple per vector,
-        of (position in the slice gen maps into, int) pairs."""
+        of (position in the slice gen maps into, int) pairs by
+        increasing position: the module's table for H, A and B, and
+        composed on the A and B stencils for X and Y."""
         hit = self._stencils.get((gen, t, parity))
         if hit is None:
-            pos = self.slice(t + TWICE_WEIGHT[gen],
-                             (parity + PARITY[gen]) % 2)
-            hit = self._stencils[(gen, t, parity)] = tuple(
-                tuple((pos[tbv], x) for tbv, x in self.image(gen, bv))
-                for bv in self.slice(t, parity))
+            if gen in _SQUARES:
+                hit = self._square_stencil(gen, t, parity)
+            else:
+                pos = self.slice(t + TWICE_WEIGHT[gen],
+                                 (parity + PARITY[gen]) % 2)
+                act = self.mod.scaled_act_basis
+                rows = []
+                for bv in self.slice(t, parity):
+                    row = []
+                    for tbv, x in act(gen, bv):
+                        if type(x) is not int:
+                            raise NonIntegralScale(
+                                f"{gen}.{bv} has scaled coefficient "
+                                f"{x!r}, not an int")
+                        row.append((pos[tbv], x))
+                    row.sort()
+                    rows.append(tuple(row))
+                hit = tuple(rows)
+            self._stencils[(gen, t, parity)] = hit
         return hit
 
     def image(self, gen, bv):
+        """scale * gen.bv, read back off the stencil of bv's slice (for
+        the whole slice at once)."""
         images = self._images[gen]
         img = images.get(bv)
         if img is None:
-            if gen in _SQUARES:
-                img = self._square(gen, bv)
-            else:
-                img = self.mod.scaled_act_basis(gen, bv)
-                for _, x in img:
-                    if type(x) is not int:
-                        raise NonIntegralScale(
-                            f"{gen}.{bv} has scaled coefficient {x!r}, "
-                            f"not an int")
-            img = images[bv] = tuple(img)
+            t = self.mod.twice_shifted_weight(bv)
+            source = self.slice(t, t % 2)
+            if bv not in source:
+                raise TruncationViolation(f"{bv} exceeds K={self.mod.K}")
+            target = tuple(self.slice(t + TWICE_WEIGHT[gen],
+                                      (t + PARITY[gen]) % 2))
+            for b, row in zip(source, self.stencil(gen, t, t % 2)):
+                images[b] = tuple((target[i], x) for i, x in row)
+            img = images[bv]
         return img
 
     def composed(self, u, v, bv):
@@ -360,20 +418,32 @@ class ModuleMemo:
                 out[t2] = out.get(t2, 0) + c * c2
         return out
 
-    def _square(self, gen, bv):
-        # D * gen.bv = sign * (odd_D o odd_D)(bv) / D, in integers
+    def _square_stencil(self, gen, t, parity):
+        # D * gen.bv = sign * (odd_D o odd_D)(bv) / D on the slice, in
+        # integers on slice positions
         odd, sign = _SQUARES[gen]
-        img = []
-        for t, v in self.composed(odd, odd, bv).items():
-            q, r = divmod(sign * v, self.scale)
-            if r:
-                c = Fraction(sign * v, self.scale ** 2)
-                raise NonIntegralScale(
-                    f"{gen}.{bv} has coefficient {c} at {t}, not in "
-                    f"(1/{self.scale})Z")
-            if q:
-                img.append((t, q))
-        return img
+        first = self.stencil(odd, t, parity)
+        second = self.stencil(odd, t + TWICE_WEIGHT[odd], 1 - parity)
+        out = []
+        for i, row in enumerate(first):
+            acc = {}
+            for j, x in row:
+                for k, y in second[j]:
+                    acc[k] = acc.get(k, 0) + x * y
+            img = []
+            for k, v in sorted(acc.items()):
+                q, r = divmod(sign * v, self.scale)
+                if r:
+                    bv = list(self.slice(t, parity))[i]
+                    tbv = list(self.slice(t + TWICE_WEIGHT[gen], parity))[k]
+                    c = Fraction(sign * v, self.scale ** 2)
+                    raise NonIntegralScale(
+                        f"{gen}.{bv} has coefficient {c} at {tbv}, not "
+                        f"in (1/{self.scale})Z")
+                if q:
+                    img.append((k, q))
+            out.append(tuple(img))
+        return tuple(out)
 
 
 # X = A o A and Y = -B o B: (odd generator, sign)

@@ -81,6 +81,14 @@ def test_grid_halfints_parser():
     pairs = cli.parse_grid("halfints:-1..0")
     assert len(pairs) == 9
     assert all(-1 <= a <= 0 and -1 <= b <= 0 for a, b in pairs)
+    # the corner (LO, HI) has the largest |p|: a grid too deep there is
+    # rejected before any point is listed, and one at the cap is listed
+    K_MAX = cli.engine.K_MAX
+    with pytest.raises(argparse.ArgumentTypeError, match="above"):
+        cli.parse_grid("halfints:-64..64")
+    with pytest.raises(argparse.ArgumentTypeError, match="above"):
+        cli.parse_grid("halfints:0..1", kmax=K_MAX + 1)
+    assert len(cli.parse_grid("halfints:-64..63")) == 255 ** 2
 
 
 def test_cocycles_ftilde(capsys):
@@ -213,6 +221,9 @@ def test_threads_flag_same_output(capsys):
     ["dims", "--lambda", "0", "--mu", "1/2", "--wmax", "1000000"],
     ["dims", "--lambda", "0", "--mu", "1/2",
      "--wmax", f"{2 * cli.engine.W_MAX + 1}/2"],
+    # a halfints grid too deep at its corner, rejected before its 5.8
+    # million points are listed
+    ["dims", "--grid", "halfints:-600..600"],
 ])
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv):
     # bad input is rejected before any computation, an unwritable --out

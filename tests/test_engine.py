@@ -49,24 +49,47 @@ def test_h_dim_parity_split():
 
 
 def test_chained_ranks_equal_full_block_ranks():
-    # the chain leaves out the columns at the pivots of im d_{n-1}; the
-    # rank of the full block must come out the same
+    # the chain leaves out the columns at the pivots of im d_{n-1} and
+    # files the others by the leads its program gives, building a column
+    # only when the reducer reads it. Its rank and pivots must be those
+    # of `int_pivots` on the built cleared block, and, for a module
+    # (d^2 = 0), those of the full block, whose columns span the same
+    # space. The representatives are read off these pivots. _AZero is no
+    # module (A acts as 0, [A, B] = -2H does not), so only the first
+    # holds there; at the special points lambda = -k/2 the B coefficient
+    # 2lam + k of b_{m,k} vanishes
     module_memo.cache_clear()
     weights = [F(j, 2) for j in range(-2, 3)]
     mods = [TruncatedDlm(lam, mu, 3) for lam, mu in GRID + [(F(-3, 2), F(2))]]
     mods.append(TruncatedDlm(F(1, 3), F(5, 6), 5))
+    for k in range(4):
+        special = TruncatedDlm(F(-k, 2), F(k + 1, 2), max(3, k + 1))
+        assert len(special.scaled_act_basis("B", ("b", 0, k))) == 1
+        mods.append(special)
+    mods += [_AZero(0, F(1, 2), 3), _AZero(F(1, 3), F(5, 6), 3)]
+    blocks = 0
     for mod in mods:
         for universe in (GENS, SL2):
             for w in weights:
                 for parity in (0, 1):
                     for n in range(5):
-                        rank, cols, _ = engine._block_rank_and_cols(
+                        rank, cols, pivots = engine._block_rank_and_cols(
                             mod, n, w, parity, universe)
-                        dom, _, full, _ = delta_block(mod, n, w, parity,
-                                                      universe)
-                        assert (rank, cols) == (
-                            len(linalg.int_pivots(full)), len(dom)), \
-                            (mod, universe, w, parity, n)
+                        skip = engine._block_rank_and_cols(
+                            mod, n - 1, w, parity, universe)[2] if n else ()
+                        dom, _, cleared, _ = delta_block(
+                            mod, n, w, parity, universe, skip)
+                        where = (mod, universe, w, parity, n)
+                        assert (rank, cols) == (len(pivots), len(dom)), where
+                        assert sorted(pivots) == linalg.int_pivots(
+                            [c for c in cleared if c]), where
+                        if type(mod) is TruncatedDlm:
+                            full = delta_block(mod, n, w, parity,
+                                               universe)[2]
+                            assert sorted(pivots) == linalg.int_pivots(
+                                full), where
+                        blocks += rank > 0
+    assert blocks > 600
 
 
 def test_h_dim_out_of_order():
@@ -100,6 +123,39 @@ def test_subclass_gets_its_own_memo():
     assert h_dim(base, 1, 0).total == 2
     assert module_memo(sub) is not module_memo(base)
     assert h_dim(sub, 1, 0) == fresh
+
+
+def test_modules_of_one_type_and_depth_share_their_depth_memo():
+    # slices, layouts and programs read neither lambda nor mu: a second
+    # module of the same type and K builds none of them again, while a
+    # module of another type or depth gets its own depth memo
+    from ospcoho.weightmod import depth_memo
+
+    def built(depth):
+        out = {("slice", key): v for key, v in depth.slices.items()}
+        for key, chain in depth.chains.items():
+            out.update({("program", key, n): p
+                        for n, p in chain._programs.items()})
+        return out
+
+    module_memo.cache_clear()
+    depth_memo.cache_clear()
+    first = TruncatedDlm(0, F(1, 2), 3)
+    second = TruncatedDlm(F(1, 3), F(5, 6), 3)      # the same p
+    for mod in (first, second):
+        for n in range(3):
+            for w in (0, F(1, 2)):
+                h_dim(mod, n, w)
+        if mod is first:
+            depth = module_memo(first).depth
+            before = built(depth)
+    assert module_memo(second).depth is depth
+    after = built(depth)
+    assert any(k[0] == "program" for k in before)
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+    assert ModuleMemo(_AZero(0, F(1, 2), 3)).depth is not depth
+    assert ModuleMemo(TruncatedDlm(0, F(1, 2), 4)).depth is not depth
 
 
 def test_a_not_onto_violates_the_hypothesis():
@@ -551,15 +607,16 @@ def test_selftest_rejects_unknown_suite():
 
 def test_selftest_oracle_sees_the_integer_composition(monkeypatch):
     # the realization check compares the oracle with the memo images the
-    # complexes are built on, X and Y composed in integers by
-    # `ModuleMemo._square`: a composition that drops one term fails it
-    square = ModuleMemo._square
+    # complexes are built on, X and Y composed in integers on the
+    # stencils by `ModuleMemo._square_stencil`: a composition that drops
+    # one term of each vector's image fails it
+    square = ModuleMemo._square_stencil
 
-    def dropped(self, gen, bv):
-        return square(self, gen, bv)[1:]
+    def dropped(self, gen, t, parity):
+        return tuple(row[1:] for row in square(self, gen, t, parity))
 
     module_memo.cache_clear()
-    monkeypatch.setattr(ModuleMemo, "_square", dropped)
+    monkeypatch.setattr(ModuleMemo, "_square_stencil", dropped)
     try:
         verdict = {name: ok for name, ok, _ in selftest("oracle")}
     finally:
@@ -612,8 +669,8 @@ def test_module_memo_stays_bounded_over_a_grid():
     assert len(reports) == 25 and all(r.match for r in reports)
     assert module_memo.cache_info().currsize <= MEMO_MODULES
     last = TruncatedDlm(pairs[-1][0], pairs[-1][1], reports[-1].K)
-    # the latest module's chains, with their ranks, are kept
-    assert any(c.ranks for c in module_memo(last).chains.values())
+    # the latest module's ranks are kept
+    assert module_memo(last).ranks
 
 
 def test_delta_block_equals_the_per_block_reference():
@@ -647,26 +704,34 @@ def test_delta_block_equals_the_per_block_reference():
 
 
 def test_evicted_memos_and_chains_are_freed_without_the_collector():
-    # a chain never refers to the memo that holds it, so an evicted memo
-    # and its chains go by reference counting alone, with the cyclic
-    # collector off
+    # neither a chain nor a depth memo refers to a module memo, and a
+    # module memo only to its depth memo, so an evicted module memo and
+    # an evicted depth memo with its chains go by reference counting
+    # alone, with the cyclic collector off. A serial run that switches
+    # depths 3 -> 4 -> 5 keeps one depth memo and MEMO_MODULES memos
     import gc
     from ospcoho.cochains import _WeightChain
-    from ospcoho.weightmod import MEMO_MODULES, ModuleMemo
+    from ospcoho.weightmod import (MEMO_MODULES, DepthMemo, ModuleMemo,
+                                   depth_memo)
     gc.collect()
     gc.disable()
     try:
         module_memo.cache_clear()
-        for lam, mu in ((F(0), F(1, 2)), (F(1, 3), F(5, 6)), (F(-1), F(1))):
-            mod = TruncatedDlm(lam, mu, 3)
-            for n in range(3):
-                h_dim(mod, n, 0)
+        depth_memo.cache_clear()
+        pairs = [(F(0), F(1, 2)), (F(1, 3), F(5, 6)), (F(-1), F(1))]
+        for K in (3, 4, 5):
+            reports = grid_reports(pairs, K=K, nmax=2, wmax=F(1, 2),
+                                   threads=1)
+            assert [r.K for r in reports] == [K] * 3
         alive = gc.get_objects()
         memos = [o for o in alive if isinstance(o, ModuleMemo)]
+        depths = [o for o in alive if isinstance(o, DepthMemo)]
         chains = [o for o in alive if isinstance(o, _WeightChain)]
         del alive
     finally:
         gc.enable()
     assert 1 <= len(memos) <= MEMO_MODULES
-    held = {id(c) for m in memos for c in m.chains.values()}
+    assert len(depths) == 1 and all(m.depth is depths[0] for m in memos)
+    assert memos[0].mod.K == 5
+    held = {id(c) for c in depths[0].chains.values()}
     assert chains and all(id(c) in held for c in chains)

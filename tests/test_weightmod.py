@@ -332,6 +332,51 @@ def test_memo_images_of_all_generators_are_scaled_actions(lam, mu, K):
                         (gen, bv)
 
 
+@pytest.mark.parametrize("lam, mu, D", [
+    (F(0), F(1, 2), 2), (F(1, 3), F(5, 6), 18), (F(1, 5), F(7, 10), 50)])
+def test_composed_stencils_equal_the_fraction_composition(lam, mu, D):
+    # X and Y are composed once, on the A and B stencils of each slice;
+    # every row, read back in the basis, must be D times the Fraction
+    # composition X = A o A, Y = -B o B, its positions increasing
+    K = 4
+    mod = TruncatedDlm(lam, mu, K)
+    memo = wm.ModuleMemo(mod)
+    assert memo.scale == D
+    rows = 0
+    for gen in ("X", "Y"):
+        for t in range(-2 * K - 4, 2 * K + 2):
+            source = list(memo.slice(t, t % 2))
+            target = list(memo.slice(t + int(2 * WEIGHT[gen]), t % 2))
+            stencil = memo.stencil(gen, t, t % 2)
+            assert len(stencil) == len(source)
+            for bv, row in zip(source, stencil):
+                positions = [i for i, _ in row]
+                assert positions == sorted(set(positions))
+                assert all(type(x) is int and x for _, x in row)
+                assert {target[i]: x for i, x in row} == {
+                    v: c * D for v, c in act_basis(mod, gen, bv).items()}, \
+                    (gen, bv)
+                rows += bool(row)
+    assert rows > 100
+
+
+def test_composed_stencil_refuses_a_remainder():
+    # a table whose A and B coefficients are all 1 is not scaled by D = 2:
+    # A o A / D and -B o B / D leave remainders, which must raise
+    class Unscaled(TruncatedDlm):
+        __slots__ = ()
+
+        def scaled_act_basis(self, gen, bv):
+            img = super().scaled_act_basis(gen, bv)
+            return img if gen == "H" else tuple((v, 1) for v, _ in img)
+
+    for gen in ("X", "Y"):
+        memo = wm.ModuleMemo(Unscaled(0, F(1, 2), 3))
+        with pytest.raises(wm.NonIntegralScale, match=f"^{gen}\\."):
+            for t in range(-10, 8):
+                memo.stencil(gen, t, t % 2)
+
+
 def _table_mismatches(mod, consts, max_m=2):
     # memo images of all five generators against D times the realization
     # oracle's commutator action, read back in the a/b/c/d basis
