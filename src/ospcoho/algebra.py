@@ -287,22 +287,6 @@ def _flip_variants(base):
                 yield table
 
 
-_RESCALE_VALUES = tuple(
-    Fraction(n, d) for n in (1, 2, 4) for d in (1, 2, 4)
-)
-
-
-def _rescaled(base, scales):
-    """Table of the rescaled generators g -> s_g g in the new basis."""
-    rows = {}
-    for (u, v) in PAIR_ORDER:
-        row = {}
-        for g, c in base._rows[(u, v)].items():
-            row[g] = c * scales[u] * scales[v] / scales[g]
-        rows[(u, v)] = row
-    return StructureTable(rows, "rescaled")
-
-
 class AuditReport:
     def __init__(self, variant, table, changes, jacobi_failures_printed,
                  consistent_variants):
@@ -330,18 +314,17 @@ class AuditReport:
 def audit_and_repair(printed, module_check):
     """Search for the minimal consistent repair of `printed`.
 
-    Search space: per-row sign flips on the off-diagonal bracket rows,
-    and (independently) diagonal rescalings of the generators by
-    rationals with numerator and denominator in {1, 2, 4}. A candidate
-    is accepted when it passes the graded Jacobi identity on all 125
-    triples AND `module_check(table)` confirms the differential-operator
-    action satisfies the module axiom for it. Among accepted candidates
-    the one with the fewest changed rows wins.
+    Search space: per-row sign flips on the off-diagonal bracket rows.
+    A candidate is accepted when it passes the graded Jacobi identity on
+    all 125 triples AND `module_check(table)` confirms the
+    differential-operator action satisfies the module axiom for it.
+    Among accepted candidates the one with the fewest changed rows wins;
+    with none, NoConsistentRepair is raised.
 
-    A rescaling multiplies the Jacobi defect of (u, v, w) in component h
-    by s_u s_v s_w / s_h, so it fails Jacobi on exactly the triples the
-    input fails on: the rescalings are searched only when the input
-    passes Jacobi.
+    Rescalings of the generators are not searched: g -> s_g g multiplies
+    the Jacobi defect of (u, v, w) in component h by s_u s_v s_w / s_h,
+    so a rescaled table fails Jacobi on exactly the triples its input
+    fails on, and no rescaling repairs a table that fails Jacobi.
     """
     failures = printed.jacobi_failures()
     candidates = []
@@ -351,18 +334,9 @@ def audit_and_repair(printed, module_check):
         consistent.append(changes)
         if module_check(table):
             candidates.append((len(changes), changes, table))
-    if not candidates and not failures:
-        for scales in itertools.product(_RESCALE_VALUES, repeat=len(GENS)):
-            table = _rescaled(printed, dict(zip(GENS, scales)))
-            if not table.is_jacobi():
-                continue
-            if module_check(table):
-                changes = table.changes_from(printed)
-                candidates.append((len(changes), changes, table))
     if not candidates:
         raise NoConsistentRepair(
-            "no sign-flip or rescaling variant passes Jacobi and the "
-            "module-axiom check")
+            "no sign-flip variant passes Jacobi and the module-axiom check")
     candidates.sort(key=lambda c: (c[0], [p for p, _, _ in c[1]]))
     nch, changes, table = candidates[0]
     table.label = "repaired-V" if nch else printed.label

@@ -48,17 +48,19 @@ coefficients are integers and B's lie in (1/L)Z, so B o B needs only L^2.
 Every quotient is still checked with divmod, and a remainder raises
 NonIntegralScale, as does a table entry that is not an int; nothing is
 rounded. The composition uses nothing but the odd action, so it serves
-any osp(1|2) module that tabulates H, A and B. This is the only
-composition of X and Y in the program: `image` reads it back, and the
-self-test compares those images, scale included, with the realization
-oracle (`superdiff.derived_module_action`), the independent check of
-the table, so the oracle sees exactly the entries the blocks use.
+any osp(1|2) module that tabulates H, A and B. `image` reads it back,
+and the self-test compares those images, scale included, with the
+realization oracle (`superdiff.derived_module_action`), the independent
+check of the table, so the oracle sees exactly the entries the blocks
+use.
 
-`module_axiom_holds` checks the module axiom on those images: it scales
-each defect by T * D^2, with T the lcm of the bracket table's
-denominators, so that it is an integer vector. `kernel_slice` and
-`check_a_onto`, which the closed-form predictions read, rank the same
-images in integers on the int-keyed slices.
+The stencil composition (`_compose`) is the only composition of the
+action in the program: X and Y are built on it, and so is
+`module_axiom_holds`, which checks the module axiom one slice at a time
+on the stencils, each defect scaled by T * D^2, with T the lcm of the
+bracket table's denominators, so that it is an integer vector.
+`kernel_slice` and `check_a_onto`, which the closed-form predictions
+read, rank the same stencils in integers on the int-keyed slices.
 """
 
 from fractions import Fraction
@@ -410,14 +412,6 @@ class ModuleMemo:
             img = images[bv]
         return img
 
-    def composed(self, u, v, bv):
-        """D^2 * u.(v.bv) as {BasisVector: int}, from the memo's images."""
-        out = {}
-        for t, c in self.image(v, bv):
-            for t2, c2 in self.image(u, t):
-                out[t2] = out.get(t2, 0) + c * c2
-        return out
-
     def _square_stencil(self, gen, t, parity):
         # D * gen.bv = sign * (odd_D o odd_D)(bv) / D on the slice, in
         # integers on slice positions
@@ -425,11 +419,7 @@ class ModuleMemo:
         first = self.stencil(odd, t, parity)
         second = self.stencil(odd, t + TWICE_WEIGHT[odd], 1 - parity)
         out = []
-        for i, row in enumerate(first):
-            acc = {}
-            for j, x in row:
-                for k, y in second[j]:
-                    acc[k] = acc.get(k, 0) + x * y
+        for i, acc in enumerate(_compose(first, second)):
             img = []
             for k, v in sorted(acc.items()):
                 q, r = divmod(sign * v, self.scale)
@@ -446,6 +436,24 @@ class ModuleMemo:
         return tuple(out)
 
 
+def _compose(first, second):
+    """The rows of second o first on one slice, as {position: int} dicts.
+
+    `first` holds one generator's stencil on a slice and `second`
+    another's on the slice the first maps into; row i is
+    sum_j x_ij * second[j], by position in the slice the second maps
+    into. X and Y are built on it, and so is the module-axiom check.
+    """
+    out = []
+    for row in first:
+        acc = {}
+        for j, x in row:
+            for k, y in second[j]:
+                acc[k] = acc.get(k, 0) + x * y
+        out.append(acc)
+    return out
+
+
 # X = A o A and Y = -B o B: (odd generator, sign)
 _SQUARES = {"X": ("A", 1), "Y": ("B", -1)}
 TWICE_WEIGHT = {g: int(2 * w) for g, w in WEIGHT.items()}
@@ -460,49 +468,60 @@ def module_memo(mod):
     return ModuleMemo(mod)
 
 
-def module_axiom_holds(mod, table, max_m=3, max_k=None):
-    """Check the module axiom on all generator pairs and small vectors.
+def module_axiom_holds(mod, table):
+    """Check the module axiom on all generator pairs and every vector of
+    the slices t in [-2K-1, 2K+1].
 
     The defect of (u, v, w) is [u,v].w - (u.(v.w) - (-1)^{uv} v.(u.w));
     the predicate is "every defect over these inputs is zero", which
     the tests also evaluate in Fractions (`action_compat_defect` in
-    tests_support_dense). It is decided in integers: with
-    D = `module_memo(mod).scale` (so `image(g, bv)` is D * g.bv) and T
-    the lcm of the denominators of the table's bracket coefficients,
-    T * D^2 * defect is an integer vector, zero iff the defect is. Each
-    generator image is computed once per module, whatever the table, and
-    each composition u.(v.bv) once per vector and call, for both pairs
-    (u, v) and (v, u).
-    """
-    if max_k is None:
-        max_k = mod.K
-    memo = module_memo(mod)
-    image = memo.image
-    composed = memo.composed
-    T, brackets = table.scaled_brackets()
+    tests_support_dense). The slices are those that hold the vectors
+    with m <= K: t = 2(k - m) + shift lies in [-2K-1, 2K+1] for them.
+    A table fills [v,u] in by graded antisymmetry, so the defect of
+    (v, u) is -(-1)^{uv} times that of (u, v), and the pairs u <= v in
+    GENS order decide it; on an even diagonal it is 0.
 
-    # T * D * [u,v], so that its terms meet D * g.bv, and the sign
-    pairs = [(u, v, [(g, c * memo.scale) for g, c in brackets[(u, v)]],
-              -T if PARITY[u] and PARITY[v] else T)
-             for u in GENS for v in GENS]
-    for f in FAMILIES:
-        for m in range(max_m + 1):
-            for k in range(min(max_k, mod.K) + 1):
-                bv = (f, m, k)
-                # D^2 * u.(v.bv), each read by the pairs (u, v) and (v, u)
-                twice = {(u, v): composed(u, v, bv)
-                         for u in GENS for v in GENS}
-                for u, v, bracket, sign in pairs:
-                    defect = {}
-                    for g, c in bracket:
-                        for t, x in image(g, bv):
-                            defect[t] = defect.get(t, 0) + c * x
-                    for t, x in twice[(u, v)].items():
-                        defect[t] = defect.get(t, 0) - T * x
-                    for t, x in twice[(v, u)].items():
-                        defect[t] = defect.get(t, 0) + sign * x
-                    if any(defect.values()):
-                        return False
+    It is decided in integers, one slice at a time, on the memo's
+    stencils: with D = `module_memo(mod).scale` (a stencil holds D * g)
+    and T the lcm of the denominators of the table's bracket
+    coefficients, T * D^2 * defect is an integer row, zero iff the
+    defect is. D * u o D * v is composed on a slice's stencils by
+    `_compose`, on which X and Y are built too. A bracket term whose
+    weight is not wt(u) + wt(v) (only a table that breaks weight
+    additivity has one) maps into a slice that nothing else reaches, so
+    there the defect is zero only if that term's images are.
+    """
+    memo = module_memo(mod)
+    T, brackets = table.scaled_brackets()
+    pairs = [(u, v) for i, u in enumerate(GENS) for v in GENS[i:]
+             if u != v or PARITY[u]]
+    for t in range(-2 * mod.K - 1, 2 * mod.K + 2):
+        parity = t % 2
+        rows = {g: memo.stencil(g, t, parity) for g in GENS}
+
+        def twice(u, v):
+            # D^2 * u.(v.bv) for every vector bv of the slice
+            return _compose(rows[v], memo.stencil(
+                u, t + TWICE_WEIGHT[v], (parity + PARITY[v]) % 2))
+
+        for u, v in pairs:
+            # T * D * [u,v], so that its terms meet D * g.bv
+            bracket = []
+            for g, c in brackets[(u, v)]:
+                if TWICE_WEIGHT[g] == TWICE_WEIGHT[u] + TWICE_WEIGHT[v]:
+                    bracket.append((rows[g], c * memo.scale))
+                elif any(rows[g]):
+                    return False
+            sign = -T if PARITY[u] and PARITY[v] else T
+            for i, (uv, vu) in enumerate(zip(twice(u, v), twice(v, u))):
+                defect = {k: -T * x for k, x in uv.items()}
+                for k, x in vu.items():
+                    defect[k] = defect.get(k, 0) + sign * x
+                for stencil, c in bracket:
+                    for k, x in stencil[i]:
+                        defect[k] = defect.get(k, 0) + c * x
+                if any(defect.values()):
+                    return False
     return True
 
 

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from ospcoho import algebra
 from ospcoho.algebra import (GENS, OFF_DIAGONAL_PAIRS, PAIR_ORDER,
                              NoConsistentRepair,
-                             StructureTable, _rescaled, adopted_table,
+                             StructureTable, adopted_table,
                              audit_and_repair, canonicalize,
                              monomial_basis, monomial_parity, monomial_str,
                              monomial_weight, printed_table)
-from tests_support_dense import jacobi_defect, parse_monomial
+from tests_support_dense import jacobi_defect, parse_monomial, rescaled_table
 
 
 def test_bracket_examples():
@@ -62,7 +62,7 @@ def test_rescaling_keeps_the_failing_jacobi_triples(scales):
     # g -> s_g g multiplies the defect of (u,v,w) in h by s_u s_v s_w / s_h
     s = dict(zip(GENS, scales))
     printed = printed_table()
-    rescaled = _rescaled(printed, s)
+    rescaled = rescaled_table(printed, s)
     assert [t for t, _ in rescaled.jacobi_failures()] \
         == [t for t, _ in printed.jacobi_failures()]
     for (u, v, w), defect in printed.jacobi_failures():
@@ -88,7 +88,7 @@ def test_integer_jacobi_equals_fraction_defect(flips, scales, rescale):
         rows[p] = {g: -c for g, c in rows[p].items()}
     table = StructureTable(rows, "flipped")
     if rescale:
-        table = _rescaled(table, dict(zip(GENS, scales)))
+        table = rescaled_table(table, dict(zip(GENS, scales)))
     expected = []
     for triple in itertools.product(GENS, repeat=3):
         defect = jacobi_defect(table, *triple)
@@ -140,7 +140,7 @@ def test_audit_logs_single_flip_variant():
 
 
 def _broken_table():
-    # [A,A] emptied: no sign flip or rescaling repairs it
+    # [A,A] emptied: no sign flip repairs it
     rows = {pair: printed_table().row(pair) for pair in algebra.PAIR_ORDER}
     rows[("A", "A")] = {}
     return StructureTable(rows, "broken")
@@ -149,6 +149,13 @@ def _broken_table():
 def test_audit_no_consistent_repair():
     with pytest.raises(NoConsistentRepair):
         audit_and_repair(_broken_table(), _accept_all)
+
+
+def test_audit_without_a_module_compatible_flip_raises():
+    # the adopted table passes Jacobi, but no flip of it passes this
+    # module check: the audit searches nothing else and raises
+    with pytest.raises(NoConsistentRepair):
+        audit_and_repair(adopted_table(), lambda table: False)
 
 
 @pytest.mark.parametrize("base, passing", [

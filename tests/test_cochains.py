@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ospcoho import cochains as cc
-from ospcoho.algebra import (GENS, SL2, _rescaled, adopted_table,
+from ospcoho.algebra import (GENS, SL2, adopted_table,
                              monomial_basis, monomial_parity,
                              monomial_weight)
 from ospcoho.cochains import (Cochain, NoCocycle, TypeMismatch, coboundary,
@@ -22,7 +22,7 @@ from ospcoho.superdiff import OpPoly
 from tests_support_dense import (act, act_basis, cochain_from_json,
                                  delta_matrix, reference_block_coboundary,
                                  reference_delta_block,
-                                 reference_koszul_terms)
+                                 reference_koszul_terms, rescaled_table)
 
 F = Fraction
 TABLE = adopted_table()
@@ -375,7 +375,7 @@ def test_integer_block_scale_covers_bracket_denominators():
     # denominator: T = 3 for the rescaled table, 1 for the adopted one
     thirds = {g: F(1) for g in GENS}
     thirds["H"] = F(1, 3)           # [H,A] = A/6 in the rescaled basis
-    T = _rescaled(TABLE, thirds).scaled_brackets()[0]
+    T = rescaled_table(TABLE, thirds).scaled_brackets()[0]
     memo = module_memo(MOD)
     scale, act_factor, bracket_factor = cc._scales(memo, T)
     assert T % 3 == 0 and scale % T == 0 and scale % action_scale(MOD) == 0

@@ -15,7 +15,7 @@ from ospcoho.weightmod import (FAMILIES, FAMILY_PARITY,
                                action_scale, from_oppoly,
                                module_axiom_holds, to_oppoly)
 from tests_support_dense import (act, act_basis, action_compat_defect,
-                                 op_term, vec_from_json)
+                                 op_term, rescaled_table, vec_from_json)
 
 F = Fraction
 
@@ -85,19 +85,71 @@ def test_module_axiom_all_pairs():
     adopted = adopted_table()
     for lam, mu in ((F(0), F(0)), (F(1, 3), F(1, 5)), (F(-1), F(3, 2))):
         mod = TruncatedDlm(lam, mu, 4)
-        assert module_axiom_holds(mod, adopted, max_m=4, max_k=4)
+        assert module_axiom_holds(mod, adopted)
 
 
 def test_printed_table_fails_module_axiom():
     mod = TruncatedDlm(0, 0, 3)
-    assert not module_axiom_holds(mod, printed_table(), max_m=2, max_k=2)
+    assert not module_axiom_holds(mod, printed_table())
 
 
-def _axiom_oracle(mod, table, max_m, max_k):
-    # the Fraction definition: every defect on the checked range is {}
-    return all(not action_compat_defect(mod, table, u, v, (f, m, k))
-               for u in GENS for v in GENS for f in FAMILIES
-               for m in range(max_m + 1) for k in range(min(max_k, mod.K) + 1))
+def test_module_axiom_check_reads_whole_slices():
+    # B is wrong at one vector only, a_{K+2,K} in the slice k - m = -2,
+    # beyond m <= K; D added to one coefficient keeps B o B divisible by
+    # D, so Y is still composed, and the check must see the fault
+    class OneBadRow(TruncatedDlm):
+        __slots__ = ()
+
+        def scaled_act_basis(self, gen, bv):
+            img = super().scaled_act_basis(gen, bv)
+            if gen == "B" and bv == ("a", self.K + 2, self.K):
+                D = self._ints[0]
+                img = tuple((v, x + D if v[0] == "d" else x) for v, x in img)
+            return img
+
+    K = 3
+    mod = OneBadRow(F(1, 3), F(1, 5), K)
+    good = TruncatedDlm(F(1, 3), F(1, 5), K)
+    bad = ("a", K + 2, K)
+    assert mod.twice_shifted_weight(bad) == -4
+    assert dict(mod.scaled_act_basis("B", bad)) != \
+        dict(good.scaled_act_basis("B", bad))
+    assert module_axiom_holds(good, adopted_table())
+    assert not module_axiom_holds(mod, adopted_table())
+    assert not _axiom_oracle(mod, adopted_table())
+
+
+def _defective_slices(mod, table):
+    # the Fraction definition, by slice: yields the slices t in
+    # [-2K-1, 2K+1] that hold a vector with a nonzero defect
+    K = mod.K
+    for t in range(-2 * K - 1, 2 * K + 2):
+        if any(action_compat_defect(mod, table, u, v, bv)
+               for bv in mod.twice_weight_basis(t, t % 2)
+               for u in GENS for v in GENS):
+            yield t
+
+
+def _axiom_oracle(mod, table):
+    return next(_defective_slices(mod, table), None) is None
+
+
+def test_module_axiom_check_reads_the_lowest_slice():
+    # H is off by one on c_{K+1,0}, in the slice -2K-3 below the range;
+    # from the range only Y reaches it, from the lowest slice, -2K-1
+    class OffByOne(TruncatedDlm):
+        __slots__ = ()
+
+        def scaled_act_basis(self, gen, bv):
+            img = super().scaled_act_basis(gen, bv)
+            if gen == "H" and bv == ("c", self.K + 1, 0):
+                img = ((bv, dict(img).get(bv, 0) + self._ints[0]),)
+            return img
+
+    K = 3
+    mod = OffByOne(F(1, 3), F(1, 5), K)
+    assert list(_defective_slices(mod, adopted_table())) == [-2 * K - 1]
+    assert not module_axiom_holds(mod, adopted_table())
 
 
 def test_integer_axiom_check_matches_fraction_oracle():
@@ -112,17 +164,24 @@ def test_integer_axiom_check_matches_fraction_oracle():
         tables.append(algebra.StructureTable(rows, f"random-flip-{i}"))
     for scales in ((1, F(1, 2), 2, 4, F(1, 4)), (F(1, 2), 1, 1, 1, F(1, 2)),
                    (2, F(1, 4), F(1, 2), 1, 4)):
-        tables.append(algebra._rescaled(adopted_table(),
-                                        dict(zip(GENS, map(F, scales)))))
+        tables.append(rescaled_table(adopted_table(),
+                                     dict(zip(GENS, map(F, scales)))))
     assert any(c.denominator > 1 for t in tables[-3:] for row in t.key()
                for _, c in row)
+    # brackets that break weight additivity ([H,X] gains a Y term, [X,Y]
+    # an X term): the extra term maps into a slice no composition reaches
+    for pair, extra in ((("H", "X"), {"Y": 1}), (("X", "Y"), {"X": 1})):
+        rows = {p: adopted_table().row(p) for p in algebra.PAIR_ORDER}
+        rows[pair].update(extra)
+        tables.append(algebra.StructureTable(rows, "off-weight"))
+        assert not tables[-1].check_weights()
     verdicts = []
     for lam, mu, K in ((F(1, 3), F(1, 3), 2), (F(0), F(1, 2), 3),
                        (F(-1, 2), F(1), 3)):
         mod = TruncatedDlm(lam, mu, K)
         for table in tables:
-            got = module_axiom_holds(mod, table, max_m=2)
-            assert got == _axiom_oracle(mod, table, 2, mod.K), \
+            got = module_axiom_holds(mod, table)
+            assert got == _axiom_oracle(mod, table), \
                 (mod, table.changes_from(printed))
             verdicts.append(got)
     assert True in verdicts and False in verdicts

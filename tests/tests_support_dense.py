@@ -5,9 +5,10 @@ differential, the per-block assembler the weight chains replaced and
 the coboundary built on it;
 the Fraction definitions that the program decides in integers (the
 action with X = A o A and Y = -B o B composed in Fractions, the module
-axiom defect, the Jacobi defect); the contact bracket and the check of
-the scaled contact fields against a bracket table; and the decoders of
-the program's printed formats (operators, monomials, cochains).
+axiom defect, the Jacobi defect) and the rescaled bracket tables; the
+contact bracket and the check of the scaled contact fields against a
+bracket table; and the decoders of the program's printed formats
+(operators, monomials, cochains).
 """
 
 import itertools
@@ -15,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from ospcoho.algebra import (GENS, PARITY, SL2, adopted_table,
-                             canonicalize, monomial_basis)
+from ospcoho.algebra import (GENS, PAIR_ORDER, PARITY, SL2, StructureTable,
+                             adopted_table, canonicalize, monomial_basis)
 from ospcoho.cochains import (Cochain, _graded_monomials, _scales,
                               _term1_sign, _term2_sign, delta_block)
 from ospcoho.superdiff import (ETA, ETABAR, OpPoly, graded_commutator,
@@ -98,6 +99,19 @@ def jacobi_defect(table, u, v, w):
     combo_add(out, bracket_combo(table, {u: Fraction(1)},
                                  table.bracket(v, w)), Fraction(-1))
     return out
+
+
+def rescaled_table(base, scales):
+    """The table of `base` in the rescaled generators g -> s_g g.
+
+    [u,v] = sum c g becomes sum c s_u s_v / s_g g; the tests use it for
+    tables whose brackets have denominators (T > 1).
+    """
+    rows = {}
+    for (u, v) in PAIR_ORDER:
+        rows[(u, v)] = {g: c * scales[u] * scales[v] / scales[g]
+                        for g, c in base.row((u, v)).items()}
+    return StructureTable(rows, "rescaled")
 
 
 # --- the contact realization ------------------------------------------------
