@@ -210,8 +210,12 @@ def cmd_dims(args):
         return EXIT_USAGE
     for lam, mu in pairs:
         _require_depth(lam, mu, args.kmax)
-    reports = engine.grid_reports(pairs, K=args.kmax, nmax=args.nmax,
-                                  wmax=args.wmax, threads=args.threads)
+    try:
+        reports = engine.grid_reports(pairs, K=args.kmax, nmax=args.nmax,
+                                      wmax=args.wmax, threads=args.threads)
+    except engine.CasimirNotCentral as exc:
+        print(f"dims: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     if args.format == "csv":
         _emit(_reports_csv(reports), args.out)
     else:

@@ -19,12 +19,10 @@ chain (`_WeightChain`), kept once per module type and depth K: each
 C^n_w is laid out once, and the Koszul terms, grouped by (target,
 source), are listed per source as the chain's program. A column is
 built from its source's program and the module memo's integer stencils
-with one write per matrix entry (`_column`), and only when it is read:
-a rank needs each column's lead, its smallest row, which the program
-gives without building it (`_WeightChain.leads`). That per-column
-builder is the one evaluator of the formula: `coboundary` applies a
-block's integer columns to a cochain's coordinates on the chain's
-layout, one weight component at a time.
+with one write per matrix entry (`_column`). That per-column builder is
+the one evaluator of the formula: the blocks are built with it, and
+`coboundary` applies a block's integer columns to a cochain's
+coordinates on the chain's layout, one weight component at a time.
 
 The bracket table is a constant of this layer, the adopted one; the
 self-test's `audit-finds-repaired-V` ties it to the audit's result.
@@ -369,31 +367,6 @@ class _WeightChain:
             for i in range(length):
                 cols.append({} if col0 + i in skip else _column(terms, i))
         return cols, scale
-
-    def leads(self, memo, n, skip):
-        """(leads, build) of d_n's nonempty columns outside `skip`, in
-        order: leads[j] is the smallest row of the j-th and build(j)
-        builds it. The terms' target ranges are disjoint and increasing,
-        so the lead is read off the first term that reaches the column
-        (the smallest position of its stencil row, or the diagonal),
-        without building it."""
-        leads, owners = [], []
-        for col0, length, terms in self.sources(memo, n)[1]:
-            for i in range(length):
-                if col0 + i in skip:
-                    continue
-                for row0, v, st in terms:
-                    if st is None:
-                        lead = row0 + i
-                        break
-                    if st[i]:
-                        lead = row0 + st[i][0][0]
-                        break
-                else:
-                    continue
-                leads.append(lead)
-                owners.append((terms, i))
-        return leads, lambda j: _column(*owners[j])
 
 
 def _column(terms, i):

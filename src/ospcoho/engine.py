@@ -16,12 +16,12 @@ d_n[:, P] = -d_n[:, N] V_N V_P^{-1} with P the pivots and N the other
 coordinates, V_P being triangular with a nonzero diagonal; so
 rank d_n = rank d_n[:, N], and the columns at P are never assembled
 (the "clearing" of persistent-homology reduction: Chen-Kerber 2011,
-Bauer-Kerber-Reininghaus 2014). The columns in N are not assembled
-either until the reducer reads them (`linalg.lead_pivots`): each is
-filed by its lead, which the chain's program gives, and built only
-when an earlier column took that lead or a later one is reduced
-against it, as Ripser keeps its coboundary columns implicit (Bauer
-2021). These brute-force numbers are compared against two independent
+Bauer-Kerber-Reininghaus 2014); the columns in N are ranked by
+`linalg.int_pivots`.
+
+A report ranks the Casimir's zero piece (`zero_piece`), which has the
+cohomology of D^{<=K} for every K >= p and at most 4 vectors per weight
+slice. These brute-force numbers are compared against two independent
 predictions:
 
   * the kernel description  H^0 = ker A o+ ker B,
@@ -33,25 +33,18 @@ predictions:
     case split on p = mu - lambda over exact rationals.
 
 The sl(2) analogue (ker X / Y((ker X)^0) formulas) is checked the same
-way. Class representatives are read off the cleared block: the
-integer kernel of d_n[:, N] maps isomorphically onto H^n_w, because a
-cocycle reduces modulo the echelon basis of im d_{n-1} to one that is
-zero on P, and no nonzero vector zero on P lies in im d_{n-1}; so
-dim ker d_n[:, N] = |N| - rank d_n = dim H^n_w (same d^2 = 0 premise).
-That kernel is read off the records of the columns in N that the
-in-order reducer finds in the span of the columns before them
-(`linalg.int_kernel_basis`). The chained ranks are asked first, so a
-part with dim H^n_w = 0 is answered without a kernel.
-A cocycle is certified nontrivial when the integer solve for a
-primitive on those blocks has no solution (`is_coboundary`), and the
-restriction to sl(2) is certified injective by ranking the restricted
-representatives against the sl(2) coboundaries in integers.
+way. The certificates stay on D^{<=K}: class representatives are the
+integer kernel of the cleared block d_n[:, N] (`class_representatives`),
+a cocycle is nontrivial when the integer solve for a primitive has none
+(`is_coboundary`), and the restriction to sl(2) is injective when the
+restricted representatives enlarge the span of the sl(2) coboundaries.
 """
 
 import math
 import os
 from collections import namedtuple
 from fractions import Fraction
+from itertools import product
 
 from . import algebra, linalg
 from .algebra import GENS, SL2, adopted_table
@@ -62,19 +55,19 @@ from .cochains import (Cochain, _a_monomial, _kernel_cochains,
                        reduce_cochain, restrict_sl2, zero_cochain)
 from .superdiff import OpPoly, derived_module_action, op_str, \
     solve_realization_constants
-from .weightmod import (TWICE_WEIGHT, TruncatedDlm, from_oppoly,
-                        module_axiom_holds, module_memo, to_oppoly)
+from .weightmod import (TWICE_WEIGHT, TruncatedDlm, casimir_commutes,
+                        from_oppoly, module_axiom_holds, module_memo,
+                        to_oppoly)
 
 NMAX_DEFAULT = 4
 WMAX_DEFAULT = Fraction(2)
 # the deepest truncation `dims` builds, whether the guard or --kmax asks
-# for it. One point at K = 128 took at most 1.6 s and 51 MB (nmax 6,
-# |w| <= 2; one Intel Xeon core, Python 3.11), at K = 256 5 s and 133 MB
+# for it; the predictions on it dominate a point: 0.23 s and 29 MB at
+# K = 128, 0.87 s and 76 MB at K = 256 (nmax 6, |w| <= 2; Intel Xeon,
+# Python 3.11)
 K_MAX = 128
 # the widest weight window `dims` takes: |w| <= W_MAX is 4 W_MAX + 1
-# weights per point for n <= 2, each filing a weight chain. At K = K_MAX
-# (nmax 6, same core) |w| <= 8 took 1.1 s and 66 MB, |w| <= 16 1.8 s
-# and 84 MB
+# weights per point for n <= 2. At K = K_MAX, |w| <= 8 took 0.28 s
 W_MAX = 8
 
 
@@ -88,6 +81,10 @@ class HypothesisViolated(RuntimeError):
 
 class NotProportional(RuntimeError):
     """Cup values on sl(2) pairs admit no single proportionality constant."""
+
+
+class CasimirNotCentral(RuntimeError):
+    """The Casimir does not commute with A and B on a slice."""
 
 
 # --- brute-force dimensions -------------------------------------------------
@@ -105,19 +102,17 @@ def _chain_rank(memo, chain, n):
     basis of im d_n. The columns of d_n at the pivots of im d_{n-1}
     are left out (step n-1 is computed first if it is missing): they
     lie in the span of the others because d_n d_{n-1} = 0. The other
-    columns are filed by their leads, read off the chain's program
-    (`_WeightChain.leads`), and built only when the reducer reads one
-    (`linalg.lead_pivots`). An empty C^n_w answers (0, 0, {}) with
-    nothing assembled.
+    columns are built and ranked by `linalg.int_pivots`. An empty C^n_w
+    answers (0, 0, {}) with nothing assembled.
     """
     hit = memo.ranks.get((chain, n))
     if hit is None and not chain.layout(memo, n):
         hit = memo.ranks[(chain, n)] = (0, 0, frozenset())
     if hit is None:
         skip = _chain_rank(memo, chain, n - 1)[2] if n > 0 else frozenset()
-        pivots = frozenset(linalg.lead_pivots(*chain.leads(memo, n, skip)))
-        size = sum(v[2] for v in chain.layout(memo, n).values())
-        hit = memo.ranks[(chain, n)] = (len(pivots), size, pivots)
+        cols = chain.block(memo, n, skip)[0]
+        pivots = frozenset(linalg.int_pivots(cols))
+        hit = memo.ranks[(chain, n)] = (len(pivots), len(cols), pivots)
     return hit
 
 
@@ -259,18 +254,14 @@ def is_coboundary(f):
 def class_representatives(mod, n, w, parity, universe=GENS):
     """Cocycle representatives of a basis of H^n_w (one parity).
 
-    The chained ranks are asked first (`h_dim`): where the requested
-    parity of H^n_w is zero, the answer is [] and nothing is assembled.
-    Otherwise the representatives are the integer kernel of d_n[:, N],
-    the block the chain ranked: N is the coordinates outside the pivots
-    P of an echelon basis of im d_{n-1}. A cocycle reduces modulo that
-    basis to one that is zero on P, and a nonzero vector zero on P is
-    not in im d_{n-1} (a nonzero combination of the echelon rows is
-    nonzero at its smallest pivot), so v -> [v] maps ker d_n[:, N]
-    isomorphically onto H^n_w. Both steps presume d^2 = 0, as `h_dim`
-    does. The columns in N are reduced in order as they are, and each
-    one that vanishes gives its record, the reduced echelon form's null
-    vector of that free column (`linalg.int_kernel_basis`).
+    Where the chained ranks (`h_dim`) give 0 for the parity, the answer
+    is [] and nothing is assembled. Otherwise it is the integer kernel
+    (`linalg.int_kernel_basis`) of d_n[:, N], N being the coordinates
+    outside the pivots P of an echelon basis of im d_{n-1}: a cocycle
+    reduces modulo that basis to one that is zero on P, and a nonzero
+    vector zero on P is not in im d_{n-1} (a nonzero combination of the
+    echelon rows is nonzero at its smallest pivot), so v -> [v] maps
+    ker d_n[:, N] onto H^n_w isomorphically. Both steps presume d^2 = 0.
     """
     dims = h_dim(mod, n, w, universe)
     if not (dims.even, dims.odd)[parity]:
@@ -480,36 +471,62 @@ CSV_FIELDS = ("lambda", "mu", "K", "n", "w", "total", "even", "odd",
               "theorem", "proposition", "match")
 
 
+def zero_piece(lam, mu):
+    """The Casimir's zero piece of D_{lam,mu}, or None when it is 0.
+
+    The Casimir z = H^2 + XY + AB/2 - H/2 (`weightmod.casimir`) is
+    central, so it acts on H(g; M) = Ext_{U(g)}(k, M) through M as
+    through the trivial module, by eps(z) = 0 (Weibel 1994, 7.8; Fuks
+    1986, ch. 1). It never raises k, and within one k its diagonal is
+    (k - p)(k - p + 1/2) on a and c and (k - p + 1)(k - p + 1/2) on b
+    and d. Where no diagonal entry is 0, z is invertible on every weight
+    slice, so H = 0 there: on the submodule below the piece and on the
+    quotient of D^{<=K} above it. The long exact sequences then give
+    H(D^{<=K}) = H(piece) for every K >= p, the piece being
+    D^{<=p}/D^{<=p-2} for an integer p >= 0, D^{<=p-1/2}/D^{<=p-3/2} for
+    a half-integer p > 0, and 0 otherwise.
+    """
+    p = Fraction(mu) - Fraction(lam)
+    if p < 0 or (2 * p).denominator != 1:
+        return None
+    K = math.floor(p)
+    return TruncatedDlm(lam, mu, K, max(K - 2 if K == p else K - 1, -1))
+
+
 def build_report(lam, mu, K=None, nmax=NMAX_DEFAULT, wmax=WMAX_DEFAULT):
     """Brute-force dims vs predictions for one (lambda, mu).
 
     Weight 0 is computed for n <= nmax; nonzero weights in the window
-    only for n <= 2 (they must all vanish). The truncation is deepened
-    to guard_K so the closed-form comparison is valid.
+    only for n <= 2 (they must all vanish). The predictions, and the
+    report's K, are on D^{<=guard_K}, as the closed-form comparison needs.
+    The dims are those of the Casimir's zero piece (`zero_piece`), 0 and
+    with no complex built when it is 0. That z commutes with A and B is
+    checked on every slice the piece's chains read (CasimirNotCentral).
     """
     lam, mu = Fraction(lam), Fraction(mu)
     K_eff = guard_K(lam, mu, K)
     mod = TruncatedDlm(lam, mu, K_eff)
-    computed = {}
-    t = mod.twice_shifted(0)
-    for n in range(nmax + 1):
-        computed[n] = {Fraction(0): twice_h_dim(mod, n, t)}
-    for w in _half_range(wmax):
-        if w == 0:
-            continue
-        t = mod.twice_shifted(w)
-        for n in range(min(nmax, 2) + 1):
-            computed[n][w] = twice_h_dim(mod, n, t)
     theorem = predict_theorem(mod, nmax)
     proposition = predict_proposition(lam, mu, nmax)
-    match = True
-    for n in range(nmax + 1):
-        for w, dc in computed[n].items():
-            want = theorem[n] if w == 0 else 0
-            if dc.total != want:
-                match = False
-        if theorem[n] != proposition[n]:
-            match = False
+    piece = zero_piece(lam, mu)
+    computed = {n: {} for n in range(nmax + 1)}
+    read = set()
+    for w in _half_range(wmax):
+        top = nmax if w == 0 else min(nmax, 2)
+        t = mod.twice_shifted(w)
+        for n in range(top + 1):
+            computed[n][w] = (DimCount(0, 0, 0) if piece is None
+                              else twice_h_dim(piece, n, t))
+        if piece is not None:
+            for parity in (0, 1):
+                memo, chain = _weight_chain(piece, t, parity, GENS)
+                read.update(key for n in range(top + 2)
+                            for _, key, _ in chain.layout(memo, n).values())
+    if not all(casimir_commutes(module_memo(piece), *key) for key in read):
+        raise CasimirNotCentral(f"the Casimir is not central on {piece}")
+    match = theorem == proposition and all(
+        dc.total == (theorem[n] if w == 0 else 0)
+        for n, row in computed.items() for w, dc in row.items())
     return CohomologyReport(lam, mu, K_eff, nmax, computed, theorem,
                             proposition, match)
 
@@ -564,7 +581,9 @@ def selftest(suite="all"):
 
     The random cochains come from a fixed seed, so the output is
     deterministic. An unknown suite name raises ValueError rather than
-    passing empty.
+    passing empty. A suite that raises, say when a broken action leaves
+    the audit no repair or a cocycle template no solution, ends in the
+    failed check `<suite>-suite-ran`, whose detail is the error's line.
     """
     if suite not in SELFTEST_SUITES:
         raise ValueError(f"unknown selftest suite {suite!r}")
@@ -578,7 +597,7 @@ def selftest(suite="all"):
     table = adopted_table()
     printed = algebra.printed_table()
 
-    if suite in ("algebra", "all"):
+    def algebra_suite():
         fails = printed.jacobi_failures()
         check("printed-table-fails-jacobi",
               any(t == ("A", "A", "B") for t, _ in fails),
@@ -594,46 +613,37 @@ def selftest(suite="all"):
               [len(algebra.monomial_basis(n)) for n in range(4)]
               == [1, 5, 12, 20])
 
-    if suite in ("module", "all"):
+    def module_suite():
         for lam, mu in ((Fraction(1, 3), Fraction(1, 3)),
                         (Fraction(0), Fraction(1, 2))):
             mod = TruncatedDlm(lam, mu, 3)
             check(f"module-axiom-{lam}-{mu}", module_axiom_holds(mod, table))
             check(f"a-onto-{lam}-{mu}", mod.check_a_onto())
 
-    if suite in ("oracle", "all"):
+    def oracle_suite():
         consts = solve_realization_constants(table)
         check("realization-constants",
               (consts.cH, consts.cX, consts.cY, consts.cA, consts.cB)
               == (-1, 1, -1, 2, 2), str(consts))
         # the memo images every complex is built on (X and Y composed
         # in integers) must be D times the oracle's commutator action
-        ok = True
         mod = TruncatedDlm(Fraction(-1, 2), Fraction(1), 3)
         memo = module_memo(mod)
-        for gen in GENS:
-            for f in ("a", "b", "c", "d"):
-                for m in range(3):
-                    for k in range(3):
-                        bv = (f, m, k)
-                        oracle = derived_module_action(
-                            gen, to_oppoly({bv: Fraction(1)}),
-                            mod.lam, mod.mu, consts)
-                        if dict(memo.image(gen, bv)) != {
-                                v: memo.scale * c for v, c
-                                in from_oppoly(oracle, mod).items()}:
-                            ok = False
-        check("table-action-equals-realization", ok)
 
-    if suite in ("complex", "all"):
+        def realized(gen, bv):
+            oracle = derived_module_action(gen, to_oppoly({bv: Fraction(1)}),
+                                           mod.lam, mod.mu, consts)
+            return {v: memo.scale * c
+                    for v, c in from_oppoly(oracle, mod).items()}
+        check("table-action-equals-realization", all([
+            dict(memo.image(gen, bv)) == realized(gen, bv)
+            for gen in GENS for bv in product("abcd", range(3), range(3))]))
+
+    def complex_suite():
         mod = TruncatedDlm(Fraction(0), Fraction(1, 2), 3)
-        ok = True
-        for degree in (0, 1, 2):
-            for parity in (0, 1):
-                f = _random_cochain(mod, degree, parity, rng)
-                if not coboundary(coboundary(f)).is_zero():
-                    ok = False
-        check("d-squared-zero-random", ok)
+        check("d-squared-zero-random", all([
+            coboundary(coboundary(_random_cochain(mod, n, q, rng))).is_zero()
+            for n in (0, 1, 2) for q in (0, 1)]))
         f = _random_cochain(mod, 2, 1, rng)
         g, f_red = reduce_cochain(f)
         check("reduce-produces-reduced", is_reduced(f_red))
@@ -646,4 +656,11 @@ def selftest(suite="all"):
         check("f-k-cocycle", coboundary(fk).is_zero())
         check("ftilde-k-cocycle", coboundary(ftk).is_zero())
 
+    for name, run in (("algebra", algebra_suite), ("module", module_suite),
+                      ("oracle", oracle_suite), ("complex", complex_suite)):
+        if suite in (name, "all"):
+            try:
+                run()
+            except Exception as e:
+                check(f"{name}-suite-ran", False, f"{type(e).__name__}: {e}")
     return results

@@ -2,12 +2,10 @@
 
 Every computation is one pass of the in-order reducer of
 `ospcoho._kernels_py`. The weight blocks of the differential arrive as
-integer rows or columns: `int_pivots` takes the rank of rows,
-`lead_pivots` the same rank of columns given first by their leads and
-built only when the reducer reads them, `int_kernel_basis` the null
-space of columns and `solve` a solution of
-(cols / scale) x = b for a rational right-hand side; the last two read
-their answers off the records of the columns that vanish.
+integer rows or columns: `int_pivots` takes the rank of rows (or of
+columns), `int_kernel_basis` the null space of columns and `solve` a
+solution of (cols / scale) x = b for a rational right-hand side; the
+last two read their answers off the records of the columns that vanish.
 `greedy_independent` picks, in order, the vectors that enlarge a span,
 and `quotient_dim` decides a subspace inclusion with it. Rows with
 Fraction entries are scaled to integer rows first (`_to_int_row`),
@@ -41,42 +39,6 @@ def int_pivots(rows):
     """
     basis = {}
     reduce_in_order(rows, basis)
-    return sorted(basis)
-
-
-class _Filed(dict):
-    """lead -> filed vector, where an int is the index of a column that
-    is built (`build`) when it is first read."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __getitem__(self, lead):
-        vec = dict.__getitem__(self, lead)
-        if type(vec) is int:
-            vec = self[lead] = self.build(vec)
-        return vec
-
-
-def lead_pivots(leads, build):
-    """`int_pivots` of integer columns known first by their leads.
-
-    leads[j] is the smallest row of the nonempty column j, and build(j)
-    returns the column. A column whose lead no column before it has
-    taken is filed unbuilt, as the reducer would file it untouched; it
-    is built when an elimination reads it, and the other columns when
-    they are reduced. So the reduction, and the pivots, are those of
-    `int_pivots` on the built columns.
-    """
-    basis = _Filed(build)
-    for j, lead in enumerate(leads):
-        if lead in basis:
-            reduce_in_order([build(j)], basis)
-        else:
-            basis[lead] = j
     return sorted(basis)
 
 

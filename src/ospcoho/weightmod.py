@@ -13,7 +13,7 @@ X and Y act through the odd generators as X = A o A and Y = -B o B,
 which are forced by [A,A] = 2X and [B,B] = -2Y and keep the module
 axiom an identity instead of a separate assumption. No row ever
 increases k, so cutting at k <= K yields a genuine submodule on which H
-is diagonal and A is onto.
+is diagonal and A is onto, and D^{<=K}/D^{<=K0} is a module too.
 
 Weight slices are finite (at most 4(K+1) vectors) because fixing the
 weight pins m as a function of k within each family. A slice is keyed
@@ -60,7 +60,8 @@ action in the program: X and Y are built on it, and so is
 on the stencils, each defect scaled by T * D^2, with T the lcm of the
 bracket table's denominators, so that it is an integer vector.
 `kernel_slice` and `check_a_onto`, which the closed-form predictions
-read, rank the same stencils in integers on the int-keyed slices.
+read, rank the same stencils in integers on the int-keyed slices, and
+the Casimir 2 D^2 z (`casimir`) is composed on them too.
 """
 
 from fractions import Fraction
@@ -121,17 +122,19 @@ def vec_to_json(vec):
 
 
 class TruncatedDlm:
-    """D_{lambda,mu} truncated to dx-order k <= K."""
+    """D_{lambda,mu} truncated to dx-order k <= K, and for K0 >= 0 its
+    quotient by D^{<=K0}: the basis is K0 < k <= K, and the action terms
+    that land at k <= K0 are dropped (`ModuleMemo.stencil`)."""
 
-    __slots__ = ("lam", "mu", "K", "p", "_hash", "_ints")
+    __slots__ = ("lam", "mu", "K", "K0", "p", "_hash", "_ints")
 
-    def __init__(self, lam, mu, K):
+    def __init__(self, lam, mu, K, K0=-1):
         self.lam = Fraction(lam)
         self.mu = Fraction(mu)
-        self.K = int(K)
+        self.K, self.K0 = int(K), int(K0)
         self.p = self.mu - self.lam
         # the module is immutable; every memo lookup hashes it
-        self._hash = hash((self.lam, self.mu, self.K))
+        self._hash = hash((self.lam, self.mu, self.K, self.K0))
         # D, D * 2lam and D * 2p: integers, as den(2lam) and den(2p)
         # divide L (see action_scale)
         D = action_scale(self)
@@ -139,14 +142,15 @@ class TruncatedDlm:
                       (D * 2 * self.p).numerator)
 
     def __repr__(self):
-        return f"TruncatedDlm(lam={self.lam}, mu={self.mu}, K={self.K})"
+        cut = f", K0={self.K0}" if self.K0 >= 0 else ""
+        return f"TruncatedDlm(lam={self.lam}, mu={self.mu}, K={self.K}{cut})"
 
     def __eq__(self, other):
         # exact types: a subclass may override the action, and equal
         # modules share one module_memo
         return (type(other) is type(self)
-                and (self.lam, self.mu, self.K)
-                == (other.lam, other.mu, other.K))
+                and (self.lam, self.mu, self.K, self.K0)
+                == (other.lam, other.mu, other.K, other.K0))
 
     def __hash__(self):
         return self._hash
@@ -240,7 +244,7 @@ class TruncatedDlm:
             s, odd = divmod(t - _SHIFT2[f], 2)   # s = k - m
             if odd:
                 continue
-            for k in range(max(0, s), self.K + 1):
+            for k in range(max(0, s, self.K0 + 1), self.K + 1):
                 out.append((f, k - s, k))
         return out
 
@@ -311,8 +315,8 @@ class DepthMemo:
     the per-source programs of the weight chains built on the slices'
     lengths. `ModuleMemo.slice` fills `slices`; `chains` belongs to
     `cochains`, which files its weight chains there. The key is the
-    type and K: a module type whose basis reads more than K would have
-    to key its depth memo by that too.
+    type, K0 and K: a module type whose basis reads more than these
+    would have to key its depth memo by that too.
     """
 
     __slots__ = ("slices", "chains")
@@ -327,9 +331,9 @@ MEMO_DEPTHS = 1
 
 
 @lru_cache(maxsize=MEMO_DEPTHS)
-def depth_memo(kind, K):
-    """The DepthMemo of the modules of type `kind` cut at K, kept for
-    the MEMO_DEPTHS latest depths."""
+def depth_memo(kind, K0, K):
+    """The DepthMemo of the modules of type `kind` with K0 < k <= K,
+    kept for the MEMO_DEPTHS latest depths."""
     return DepthMemo()
 
 
@@ -353,7 +357,7 @@ class ModuleMemo:
     def __init__(self, mod):
         self.mod = mod
         self.scale = action_scale(mod)
-        self.depth = depth_memo(type(mod), mod.K)
+        self.depth = depth_memo(type(mod), mod.K0, mod.K)
         self.ranks, self._stencils = {}, {}
         self._images = {g: {} for g in GENS}
 
@@ -370,8 +374,9 @@ class ModuleMemo:
     def stencil(self, gen, t, parity):
         """gen's images on the slice (t, parity), one tuple per vector,
         of (position in the slice gen maps into, int) pairs by
-        increasing position: the module's table for H, A and B, and
-        composed on the A and B stencils for X and Y."""
+        increasing position: the module's table for H, A and B, less
+        the terms at k <= K0, and composed on the A and B stencils for X
+        and Y."""
         hit = self._stencils.get((gen, t, parity))
         if hit is None:
             if gen in _SQUARES:
@@ -379,11 +384,13 @@ class ModuleMemo:
             else:
                 pos = self.slice(t + TWICE_WEIGHT[gen],
                                  (parity + PARITY[gen]) % 2)
-                act = self.mod.scaled_act_basis
+                act, K0 = self.mod.scaled_act_basis, self.mod.K0
                 rows = []
                 for bv in self.slice(t, parity):
                     row = []
                     for tbv, x in act(gen, bv):
+                        if tbv[2] <= K0:
+                            continue
                         if type(x) is not int:
                             raise NonIntegralScale(
                                 f"{gen}.{bv} has scaled coefficient "
@@ -457,6 +464,42 @@ def _compose(first, second):
 # X = A o A and Y = -B o B: (odd generator, sign)
 _SQUARES = {"X": ("A", 1), "Y": ("B", -1)}
 TWICE_WEIGHT = {g: int(2 * w) for g, w in WEIGHT.items()}
+
+
+def casimir(memo, t, parity):
+    """2 D^2 z on the slice (t, parity), as stencil rows, for the
+    Casimir z = H^2 + XY + AB/2 - H/2 and D = memo.scale.
+
+    XY and AB are composed on the memo's stencils by `_compose`, and H
+    acts on the slice by its weight (`TruncatedDlm.scaled_weight`).
+    """
+    st, h = memo.stencil, memo.mod.scaled_weight(t)
+    xy = _compose(st("Y", t, parity), st("X", t + TWICE_WEIGHT["Y"], parity))
+    ab = _compose(st("B", t, parity),
+                  st("A", t + TWICE_WEIGHT["B"], 1 - parity))
+    out = []
+    for i, (xy_i, ab_i) in enumerate(zip(xy, ab)):
+        row = {i: 2 * h * h - memo.scale * h}
+        for k, x in xy_i.items():
+            row[k] = row.get(k, 0) + 2 * x
+        for k, x in ab_i.items():
+            row[k] = row.get(k, 0) + x
+        out.append(tuple(sorted((k, x) for k, x in row.items() if x)))
+    return tuple(out)
+
+
+def casimir_commutes(memo, t, parity):
+    """z o g = g o z for g = A and B on the slice (t, parity), in
+    integers on `casimir`'s rows."""
+    z = casimir(memo, t, parity)
+    for g in ("A", "B"):
+        st = memo.stencil(g, t, parity)
+        after = casimir(memo, t + TWICE_WEIGHT[g], 1 - parity)
+        for zg, gz in zip(_compose(st, after), _compose(z, st)):
+            if any(zg.get(k, 0) != gz.get(k, 0) for k in {*zg, *gz}):
+                return False
+    return True
+
 
 # one module at a time: nothing in the program ranks two modules at once
 MEMO_MODULES = 1

@@ -347,3 +347,43 @@ def test_audit_without_consistent_repair_exits_1(capsys, monkeypatch):
         raise cli.algebra.NoConsistentRepair("no variant passes")
     monkeypatch.setattr(cli.engine, "run_audit", fail)
     assert cli.main(["audit"]) == 1
+
+
+def test_selftest_reports_a_raising_suite_as_a_failed_check(capsys,
+                                                            monkeypatch):
+    # with each composed row's first term dropped, the audit finds no
+    # repair and the cocycle templates no solution; each suite that raises
+    # ends in a failed check carrying the error's line, and the JSON is
+    # still printed with exit code 1
+    from ospcoho import weightmod
+    compose = weightmod._compose
+
+    def dropped(first, second):
+        return compose([row[1:] for row in first], second)
+
+    weightmod.module_memo.cache_clear()
+    weightmod.depth_memo.cache_clear()
+    monkeypatch.setattr(weightmod, "_compose", dropped)
+    try:
+        code, out = run_cli(capsys, "selftest")
+    finally:
+        weightmod.module_memo.cache_clear()
+        weightmod.depth_memo.cache_clear()
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False
+    failed = {r["name"]: r["detail"] for r in data["results"] if not r["ok"]}
+    assert failed["algebra-suite-ran"].startswith("NoConsistentRepair: ")
+    assert failed["complex-suite-ran"].startswith("NoCocycle: ")
+    assert "table-action-equals-realization" in failed
+    assert all("\n" not in detail for detail in failed.values())
+
+
+def test_dims_exits_1_when_the_casimir_is_not_central(capsys, monkeypatch):
+    monkeypatch.setattr(cli.engine, "casimir_commutes",
+                        lambda memo, t, parity: False)
+    assert cli.main(["dims", "--lambda", "0", "--mu", "2",
+                     "--threads", "1"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["dims: the Casimir is not central on "
+                   "TruncatedDlm(lam=0, mu=2, K=2, K0=0)"]

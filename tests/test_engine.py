@@ -50,9 +50,8 @@ def test_h_dim_parity_split():
 
 def test_chained_ranks_equal_full_block_ranks():
     # the chain leaves out the columns at the pivots of im d_{n-1} and
-    # files the others by the leads its program gives, building a column
-    # only when the reducer reads it. Its rank and pivots must be those
-    # of `int_pivots` on the built cleared block, and, for a module
+    # ranks the others. Its rank and pivots must be those of
+    # `int_pivots` on the cleared block of `delta_block`, and, for a module
     # (d^2 = 0), those of the full block, whose columns span the same
     # space. The representatives are read off these pivots. _AZero is no
     # module (A acts as 0, [A, B] = -2H does not), so only the first
@@ -506,6 +505,63 @@ def test_restriction_check_rejects_dependent_restrictions(monkeypatch):
     assert not rep["ok"]
 
 
+CI_PAIRS = [(F(1, 3), F(0)), (F(1, 3), F(5, 6)), (F(2, 5), F(-1, 10)),
+            (F(-1, 3), F(7, 6)), (F(1, 6), F(1, 6))]
+HALFINTS = [(F(a, 2), F(b, 2)) for a in range(-2, 3) for b in range(-2, 3)]
+
+
+def test_zero_piece_has_the_cohomology_of_the_truncation():
+    # dims of the Casimir's zero piece, or 0 where there is none, against
+    # those of D^{<=guard_K} itself, total, even and odd, for n <= 4 at
+    # every weight of the wmax 2 window; build_report, which ranks the
+    # piece and checks that z commutes with A and B on what its chains
+    # read, must report the truncation's dims as well
+    window = [F(j, 2) for j in range(-4, 5)]
+    pieces = 0
+    for lam, mu in sorted(set(ACCEPTANCE_GRID + CI_PAIRS + HALFINTS)):
+        report = build_report(lam, mu, nmax=4, wmax=2)
+        full = TruncatedDlm(lam, mu, report.K)
+        want = {(n, w): h_dim(full, n, w) for n in range(5) for w in window}
+        piece = engine.zero_piece(lam, mu)
+        got = {key: DimCount(0, 0, 0) if piece is None else h_dim(piece, *key)
+               for key in want}
+        assert got == want, (lam, mu)
+        assert all(report.computed[n][w] == want[(n, w)]
+                   for n, row in report.computed.items() for w in row)
+        pieces += piece is not None
+    assert pieces == 22
+
+
+def test_zero_piece_bounds():
+    # integer p >= 0: D^{<=p}/D^{<=p-2}; half-integer p > 0:
+    # D^{<=p-1/2}/D^{<=p-3/2}; otherwise none
+    piece = engine.zero_piece
+    assert (piece(0, 3).K, piece(0, 3).K0) == (3, 1)
+    assert (piece(F(1, 3), F(4, 3)).K, piece(F(1, 3), F(4, 3)).K0) == (1, -1)
+    assert (piece(0, 0).K, piece(0, 0).K0) == (0, -1)
+    assert (piece(0, F(7, 2)).K, piece(0, F(7, 2)).K0) == (3, 2)
+    assert (piece(0, F(1, 2)).K, piece(0, F(1, 2)).K0) == (0, -1)
+    assert piece(1, 0) is None and piece(0, F(1, 3)) is None
+    assert piece(F(1, 2), 0) is None
+
+
+def test_higher_cohomology_vanishes_on_the_piece():
+    # H^n_0 = 0 for 3 <= n <= 12 at every point of halfints:-1..1, as
+    # both predictions say
+    for lam, mu in HALFINTS:
+        report = build_report(lam, mu, nmax=12, wmax=0)
+        assert report.match, (lam, mu)
+        assert all(report.computed[n][0].total == 0 for n in range(3, 13))
+
+
+def test_a_casimir_that_is_not_central_is_refused(monkeypatch):
+    monkeypatch.setattr(engine, "casimir_commutes", lambda memo, t, q: False)
+    with pytest.raises(engine.CasimirNotCentral, match="K=2, K0=0"):
+        build_report(0, 2)
+    # no piece, nothing to check
+    assert build_report(F(1, 3), 0).match
+
+
 def test_outputs_are_pinned(tmp_path, capsys):
     # the dims CSVs of the half-integer grid and of five other points,
     # the restriction checks of the acceptance grid, and the stdout of
@@ -668,8 +724,8 @@ def test_module_memo_stays_bounded_over_a_grid():
     reports = grid_reports(pairs, nmax=1, wmax=F(0), threads=1)
     assert len(reports) == 25 and all(r.match for r in reports)
     assert module_memo.cache_info().currsize <= MEMO_MODULES
-    last = TruncatedDlm(pairs[-1][0], pairs[-1][1], reports[-1].K)
-    # the latest module's ranks are kept
+    last = engine.zero_piece(*pairs[-1])
+    # the latest module, the last point's zero piece, keeps its ranks
     assert module_memo(last).ranks
 
 
@@ -708,7 +764,9 @@ def test_evicted_memos_and_chains_are_freed_without_the_collector():
     # module memo only to its depth memo, so an evicted module memo and
     # an evicted depth memo with its chains go by reference counting
     # alone, with the cyclic collector off. A serial run that switches
-    # depths 3 -> 4 -> 5 keeps one depth memo and MEMO_MODULES memos
+    # depths 3 -> 4 -> 5 keeps one depth memo and MEMO_MODULES memos:
+    # the last point's zero piece, ranked after the predictions on the
+    # truncation
     import gc
     from ospcoho.cochains import _WeightChain
     from ospcoho.weightmod import (MEMO_MODULES, DepthMemo, ModuleMemo,
@@ -732,6 +790,6 @@ def test_evicted_memos_and_chains_are_freed_without_the_collector():
         gc.enable()
     assert 1 <= len(memos) <= MEMO_MODULES
     assert len(depths) == 1 and all(m.depth is depths[0] for m in memos)
-    assert memos[0].mod.K == 5
+    assert memos[0].mod == engine.zero_piece(*pairs[-1])
     held = {id(c) for c in depths[0].chains.values()}
     assert chains and all(id(c) in held for c in chains)

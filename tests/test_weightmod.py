@@ -480,3 +480,57 @@ def test_integer_table_matches_the_realization_oracle():
 
     bad = _table_mismatches(OneCoefficientOff(F(1, 3), F(5, 6), 2), consts)
     assert ("B", ("d", 1, 1)) in bad and ("Y", ("d", 1, 1)) in bad
+
+
+@pytest.mark.parametrize("lam, mu", ACCEPTANCE_GRID)
+def test_casimir_is_triangular_in_k_with_the_proven_diagonal(lam, mu):
+    # the premise of `engine.zero_piece`, on D^{<=guard_K}: 2 D^2 z, for
+    # z = H^2 + XY + AB/2 - H/2, commutes with A and B, never raises k,
+    # and within one k maps only b -> a and d -> c besides its diagonal,
+    # (k - p)(k - p + 1/2) on a and c and (k - p + 1)(k - p + 1/2) on b
+    # and d. So z is invertible on every weight slice of a part whose k
+    # avoid the diagonal's roots, and such a part is acyclic: z acts by
+    # 0 on H(g; M) (it is central and eps(z) = 0) and invertibly through
+    # M. Cutting away D^{<=K0} below the piece and D^{<=K}/D^{<=K1} above
+    # it, the long exact sequences leave the piece's cohomology
+    mod = TruncatedDlm(lam, mu, guard_K(lam, mu))
+    memo = wm.ModuleMemo(mod)
+    D, p, half = memo.scale, mod.p, F(1, 2)
+    same_k = 0
+    for t in range(-2 * mod.K - 1, 2 * mod.K + 2):
+        assert wm.casimir_commutes(memo, t, t % 2), t
+        basis = list(memo.slice(t, t % 2))
+        for i, row in enumerate(wm.casimir(memo, t, t % 2)):
+            f, _, k = basis[i]
+            diag = ((k - p) * (k - p + half) if f in "ac"
+                    else (k - p + 1) * (k - p + half))
+            assert dict(row).get(i, 0) == 2 * D * D * diag, basis[i]
+            for j, _ in row:
+                g, _, k2 = basis[j]
+                assert k2 <= k, (basis[i], basis[j])
+                if k2 == k:
+                    same_k += 1
+                    assert j == i or (f, g) in (("b", "a"), ("d", "c")), \
+                        (basis[i], basis[j])
+    assert same_k > 50
+
+
+def test_the_cut_module_is_the_quotient():
+    # D^{<=K}/D^{<=K0}: its slices hold K0 < k <= K, its stencils are the
+    # truncation's less the terms at k <= K0, and it is a module
+    full, cut = TruncatedDlm(F(1, 3), F(7, 3), 3), TruncatedDlm(
+        F(1, 3), F(7, 3), 3, 1)
+    assert cut != full and hash(cut) != hash(full)
+    assert repr(cut) == "TruncatedDlm(lam=1/3, mu=7/3, K=3, K0=1)"
+    whole, part = wm.ModuleMemo(full), wm.ModuleMemo(cut)
+    assert part.depth is not whole.depth
+    for gen in GENS:
+        for t in range(-9, 8):
+            for bv in whole.slice(t, t % 2):
+                if bv[2] > 1:
+                    assert part.image(gen, bv) == tuple(
+                        (v, x) for v, x in whole.image(gen, bv)
+                        if v[2] > 1), (gen, bv)
+                else:
+                    assert bv not in part.slice(t, t % 2)
+    assert module_axiom_holds(cut, adopted_table())
