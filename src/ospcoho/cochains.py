@@ -15,11 +15,12 @@ universe to (X, H, Y) turns the same formula into the classical sl(2)
 differential (all parity exponents vanish).
 
 The weight blocks d_n: C^n_w -> C^{n+1}_w are assembled per weight
-chain (`_WeightChain`), kept once per module type and depth K: each
-C^n_w is laid out once, and the Koszul terms, grouped by (target,
-source), are listed per source as the chain's program. A column is
-built from its source's program and the module memo's integer stencils
-with one write per matrix entry (`_column`). That per-column builder is
+chain (`_WeightChain`), kept in the module's memo: each C^n_w is laid
+out once, and the Koszul terms, grouped by (target, source), are
+resolved once per degree, per source, against the layouts and the
+module memo's integer stencils (`_WeightChain.sources`). A column is
+built from its source's terms with one write per matrix entry
+(`_column`). That per-column builder is
 the one evaluator of the formula: the blocks are built with it, and
 `coboundary` applies a block's integer columns to a cochain's
 coordinates on the chain's layout, one weight component at a time.
@@ -212,10 +213,11 @@ def coboundary(f):
     Applied per weight chain: f's values on C^n_w, for each weight w it
     has, are scaled to integer coordinates Q * f on the chain's layout
     (Q the lcm of their denominators), the block's integer columns at
-    those coordinates (`_column`, on `_WeightChain.sources`) are
-    applied to them, and each entry of the image, read off the layout
-    of C^{n+1}_w, is divided once by Q * scale. So the coboundary is the
-    one assembler of the blocks, and builds only the columns f reads.
+    those coordinates (`_column`, on `_WeightChain.sources`, resolved
+    once per degree for every call) are applied to them, and each entry
+    of the image, read off the layout of C^{n+1}_w, is divided once by
+    Q * scale. So the coboundary is the one assembler of the blocks, and
+    builds only the columns f reads.
     """
     mod, n = f.mod, f.degree
     Q = lcm(*(c.denominator for vec in f.values.values()
@@ -269,28 +271,26 @@ def block_basis(mod, n, w, parity, universe=GENS):
 class _WeightChain:
     """The blocks d_n: C^n_w -> C^{n+1}_w of one weight and parity.
 
-    A chain is kept in the module memo's DepthMemo, shared by every
-    module of the same type and K: neither its layouts nor its programs
-    read lambda or mu. Each C^n_w is laid out once (`layout`), as the
-    codomain of d_{n-1} and the domain of d_n. An index is a monomial's
-    offset plus a slice position, so d_n is written from the memo's
-    integer stencils (`ModuleMemo.stencil`) without hashing a basis
-    vector. `program` lists, per source monomial, the Koszul terms
-    (`_koszul_terms`) that reach a target: target minus source is one
-    generator, so each entry of a column is written once, and only H's
-    diagonal meets the bracket term. `sources` resolves the program on
-    one module, and `_column` builds one column from it: it is the one
-    assembler of the blocks. H acts on a slice by its weight
+    A chain is kept in its module's memo (`ModuleMemo.chains`). Each
+    C^n_w is laid out once (`layout`), as the codomain of d_{n-1} and
+    the domain of d_n. An index is a monomial's offset plus a slice
+    position, so d_n is written from the memo's integer stencils
+    (`ModuleMemo.stencil`) without hashing a basis vector. `sources`
+    resolves the Koszul terms (`_koszul_terms`) once per degree, per
+    source monomial: target minus source is one generator, so each
+    entry of a column is written once, and only H's diagonal meets the
+    bracket term. `_column` builds one column from a source's terms: it
+    is the one assembler of the blocks. H acts on a slice by its weight
     (`TruncatedDlm.scaled_weight`), so an H term is one int, the two
     terms summed, written on the diagonal with no stencil. The ranks
     are filed in the module memo (`ModuleMemo.ranks`).
     """
 
-    __slots__ = ("t", "parity", "universe", "_layouts", "_programs")
+    __slots__ = ("t", "parity", "universe", "_layouts", "_sources")
 
     def __init__(self, t, parity, universe):
         self.t, self.parity, self.universe = t, parity, universe
-        self._layouts, self._programs = {}, {}
+        self._layouts, self._sources = {}, {}
 
     def layout(self, memo, n):
         """C^n_w as {monomial: (offset, slice key, length)}, laid out once.
@@ -313,51 +313,42 @@ class _WeightChain:
             self._layouts[n] = out
         return out
 
-    def program(self, memo, n):
-        """d_n by source: ((offset, slice key, length, target offsets,
-        groups), ...) in domain order, the groups being the source's
-        (source, gen, sign, coeff) groups of `_koszul_terms`, shared
-        with it, by increasing target offset."""
-        prog = self._programs.get(n)
-        if prog is None:
-            dom, cod = self.layout(memo, n), self.layout(memo, n + 1)
-            by_source = {u: ([], []) for u in dom}
-            for target, groups in _koszul_terms(n, self.parity,
-                                                self.universe)[1]:
-                if target in cod:
-                    row0 = cod[target][0]
-                    for group in groups:
-                        at = by_source.get(group[0])
-                        if at is not None:
-                            at[0].append(row0)
-                            at[1].append(group)
-            prog = self._programs[n] = tuple(
-                dom[u] + (tuple(rows), tuple(groups))
-                for u, (rows, groups) in by_source.items())
-        return prog
-
     def sources(self, memo, n):
-        """(scale, [(offset, length, terms)]): d_n's program on the
-        memo's module, per source monomial in domain order. A term is
-        (target offset, int, stencil): the stencil's entries times the
-        int, or the int on the diagonal when the stencil is None."""
-        T = _koszul_terms(n, self.parity, self.universe)[0]
-        scale, act_factor, bracket_factor = _scales(memo, T)
-        weight, stencil = memo.mod.scaled_weight, memo.stencil
-        out = []
-        for col0, key, length, rows, groups in self.program(memo, n):
-            terms = []
-            for row0, (_, gen, s, b) in zip(rows, groups):
-                if gen == "H":      # H acts on the slice by its weight
-                    v = b * bracket_factor + s * act_factor * weight(key[0])
-                    if v:
-                        terms.append((row0, v, None))
-                elif gen:
-                    terms.append((row0, s * act_factor, stencil(gen, *key)))
-                elif b:
-                    terms.append((row0, b * bracket_factor, None))
-            out.append((col0, length, terms))
-        return scale, out
+        """(scale, ((offset, length, terms), ...)): d_n per source
+        monomial in domain order, resolved once per degree on the memo's
+        module. A term is (target offset, int, stencil), by increasing
+        target offset: the stencil's entries times the int, or the int
+        on the diagonal when the stencil is None."""
+        hit = self._sources.get(n)
+        if hit is None:
+            T, targets = _koszul_terms(n, self.parity, self.universe)
+            scale, act_factor, bracket_factor = _scales(memo, T)
+            weight, stencil = memo.mod.scaled_weight, memo.stencil
+            dom, cod = self.layout(memo, n), self.layout(memo, n + 1)
+            by_source = {u: [] for u in dom}
+            for target, groups in targets:
+                if target not in cod:
+                    continue
+                row0 = cod[target][0]
+                for source, gen, s, b in groups:
+                    terms = by_source.get(source)
+                    if terms is None:
+                        continue
+                    key = dom[source][1]
+                    if gen == "H":  # H acts on the slice by its weight
+                        v = (b * bracket_factor
+                             + s * act_factor * weight(key[0]))
+                        if v:
+                            terms.append((row0, v, None))
+                    elif gen:
+                        terms.append((row0, s * act_factor,
+                                      stencil(gen, *key)))
+                    elif b:
+                        terms.append((row0, b * bracket_factor, None))
+            hit = self._sources[n] = (scale, tuple(
+                (dom[u][0], dom[u][2], terms)
+                for u, terms in by_source.items()))
+        return hit
 
     def block(self, memo, n, skip):
         """(cols, scale) of d_n as in `delta_block`."""
@@ -385,7 +376,7 @@ def _weight_chain(mod, t, parity, universe):
     """(memo, chain) of `mod` at t = 2(w + p) (`twice_shifted`)."""
     memo = module_memo(mod)
     key = (t, parity, universe)
-    chains = memo.depth.chains
+    chains = memo.chains
     if key not in chains:
         chains[key] = _WeightChain(*key)
     return memo, chains[key]

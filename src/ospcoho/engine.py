@@ -89,12 +89,6 @@ class CasimirNotCentral(RuntimeError):
 
 # --- brute-force dimensions -------------------------------------------------
 
-def _block_rank_and_cols(mod, n, w, parity, universe):
-    """(rank, columns, pivots) of d_n on C^n_w; see `_chain_rank`."""
-    t = mod.twice_shifted(w)
-    return _chain_rank(*_weight_chain(mod, t, parity, universe), n)
-
-
 def _chain_rank(memo, chain, n):
     """(rank, columns, pivots) of d_n, filed in the module memo.
 
@@ -268,7 +262,8 @@ def class_representatives(mod, n, w, parity, universe=GENS):
         return []
     skip = ()
     if n > 0:
-        skip = _block_rank_and_cols(mod, n - 1, w, parity, universe)[2]
+        skip = _chain_rank(*_weight_chain(mod, mod.twice_shifted(w), parity,
+                                          universe), n - 1)[2]
     return _kernel_cochains(mod, n, w, parity, universe, skip)
 
 

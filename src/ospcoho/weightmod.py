@@ -28,13 +28,11 @@ because den(2lam) and den(2p) divide L; H acts on the slice t by
 D * alpha = (D t - D 2p) / 2 (`scaled_weight`). This table is the one
 definition of the action; a module with another action overrides it.
 
-What the blocks need splits in two. A weight slice reads K and the
-basis, but neither lambda nor mu, and so do the layouts and programs of
-the weight chains built on the slices (`cochains`): `depth_memo` keeps
-them for the latest module type and depth, shared by every point of a
-grid at that depth. `module_memo` keeps, for the most recently used
-module, what does read lambda and mu: the integer stencils of the
-action on the slices, the images read back off them, and the ranks. A
+`module_memo` keeps, for the most recently used module, everything its
+blocks read: the weight slices, the weight chains built on them
+(`cochains`), the integer stencils of the action on the slices, the
+images read back off them, and the ranks. No memo is shared between
+modules, so nothing in it has to be keyed by more than the module. A
 stencil holds a generator's images on one slice by slice positions;
 for H, A and B it is read off the table, and X and Y are composed on
 the A and B stencils, in integers on slice positions:
@@ -61,7 +59,8 @@ on the stencils, each defect scaled by T * D^2, with T the lcm of the
 bracket table's denominators, so that it is an integer vector.
 `kernel_slice` and `check_a_onto`, which the closed-form predictions
 read, rank the same stencils in integers on the int-keyed slices, and
-the Casimir 2 D^2 z (`casimir`) is composed on them too.
+the Casimir 2 D^2 z (`casimir`) is composed on them too, once per slice,
+and kept with them.
 """
 
 from fractions import Fraction
@@ -307,66 +306,38 @@ def action_scale(mod):
     return 2 * L * L
 
 
-class DepthMemo:
-    """What the blocks of every module of one type and depth K share.
-
-    A weight slice, twice_weight_basis(t, parity), reads K and the
-    type's basis but neither lambda nor mu, and so do the layouts and
-    the per-source programs of the weight chains built on the slices'
-    lengths. `ModuleMemo.slice` fills `slices`; `chains` belongs to
-    `cochains`, which files its weight chains there. The key is the
-    type, K0 and K: a module type whose basis reads more than these
-    would have to key its depth memo by that too.
-    """
-
-    __slots__ = ("slices", "chains")
-
-    def __init__(self):
-        self.slices, self.chains = {}, {}
-
-
-# one depth at a time: a grid's points share theirs, and the guard
-# deepens K only with |p|
-MEMO_DEPTHS = 1
-
-
-@lru_cache(maxsize=MEMO_DEPTHS)
-def depth_memo(kind, K0, K):
-    """The DepthMemo of the modules of type `kind` with K0 < k <= K,
-    kept for the MEMO_DEPTHS latest depths."""
-    return DepthMemo()
-
-
 class ModuleMemo:
-    """Integer action stencils of one module, their images and its ranks.
+    """Everything the blocks of one module read, built on first use.
 
-    A weight slice is keyed by the int t = 2(alpha + p) and a parity
-    and kept in the module's DepthMemo (`depth`), shared with every
-    module of the same type and K. `stencil(gen, t, parity)` holds
-    scale * gen on a slice by slice positions, computed on first use:
-    off the module's integer table (`scaled_act_basis`) for H, A and B,
-    and composed on the A and B stencils for X and Y (see the module
-    docstring). `image(gen, bv)` is scale * gen.bv as a tuple of
-    (BasisVector, int) pairs, read back off the stencil. `ranks` is
-    filed by `engine`, per weight chain and degree.
+    `slice(t, parity)` is a weight slice, keyed by the int
+    t = 2(alpha + p) and a parity, as {BasisVector: position}.
+    `stencil(gen, t, parity)` holds scale * gen on a slice by slice
+    positions: off the module's integer table (`scaled_act_basis`) for
+    H, A and B, composed on the A and B stencils for X and Y (see the
+    module docstring), and for gen = "z" the Casimir 2 D^2 z, which
+    `casimir` composes once per slice.
+    `image(gen, bv)` is scale * gen.bv as a tuple of (BasisVector, int)
+    pairs, read back off the stencil. `chains` belongs to `cochains`,
+    which files the module's weight chains there, and `ranks` to
+    `engine`, which files them per weight chain and degree. Nothing in
+    the memo is shared with another module.
     """
 
-    __slots__ = ("mod", "scale", "depth", "ranks", "_images",
+    __slots__ = ("mod", "scale", "slices", "chains", "ranks", "_images",
                  "_stencils")
 
     def __init__(self, mod):
         self.mod = mod
         self.scale = action_scale(mod)
-        self.depth = depth_memo(type(mod), mod.K0, mod.K)
-        self.ranks, self._stencils = {}, {}
+        self.slices, self.chains, self.ranks = {}, {}, {}
+        self._stencils = {}
         self._images = {g: {} for g in GENS}
 
     def slice(self, t, parity):
         """{BasisVector: position} of twice_weight_basis(t, parity)."""
-        slices = self.depth.slices
-        hit = slices.get((t, parity))
+        hit = self.slices.get((t, parity))
         if hit is None:
-            hit = slices[(t, parity)] = {
+            hit = self.slices[(t, parity)] = {
                 bv: i for i, bv in
                 enumerate(self.mod.twice_weight_basis(t, parity))}
         return hit
@@ -375,11 +346,13 @@ class ModuleMemo:
         """gen's images on the slice (t, parity), one tuple per vector,
         of (position in the slice gen maps into, int) pairs by
         increasing position: the module's table for H, A and B, less
-        the terms at k <= K0, and composed on the A and B stencils for X
-        and Y."""
+        the terms at k <= K0, composed on the A and B stencils for X
+        and Y, and 2 D^2 z (`casimir`) for gen = "z"."""
         hit = self._stencils.get((gen, t, parity))
         if hit is None:
-            if gen in _SQUARES:
+            if gen == "z":
+                hit = casimir(self, t, parity)
+            elif gen in _SQUARES:
                 hit = self._square_stencil(gen, t, parity)
             else:
                 pos = self.slice(t + TWICE_WEIGHT[gen],
@@ -471,7 +444,9 @@ def casimir(memo, t, parity):
     Casimir z = H^2 + XY + AB/2 - H/2 and D = memo.scale.
 
     XY and AB are composed on the memo's stencils by `_compose`, and H
-    acts on the slice by its weight (`TruncatedDlm.scaled_weight`).
+    acts on the slice by its weight (`TruncatedDlm.scaled_weight`). The
+    memo keeps the result as the stencil of "z", so each slice composes
+    it once.
     """
     st, h = memo.stencil, memo.mod.scaled_weight(t)
     xy = _compose(st("Y", t, parity), st("X", t + TWICE_WEIGHT["Y"], parity))
@@ -490,11 +465,11 @@ def casimir(memo, t, parity):
 
 def casimir_commutes(memo, t, parity):
     """z o g = g o z for g = A and B on the slice (t, parity), in
-    integers on `casimir`'s rows."""
-    z = casimir(memo, t, parity)
+    integers on the memo's stencils of z (`casimir`)."""
+    z = memo.stencil("z", t, parity)
     for g in ("A", "B"):
         st = memo.stencil(g, t, parity)
-        after = casimir(memo, t + TWICE_WEIGHT[g], 1 - parity)
+        after = memo.stencil("z", t + TWICE_WEIGHT[g], 1 - parity)
         for zg, gz in zip(_compose(st, after), _compose(z, st)):
             if any(zg.get(k, 0) != gz.get(k, 0) for k in {*zg, *gz}):
                 return False

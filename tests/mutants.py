@@ -1,0 +1,94 @@
+"""Mutation checks: each mutant of the program must fail its named test.
+
+For each mutant the script copies src/ to a temporary directory, applies
+one textual replacement to one file there, and runs the named test
+against the copy with pytest. A mutant that is killed makes its test
+fail; one whose test still passes survives. The script exits 1 if any
+mutant survives or no longer applies (its text is not in the file
+exactly once), and 0 when every mutant is killed.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+The file name has no test_ prefix, so pytest does not collect it; CI
+runs it as its own step.
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+ENGINE = "tests/test_engine.py::"
+
+# (name, file under src/ospcoho, text, replacement, test that must fail)
+MUTANTS = (
+    # the Casimir's XY coefficient 2 -> 3 in 2 D^2 z: z no longer
+    # commutes with A and B, nor has the proven diagonal
+    ("casimir-coefficient", "weightmod.py",
+     "row[k] = row.get(k, 0) + 2 * x",
+     "row[k] = row.get(k, 0) + 3 * x",
+     "tests/test_weightmod.py::"
+     "test_casimir_is_triangular_in_k_with_the_proven_diagonal"),
+    # a zero set that drops the root k = p - 1 of an integer p
+    ("zero-set-drops-a-root", "engine.py",
+     "max(K - 2 if K == p else K - 1, -1)",
+     "max(K - 1 if K == p else K - 1, -1)",
+     ENGINE + "test_zero_piece_has_the_cohomology_of_the_truncation"),
+    # a piece cut one k too shallow
+    ("piece-too-shallow", "engine.py",
+     "    K = math.floor(p)\n",
+     "    K = math.floor(p) - 1\n",
+     ENGINE + "test_zero_piece_has_the_cohomology_of_the_truncation"),
+    # weight chains filed in one module-global dict, shared by every
+    # module with the same (t, parity, universe)
+    ("chains-shared-across-modules", "cochains.py",
+     "    chains = memo.chains\n",
+     "    chains = _weight_chain.__dict__.setdefault('chains', {})\n",
+     ENGINE + "test_zero_piece_has_the_cohomology_of_the_truncation"),
+)
+
+
+def run(name, path, text, replacement, test):
+    """True when the mutant is killed; prints one line either way."""
+    with tempfile.TemporaryDirectory(prefix="ospcoho-mutant-") as tmp:
+        src = pathlib.Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "ospcoho" / path
+        code = target.read_text(encoding="utf-8")
+        if code.count(text) != 1:
+            print(f"{name}: does not apply, {text!r} is not in {path} "
+                  f"exactly once")
+            return False
+        target.write_text(code.replace(text, replacement), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x",
+             "-p", "no:cacheprovider", test],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+    # pytest exits 1 when a test failed; any other code is no verdict
+    killed = done.returncode == 1
+    print(f"{name}: {'killed' if killed else 'SURVIVED'} by {test} "
+          f"(pytest exit {done.returncode})")
+    return killed
+
+
+def main(names):
+    known = {m[0] for m in MUTANTS}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    results = [run(*m) for m in chosen]
+    return 0 if all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

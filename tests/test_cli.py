@@ -362,13 +362,11 @@ def test_selftest_reports_a_raising_suite_as_a_failed_check(capsys,
         return compose([row[1:] for row in first], second)
 
     weightmod.module_memo.cache_clear()
-    weightmod.depth_memo.cache_clear()
     monkeypatch.setattr(weightmod, "_compose", dropped)
     try:
         code, out = run_cli(capsys, "selftest")
     finally:
         weightmod.module_memo.cache_clear()
-        weightmod.depth_memo.cache_clear()
     assert code == 1
     data = json.loads(out)
     assert data["ok"] is False

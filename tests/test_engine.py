@@ -11,8 +11,9 @@ import pytest
 
 from ospcoho import engine, linalg
 from ospcoho.algebra import GENS, SL2, adopted_table
-from ospcoho.cochains import (Cochain, coboundary, delta_block, make_f_k,
-                              make_ftilde_k, make_h_lambda, restrict_sl2)
+from ospcoho.cochains import (Cochain, _weight_chain, coboundary,
+                              delta_block, make_f_k, make_ftilde_k,
+                              make_h_lambda, restrict_sl2)
 from ospcoho.engine import (DimCount, NotACocycle, build_report,
                             class_representatives, gelfand_fuchs_check,
                             grid_reports, h_dim, is_coboundary,
@@ -27,6 +28,12 @@ TABLE = adopted_table()
 GRID = [(F(0), F(0)), (F(1), F(1)), (F(5, 2), F(5, 2)),
         (F(0), F(1, 2)), (F(-1, 2), F(1)), (F(-1), F(3, 2)),
         (F(1, 3), F(0)), (F(0), F(2)), (F(1), F(1, 2))]
+
+
+def chain_rank(mod, n, w, parity, universe):
+    """(rank, columns, pivots) of d_n on C^n_w (`engine._chain_rank`)."""
+    chain = _weight_chain(mod, mod.twice_shifted(w), parity, universe)
+    return engine._chain_rank(*chain, n)
 
 
 def test_h_dim_examples():
@@ -72,9 +79,9 @@ def test_chained_ranks_equal_full_block_ranks():
             for w in weights:
                 for parity in (0, 1):
                     for n in range(5):
-                        rank, cols, pivots = engine._block_rank_and_cols(
+                        rank, cols, pivots = chain_rank(
                             mod, n, w, parity, universe)
-                        skip = engine._block_rank_and_cols(
+                        skip = chain_rank(
                             mod, n - 1, w, parity, universe)[2] if n else ()
                         dom, _, cleared, _ = delta_block(
                             mod, n, w, parity, universe, skip)
@@ -124,37 +131,47 @@ def test_subclass_gets_its_own_memo():
     assert h_dim(sub, 1, 0) == fresh
 
 
-def test_modules_of_one_type_and_depth_share_their_depth_memo():
-    # slices, layouts and programs read neither lambda nor mu: a second
-    # module of the same type and K builds none of them again, while a
-    # module of another type or depth gets its own depth memo
-    from ospcoho.weightmod import depth_memo
-
-    def built(depth):
-        out = {("slice", key): v for key, v in depth.slices.items()}
-        for key, chain in depth.chains.items():
-            out.update({("program", key, n): p
-                        for n, p in chain._programs.items()})
-        return out
-
+def test_a_chain_resolves_each_degree_once_per_module():
+    # the Koszul terms of d_n are resolved against the layouts and the
+    # stencils once per degree: the ranks and every coboundary at that
+    # weight read the same resolution
+    from ospcoho.cochains import block_basis, cochain_from_coords
     module_memo.cache_clear()
-    depth_memo.cache_clear()
-    first = TruncatedDlm(0, F(1, 2), 3)
-    second = TruncatedDlm(F(1, 3), F(5, 6), 3)      # the same p
-    for mod in (first, second):
+    mod = TruncatedDlm(0, F(1, 2), 3)
+    assert h_dim(mod, 1, 0).odd == 2
+    memo, chain = _weight_chain(mod, mod.twice_shifted(0), 1, GENS)
+    resolved = chain.sources(memo, 1)
+    basis = block_basis(mod, 1, 0, 1)
+    f = cochain_from_coords(mod, 1, 1, basis,
+                            {i: F(i + 1, 2) for i in range(len(basis))})
+    df = coboundary(f)
+    assert not df.is_zero() and coboundary(f) == df
+    assert _weight_chain(mod, mod.twice_shifted(0), 1, GENS) == (memo, chain)
+    assert chain.sources(memo, 1) is resolved
+
+
+def test_modules_never_share_slices_or_chains():
+    # slices and chains live in the module's own memo: at one
+    # (lambda, mu, K), a K0 cut, a subclass with another action and the
+    # plain truncation each build their own, and each chain is laid out
+    # on its own module's slices
+    lam, mu, K = F(1, 3), F(7, 3), 3
+    memos = []
+    for mod in (TruncatedDlm(lam, mu, K), TruncatedDlm(lam, mu, K, 1),
+                _AZero(lam, mu, K)):
         for n in range(3):
-            for w in (0, F(1, 2)):
-                h_dim(mod, n, w)
-        if mod is first:
-            depth = module_memo(first).depth
-            before = built(depth)
-    assert module_memo(second).depth is depth
-    after = built(depth)
-    assert any(k[0] == "program" for k in before)
-    assert after.keys() == before.keys()
-    assert all(after[k] is v for k, v in before.items())
-    assert ModuleMemo(_AZero(0, F(1, 2), 3)).depth is not depth
-    assert ModuleMemo(TruncatedDlm(0, F(1, 2), 4)).depth is not depth
+            h_dim(mod, n, 0)
+        memo = module_memo(mod)
+        assert memo.mod is mod and memo.slices and memo.chains
+        for chain in memo.chains.values():
+            for n in range(4):
+                for _, key, length in chain.layout(memo, n).values():
+                    assert len(memo.slices[key]) == length
+        memos.append(memo)
+    slices = [id(s) for m in memos for s in (m.slices, *m.slices.values())]
+    chains = [id(c) for m in memos for c in (m.chains, *m.chains.values())]
+    assert len(set(slices)) == len(slices)
+    assert len(set(chains)) == len(chains)
 
 
 def test_a_not_onto_violates_the_hypothesis():
@@ -374,7 +391,7 @@ def test_representatives_assemble_one_cleared_block(monkeypatch):
                 if reps:
                     skip = frozenset()
                     if n > 0:
-                        skip = engine._block_rank_and_cols(
+                        skip = chain_rank(
                             mod, n - 1, 0, parity, GENS)[2]
                     want.append((n, parity, GENS, skip))
         assert calls == want, (lam, mu)
@@ -395,7 +412,7 @@ def test_gated_representatives_equal_ungated_sl2():
                 for parity in (0, 1):
                     skip = ()
                     if n > 0:
-                        skip = engine._block_rank_and_cols(
+                        skip = chain_rank(
                             mod, n - 1, w, parity, SL2)[2]
                     want = engine._kernel_cochains(mod, n, w, parity,
                                                    SL2, skip)
@@ -747,7 +764,7 @@ def test_delta_block_equals_the_per_block_reference():
                     for n in range(5):
                         skips = [()]
                         if n > 0:
-                            skips.append(engine._block_rank_and_cols(
+                            skips.append(chain_rank(
                                 mod, n - 1, w, parity, universe)[2])
                         for skip in skips:
                             got = delta_block(mod, n, w, parity,
@@ -760,22 +777,19 @@ def test_delta_block_equals_the_per_block_reference():
 
 
 def test_evicted_memos_and_chains_are_freed_without_the_collector():
-    # neither a chain nor a depth memo refers to a module memo, and a
-    # module memo only to its depth memo, so an evicted module memo and
-    # an evicted depth memo with its chains go by reference counting
-    # alone, with the cyclic collector off. A serial run that switches
-    # depths 3 -> 4 -> 5 keeps one depth memo and MEMO_MODULES memos:
-    # the last point's zero piece, ranked after the predictions on the
-    # truncation
+    # a chain does not refer to a module memo, and a module memo holds
+    # its chains, so an evicted module memo goes with its chains by
+    # reference counting alone, with the cyclic collector off. A serial
+    # run over modules of depths 3, 4 and 5 keeps MEMO_MODULES memos: the
+    # last point's zero piece, ranked after the predictions on the
+    # truncation, and every live chain is one of that memo's
     import gc
     from ospcoho.cochains import _WeightChain
-    from ospcoho.weightmod import (MEMO_MODULES, DepthMemo, ModuleMemo,
-                                   depth_memo)
+    from ospcoho.weightmod import MEMO_MODULES
     gc.collect()
     gc.disable()
     try:
         module_memo.cache_clear()
-        depth_memo.cache_clear()
         pairs = [(F(0), F(1, 2)), (F(1, 3), F(5, 6)), (F(-1), F(1))]
         for K in (3, 4, 5):
             reports = grid_reports(pairs, K=K, nmax=2, wmax=F(1, 2),
@@ -783,13 +797,11 @@ def test_evicted_memos_and_chains_are_freed_without_the_collector():
             assert [r.K for r in reports] == [K] * 3
         alive = gc.get_objects()
         memos = [o for o in alive if isinstance(o, ModuleMemo)]
-        depths = [o for o in alive if isinstance(o, DepthMemo)]
         chains = [o for o in alive if isinstance(o, _WeightChain)]
         del alive
     finally:
         gc.enable()
-    assert 1 <= len(memos) <= MEMO_MODULES
-    assert len(depths) == 1 and all(m.depth is depths[0] for m in memos)
+    assert len(memos) == MEMO_MODULES == 1
     assert memos[0].mod == engine.zero_piece(*pairs[-1])
-    held = {id(c) for c in depths[0].chains.values()}
+    held = {id(c) for c in memos[0].chains.values()}
     assert chains and all(id(c) in held for c in chains)

@@ -523,7 +523,7 @@ def test_the_cut_module_is_the_quotient():
     assert cut != full and hash(cut) != hash(full)
     assert repr(cut) == "TruncatedDlm(lam=1/3, mu=7/3, K=3, K0=1)"
     whole, part = wm.ModuleMemo(full), wm.ModuleMemo(cut)
-    assert part.depth is not whole.depth
+    assert part.slices is not whole.slices
     for gen in GENS:
         for t in range(-9, 8):
             for bv in whole.slice(t, t % 2):
