@@ -8,3 +8,9 @@ closed-form kernel descriptions and explicit cocycles.
 """
 
 __version__ = "0.1.0"
+
+
+class Mismatch(Exception):
+    """An exact check failed: the mathematics does not come out as the
+    paper and the program's conventions say. The CLI reports it on one
+    line and exits 1."""

@@ -16,6 +16,8 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
+from . import Mismatch
+
 GENS = ("X", "A", "H", "B", "Y")
 SL2 = ("X", "H", "Y")
 ORDER = {g: i for i, g in enumerate(GENS)}
@@ -39,7 +41,7 @@ PAIR_ORDER = (
 OFF_DIAGONAL_PAIRS = tuple(p for p in PAIR_ORDER if p[0] != p[1])
 
 
-class NoConsistentRepair(RuntimeError):
+class NoConsistentRepair(Mismatch):
     """No table in the audit search space passes both consistency checks."""
 
 
@@ -77,11 +79,11 @@ class StructureTable:
     Rows are stored for the pairs in PAIR_ORDER; every other ordered
     pair is filled in through graded antisymmetry
     [U,V] = -(-1)^{UV} [V,U], and even diagonals are zero. The rows
-    are never changed after construction, so `key()` is computed once,
-    and the integer brackets that decide the Jacobi identity are built
-    once too, on first use. Tables vary only in the
-    audit, the module-axiom check and the realization oracle; the
-    cohomology layers use the adopted table as a constant.
+    are never changed after construction, so the key that equality and
+    the hash read is computed once, and the integer brackets that decide
+    the Jacobi identity are built once too, on first use. Tables vary
+    only in the audit, the module-axiom check and the realization
+    oracle; the cohomology layers use the adopted table as a constant.
     """
 
     def __init__(self, rows, label):
@@ -181,9 +183,6 @@ class StructureTable:
             if lhs != rhs:
                 return False
         return True
-
-    def key(self):
-        return self._key
 
     def changes_from(self, other):
         """[(pair_label, other_row_str, self_row_str)] for differing rows."""

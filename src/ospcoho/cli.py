@@ -6,8 +6,13 @@ dimension tables vs predictions over parameter grids), `cocycles`
 suites). Rationals on the command line are exact "p/q" or integer
 literals, negative ones included (`--lambda -1/2`); floats are rejected.
 
-Exit codes: 0 all checks pass, 1 a mathematical mismatch, 2 usage or
-input error.
+Each command computes its output and returns it with a verdict;
+`main` alone writes it, to stdout or to --out. Exit codes: 0 all checks
+pass; 1 a mathematical mismatch, either a check in the output that came
+out false or an exact check that failed on the way (`ospcoho.Mismatch`),
+the latter reported as one line `ospcoho <cmd>: <message>` with no
+output written; 2 usage or input error, one line in the same form.
+`dims` runs serially unless --threads asks for more workers.
 """
 
 import argparse
@@ -20,10 +25,9 @@ import re
 import sys
 from fractions import Fraction
 
-from . import algebra, engine
-from .cochains import (NoCocycle, SolveFailed, coboundary, cochain_to_json,
-                       is_reduced, make_f_k, make_ftilde_k, make_h_lambda,
-                       restrict_sl2)
+from . import Mismatch, algebra, engine
+from .cochains import (coboundary, cochain_to_json, is_reduced, make_f_k,
+                       make_ftilde_k, make_h_lambda, restrict_sl2)
 from .superdiff import op_str
 from .weightmod import to_oppoly
 
@@ -137,13 +141,11 @@ def _emit(text, out_path):
         print(text)
 
 
-def _reports_csv(reports):
+def _csv(header, rows):
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=engine.CSV_FIELDS)
-    writer.writeheader()
-    for rep in reports:
-        for row in rep.csv_rows():
-            writer.writerow(row)
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
 
 
@@ -154,46 +156,30 @@ def cmd_audit(args):
     if args.no_repair:
         table = (algebra.printed_table() if args.table == "printed"
                  else algebra.adopted_table())
-        failures = table.jacobi_failures()
-        payload = {
-            "variant": args.table,
-            "jacobi_failures_printed": [
-                {"triple": list(t), "defect": algebra.format_combo(d)}
-                for t, d in failures
-            ],
-        }
+        failures = [(t, algebra.format_combo(d))
+                    for t, d in table.jacobi_failures()]
         if args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["triple", "defect"])
-            for t, d in failures:
-                writer.writerow([" ".join(t), algebra.format_combo(d)])
-            _emit(buf.getvalue().rstrip("\n"), args.out)
+            text = _csv(["triple", "defect"],
+                        [(" ".join(t), d) for t, d in failures])
         else:
-            _emit(json.dumps(payload, indent=2), args.out)
-        return EXIT_MISMATCH if failures else EXIT_OK
-    try:
-        report = engine.run_audit()
-    except algebra.NoConsistentRepair as exc:
-        print(f"audit failed: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    payload = report.to_json()
+            text = json.dumps({
+                "variant": args.table,
+                "jacobi_failures_printed": [
+                    {"triple": list(t), "defect": d} for t, d in failures],
+            }, indent=2)
+        return text, not failures
+    payload = engine.run_audit().to_json()
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["pair", "from", "to"])
-        for ch in payload["changes"]:
-            writer.writerow([ch["pair"], ch["from"], ch["to"]])
-        _emit(buf.getvalue().rstrip("\n"), args.out)
-    else:
-        _emit(json.dumps(payload, indent=2), args.out)
-    return EXIT_OK
+        return _csv(["pair", "from", "to"],
+                    [(ch["pair"], ch["from"], ch["to"])
+                     for ch in payload["changes"]]), True
+    return json.dumps(payload, indent=2), True
 
 
 def cmd_dims(args):
     _require(args.kmax is None or args.kmax >= 0,
              f"--kmax must be >= 0, got {args.kmax}")
-    _require(args.threads is None or args.threads >= 1,
+    _require(args.threads >= 1,
              f"--threads must be >= 1, got {args.threads}")
     _require(0 <= args.wmax <= engine.W_MAX
              and (2 * args.wmax).denominator == 1,
@@ -201,28 +187,22 @@ def cmd_dims(args):
              f"got {args.wmax}")
     _require(not args.grid or (args.lam is None and args.mu is None),
              "--grid cannot be combined with --lambda/--mu")
-    if args.grid:
-        pairs = parse_grid(args.grid, args.kmax)
-    elif args.lam is not None and args.mu is not None:
-        pairs = [(args.lam, args.mu)]
-    else:
-        print("dims: provide --lambda/--mu or --grid", file=sys.stderr)
-        return EXIT_USAGE
+    _require(args.grid or (args.lam is not None and args.mu is not None),
+             "provide --lambda/--mu or --grid")
+    pairs = (parse_grid(args.grid, args.kmax) if args.grid
+             else [(args.lam, args.mu)])
     for lam, mu in pairs:
         _require_depth(lam, mu, args.kmax)
-    try:
-        reports = engine.grid_reports(pairs, K=args.kmax, nmax=args.nmax,
-                                      wmax=args.wmax, threads=args.threads)
-    except engine.CasimirNotCentral as exc:
-        print(f"dims: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    reports = engine.grid_reports(pairs, K=args.kmax, nmax=args.nmax,
+                                  wmax=args.wmax, threads=args.threads)
+    ok = all(r.match for r in reports)
     if args.format == "csv":
-        _emit(_reports_csv(reports), args.out)
-    else:
-        payload = [r.to_json() for r in reports]
-        _emit(json.dumps(payload[0] if len(payload) == 1 else payload,
-                         indent=2), args.out)
-    return EXIT_OK if all(r.match for r in reports) else EXIT_MISMATCH
+        return _csv(engine.CSV_FIELDS,
+                    [[row[f] for f in engine.CSV_FIELDS]
+                     for r in reports for row in r.csv_rows()]), ok
+    payload = [r.to_json() for r in reports]
+    return json.dumps(payload[0] if len(payload) == 1 else payload,
+                      indent=2), ok
 
 
 def _verify_cocycle(f):
@@ -244,38 +224,31 @@ def cmd_cocycles(args):
              f"--lambda applies to --kind h only, not --kind {args.kind}")
     _require(args.kind != "h" or args.k is None,
              "--k does not apply to --kind h")
+    _require(args.kind != "h" or args.lam is not None,
+             "--kind h needs --lambda")
     k = args.k or 0
-    try:
-        if args.kind == "h":
-            if args.lam is None:
-                print("cocycles --kind h needs --lambda", file=sys.stderr)
-                return EXIT_USAGE
-            f, ratios = make_h_lambda(args.lam)
-        elif args.kind == "f":
-            f, ratios = make_f_k(k)
-        elif args.kind == "ftilde":
-            f, ratios = make_ftilde_k(k)
-        else:  # cup
-            gf, omega = engine.gelfand_fuchs_check(k)
-            slots = {
-                algebra.monomial_str(u): op_str(to_oppoly(v))
-                for u, v in sorted(omega.values.items())
-            }
-            checks = {
-                "closed": coboundary(omega).is_zero(),
-                "nontrivial": engine.is_coboundary(omega) is None,
-                "restriction_nontrivial":
-                    engine.is_coboundary(restrict_sl2(omega)) is None,
-            }
-            payload = {"kind": "cup", "k": k, "slots": slots,
-                       "cup_sign_variant": "printed",
-                       "gelfand_fuchs": gf, "checks": checks}
-            _emit(json.dumps(payload, indent=2), args.out)
-            return EXIT_OK if all(checks.values()) else EXIT_MISMATCH
-    except (NoCocycle, SolveFailed, engine.NotACocycle,
-            engine.NotProportional) as exc:
-        print(f"cocycles: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    if args.kind == "cup":
+        gf, omega = engine.gelfand_fuchs_check(k)
+        slots = {
+            algebra.monomial_str(u): op_str(to_oppoly(v))
+            for u, v in sorted(omega.values.items())
+        }
+        checks = {
+            "closed": coboundary(omega).is_zero(),
+            "nontrivial": engine.is_coboundary(omega) is None,
+            "restriction_nontrivial":
+                engine.is_coboundary(restrict_sl2(omega)) is None,
+        }
+        payload = {"kind": "cup", "k": k, "slots": slots,
+                   "cup_sign_variant": "printed",
+                   "gelfand_fuchs": gf, "checks": checks}
+        return json.dumps(payload, indent=2), all(checks.values())
+    if args.kind == "h":
+        f, ratios = make_h_lambda(args.lam)
+    elif args.kind == "f":
+        f, ratios = make_f_k(k)
+    else:
+        f, ratios = make_ftilde_k(k)
     checks = _verify_cocycle(f)
     payload = {
         "kind": args.kind,
@@ -287,8 +260,7 @@ def cmd_cocycles(args):
         "checks": checks,
         "cochain": cochain_to_json(f),
     }
-    _emit(json.dumps(payload, indent=2), args.out)
-    return EXIT_OK if all(checks.values()) else EXIT_MISMATCH
+    return json.dumps(payload, indent=2), all(checks.values())
 
 
 def cmd_selftest(args):
@@ -299,12 +271,10 @@ def cmd_selftest(args):
                     for n, ok, d in results],
         "ok": all(ok for _, ok, _ in results),
     }
-    _emit(json.dumps(payload, indent=2), args.out)
-    if payload["ok"]:
-        return EXIT_OK
-    failing = [n for n, ok, _ in results if not ok]
-    print(f"selftest failures: {', '.join(failing)}", file=sys.stderr)
-    return EXIT_MISMATCH
+    if not payload["ok"]:
+        failing = [n for n, ok, _ in results if not ok]
+        print(f"selftest failures: {', '.join(failing)}", file=sys.stderr)
+    return json.dumps(payload, indent=2), payload["ok"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -346,9 +316,8 @@ def build_parser():
     p_dims.add_argument("--wmax", type=parse_rational,
                         default=engine.WMAX_DEFAULT,
                         help="half-integer weight window for n <= 2")
-    p_dims.add_argument("--threads", type=int, default=None,
-                        help="parallel grid workers "
-                             "(default: available parallelism)")
+    p_dims.add_argument("--threads", type=int, default=1,
+                        help="parallel grid workers (default 1: serial)")
     p_dims.add_argument("--format", choices=("json", "csv"),
                         default="json")
     p_dims.add_argument("--out", default=None)
@@ -396,12 +365,17 @@ def main(argv=None):
     try:
         if args.out:
             _check_out(args.out)
-        return args.func(args)
+        text, ok = args.func(args)
+        _emit(text, args.out)
     except argparse.ArgumentTypeError as exc:
         print(f"ospcoho {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Mismatch as exc:
+        print(f"ospcoho {args.command}: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except BrokenPipeError:  # pragma: no cover
         return EXIT_OK
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 if __name__ == "__main__":

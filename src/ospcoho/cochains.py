@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from . import linalg
+from . import Mismatch, linalg
 from .algebra import (GENS, PARITY, SL2, adopted_table, canonicalize,
                       monomial_basis, monomial_parity, monomial_str,
                       monomial_weight)
@@ -46,11 +46,11 @@ from .weightmod import (FAMILY_PARITY, TWICE_WEIGHT, TruncatedDlm,
                         vec_scale, vec_to_json)
 
 
-class SolveFailed(RuntimeError):
+class SolveFailed(Mismatch):
     """An exact solve that the theory guarantees has failed."""
 
 
-class NoCocycle(RuntimeError):
+class NoCocycle(Mismatch):
     """A cocycle template could not be realized; conventions are broken."""
 
 

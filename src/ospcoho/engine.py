@@ -46,7 +46,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
-from . import algebra, linalg
+from . import Mismatch, algebra, linalg
 from .algebra import GENS, SL2, adopted_table
 from .cochains import (Cochain, _a_monomial, _kernel_cochains,
                        _weight_chain, block_basis, coboundary,
@@ -71,19 +71,19 @@ K_MAX = 128
 W_MAX = 8
 
 
-class NotACocycle(ValueError):
+class NotACocycle(Mismatch):
     pass
 
 
-class HypothesisViolated(RuntimeError):
+class HypothesisViolated(Mismatch):
     """The module does not satisfy the surjectivity hypothesis."""
 
 
-class NotProportional(RuntimeError):
+class NotProportional(Mismatch):
     """Cup values on sl(2) pairs admit no single proportionality constant."""
 
 
-class CasimirNotCentral(RuntimeError):
+class CasimirNotCentral(Mismatch):
     """The Casimir does not commute with A and B on a slice."""
 
 
@@ -496,7 +496,8 @@ def build_report(lam, mu, K=None, nmax=NMAX_DEFAULT, wmax=WMAX_DEFAULT):
     report's K, are on D^{<=guard_K}, as the closed-form comparison needs.
     The dims are those of the Casimir's zero piece (`zero_piece`), 0 and
     with no complex built when it is 0. That z commutes with A and B is
-    checked on every slice the piece's chains read (CasimirNotCentral).
+    then checked on every nonempty slice in the piece's memo, which
+    holds every slice its chains read (CasimirNotCentral).
     """
     lam, mu = Fraction(lam), Fraction(mu)
     K_eff = guard_K(lam, mu, K)
@@ -505,20 +506,17 @@ def build_report(lam, mu, K=None, nmax=NMAX_DEFAULT, wmax=WMAX_DEFAULT):
     proposition = predict_proposition(lam, mu, nmax)
     piece = zero_piece(lam, mu)
     computed = {n: {} for n in range(nmax + 1)}
-    read = set()
     for w in _half_range(wmax):
         top = nmax if w == 0 else min(nmax, 2)
         t = mod.twice_shifted(w)
         for n in range(top + 1):
             computed[n][w] = (DimCount(0, 0, 0) if piece is None
                               else twice_h_dim(piece, n, t))
-        if piece is not None:
-            for parity in (0, 1):
-                memo, chain = _weight_chain(piece, t, parity, GENS)
-                read.update(key for n in range(top + 2)
-                            for _, key, _ in chain.layout(memo, n).values())
-    if not all(casimir_commutes(module_memo(piece), *key) for key in read):
-        raise CasimirNotCentral(f"the Casimir is not central on {piece}")
+    if piece is not None:
+        memo = module_memo(piece)
+        read = [key for key, vectors in memo.slices.items() if vectors]
+        if not all(casimir_commutes(memo, *key) for key in read):
+            raise CasimirNotCentral(f"the Casimir is not central on {piece}")
     match = theorem == proposition and all(
         dc.total == (theorem[n] if w == 0 else 0)
         for n, row in computed.items() for w, dc in row.items())
@@ -532,18 +530,16 @@ def _report_worker(args):
 
 
 def grid_reports(pairs, K=None, nmax=NMAX_DEFAULT, wmax=WMAX_DEFAULT,
-                 threads=None):
-    """Reports over a list of (lambda, mu) pairs, in parallel for grids.
+                 threads=1):
+    """Reports over a list of (lambda, mu) pairs, serially by default.
 
-    threads=None uses the available parallelism; more workers than
-    points or CPUs are never started. Results are identical regardless
-    of worker count (pure block computations). The process pool, and
-    with it `multiprocessing`, is imported only when a pool starts, so
-    a serial run never loads it.
+    More workers than points or CPUs are never started. Results are
+    identical regardless of worker count (pure block computations). The
+    process pool, and with it `multiprocessing`, is imported only when a
+    pool starts, so a serial run never loads it.
     """
     jobs = [(Fraction(l), Fraction(m), K, nmax, wmax) for l, m in pairs]
-    cpus = os.cpu_count() or 1
-    threads = min(cpus if threads is None else threads, cpus, len(jobs))
+    threads = min(threads, os.cpu_count() or 1, len(jobs))
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:

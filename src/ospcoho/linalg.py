@@ -21,6 +21,7 @@ is therefore, up to scale, the RREF null vector of its free column.
 from fractions import Fraction
 from math import lcm
 
+from . import Mismatch
 from ._kernels_py import reduce_in_order
 
 
@@ -138,5 +139,5 @@ def quotient_dim(u_rows, w_rows):
             - len(int_pivots([_to_int_row(r) for r in w_rows])))
 
 
-class NotContained(ValueError):
+class NotContained(Mismatch):
     pass

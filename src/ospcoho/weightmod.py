@@ -67,7 +67,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from . import linalg
+from . import Mismatch, linalg
 from .algebra import GENS, PARITY, WEIGHT
 from .superdiff import OpPoly
 
@@ -87,7 +87,7 @@ class TruncationViolation(ValueError):
     pass
 
 
-class NonIntegralScale(ArithmeticError):
+class NonIntegralScale(Mismatch):
     """A scaled action coefficient is not an integer; nothing is rounded."""
 
 

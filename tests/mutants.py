@@ -49,6 +49,31 @@ MUTANTS = (
      "    chains = memo.chains\n",
      "    chains = _weight_chain.__dict__.setdefault('chains', {})\n",
      ENGINE + "test_zero_piece_has_the_cohomology_of_the_truncation"),
+    # X = A o A / D and Y = -B o B / D rounded instead of refused when
+    # they leave a remainder
+    ("square-stencil-rounds", "weightmod.py",
+     "                if r:\n",
+     "                if False:\n",
+     "tests/test_weightmod.py::test_composed_stencil_refuses_a_remainder"),
+    # the module axiom checked on the even slices only
+    ("axiom-even-slices-only", "weightmod.py",
+     "for t in range(-2 * mod.K - 1, 2 * mod.K + 2):",
+     "for t in range(-2 * mod.K, 2 * mod.K + 2, 2):",
+     "tests/test_weightmod.py::"
+     "test_module_axiom_check_reads_the_lowest_slice"),
+    # a composition that drops each row's first term
+    ("compose-drops-a-term", "weightmod.py",
+     "        for j, x in row:\n",
+     "        for j, x in row[1:]:\n",
+     "tests/test_weightmod.py::"
+     "test_composed_stencils_equal_the_fraction_composition"),
+    # a failed exact check that escapes the CLI as a traceback
+    ("cli-lets-a-mismatch-escape", "cli.py",
+     "    except Mismatch as exc:\n"
+     "        print(f\"ospcoho {args.command}: {exc}\", file=sys.stderr)\n"
+     "        return EXIT_MISMATCH\n",
+     "",
+     "tests/test_cli.py::test_failed_checks_exit_1_with_one_line"),
 )
 
 

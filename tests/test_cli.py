@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from ospcoho import cli
+import ospcoho
+from ospcoho import algebra, cli, cochains, engine, linalg, weightmod
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +70,8 @@ def test_dims_csv_grid(capsys):
 
 def test_dims_requires_parameters(capsys):
     assert cli.main(["dims"]) == 2
+    assert capsys.readouterr().err == (
+        "ospcoho dims: provide --lambda/--mu or --grid\n")
 
 
 def test_float_rejected():
@@ -112,6 +115,8 @@ def test_cocycles_h(capsys):
 
 def test_cocycles_h_needs_lambda(capsys):
     assert cli.main(["cocycles", "--kind", "h"]) == 2
+    assert capsys.readouterr().err == (
+        "ospcoho cocycles: --kind h needs --lambda\n")
 
 
 def test_cocycles_cup(capsys):
@@ -336,10 +341,10 @@ def test_dims_mismatch_exits_1(capsys, monkeypatch):
 
 def test_cocycles_no_cocycle_exits_1(capsys, monkeypatch):
     def fail(k):
-        raise cli.NoCocycle("expected a 2-dimensional cocycle space")
+        raise cochains.NoCocycle("expected a 2-dimensional cocycle space")
     monkeypatch.setattr(cli, "make_f_k", fail)
     assert cli.main(["cocycles", "--kind", "f", "--k", "1"]) == 1
-    assert capsys.readouterr().err.startswith("cocycles: expected")
+    assert capsys.readouterr().err.startswith("ospcoho cocycles: expected")
 
 
 def test_audit_without_consistent_repair_exits_1(capsys, monkeypatch):
@@ -383,5 +388,61 @@ def test_dims_exits_1_when_the_casimir_is_not_central(capsys, monkeypatch):
     assert cli.main(["dims", "--lambda", "0", "--mu", "2",
                      "--threads", "1"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["dims: the Casimir is not central on "
+    assert err == ["ospcoho dims: the Casimir is not central on "
                    "TruncatedDlm(lam=0, mu=2, K=2, K0=0)"]
+
+
+def _raise(exc, message):
+    # a new exception on each call: one kept across calls would keep the
+    # frames of its last traceback, and the module memos they hold, alive
+    def fail(*args, **kwargs):
+        raise exc(message)
+    return fail
+
+
+DIMS = ["dims", "--lambda", "0", "--mu", "1/2"]
+TWO_POINTS = ["dims", "--grid", "pairs:0,1/2;1,1", "--threads", "2"]
+
+
+@pytest.mark.parametrize("argv, target, name, value", [
+    (DIMS, weightmod.TruncatedDlm, "check_a_onto", lambda self: False),
+    (TWO_POINTS, weightmod.TruncatedDlm, "check_a_onto",
+     lambda self: False),
+    (DIMS, linalg, "quotient_dim",
+     _raise(linalg.NotContained, "quotient by a non-subspace")),
+    (["audit"], engine, "run_audit",
+     _raise(algebra.NoConsistentRepair, "no variant passes")),
+    (["cocycles", "--kind", "f", "--k", "1"], cli, "make_f_k",
+     _raise(cochains.NoCocycle,
+            "expected a 2-dimensional cocycle space")),
+    (["dims", "--lambda", "0", "--mu", "2"], engine, "casimir_commutes",
+     lambda memo, t, parity: False),
+], ids=["a-not-onto", "a-not-onto-2-workers", "not-contained",
+        "no-consistent-repair", "no-cocycle", "casimir-not-central"])
+def test_failed_checks_exit_1_with_one_line(tmp_path, capsys, monkeypatch,
+                                            argv, target, name, value):
+    # an exact check that fails on the way is a mismatch: one line
+    # `ospcoho <cmd>: <message>`, exit 1, and no output, on stdout or in
+    # --out; with two CPUs, the 2-worker case raises in a pool worker
+    monkeypatch.setattr(target, name, value)
+    out = tmp_path / "out"
+    for extra in ([], ["--out", str(out)]):
+        assert cli.main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"ospcoho {argv[0]}: ")
+        assert not out.exists()
+
+
+def test_failed_exact_checks_are_mismatches():
+    # the exceptions that mean "an exact check failed" share one base,
+    # which the CLI maps to exit 1; API misuse does not
+    for exc in (algebra.NoConsistentRepair, cochains.SolveFailed,
+                cochains.NoCocycle, engine.NotACocycle,
+                engine.HypothesisViolated, engine.NotProportional,
+                engine.CasimirNotCentral, linalg.NotContained,
+                weightmod.NonIntegralScale):
+        assert issubclass(exc, ospcoho.Mismatch), exc
+    for exc in (weightmod.TruncationViolation, cochains.TypeMismatch):
+        assert not issubclass(exc, ospcoho.Mismatch), exc

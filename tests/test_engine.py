@@ -728,10 +728,10 @@ def test_grid_workers_capped_at_cpu_count(monkeypatch):
     assert _InlinePool.sizes == [3]
     assert len(reports) == 5 and all(r.match for r in reports)
     grid_reports(pairs, nmax=0, wmax=F(0))
-    assert _InlinePool.sizes == [3, 3]
+    assert _InlinePool.sizes == [3]         # serial by default: no pool
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
     grid_reports(pairs, nmax=0, wmax=F(0), threads=64)
-    assert _InlinePool.sizes == [3, 3]      # one CPU: no pool at all
+    assert _InlinePool.sizes == [3]         # one CPU: no pool at all
 
 
 def test_module_memo_stays_bounded_over_a_grid():
