@@ -15,10 +15,10 @@ universe to (X, H, Y) turns the same formula into the classical sl(2)
 differential (all parity exponents vanish).
 
 The weight blocks d_n: C^n_w -> C^{n+1}_w are assembled per weight
-chain (`_WeightChain`), kept in the module's memo: each C^n_w is laid
+chain (`_WeightChain`), kept in the module's `chains`: each C^n_w is laid
 out once, and the Koszul terms, grouped by (target, source), are
 resolved once per degree, per source, against the layouts and the
-module memo's integer stencils (`_WeightChain.sources`). A column is
+module's integer stencils (`_WeightChain.sources`). A column is
 built from its source's terms with one write per matrix entry
 (`_column`). That per-column builder is
 the one evaluator of the formula: the blocks are built with it, and
@@ -42,8 +42,8 @@ from .algebra import (GENS, PARITY, SL2, adopted_table, canonicalize,
                       monomial_basis, monomial_parity, monomial_str,
                       monomial_weight)
 from .weightmod import (FAMILY_PARITY, TWICE_WEIGHT, TruncatedDlm,
-                        from_oppoly, module_memo, to_oppoly, vec_add,
-                        vec_scale, vec_to_json)
+                        from_oppoly, to_oppoly, vec_add, vec_scale,
+                        vec_to_json)
 
 
 class SolveFailed(Mismatch):
@@ -197,14 +197,15 @@ def _koszul_terms(n, q, universe):
     return T, tuple(out)
 
 
-def _scales(memo, T):
+def _scales(mod, T):
     """(scale, act factor, bracket factor) of one integer evaluation.
 
-    scale = lcm(D, T) for the memo's action scale D and the bracket
+    scale = lcm(D, T) for the module's action scale D and the bracket
     denominator T; the factors lift D * gen.bv and T * [u, v] to it.
     """
-    scale = lcm(memo.scale, T)
-    return scale, scale // memo.scale, scale // T
+    D = mod._ints[0]
+    scale = lcm(D, T)
+    return scale, scale // D, scale // T
 
 
 def coboundary(f):
@@ -231,19 +232,19 @@ def coboundary(f):
                 (bv, c.numerator * (Q // c.denominator)))
     out = {}
     for t, part in parts.items():
-        memo, chain = _weight_chain(mod, t, f.parity, f.universe)
-        dom = chain.layout(memo, n)
-        scale, sources = chain.sources(memo, n)
+        chain = _weight_chain(mod, t, f.parity, f.universe)
+        dom = chain.layout(mod, n)
+        scale, sources = chain.sources(mod, n)
         terms = dict(zip(dom, (terms for _, _, terms in sources)))
         acc = {}
         for u, vals in part.items():
-            pos = memo.slice(*dom[u][1])
+            pos = mod.slice(*dom[u][1])
             for bv, c in vals:
                 for r, x in _column(terms[u], pos[bv]).items():
                     acc[r] = acc.get(r, 0) + c * x
         den = Q * scale
-        for u, (row0, key, _) in chain.layout(memo, n + 1).items():
-            vec = {bv: Fraction(v, den) for bv, i in memo.slice(*key).items()
+        for u, (row0, key, _) in chain.layout(mod, n + 1).items():
+            vec = {bv: Fraction(v, den) for bv, i in mod.slice(*key).items()
                    if (v := acc.get(row0 + i))}
             if vec:
                 out.setdefault(u, {}).update(vec)
@@ -263,36 +264,38 @@ def block_basis(mod, n, w, parity, universe=GENS):
     """Ordered basis [(monomial, BasisVector)] of the weight-w part of C^n,
     on the parity component `parity` (0 or 1): the weight chain's layout
     of C^n_w, expanded."""
-    memo, chain = _weight_chain(mod, mod.twice_shifted(w), parity, universe)
-    return [(u, bv) for u, (_, key, _) in chain.layout(memo, n).items()
-            for bv in memo.slice(*key)]
+    chain = _weight_chain(mod, mod.twice_shifted(w), parity, universe)
+    return [(u, bv) for u, (_, key, _) in chain.layout(mod, n).items()
+            for bv in mod.slice(*key)]
 
 
 class _WeightChain:
     """The blocks d_n: C^n_w -> C^{n+1}_w of one weight and parity.
 
-    A chain is kept in its module's memo (`ModuleMemo.chains`). Each
-    C^n_w is laid out once (`layout`), as the codomain of d_{n-1} and
-    the domain of d_n. An index is a monomial's offset plus a slice
-    position, so d_n is written from the memo's integer stencils
-    (`ModuleMemo.stencil`) without hashing a basis vector. `sources`
+    A chain is kept in its module's `chains` and refers to no module:
+    every method takes the module it is read on. Each C^n_w is laid out
+    once (`layout`), as the codomain of d_{n-1} and the domain of d_n.
+    An index is a monomial's offset plus a slice position, so d_n is
+    written from the module's integer stencils
+    (`TruncatedDlm.stencil`) without hashing a basis vector. `sources`
     resolves the Koszul terms (`_koszul_terms`) once per degree, per
     source monomial: target minus source is one generator, so each
     entry of a column is written once, and only H's diagonal meets the
     bracket term. `_column` builds one column from a source's terms: it
     is the one assembler of the blocks. H acts on a slice by its weight
     (`TruncatedDlm.scaled_weight`), so an H term is one int, the two
-    terms summed, written on the diagonal with no stencil. The ranks
-    are filed in the module memo (`ModuleMemo.ranks`).
+    terms summed, written on the diagonal with no stencil. `ranks`
+    belongs to `engine`, which files (rank, columns, pivots) there per
+    degree.
     """
 
-    __slots__ = ("t", "parity", "universe", "_layouts", "_sources")
+    __slots__ = ("t", "parity", "universe", "_layouts", "_sources", "ranks")
 
     def __init__(self, t, parity, universe):
         self.t, self.parity, self.universe = t, parity, universe
-        self._layouts, self._sources = {}, {}
+        self._layouts, self._sources, self.ranks = {}, {}, {}
 
-    def layout(self, memo, n):
+    def layout(self, mod, n):
         """C^n_w as {monomial: (offset, slice key, length)}, laid out once.
 
         The key is the (t, parity) of the module slice holding the
@@ -306,25 +309,25 @@ class _WeightChain:
             if t is not None and (t - self.parity) % 2 == 0:
                 for u, up, w2 in _graded_monomials(n, self.universe):
                     key = (t + w2, (self.parity + up) % 2)
-                    length = len(memo.slice(*key))
+                    length = len(mod.slice(*key))
                     if length:
                         out[u] = (size, key, length)
                         size += length
             self._layouts[n] = out
         return out
 
-    def sources(self, memo, n):
+    def sources(self, mod, n):
         """(scale, ((offset, length, terms), ...)): d_n per source
-        monomial in domain order, resolved once per degree on the memo's
-        module. A term is (target offset, int, stencil), by increasing
+        monomial in domain order, resolved once per degree on `mod`.
+        A term is (target offset, int, stencil), by increasing
         target offset: the stencil's entries times the int, or the int
         on the diagonal when the stencil is None."""
         hit = self._sources.get(n)
         if hit is None:
             T, targets = _koszul_terms(n, self.parity, self.universe)
-            scale, act_factor, bracket_factor = _scales(memo, T)
-            weight, stencil = memo.mod.scaled_weight, memo.stencil
-            dom, cod = self.layout(memo, n), self.layout(memo, n + 1)
+            scale, act_factor, bracket_factor = _scales(mod, T)
+            weight, stencil = mod.scaled_weight, mod.stencil
+            dom, cod = self.layout(mod, n), self.layout(mod, n + 1)
             by_source = {u: [] for u in dom}
             for target, groups in targets:
                 if target not in cod:
@@ -350,9 +353,9 @@ class _WeightChain:
                 for u, terms in by_source.items()))
         return hit
 
-    def block(self, memo, n, skip):
+    def block(self, mod, n, skip):
         """(cols, scale) of d_n as in `delta_block`."""
-        scale, sources = self.sources(memo, n)
+        scale, sources = self.sources(mod, n)
         cols = []
         for col0, length, terms in sources:
             for i in range(length):
@@ -373,13 +376,12 @@ def _column(terms, i):
 
 
 def _weight_chain(mod, t, parity, universe):
-    """(memo, chain) of `mod` at t = 2(w + p) (`twice_shifted`)."""
-    memo = module_memo(mod)
+    """The weight chain of `mod` at t = 2(w + p) (`twice_shifted`)."""
     key = (t, parity, universe)
-    chains = memo.chains
+    chains = mod.chains
     if key not in chains:
         chains[key] = _WeightChain(*key)
-    return memo, chains[key]
+    return chains[key]
 
 
 def delta_block(mod, n, w, parity, universe=GENS, skip=()):
@@ -390,13 +392,12 @@ def delta_block(mod, n, w, parity, universe=GENS, skip=()):
     exact matrix, the coboundary of the delta cochain at
     domain_basis[c]. The columns whose domain index is in `skip` are
     left empty and never assembled. The scale is the lcm of the
-    module's action scale (see `module_memo`) and the denominators of
-    the bracket coefficients. The columns come from the module's
-    weight chain (`_WeightChain`).
+    module's action scale (`weightmod.action_scale`) and the
+    denominators of the bracket coefficients. The columns come from the
+    module's weight chain (`_WeightChain`).
     """
-    t = mod.twice_shifted(w)
-    memo, chain = _weight_chain(mod, t, parity, universe)
-    cols, scale = chain.block(memo, n, frozenset(skip))
+    chain = _weight_chain(mod, mod.twice_shifted(w), parity, universe)
+    cols, scale = chain.block(mod, n, frozenset(skip))
     return (block_basis(mod, n, w, parity, universe),
             block_basis(mod, n + 1, w, parity, universe), cols, scale)
 

@@ -7,11 +7,12 @@ For one truncated module and one cochain weight w the differential
 d_n: C^n_w -> C^{n+1}_w is a finite exact matrix per parity;
 dim H^n_w = dim C^n_w - rank d_n - rank d_{n-1}. The ranks of one
 (w, parity) chain (`cochains._WeightChain`: each C^n_w laid out once,
-each column written once from integer stencils) are filed in the
-module memo in the order n = 0, 1, ...; each step hands the next the
-pivot coordinates of an echelon basis V of im d_{n-1}, the leads that
-the in-order reducer filed. Since d_n d_{n-1} = 0 (the adopted table
-satisfies Jacobi and the module axiom holds), d_n V = 0 gives
+each column written once from integer stencils) are filed with the
+chain, which the module keeps, in the order n = 0, 1, ...; each step
+hands the next the pivot coordinates of an echelon basis V of
+im d_{n-1}, the leads that the in-order reducer filed. Since
+d_n d_{n-1} = 0 (the adopted table satisfies Jacobi and the module
+axiom holds), d_n V = 0 gives
 d_n[:, P] = -d_n[:, N] V_N V_P^{-1} with P the pivots and N the other
 coordinates, V_P being triangular with a nonzero diagonal; so
 rank d_n = rank d_n[:, N], and the columns at P are never assembled
@@ -27,7 +28,7 @@ predictions:
   * the kernel description  H^0 = ker A o+ ker B,
     H^1 ~ H^0 (+) (ker A)^{-1/2}/B((ker A)^0), H^2 ~ that quotient,
     H^{>2} = 0, evaluated on the truncation in integers: the kernels
-    are integer null spaces of the module memo's action images, and the
+    are integer null spaces of the module's action stencils, and the
     quotient is ranked with `linalg.greedy_independent`;
   * the closed-form dimension table for D_{lambda,mu}, decided by the
     case split on p = mu - lambda over exact rationals.
@@ -56,7 +57,7 @@ from .cochains import (Cochain, _a_monomial, _kernel_cochains,
 from .superdiff import OpPoly, derived_module_action, op_str, \
     solve_realization_constants
 from .weightmod import (TWICE_WEIGHT, TruncatedDlm, casimir_commutes,
-                        from_oppoly, module_axiom_holds, module_memo,
+                        action_scale, from_oppoly, module_axiom_holds,
                         to_oppoly)
 
 NMAX_DEFAULT = 4
@@ -89,8 +90,8 @@ class CasimirNotCentral(Mismatch):
 
 # --- brute-force dimensions -------------------------------------------------
 
-def _chain_rank(memo, chain, n):
-    """(rank, columns, pivots) of d_n, filed in the module memo.
+def _chain_rank(mod, chain, n):
+    """(rank, columns, pivots) of d_n on `mod`, filed with the chain.
 
     `pivots` are the pivot coordinates, in C^{n+1}_w, of an echelon
     basis of im d_n. The columns of d_n at the pivots of im d_{n-1}
@@ -99,14 +100,14 @@ def _chain_rank(memo, chain, n):
     columns are built and ranked by `linalg.int_pivots`. An empty C^n_w
     answers (0, 0, {}) with nothing assembled.
     """
-    hit = memo.ranks.get((chain, n))
-    if hit is None and not chain.layout(memo, n):
-        hit = memo.ranks[(chain, n)] = (0, 0, frozenset())
+    hit = chain.ranks.get(n)
+    if hit is None and not chain.layout(mod, n):
+        hit = chain.ranks[n] = (0, 0, frozenset())
     if hit is None:
-        skip = _chain_rank(memo, chain, n - 1)[2] if n > 0 else frozenset()
-        cols = chain.block(memo, n, skip)[0]
+        skip = _chain_rank(mod, chain, n - 1)[2] if n > 0 else frozenset()
+        cols = chain.block(mod, n, skip)[0]
         pivots = frozenset(linalg.int_pivots(cols))
-        hit = memo.ranks[(chain, n)] = (len(pivots), len(cols), pivots)
+        hit = chain.ranks[n] = (len(pivots), len(cols), pivots)
     return hit
 
 
@@ -138,8 +139,8 @@ def twice_h_dim(mod, n, t, universe=GENS):
     per = {}
     for parity in (0, 1):
         chain = _weight_chain(mod, t, parity, universe)
-        rank_n, cols, _ = _chain_rank(*chain, n)
-        rank_prev = _chain_rank(*chain, n - 1)[0] if n > 0 else 0
+        rank_n, cols, _ = _chain_rank(mod, chain, n)
+        rank_prev = _chain_rank(mod, chain, n - 1)[0] if n > 0 else 0
         per[parity] = cols - rank_n - rank_prev
     return DimCount(per[0] + per[1], per[0], per[1])
 
@@ -154,7 +155,7 @@ def _kernel_quotient_dim(mod, kernel_gen, image_gen):
     """dim (ker g)^top / h((ker g)^0) with g = kernel_gen, h = image_gen.
 
     top is the weight of h. The (ker g)^0 vectors are mapped through the
-    memo's h images; the quotient is ranked in integers
+    module's h images; the quotient is ranked in integers
     (`linalg.quotient_dim`), which raises NotContained when the image
     does not lie in (ker g)^top. With 2p not an integer no vector has
     weight 0 or top, and the quotient is 0.
@@ -162,7 +163,7 @@ def _kernel_quotient_dim(mod, kernel_gen, image_gen):
     t = mod.twice_shifted(0)
     if t is None:
         return 0
-    image = module_memo(mod).image
+    image = mod.image
     images = []
     for vec in mod.kernel_slice((kernel_gen,), t):
         out = {}
@@ -249,7 +250,8 @@ def class_representatives(mod, n, w, parity, universe=GENS):
     """Cocycle representatives of a basis of H^n_w (one parity).
 
     Where the chained ranks (`h_dim`) give 0 for the parity, the answer
-    is [] and nothing is assembled. Otherwise it is the integer kernel
+    is [] and no kernel is taken; `h_dim` has still assembled and ranked
+    d_{n-1} and d_n (cleared) to say so. Otherwise it is the integer kernel
     (`linalg.int_kernel_basis`) of d_n[:, N], N being the coordinates
     outside the pivots P of an echelon basis of im d_{n-1}: a cocycle
     reduces modulo that basis to one that is zero on P, and a nonzero
@@ -262,8 +264,8 @@ def class_representatives(mod, n, w, parity, universe=GENS):
         return []
     skip = ()
     if n > 0:
-        skip = _chain_rank(*_weight_chain(mod, mod.twice_shifted(w), parity,
-                                          universe), n - 1)[2]
+        chain = _weight_chain(mod, mod.twice_shifted(w), parity, universe)
+        skip = _chain_rank(mod, chain, n - 1)[2]
     return _kernel_cochains(mod, n, w, parity, universe, skip)
 
 
@@ -297,9 +299,10 @@ def restriction_injectivity_check(lam, mu, K=None, nmax=2):
     (`linalg.greedy_independent`): the restriction is injective iff
     every one of them enlarges the span, and a class restricts
     nontrivially iff its vector alone lies outside that image, as every
-    vector that enlarged the span does. The
-    representatives come from `class_representatives`, whose chained
-    ranks (premise d^2 = 0) skip every part where H^n_0 is zero.
+    vector that enlarged the span does. The representatives come from
+    `class_representatives` (premise d^2 = 0): where H^n_0 is zero for
+    a parity, its chained ranks of d_{n-1} and d_n are still taken, and
+    only the kernel and the sl(2) ranking are skipped.
     """
     mod = TruncatedDlm(lam, mu, guard_K(lam, mu, K))
     entries = []
@@ -395,15 +398,16 @@ def gelfand_fuchs_check(k):
 
 # --- audit wiring -------------------------------------------------------------
 
-def _audit_module_check(table):
-    mod = TruncatedDlm(Fraction(1, 3), Fraction(1, 3), 2)
-    return module_axiom_holds(mod, table)
-
-
 def run_audit(printed=None):
-    """Audit the printed bracket table against Jacobi + the module axiom."""
+    """Audit the printed bracket table against Jacobi + the module axiom.
+
+    The module axiom is checked on one module, built once, whose
+    stencils every candidate table reads.
+    """
     printed = printed if printed is not None else algebra.printed_table()
-    return algebra.audit_and_repair(printed, _audit_module_check)
+    mod = TruncatedDlm(Fraction(1, 3), Fraction(1, 3), 2)
+    return algebra.audit_and_repair(
+        printed, lambda table: module_axiom_holds(mod, table))
 
 
 # --- reports ------------------------------------------------------------------
@@ -496,8 +500,8 @@ def build_report(lam, mu, K=None, nmax=NMAX_DEFAULT, wmax=WMAX_DEFAULT):
     report's K, are on D^{<=guard_K}, as the closed-form comparison needs.
     The dims are those of the Casimir's zero piece (`zero_piece`), 0 and
     with no complex built when it is 0. That z commutes with A and B is
-    then checked on every nonempty slice in the piece's memo, which
-    holds every slice its chains read (CasimirNotCentral).
+    then checked on every nonempty slice of the piece, which holds
+    every slice its chains read (CasimirNotCentral).
     """
     lam, mu = Fraction(lam), Fraction(mu)
     K_eff = guard_K(lam, mu, K)
@@ -513,9 +517,8 @@ def build_report(lam, mu, K=None, nmax=NMAX_DEFAULT, wmax=WMAX_DEFAULT):
             computed[n][w] = (DimCount(0, 0, 0) if piece is None
                               else twice_h_dim(piece, n, t))
     if piece is not None:
-        memo = module_memo(piece)
-        read = [key for key, vectors in memo.slices.items() if vectors]
-        if not all(casimir_commutes(memo, *key) for key in read):
+        read = [key for key, vectors in piece.slices.items() if vectors]
+        if not all(casimir_commutes(piece, *key) for key in read):
             raise CasimirNotCentral(f"the Casimir is not central on {piece}")
     match = theorem == proposition and all(
         dc.total == (theorem[n] if w == 0 else 0)
@@ -616,18 +619,17 @@ def selftest(suite="all"):
         check("realization-constants",
               (consts.cH, consts.cX, consts.cY, consts.cA, consts.cB)
               == (-1, 1, -1, 2, 2), str(consts))
-        # the memo images every complex is built on (X and Y composed
-        # in integers) must be D times the oracle's commutator action
+        # the images every complex is built on (X and Y composed in
+        # integers) must be D times the oracle's commutator action
         mod = TruncatedDlm(Fraction(-1, 2), Fraction(1), 3)
-        memo = module_memo(mod)
+        D = action_scale(mod)
 
         def realized(gen, bv):
             oracle = derived_module_action(gen, to_oppoly({bv: Fraction(1)}),
                                            mod.lam, mod.mu, consts)
-            return {v: memo.scale * c
-                    for v, c in from_oppoly(oracle, mod).items()}
+            return {v: D * c for v, c in from_oppoly(oracle, mod).items()}
         check("table-action-equals-realization", all([
-            dict(memo.image(gen, bv)) == realized(gen, bv)
+            dict(mod.image(gen, bv)) == realized(gen, bv)
             for gen in GENS for bv in product("abcd", range(3), range(3))]))
 
     def complex_suite():

@@ -28,14 +28,15 @@ because den(2lam) and den(2p) divide L; H acts on the slice t by
 D * alpha = (D t - D 2p) / 2 (`scaled_weight`). This table is the one
 definition of the action; a module with another action overrides it.
 
-`module_memo` keeps, for the most recently used module, everything its
-blocks read: the weight slices, the weight chains built on them
-(`cochains`), the integer stencils of the action on the slices, the
-images read back off them, and the ranks. No memo is shared between
-modules, so nothing in it has to be keyed by more than the module. A
-stencil holds a generator's images on one slice by slice positions;
-for H, A and B it is read off the table, and X and Y are composed on
-the A and B stencils, in integers on slice positions:
+A module keeps, in its own slots, everything its blocks read: the
+weight slices, the weight chains built on them (`cochains`, which files
+each degree's ranks with its chain), the integer stencils of the action
+on the slices, and the images read back off them. Nothing of it is
+shared between modules, so nothing in it is keyed by more than the
+slice, and it is freed with the module. A stencil holds a generator's
+images on one slice by slice positions; for H, A and B it is read off
+the table, and X and Y are composed on the A and B stencils, in
+integers on slice positions:
 
     D * X.bv =  (A_D o A_D)(bv) / D,    D * Y.bv = -(B_D o B_D)(bv) / D,
 
@@ -64,7 +65,6 @@ and kept with them.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from . import Mismatch, linalg
@@ -123,36 +123,44 @@ def vec_to_json(vec):
 class TruncatedDlm:
     """D_{lambda,mu} truncated to dx-order k <= K, and for K0 >= 0 its
     quotient by D^{<=K0}: the basis is K0 < k <= K, and the action terms
-    that land at k <= K0 are dropped (`ModuleMemo.stencil`)."""
+    that land at k <= K0 are dropped (`stencil`).
 
-    __slots__ = ("lam", "mu", "K", "K0", "p", "_hash", "_ints")
+    The module keeps everything its blocks read, built on first use: its
+    weight slices (`slice`, filed in `slices`), the integer stencils of
+    the action on them (`stencil`), the images read back off those
+    (`image`), and the weight chains that `cochains` files in `chains`.
+    Nothing of it is shared with another module, and nothing in it
+    refers back to the module, so it goes with the module.
+    """
+
+    __slots__ = ("lam", "mu", "K", "K0", "p", "_ints", "slices", "chains",
+                 "_stencils", "_images")
 
     def __init__(self, lam, mu, K, K0=-1):
         self.lam = Fraction(lam)
         self.mu = Fraction(mu)
         self.K, self.K0 = int(K), int(K0)
         self.p = self.mu - self.lam
-        # the module is immutable; every memo lookup hashes it
-        self._hash = hash((self.lam, self.mu, self.K, self.K0))
         # D, D * 2lam and D * 2p: integers, as den(2lam) and den(2p)
         # divide L (see action_scale)
         D = action_scale(self)
         self._ints = (D, (D * 2 * self.lam).numerator,
                       (D * 2 * self.p).numerator)
+        self.slices, self.chains, self._stencils, self._images = \
+            {}, {}, {}, {}
 
     def __repr__(self):
         cut = f", K0={self.K0}" if self.K0 >= 0 else ""
         return f"TruncatedDlm(lam={self.lam}, mu={self.mu}, K={self.K}{cut})"
 
     def __eq__(self, other):
-        # exact types: a subclass may override the action, and equal
-        # modules share one module_memo
+        # exact types: a subclass may override the action
         return (type(other) is type(self)
                 and (self.lam, self.mu, self.K, self.K0)
                 == (other.lam, other.mu, other.K, other.K0))
 
     def __hash__(self):
-        return self._hash
+        return hash((self.lam, self.mu, self.K, self.K0))
 
     def basis_weight(self, bv):
         f, m, k = bv
@@ -162,8 +170,8 @@ class TruncatedDlm:
         """D * gen.bv for gen in H, A and B, as (BasisVector, int) pairs.
 
         D = action_scale(self). This table is the one definition of the
-        action, and the module memo reads it directly; X and Y are
-        composed there (`ModuleMemo`). A module with another action
+        action, and `stencil` reads it directly; X and Y are composed on
+        its stencils (`_square_stencil`). A module with another action
         overrides it.
         """
         f, m, k = bv
@@ -247,26 +255,108 @@ class TruncatedDlm:
                 out.append((f, k - s, k))
         return out
 
+    def slice(self, t, parity):
+        """{BasisVector: position} of twice_weight_basis(t, parity)."""
+        hit = self.slices.get((t, parity))
+        if hit is None:
+            hit = self.slices[(t, parity)] = {
+                bv: i for i, bv in
+                enumerate(self.twice_weight_basis(t, parity))}
+        return hit
+
+    def stencil(self, gen, t, parity):
+        """D * gen's images on the slice (t, parity), one tuple per
+        vector, of (position in the slice gen maps into, int) pairs by
+        increasing position: the table (`scaled_act_basis`) for H, A and
+        B, less the terms at k <= K0, composed on the A and B stencils
+        for X and Y (`_square_stencil`), and 2 D^2 z (`casimir`) for
+        gen = "z"."""
+        hit = self._stencils.get((gen, t, parity))
+        if hit is None:
+            if gen == "z":
+                hit = casimir(self, t, parity)
+            elif gen in _SQUARES:
+                hit = self._square_stencil(gen, t, parity)
+            else:
+                pos = self.slice(t + TWICE_WEIGHT[gen],
+                                 (parity + PARITY[gen]) % 2)
+                rows = []
+                for bv in self.slice(t, parity):
+                    row = []
+                    for tbv, x in self.scaled_act_basis(gen, bv):
+                        if tbv[2] <= self.K0:
+                            continue
+                        if type(x) is not int:
+                            raise NonIntegralScale(
+                                f"{gen}.{bv} has scaled coefficient "
+                                f"{x!r}, not an int")
+                        row.append((pos[tbv], x))
+                    row.sort()
+                    rows.append(tuple(row))
+                hit = tuple(rows)
+            self._stencils[(gen, t, parity)] = hit
+        return hit
+
+    def image(self, gen, bv):
+        """D * gen.bv as (BasisVector, int) pairs, read back off the
+        stencil of bv's slice (for the whole slice at once)."""
+        img = self._images.get((gen, bv))
+        if img is None:
+            t = self.twice_shifted_weight(bv)
+            source = self.slice(t, t % 2)
+            if bv not in source:
+                raise TruncationViolation(f"{bv} exceeds K={self.K}")
+            target = tuple(self.slice(t + TWICE_WEIGHT[gen],
+                                      (t + PARITY[gen]) % 2))
+            for b, row in zip(source, self.stencil(gen, t, t % 2)):
+                self._images[(gen, b)] = tuple((target[i], x)
+                                               for i, x in row)
+            img = self._images[(gen, bv)]
+        return img
+
+    def _square_stencil(self, gen, t, parity):
+        # D * gen.bv = sign * (odd_D o odd_D)(bv) / D on the slice, in
+        # integers on slice positions
+        odd, sign = _SQUARES[gen]
+        D = self._ints[0]
+        first = self.stencil(odd, t, parity)
+        second = self.stencil(odd, t + TWICE_WEIGHT[odd], 1 - parity)
+        out = []
+        for i, acc in enumerate(_compose(first, second)):
+            img = []
+            for k, v in sorted(acc.items()):
+                q, r = divmod(sign * v, D)
+                if r:
+                    bv = list(self.slice(t, parity))[i]
+                    tbv = list(self.slice(t + TWICE_WEIGHT[gen], parity))[k]
+                    c = Fraction(sign * v, D ** 2)
+                    raise NonIntegralScale(
+                        f"{gen}.{bv} has coefficient {c} at {tbv}, not "
+                        f"in (1/{D})Z")
+                if q:
+                    img.append((k, q))
+            out.append(tuple(img))
+        return tuple(out)
+
     def kernel_slice(self, gens, t):
         """Integer basis of the joint kernel of `gens` on the slice t.
 
         t = 2(alpha + p) is an int (`twice_shifted`); the slice holds one
-        parity, t mod 2. The memo stencils of `gens` on the slice give
-        each basis vector one integer column (a row per generator and
-        target position), and the null space of those columns is taken
-        in integers (`linalg.int_kernel_basis`); the memo's scale changes
-        no kernel. Returns {BasisVector: int} vectors, one per free
-        column of the unique reduced echelon form.
+        parity, t mod 2. The stencils of `gens` on the slice give each
+        basis vector one integer column (a row per generator and target
+        position), and the null space of those columns is taken in
+        integers (`linalg.int_kernel_basis`); the scale D changes no
+        kernel. Returns {BasisVector: int} vectors, one per free column
+        of the unique reduced echelon form.
         """
-        memo = module_memo(self)
-        basis = list(memo.slice(t, t % 2))
+        basis = list(self.slice(t, t % 2))
         cols = [{} for _ in basis]
         row0 = 0
         for g in gens:
-            for col, row in zip(cols, memo.stencil(g, t, t % 2)):
+            for col, row in zip(cols, self.stencil(g, t, t % 2)):
                 for i, x in row:
                     col[row0 + i] = x
-            row0 += len(memo.slice(t + TWICE_WEIGHT[g], (t + PARITY[g]) % 2))
+            row0 += len(self.slice(t + TWICE_WEIGHT[g], (t + PARITY[g]) % 2))
         return [{basis[c]: x for c, x in v.items()}
                 for v in linalg.int_kernel_basis(cols)]
 
@@ -285,12 +375,11 @@ class TruncatedDlm:
     def check_a_onto(self):
         """rank(A : M^t -> M^{t+1}) == dim M^{t+1} on the kernel slices.
 
-        Ranked in integers on the memo's A stencils.
+        Ranked in integers on the A stencils.
         """
-        memo = module_memo(self)
         for t in self.kernel_weights():
-            rows = [dict(row) for row in memo.stencil("A", t, t % 2)]
-            target = memo.slice(t + 1, (t + 1) % 2)
+            rows = [dict(row) for row in self.stencil("A", t, t % 2)]
+            target = self.slice(t + 1, (t + 1) % 2)
             if len(linalg.int_pivots(rows)) != len(target):
                 return False
         return True
@@ -304,116 +393,6 @@ def action_scale(mod):
     """
     L = lcm((2 * mod.lam).denominator, (2 * mod.p).denominator)
     return 2 * L * L
-
-
-class ModuleMemo:
-    """Everything the blocks of one module read, built on first use.
-
-    `slice(t, parity)` is a weight slice, keyed by the int
-    t = 2(alpha + p) and a parity, as {BasisVector: position}.
-    `stencil(gen, t, parity)` holds scale * gen on a slice by slice
-    positions: off the module's integer table (`scaled_act_basis`) for
-    H, A and B, composed on the A and B stencils for X and Y (see the
-    module docstring), and for gen = "z" the Casimir 2 D^2 z, which
-    `casimir` composes once per slice.
-    `image(gen, bv)` is scale * gen.bv as a tuple of (BasisVector, int)
-    pairs, read back off the stencil. `chains` belongs to `cochains`,
-    which files the module's weight chains there, and `ranks` to
-    `engine`, which files them per weight chain and degree. Nothing in
-    the memo is shared with another module.
-    """
-
-    __slots__ = ("mod", "scale", "slices", "chains", "ranks", "_images",
-                 "_stencils")
-
-    def __init__(self, mod):
-        self.mod = mod
-        self.scale = action_scale(mod)
-        self.slices, self.chains, self.ranks = {}, {}, {}
-        self._stencils = {}
-        self._images = {g: {} for g in GENS}
-
-    def slice(self, t, parity):
-        """{BasisVector: position} of twice_weight_basis(t, parity)."""
-        hit = self.slices.get((t, parity))
-        if hit is None:
-            hit = self.slices[(t, parity)] = {
-                bv: i for i, bv in
-                enumerate(self.mod.twice_weight_basis(t, parity))}
-        return hit
-
-    def stencil(self, gen, t, parity):
-        """gen's images on the slice (t, parity), one tuple per vector,
-        of (position in the slice gen maps into, int) pairs by
-        increasing position: the module's table for H, A and B, less
-        the terms at k <= K0, composed on the A and B stencils for X
-        and Y, and 2 D^2 z (`casimir`) for gen = "z"."""
-        hit = self._stencils.get((gen, t, parity))
-        if hit is None:
-            if gen == "z":
-                hit = casimir(self, t, parity)
-            elif gen in _SQUARES:
-                hit = self._square_stencil(gen, t, parity)
-            else:
-                pos = self.slice(t + TWICE_WEIGHT[gen],
-                                 (parity + PARITY[gen]) % 2)
-                act, K0 = self.mod.scaled_act_basis, self.mod.K0
-                rows = []
-                for bv in self.slice(t, parity):
-                    row = []
-                    for tbv, x in act(gen, bv):
-                        if tbv[2] <= K0:
-                            continue
-                        if type(x) is not int:
-                            raise NonIntegralScale(
-                                f"{gen}.{bv} has scaled coefficient "
-                                f"{x!r}, not an int")
-                        row.append((pos[tbv], x))
-                    row.sort()
-                    rows.append(tuple(row))
-                hit = tuple(rows)
-            self._stencils[(gen, t, parity)] = hit
-        return hit
-
-    def image(self, gen, bv):
-        """scale * gen.bv, read back off the stencil of bv's slice (for
-        the whole slice at once)."""
-        images = self._images[gen]
-        img = images.get(bv)
-        if img is None:
-            t = self.mod.twice_shifted_weight(bv)
-            source = self.slice(t, t % 2)
-            if bv not in source:
-                raise TruncationViolation(f"{bv} exceeds K={self.mod.K}")
-            target = tuple(self.slice(t + TWICE_WEIGHT[gen],
-                                      (t + PARITY[gen]) % 2))
-            for b, row in zip(source, self.stencil(gen, t, t % 2)):
-                images[b] = tuple((target[i], x) for i, x in row)
-            img = images[bv]
-        return img
-
-    def _square_stencil(self, gen, t, parity):
-        # D * gen.bv = sign * (odd_D o odd_D)(bv) / D on the slice, in
-        # integers on slice positions
-        odd, sign = _SQUARES[gen]
-        first = self.stencil(odd, t, parity)
-        second = self.stencil(odd, t + TWICE_WEIGHT[odd], 1 - parity)
-        out = []
-        for i, acc in enumerate(_compose(first, second)):
-            img = []
-            for k, v in sorted(acc.items()):
-                q, r = divmod(sign * v, self.scale)
-                if r:
-                    bv = list(self.slice(t, parity))[i]
-                    tbv = list(self.slice(t + TWICE_WEIGHT[gen], parity))[k]
-                    c = Fraction(sign * v, self.scale ** 2)
-                    raise NonIntegralScale(
-                        f"{gen}.{bv} has coefficient {c} at {tbv}, not "
-                        f"in (1/{self.scale})Z")
-                if q:
-                    img.append((k, q))
-            out.append(tuple(img))
-        return tuple(out)
 
 
 def _compose(first, second):
@@ -439,22 +418,22 @@ _SQUARES = {"X": ("A", 1), "Y": ("B", -1)}
 TWICE_WEIGHT = {g: int(2 * w) for g, w in WEIGHT.items()}
 
 
-def casimir(memo, t, parity):
+def casimir(mod, t, parity):
     """2 D^2 z on the slice (t, parity), as stencil rows, for the
-    Casimir z = H^2 + XY + AB/2 - H/2 and D = memo.scale.
+    Casimir z = H^2 + XY + AB/2 - H/2 and D = action_scale(mod).
 
-    XY and AB are composed on the memo's stencils by `_compose`, and H
+    XY and AB are composed on the module's stencils by `_compose`, and H
     acts on the slice by its weight (`TruncatedDlm.scaled_weight`). The
-    memo keeps the result as the stencil of "z", so each slice composes
-    it once.
+    module keeps the result as the stencil of "z", so each slice
+    composes it once.
     """
-    st, h = memo.stencil, memo.mod.scaled_weight(t)
+    st, h = mod.stencil, mod.scaled_weight(t)
     xy = _compose(st("Y", t, parity), st("X", t + TWICE_WEIGHT["Y"], parity))
     ab = _compose(st("B", t, parity),
                   st("A", t + TWICE_WEIGHT["B"], 1 - parity))
     out = []
     for i, (xy_i, ab_i) in enumerate(zip(xy, ab)):
-        row = {i: 2 * h * h - memo.scale * h}
+        row = {i: 2 * h * h - mod._ints[0] * h}
         for k, x in xy_i.items():
             row[k] = row.get(k, 0) + 2 * x
         for k, x in ab_i.items():
@@ -463,27 +442,17 @@ def casimir(memo, t, parity):
     return tuple(out)
 
 
-def casimir_commutes(memo, t, parity):
+def casimir_commutes(mod, t, parity):
     """z o g = g o z for g = A and B on the slice (t, parity), in
-    integers on the memo's stencils of z (`casimir`)."""
-    z = memo.stencil("z", t, parity)
+    integers on the module's stencils of z (`casimir`)."""
+    z = mod.stencil("z", t, parity)
     for g in ("A", "B"):
-        st = memo.stencil(g, t, parity)
-        after = memo.stencil("z", t + TWICE_WEIGHT[g], 1 - parity)
+        st = mod.stencil(g, t, parity)
+        after = mod.stencil("z", t + TWICE_WEIGHT[g], 1 - parity)
         for zg, gz in zip(_compose(st, after), _compose(z, st)):
             if any(zg.get(k, 0) != gz.get(k, 0) for k in {*zg, *gz}):
                 return False
     return True
-
-
-# one module at a time: nothing in the program ranks two modules at once
-MEMO_MODULES = 1
-
-
-@lru_cache(maxsize=MEMO_MODULES)
-def module_memo(mod):
-    """The ModuleMemo of `mod`, kept for the MEMO_MODULES latest modules."""
-    return ModuleMemo(mod)
 
 
 def module_axiom_holds(mod, table):
@@ -499,8 +468,8 @@ def module_axiom_holds(mod, table):
     (v, u) is -(-1)^{uv} times that of (u, v), and the pairs u <= v in
     GENS order decide it; on an even diagonal it is 0.
 
-    It is decided in integers, one slice at a time, on the memo's
-    stencils: with D = `module_memo(mod).scale` (a stencil holds D * g)
+    It is decided in integers, one slice at a time, on the module's
+    stencils: with D = action_scale(mod) (a stencil holds D * g)
     and T the lcm of the denominators of the table's bracket
     coefficients, T * D^2 * defect is an integer row, zero iff the
     defect is. D * u o D * v is composed on a slice's stencils by
@@ -509,17 +478,16 @@ def module_axiom_holds(mod, table):
     additivity has one) maps into a slice that nothing else reaches, so
     there the defect is zero only if that term's images are.
     """
-    memo = module_memo(mod)
     T, brackets = table.scaled_brackets()
     pairs = [(u, v) for i, u in enumerate(GENS) for v in GENS[i:]
              if u != v or PARITY[u]]
     for t in range(-2 * mod.K - 1, 2 * mod.K + 2):
         parity = t % 2
-        rows = {g: memo.stencil(g, t, parity) for g in GENS}
+        rows = {g: mod.stencil(g, t, parity) for g in GENS}
 
         def twice(u, v):
             # D^2 * u.(v.bv) for every vector bv of the slice
-            return _compose(rows[v], memo.stencil(
+            return _compose(rows[v], mod.stencil(
                 u, t + TWICE_WEIGHT[v], (parity + PARITY[v]) % 2))
 
         for u, v in pairs:
@@ -527,7 +495,7 @@ def module_axiom_holds(mod, table):
             bracket = []
             for g, c in brackets[(u, v)]:
                 if TWICE_WEIGHT[g] == TWICE_WEIGHT[u] + TWICE_WEIGHT[v]:
-                    bracket.append((rows[g], c * memo.scale))
+                    bracket.append((rows[g], c * mod._ints[0]))
                 elif any(rows[g]):
                     return False
             sign = -T if PARITY[u] and PARITY[v] else T

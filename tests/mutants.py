@@ -43,14 +43,22 @@ MUTANTS = (
      "    K = math.floor(p)\n",
      "    K = math.floor(p) - 1\n",
      ENGINE + "test_zero_piece_has_the_cohomology_of_the_truncation"),
-    # weight chains filed in one module-global dict, shared by every
-    # module with the same (t, parity, universe)
+    # weight chains, and the ranks filed with them, kept in one
+    # module-global dict, shared by every module with the same
+    # (t, parity, universe)
     ("chains-shared-across-modules", "cochains.py",
-     "    chains = memo.chains\n",
+     "    chains = mod.chains\n",
      "    chains = _weight_chain.__dict__.setdefault('chains', {})\n",
      ENGINE + "test_zero_piece_has_the_cohomology_of_the_truncation"),
+    # every module reads one class-level slice dict
+    ("caches-shared-across-modules", "weightmod.py",
+     "        self.slices, self.chains,",
+     "        self.slices = TruncatedDlm.__init__.__dict__.setdefault(\n"
+     "            'slices', {})\n"
+     "        _, self.chains,",
+     ENGINE + "test_modules_never_share_slices_or_chains"),
     # X = A o A / D and Y = -B o B / D rounded instead of refused when
-    # they leave a remainder
+    # they leave a remainder (`TruncatedDlm._square_stencil`)
     ("square-stencil-rounds", "weightmod.py",
      "                if r:\n",
      "                if False:\n",

@@ -16,8 +16,8 @@ from ospcoho.cochains import (Cochain, NoCocycle, TypeMismatch, coboundary,
                               zero_cochain)
 from ospcoho.engine import (guard_K, h_dim, is_coboundary, predict_sl2,
                             predict_theorem)
-from ospcoho.weightmod import (TruncatedDlm, action_scale, module_memo,
-                               to_oppoly, vec_add, vec_scale)
+from ospcoho.weightmod import (TruncatedDlm, action_scale, to_oppoly,
+                               vec_add, vec_scale)
 from ospcoho.superdiff import OpPoly
 from tests_support_dense import (act, act_basis, cochain_from_json,
                                  delta_matrix, reference_block_coboundary,
@@ -146,10 +146,10 @@ def test_integer_coboundary_matches_fraction_reference():
 
 
 def test_integer_paths_never_use_the_fraction_action(monkeypatch):
-    # the memo reads the integer table (`scaled_act_basis`) and composes X
-    # and Y from its A and B rows; coboundary, the weight chains, the
+    # the module reads its integer table (`scaled_act_basis`) and composes
+    # X and Y from its A and B rows; coboundary, the weight chains, the
     # solves, the cocycle constructors and the closed-form predictions
-    # read memo images. The module has no Fraction action to call (the
+    # read its stencils. The module has no Fraction action to call (the
     # tests' `act_basis` and `act` are that reference), and none of
     # them may call the Fraction delta_matrix (a test oracle, patched
     # into cochains in case it ever returns there)
@@ -168,32 +168,30 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
         return scaled_act_basis(self, gen, bv)
 
     def phase_done():
-        # the table was read; the next phase starts from a cold memo
+        # the table was read; the next phase reads a new module's
         assert table_calls
         table_calls.clear()
-        module_memo.cache_clear()
+        return TruncatedDlm(F(1, 3), F(5, 6), 4)
 
     monkeypatch.setattr(TruncatedDlm, "scaled_act_basis", counted_table)
     monkeypatch.setattr(cc, "delta_matrix", counted_delta_matrix,
                         raising=False)
-    module_memo.cache_clear()
     mod = TruncatedDlm(F(1, 3), F(5, 6), 4)
-    memo = module_memo(mod)
     for bv in mod.weight_basis(F(1, 2)) + mod.weight_basis(F(-1, 2)):
-        memo.image("X", bv)
-        memo.image("Y", bv)
+        mod.image("X", bv)
+        mod.image("Y", bv)
     assert set(table_calls) == {"A", "B"}
-    phase_done()
+    mod = phase_done()
     rng = random.Random(5)
     for degree in (0, 1, 2):
         for parity in (0, 1):
             f = random_cochain(mod, degree, parity, rng)
             assert not coboundary(f).is_zero()
-    phase_done()
+    mod = phase_done()
     for w in (F(0), F(1, 2), F(-1)):
         for n in range(4):
             h_dim(mod, n, w)
-    phase_done()
+    mod = phase_done()
     for degree in (1, 2):
         for parity in (0, 1):
             f = random_cochain(mod, degree, parity, rng)
@@ -376,12 +374,12 @@ def test_integer_block_scale_covers_bracket_denominators():
     thirds = {g: F(1) for g in GENS}
     thirds["H"] = F(1, 3)           # [H,A] = A/6 in the rescaled basis
     T = rescaled_table(TABLE, thirds).scaled_brackets()[0]
-    memo = module_memo(MOD)
-    scale, act_factor, bracket_factor = cc._scales(memo, T)
-    assert T % 3 == 0 and scale % T == 0 and scale % action_scale(MOD) == 0
-    assert act_factor * memo.scale == bracket_factor * T == scale
+    scale, act_factor, bracket_factor = cc._scales(MOD, T)
+    D = action_scale(MOD)
+    assert T % 3 == 0 and scale % T == 0 and scale % D == 0
+    assert act_factor * D == bracket_factor * T == scale
     dom, cod, cols, scale = cc.delta_block(MOD, 1, 0, 0)
-    assert scale == cc._scales(memo, TABLE.scaled_brackets()[0])[0]
+    assert scale == cc._scales(MOD, TABLE.scaled_brackets()[0])[0]
     assert all(type(v) is int for col in cols for v in col.values())
 
 

@@ -20,7 +20,7 @@ from ospcoho.engine import (DimCount, NotACocycle, build_report,
                             predict_proposition, predict_sl2,
                             predict_theorem, restriction_injectivity_check,
                             run_audit, selftest)
-from ospcoho.weightmod import ModuleMemo, TruncatedDlm, module_memo
+from ospcoho.weightmod import TruncatedDlm
 
 F = Fraction
 TABLE = adopted_table()
@@ -33,7 +33,7 @@ GRID = [(F(0), F(0)), (F(1), F(1)), (F(5, 2), F(5, 2)),
 def chain_rank(mod, n, w, parity, universe):
     """(rank, columns, pivots) of d_n on C^n_w (`engine._chain_rank`)."""
     chain = _weight_chain(mod, mod.twice_shifted(w), parity, universe)
-    return engine._chain_rank(*chain, n)
+    return engine._chain_rank(mod, chain, n)
 
 
 def test_h_dim_examples():
@@ -64,7 +64,6 @@ def test_chained_ranks_equal_full_block_ranks():
     # module (A acts as 0, [A, B] = -2H does not), so only the first
     # holds there; at the special points lambda = -k/2 the B coefficient
     # 2lam + k of b_{m,k} vanishes
-    module_memo.cache_clear()
     weights = [F(j, 2) for j in range(-2, 3)]
     mods = [TruncatedDlm(lam, mu, 3) for lam, mu in GRID + [(F(-3, 2), F(2))]]
     mods.append(TruncatedDlm(F(1, 3), F(5, 6), 5))
@@ -99,12 +98,11 @@ def test_chained_ranks_equal_full_block_ranks():
 
 
 def test_h_dim_out_of_order():
-    for mod in (TruncatedDlm(0, F(1, 2), 3),
-                TruncatedDlm(F(1, 3), F(5, 6), 5)):
+    for args in ((0, F(1, 2), 3), (F(1, 3), F(5, 6), 5)):
         for w in (F(0), F(1, 2)):
-            module_memo.cache_clear()
+            mod = TruncatedDlm(*args)
             in_order = [h_dim(mod, n, w) for n in range(5)]
-            module_memo.cache_clear()
+            mod = TruncatedDlm(*args)
             shuffled = {n: h_dim(mod, n, w) for n in (3, 0, 4, 1, 2)}
             assert [shuffled[n] for n in range(5)] == in_order
 
@@ -119,16 +117,16 @@ class _AZero(TruncatedDlm):
 
 
 def test_subclass_gets_its_own_memo():
-    # equal parameters, different action: the memo must not be shared,
-    # whichever module is ranked first
+    # equal parameters, different action: nothing is shared, whichever
+    # module is ranked first
     base, sub = TruncatedDlm(0, F(1, 2), 3), _AZero(0, F(1, 2), 3)
     assert base != sub and sub != base
-    module_memo.cache_clear()
-    fresh = h_dim(sub, 1, 0)
-    module_memo.cache_clear()
+    fresh = h_dim(_AZero(0, F(1, 2), 3), 1, 0)
     assert h_dim(base, 1, 0).total == 2
-    assert module_memo(sub) is not module_memo(base)
     assert h_dim(sub, 1, 0) == fresh
+    assert sub.chains.keys() == base.chains.keys()
+    assert all(sub.chains[key] is not chain
+               for key, chain in base.chains.items())
 
 
 def test_a_chain_resolves_each_degree_once_per_module():
@@ -136,47 +134,43 @@ def test_a_chain_resolves_each_degree_once_per_module():
     # stencils once per degree: the ranks and every coboundary at that
     # weight read the same resolution
     from ospcoho.cochains import block_basis, cochain_from_coords
-    module_memo.cache_clear()
     mod = TruncatedDlm(0, F(1, 2), 3)
     assert h_dim(mod, 1, 0).odd == 2
-    memo, chain = _weight_chain(mod, mod.twice_shifted(0), 1, GENS)
-    resolved = chain.sources(memo, 1)
+    chain = _weight_chain(mod, mod.twice_shifted(0), 1, GENS)
+    resolved = chain.sources(mod, 1)
     basis = block_basis(mod, 1, 0, 1)
     f = cochain_from_coords(mod, 1, 1, basis,
                             {i: F(i + 1, 2) for i in range(len(basis))})
     df = coboundary(f)
     assert not df.is_zero() and coboundary(f) == df
-    assert _weight_chain(mod, mod.twice_shifted(0), 1, GENS) == (memo, chain)
-    assert chain.sources(memo, 1) is resolved
+    assert _weight_chain(mod, mod.twice_shifted(0), 1, GENS) is chain
+    assert chain.sources(mod, 1) is resolved
 
 
 def test_modules_never_share_slices_or_chains():
-    # slices and chains live in the module's own memo: at one
+    # slices and chains live in the module's own slots: at one
     # (lambda, mu, K), a K0 cut, a subclass with another action and the
     # plain truncation each build their own, and each chain is laid out
     # on its own module's slices
     lam, mu, K = F(1, 3), F(7, 3), 3
-    memos = []
-    for mod in (TruncatedDlm(lam, mu, K), TruncatedDlm(lam, mu, K, 1),
-                _AZero(lam, mu, K)):
+    mods = (TruncatedDlm(lam, mu, K), TruncatedDlm(lam, mu, K, 1),
+            _AZero(lam, mu, K))
+    for mod in mods:
         for n in range(3):
             h_dim(mod, n, 0)
-        memo = module_memo(mod)
-        assert memo.mod is mod and memo.slices and memo.chains
-        for chain in memo.chains.values():
+        assert mod.slices and mod.chains
+        for chain in mod.chains.values():
             for n in range(4):
-                for _, key, length in chain.layout(memo, n).values():
-                    assert len(memo.slices[key]) == length
-        memos.append(memo)
-    slices = [id(s) for m in memos for s in (m.slices, *m.slices.values())]
-    chains = [id(c) for m in memos for c in (m.chains, *m.chains.values())]
+                for _, key, length in chain.layout(mod, n).values():
+                    assert len(mod.slices[key]) == length
+    slices = [id(s) for m in mods for s in (m.slices, *m.slices.values())]
+    chains = [id(c) for m in mods for c in (m.chains, *m.chains.values())]
     assert len(set(slices)) == len(slices)
     assert len(set(chains)) == len(chains)
 
 
 def test_a_not_onto_violates_the_hypothesis():
     base, sub = TruncatedDlm(0, F(1, 2), 3), _AZero(0, F(1, 2), 3)
-    module_memo.cache_clear()
     assert predict_theorem(base) == predict_proposition(0, F(1, 2))
     assert base.check_a_onto() and not sub.check_a_onto()
     with pytest.raises(engine.HypothesisViolated):
@@ -572,7 +566,7 @@ def test_higher_cohomology_vanishes_on_the_piece():
 
 
 def test_a_casimir_that_is_not_central_is_refused(monkeypatch):
-    monkeypatch.setattr(engine, "casimir_commutes", lambda memo, t, q: False)
+    monkeypatch.setattr(engine, "casimir_commutes", lambda mod, t, q: False)
     with pytest.raises(engine.CasimirNotCentral, match="K=2, K0=0"):
         build_report(0, 2)
     # no piece, nothing to check
@@ -665,6 +659,28 @@ def test_run_audit_end_to_end():
     assert rep.table == TABLE
 
 
+def test_the_audit_reads_one_module(monkeypatch):
+    # every candidate table that reaches the module-axiom check is
+    # checked on one module, so the action table is read once per
+    # (generator, vector), however many tables are checked
+    reads, checked = [], []
+    table_row, axiom = TruncatedDlm.scaled_act_basis, engine.module_axiom_holds
+
+    def counted_row(self, gen, bv):
+        reads.append((gen, bv))
+        return table_row(self, gen, bv)
+
+    def counted_axiom(mod, table):
+        checked.append(mod)
+        return axiom(mod, table)
+
+    monkeypatch.setattr(TruncatedDlm, "scaled_act_basis", counted_row)
+    monkeypatch.setattr(engine, "module_axiom_holds", counted_axiom)
+    assert run_audit().variant == "repaired-V"
+    assert len(checked) > 1 and all(mod is checked[0] for mod in checked)
+    assert reads and len(reads) == len(set(reads))
+
+
 def test_selftest_all_green():
     results = selftest("all")
     assert results
@@ -679,21 +695,17 @@ def test_selftest_rejects_unknown_suite():
 
 
 def test_selftest_oracle_sees_the_integer_composition(monkeypatch):
-    # the realization check compares the oracle with the memo images the
+    # the realization check compares the oracle with the images the
     # complexes are built on, X and Y composed in integers on the
-    # stencils by `ModuleMemo._square_stencil`: a composition that drops
-    # one term of each vector's image fails it
-    square = ModuleMemo._square_stencil
+    # stencils by `TruncatedDlm._square_stencil`: a composition that
+    # drops one term of each vector's image fails it
+    square = TruncatedDlm._square_stencil
 
     def dropped(self, gen, t, parity):
         return tuple(row[1:] for row in square(self, gen, t, parity))
 
-    module_memo.cache_clear()
-    monkeypatch.setattr(ModuleMemo, "_square_stencil", dropped)
-    try:
-        verdict = {name: ok for name, ok, _ in selftest("oracle")}
-    finally:
-        module_memo.cache_clear()
+    monkeypatch.setattr(TruncatedDlm, "_square_stencil", dropped)
+    verdict = {name: ok for name, ok, _ in selftest("oracle")}
     assert verdict["table-action-equals-realization"] is False
     assert verdict["realization-constants"] is True
 
@@ -734,18 +746,6 @@ def test_grid_workers_capped_at_cpu_count(monkeypatch):
     assert _InlinePool.sizes == [3]         # one CPU: no pool at all
 
 
-def test_module_memo_stays_bounded_over_a_grid():
-    from ospcoho.weightmod import MEMO_MODULES, module_memo
-    vals = [F(j, 2) for j in range(-2, 3)]
-    pairs = [(a, b) for a in vals for b in vals]
-    reports = grid_reports(pairs, nmax=1, wmax=F(0), threads=1)
-    assert len(reports) == 25 and all(r.match for r in reports)
-    assert module_memo.cache_info().currsize <= MEMO_MODULES
-    last = engine.zero_piece(*pairs[-1])
-    # the latest module, the last point's zero piece, keeps its ranks
-    assert module_memo(last).ranks
-
-
 def test_delta_block_equals_the_per_block_reference():
     # the weight chains write each entry once from integer stencils; the
     # per-block assembler they replaced must give the same bases, columns
@@ -754,7 +754,6 @@ def test_delta_block_equals_the_per_block_reference():
     mods = [TruncatedDlm(lam, mu, engine.guard_K(lam, mu))
             for lam, mu in ACCEPTANCE_GRID]
     mods.append(TruncatedDlm(F(1, 3), F(5, 6), 5))
-    module_memo.cache_clear()
     entries = 0
     for mod in mods:
         for universe in (GENS, SL2):
@@ -776,32 +775,56 @@ def test_delta_block_equals_the_per_block_reference():
     assert entries > 400000
 
 
+def test_module_memo_stays_bounded_over_a_grid():
+    # no memo outlives a call: once a 25-point serial grid's reports are
+    # dropped, no module it made is left, while a module its caller
+    # holds keeps the ranks its chains filed
+    import gc
+    vals = [F(j, 2) for j in range(-2, 3)]
+    pairs = [(a, b) for a in vals for b in vals]
+    gc.collect()
+    # held, so that no id of theirs is reused
+    before = [o for o in gc.get_objects() if isinstance(o, TruncatedDlm)]
+    known = {id(o) for o in before}
+    reports = grid_reports(pairs, nmax=1, wmax=F(0), threads=1)
+    assert len(reports) == 25 and all(r.match for r in reports)
+    del reports
+    gc.collect()
+    assert [o for o in gc.get_objects() if isinstance(o, TruncatedDlm)
+            and id(o) not in known] == []
+    last = engine.zero_piece(*pairs[-1])
+    chain_rank(last, 1, F(0), 0, GENS)
+    assert last.chains
+    assert all(chain.ranks for chain in last.chains.values())
+
+
 def test_evicted_memos_and_chains_are_freed_without_the_collector():
-    # a chain does not refer to a module memo, and a module memo holds
-    # its chains, so an evicted module memo goes with its chains by
-    # reference counting alone, with the cyclic collector off. A serial
-    # run over modules of depths 3, 4 and 5 keeps MEMO_MODULES memos: the
-    # last point's zero piece, ranked after the predictions on the
-    # truncation, and every live chain is one of that memo's
+    # a module holds its slices, stencils and chains, and none of them
+    # refers back to it, so a module goes with everything it built by
+    # reference counting alone, with the cyclic collector off: after a
+    # serial grid over depths 3, 4 and 5 and a restriction check, once
+    # their results are dropped, no module and no chain they made is left
     import gc
     from ospcoho.cochains import _WeightChain
-    from ospcoho.weightmod import MEMO_MODULES
+
+    def alive():
+        return [o for o in gc.get_objects()
+                if isinstance(o, (TruncatedDlm, _WeightChain))]
+
     gc.collect()
+    before = alive()    # held, so that no id of theirs is reused
     gc.disable()
     try:
-        module_memo.cache_clear()
         pairs = [(F(0), F(1, 2)), (F(1, 3), F(5, 6)), (F(-1), F(1))]
         for K in (3, 4, 5):
             reports = grid_reports(pairs, K=K, nmax=2, wmax=F(1, 2),
                                    threads=1)
             assert [r.K for r in reports] == [K] * 3
-        alive = gc.get_objects()
-        memos = [o for o in alive if isinstance(o, ModuleMemo)]
-        chains = [o for o in alive if isinstance(o, _WeightChain)]
-        del alive
+        check = restriction_injectivity_check(F(0), F(1, 2))
+        assert check["ok"] and check["classes"]
+        del reports, check
+        known = {id(o) for o in before}
+        left = [o for o in alive() if id(o) not in known]
     finally:
         gc.enable()
-    assert len(memos) == MEMO_MODULES == 1
-    assert memos[0].mod == engine.zero_piece(*pairs[-1])
-    held = {id(c) for c in memos[0].chains.values()}
-    assert chains and all(id(c) in held for c in chains)
+    assert left == []

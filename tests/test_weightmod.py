@@ -342,13 +342,13 @@ def test_vec_serialization_roundtrip():
 
 def test_memo_images_are_scaled_actions():
     mod = TruncatedDlm(F(1, 3), F(-1, 2), 3)
-    memo = wm.ModuleMemo(mod)
-    assert memo.scale == 2 * 3 * 3      # L = lcm(den 2/3, den -5/3)
+    D = action_scale(mod)
+    assert D == 2 * 3 * 3      # L = lcm(den 2/3, den -5/3)
     for gen in GENS:
         for bv in mod.weight_basis(F(-1, 6)) + mod.weight_basis(F(5, 6)):
-            img = memo.image(gen, bv)
-            assert img is memo.image(gen, bv)
-            assert dict(img) == {t: c * memo.scale
+            img = mod.image(gen, bv)
+            assert img is mod.image(gen, bv)
+            assert dict(img) == {t: c * D
                                  for t, c in act_basis(mod, gen, bv).items()}
 
 
@@ -359,9 +359,8 @@ def test_memo_refuses_non_integral_coefficients():
         def scaled_act_basis(self, gen, bv):
             return ((bv, F(1, 7)),)
 
-    memo = wm.ModuleMemo(Sevenths(0, 0, 2))
     with pytest.raises(wm.NonIntegralScale):
-        memo.image("H", ("a", 0, 0))
+        Sevenths(0, 0, 2).image("H", ("a", 0, 0))
 
 
 ACCEPTANCE_GRID = [(F(0), F(0)), (F(1), F(1)), (F(5, 2), F(5, 2)),
@@ -374,19 +373,19 @@ ACCEPTANCE_GRID = [(F(0), F(0)), (F(1), F(1)), (F(5, 2), F(5, 2)),
     (lam, mu, guard_K(lam, mu, 8)) for lam, mu in ACCEPTANCE_GRID
 ] + [(F(1, 3), F(-1, 2), 3)])
 def test_memo_images_of_all_generators_are_scaled_actions(lam, mu, K):
-    # X and Y are composed in integers from the memo's A and B images;
+    # X and Y are composed in integers from the module's A and B images;
     # they must equal the scaled Fraction action, X = A o A, Y = -B o B
     mod = TruncatedDlm(lam, mu, K)
-    memo = wm.ModuleMemo(mod)
+    D = action_scale(mod)
     for gen in GENS:
         for f in FAMILIES:
             for m in range(4):
                 for k in range(K + 1):
                     bv = (f, m, k)
-                    img = memo.image(gen, bv)
+                    img = mod.image(gen, bv)
                     assert all(type(c) is int and c for _, c in img)
                     assert dict(img) == {
-                        t: c * memo.scale
+                        t: c * D
                         for t, c in act_basis(mod, gen, bv).items()}, \
                         (gen, bv)
 
@@ -399,14 +398,13 @@ def test_composed_stencils_equal_the_fraction_composition(lam, mu, D):
     # composition X = A o A, Y = -B o B, its positions increasing
     K = 4
     mod = TruncatedDlm(lam, mu, K)
-    memo = wm.ModuleMemo(mod)
-    assert memo.scale == D
+    assert action_scale(mod) == D
     rows = 0
     for gen in ("X", "Y"):
         for t in range(-2 * K - 4, 2 * K + 2):
-            source = list(memo.slice(t, t % 2))
-            target = list(memo.slice(t + int(2 * WEIGHT[gen]), t % 2))
-            stencil = memo.stencil(gen, t, t % 2)
+            source = list(mod.slice(t, t % 2))
+            target = list(mod.slice(t + int(2 * WEIGHT[gen]), t % 2))
+            stencil = mod.stencil(gen, t, t % 2)
             assert len(stencil) == len(source)
             for bv, row in zip(source, stencil):
                 positions = [i for i, _ in row]
@@ -430,16 +428,16 @@ def test_composed_stencil_refuses_a_remainder():
             return img if gen == "H" else tuple((v, 1) for v, _ in img)
 
     for gen in ("X", "Y"):
-        memo = wm.ModuleMemo(Unscaled(0, F(1, 2), 3))
+        mod = Unscaled(0, F(1, 2), 3)
         with pytest.raises(wm.NonIntegralScale, match=f"^{gen}\\."):
             for t in range(-10, 8):
-                memo.stencil(gen, t, t % 2)
+                mod.stencil(gen, t, t % 2)
 
 
 def _table_mismatches(mod, consts, max_m=2):
-    # memo images of all five generators against D times the realization
+    # images of all five generators against D times the realization
     # oracle's commutator action, read back in the a/b/c/d basis
-    memo = wm.ModuleMemo(mod)
+    D = action_scale(mod)
     bad = []
     for gen in GENS:
         for f in FAMILIES:
@@ -449,8 +447,8 @@ def _table_mismatches(mod, consts, max_m=2):
                     oracle = from_oppoly(derived_module_action(
                         gen, to_oppoly({bv: F(1)}), mod.lam, mod.mu, consts),
                         mod)
-                    if dict(memo.image(gen, bv)) != {
-                            t: c * memo.scale for t, c in oracle.items()}:
+                    if dict(mod.image(gen, bv)) != {
+                            t: c * D for t, c in oracle.items()}:
                         bad.append((gen, bv))
     return bad
 
@@ -494,13 +492,12 @@ def test_casimir_is_triangular_in_k_with_the_proven_diagonal(lam, mu):
     # M. Cutting away D^{<=K0} below the piece and D^{<=K}/D^{<=K1} above
     # it, the long exact sequences leave the piece's cohomology
     mod = TruncatedDlm(lam, mu, guard_K(lam, mu))
-    memo = wm.ModuleMemo(mod)
-    D, p, half = memo.scale, mod.p, F(1, 2)
+    D, p, half = action_scale(mod), mod.p, F(1, 2)
     same_k = 0
     for t in range(-2 * mod.K - 1, 2 * mod.K + 2):
-        assert wm.casimir_commutes(memo, t, t % 2), t
-        basis = list(memo.slice(t, t % 2))
-        for i, row in enumerate(wm.casimir(memo, t, t % 2)):
+        assert wm.casimir_commutes(mod, t, t % 2), t
+        basis = list(mod.slice(t, t % 2))
+        for i, row in enumerate(wm.casimir(mod, t, t % 2)):
             f, _, k = basis[i]
             diag = ((k - p) * (k - p + half) if f in "ac"
                     else (k - p + 1) * (k - p + half))
@@ -522,15 +519,14 @@ def test_the_cut_module_is_the_quotient():
         F(1, 3), F(7, 3), 3, 1)
     assert cut != full and hash(cut) != hash(full)
     assert repr(cut) == "TruncatedDlm(lam=1/3, mu=7/3, K=3, K0=1)"
-    whole, part = wm.ModuleMemo(full), wm.ModuleMemo(cut)
-    assert part.slices is not whole.slices
+    assert cut.slices is not full.slices
     for gen in GENS:
         for t in range(-9, 8):
-            for bv in whole.slice(t, t % 2):
+            for bv in full.slice(t, t % 2):
                 if bv[2] > 1:
-                    assert part.image(gen, bv) == tuple(
-                        (v, x) for v, x in whole.image(gen, bv)
+                    assert cut.image(gen, bv) == tuple(
+                        (v, x) for v, x in full.image(gen, bv)
                         if v[2] > 1), (gen, bv)
                 else:
-                    assert bv not in part.slice(t, t % 2)
+                    assert bv not in cut.slice(t, t % 2)
     assert module_axiom_holds(cut, adopted_table())

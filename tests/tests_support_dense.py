@@ -22,8 +22,7 @@ from ospcoho.cochains import (Cochain, _graded_monomials, _scales,
                               _term1_sign, _term2_sign, delta_block)
 from ospcoho.superdiff import (ETA, ETABAR, OpPoly, graded_commutator,
                                vector_field)
-from ospcoho.weightmod import (TruncatedDlm, module_memo, vec_add,
-                               vec_scale)
+from ospcoho.weightmod import TruncatedDlm, vec_add, vec_scale
 
 
 # --- the Fraction action ----------------------------------------------------
@@ -432,17 +431,16 @@ def reference_delta_block(mod, n, w, parity, universe=GENS, skip=()):
     exact matrix, the coboundary of the delta cochain at
     domain_basis[c]. The columns whose domain index is in `skip` are
     left empty and never assembled. The
-    scale is the lcm of the module's action scale (see `module_memo`)
+    scale is the lcm of the module's action scale (`action_scale`)
     and the denominators of the bracket coefficients.
     """
     w = Fraction(w)
     dom = reference_block_basis(mod, n, w, parity, universe)
     cod = reference_block_basis(mod, n + 1, w, parity, universe)
     cols = [dict() for _ in dom]
-    memo = module_memo(mod)
     T, terms = reference_koszul_terms(n, parity if parity is not None else 0,
                              universe, adopted_table())
-    scale, act_factor, bracket_factor = _scales(memo, T)
+    scale, act_factor, bracket_factor = _scales(mod, T)
     if not dom or not cod:
         return dom, cod, cols, scale
     skip = frozenset(skip)
@@ -458,7 +456,7 @@ def reference_delta_block(mod, n, w, parity, universe=GENS, skip=()):
                 continue
             sgn *= act_factor
             for bv, col in entries:
-                for tbv, c in memo.image(gen, bv):
+                for tbv, c in mod.image(gen, bv):
                     r = cod_index[(target, tbv)]
                     v = col.get(r, 0) + sgn * c
                     if v:
