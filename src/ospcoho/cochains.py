@@ -15,15 +15,18 @@ universe to (X, H, Y) turns the same formula into the classical sl(2)
 differential (all parity exponents vanish).
 
 The weight blocks d_n: C^n_w -> C^{n+1}_w are assembled per weight
-chain (`_WeightChain`), kept in the module's `chains`: each C^n_w is laid
-out once, and the Koszul terms, grouped by (target, source), are
-resolved once per degree, per source, against the layouts and the
-module's integer stencils (`_WeightChain.sources`). A column is
+chain (`_WeightChain`), kept in the module's `chains`. A row or column
+has the stride index i(u) * S + pos (`_basis`): the monomial's place in
+`monomial_basis`, the vector's position in its module slice, and the
+module's stride S, the most vectors a slice holds (`stride`). The
+Koszul terms are built once per (degree, parity, universe), source-major
+(`_koszul_skeleton`), and resolved once per degree, per source, against
+the module's integer stencils (`_WeightChain.sources`). A column is
 built from its source's terms with one write per matrix entry
-(`_column`). That per-column builder is
-the one evaluator of the formula: the blocks are built with it, and
-`coboundary` applies a block's integer columns to a cochain's
-coordinates on the chain's layout, one weight component at a time.
+(`_column`). That per-column builder is the one evaluator of the
+formula: the blocks are built with it, and `coboundary` applies a
+block's integer columns to a cochain's coordinates at their stride
+indices, one weight component at a time.
 
 The bracket table is a constant of this layer, the adopted one; the
 self-test's `audit-finds-repaired-V` ties it to the audit's result.
@@ -71,7 +74,8 @@ class Cochain:
         self.values = {}
         for mono, vec in (values or {}).items():
             mono = tuple(mono)
-            vec = {bv: Fraction(c) for bv, c in vec.items() if c}
+            vec = {bv: c if type(c) is Fraction else Fraction(c)
+                   for bv, c in vec.items() if c}
             if not vec:
                 continue
             want = (parity + monomial_parity(mono)) % 2
@@ -158,21 +162,27 @@ def _term2_sign(i, j, parities, prefix):
 
 
 @lru_cache(maxsize=64)
-def _koszul_terms(n, q, universe):
-    """The differential on n-cochains of parity q, by (target, source).
+def _koszul_skeleton(n, q, universe):
+    """The differential on n-cochains of parity q, source-major.
 
-    Returns (T, terms), T being the lcm of the adopted table's bracket
-    denominators (`StructureTable.scaled_brackets`), with one entry per
-    target monomial of degree n+1 in terms:
-    (target, [(source, gen, sign, coeff)]), so that (df)(target) sums
-    sign * gen.f(source) + (coeff / T) * f(source), sign and coeff ints.
-    gen = target - source, a single generator, or None when that is not
-    one or its summed sign is 0. A bracket term lands on such a source
-    only for gen = H: [U, V] has a U component only for V = H.
-    """
+    Returns (T, skeleton): T is the lcm of the adopted table's bracket
+    denominators (`StructureTable.scaled_brackets`), and per source in
+    `monomial_basis(n, universe)`, the skeleton holds (2 weight, parity,
+    ((target index, gen, sign, coeff), ...)) by increasing index in
+    `monomial_basis(n + 1, universe)`: (df)(target) sums
+    sign * gen.f(source) + (coeff / T) * f(source). gen = target -
+    source, a single generator, or None when that is not one or its
+    summed sign is 0; a bracket term meets such a source only for gen = H.
+    q enters only as (-1)^{gen q}: q = 1 flips the signs of odd gens."""
+    if q:
+        T, even = _koszul_skeleton(n, 0, universe)
+        return T, tuple((w2, up, tuple((j, g, -s if PARITY.get(g) else s, b)
+                                       for j, g, s, b in targets))
+                        for w2, up, targets in even)
     T, scaled = adopted_table().scaled_brackets()
-    out = []
-    for target in monomial_basis(n + 1, universe):
+    graded = _graded_monomials(n, universe)
+    by_source = {u: [] for u, _, _ in graded}
+    for j, target in enumerate(monomial_basis(n + 1, universe)):
         parities = [PARITY[g] for g in target]
         prefix = [0]
         for p in parities:
@@ -183,18 +193,19 @@ def _koszul_terms(n, q, universe):
                                       [gen, 0, 0])
             group[1] += _term1_sign(i, parities, prefix, q)
         for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                rest = target[:i] + target[i + 1:j] + target[j + 1:]
-                sgn = _term2_sign(i, j, parities, prefix)
-                for g, cg in scaled[(target[i], target[j])]:
+            for k in range(i + 1, n + 1):
+                rest = target[:i] + target[i + 1:k] + target[k + 1:]
+                sgn = _term2_sign(i, k, parities, prefix)
+                for g, cg in scaled[(target[i], target[k])]:
                     mono, s = canonicalize((g,) + rest)
                     if s:
                         groups.setdefault(mono, [None, 0, 0])[2] += \
                             sgn * s * cg
-        out.append((target, tuple((src, gen if sign else None, sign, coeff)
-                                  for src, (gen, sign, coeff)
-                                  in groups.items() if sign or coeff)))
-    return T, tuple(out)
+        for src, (gen, sign, coeff) in groups.items():
+            if sign or coeff:
+                by_source[src].append((j, gen if sign else None, sign,
+                                       coeff))
+    return T, tuple((w2, up, tuple(by_source[u])) for u, up, w2 in graded)
 
 
 def _scales(mod, T):
@@ -212,42 +223,39 @@ def coboundary(f):
     """The differential of f; degree n+1, same parity, same weight.
 
     Applied per weight chain: f's values on C^n_w, for each weight w it
-    has, are scaled to integer coordinates Q * f on the chain's layout
-    (Q the lcm of their denominators), the block's integer columns at
-    those coordinates (`_column`, on `_WeightChain.sources`, resolved
-    once per degree for every call) are applied to them, and each entry
-    of the image, read off the layout of C^{n+1}_w, is divided once by
-    Q * scale. So the coboundary is the one assembler of the blocks, and
-    builds only the columns f reads.
+    has, are scaled to integer coordinates Q * f at their stride indices
+    (Q the lcm of their denominators), the block's integer columns there
+    (`_column`, on `_WeightChain.sources`, resolved once per degree) are
+    applied to them, and each entry of the image, read off `_basis` of
+    C^{n+1}_w, is divided once by Q * scale. So the coboundary is the one
+    assembler of the blocks, and builds only the columns f reads.
     """
-    mod, n = f.mod, f.degree
+    mod, n, S = f.mod, f.degree, f.mod.stride
     Q = lcm(*(c.denominator for vec in f.values.values()
               for c in vec.values()))
-    parts = {}      # chain index t -> {monomial: [(bv, Q * value)]}
+    place = {u: i for i, u in enumerate(monomial_basis(n, f.universe))}
+    parts = {}      # chain index t -> [(stride index, Q * value)]
     for u, vec in f.values.items():
         w2 = sum(TWICE_WEIGHT[g] for g in u)
         for bv, c in vec.items():
-            t = mod.twice_shifted_weight(bv) - w2
-            parts.setdefault(t, {}).setdefault(u, []).append(
-                (bv, c.numerator * (Q // c.denominator)))
+            tb = mod.twice_shifted_weight(bv)
+            parts.setdefault(tb - w2, []).append(
+                (place[u] * S + mod.slice(tb, FAMILY_PARITY[bv[0]])[bv],
+                 c.numerator * (Q // c.denominator)))
     out = {}
     for t, part in parts.items():
         chain = _weight_chain(mod, t, f.parity, f.universe)
-        dom = chain.layout(mod, n)
         scale, sources = chain.sources(mod, n)
-        terms = dict(zip(dom, (terms for _, _, terms in sources)))
+        terms = {col0: terms for col0, _, terms in sources}
         acc = {}
-        for u, vals in part.items():
-            pos = mod.slice(*dom[u][1])
-            for bv, c in vals:
-                for r, x in _column(terms[u], pos[bv]).items():
-                    acc[r] = acc.get(r, 0) + c * x
+        for index, c in part:
+            pos = index % S
+            for r, x in _column(terms[index - pos], pos).items():
+                acc[r] = acc.get(r, 0) + c * x
         den = Q * scale
-        for u, (row0, key, _) in chain.layout(mod, n + 1).items():
-            vec = {bv: Fraction(v, den) for bv, i in mod.slice(*key).items()
-                   if (v := acc.get(row0 + i))}
-            if vec:
-                out.setdefault(u, {}).update(vec)
+        for index, u, bv in _basis(mod, t, f.parity, n + 1, f.universe):
+            if v := acc.get(index):
+                out.setdefault(u, {})[bv] = Fraction(v, den)
     return Cochain(mod, n + 1, f.parity, out, f.universe)
 
 
@@ -260,101 +268,85 @@ def _graded_monomials(n, universe):
                  for u in monomial_basis(n, universe))
 
 
+def _basis(mod, t, parity, n, universe):
+    """[(stride index, monomial, BasisVector)] of C^n_w at t = 2(w + p), by
+    increasing index; empty, unscanned, unless t is congruent to the
+    cochain parity mod 2 (twice a weight carries its parity)."""
+    out, S = [], mod.stride
+    if t is not None and (t - parity) % 2 == 0:
+        for i, (u, up, w2) in enumerate(_graded_monomials(n, universe)):
+            for bv, pos in mod.slice(t + w2, (parity + up) % 2).items():
+                out.append((i * S + pos, u, bv))
+    return out
+
+
 def block_basis(mod, n, w, parity, universe=GENS):
-    """Ordered basis [(monomial, BasisVector)] of the weight-w part of C^n,
-    on the parity component `parity` (0 or 1): the weight chain's layout
-    of C^n_w, expanded."""
-    chain = _weight_chain(mod, mod.twice_shifted(w), parity, universe)
-    return [(u, bv) for u, (_, key, _) in chain.layout(mod, n).items()
-            for bv in mod.slice(*key)]
+    """Ordered basis [(monomial, BasisVector)] of the weight-w part of C^n
+    on one parity component (0 or 1), by increasing stride index."""
+    return [(u, bv) for _, u, bv in
+            _basis(mod, mod.twice_shifted(w), parity, n, universe)]
 
 
 class _WeightChain:
     """The blocks d_n: C^n_w -> C^{n+1}_w of one weight and parity.
 
     A chain is kept in its module's `chains` and refers to no module:
-    every method takes the module it is read on. Each C^n_w is laid out
-    once (`layout`), as the codomain of d_{n-1} and the domain of d_n.
-    An index is a monomial's offset plus a slice position, so d_n is
-    written from the module's integer stencils
-    (`TruncatedDlm.stencil`) without hashing a basis vector. `sources`
-    resolves the Koszul terms (`_koszul_terms`) once per degree, per
-    source monomial: target minus source is one generator, so each
-    entry of a column is written once, and only H's diagonal meets the
-    bracket term. `_column` builds one column from a source's terms: it
-    is the one assembler of the blocks. H acts on a slice by its weight
-    (`TruncatedDlm.scaled_weight`), so an H term is one int, the two
-    terms summed, written on the diagonal with no stencil. `ranks`
-    belongs to `engine`, which files (rank, columns, pivots) there per
-    degree.
+    every method takes the module it is read on. Rows and columns carry
+    stride indices (`_basis`), so C^n_w is indexed alike as the codomain
+    of d_{n-1} and the domain of d_n, and d_n is written from the
+    module's integer stencils (`TruncatedDlm.stencil`) without hashing a
+    basis vector. `sources` resolves the Koszul skeleton once per
+    degree, per source monomial whose slice is nonempty: target minus
+    source is one generator, so each entry of a column is written once.
+    H acts on a slice by its weight (`TruncatedDlm.scaled_weight`), so
+    an H term, which alone meets the bracket term, is one int written on
+    the diagonal with no stencil. `ranks` belongs to `engine`, which
+    files (rank, columns, pivots) there.
     """
 
-    __slots__ = ("t", "parity", "universe", "_layouts", "_sources", "ranks")
+    __slots__ = ("t", "parity", "universe", "_sources", "ranks")
 
     def __init__(self, t, parity, universe):
         self.t, self.parity, self.universe = t, parity, universe
-        self._layouts, self._sources, self.ranks = {}, {}, {}
-
-    def layout(self, mod, n):
-        """C^n_w as {monomial: (offset, slice key, length)}, laid out once.
-
-        The key is the (t, parity) of the module slice holding the
-        monomial's values. 2 weight(u) = parity(u) and, for D_{lambda,mu},
-        2 (weight(bv) + p) = parity(bv) mod 2 (the family shifts), so t is
-        congruent to the cochain parity mod 2 or C^n_w is empty, unscanned.
-        """
-        out = self._layouts.get(n)
-        if out is None:
-            out, size, t = {}, 0, self.t
-            if t is not None and (t - self.parity) % 2 == 0:
-                for u, up, w2 in _graded_monomials(n, self.universe):
-                    key = (t + w2, (self.parity + up) % 2)
-                    length = len(mod.slice(*key))
-                    if length:
-                        out[u] = (size, key, length)
-                        size += length
-            self._layouts[n] = out
-        return out
+        self._sources, self.ranks = {}, {}
 
     def sources(self, mod, n):
-        """(scale, ((offset, length, terms), ...)): d_n per source
-        monomial in domain order, resolved once per degree on `mod`.
-        A term is (target offset, int, stencil), by increasing
-        target offset: the stencil's entries times the int, or the int
-        on the diagonal when the stencil is None."""
+        """(scale, ((col0, length, terms), ...)): d_n per source u with a
+        nonempty slice, col0 = i(u) * stride, resolved once per degree. A
+        term is (row0, int, stencil) by increasing row0 = i(target) *
+        stride: the stencil's entries times the int, or, for None, the
+        int on the diagonal."""
         hit = self._sources.get(n)
         if hit is None:
-            T, targets = _koszul_terms(n, self.parity, self.universe)
+            T, skeleton = _koszul_skeleton(n, self.parity, self.universe)
             scale, act_factor, bracket_factor = _scales(mod, T)
-            weight, stencil = mod.scaled_weight, mod.stencil
-            dom, cod = self.layout(mod, n), self.layout(mod, n + 1)
-            by_source = {u: [] for u in dom}
-            for target, groups in targets:
-                if target not in cod:
-                    continue
-                row0 = cod[target][0]
-                for source, gen, s, b in groups:
-                    terms = by_source.get(source)
-                    if terms is None:
+            weight, stencil, S = mod.scaled_weight, mod.stencil, mod.stride
+            t, q, out = self.t, self.parity, []
+            if t is not None and (t - q) % 2 == 0:
+                for i, (w2, up, targets) in enumerate(skeleton):
+                    tk, pk = t + w2, (q + up) % 2   # the source's slice
+                    length = len(mod.slice(tk, pk))
+                    if not length:
                         continue
-                    key = dom[source][1]
-                    if gen == "H":  # H acts on the slice by its weight
-                        v = (b * bracket_factor
-                             + s * act_factor * weight(key[0]))
-                        if v:
-                            terms.append((row0, v, None))
-                    elif gen:
-                        terms.append((row0, s * act_factor,
-                                      stencil(gen, *key)))
-                    elif b:
-                        terms.append((row0, b * bracket_factor, None))
-            hit = self._sources[n] = (scale, tuple(
-                (dom[u][0], dom[u][2], terms)
-                for u, terms in by_source.items()))
+                    terms = []
+                    for j, gen, s, b in targets:
+                        if gen == "H":  # H acts on the slice by its weight
+                            v = (b * bracket_factor
+                                 + s * act_factor * weight(tk))
+                            if v:
+                                terms.append((j * S, v, None))
+                        elif gen:
+                            terms.append((j * S, s * act_factor,
+                                          stencil(gen, tk, pk)))
+                        elif b:
+                            terms.append((j * S, b * bracket_factor, None))
+                    out.append((i * S, length, tuple(terms)))
+            hit = self._sources[n] = (scale, tuple(out))
         return hit
 
     def block(self, mod, n, skip):
-        """(cols, scale) of d_n as in `delta_block`."""
+        """(cols, scale) of d_n, a column per domain vector by increasing
+        index, those at the indices in `skip` left empty and unbuilt."""
         scale, sources = self.sources(mod, n)
         cols = []
         for col0, length, terms in sources:
@@ -394,12 +386,17 @@ def delta_block(mod, n, w, parity, universe=GENS, skip=()):
     left empty and never assembled. The scale is the lcm of the
     module's action scale (`weightmod.action_scale`) and the
     denominators of the bracket coefficients. The columns come from the
-    module's weight chain (`_WeightChain`).
+    module's weight chain (`_WeightChain.block`), re-keyed from stride
+    indices to positions in the bases.
     """
-    chain = _weight_chain(mod, mod.twice_shifted(w), parity, universe)
-    cols, scale = chain.block(mod, n, frozenset(skip))
-    return (block_basis(mod, n, w, parity, universe),
-            block_basis(mod, n + 1, w, parity, universe), cols, scale)
+    t = mod.twice_shifted(w)
+    dom, cod = _basis(mod, t, parity, n, universe), \
+        _basis(mod, t, parity, n + 1, universe)
+    cols, scale = _weight_chain(mod, t, parity, universe).block(
+        mod, n, {dom[c][0] for c in skip})
+    row = {index: r for r, (index, _, _) in enumerate(cod)}
+    return ([(u, bv) for _, u, bv in dom], [(u, bv) for _, u, bv in cod],
+            [{row[r]: x for r, x in col.items()} for col in cols], scale)
 
 
 def cochain_coords(f, basis):
@@ -421,21 +418,18 @@ def cochain_from_coords(mod, degree, parity, basis, coords, universe=GENS):
 
 
 def _kernel_cochains(mod, n, w, parity, universe, skip):
-    """Integer kernel of d_n on the columns outside `skip`, as Cochains.
-
-    Only those columns of `delta_block` are assembled, and they go to
-    `linalg.int_kernel_basis` as they are; each kernel vector is divided
-    by its leading entry.
-    """
-    dom, _, cols, _ = delta_block(mod, n, w, parity, universe, skip)
-    skip = frozenset(skip)
-    keep = [c for c in range(len(dom)) if c not in skip]
-    out = []
+    """Integer kernel of d_n on the columns whose stride index is outside
+    `skip`, as Cochains: only those columns are assembled, and each
+    kernel vector (`linalg.int_kernel_basis`) is divided by its lead."""
+    t = mod.twice_shifted(w)
+    dom = _basis(mod, t, parity, n, universe)
+    cols = _weight_chain(mod, t, parity, universe).block(mod, n, skip)[0]
+    keep = [c for c, (index, _, _) in enumerate(dom) if index not in skip]
+    basis, out = [(u, bv) for _, u, bv in dom], []
     for vec in linalg.int_kernel_basis([cols[c] for c in keep]):
         lead = vec[min(vec)]
-        coords = {keep[i]: Fraction(v, lead) for i, v in vec.items()}
-        out.append(cochain_from_coords(mod, n, parity, dom, coords,
-                                       universe))
+        out.append(cochain_from_coords(mod, n, parity, basis, {
+            keep[i]: Fraction(v, lead) for i, v in vec.items()}, universe))
     return out
 
 
@@ -561,8 +555,9 @@ def cup(f, h):
 
 def _reduced_cocycle_space(mod, parity, slots):
     """Weight-0 cocycles supported on the given 1-slots, as Cochains."""
-    skip = [c for c, (u, _) in enumerate(block_basis(mod, 1, 0, parity))
-            if u[0] not in slots]
+    skip = {index for index, u, _ in
+            _basis(mod, mod.twice_shifted(0), parity, 1, GENS)
+            if u[0] not in slots}
     return _kernel_cochains(mod, 1, 0, parity, GENS, skip)
 
 

@@ -6,10 +6,10 @@ a table is an argument only of the audit (`run_audit`).
 For one truncated module and one cochain weight w the differential
 d_n: C^n_w -> C^{n+1}_w is a finite exact matrix per parity;
 dim H^n_w = dim C^n_w - rank d_n - rank d_{n-1}. The ranks of one
-(w, parity) chain (`cochains._WeightChain`: each C^n_w laid out once,
-each column written once from integer stencils) are filed with the
-chain, which the module keeps, in the order n = 0, 1, ...; each step
-hands the next the pivot coordinates of an echelon basis V of
+(w, parity) chain (`cochains._WeightChain`: rows and columns at stride
+indices, each column written once from integer stencils) are filed
+with the chain, which the module keeps, in the order n = 0, 1, ...;
+each step hands the next the pivot coordinates of an echelon basis V of
 im d_{n-1}, the leads that the in-order reducer filed. Since
 d_n d_{n-1} = 0 (the adopted table satisfies Jacobi and the module
 axiom holds), d_n V = 0 gives
@@ -101,7 +101,7 @@ def _chain_rank(mod, chain, n):
     answers (0, 0, {}) with nothing assembled.
     """
     hit = chain.ranks.get(n)
-    if hit is None and not chain.layout(mod, n):
+    if hit is None and not chain.sources(mod, n)[1]:
         hit = chain.ranks[n] = (0, 0, frozenset())
     if hit is None:
         skip = _chain_rank(mod, chain, n - 1)[2] if n > 0 else frozenset()
@@ -136,8 +136,8 @@ def twice_h_dim(mod, n, t, universe=GENS):
     which presumes d^2 = 0; the adopted table and the module axiom
     guarantee it, and blocks may be asked for in any order.
     """
-    per = {}
-    for parity in (0, 1):
+    per = [0, 0]    # the parity other than t mod 2 holds no vector at t
+    for parity in () if t is None else (t % 2,):
         chain = _weight_chain(mod, t, parity, universe)
         rank_n, cols, _ = _chain_rank(mod, chain, n)
         rank_prev = _chain_rank(mod, chain, n - 1)[0] if n > 0 else 0

@@ -15,10 +15,10 @@ axiom an identity instead of a separate assumption. No row ever
 increases k, so cutting at k <= K yields a genuine submodule on which H
 is diagonal and A is onto, and D^{<=K}/D^{<=K0} is a module too.
 
-Weight slices are finite (at most 4(K+1) vectors) because fixing the
-weight pins m as a function of k within each family. A slice is keyed
-by the int t = 2(alpha + p) (`twice_shifted`) and holds one parity, t
-mod 2.
+Weight slices are finite (at most `stride` = 2(K - max(K0, -1)) vectors)
+because fixing the weight pins m as a function of k within each family.
+A slice is keyed by the int t = 2(alpha + p) (`twice_shifted`) and holds
+one parity, t mod 2.
 
 The first-order rows are tabulated once, in integers:
 `TruncatedDlm.scaled_act_basis` gives D * g.bv for g in H, A and B as
@@ -133,14 +133,15 @@ class TruncatedDlm:
     refers back to the module, so it goes with the module.
     """
 
-    __slots__ = ("lam", "mu", "K", "K0", "p", "_ints", "slices", "chains",
-                 "_stencils", "_images")
+    __slots__ = ("lam", "mu", "K", "K0", "p", "_ints", "stride", "slices",
+                 "chains", "_stencils", "_images")
 
     def __init__(self, lam, mu, K, K0=-1):
         self.lam = Fraction(lam)
         self.mu = Fraction(mu)
         self.K, self.K0 = int(K), int(K0)
         self.p = self.mu - self.lam
+        self.stride = 2 * (self.K - max(self.K0, -1))
         # D, D * 2lam and D * 2p: integers, as den(2lam) and den(2p)
         # divide L (see action_scale)
         D = action_scale(self)
@@ -256,12 +257,16 @@ class TruncatedDlm:
         return out
 
     def slice(self, t, parity):
-        """{BasisVector: position} of twice_weight_basis(t, parity)."""
+        """{BasisVector: position} of twice_weight_basis(t, parity), at
+        most `stride` long (TruncationViolation otherwise)."""
         hit = self.slices.get((t, parity))
         if hit is None:
+            basis = self.twice_weight_basis(t, parity)
+            if len(basis) > self.stride:
+                raise TruncationViolation(f"slice {t, parity} is longer "
+                                          f"than the stride {self.stride}")
             hit = self.slices[(t, parity)] = {
-                bv: i for i, bv in
-                enumerate(self.twice_weight_basis(t, parity))}
+                bv: i for i, bv in enumerate(basis)}
         return hit
 
     def stencil(self, gen, t, parity):

@@ -75,6 +75,17 @@ MUTANTS = (
      "        for j, x in row[1:]:\n",
      "tests/test_weightmod.py::"
      "test_composed_stencils_equal_the_fraction_composition"),
+    # a stride one smaller than the longest slice: the slice-length check
+    # must refuse the slices that no longer fit
+    ("stride-one-short", "weightmod.py",
+     "self.stride = 2 * (self.K - max(self.K0, -1))",
+     "self.stride = 2 * (self.K - max(self.K0, -1)) - 1",
+     "tests/test_weightmod.py::test_slices_fit_the_stride"),
+    # a Koszul skeleton without the bracket-only terms (gen None)
+    ("skeleton-drops-bracket-terms", "cochains.py",
+     "            if sign or coeff:\n",
+     "            if sign:\n",
+     ENGINE + "test_delta_block_equals_the_per_block_reference"),
     # a failed exact check that escapes the CLI as a traceback
     ("cli-lets-a-mismatch-escape", "cli.py",
      "    except Mismatch as exc:\n"

@@ -126,6 +126,40 @@ def reference_coboundary(f, table):
     return Cochain(f.mod, f.degree + 1, f.parity, out, f.universe)
 
 
+def test_koszul_skeleton_regroups_the_reference_terms():
+    # the source-major skeleton is the per-target reference regrouped by
+    # source: per source monomial, its twice weight and parity and one
+    # (target index, gen, sign, coeff) per target it meets, the act
+    # signs of one source summed (gen None when they cancel) and its
+    # bracket coefficients added, by increasing target index
+    found = 0
+    for universe in (GENS, SL2):
+        for n in range(5):
+            sources = monomial_basis(n, universe)
+            for q in (0, 1):
+                T, skeleton = cc._koszul_skeleton(n, q, universe)
+                ref_T, terms = reference_koszul_terms(n, q, universe, TABLE)
+                want = {u: {} for u in sources}
+                for j, (_, acts, brackets) in enumerate(terms):
+                    for gen, src, sign in acts:
+                        want[src].setdefault(j, [gen, 0, 0])[1] += sign
+                    for src, coeff in brackets:
+                        want[src].setdefault(j, [None, 0, 0])[2] += coeff
+                assert T == ref_T
+                assert [(w2, up) for w2, up, _ in skeleton] == [
+                    (int(2 * monomial_weight(u)), monomial_parity(u))
+                    for u in sources]
+                assert [targets for _, _, targets in skeleton] == [
+                    tuple((j, gen if sign else None, sign, coeff)
+                          for j, (gen, sign, coeff) in sorted(want[u].items())
+                          if sign or coeff)
+                    for u in sources], (universe, n, q)
+                found += sum(gen is None and coeff != 0
+                             for _, _, targets in skeleton
+                             for _, gen, _, coeff in targets)
+    assert found
+
+
 def test_integer_coboundary_matches_fraction_reference():
     # 6 modules x 2 universes x 3 degrees x 2 parities = 72 cochains, on
     # action scales with denominators 2, 3 and 5

@@ -11,7 +11,7 @@ import pytest
 
 from ospcoho import engine, linalg
 from ospcoho.algebra import GENS, SL2, adopted_table
-from ospcoho.cochains import (Cochain, _weight_chain, coboundary,
+from ospcoho.cochains import (Cochain, _basis, _weight_chain, coboundary,
                               delta_block, make_f_k, make_ftilde_k,
                               make_h_lambda, restrict_sl2)
 from ospcoho.engine import (DimCount, NotACocycle, build_report,
@@ -36,6 +36,14 @@ def chain_rank(mod, n, w, parity, universe):
     return engine._chain_rank(mod, chain, n)
 
 
+def positions(mod, n, w, parity, universe, indices):
+    """Stride indices of C^n_w (`cochains._basis`) as the positions in
+    `block_basis` at which `delta_block` reads them."""
+    at = {index: c for c, (index, _, _) in enumerate(
+        _basis(mod, mod.twice_shifted(w), parity, n, universe))}
+    return frozenset(at[i] for i in indices)
+
+
 def test_h_dim_examples():
     mod = TruncatedDlm(0, F(1, 2), 3)
     dims = [h_dim(mod, n, 0).total for n in range(4)]
@@ -57,7 +65,8 @@ def test_h_dim_parity_split():
 
 def test_chained_ranks_equal_full_block_ranks():
     # the chain leaves out the columns at the pivots of im d_{n-1} and
-    # ranks the others. Its rank and pivots must be those of
+    # ranks the others. Its rank and pivots, at their positions in the
+    # bases, must be those of
     # `int_pivots` on the cleared block of `delta_block`, and, for a module
     # (d^2 = 0), those of the full block, whose columns span the same
     # space. The representatives are read off these pivots. _AZero is no
@@ -80,8 +89,12 @@ def test_chained_ranks_equal_full_block_ranks():
                     for n in range(5):
                         rank, cols, pivots = chain_rank(
                             mod, n, w, parity, universe)
-                        skip = chain_rank(
-                            mod, n - 1, w, parity, universe)[2] if n else ()
+                        pivots = positions(mod, n + 1, w, parity, universe,
+                                           pivots)
+                        skip = positions(mod, n, w, parity, universe,
+                                         chain_rank(mod, n - 1, w, parity,
+                                                    universe)[2]) \
+                            if n else ()
                         dom, _, cleared, _ = delta_block(
                             mod, n, w, parity, universe, skip)
                         where = (mod, universe, w, parity, n)
@@ -130,9 +143,9 @@ def test_subclass_gets_its_own_memo():
 
 
 def test_a_chain_resolves_each_degree_once_per_module():
-    # the Koszul terms of d_n are resolved against the layouts and the
-    # stencils once per degree: the ranks and every coboundary at that
-    # weight read the same resolution
+    # the Koszul skeleton of d_n is resolved against the stencils once
+    # per degree: the ranks and every coboundary at that weight read the
+    # same resolution
     from ospcoho.cochains import block_basis, cochain_from_coords
     mod = TruncatedDlm(0, F(1, 2), 3)
     assert h_dim(mod, 1, 0).odd == 2
@@ -150,8 +163,9 @@ def test_a_chain_resolves_each_degree_once_per_module():
 def test_modules_never_share_slices_or_chains():
     # slices and chains live in the module's own slots: at one
     # (lambda, mu, K), a K0 cut, a subclass with another action and the
-    # plain truncation each build their own, and each chain is laid out
-    # on its own module's slices
+    # plain truncation each build their own, and each chain is resolved
+    # on its own module's slices and stride
+    from ospcoho.cochains import _graded_monomials
     lam, mu, K = F(1, 3), F(7, 3), 3
     mods = (TruncatedDlm(lam, mu, K), TruncatedDlm(lam, mu, K, 1),
             _AZero(lam, mu, K))
@@ -161,8 +175,12 @@ def test_modules_never_share_slices_or_chains():
         assert mod.slices and mod.chains
         for chain in mod.chains.values():
             for n in range(4):
-                for _, key, length in chain.layout(mod, n).values():
-                    assert len(mod.slices[key]) == length
+                graded = _graded_monomials(n, chain.universe)
+                for col0, length, _ in chain.sources(mod, n)[1]:
+                    i, r = divmod(col0, mod.stride)
+                    _, up, w2 = graded[i]
+                    key = (chain.t + w2, (chain.parity + up) % 2)
+                    assert r == 0 and len(mod.slices[key]) == length
     slices = [id(s) for m in mods for s in (m.slices, *m.slices.values())]
     chains = [id(c) for m in mods for c in (m.chains, *m.chains.values())]
     assert len(set(slices)) == len(slices)
@@ -363,15 +381,13 @@ def test_representatives_assemble_one_cleared_block(monkeypatch):
     # pivots of im d_{n-1}, and no d_{n-1} block
     import ospcoho.cochains as cc
     calls = []
+    block = cc._WeightChain.block
 
-    def recorder(inner):
-        def counted(mod, n, w, parity, universe=GENS, skip=()):
-            calls.append((n, parity, universe, frozenset(skip)))
-            return inner(mod, n, w, parity, universe, skip)
-        return counted
+    def counted(chain, mod, n, skip):
+        calls.append((n, chain.parity, chain.universe, frozenset(skip)))
+        return block(chain, mod, n, skip)
 
-    monkeypatch.setattr(cc, "delta_block", recorder(cc.delta_block))
-    monkeypatch.setattr(engine, "delta_block", recorder(engine.delta_block))
+    monkeypatch.setattr(cc._WeightChain, "block", counted)
     parts = 0
     for lam, mu in ACCEPTANCE_GRID:
         mod = TruncatedDlm(lam, mu, engine.guard_K(lam, mu, 8))
@@ -763,8 +779,9 @@ def test_delta_block_equals_the_per_block_reference():
                     for n in range(5):
                         skips = [()]
                         if n > 0:
-                            skips.append(chain_rank(
-                                mod, n - 1, w, parity, universe)[2])
+                            skips.append(positions(
+                                mod, n, w, parity, universe, chain_rank(
+                                    mod, n - 1, w, parity, universe)[2]))
                         for skip in skips:
                             got = delta_block(mod, n, w, parity,
                                               universe, skip)
@@ -773,6 +790,34 @@ def test_delta_block_equals_the_per_block_reference():
                                 (mod, universe, w, parity, n, skip)
                             entries += sum(map(len, got[2]))
     assert entries > 400000
+
+
+def test_a_grid_pass_builds_no_positional_basis_nor_empty_chain(
+        monkeypatch):
+    # the ranks read the chains' stride indices, never a positional basis,
+    # and a parity that holds no vector at t is answered 0 with no chain
+    import ospcoho.cochains as cc
+    calls, chains = [], []
+    for owner in (cc, engine):
+        for name in ("block_basis", "delta_block"):
+            def counted(*args, _name=name, _inner=getattr(owner, name),
+                        **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+    init = cc._WeightChain.__init__
+
+    def filed(chain, t, parity, universe):
+        chains.append((t, parity))
+        init(chain, t, parity, universe)
+
+    monkeypatch.setattr(cc._WeightChain, "__init__", filed)
+    vals = [F(j, 2) for j in range(-2, 3)]
+    reports = grid_reports([(a, b) for a in vals for b in vals], threads=1)
+    assert len(reports) == 25 and all(r.match for r in reports)
+    assert calls == []
+    assert chains and all(t is not None and (t - parity) % 2 == 0
+                          for t, parity in chains)
 
 
 def test_module_memo_stays_bounded_over_a_grid():

@@ -530,3 +530,30 @@ def test_the_cut_module_is_the_quotient():
                 else:
                     assert bv not in cut.slice(t, t % 2)
     assert module_axiom_holds(cut, adopted_table())
+
+
+class _WideSlices(TruncatedDlm):
+    """A module whose slices each carry one vector too many."""
+
+    __slots__ = ()
+
+    def twice_weight_basis(self, t, parity=None):
+        return super().twice_weight_basis(t, parity) + [("a", -1, -1)]
+
+
+@pytest.mark.parametrize("lam, mu, K, K0", [
+    (F(1, 3), F(7, 3), 3, -1), (F(1, 3), F(7, 3), 3, 1),
+    (F(0), F(2), 2, 0), (F(-1, 2), F(1), 0, -1), (F(1, 3), F(5, 6), 5, 3)])
+def test_slices_fit_the_stride(lam, mu, K, K0):
+    # a block index is i(u) * stride + slice position, so no slice may be
+    # longer than the stride 2(K - max(K0, -1)); the longest reach it,
+    # and a slice that would not fit is refused when it is filed
+    mod = TruncatedDlm(lam, mu, K, K0)
+    assert mod.stride == 2 * (K - max(K0, -1))
+    lengths = [len(mod.slice(t, parity))
+               for t in range(-2 * K - 4, 2 * K + 5) for parity in (0, 1)]
+    assert max(lengths) == mod.stride
+    wide = _WideSlices(lam, mu, K, K0)
+    with pytest.raises(TruncationViolation):
+        wide.slice(0, 0)
+    assert wide.slices == {}
