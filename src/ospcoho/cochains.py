@@ -28,6 +28,12 @@ formula: the blocks are built with it, and `coboundary` applies a
 block's integer columns to a cochain's coordinates at their stride
 indices, one weight component at a time.
 
+The stride index is the one coordinate system of a weight block. A
+cochain is split by weight and given coordinates by `_coords` alone,
+and `_from_coords` is its inverse: the ranks, the coboundary, the
+solves for primitives and the kernels all read and write blocks at
+stride indices, and nothing maps them to positions.
+
 The bracket table is a constant of this layer, the adopted one; the
 self-test's `audit-finds-repaired-V` ties it to the audit's result.
 
@@ -45,8 +51,8 @@ from .algebra import (GENS, PARITY, SL2, adopted_table, canonicalize,
                       monomial_basis, monomial_parity, monomial_str,
                       monomial_weight)
 from .weightmod import (FAMILY_PARITY, TWICE_WEIGHT, TruncatedDlm,
-                        from_oppoly, to_oppoly, vec_add, vec_scale,
-                        vec_to_json)
+                        TruncationViolation, from_oppoly, to_oppoly,
+                        vec_add, vec_scale, vec_to_json)
 
 
 class SolveFailed(Mismatch):
@@ -115,18 +121,6 @@ class Cochain:
 
     def sub(self, other):
         return self.add(other, Fraction(-1))
-
-    def weight_components(self):
-        """Split into cochain-weight-homogeneous parts: {w: Cochain}."""
-        parts = {}
-        for u, vec in self.values.items():
-            wu = monomial_weight(u)
-            for bv, c in vec.items():
-                w = self.mod.basis_weight(bv) - wu
-                parts.setdefault(w, {}).setdefault(u, {})[bv] = c
-        return {w: Cochain(self.mod, self.degree, self.parity, vals,
-                           self.universe)
-                for w, vals in sorted(parts.items())}
 
     def __eq__(self, other):
         return (isinstance(other, Cochain)
@@ -222,34 +216,25 @@ def _scales(mod, T):
 def coboundary(f):
     """The differential of f; degree n+1, same parity, same weight.
 
-    Applied per weight chain: f's values on C^n_w, for each weight w it
-    has, are scaled to integer coordinates Q * f at their stride indices
-    (Q the lcm of their denominators), the block's integer columns there
-    (`_column`, on `_WeightChain.sources`, resolved once per degree) are
-    applied to them, and each entry of the image, read off `_basis` of
-    C^{n+1}_w, is divided once by Q * scale. So the coboundary is the one
-    assembler of the blocks, and builds only the columns f reads.
+    Applied per weight chain: f's coordinates on C^n_w (`_coords`), for
+    each weight w it has, are scaled to integers Q * f (Q the lcm of
+    their denominators), the block's integer columns at their stride
+    indices (`_column`, on `_WeightChain.sources`, resolved once per
+    degree) are applied to them, and each entry of the image, read off
+    `_basis` of C^{n+1}_w, is divided once by Q * scale. So the
+    coboundary is the one assembler of the blocks, and builds only the
+    columns f reads.
     """
     mod, n, S = f.mod, f.degree, f.mod.stride
-    Q = lcm(*(c.denominator for vec in f.values.values()
-              for c in vec.values()))
-    place = {u: i for i, u in enumerate(monomial_basis(n, f.universe))}
-    parts = {}      # chain index t -> [(stride index, Q * value)]
-    for u, vec in f.values.items():
-        w2 = sum(TWICE_WEIGHT[g] for g in u)
-        for bv, c in vec.items():
-            tb = mod.twice_shifted_weight(bv)
-            parts.setdefault(tb - w2, []).append(
-                (place[u] * S + mod.slice(tb, FAMILY_PARITY[bv[0]])[bv],
-                 c.numerator * (Q // c.denominator)))
     out = {}
-    for t, part in parts.items():
+    for t, coords in _coords(f).items():
         chain = _weight_chain(mod, t, f.parity, f.universe)
         scale, sources = chain.sources(mod, n)
         terms = {col0: terms for col0, _, terms in sources}
+        Q = lcm(*(c.denominator for c in coords.values()))
         acc = {}
-        for index, c in part:
-            pos = index % S
+        for index, c in coords.items():
+            pos, c = index % S, c.numerator * (Q // c.denominator)
             for r, x in _column(terms[index - pos], pos).items():
                 acc[r] = acc.get(r, 0) + c * x
         den = Q * scale
@@ -282,9 +267,39 @@ def _basis(mod, t, parity, n, universe):
 
 def block_basis(mod, n, w, parity, universe=GENS):
     """Ordered basis [(monomial, BasisVector)] of the weight-w part of C^n
-    on one parity component (0 or 1), by increasing stride index."""
+    on one parity component (0 or 1), by increasing stride index. Its
+    only reader is the benchmark's rank sum, which takes its length."""
     return [(u, bv) for _, u, bv in
             _basis(mod, mod.twice_shifted(w), parity, n, universe)]
+
+
+def _coords(f):
+    """f's coordinates per weight chain: {t: {stride index: Fraction}},
+    t = 2(w + p) for each weight w of f (`_basis`). A value on a vector
+    that is not in f's module raises TruncationViolation."""
+    mod, S = f.mod, f.mod.stride
+    place = {u: i for i, u in enumerate(monomial_basis(f.degree,
+                                                       f.universe))}
+    out = {}
+    for u, vec in f.values.items():
+        w2 = sum(TWICE_WEIGHT[g] for g in u)
+        for bv, c in vec.items():
+            tb = mod.twice_shifted_weight(bv)
+            pos = mod.slice(tb, FAMILY_PARITY[bv[0]]).get(bv)
+            if pos is None:
+                raise TruncationViolation(f"{bv} is not a vector of {mod}")
+            out.setdefault(tb - w2, {})[place[u] * S + pos] = c
+    return out
+
+
+def _from_coords(mod, n, parity, t, coords, universe):
+    """The n-cochain with coordinates {stride index: value} on C^n_w at
+    t = 2(w + p): the inverse of `_coords` at one t."""
+    vals = {}
+    for index, u, bv in _basis(mod, t, parity, n, universe):
+        if index in coords:
+            vals.setdefault(u, {})[bv] = coords[index]
+    return Cochain(mod, n, parity, vals, universe)
 
 
 class _WeightChain:
@@ -376,60 +391,21 @@ def _weight_chain(mod, t, parity, universe):
     return chains[key]
 
 
-def delta_block(mod, n, w, parity, universe=GENS, skip=()):
-    """Integer columns of d: C^n_w -> C^{n+1}_w on one parity component.
-
-    Returns (domain_basis, codomain_basis, cols, scale): cols[c] is a
-    {codomain index: int} dict, and cols[c] / scale is column c of the
-    exact matrix, the coboundary of the delta cochain at
-    domain_basis[c]. The columns whose domain index is in `skip` are
-    left empty and never assembled. The scale is the lcm of the
-    module's action scale (`weightmod.action_scale`) and the
-    denominators of the bracket coefficients. The columns come from the
-    module's weight chain (`_WeightChain.block`), re-keyed from stride
-    indices to positions in the bases.
-    """
-    t = mod.twice_shifted(w)
-    dom, cod = _basis(mod, t, parity, n, universe), \
-        _basis(mod, t, parity, n + 1, universe)
-    cols, scale = _weight_chain(mod, t, parity, universe).block(
-        mod, n, {dom[c][0] for c in skip})
-    row = {index: r for r, (index, _, _) in enumerate(cod)}
-    return ([(u, bv) for _, u, bv in dom], [(u, bv) for _, u, bv in cod],
-            [{row[r]: x for r, x in col.items()} for col in cols], scale)
-
-
-def cochain_coords(f, basis):
-    """Coordinates of f on a block basis: {index: Fraction}."""
-    out = {}
-    for idx, (u, bv) in enumerate(basis):
-        vec = f.values.get(u)
-        if vec and bv in vec:
-            out[idx] = vec[bv]
-    return out
-
-
-def cochain_from_coords(mod, degree, parity, basis, coords, universe=GENS):
-    vals = {}
-    for idx, c in coords.items():
-        u, bv = basis[idx]
-        vals.setdefault(u, {})[bv] = c
-    return Cochain(mod, degree, parity, vals, universe)
-
-
-def _kernel_cochains(mod, n, w, parity, universe, skip):
-    """Integer kernel of d_n on the columns whose stride index is outside
-    `skip`, as Cochains: only those columns are assembled, and each
-    kernel vector (`linalg.int_kernel_basis`) is divided by its lead."""
-    t = mod.twice_shifted(w)
-    dom = _basis(mod, t, parity, n, universe)
+def _kernel_cochains(mod, n, t, parity, universe, skip):
+    """Integer kernel of d_n at t = 2(w + p) on the columns whose stride
+    index is outside `skip`, as Cochains: only those columns are
+    assembled, and each kernel vector (`linalg.int_kernel_basis`) is
+    divided by its lead."""
     cols = _weight_chain(mod, t, parity, universe).block(mod, n, skip)[0]
-    keep = [c for c, (index, _, _) in enumerate(dom) if index not in skip]
-    basis, out = [(u, bv) for _, u, bv in dom], []
-    for vec in linalg.int_kernel_basis([cols[c] for c in keep]):
+    keep = [(index, col) for (index, _, _), col
+            in zip(_basis(mod, t, parity, n, universe), cols)
+            if index not in skip]
+    out = []
+    for vec in linalg.int_kernel_basis([col for _, col in keep]):
         lead = vec[min(vec)]
-        out.append(cochain_from_coords(mod, n, parity, basis, {
-            keep[i]: Fraction(v, lead) for i, v in vec.items()}, universe))
+        out.append(_from_coords(mod, n, parity, t, {
+            keep[i][0]: Fraction(v, lead) for i, v in vec.items()},
+            universe))
     return out
 
 
@@ -454,27 +430,32 @@ def is_reduced(f):
 def primitive(f, target=None):
     """Some g of degree n-1 with (dg)(u) = f(u) on the target monomials.
 
-    Solved per cochain weight w of f on the integer columns of
-    d_{n-1}: C^{n-1}_w -> C^n_w (`delta_block`), keeping only the rows
-    whose monomial u passes `target` (every row when it is None).
-    Returns None when some weight has no solution.
+    Solved per weight w of f, at t = 2(w + p), on f's coordinates
+    (`_coords`) and the integer columns of d_{n-1}: C^{n-1}_w -> C^n_w
+    (`_WeightChain.block`), keeping only the rows whose monomial,
+    monomial_basis(n)[r // stride] for the stride index r, passes
+    `target` (every row when it is None). Returns None when some weight
+    has no solution.
     """
-    n = f.degree
-    g = zero_cochain(f.mod, n - 1, f.parity, f.universe)
-    for w, part in f.weight_components().items():
-        dom, cod, cols, scale = delta_block(f.mod, n - 1, w, f.parity,
-                                            f.universe)
-        rhs = cochain_coords(part, cod)
-        if target is not None:
-            rows = {r for r, (u, _) in enumerate(cod) if target(u)}
-            cols = [{r: v for r, v in col.items() if r in rows}
-                    for col in cols]
-            rhs = {r: c for r, c in rhs.items() if r in rows}
-        sol = linalg.solve(cols, scale, rhs)
+    mod, n, S = f.mod, f.degree, f.mod.stride
+    monomials = monomial_basis(n, f.universe)
+
+    def targeted(vec):
+        if target is None:
+            return vec
+        return {r: x for r, x in vec.items() if target(monomials[r // S])}
+
+    g = zero_cochain(mod, n - 1, f.parity, f.universe)
+    for t, rhs in sorted(_coords(f).items()):
+        cols, scale = _weight_chain(mod, t, f.parity, f.universe).block(
+            mod, n - 1, ())
+        sol = linalg.solve([targeted(col) for col in cols], scale,
+                           targeted(rhs))
         if sol is None:
             return None
-        g = g.add(cochain_from_coords(f.mod, n - 1, f.parity, dom, sol,
-                                      f.universe))
+        dom = _basis(mod, t, f.parity, n - 1, f.universe)
+        g = g.add(_from_coords(mod, n - 1, f.parity, t, {
+            dom[c][0]: x for c, x in sol.items()}, f.universe))
     return g
 
 
@@ -555,10 +536,10 @@ def cup(f, h):
 
 def _reduced_cocycle_space(mod, parity, slots):
     """Weight-0 cocycles supported on the given 1-slots, as Cochains."""
-    skip = {index for index, u, _ in
-            _basis(mod, mod.twice_shifted(0), parity, 1, GENS)
+    t = mod.twice_shifted(0)
+    skip = {index for index, u, _ in _basis(mod, t, parity, 1, GENS)
             if u[0] not in slots}
-    return _kernel_cochains(mod, 1, 0, parity, GENS, skip)
+    return _kernel_cochains(mod, 1, t, parity, GENS, skip)
 
 
 def _normalized(f, slot, bv):

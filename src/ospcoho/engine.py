@@ -39,6 +39,8 @@ integer kernel of the cleared block d_n[:, N] (`class_representatives`),
 a cocycle is nontrivial when the integer solve for a primitive has none
 (`is_coboundary`), and the restriction to sl(2) is injective when the
 restricted representatives enlarge the span of the sl(2) coboundaries.
+They read the chains' blocks at the same stride indices as the ranks,
+and a cochain's coordinates there (`cochains._coords`).
 """
 
 import math
@@ -49,11 +51,11 @@ from itertools import product
 
 from . import Mismatch, algebra, linalg
 from .algebra import GENS, SL2, adopted_table
-from .cochains import (Cochain, _a_monomial, _kernel_cochains,
-                       _weight_chain, block_basis, coboundary,
-                       cochain_coords, cup, delta_block, is_reduced,
-                       make_f_k, make_ftilde_k, make_h_lambda, primitive,
-                       reduce_cochain, restrict_sl2, zero_cochain)
+from .cochains import (Cochain, _a_monomial, _basis, _coords,
+                       _kernel_cochains, _weight_chain, coboundary, cup,
+                       is_reduced, make_f_k, make_ftilde_k, make_h_lambda,
+                       primitive, reduce_cochain, restrict_sl2,
+                       zero_cochain)
 from .superdiff import OpPoly, derived_module_action, op_str, \
     solve_realization_constants
 from .weightmod import (TWICE_WEIGHT, TruncatedDlm, casimir_commutes,
@@ -63,9 +65,9 @@ from .weightmod import (TWICE_WEIGHT, TruncatedDlm, casimir_commutes,
 NMAX_DEFAULT = 4
 WMAX_DEFAULT = Fraction(2)
 # the deepest truncation `dims` builds, whether the guard or --kmax asks
-# for it; the predictions on it dominate a point: 0.23 s and 29 MB at
-# K = 128, 0.87 s and 76 MB at K = 256 (nmax 6, |w| <= 2; Intel Xeon,
-# Python 3.11)
+# for it; the predictions on it dominate a point: 0.25 s and 29 MB at
+# K = 128, 0.85 s and 76 MB at K = 256 (build_report(-3/2, 2, K, nmax=6),
+# fastest of 3 fresh interpreters; 2-CPU Intel Xeon, Python 3.11.7)
 K_MAX = 128
 # the widest weight window `dims` takes: |w| <= W_MAX is 4 W_MAX + 1
 # weights per point for n <= 2. At K = K_MAX, |w| <= 8 took 0.28 s
@@ -246,11 +248,12 @@ def is_coboundary(f):
     return g
 
 
-def class_representatives(mod, n, w, parity, universe=GENS):
-    """Cocycle representatives of a basis of H^n_w (one parity).
+def class_representatives(mod, n, t, parity, universe=GENS):
+    """Cocycle representatives of a basis of H^n_w (one parity), at
+    t = 2(w + p) (`twice_shifted`).
 
-    Where the chained ranks (`h_dim`) give 0 for the parity, the answer
-    is [] and no kernel is taken; `h_dim` has still assembled and ranked
+    Where the chained ranks (`twice_h_dim`) give 0 for the parity, the answer
+    is [] and no kernel is taken; they have still assembled and ranked
     d_{n-1} and d_n (cleared) to say so. Otherwise it is the integer kernel
     (`linalg.int_kernel_basis`) of d_n[:, N], N being the coordinates
     outside the pivots P of an echelon basis of im d_{n-1}: a cocycle
@@ -259,14 +262,14 @@ def class_representatives(mod, n, w, parity, universe=GENS):
     echelon rows is nonzero at its smallest pivot), so v -> [v] maps
     ker d_n[:, N] onto H^n_w isomorphically. Both steps presume d^2 = 0.
     """
-    dims = h_dim(mod, n, w, universe)
+    dims = twice_h_dim(mod, n, t, universe)
     if not (dims.even, dims.odd)[parity]:
         return []
     skip = ()
     if n > 0:
-        chain = _weight_chain(mod, mod.twice_shifted(w), parity, universe)
+        chain = _weight_chain(mod, t, parity, universe)
         skip = _chain_rank(mod, chain, n - 1)[2]
-    return _kernel_cochains(mod, n, w, parity, universe, skip)
+    return _kernel_cochains(mod, n, t, parity, universe, skip)
 
 
 # --- localization and restriction checks -------------------------------------
@@ -282,10 +285,10 @@ def localization_kernel_dim(mod, n, w, parity):
     of the other columns, which are all that is assembled.
     """
     b_mono = tuple(["B"] * n)
-    dom = block_basis(mod, n, w, parity)
-    units = {col for col, (u, _) in enumerate(dom)
-             if _a_monomial(u) or u == b_mono}
-    cols = delta_block(mod, n, w, parity, GENS, units)[2]
+    t = mod.twice_shifted(w)
+    dom = _basis(mod, t, parity, n, GENS)
+    units = {index for index, u, _ in dom if _a_monomial(u) or u == b_mono}
+    cols = _weight_chain(mod, t, parity, GENS).block(mod, n, units)[0]
     return (len(dom) - len(units)
             - len(linalg.int_pivots([c for c in cols if c])))
 
@@ -294,8 +297,9 @@ def restriction_injectivity_check(lam, mu, K=None, nmax=2):
     """Restriction to sl(2) must be injective on H^n at weight 0.
 
     Per (n, parity) the sl(2) restrictions of the class representatives
-    become coordinates in the sl(2) block basis of C^n_0 and are ranked
-    in integers against the columns of the sl(2) differential d_{n-1}
+    become coordinates at the stride indices of the sl(2) C^n_0
+    (`_coords`) and are ranked in integers against the columns of the
+    sl(2) differential d_{n-1}, whose rows carry the same indices
     (`linalg.greedy_independent`): the restriction is injective iff
     every one of them enlarges the span, and a class restricts
     nontrivially iff its vector alone lies outside that image, as every
@@ -305,19 +309,19 @@ def restriction_injectivity_check(lam, mu, K=None, nmax=2):
     only the kernel and the sl(2) ranking are skipped.
     """
     mod = TruncatedDlm(lam, mu, guard_K(lam, mu, K))
+    t = mod.twice_shifted(0)
     entries = []
     ok = True
     for n in range(nmax + 1):
         for parity in (0, 1):
-            reps = class_representatives(mod, n, 0, parity)
+            reps = class_representatives(mod, n, t, parity)
             if not reps:
                 continue
-            basis = block_basis(mod, n, 0, parity, SL2)
-            vecs = [cochain_coords(restrict_sl2(rep), basis) for rep in reps]
+            vecs = [_coords(restrict_sl2(rep)).get(t, {}) for rep in reps]
             image = []
             if n > 0:
-                image = [c for c in delta_block(mod, n - 1, 0, parity,
-                                                SL2)[2] if c]
+                image = [c for c in _weight_chain(mod, t, parity, SL2).block(
+                    mod, n - 1, ())[0] if c]
             kept = set(linalg.greedy_independent(image, vecs))
             ok &= len(kept) == len(vecs)
             for i, vec in enumerate(vecs):

@@ -163,10 +163,6 @@ class TruncatedDlm:
     def __hash__(self):
         return hash((self.lam, self.mu, self.K, self.K0))
 
-    def basis_weight(self, bv):
-        f, m, k = bv
-        return k - m - self.p + FAMILY_SHIFT[f]
-
     def scaled_act_basis(self, gen, bv):
         """D * gen.bv for gen in H, A and B, as (BasisVector, int) pairs.
 

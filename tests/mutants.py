@@ -86,6 +86,13 @@ MUTANTS = (
      "            if sign or coeff:\n",
      "            if sign:\n",
      ENGINE + "test_delta_block_equals_the_per_block_reference"),
+    # a primitive's target rows chosen by the monomial of the slice
+    # position r % S instead of the monomial place r // S of the stride
+    # index r
+    ("primitive-target-reads-the-position", "cochains.py",
+     "target(monomials[r // S])",
+     "target(monomials[r % S])",
+     ENGINE + "test_stride_solves_equal_the_positional_reference"),
     # a failed exact check that escapes the CLI as a traceback
     ("cli-lets-a-mismatch-escape", "cli.py",
      "    except Mismatch as exc:\n"

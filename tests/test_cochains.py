@@ -15,31 +15,20 @@ from ospcoho.cochains import (Cochain, NoCocycle, TypeMismatch, coboundary,
                               make_h_lambda, reduce_cochain, restrict_sl2,
                               zero_cochain)
 from ospcoho.engine import (guard_K, h_dim, is_coboundary, predict_sl2,
-                            predict_theorem)
-from ospcoho.weightmod import (TruncatedDlm, action_scale, to_oppoly,
-                               vec_add, vec_scale)
+                            predict_theorem, zero_piece)
+from ospcoho.weightmod import (TruncatedDlm, TruncationViolation,
+                               action_scale, to_oppoly, vec_add, vec_scale)
 from ospcoho.superdiff import OpPoly
-from tests_support_dense import (act, act_basis, cochain_from_json,
-                                 delta_matrix, reference_block_coboundary,
+from tests_support_dense import (act, act_basis, basis_weight,
+                                 cochain_coords, cochain_from_json,
+                                 delta_block, delta_matrix, random_cochain,
+                                 reference_block_coboundary,
                                  reference_delta_block,
-                                 reference_koszul_terms, rescaled_table)
+                                 reference_koszul_terms, rescaled_table,
+                                 weight_components)
 
 F = Fraction
 TABLE = adopted_table()
-
-
-def random_cochain(mod, degree, parity, rng,
-                   universe=GENS, weights=(F(0), F(1, 2), F(-1))):
-    vals = {}
-    for u in monomial_basis(degree, universe):
-        for w in weights:
-            bvpar = (parity + monomial_parity(u)) % 2
-            for bv in mod.weight_basis(w + monomial_weight(u), bvpar):
-                if rng.random() < 0.3:
-                    c = F(rng.randint(-4, 4), rng.randint(1, 3))
-                    if c:
-                        vals.setdefault(u, {})[bv] = c
-    return Cochain(mod, degree, parity, vals, universe)
 
 
 MOD = TruncatedDlm(0, F(1, 2), 3)
@@ -246,12 +235,26 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
     phase_done()
 
 
+@pytest.mark.parametrize("mod, bv", [
+    (TruncatedDlm(0, F(1, 2), 3), ("a", 0, 5)),     # k above K
+    (TruncatedDlm(0, F(1, 2), 3), ("a", -1, 0)),    # m below 0
+    (zero_piece(0, 2), ("a", 0, 0))])               # k at or below K0
+def test_a_value_outside_the_module_is_a_truncation_violation(mod, bv):
+    # API misuse, not a mismatch: the coordinates refuse the vector by
+    # name, with the module, wherever a cochain is read
+    f = Cochain(mod, 1, 0, {("H",): {bv: F(1)}})
+    for read in (coboundary, cc.primitive, is_coboundary):
+        with pytest.raises(TruncationViolation) as err:
+            read(f)
+        assert str(bv) in str(err.value) and str(mod) in str(err.value)
+
+
 def test_coboundary_preserves_parity_and_weight():
     rng = random.Random(9)
     f = random_cochain(MOD, 1, 1, rng)
     df = coboundary(f)
     assert df.parity == f.parity
-    assert set(df.weight_components()) <= set(f.weight_components())
+    assert set(weight_components(df)) <= set(weight_components(f))
 
 
 def test_is_reduced():
@@ -339,7 +342,7 @@ def test_delta_matrix_against_coboundary():
             u, bv = dom[col]
             delta = Cochain(MOD, n, parity, {u: {bv: F(1)}})
             expected = {r: F(v, scale) for r, v in cols[col].items()}
-            assert cc.cochain_coords(coboundary(delta), cod) == expected
+            assert cochain_coords(coboundary(delta), cod) == expected
 
 
 @pytest.mark.parametrize("lam, mu", [(F(1, 3), F(0)), (F(-1, 2), F(1)),
@@ -357,11 +360,11 @@ def test_coboundary_matches_the_per_block_reference(lam, mu):
             for parity in (0, 1):
                 f = random_cochain(mod, degree, parity, rng, universe,
                                    weights)
-                assert len(f.weight_components()) > 1
+                assert len(weight_components(f)) > 1
                 df = coboundary(f)
                 assert df == reference_block_coboundary(f), \
                     (universe, degree, parity)
-                met += any(len({mod.basis_weight(bv) for bv in vec}) > 1
+                met += any(len({basis_weight(mod, bv) for bv in vec}) > 1
                            for vec in df.values.values())
     assert met
 
@@ -379,7 +382,7 @@ def test_integer_block_is_scaled_delta_matrix(lam, mu):
     fractional = False
     for n, w, parity in ((0, w0, 0), (1, w0, 0), (1, w0 + F(1, 2), 1),
                          (2, w0, 0), (2, w0 - F(1, 2), 1)):
-        dom, cod, cols, scale = cc.delta_block(mod, n, w, parity)
+        dom, cod, cols, scale = delta_block(mod, n, w, parity)
         assert scale == action_scale(mod) and cod and dom
         assert len(cols) == len(dom)
         assert all(type(v) is int for col in cols for v in col.values())
@@ -393,10 +396,10 @@ def test_integer_block_is_scaled_delta_matrix(lam, mu):
             dd = reference_coboundary(
                 Cochain(mod, n, parity, {u: {bv: F(1)}}), TABLE)
             assert cols[c] == {r: v * scale for r, v
-                               in cc.cochain_coords(dd, cod).items()}
+                               in cochain_coords(dd, cod).items()}
         # left-out columns stay empty, the others are unchanged
         skip = range(0, len(dom), 2)
-        *_, part, _ = cc.delta_block(mod, n, w, parity, skip=skip)
+        *_, part, _ = delta_block(mod, n, w, parity, skip=skip)
         assert part == [{} if c in skip else col
                         for c, col in enumerate(cols)]
     assert fractional
@@ -412,7 +415,7 @@ def test_integer_block_scale_covers_bracket_denominators():
     D = action_scale(MOD)
     assert T % 3 == 0 and scale % T == 0 and scale % D == 0
     assert act_factor * D == bracket_factor * T == scale
-    dom, cod, cols, scale = cc.delta_block(MOD, 1, 0, 0)
+    dom, cod, cols, scale = delta_block(MOD, 1, 0, 0)
     assert scale == cc._scales(MOD, TABLE.scaled_brackets()[0])[0]
     assert all(type(v) is int for col in cols for v in col.values())
 
@@ -438,10 +441,10 @@ def test_block_parity_rule_matches_monomial_scan(lam, mu):
                     assert scan == []
                     empty += 1
                     # the empty block still carries its true scale
-                    dom, cod, cols, scale = cc.delta_block(
+                    dom, cod, cols, scale = delta_block(
                         mod, n, w, parity)
                     assert dom == cod == cols == []
-                    assert scale == cc.delta_block(
+                    assert scale == delta_block(
                         mod, n, w + F(1, 2), parity)[3]
                 else:
                     full += bool(scan)
@@ -451,11 +454,12 @@ def test_block_parity_rule_matches_monomial_scan(lam, mu):
 def test_blocks_need_a_parity():
     # a block is one parity component; parity None (both components)
     # used to be laid out with the parity-0 Koszul signs and gave wrong
-    # columns, so it must raise
+    # columns, so it must raise: the positional view reads the chain's
+    # block and `_basis`
     mod = TruncatedDlm(0, F(1, 2), 3)
     for n in range(3):
         with pytest.raises(TypeError):
-            cc.delta_block(mod, n, 0, None)
+            delta_block(mod, n, 0, None)
         with pytest.raises(TypeError):
             cc.block_basis(mod, n, 0, None)
 

@@ -12,8 +12,8 @@ import pytest
 from ospcoho import engine, linalg
 from ospcoho.algebra import GENS, SL2, adopted_table
 from ospcoho.cochains import (Cochain, _basis, _weight_chain, coboundary,
-                              delta_block, make_f_k, make_ftilde_k,
-                              make_h_lambda, restrict_sl2)
+                              make_f_k, make_ftilde_k, make_h_lambda,
+                              restrict_sl2)
 from ospcoho.engine import (DimCount, NotACocycle, build_report,
                             class_representatives, gelfand_fuchs_check,
                             grid_reports, h_dim, is_coboundary,
@@ -21,6 +21,8 @@ from ospcoho.engine import (DimCount, NotACocycle, build_report,
                             predict_theorem, restriction_injectivity_check,
                             run_audit, selftest)
 from ospcoho.weightmod import TruncatedDlm
+from tests_support_dense import (cochain_coords, cochain_from_coords,
+                                 delta_block)
 
 F = Fraction
 TABLE = adopted_table()
@@ -37,8 +39,9 @@ def chain_rank(mod, n, w, parity, universe):
 
 
 def positions(mod, n, w, parity, universe, indices):
-    """Stride indices of C^n_w (`cochains._basis`) as the positions in
-    `block_basis` at which `delta_block` reads them."""
+    """Stride indices of C^n_w (`cochains._basis`) as the positions at
+    which the positional view (`tests_support_dense.delta_block`) reads
+    them."""
     at = {index: c for c, (index, _, _) in enumerate(
         _basis(mod, mod.twice_shifted(w), parity, n, universe))}
     return frozenset(at[i] for i in indices)
@@ -63,6 +66,22 @@ def test_h_dim_parity_split():
     assert (dc1.even, dc1.odd) == (0, 2)
 
 
+CHAIN_WEIGHTS = [F(j, 2) for j in range(-2, 3)]
+
+
+def _chain_test_modules():
+    """The grid at K = 3, a deeper point, the special points lambda =
+    -k/2, at which the B coefficient 2lam + k of b_{m,k} vanishes, and two
+    _AZero actions, which are no modules."""
+    mods = [TruncatedDlm(lam, mu, 3) for lam, mu in GRID + [(F(-3, 2), F(2))]]
+    mods.append(TruncatedDlm(F(1, 3), F(5, 6), 5))
+    for k in range(4):
+        special = TruncatedDlm(F(-k, 2), F(k + 1, 2), max(3, k + 1))
+        assert len(special.scaled_act_basis("B", ("b", 0, k))) == 1
+        mods.append(special)
+    return mods + [_AZero(0, F(1, 2), 3), _AZero(F(1, 3), F(5, 6), 3)]
+
+
 def test_chained_ranks_equal_full_block_ranks():
     # the chain leaves out the columns at the pivots of im d_{n-1} and
     # ranks the others. Its rank and pivots, at their positions in the
@@ -73,18 +92,10 @@ def test_chained_ranks_equal_full_block_ranks():
     # module (A acts as 0, [A, B] = -2H does not), so only the first
     # holds there; at the special points lambda = -k/2 the B coefficient
     # 2lam + k of b_{m,k} vanishes
-    weights = [F(j, 2) for j in range(-2, 3)]
-    mods = [TruncatedDlm(lam, mu, 3) for lam, mu in GRID + [(F(-3, 2), F(2))]]
-    mods.append(TruncatedDlm(F(1, 3), F(5, 6), 5))
-    for k in range(4):
-        special = TruncatedDlm(F(-k, 2), F(k + 1, 2), max(3, k + 1))
-        assert len(special.scaled_act_basis("B", ("b", 0, k))) == 1
-        mods.append(special)
-    mods += [_AZero(0, F(1, 2), 3), _AZero(F(1, 3), F(5, 6), 3)]
     blocks = 0
-    for mod in mods:
+    for mod in _chain_test_modules():
         for universe in (GENS, SL2):
-            for w in weights:
+            for w in CHAIN_WEIGHTS:
                 for parity in (0, 1):
                     for n in range(5):
                         rank, cols, pivots = chain_rank(
@@ -146,7 +157,7 @@ def test_a_chain_resolves_each_degree_once_per_module():
     # the Koszul skeleton of d_n is resolved against the stencils once
     # per degree: the ranks and every coboundary at that weight read the
     # same resolution
-    from ospcoho.cochains import block_basis, cochain_from_coords
+    from ospcoho.cochains import block_basis
     mod = TruncatedDlm(0, F(1, 2), 3)
     assert h_dim(mod, 1, 0).odd == 2
     chain = _weight_chain(mod, mod.twice_shifted(0), 1, GENS)
@@ -282,7 +293,7 @@ def test_explicit_cocycles_are_nontrivial():
 def test_class_representatives_count_and_reduction_localization():
     from ospcoho.cochains import reduce_cochain
     mod = TruncatedDlm(0, F(1, 2), 3)
-    reps = class_representatives(mod, 1, 0, 1)
+    reps = class_representatives(mod, 1, mod.twice_shifted(0), 1)
     assert len(reps) == 2
     b_mono = ("B",)
     for rep in reps:
@@ -300,7 +311,6 @@ def _reference_representatives(mod, n, w, parity):
     # the Fraction greedy: null vectors of the whole d_n, from the dense
     # oracle's matrix, kept iff outside the span of im d_{n-1} and of the
     # vectors kept before them, i.e. iff they raise its rank
-    from ospcoho.cochains import cochain_from_coords
     from tests_support_dense import delta_matrix, int_columns
     dom, _, mat = delta_matrix(mod, n, w, parity)
     image = []
@@ -317,7 +327,6 @@ def test_class_representatives_match_reference_greedy():
     # the cleared kernel and the Fraction greedy choose different bases
     # of the same H^n_w: equal counts, cocycles, and each set lies in
     # the span of im d_{n-1} and the other
-    from ospcoho.cochains import cochain_coords
     from tests_support_dense import delta_matrix
     assert len(ACCEPTANCE_GRID) == 10
     count = 0
@@ -327,7 +336,8 @@ def test_class_representatives_match_reference_greedy():
             for w in (F(0), F(1, 2), F(-1)):
                 for parity in (0, 1):
                     where = (lam, mu, n, w, parity)
-                    got = class_representatives(mod, n, w, parity)
+                    got = class_representatives(
+                        mod, n, mod.twice_shifted(w), parity)
                     ref = _reference_representatives(mod, n, w, parity)
                     assert len(got) == len(ref), where
                     dom, _, mat = delta_matrix(mod, n, w, parity)
@@ -366,7 +376,8 @@ def test_representatives_only_where_classes_are(monkeypatch):
         mod = TruncatedDlm(lam, mu, engine.guard_K(lam, mu, 8))
         for n in range(3):
             for parity in (0, 1):
-                for rep in class_representatives(mod, n, 0, parity):
+                for rep in class_representatives(
+                        mod, n, mod.twice_shifted(0), parity):
                     digest.update(json.dumps(cochain_to_json(rep),
                                              sort_keys=True).encode())
                     count += 1
@@ -396,7 +407,8 @@ def test_representatives_assemble_one_cleared_block(monkeypatch):
         want = []
         for n in range(3):
             for parity in (0, 1):
-                reps = class_representatives(mod, n, 0, parity)
+                reps = class_representatives(
+                    mod, n, mod.twice_shifted(0), parity)
                 assert len(reps) == (dims[n].even, dims[n].odd)[parity]
                 if reps:
                     skip = frozenset()
@@ -424,10 +436,10 @@ def test_gated_representatives_equal_ungated_sl2():
                     if n > 0:
                         skip = chain_rank(
                             mod, n - 1, w, parity, SL2)[2]
-                    want = engine._kernel_cochains(mod, n, w, parity,
+                    t = mod.twice_shifted(w)
+                    want = engine._kernel_cochains(mod, n, t, parity,
                                                    SL2, skip)
-                    got = class_representatives(mod, n, w, parity,
-                                                SL2)
+                    got = class_representatives(mod, n, t, parity, SL2)
                     assert got == want, (lam, mu, n, w, parity)
                     found += len(got)
     assert found
@@ -440,6 +452,58 @@ def test_localization_kernel_zero():
             for parity in (0, 1):
                 assert engine.localization_kernel_dim(
                     mod, n, w, parity) == 0
+
+
+def _positional_localization_kernel_dim(mod, n, w, parity):
+    # `localization_kernel_dim` on the positional view: the unit slots
+    # as positions in the block basis, the other columns ranked
+    from ospcoho.cochains import _a_monomial, block_basis
+    b_mono = ("B",) * n
+    dom = block_basis(mod, n, w, parity)
+    units = {c for c, (u, _) in enumerate(dom)
+             if _a_monomial(u) or u == b_mono}
+    cols = delta_block(mod, n, w, parity, GENS, units)[2]
+    return (len(dom) - len(units)
+            - len(linalg.int_pivots([c for c in cols if c])))
+
+
+def test_stride_solves_equal_the_positional_reference():
+    # a primitive is solved on f's stride coordinates and the chain's
+    # block, the reference on positions in the block bases. The solve
+    # sets the free variables to 0, so its solution depends on the order
+    # of the columns, and the two must give the same g, with and without
+    # the reduction's target rows. The localization kernels must count
+    # alike as well
+    from ospcoho.cochains import _a_monomial, primitive
+    from tests_support_dense import random_cochain, reference_primitive
+    rng = random.Random(26)
+    solved = 0
+    for lam, mu in ACCEPTANCE_GRID:
+        mod = TruncatedDlm(lam, mu, engine.guard_K(lam, mu))
+        weights = (F(0), F(1, 2), -mod.p, -mod.p - F(1, 2))
+        for universe in (GENS, SL2):
+            for n in (1, 2, 3):
+                for parity in (0, 1):
+                    f = coboundary(random_cochain(mod, n - 1, parity, rng,
+                                                  universe, weights))
+                    for target in (None, _a_monomial):
+                        got = primitive(f, target)
+                        assert got == reference_primitive(f, target), \
+                            (lam, mu, universe, n, parity, target)
+                        solved += got is not None and not got.is_zero()
+    assert solved > 100
+    blocks = 0
+    for mod in _chain_test_modules():
+        for w in CHAIN_WEIGHTS:
+            for parity in (0, 1):
+                for n in (1, 2, 3):
+                    assert engine.localization_kernel_dim(
+                        mod, n, w, parity) == \
+                        _positional_localization_kernel_dim(
+                            mod, n, w, parity), (mod, w, parity, n)
+                    blocks += bool(_basis(mod, mod.twice_shifted(w),
+                                          parity, n, GENS))
+    assert blocks > 200
 
 
 def test_delta_block_composes_to_zero():
@@ -467,7 +531,7 @@ def test_delta_block_composes_to_zero():
 
 def test_reduced_cocycle_vanishing_on_HB_is_coboundary():
     # reduced n-cocycles killed on H B^{n-1} are exact, n >= 2
-    from ospcoho.cochains import _a_monomial, cochain_from_coords
+    from ospcoho.cochains import _a_monomial
     from tests_support_dense import SparseMatrix, delta_matrix, int_columns
     from ospcoho import linalg
     mod = TruncatedDlm(0, F(1, 2), 3)
@@ -490,7 +554,7 @@ def test_reduced_cocycle_vanishing_on_HB_is_coboundary():
 def test_h2_representative_localizes():
     from ospcoho.cochains import reduce_cochain
     mod = TruncatedDlm(0, F(1, 2), 3)
-    reps = class_representatives(mod, 2, 0, 1)
+    reps = class_representatives(mod, 2, mod.twice_shifted(0), 1)
     assert len(reps) == 1
     _, red = reduce_cochain(reps[0])
     assert red.values.get(("B", "B"))
@@ -792,19 +856,61 @@ def test_delta_block_equals_the_per_block_reference():
     assert entries > 400000
 
 
+def _count_block_basis(monkeypatch, calls):
+    """Record each call of `cochains.block_basis` in `calls`, under every
+    name a program module holds it by."""
+    import sys
+    import ospcoho.cochains as cc
+    inner = cc.block_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "ospcoho"
+                and getattr(module, "block_basis", None) is inner):
+            monkeypatch.setattr(module, "block_basis", counted)
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, loaded from its file."""
+    import importlib.util
+    import pathlib
+    path = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+            / "workloads.py")
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_certification_builds_no_positional_basis(monkeypatch):
+    # the certificates read the chains' blocks and a cochain's
+    # coordinates at stride indices: the restriction checks on the
+    # acceptance grid, the primitives of the benchmark's seeded cocycles
+    # and the localization kernels build no positional basis
+    calls = []
+    cocycles = _benchmark_workloads().coboundary_inputs(1)
+    _count_block_basis(monkeypatch, calls)
+    for lam, mu in ACCEPTANCE_GRID:
+        assert restriction_injectivity_check(lam, mu, K=8, nmax=2)["ok"]
+    assert len(cocycles) == 4
+    assert all(is_coboundary(f) is not None for f in cocycles)
+    mod = TruncatedDlm(0, F(1, 2), 3)
+    assert all(engine.localization_kernel_dim(mod, n, w, parity) == 0
+               for n in (1, 2, 3) for w in (F(0), F(1, 2))
+               for parity in (0, 1))
+    assert calls == []
+
+
 def test_a_grid_pass_builds_no_positional_basis_nor_empty_chain(
         monkeypatch):
     # the ranks read the chains' stride indices, never a positional basis,
     # and a parity that holds no vector at t is answered 0 with no chain
     import ospcoho.cochains as cc
     calls, chains = [], []
-    for owner in (cc, engine):
-        for name in ("block_basis", "delta_block"):
-            def counted(*args, _name=name, _inner=getattr(owner, name),
-                        **kwargs):
-                calls.append(_name)
-                return _inner(*args, **kwargs)
-            monkeypatch.setattr(owner, name, counted)
+    _count_block_basis(monkeypatch, calls)
     init = cc._WeightChain.__init__
 
     def filed(chain, t, parity, universe):

@@ -15,7 +15,8 @@ from ospcoho.weightmod import (FAMILIES, FAMILY_PARITY,
                                action_scale, from_oppoly,
                                module_axiom_holds, to_oppoly)
 from tests_support_dense import (act, act_basis, action_compat_defect,
-                                 op_term, rescaled_table, vec_from_json)
+                                 basis_weight, op_term, rescaled_table,
+                                 vec_from_json)
 
 F = Fraction
 
@@ -45,10 +46,10 @@ def test_weight_and_parity_homogeneity():
                 for k in range(4):
                     bv = (fam, m, k)
                     out = act_basis(mod, gen, bv)
-                    target_w = mod.basis_weight(bv) + WEIGHT[gen]
+                    target_w = basis_weight(mod, bv) + WEIGHT[gen]
                     gen_par = 1 if gen in ("A", "B") else 0
                     for tbv in out:
-                        assert mod.basis_weight(tbv) == target_w
+                        assert basis_weight(mod, tbv) == target_w
                         assert FAMILY_PARITY[tbv[0]] == \
                             (FAMILY_PARITY[fam] + gen_par) % 2
                         assert tbv[2] <= mod.K

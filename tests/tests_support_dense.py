@@ -2,7 +2,9 @@
 
 Naive dense Gaussian elimination, the Fraction matrices of the
 differential, the per-block assembler the weight chains replaced and
-the coboundary built on it;
+the coboundary built on it; the positional view of the program's
+blocks, which the tests read by position, and the primitive solved on
+it;
 the Fraction definitions that the program decides in integers (the
 action with X = A o A and Y = -B o B composed in Fractions, the module
 axiom defect, the Jacobi defect) and the rescaled bracket tables; the
@@ -16,13 +18,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from ospcoho import linalg
 from ospcoho.algebra import (GENS, PAIR_ORDER, PARITY, SL2, StructureTable,
-                             adopted_table, canonicalize, monomial_basis)
-from ospcoho.cochains import (Cochain, _graded_monomials, _scales,
-                              _term1_sign, _term2_sign, delta_block)
+                             adopted_table, canonicalize, monomial_basis,
+                             monomial_parity, monomial_weight)
+from ospcoho.cochains import (Cochain, _basis, _graded_monomials, _scales,
+                              _term1_sign, _term2_sign, _weight_chain,
+                              zero_cochain)
 from ospcoho.superdiff import (ETA, ETABAR, OpPoly, graded_commutator,
                                vector_field)
-from ospcoho.weightmod import TruncatedDlm, vec_add, vec_scale
+from ospcoho.weightmod import FAMILY_SHIFT, TruncatedDlm, vec_add, vec_scale
 
 
 # --- the Fraction action ----------------------------------------------------
@@ -300,6 +305,116 @@ class SparseMatrix:
 
 
 
+# --- the positional view of the program's blocks ---------------------------
+#
+# The program indexes a weight block by stride index only (`_basis`).
+# The tests that read a block by position read it through this view:
+# the block basis in stride order, the chain's columns re-keyed to
+# positions, and a cochain's coordinates on that basis.
+
+def basis_weight(mod, bv):
+    """The weight k - m - p + shift(family) of a basis vector."""
+    f, m, k = bv
+    return k - m - mod.p + FAMILY_SHIFT[f]
+
+
+def weight_components(f):
+    """f split into weight-homogeneous parts: {w: Cochain}, by w."""
+    parts = {}
+    for u, vec in f.values.items():
+        wu = monomial_weight(u)
+        for bv, c in vec.items():
+            w = basis_weight(f.mod, bv) - wu
+            parts.setdefault(w, {}).setdefault(u, {})[bv] = c
+    return {w: Cochain(f.mod, f.degree, f.parity, vals, f.universe)
+            for w, vals in sorted(parts.items())}
+
+
+def random_cochain(mod, degree, parity, rng,
+                   universe=GENS, weights=(Fraction(0), Fraction(1, 2),
+                                           Fraction(-1))):
+    """A cochain with random small rational values at the given weights,
+    drawn from `rng`."""
+    vals = {}
+    for u in monomial_basis(degree, universe):
+        for w in weights:
+            bvpar = (parity + monomial_parity(u)) % 2
+            for bv in mod.weight_basis(w + monomial_weight(u), bvpar):
+                if rng.random() < 0.3:
+                    c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    if c:
+                        vals.setdefault(u, {})[bv] = c
+    return Cochain(mod, degree, parity, vals, universe)
+
+
+def delta_block(mod, n, w, parity, universe=GENS, skip=()):
+    """Integer columns of d: C^n_w -> C^{n+1}_w on one parity component.
+
+    Returns (domain_basis, codomain_basis, cols, scale): cols[c] is a
+    {codomain position: int} dict, and cols[c] / scale is column c of
+    the exact matrix, the coboundary of the delta cochain at
+    domain_basis[c]. The columns at the domain positions in `skip` are
+    left empty. The columns are the weight chain's
+    (`_WeightChain.block`), re-keyed from stride indices to positions.
+    """
+    t = mod.twice_shifted(w)
+    dom, cod = _basis(mod, t, parity, n, universe), \
+        _basis(mod, t, parity, n + 1, universe)
+    cols, scale = _weight_chain(mod, t, parity, universe).block(
+        mod, n, {dom[c][0] for c in skip})
+    row = {index: r for r, (index, _, _) in enumerate(cod)}
+    return ([(u, bv) for _, u, bv in dom], [(u, bv) for _, u, bv in cod],
+            [{row[r]: x for r, x in col.items()} for col in cols], scale)
+
+
+def cochain_coords(f, basis):
+    """Coordinates of f on a block basis: {position: Fraction}."""
+    out = {}
+    for idx, (u, bv) in enumerate(basis):
+        vec = f.values.get(u)
+        if vec and bv in vec:
+            out[idx] = vec[bv]
+    return out
+
+
+def cochain_from_coords(mod, degree, parity, basis, coords, universe=GENS):
+    """The cochain with coordinates {position: value} on a block basis."""
+    vals = {}
+    for idx, c in coords.items():
+        u, bv = basis[idx]
+        vals.setdefault(u, {})[bv] = c
+    return Cochain(mod, degree, parity, vals, universe)
+
+
+def reference_primitive(f, target=None):
+    """`cochains.primitive` on the positional view.
+
+    Per weight of f: its coordinates on the codomain basis, the rows
+    whose monomial passes `target` (all when it is None), `linalg.solve`
+    on `delta_block`'s columns, and the solution decoded on the domain
+    basis. None when some weight has no solution.
+    """
+    n = f.degree
+    g = zero_cochain(f.mod, n - 1, f.parity, f.universe)
+    for w, part in weight_components(f).items():
+        dom, cod, cols, scale = delta_block(f.mod, n - 1, w, f.parity,
+                                            f.universe)
+        rhs = cochain_coords(part, cod)
+        if target is not None:
+            rows = {r for r, (u, _) in enumerate(cod) if target(u)}
+            cols = [{r: v for r, v in col.items() if r in rows}
+                    for col in cols]
+            rhs = {r: c for r, c in rhs.items() if r in rows}
+        sol = linalg.solve(cols, scale, rhs)
+        if sol is None:
+            return None
+        g = g.add(cochain_from_coords(f.mod, n - 1, f.parity, dom, sol,
+                                      f.universe))
+    return g
+
+
+# --- dense matrices of the differential -------------------------------------
+
 def delta_matrix(mod, n, w, parity, universe=GENS):
     """Exact matrix of d: C^n_w -> C^{n+1}_w on one parity component.
 
@@ -358,7 +473,8 @@ def int_columns(m):
 
 # --- the weight-block assembler as it was before the weight chains ----------
 #
-# Kept verbatim (names prefixed) as the oracle for `cochains.delta_block`:
+# Kept verbatim (names prefixed) as the oracle for the chains' blocks,
+# read through `delta_block`:
 # per-block bases, per-target Koszul sums and accumulating writes.
 
 @lru_cache(maxsize=64)
@@ -486,7 +602,7 @@ def reference_block_coboundary(f):
     of all the components are added into one cochain value by value.
     """
     out = {}
-    for w, part in f.weight_components().items():
+    for w, part in weight_components(f).items():
         dom, cod, cols, scale = reference_delta_block(
             f.mod, f.degree, w, f.parity, f.universe)
         index = {pair: c for c, pair in enumerate(dom)}
