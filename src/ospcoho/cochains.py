@@ -18,8 +18,10 @@ The weight blocks d_n: C^n_w -> C^{n+1}_w are assembled per weight
 chain (`_WeightChain`), kept in the module's `chains`. A row or column
 has the stride index i(u) * S + pos (`_basis`): the monomial's place in
 `monomial_basis`, the vector's position in its module slice, and the
-module's stride S, the most vectors a slice holds (`stride`). The
-Koszul terms are built once per (degree, parity, universe), source-major
+module's stride S, the most vectors a slice holds (`stride`). A chain
+is keyed by t = 2(w + p) and the universe: the module's slice t holds
+one parity, t mod 2, and so does C^n_w. That parity enters only the
+Koszul terms, built once per (degree, t mod 2, universe), source-major
 (`_koszul_skeleton`), and resolved once per degree, per source, against
 the module's integer stencils (`_WeightChain.sources`). A column is
 built from its source's terms with one write per matrix entry
@@ -50,9 +52,9 @@ from . import Mismatch, linalg
 from .algebra import (GENS, PARITY, SL2, adopted_table, canonicalize,
                       monomial_basis, monomial_parity, monomial_str,
                       monomial_weight)
-from .weightmod import (FAMILY_PARITY, TWICE_WEIGHT, TruncatedDlm,
-                        TruncationViolation, from_oppoly, to_oppoly,
-                        vec_add, vec_scale, vec_to_json)
+from .weightmod import (FAMILY_PARITY, TruncatedDlm, TruncationViolation,
+                        from_oppoly, to_oppoly, vec_add, vec_scale,
+                        vec_to_json)
 
 
 class SolveFailed(Mismatch):
@@ -68,7 +70,8 @@ class TypeMismatch(TypeError):
 
 
 class Cochain:
-    """Parity-homogeneous n-cochain with values in a truncated module."""
+    """Parity-homogeneous n-cochain with values in a truncated module, on
+    the monomials of monomial_basis(degree, universe) (ValueError else)."""
 
     __slots__ = ("mod", "degree", "parity", "values", "universe")
 
@@ -78,8 +81,12 @@ class Cochain:
         self.parity = parity
         self.universe = tuple(universe)
         self.values = {}
+        graded = _graded_monomials(degree, self.universe)
         for mono, vec in (values or {}).items():
             mono = tuple(mono)
+            if mono not in graded:
+                raise ValueError(f"monomial {mono} is not in monomial_basis"
+                                 f"({degree}, {self.universe})")
             vec = {bv: c if type(c) is Fraction else Fraction(c)
                    for bv, c in vec.items() if c}
             if not vec:
@@ -161,21 +168,22 @@ def _koszul_skeleton(n, q, universe):
 
     Returns (T, skeleton): T is the lcm of the adopted table's bracket
     denominators (`StructureTable.scaled_brackets`), and per source in
-    `monomial_basis(n, universe)`, the skeleton holds (2 weight, parity,
+    `monomial_basis(n, universe)`, the skeleton holds (2 weight,
     ((target index, gen, sign, coeff), ...)) by increasing index in
     `monomial_basis(n + 1, universe)`: (df)(target) sums
     sign * gen.f(source) + (coeff / T) * f(source). gen = target -
     source, a single generator, or None when that is not one or its
     summed sign is 0; a bracket term meets such a source only for gen = H.
-    q enters only as (-1)^{gen q}: q = 1 flips the signs of odd gens."""
+    q, read off the chain's weight (t mod 2), enters only as
+    (-1)^{gen q}: q = 1 flips the signs of odd gens."""
     if q:
         T, even = _koszul_skeleton(n, 0, universe)
-        return T, tuple((w2, up, tuple((j, g, -s if PARITY.get(g) else s, b)
-                                       for j, g, s, b in targets))
-                        for w2, up, targets in even)
+        return T, tuple((w2, tuple((j, g, -s if PARITY.get(g) else s, b)
+                                   for j, g, s, b in targets))
+                        for w2, targets in even)
     T, scaled = adopted_table().scaled_brackets()
     graded = _graded_monomials(n, universe)
-    by_source = {u: [] for u, _, _ in graded}
+    by_source = {u: [] for u in graded}
     for j, target in enumerate(monomial_basis(n + 1, universe)):
         parities = [PARITY[g] for g in target]
         prefix = [0]
@@ -199,7 +207,8 @@ def _koszul_skeleton(n, q, universe):
             if sign or coeff:
                 by_source[src].append((j, gen if sign else None, sign,
                                        coeff))
-    return T, tuple((w2, up, tuple(by_source[u])) for u, up, w2 in graded)
+    return T, tuple((w2, tuple(by_source[u]))
+                    for u, (_, w2) in graded.items())
 
 
 def _scales(mod, T):
@@ -228,8 +237,7 @@ def coboundary(f):
     mod, n, S = f.mod, f.degree, f.mod.stride
     out = {}
     for t, coords in _coords(f).items():
-        chain = _weight_chain(mod, t, f.parity, f.universe)
-        scale, sources = chain.sources(mod, n)
+        scale, sources = _weight_chain(mod, t, f.universe).sources(mod, n)
         terms = {col0: terms for col0, _, terms in sources}
         Q = lcm(*(c.denominator for c in coords.values()))
         acc = {}
@@ -238,7 +246,7 @@ def coboundary(f):
             for r, x in _column(terms[index - pos], pos).items():
                 acc[r] = acc.get(r, 0) + c * x
         den = Q * scale
-        for index, u, bv in _basis(mod, t, f.parity, n + 1, f.universe):
+        for index, u, bv in _basis(mod, t, n + 1, f.universe):
             if v := acc.get(index):
                 out.setdefault(u, {})[bv] = Fraction(v, den)
     return Cochain(mod, n + 1, f.parity, out, f.universe)
@@ -248,29 +256,32 @@ def coboundary(f):
 
 @lru_cache(maxsize=32)
 def _graded_monomials(n, universe):
-    """(monomial, parity, twice the weight) for the degree-n monomials."""
-    return tuple((u, monomial_parity(u), int(2 * monomial_weight(u)))
-                 for u in monomial_basis(n, universe))
+    """{monomial: (its index in monomial_basis(n, universe), twice its
+    weight)}, in that order."""
+    return {u: (i, int(2 * monomial_weight(u)))
+            for i, u in enumerate(monomial_basis(n, universe))}
 
 
-def _basis(mod, t, parity, n, universe):
-    """[(stride index, monomial, BasisVector)] of C^n_w at t = 2(w + p), by
-    increasing index; empty, unscanned, unless t is congruent to the
-    cochain parity mod 2 (twice a weight carries its parity)."""
+def _basis(mod, t, n, universe):
+    """[(stride index, monomial, BasisVector)] of C^n_w at the int
+    t = 2(w + p), by increasing index; each cochain in it has parity
+    t mod 2 (u reads the slice t + 2 wt(u))."""
     out, S = [], mod.stride
-    if t is not None and (t - parity) % 2 == 0:
-        for i, (u, up, w2) in enumerate(_graded_monomials(n, universe)):
-            for bv, pos in mod.slice(t + w2, (parity + up) % 2).items():
-                out.append((i * S + pos, u, bv))
+    for u, (i, w2) in _graded_monomials(n, universe).items():
+        for bv, pos in mod.slice(t + w2).items():
+            out.append((i * S + pos, u, bv))
     return out
 
 
 def block_basis(mod, n, w, parity, universe=GENS):
     """Ordered basis [(monomial, BasisVector)] of the weight-w part of C^n
-    on one parity component (0 or 1), by increasing stride index. Its
-    only reader is the benchmark's rank sum, which takes its length."""
-    return [(u, bv) for _, u, bv in
-            _basis(mod, mod.twice_shifted(w), parity, n, universe)]
+    on one parity component (0 or 1, empty unless t = 2(w + p) has it),
+    by increasing stride index. Its only reader is the benchmark's rank
+    sum, which takes its length."""
+    t = mod.twice_shifted(w)
+    if t is None or (t - parity) % 2:
+        return []
+    return [(u, bv) for _, u, bv in _basis(mod, t, n, universe)]
 
 
 def _coords(f):
@@ -278,32 +289,31 @@ def _coords(f):
     t = 2(w + p) for each weight w of f (`_basis`). A value on a vector
     that is not in f's module raises TruncationViolation."""
     mod, S = f.mod, f.mod.stride
-    place = {u: i for i, u in enumerate(monomial_basis(f.degree,
-                                                       f.universe))}
+    graded = _graded_monomials(f.degree, f.universe)
     out = {}
     for u, vec in f.values.items():
-        w2 = sum(TWICE_WEIGHT[g] for g in u)
+        i, w2 = graded[u]
         for bv, c in vec.items():
             tb = mod.twice_shifted_weight(bv)
-            pos = mod.slice(tb, FAMILY_PARITY[bv[0]]).get(bv)
+            pos = mod.slice(tb).get(bv)
             if pos is None:
                 raise TruncationViolation(f"{bv} is not a vector of {mod}")
-            out.setdefault(tb - w2, {})[place[u] * S + pos] = c
+            out.setdefault(tb - w2, {})[i * S + pos] = c
     return out
 
 
-def _from_coords(mod, n, parity, t, coords, universe):
+def _from_coords(mod, n, t, coords, universe):
     """The n-cochain with coordinates {stride index: value} on C^n_w at
-    t = 2(w + p): the inverse of `_coords` at one t."""
+    t = 2(w + p), of parity t mod 2: the inverse of `_coords` at one t."""
     vals = {}
-    for index, u, bv in _basis(mod, t, parity, n, universe):
+    for index, u, bv in _basis(mod, t, n, universe):
         if index in coords:
             vals.setdefault(u, {})[bv] = coords[index]
-    return Cochain(mod, n, parity, vals, universe)
+    return Cochain(mod, n, t % 2, vals, universe)
 
 
 class _WeightChain:
-    """The blocks d_n: C^n_w -> C^{n+1}_w of one weight and parity.
+    """The blocks d_n: C^n_w -> C^{n+1}_w of one weight (parity t mod 2).
 
     A chain is kept in its module's `chains` and refers to no module:
     every method takes the module it is read on. Rows and columns carry
@@ -319,11 +329,10 @@ class _WeightChain:
     files (rank, columns, pivots) there.
     """
 
-    __slots__ = ("t", "parity", "universe", "_sources", "ranks")
+    __slots__ = ("t", "universe", "_sources", "ranks")
 
-    def __init__(self, t, parity, universe):
-        self.t, self.parity, self.universe = t, parity, universe
-        self._sources, self.ranks = {}, {}
+    def __init__(self, t, universe):
+        self.t, self.universe, self._sources, self.ranks = t, universe, {}, {}
 
     def sources(self, mod, n):
         """(scale, ((col0, length, terms), ...)): d_n per source u with a
@@ -333,29 +342,27 @@ class _WeightChain:
         int on the diagonal."""
         hit = self._sources.get(n)
         if hit is None:
-            T, skeleton = _koszul_skeleton(n, self.parity, self.universe)
+            T, skeleton = _koszul_skeleton(n, self.t % 2, self.universe)
             scale, act_factor, bracket_factor = _scales(mod, T)
             weight, stencil, S = mod.scaled_weight, mod.stencil, mod.stride
-            t, q, out = self.t, self.parity, []
-            if t is not None and (t - q) % 2 == 0:
-                for i, (w2, up, targets) in enumerate(skeleton):
-                    tk, pk = t + w2, (q + up) % 2   # the source's slice
-                    length = len(mod.slice(tk, pk))
-                    if not length:
-                        continue
-                    terms = []
-                    for j, gen, s, b in targets:
-                        if gen == "H":  # H acts on the slice by its weight
-                            v = (b * bracket_factor
-                                 + s * act_factor * weight(tk))
-                            if v:
-                                terms.append((j * S, v, None))
-                        elif gen:
-                            terms.append((j * S, s * act_factor,
-                                          stencil(gen, tk, pk)))
-                        elif b:
-                            terms.append((j * S, b * bracket_factor, None))
-                    out.append((i * S, length, tuple(terms)))
+            out = []
+            for i, (w2, targets) in enumerate(skeleton):
+                tk = self.t + w2    # the source's slice
+                length = len(mod.slice(tk))
+                if not length:
+                    continue
+                terms = []
+                for j, gen, s, b in targets:
+                    if gen == "H":  # H acts on the slice by its weight
+                        v = b * bracket_factor + s * act_factor * weight(tk)
+                        if v:
+                            terms.append((j * S, v, None))
+                    elif gen:
+                        terms.append((j * S, s * act_factor,
+                                      stencil(gen, tk)))
+                    elif b:
+                        terms.append((j * S, b * bracket_factor, None))
+                out.append((i * S, length, tuple(terms)))
             hit = self._sources[n] = (scale, tuple(out))
         return hit
 
@@ -382,28 +389,28 @@ def _column(terms, i):
     return col
 
 
-def _weight_chain(mod, t, parity, universe):
-    """The weight chain of `mod` at t = 2(w + p) (`twice_shifted`)."""
-    key = (t, parity, universe)
+def _weight_chain(mod, t, universe):
+    """The weight chain of `mod` at the int t = 2(w + p) (`twice_shifted`)."""
+    key = (t, universe)
     chains = mod.chains
     if key not in chains:
         chains[key] = _WeightChain(*key)
     return chains[key]
 
 
-def _kernel_cochains(mod, n, t, parity, universe, skip):
+def _kernel_cochains(mod, n, t, universe, skip):
     """Integer kernel of d_n at t = 2(w + p) on the columns whose stride
     index is outside `skip`, as Cochains: only those columns are
     assembled, and each kernel vector (`linalg.int_kernel_basis`) is
     divided by its lead."""
-    cols = _weight_chain(mod, t, parity, universe).block(mod, n, skip)[0]
+    cols = _weight_chain(mod, t, universe).block(mod, n, skip)[0]
     keep = [(index, col) for (index, _, _), col
-            in zip(_basis(mod, t, parity, n, universe), cols)
+            in zip(_basis(mod, t, n, universe), cols)
             if index not in skip]
     out = []
     for vec in linalg.int_kernel_basis([col for _, col in keep]):
         lead = vec[min(vec)]
-        out.append(_from_coords(mod, n, parity, t, {
+        out.append(_from_coords(mod, n, t, {
             keep[i][0]: Fraction(v, lead) for i, v in vec.items()},
             universe))
     return out
@@ -447,14 +454,13 @@ def primitive(f, target=None):
 
     g = zero_cochain(mod, n - 1, f.parity, f.universe)
     for t, rhs in sorted(_coords(f).items()):
-        cols, scale = _weight_chain(mod, t, f.parity, f.universe).block(
-            mod, n - 1, ())
+        cols, scale = _weight_chain(mod, t, f.universe).block(mod, n - 1, ())
         sol = linalg.solve([targeted(col) for col in cols], scale,
                            targeted(rhs))
         if sol is None:
             return None
-        dom = _basis(mod, t, f.parity, n - 1, f.universe)
-        g = g.add(_from_coords(mod, n - 1, f.parity, t, {
+        dom = _basis(mod, t, n - 1, f.universe)
+        g = g.add(_from_coords(mod, n - 1, t, {
             dom[c][0]: x for c, x in sol.items()}, f.universe))
     return g
 
@@ -534,12 +540,12 @@ def cup(f, h):
 
 # --- explicit cocycle constructors ------------------------------------------
 
-def _reduced_cocycle_space(mod, parity, slots):
+def _reduced_cocycle_space(mod, slots):
     """Weight-0 cocycles supported on the given 1-slots, as Cochains."""
     t = mod.twice_shifted(0)
-    skip = {index for index, u, _ in _basis(mod, t, parity, 1, GENS)
+    skip = {index for index, u, _ in _basis(mod, t, 1, GENS)
             if u[0] not in slots}
-    return _kernel_cochains(mod, 1, t, parity, GENS, skip)
+    return _kernel_cochains(mod, 1, t, GENS, skip)
 
 
 def _normalized(f, slot, bv):
@@ -610,7 +616,7 @@ def make_h_lambda(lam):
     reference. Returns (cochain, per-slot ratios to the reference).
     """
     mod = TruncatedDlm(lam, lam, 3)
-    space = _reduced_cocycle_space(mod, 0, ("H", "B", "Y"))
+    space = _reduced_cocycle_space(mod, ("H", "B", "Y"))
     if len(space) != 1:
         raise NoCocycle(
             f"expected a single reduced cocycle, found {len(space)}")
@@ -626,7 +632,7 @@ def _special_module(k):
 def make_f_k(k):
     """The odd reduced 1-cocycle with nonzero H slot of D_{-k/2,(k+1)/2}."""
     mod = _special_module(k)
-    space = _reduced_cocycle_space(mod, 1, ("H", "B", "Y"))
+    space = _reduced_cocycle_space(mod, ("H", "B", "Y"))
     if len(space) != 2:
         raise NoCocycle(
             f"expected a 2-dimensional cocycle space, found {len(space)}")
@@ -648,7 +654,7 @@ def make_f_k(k):
 def make_ftilde_k(k):
     """The odd reduced 1-cocycle with zero H slot of D_{-k/2,(k+1)/2}."""
     mod = _special_module(k)
-    space = _reduced_cocycle_space(mod, 1, ("B", "Y"))
+    space = _reduced_cocycle_space(mod, ("B", "Y"))
     if len(space) != 1:
         raise NoCocycle(
             f"expected a single H-free cocycle, found {len(space)}")

@@ -4,9 +4,10 @@ Every complex here is built on the adopted bracket table (`cochains`);
 a table is an argument only of the audit (`run_audit`).
 
 For one truncated module and one cochain weight w the differential
-d_n: C^n_w -> C^{n+1}_w is a finite exact matrix per parity;
-dim H^n_w = dim C^n_w - rank d_n - rank d_{n-1}. The ranks of one
-(w, parity) chain (`cochains._WeightChain`: rows and columns at stride
+d_n: C^n_w -> C^{n+1}_w is a finite exact matrix, whose cochains all
+have the parity t mod 2 of t = 2(w + p) (the module's slices fix it);
+dim H^n_w = dim C^n_w - rank d_n - rank d_{n-1}. The ranks of a weight
+chain (`cochains._WeightChain`: rows and columns at stride
 indices, each column written once from integer stencils) are filed
 with the chain, which the module keeps, in the order n = 0, 1, ...;
 each step hands the next the pivot coordinates of an echelon basis V of
@@ -133,18 +134,18 @@ def twice_h_dim(mod, n, t, universe=GENS):
     """`h_dim` at t = 2(w + p) (`twice_shifted`: an int, or None when no
     vector has weight w and every block is empty).
 
-    dim H^n_w = cols_n - rank d_n - rank d_{n-1} per parity. The ranks
-    are chained on the weight chain of (t, parity) (see `_chain_rank`),
-    which presumes d^2 = 0; the adopted table and the module axiom
-    guarantee it, and blocks may be asked for in any order.
+    dim H^n_w = cols_n - rank d_n - rank d_{n-1}, all of cochain parity
+    t mod 2. The ranks are chained on the weight chain of t (see
+    `_chain_rank`), which presumes d^2 = 0; the adopted table and the
+    module axiom guarantee it, and blocks may be asked for in any order.
     """
-    per = [0, 0]    # the parity other than t mod 2 holds no vector at t
-    for parity in () if t is None else (t % 2,):
-        chain = _weight_chain(mod, t, parity, universe)
-        rank_n, cols, _ = _chain_rank(mod, chain, n)
-        rank_prev = _chain_rank(mod, chain, n - 1)[0] if n > 0 else 0
-        per[parity] = cols - rank_n - rank_prev
-    return DimCount(per[0] + per[1], per[0], per[1])
+    if t is None:
+        return DimCount(0, 0, 0)
+    chain = _weight_chain(mod, t, universe)
+    rank_n, cols, _ = _chain_rank(mod, chain, n)
+    rank_prev = _chain_rank(mod, chain, n - 1)[0] if n > 0 else 0
+    dim = cols - rank_n - rank_prev
+    return DimCount(dim, 0, dim) if t % 2 else DimCount(dim, dim, 0)
 
 
 # --- closed-form predictions ------------------------------------------------
@@ -248,13 +249,13 @@ def is_coboundary(f):
     return g
 
 
-def class_representatives(mod, n, t, parity, universe=GENS):
-    """Cocycle representatives of a basis of H^n_w (one parity), at
-    t = 2(w + p) (`twice_shifted`).
+def class_representatives(mod, n, t, universe=GENS):
+    """Cocycle representatives of a basis of H^n_w, at t = 2(w + p)
+    (`twice_shifted`), all of parity t mod 2.
 
-    Where the chained ranks (`twice_h_dim`) give 0 for the parity, the answer
-    is [] and no kernel is taken; they have still assembled and ranked
-    d_{n-1} and d_n (cleared) to say so. Otherwise it is the integer kernel
+    Where the chained ranks (`twice_h_dim`) give 0, the answer is [] and
+    no kernel is taken; they have still assembled and ranked d_{n-1} and
+    d_n (cleared) to say so. Otherwise it is the integer kernel
     (`linalg.int_kernel_basis`) of d_n[:, N], N being the coordinates
     outside the pivots P of an echelon basis of im d_{n-1}: a cocycle
     reduces modulo that basis to one that is zero on P, and a nonzero
@@ -262,20 +263,17 @@ def class_representatives(mod, n, t, parity, universe=GENS):
     echelon rows is nonzero at its smallest pivot), so v -> [v] maps
     ker d_n[:, N] onto H^n_w isomorphically. Both steps presume d^2 = 0.
     """
-    dims = twice_h_dim(mod, n, t, universe)
-    if not (dims.even, dims.odd)[parity]:
+    if not twice_h_dim(mod, n, t, universe).total:
         return []
-    skip = ()
-    if n > 0:
-        chain = _weight_chain(mod, t, parity, universe)
-        skip = _chain_rank(mod, chain, n - 1)[2]
-    return _kernel_cochains(mod, n, t, parity, universe, skip)
+    chain = _weight_chain(mod, t, universe)
+    skip = _chain_rank(mod, chain, n - 1)[2] if n > 0 else ()
+    return _kernel_cochains(mod, n, t, universe, skip)
 
 
 # --- localization and restriction checks -------------------------------------
 
 # no caller in the program yet: `ospcoho restrict` is to print it
-def localization_kernel_dim(mod, n, w, parity):
+def localization_kernel_dim(mod, n, w):
     """dim of {reduced n-cocycles at weight w with f(B^n) = 0}.
 
     Zero for every weight certifies that a reduced cocycle is determined
@@ -286,9 +284,11 @@ def localization_kernel_dim(mod, n, w, parity):
     """
     b_mono = tuple(["B"] * n)
     t = mod.twice_shifted(w)
-    dom = _basis(mod, t, parity, n, GENS)
+    if t is None:
+        return 0
+    dom = _basis(mod, t, n, GENS)
     units = {index for index, u, _ in dom if _a_monomial(u) or u == b_mono}
-    cols = _weight_chain(mod, t, parity, GENS).block(mod, n, units)[0]
+    cols = _weight_chain(mod, t, GENS).block(mod, n, units)[0]
     return (len(dom) - len(units)
             - len(linalg.int_pivots([c for c in cols if c])))
 
@@ -296,7 +296,7 @@ def localization_kernel_dim(mod, n, w, parity):
 def restriction_injectivity_check(lam, mu, K=None, nmax=2):
     """Restriction to sl(2) must be injective on H^n at weight 0.
 
-    Per (n, parity) the sl(2) restrictions of the class representatives
+    Per degree n the sl(2) restrictions of the class representatives
     become coordinates at the stride indices of the sl(2) C^n_0
     (`_coords`) and are ranked in integers against the columns of the
     sl(2) differential d_{n-1}, whose rows carry the same indices
@@ -304,34 +304,33 @@ def restriction_injectivity_check(lam, mu, K=None, nmax=2):
     every one of them enlarges the span, and a class restricts
     nontrivially iff its vector alone lies outside that image, as every
     vector that enlarged the span does. The representatives come from
-    `class_representatives` (premise d^2 = 0): where H^n_0 is zero for
-    a parity, its chained ranks of d_{n-1} and d_n are still taken, and
-    only the kernel and the sl(2) ranking are skipped.
+    `class_representatives` (premise d^2 = 0), all of parity t mod 2:
+    where H^n_0 is zero, its chained ranks of d_{n-1} and d_n are still
+    taken, and only the kernel and the sl(2) ranking are skipped.
     """
     mod = TruncatedDlm(lam, mu, guard_K(lam, mu, K))
     t = mod.twice_shifted(0)
     entries = []
     ok = True
     for n in range(nmax + 1):
-        for parity in (0, 1):
-            reps = class_representatives(mod, n, t, parity)
-            if not reps:
-                continue
-            vecs = [_coords(restrict_sl2(rep)).get(t, {}) for rep in reps]
-            image = []
-            if n > 0:
-                image = [c for c in _weight_chain(mod, t, parity, SL2).block(
-                    mod, n - 1, ())[0] if c]
-            kept = set(linalg.greedy_independent(image, vecs))
-            ok &= len(kept) == len(vecs)
-            for i, vec in enumerate(vecs):
-                entries.append({
-                    "n": n,
-                    "parity": parity,
-                    "class": i,
-                    "restriction_nontrivial": i in kept
-                    or linalg.greedy_independent(image, [vec]) == [0],
-                })
+        reps = class_representatives(mod, n, t)
+        if not reps:
+            continue
+        vecs = [_coords(restrict_sl2(rep)).get(t, {}) for rep in reps]
+        image = []
+        if n > 0:
+            image = [c for c in _weight_chain(mod, t, SL2).block(
+                mod, n - 1, ())[0] if c]
+        kept = set(linalg.greedy_independent(image, vecs))
+        ok &= len(kept) == len(vecs)
+        for i, vec in enumerate(vecs):
+            entries.append({
+                "n": n,
+                "parity": t % 2,
+                "class": i,
+                "restriction_nontrivial": i in kept
+                or linalg.greedy_independent(image, [vec]) == [0],
+            })
     return {"lambda": str(Fraction(lam)), "mu": str(Fraction(mu)),
             "K": mod.K, "classes": entries, "ok": ok}
 
@@ -521,8 +520,8 @@ def build_report(lam, mu, K=None, nmax=NMAX_DEFAULT, wmax=WMAX_DEFAULT):
             computed[n][w] = (DimCount(0, 0, 0) if piece is None
                               else twice_h_dim(piece, n, t))
     if piece is not None:
-        read = [key for key, vectors in piece.slices.items() if vectors]
-        if not all(casimir_commutes(piece, *key) for key in read):
+        read = [t for t, vectors in piece.slices.items() if vectors]
+        if not all(casimir_commutes(piece, t) for t in read):
             raise CasimirNotCentral(f"the Casimir is not central on {piece}")
     match = theorem == proposition and all(
         dc.total == (theorem[n] if w == 0 else 0)

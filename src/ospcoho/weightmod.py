@@ -17,8 +17,9 @@ is diagonal and A is onto, and D^{<=K}/D^{<=K0} is a module too.
 
 Weight slices are finite (at most `stride` = 2(K - max(K0, -1)) vectors)
 because fixing the weight pins m as a function of k within each family.
-A slice is keyed by the int t = 2(alpha + p) (`twice_shifted`) and holds
-one parity, t mod 2.
+A slice is keyed by the int t = 2(alpha + p) (`twice_shifted`) alone:
+the family shifts put a, b at even t and c, d at odd t, so a slice holds
+one parity, t mod 2 (`twice_weight_basis`), and no other layer decides it.
 
 The first-order rows are tabulated once, in integers:
 `TruncatedDlm.scaled_act_basis` gives D * g.bv for g in H, A and B as
@@ -229,9 +230,11 @@ class TruncatedDlm:
         return t.numerator if t.denominator == 1 else None
 
     def weight_basis(self, alpha, parity=None):
-        """All basis vectors of weight alpha with k <= K, family-major."""
+        """All basis vectors of weight alpha with k <= K, family-major;
+        [] for a parity other than the one the slice holds."""
         t = self.twice_shifted(alpha)
-        return [] if t is None else self.twice_weight_basis(t, parity)
+        held = t is not None and parity in (None, t % 2)
+        return self.twice_weight_basis(t) if held else []
 
     def twice_shifted_weight(self, bv):
         """The int t = 2(weight(bv) + p) of the slice holding bv, the
@@ -239,12 +242,11 @@ class TruncatedDlm:
         f, m, k = bv
         return 2 * (k - m) + _SHIFT2[f]
 
-    def twice_weight_basis(self, t, parity=None):
-        """weight_basis(alpha) for the integer t = 2(alpha + p)."""
+    def twice_weight_basis(self, t):
+        """weight_basis(alpha) for the int t = 2(alpha + p): the even
+        families at even t, the odd ones at odd t (the family shifts)."""
         out = []
         for f in FAMILIES:
-            if parity is not None and FAMILY_PARITY[f] != parity:
-                continue
             s, odd = divmod(t - _SHIFT2[f], 2)   # s = k - m
             if odd:
                 continue
@@ -252,37 +254,34 @@ class TruncatedDlm:
                 out.append((f, k - s, k))
         return out
 
-    def slice(self, t, parity):
-        """{BasisVector: position} of twice_weight_basis(t, parity), at
-        most `stride` long (TruncationViolation otherwise)."""
-        hit = self.slices.get((t, parity))
+    def slice(self, t):
+        """{BasisVector: position} of twice_weight_basis(t), at most
+        `stride` long (TruncationViolation otherwise)."""
+        hit = self.slices.get(t)
         if hit is None:
-            basis = self.twice_weight_basis(t, parity)
+            basis = self.twice_weight_basis(t)
             if len(basis) > self.stride:
-                raise TruncationViolation(f"slice {t, parity} is longer "
-                                          f"than the stride {self.stride}")
-            hit = self.slices[(t, parity)] = {
-                bv: i for i, bv in enumerate(basis)}
+                raise TruncationViolation(f"slice {t} is longer than the "
+                                          f"stride {self.stride}")
+            hit = self.slices[t] = {bv: i for i, bv in enumerate(basis)}
         return hit
 
-    def stencil(self, gen, t, parity):
-        """D * gen's images on the slice (t, parity), one tuple per
-        vector, of (position in the slice gen maps into, int) pairs by
-        increasing position: the table (`scaled_act_basis`) for H, A and
-        B, less the terms at k <= K0, composed on the A and B stencils
-        for X and Y (`_square_stencil`), and 2 D^2 z (`casimir`) for
-        gen = "z"."""
-        hit = self._stencils.get((gen, t, parity))
+    def stencil(self, gen, t):
+        """D * gen's images on the slice t, one tuple per vector, of
+        (position in the slice t + 2 wt(gen), int) pairs by increasing
+        position: the table (`scaled_act_basis`) for H, A and B, less the
+        terms at k <= K0, composed on the A and B stencils for X and Y
+        (`_square_stencil`), and 2 D^2 z (`casimir`) for gen = "z"."""
+        hit = self._stencils.get((gen, t))
         if hit is None:
             if gen == "z":
-                hit = casimir(self, t, parity)
+                hit = casimir(self, t)
             elif gen in _SQUARES:
-                hit = self._square_stencil(gen, t, parity)
+                hit = self._square_stencil(gen, t)
             else:
-                pos = self.slice(t + TWICE_WEIGHT[gen],
-                                 (parity + PARITY[gen]) % 2)
+                pos = self.slice(t + TWICE_WEIGHT[gen])
                 rows = []
-                for bv in self.slice(t, parity):
+                for bv in self.slice(t):
                     row = []
                     for tbv, x in self.scaled_act_basis(gen, bv):
                         if tbv[2] <= self.K0:
@@ -295,7 +294,7 @@ class TruncatedDlm:
                     row.sort()
                     rows.append(tuple(row))
                 hit = tuple(rows)
-            self._stencils[(gen, t, parity)] = hit
+            self._stencils[(gen, t)] = hit
         return hit
 
     def image(self, gen, bv):
@@ -304,32 +303,31 @@ class TruncatedDlm:
         img = self._images.get((gen, bv))
         if img is None:
             t = self.twice_shifted_weight(bv)
-            source = self.slice(t, t % 2)
+            source = self.slice(t)
             if bv not in source:
-                raise TruncationViolation(f"{bv} exceeds K={self.K}")
-            target = tuple(self.slice(t + TWICE_WEIGHT[gen],
-                                      (t + PARITY[gen]) % 2))
-            for b, row in zip(source, self.stencil(gen, t, t % 2)):
+                raise TruncationViolation(f"{bv} is not a vector of {self}")
+            target = tuple(self.slice(t + TWICE_WEIGHT[gen]))
+            for b, row in zip(source, self.stencil(gen, t)):
                 self._images[(gen, b)] = tuple((target[i], x)
                                                for i, x in row)
             img = self._images[(gen, bv)]
         return img
 
-    def _square_stencil(self, gen, t, parity):
+    def _square_stencil(self, gen, t):
         # D * gen.bv = sign * (odd_D o odd_D)(bv) / D on the slice, in
         # integers on slice positions
         odd, sign = _SQUARES[gen]
         D = self._ints[0]
-        first = self.stencil(odd, t, parity)
-        second = self.stencil(odd, t + TWICE_WEIGHT[odd], 1 - parity)
+        first = self.stencil(odd, t)
+        second = self.stencil(odd, t + TWICE_WEIGHT[odd])
         out = []
         for i, acc in enumerate(_compose(first, second)):
             img = []
             for k, v in sorted(acc.items()):
                 q, r = divmod(sign * v, D)
                 if r:
-                    bv = list(self.slice(t, parity))[i]
-                    tbv = list(self.slice(t + TWICE_WEIGHT[gen], parity))[k]
+                    bv = list(self.slice(t))[i]
+                    tbv = list(self.slice(t + TWICE_WEIGHT[gen]))[k]
                     c = Fraction(sign * v, D ** 2)
                     raise NonIntegralScale(
                         f"{gen}.{bv} has coefficient {c} at {tbv}, not "
@@ -342,22 +340,21 @@ class TruncatedDlm:
     def kernel_slice(self, gens, t):
         """Integer basis of the joint kernel of `gens` on the slice t.
 
-        t = 2(alpha + p) is an int (`twice_shifted`); the slice holds one
-        parity, t mod 2. The stencils of `gens` on the slice give each
-        basis vector one integer column (a row per generator and target
-        position), and the null space of those columns is taken in
-        integers (`linalg.int_kernel_basis`); the scale D changes no
-        kernel. Returns {BasisVector: int} vectors, one per free column
-        of the unique reduced echelon form.
+        t = 2(alpha + p) is an int (`twice_shifted`). The stencils of
+        `gens` on the slice give each basis vector one integer column (a
+        row per generator and target position), and the null space of
+        those columns is taken in integers (`linalg.int_kernel_basis`);
+        the scale D changes no kernel. Returns {BasisVector: int} vectors,
+        one per free column of the unique reduced echelon form.
         """
-        basis = list(self.slice(t, t % 2))
+        basis = list(self.slice(t))
         cols = [{} for _ in basis]
         row0 = 0
         for g in gens:
-            for col, row in zip(cols, self.stencil(g, t, t % 2)):
+            for col, row in zip(cols, self.stencil(g, t)):
                 for i, x in row:
                     col[row0 + i] = x
-            row0 += len(self.slice(t + TWICE_WEIGHT[g], (t + PARITY[g]) % 2))
+            row0 += len(self.slice(t + TWICE_WEIGHT[g]))
         return [{basis[c]: x for c, x in v.items()}
                 for v in linalg.int_kernel_basis(cols)]
 
@@ -379,9 +376,8 @@ class TruncatedDlm:
         Ranked in integers on the A stencils.
         """
         for t in self.kernel_weights():
-            rows = [dict(row) for row in self.stencil("A", t, t % 2)]
-            target = self.slice(t + 1, (t + 1) % 2)
-            if len(linalg.int_pivots(rows)) != len(target):
+            rows = [dict(row) for row in self.stencil("A", t)]
+            if len(linalg.int_pivots(rows)) != len(self.slice(t + 1)):
                 return False
         return True
 
@@ -419,9 +415,9 @@ _SQUARES = {"X": ("A", 1), "Y": ("B", -1)}
 TWICE_WEIGHT = {g: int(2 * w) for g, w in WEIGHT.items()}
 
 
-def casimir(mod, t, parity):
-    """2 D^2 z on the slice (t, parity), as stencil rows, for the
-    Casimir z = H^2 + XY + AB/2 - H/2 and D = action_scale(mod).
+def casimir(mod, t):
+    """2 D^2 z on the slice t, as stencil rows, for the Casimir
+    z = H^2 + XY + AB/2 - H/2 and D = action_scale(mod).
 
     XY and AB are composed on the module's stencils by `_compose`, and H
     acts on the slice by its weight (`TruncatedDlm.scaled_weight`). The
@@ -429,9 +425,8 @@ def casimir(mod, t, parity):
     composes it once.
     """
     st, h = mod.stencil, mod.scaled_weight(t)
-    xy = _compose(st("Y", t, parity), st("X", t + TWICE_WEIGHT["Y"], parity))
-    ab = _compose(st("B", t, parity),
-                  st("A", t + TWICE_WEIGHT["B"], 1 - parity))
+    xy = _compose(st("Y", t), st("X", t + TWICE_WEIGHT["Y"]))
+    ab = _compose(st("B", t), st("A", t + TWICE_WEIGHT["B"]))
     out = []
     for i, (xy_i, ab_i) in enumerate(zip(xy, ab)):
         row = {i: 2 * h * h - mod._ints[0] * h}
@@ -443,13 +438,13 @@ def casimir(mod, t, parity):
     return tuple(out)
 
 
-def casimir_commutes(mod, t, parity):
-    """z o g = g o z for g = A and B on the slice (t, parity), in
-    integers on the module's stencils of z (`casimir`)."""
-    z = mod.stencil("z", t, parity)
+def casimir_commutes(mod, t):
+    """z o g = g o z for g = A and B on the slice t, in integers on the
+    module's stencils of z (`casimir`)."""
+    z = mod.stencil("z", t)
     for g in ("A", "B"):
-        st = mod.stencil(g, t, parity)
-        after = mod.stencil("z", t + TWICE_WEIGHT[g], 1 - parity)
+        st = mod.stencil(g, t)
+        after = mod.stencil("z", t + TWICE_WEIGHT[g])
         for zg, gz in zip(_compose(st, after), _compose(z, st)):
             if any(zg.get(k, 0) != gz.get(k, 0) for k in {*zg, *gz}):
                 return False
@@ -483,13 +478,11 @@ def module_axiom_holds(mod, table):
     pairs = [(u, v) for i, u in enumerate(GENS) for v in GENS[i:]
              if u != v or PARITY[u]]
     for t in range(-2 * mod.K - 1, 2 * mod.K + 2):
-        parity = t % 2
-        rows = {g: mod.stencil(g, t, parity) for g in GENS}
+        rows = {g: mod.stencil(g, t) for g in GENS}
 
         def twice(u, v):
             # D^2 * u.(v.bv) for every vector bv of the slice
-            return _compose(rows[v], mod.stencil(
-                u, t + TWICE_WEIGHT[v], (parity + PARITY[v]) % 2))
+            return _compose(rows[v], mod.stencil(u, t + TWICE_WEIGHT[v]))
 
         for u, v in pairs:
             # T * D * [u,v], so that its terms meet D * g.bv

@@ -45,7 +45,7 @@ MUTANTS = (
      ENGINE + "test_zero_piece_has_the_cohomology_of_the_truncation"),
     # weight chains, and the ranks filed with them, kept in one
     # module-global dict, shared by every module with the same
-    # (t, parity, universe)
+    # (t, universe)
     ("chains-shared-across-modules", "cochains.py",
      "    chains = mod.chains\n",
      "    chains = _weight_chain.__dict__.setdefault('chains', {})\n",
@@ -75,6 +75,13 @@ MUTANTS = (
      "        for j, x in row[1:]:\n",
      "tests/test_weightmod.py::"
      "test_composed_stencils_equal_the_fraction_composition"),
+    # a slice enumeration without the family shifts: the odd families
+    # land at even t and the even ones at odd t, so a slice no longer
+    # holds the one parity t mod 2 that every layer above reads off t
+    ("slices-ignore-the-family-shift", "weightmod.py",
+     "divmod(t - _SHIFT2[f], 2)",
+     "divmod(t, 2)",
+     "tests/test_weightmod.py::test_a_slice_holds_the_parity_of_its_key"),
     # a stride one smaller than the longest slice: the slice-length check
     # must refuse the slices that no longer fit
     ("stride-one-short", "weightmod.py",

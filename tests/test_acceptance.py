@@ -145,9 +145,7 @@ def test_criterion_08_localization_and_reduction():
     mod = TruncatedDlm(F(0), F(1, 2), 3)
     for n in (1, 2, 3):
         for w in (F(0), F(1, 2), F(-1, 2), F(1), F(-3, 2)):
-            for parity in (0, 1):
-                assert engine.localization_kernel_dim(
-                    mod, n, w, parity) == 0, (n, w, parity)
+            assert engine.localization_kernel_dim(mod, n, w) == 0, (n, w)
     rng = random.Random(20240917)
     for degree in (1, 2, 3):
         for _ in range(50):

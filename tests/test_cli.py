@@ -380,7 +380,7 @@ def test_selftest_reports_a_raising_suite_as_a_failed_check(capsys,
 
 def test_dims_exits_1_when_the_casimir_is_not_central(capsys, monkeypatch):
     monkeypatch.setattr(cli.engine, "casimir_commutes",
-                        lambda mod, t, parity: False)
+                        lambda mod, t: False)
     assert cli.main(["dims", "--lambda", "0", "--mu", "2",
                      "--threads", "1"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -409,7 +409,7 @@ TWO_POINTS = ["dims", "--grid", "pairs:0,1/2;1,1", "--threads", "2"]
     (["cocycles", "--kind", "f", "--k", "1"], cli, "make_f_k",
      _raise(cochains.NoCocycle("expected a 2-dimensional cocycle space"))),
     (["dims", "--lambda", "0", "--mu", "2"], engine, "casimir_commutes",
-     lambda mod, t, parity: False),
+     lambda mod, t: False),
 ], ids=["a-not-onto", "a-not-onto-2-workers", "not-contained",
         "no-consistent-repair", "no-cocycle", "casimir-not-central"])
 def test_failed_checks_exit_1_with_one_line(tmp_path, capsys, monkeypatch,

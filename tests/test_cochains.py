@@ -117,7 +117,7 @@ def reference_coboundary(f, table):
 
 def test_koszul_skeleton_regroups_the_reference_terms():
     # the source-major skeleton is the per-target reference regrouped by
-    # source: per source monomial, its twice weight and parity and one
+    # source: per source monomial, its twice weight and one
     # (target index, gen, sign, coeff) per target it meets, the act
     # signs of one source summed (gen None when they cancel) and its
     # bracket coefficients added, by increasing target index
@@ -135,16 +135,15 @@ def test_koszul_skeleton_regroups_the_reference_terms():
                     for src, coeff in brackets:
                         want[src].setdefault(j, [None, 0, 0])[2] += coeff
                 assert T == ref_T
-                assert [(w2, up) for w2, up, _ in skeleton] == [
-                    (int(2 * monomial_weight(u)), monomial_parity(u))
-                    for u in sources]
-                assert [targets for _, _, targets in skeleton] == [
+                assert [w2 for w2, _ in skeleton] == [
+                    int(2 * monomial_weight(u)) for u in sources]
+                assert [targets for _, targets in skeleton] == [
                     tuple((j, gen if sign else None, sign, coeff)
                           for j, (gen, sign, coeff) in sorted(want[u].items())
                           if sign or coeff)
                     for u in sources], (universe, n, q)
                 found += sum(gen is None and coeff != 0
-                             for _, _, targets in skeleton
+                             for _, targets in skeleton
                              for _, gen, _, coeff in targets)
     assert found
 
@@ -247,6 +246,22 @@ def test_a_value_outside_the_module_is_a_truncation_violation(mod, bv):
         with pytest.raises(TruncationViolation) as err:
             read(f)
         assert str(bv) in str(err.value) and str(mod) in str(err.value)
+
+
+@pytest.mark.parametrize("degree, mono, bv, universe", [
+    (2, ("H", "X"), ("a", 0, 1), GENS),     # not in canonical order
+    (1, ("H", "H"), ("a", 0, 1), GENS),     # repeated even, wrong length
+    (1, ("A",), ("c", 0, 1), SL2),          # odd, outside the universe
+])
+def test_a_value_on_a_monomial_outside_the_basis_is_refused(
+        degree, mono, bv, universe):
+    # each value has the cochain's parity, so only the monomial is wrong;
+    # the cochain used to be built and `coboundary` then failed on it
+    # with a bare KeyError
+    with pytest.raises(ValueError) as err:
+        Cochain(MOD, degree, 0, {mono: {bv: F(1)}}, universe)
+    assert str(mono) in str(err.value)
+    assert mono not in monomial_basis(degree, universe)
 
 
 def test_coboundary_preserves_parity_and_weight():

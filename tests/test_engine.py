@@ -32,18 +32,18 @@ GRID = [(F(0), F(0)), (F(1), F(1)), (F(5, 2), F(5, 2)),
         (F(1, 3), F(0)), (F(0), F(2)), (F(1), F(1, 2))]
 
 
-def chain_rank(mod, n, w, parity, universe):
+def chain_rank(mod, n, w, universe):
     """(rank, columns, pivots) of d_n on C^n_w (`engine._chain_rank`)."""
-    chain = _weight_chain(mod, mod.twice_shifted(w), parity, universe)
+    chain = _weight_chain(mod, mod.twice_shifted(w), universe)
     return engine._chain_rank(mod, chain, n)
 
 
-def positions(mod, n, w, parity, universe, indices):
+def positions(mod, n, w, universe, indices):
     """Stride indices of C^n_w (`cochains._basis`) as the positions at
     which the positional view (`tests_support_dense.delta_block`) reads
     them."""
     at = {index: c for c, (index, _, _) in enumerate(
-        _basis(mod, mod.twice_shifted(w), parity, n, universe))}
+        _basis(mod, mod.twice_shifted(w), n, universe))}
     return frozenset(at[i] for i in indices)
 
 
@@ -91,33 +91,31 @@ def test_chained_ranks_equal_full_block_ranks():
     # space. The representatives are read off these pivots. _AZero is no
     # module (A acts as 0, [A, B] = -2H does not), so only the first
     # holds there; at the special points lambda = -k/2 the B coefficient
-    # 2lam + k of b_{m,k} vanishes
+    # 2lam + k of b_{m,k} vanishes. The chain at t = 2(w + p) holds the
+    # parity t mod 2, the positional view's one nonempty component
     blocks = 0
     for mod in _chain_test_modules():
         for universe in (GENS, SL2):
             for w in CHAIN_WEIGHTS:
-                for parity in (0, 1):
-                    for n in range(5):
-                        rank, cols, pivots = chain_rank(
-                            mod, n, w, parity, universe)
-                        pivots = positions(mod, n + 1, w, parity, universe,
-                                           pivots)
-                        skip = positions(mod, n, w, parity, universe,
-                                         chain_rank(mod, n - 1, w, parity,
-                                                    universe)[2]) \
-                            if n else ()
-                        dom, _, cleared, _ = delta_block(
-                            mod, n, w, parity, universe, skip)
-                        where = (mod, universe, w, parity, n)
-                        assert (rank, cols) == (len(pivots), len(dom)), where
+                t = mod.twice_shifted(w)
+                if t is None:
+                    continue
+                for n in range(5):
+                    rank, cols, pivots = chain_rank(mod, n, w, universe)
+                    pivots = positions(mod, n + 1, w, universe, pivots)
+                    skip = positions(mod, n, w, universe, chain_rank(
+                        mod, n - 1, w, universe)[2]) if n else ()
+                    dom, _, cleared, _ = delta_block(
+                        mod, n, w, t % 2, universe, skip)
+                    where = (mod, universe, w, n)
+                    assert (rank, cols) == (len(pivots), len(dom)), where
+                    assert sorted(pivots) == linalg.int_pivots(
+                        [c for c in cleared if c]), where
+                    if type(mod) is TruncatedDlm:
+                        full = delta_block(mod, n, w, t % 2, universe)[2]
                         assert sorted(pivots) == linalg.int_pivots(
-                            [c for c in cleared if c]), where
-                        if type(mod) is TruncatedDlm:
-                            full = delta_block(mod, n, w, parity,
-                                               universe)[2]
-                            assert sorted(pivots) == linalg.int_pivots(
-                                full), where
-                        blocks += rank > 0
+                            full), where
+                    blocks += rank > 0
     assert blocks > 600
 
 
@@ -160,14 +158,14 @@ def test_a_chain_resolves_each_degree_once_per_module():
     from ospcoho.cochains import block_basis
     mod = TruncatedDlm(0, F(1, 2), 3)
     assert h_dim(mod, 1, 0).odd == 2
-    chain = _weight_chain(mod, mod.twice_shifted(0), 1, GENS)
+    chain = _weight_chain(mod, mod.twice_shifted(0), GENS)
     resolved = chain.sources(mod, 1)
     basis = block_basis(mod, 1, 0, 1)
     f = cochain_from_coords(mod, 1, 1, basis,
                             {i: F(i + 1, 2) for i in range(len(basis))})
     df = coboundary(f)
     assert not df.is_zero() and coboundary(f) == df
-    assert _weight_chain(mod, mod.twice_shifted(0), 1, GENS) is chain
+    assert _weight_chain(mod, mod.twice_shifted(0), GENS) is chain
     assert chain.sources(mod, 1) is resolved
 
 
@@ -186,12 +184,11 @@ def test_modules_never_share_slices_or_chains():
         assert mod.slices and mod.chains
         for chain in mod.chains.values():
             for n in range(4):
-                graded = _graded_monomials(n, chain.universe)
+                graded = list(_graded_monomials(n, chain.universe).values())
                 for col0, length, _ in chain.sources(mod, n)[1]:
                     i, r = divmod(col0, mod.stride)
-                    _, up, w2 = graded[i]
-                    key = (chain.t + w2, (chain.parity + up) % 2)
-                    assert r == 0 and len(mod.slices[key]) == length
+                    w2 = graded[i][1]
+                    assert r == 0 and len(mod.slices[chain.t + w2]) == length
     slices = [id(s) for m in mods for s in (m.slices, *m.slices.values())]
     chains = [id(c) for m in mods for c in (m.chains, *m.chains.values())]
     assert len(set(slices)) == len(slices)
@@ -293,8 +290,8 @@ def test_explicit_cocycles_are_nontrivial():
 def test_class_representatives_count_and_reduction_localization():
     from ospcoho.cochains import reduce_cochain
     mod = TruncatedDlm(0, F(1, 2), 3)
-    reps = class_representatives(mod, 1, mod.twice_shifted(0), 1)
-    assert len(reps) == 2
+    reps = class_representatives(mod, 1, mod.twice_shifted(0))
+    assert len(reps) == 2 and all(rep.parity == 1 for rep in reps)
     b_mono = ("B",)
     for rep in reps:
         g, red = reduce_cochain(rep)
@@ -334,11 +331,16 @@ def test_class_representatives_match_reference_greedy():
         mod = TruncatedDlm(lam, mu, engine.guard_K(lam, mu, 8))
         for n in range(3):
             for w in (F(0), F(1, 2), F(-1)):
+                # the reference scans both parities; all the classes
+                # have the one that t = 2(w + p) fixes
+                t = mod.twice_shifted(w)
+                got = class_representatives(mod, n, t)
                 for parity in (0, 1):
                     where = (lam, mu, n, w, parity)
-                    got = class_representatives(
-                        mod, n, mod.twice_shifted(w), parity)
                     ref = _reference_representatives(mod, n, w, parity)
+                    if t is None or parity != t % 2:
+                        assert ref == [], where
+                        continue
                     assert len(got) == len(ref), where
                     dom, _, mat = delta_matrix(mod, n, w, parity)
                     got = [cochain_coords(f, dom) for f in got]
@@ -351,13 +353,15 @@ def test_class_representatives_match_reference_greedy():
                     assert linalg.greedy_independent(image + ref, got) == []
                     assert linalg.greedy_independent(image + got, ref) == []
                     count += len(got)
+                if t is None:
+                    assert got == []
     assert count == 22
 
 
 def test_representatives_only_where_classes_are(monkeypatch):
     # the chained ranks gate the kernels: over the acceptance grid the
-    # restriction checks take 18 kernels, one per nonzero (n, parity)
-    # part of H^n_0, and the representatives are pinned
+    # restriction checks take 18 kernels, one per nonzero H^n_0, and the
+    # representatives are pinned
     from ospcoho.cochains import cochain_to_json
     calls = []
     kernel_cochains = engine._kernel_cochains
@@ -375,12 +379,10 @@ def test_representatives_only_where_classes_are(monkeypatch):
     for lam, mu in ACCEPTANCE_GRID:
         mod = TruncatedDlm(lam, mu, engine.guard_K(lam, mu, 8))
         for n in range(3):
-            for parity in (0, 1):
-                for rep in class_representatives(
-                        mod, n, mod.twice_shifted(0), parity):
-                    digest.update(json.dumps(cochain_to_json(rep),
-                                             sort_keys=True).encode())
-                    count += 1
+            for rep in class_representatives(mod, n, mod.twice_shifted(0)):
+                digest.update(json.dumps(cochain_to_json(rep),
+                                         sort_keys=True).encode())
+                count += 1
     assert count == 22
     assert digest.hexdigest() == (
         "5650c9426d5b49eb7e6c4023af3f3d37d06298e0a3ef10d6585d383a540a7406")
@@ -395,7 +397,7 @@ def test_representatives_assemble_one_cleared_block(monkeypatch):
     block = cc._WeightChain.block
 
     def counted(chain, mod, n, skip):
-        calls.append((n, chain.parity, chain.universe, frozenset(skip)))
+        calls.append((n, chain.t, chain.universe, frozenset(skip)))
         return block(chain, mod, n, skip)
 
     monkeypatch.setattr(cc._WeightChain, "block", counted)
@@ -405,17 +407,16 @@ def test_representatives_assemble_one_cleared_block(monkeypatch):
         dims = [h_dim(mod, n, 0) for n in range(3)]  # files the ranks
         calls.clear()
         want = []
+        t = mod.twice_shifted(0)
         for n in range(3):
-            for parity in (0, 1):
-                reps = class_representatives(
-                    mod, n, mod.twice_shifted(0), parity)
-                assert len(reps) == (dims[n].even, dims[n].odd)[parity]
-                if reps:
-                    skip = frozenset()
-                    if n > 0:
-                        skip = chain_rank(
-                            mod, n - 1, 0, parity, GENS)[2]
-                    want.append((n, parity, GENS, skip))
+            reps = class_representatives(mod, n, t)
+            assert len(reps) == dims[n].total
+            assert all(rep.parity == t % 2 for rep in reps)
+            if reps:
+                skip = frozenset()
+                if n > 0:
+                    skip = chain_rank(mod, n - 1, 0, GENS)[2]
+                want.append((n, t, GENS, skip))
         assert calls == want, (lam, mu)
         parts += len(want)
     assert parts == 18
@@ -431,17 +432,17 @@ def test_gated_representatives_equal_ungated_sl2():
         mod = TruncatedDlm(lam, mu, 3)
         for n in range(4):
             for w in (F(-1), F(-1, 2), F(0), F(1, 2), F(1), -mod.p):
-                for parity in (0, 1):
-                    skip = ()
-                    if n > 0:
-                        skip = chain_rank(
-                            mod, n - 1, w, parity, SL2)[2]
-                    t = mod.twice_shifted(w)
-                    want = engine._kernel_cochains(mod, n, t, parity,
-                                                   SL2, skip)
-                    got = class_representatives(mod, n, t, parity, SL2)
-                    assert got == want, (lam, mu, n, w, parity)
-                    found += len(got)
+                t = mod.twice_shifted(w)
+                got = class_representatives(mod, n, t, SL2)
+                if t is None:       # no vector has weight w
+                    assert got == []
+                    continue
+                skip = ()
+                if n > 0:
+                    skip = chain_rank(mod, n - 1, w, SL2)[2]
+                want = engine._kernel_cochains(mod, n, t, SL2, skip)
+                assert got == want, (lam, mu, n, w)
+                found += len(got)
     assert found
 
 
@@ -449,9 +450,7 @@ def test_localization_kernel_zero():
     mod = TruncatedDlm(0, F(1, 2), 3)
     for n in (1, 2, 3):
         for w in (F(0), F(1, 2), F(-3, 2)):
-            for parity in (0, 1):
-                assert engine.localization_kernel_dim(
-                    mod, n, w, parity) == 0
+            assert engine.localization_kernel_dim(mod, n, w) == 0
 
 
 def _positional_localization_kernel_dim(mod, n, w, parity):
@@ -492,17 +491,16 @@ def test_stride_solves_equal_the_positional_reference():
                             (lam, mu, universe, n, parity, target)
                         solved += got is not None and not got.is_zero()
     assert solved > 100
+    # (both parity components of the positional view: one is empty)
     blocks = 0
     for mod in _chain_test_modules():
         for w in CHAIN_WEIGHTS:
-            for parity in (0, 1):
-                for n in (1, 2, 3):
-                    assert engine.localization_kernel_dim(
-                        mod, n, w, parity) == \
-                        _positional_localization_kernel_dim(
-                            mod, n, w, parity), (mod, w, parity, n)
-                    blocks += bool(_basis(mod, mod.twice_shifted(w),
-                                          parity, n, GENS))
+            t = mod.twice_shifted(w)
+            for n in (1, 2, 3):
+                assert engine.localization_kernel_dim(mod, n, w) == sum(
+                    _positional_localization_kernel_dim(mod, n, w, parity)
+                    for parity in (0, 1)), (mod, w, n)
+                blocks += t is not None and bool(_basis(mod, t, n, GENS))
     assert blocks > 200
 
 
@@ -554,8 +552,8 @@ def test_reduced_cocycle_vanishing_on_HB_is_coboundary():
 def test_h2_representative_localizes():
     from ospcoho.cochains import reduce_cochain
     mod = TruncatedDlm(0, F(1, 2), 3)
-    reps = class_representatives(mod, 2, mod.twice_shifted(0), 1)
-    assert len(reps) == 1
+    reps = class_representatives(mod, 2, mod.twice_shifted(0))
+    assert len(reps) == 1 and reps[0].parity == 1
     _, red = reduce_cochain(reps[0])
     assert red.values.get(("B", "B"))
 
@@ -646,7 +644,7 @@ def test_higher_cohomology_vanishes_on_the_piece():
 
 
 def test_a_casimir_that_is_not_central_is_refused(monkeypatch):
-    monkeypatch.setattr(engine, "casimir_commutes", lambda mod, t, q: False)
+    monkeypatch.setattr(engine, "casimir_commutes", lambda mod, t: False)
     with pytest.raises(engine.CasimirNotCentral, match="K=2, K0=0"):
         build_report(0, 2)
     # no piece, nothing to check
@@ -781,8 +779,8 @@ def test_selftest_oracle_sees_the_integer_composition(monkeypatch):
     # drops one term of each vector's image fails it
     square = TruncatedDlm._square_stencil
 
-    def dropped(self, gen, t, parity):
-        return tuple(row[1:] for row in square(self, gen, t, parity))
+    def dropped(self, gen, t):
+        return tuple(row[1:] for row in square(self, gen, t))
 
     monkeypatch.setattr(TruncatedDlm, "_square_stencil", dropped)
     verdict = {name: ok for name, ok, _ in selftest("oracle")}
@@ -839,13 +837,15 @@ def test_delta_block_equals_the_per_block_reference():
         for universe in (GENS, SL2):
             for j in range(-4, 5):
                 w = F(j, 2)
+                t = mod.twice_shifted(w)
                 for parity in (0, 1):
                     for n in range(5):
+                        # the chain's pivots, where it holds the parity
                         skips = [()]
-                        if n > 0:
+                        if n > 0 and t is not None and t % 2 == parity:
                             skips.append(positions(
-                                mod, n, w, parity, universe, chain_rank(
-                                    mod, n - 1, w, parity, universe)[2]))
+                                mod, n, w, universe, chain_rank(
+                                    mod, n - 1, w, universe)[2]))
                         for skip in skips:
                             got = delta_block(mod, n, w, parity,
                                               universe, skip)
@@ -898,32 +898,30 @@ def test_certification_builds_no_positional_basis(monkeypatch):
     assert len(cocycles) == 4
     assert all(is_coboundary(f) is not None for f in cocycles)
     mod = TruncatedDlm(0, F(1, 2), 3)
-    assert all(engine.localization_kernel_dim(mod, n, w, parity) == 0
-               for n in (1, 2, 3) for w in (F(0), F(1, 2))
-               for parity in (0, 1))
+    assert all(engine.localization_kernel_dim(mod, n, w) == 0
+               for n in (1, 2, 3) for w in (F(0), F(1, 2)))
     assert calls == []
 
 
 def test_a_grid_pass_builds_no_positional_basis_nor_empty_chain(
         monkeypatch):
     # the ranks read the chains' stride indices, never a positional basis,
-    # and a parity that holds no vector at t is answered 0 with no chain
+    # and a weight that no vector has is answered 0 with no chain
     import ospcoho.cochains as cc
     calls, chains = [], []
     _count_block_basis(monkeypatch, calls)
     init = cc._WeightChain.__init__
 
-    def filed(chain, t, parity, universe):
-        chains.append((t, parity))
-        init(chain, t, parity, universe)
+    def filed(chain, t, universe):
+        chains.append(t)
+        init(chain, t, universe)
 
     monkeypatch.setattr(cc._WeightChain, "__init__", filed)
     vals = [F(j, 2) for j in range(-2, 3)]
     reports = grid_reports([(a, b) for a in vals for b in vals], threads=1)
     assert len(reports) == 25 and all(r.match for r in reports)
     assert calls == []
-    assert chains and all(t is not None and (t - parity) % 2 == 0
-                          for t, parity in chains)
+    assert chains and all(type(t) is int for t in chains)
 
 
 def test_module_memo_stays_bounded_over_a_grid():
@@ -944,7 +942,7 @@ def test_module_memo_stays_bounded_over_a_grid():
     assert [o for o in gc.get_objects() if isinstance(o, TruncatedDlm)
             and id(o) not in known] == []
     last = engine.zero_piece(*pairs[-1])
-    chain_rank(last, 1, F(0), 0, GENS)
+    chain_rank(last, 1, F(0), GENS)
     assert last.chains
     assert all(chain.ranks for chain in last.chains.values())
 

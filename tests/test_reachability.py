@@ -12,6 +12,9 @@ The roots are `cli.main` (the console script), every name that the
 benchmark harness in perfbench/ references (its tracer addresses
 functions by strings, so identifier strings count there), and ALLOWED.
 Code that only the tests reach belongs in the tests.
+
+A second check reads every import statement of src/ospcoho, at any
+depth, and fails on a name that the module binds by it and never reads.
 """
 
 import ast
@@ -129,3 +132,26 @@ def test_allowlist_is_needed_and_current():
     assert set(ALLOWED) <= names
     missed = unreached({"main"} | perfbench_names())
     assert {qual.rsplit(".", 1)[-1] for qual in missed} == set(ALLOWED)
+
+
+def unread_imports(source):
+    """The names that `source` binds by an import and never reads."""
+    bound, read = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return sorted(bound - read)
+
+
+def test_no_program_module_imports_a_name_it_never_reads():
+    assert unread_imports("import os.path, re as regex\n"
+                          "from . import a, b as c\nfrom x import *\n"
+                          "def f():\n    from y import z\n    return a, z\n"
+                          ) == ["*", "c", "os", "regex"]
+    unread = {path.stem: unread_imports(path.read_text(encoding="utf-8"))
+              for path in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in unread.items() if names} \
+        == {}

@@ -7,7 +7,8 @@ import pytest
 
 from ospcoho import algebra, linalg, weightmod as wm
 from ospcoho.algebra import GENS, WEIGHT, adopted_table, printed_table
-from ospcoho.engine import guard_K
+from ospcoho.cochains import _coords
+from ospcoho.engine import guard_K, zero_piece
 from ospcoho.superdiff import solve_realization_constants, \
     derived_module_action
 from ospcoho.weightmod import (FAMILIES, FAMILY_PARITY,
@@ -15,8 +16,8 @@ from ospcoho.weightmod import (FAMILIES, FAMILY_PARITY,
                                action_scale, from_oppoly,
                                module_axiom_holds, to_oppoly)
 from tests_support_dense import (act, act_basis, action_compat_defect,
-                                 basis_weight, op_term, rescaled_table,
-                                 vec_from_json)
+                                 basis_weight, op_term, random_cochain,
+                                 rescaled_table, vec_from_json)
 
 F = Fraction
 
@@ -126,7 +127,7 @@ def _defective_slices(mod, table):
     K = mod.K
     for t in range(-2 * K - 1, 2 * K + 2):
         if any(action_compat_defect(mod, table, u, v, bv)
-               for bv in mod.twice_weight_basis(t, t % 2)
+               for bv in mod.twice_weight_basis(t)
                for u in GENS for v in GENS):
             yield t
 
@@ -403,9 +404,9 @@ def test_composed_stencils_equal_the_fraction_composition(lam, mu, D):
     rows = 0
     for gen in ("X", "Y"):
         for t in range(-2 * K - 4, 2 * K + 2):
-            source = list(mod.slice(t, t % 2))
-            target = list(mod.slice(t + int(2 * WEIGHT[gen]), t % 2))
-            stencil = mod.stencil(gen, t, t % 2)
+            source = list(mod.slice(t))
+            target = list(mod.slice(t + int(2 * WEIGHT[gen])))
+            stencil = mod.stencil(gen, t)
             assert len(stencil) == len(source)
             for bv, row in zip(source, stencil):
                 positions = [i for i, _ in row]
@@ -432,7 +433,7 @@ def test_composed_stencil_refuses_a_remainder():
         mod = Unscaled(0, F(1, 2), 3)
         with pytest.raises(wm.NonIntegralScale, match=f"^{gen}\\."):
             for t in range(-10, 8):
-                mod.stencil(gen, t, t % 2)
+                mod.stencil(gen, t)
 
 
 def _table_mismatches(mod, consts, max_m=2):
@@ -496,9 +497,9 @@ def test_casimir_is_triangular_in_k_with_the_proven_diagonal(lam, mu):
     D, p, half = action_scale(mod), mod.p, F(1, 2)
     same_k = 0
     for t in range(-2 * mod.K - 1, 2 * mod.K + 2):
-        assert wm.casimir_commutes(mod, t, t % 2), t
-        basis = list(mod.slice(t, t % 2))
-        for i, row in enumerate(wm.casimir(mod, t, t % 2)):
+        assert wm.casimir_commutes(mod, t), t
+        basis = list(mod.slice(t))
+        for i, row in enumerate(wm.casimir(mod, t)):
             f, _, k = basis[i]
             diag = ((k - p) * (k - p + half) if f in "ac"
                     else (k - p + 1) * (k - p + half))
@@ -523,14 +524,24 @@ def test_the_cut_module_is_the_quotient():
     assert cut.slices is not full.slices
     for gen in GENS:
         for t in range(-9, 8):
-            for bv in full.slice(t, t % 2):
+            for bv in full.slice(t):
                 if bv[2] > 1:
                     assert cut.image(gen, bv) == tuple(
                         (v, x) for v, x in full.image(gen, bv)
                         if v[2] > 1), (gen, bv)
                 else:
-                    assert bv not in cut.slice(t, t % 2)
+                    assert bv not in cut.slice(t)
     assert module_axiom_holds(cut, adopted_table())
+
+
+@pytest.mark.parametrize("bv", [("a", 0, 0), ("a", -1, 2)])
+def test_an_image_outside_the_module_names_the_vector(bv):
+    # below the cut K0 = 1, and m < 0: neither exceeds K, and the error
+    # names the vector and the module, as the cochain coordinates do
+    mod = TruncatedDlm(0, 2, 3, 1)
+    with pytest.raises(TruncationViolation) as err:
+        mod.image("A", bv)
+    assert str(err.value) == f"{bv} is not a vector of {mod}"
 
 
 class _WideSlices(TruncatedDlm):
@@ -538,8 +549,8 @@ class _WideSlices(TruncatedDlm):
 
     __slots__ = ()
 
-    def twice_weight_basis(self, t, parity=None):
-        return super().twice_weight_basis(t, parity) + [("a", -1, -1)]
+    def twice_weight_basis(self, t):
+        return super().twice_weight_basis(t) + [("a", -1, -1)]
 
 
 @pytest.mark.parametrize("lam, mu, K, K0", [
@@ -551,10 +562,51 @@ def test_slices_fit_the_stride(lam, mu, K, K0):
     # and a slice that would not fit is refused when it is filed
     mod = TruncatedDlm(lam, mu, K, K0)
     assert mod.stride == 2 * (K - max(K0, -1))
-    lengths = [len(mod.slice(t, parity))
-               for t in range(-2 * K - 4, 2 * K + 5) for parity in (0, 1)]
+    lengths = [len(mod.slice(t)) for t in range(-2 * K - 4, 2 * K + 5)]
     assert max(lengths) == mod.stride
     wide = _WideSlices(lam, mu, K, K0)
     with pytest.raises(TruncationViolation):
-        wide.slice(0, 0)
+        wide.slice(0)
     assert wide.slices == {}
+
+
+def _parity_test_modules():
+    """Plain truncations, K0 cuts, the acceptance grid's zero pieces and
+    one-step pieces D^{<=k}/D^{<=k-1}."""
+    mods = [TruncatedDlm(F(1, 3), F(5, 6), 4), TruncatedDlm(0, F(1, 2), 3),
+            TruncatedDlm(F(-3, 2), F(2), 5),
+            TruncatedDlm(F(1, 3), F(7, 3), 3, 1), TruncatedDlm(0, 2, 3, 0),
+            TruncatedDlm(F(1, 5), F(7, 10), 4, 2)]
+    mods += [piece for piece in (zero_piece(lam, mu)
+                                 for lam, mu in ACCEPTANCE_GRID) if piece]
+    mods += [TruncatedDlm(lam, mu, k, k - 1)
+             for lam, mu in ((F(0), F(1, 2)), (F(1, 3), F(0)), (F(1), F(1)))
+             for k in range(4)]
+    return mods
+
+
+def test_a_slice_holds_the_parity_of_its_key():
+    # the rule every layer above the module relies on: the family shifts
+    # put the even families at even t and the odd ones at odd t, so the
+    # slice t holds parity t mod 2, the other parity's weight basis is
+    # empty, and each weight component of a cochain sits at a t
+    # congruent to its parity
+    rng = random.Random(27)
+    components = 0
+    for mod in _parity_test_modules():
+        for t in range(-2 * mod.K - 4, 2 * mod.K + 5):
+            basis = mod.twice_weight_basis(t)
+            assert all(FAMILY_PARITY[bv[0]] == t % 2 for bv in basis), \
+                (mod, t)
+            assert list(mod.slice(t)) == basis
+            assert mod.weight_basis(F(t, 2) - mod.p, 1 - t % 2) == [], \
+                (mod, t)
+        weights = [F(j, 2) - mod.p for j in range(-4, 5)]
+        for degree in range(3):
+            for parity in (0, 1):
+                f = random_cochain(mod, degree, parity, rng,
+                                   weights=weights)
+                keys = _coords(f)
+                assert all(t % 2 == parity for t in keys), (mod, degree)
+                components += len(keys)
+    assert components > 100

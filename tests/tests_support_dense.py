@@ -27,7 +27,8 @@ from ospcoho.cochains import (Cochain, _basis, _graded_monomials, _scales,
                               zero_cochain)
 from ospcoho.superdiff import (ETA, ETABAR, OpPoly, graded_commutator,
                                vector_field)
-from ospcoho.weightmod import FAMILY_SHIFT, TruncatedDlm, vec_add, vec_scale
+from ospcoho.weightmod import (FAMILY_PARITY, FAMILY_SHIFT, TruncatedDlm,
+                               vec_add, vec_scale)
 
 
 # --- the Fraction action ----------------------------------------------------
@@ -355,12 +356,16 @@ def delta_block(mod, n, w, parity, universe=GENS, skip=()):
     the exact matrix, the coboundary of the delta cochain at
     domain_basis[c]. The columns at the domain positions in `skip` are
     left empty. The columns are the weight chain's
-    (`_WeightChain.block`), re-keyed from stride indices to positions.
+    (`_WeightChain.block`), re-keyed from stride indices to positions;
+    the chain at t = 2(w + p) holds the parity t mod 2, and the other
+    parity's block is empty, with the same scale.
     """
     t = mod.twice_shifted(w)
-    dom, cod = _basis(mod, t, parity, n, universe), \
-        _basis(mod, t, parity, n + 1, universe)
-    cols, scale = _weight_chain(mod, t, parity, universe).block(
+    if t is None or (t - parity) % 2:   # no cochain of this parity here
+        T = adopted_table().scaled_brackets()[0]
+        return [], [], [], _scales(mod, T)[0]
+    dom, cod = _basis(mod, t, n, universe), _basis(mod, t, n + 1, universe)
+    cols, scale = _weight_chain(mod, t, universe).block(
         mod, n, {dom[c][0] for c in skip})
     row = {index: r for r, (index, _, _) in enumerate(cod)}
     return ([(u, bv) for _, u, bv in dom], [(u, bv) for _, u, bv in cod],
@@ -473,9 +478,10 @@ def int_columns(m):
 
 # --- the weight-block assembler as it was before the weight chains ----------
 #
-# Kept verbatim (names prefixed) as the oracle for the chains' blocks,
-# read through `delta_block`:
-# per-block bases, per-target Koszul sums and accumulating writes.
+# Kept (names prefixed) as the oracle for the chains' blocks, read
+# through `delta_block`: per-block bases, per-target Koszul sums and
+# accumulating writes. The bases filter each slice by family parity, so
+# they do not assume that a slice holds one parity.
 
 @lru_cache(maxsize=64)
 def reference_koszul_terms(n, q, universe, table):
@@ -517,25 +523,19 @@ def reference_block_basis(mod, n, w, parity, universe=GENS):
     """Ordered basis [(monomial, BasisVector)] of the weight-w part of C^n.
 
     A delta cochain u -> bv has cochain parity parity(u) + parity(bv);
-    the `parity` argument filters to one homogeneous component. Twice
-    a weight carries its parity: 2 weight(u) = parity(u) and, for
-    D_{lambda,mu}, 2 (weight(bv) + p) = parity(bv) mod 2 (the family
-    shifts). So 2 (w + p) = cochain parity mod 2, and a parity of the
-    other residue has an empty block, returned without a scan.
+    the `parity` argument filters to one homogeneous component, by the
+    family parity of bv, scanned on every slice.
     """
     t = 2 * (Fraction(w) + mod.p)
     if t.denominator != 1:      # twice a monomial weight is an integer
         return []
     t = t.numerator
-    if parity is not None and (t - parity) % 2:
-        return []
     out = []
-    for u, u_parity, u_weight2 in _graded_monomials(n, universe):
-        bvpar = None
-        if parity is not None:
-            bvpar = (parity + u_parity) % 2
-        for bv in mod.twice_weight_basis(t + u_weight2, parity=bvpar):
-            out.append((u, bv))
+    for u, (_, u_weight2) in _graded_monomials(n, universe).items():
+        for bv in mod.twice_weight_basis(t + u_weight2):
+            if parity is None or (FAMILY_PARITY[bv[0]] - parity
+                                  - monomial_parity(u)) % 2 == 0:
+                out.append((u, bv))
     return out
 
 
