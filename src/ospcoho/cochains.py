@@ -50,11 +50,9 @@ from math import lcm
 
 from . import Mismatch, linalg
 from .algebra import (GENS, PARITY, SL2, adopted_table, canonicalize,
-                      monomial_basis, monomial_parity, monomial_str,
-                      monomial_weight)
-from .weightmod import (FAMILY_PARITY, TruncatedDlm, TruncationViolation,
-                        from_oppoly, to_oppoly, vec_add, vec_scale,
-                        vec_to_json)
+                      monomial_basis, monomial_str, monomial_weight)
+from .weightmod import (TruncatedDlm, TruncationViolation, from_oppoly,
+                        to_oppoly, vec_add, vec_scale, vec_to_json)
 
 
 class SolveFailed(Mismatch):
@@ -91,9 +89,11 @@ class Cochain:
                    for bv, c in vec.items() if c}
             if not vec:
                 continue
-            want = (parity + monomial_parity(mono)) % 2
+            # bv has the parity of its slice t, and mono that of twice
+            # its weight: the module alone decides parity
+            w2 = graded[mono][1]
             for bv in vec:
-                if FAMILY_PARITY[bv[0]] != want:
+                if (mod.twice_shifted_weight(bv) - w2 - parity) % 2:
                     raise ValueError(
                         f"value {bv} on {monomial_str(mono)} breaks "
                         f"parity {parity} homogeneity")

@@ -60,9 +60,14 @@ action in the program: X and Y are built on it, and so is
 on the stencils, each defect scaled by T * D^2, with T the lcm of the
 bracket table's denominators, so that it is an integer vector.
 `kernel_slice` and `check_a_onto`, which the closed-form predictions
-read, rank the same stencils in integers on the int-keyed slices, and
-the Casimir 2 D^2 z (`casimir`) is composed on them too, once per slice,
-and kept with them.
+read, rank the same stencils in integers on the int-keyed slices.
+
+Every coefficient of the table is affine in (m, k, lambda, p), so the
+module axiom and the Casimir identities that `engine.zero_piece` rests
+on are polynomial identities of bounded degree. The tier-1 test
+`test_casimir_is_triangular_in_k_with_the_proven_diagonal` proves them
+for every (lambda, mu) on a finite grid of modules, and the program
+composes no Casimir.
 """
 
 from fractions import Fraction
@@ -73,7 +78,6 @@ from .algebra import GENS, PARITY, WEIGHT
 from .superdiff import OpPoly
 
 FAMILIES = ("a", "b", "c", "d")
-FAMILY_PARITY = {"a": 0, "b": 0, "c": 1, "d": 1}
 # weight(family_{m,k}) = k - m - p + FAMILY_SHIFT[family]
 FAMILY_SHIFT = {
     "a": Fraction(0),
@@ -270,13 +274,11 @@ class TruncatedDlm:
         """D * gen's images on the slice t, one tuple per vector, of
         (position in the slice t + 2 wt(gen), int) pairs by increasing
         position: the table (`scaled_act_basis`) for H, A and B, less the
-        terms at k <= K0, composed on the A and B stencils for X and Y
-        (`_square_stencil`), and 2 D^2 z (`casimir`) for gen = "z"."""
+        terms at k <= K0, and composed on the A and B stencils for X and Y
+        (`_square_stencil`)."""
         hit = self._stencils.get((gen, t))
         if hit is None:
-            if gen == "z":
-                hit = casimir(self, t)
-            elif gen in _SQUARES:
+            if gen in _SQUARES:
                 hit = self._square_stencil(gen, t)
             else:
                 pos = self.slice(t + TWICE_WEIGHT[gen])
@@ -413,42 +415,6 @@ def _compose(first, second):
 # X = A o A and Y = -B o B: (odd generator, sign)
 _SQUARES = {"X": ("A", 1), "Y": ("B", -1)}
 TWICE_WEIGHT = {g: int(2 * w) for g, w in WEIGHT.items()}
-
-
-def casimir(mod, t):
-    """2 D^2 z on the slice t, as stencil rows, for the Casimir
-    z = H^2 + XY + AB/2 - H/2 and D = action_scale(mod).
-
-    XY and AB are composed on the module's stencils by `_compose`, and H
-    acts on the slice by its weight (`TruncatedDlm.scaled_weight`). The
-    module keeps the result as the stencil of "z", so each slice
-    composes it once.
-    """
-    st, h = mod.stencil, mod.scaled_weight(t)
-    xy = _compose(st("Y", t), st("X", t + TWICE_WEIGHT["Y"]))
-    ab = _compose(st("B", t), st("A", t + TWICE_WEIGHT["B"]))
-    out = []
-    for i, (xy_i, ab_i) in enumerate(zip(xy, ab)):
-        row = {i: 2 * h * h - mod._ints[0] * h}
-        for k, x in xy_i.items():
-            row[k] = row.get(k, 0) + 2 * x
-        for k, x in ab_i.items():
-            row[k] = row.get(k, 0) + x
-        out.append(tuple(sorted((k, x) for k, x in row.items() if x)))
-    return tuple(out)
-
-
-def casimir_commutes(mod, t):
-    """z o g = g o z for g = A and B on the slice t, in integers on the
-    module's stencils of z (`casimir`)."""
-    z = mod.stencil("z", t)
-    for g in ("A", "B"):
-        st = mod.stencil(g, t)
-        after = mod.stencil("z", t + TWICE_WEIGHT[g])
-        for zg, gz in zip(_compose(st, after), _compose(z, st)):
-            if any(zg.get(k, 0) != gz.get(k, 0) for k in {*zg, *gz}):
-                return False
-    return True
 
 
 def module_axiom_holds(mod, table):

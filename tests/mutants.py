@@ -26,11 +26,15 @@ ENGINE = "tests/test_engine.py::"
 
 # (name, file under src/ospcoho, text, replacement, test that must fail)
 MUTANTS = (
-    # the Casimir's XY coefficient 2 -> 3 in 2 D^2 z: z no longer
-    # commutes with A and B, nor has the proven diagonal
-    ("casimir-coefficient", "weightmod.py",
-     "row[k] = row.get(k, 0) + 2 * x",
-     "row[k] = row.get(k, 0) + 3 * x",
+    # B's coefficient on b -> c perturbed by a polynomial in lambda that
+    # vanishes at lambda = 0, 1/3, -1, 1, 5/2, -1/2 and -3/2, where the
+    # other tests check the module axiom or the Casimir: only a grid of
+    # lambda beyond the table's degree, or its affinity, sees it
+    ("b-coefficient-off-the-checked-lambdas", "weightmod.py",
+     "            c1 = lam2 + D * k\n",
+     "            c1 = lam2 + D * k + int(D * self.lam * (3 * self.lam - 1)\n"
+     "                * (self.lam + 1) * (self.lam - 1) * (2 * self.lam - 5)\n"
+     "                * (2 * self.lam + 1) * (2 * self.lam + 3))\n",
      "tests/test_weightmod.py::"
      "test_casimir_is_triangular_in_k_with_the_proven_diagonal"),
     # a zero set that drops the root k = p - 1 of an integer p

@@ -378,16 +378,6 @@ def test_selftest_reports_a_raising_suite_as_a_failed_check(capsys,
     assert all("\n" not in detail for detail in failed.values())
 
 
-def test_dims_exits_1_when_the_casimir_is_not_central(capsys, monkeypatch):
-    monkeypatch.setattr(cli.engine, "casimir_commutes",
-                        lambda mod, t: False)
-    assert cli.main(["dims", "--lambda", "0", "--mu", "2",
-                     "--threads", "1"]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["ospcoho dims: the Casimir is not central on "
-                   "TruncatedDlm(lam=0, mu=2, K=2, K0=0)"]
-
-
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc
@@ -408,10 +398,8 @@ TWO_POINTS = ["dims", "--grid", "pairs:0,1/2;1,1", "--threads", "2"]
      _raise(algebra.NoConsistentRepair("no variant passes"))),
     (["cocycles", "--kind", "f", "--k", "1"], cli, "make_f_k",
      _raise(cochains.NoCocycle("expected a 2-dimensional cocycle space"))),
-    (["dims", "--lambda", "0", "--mu", "2"], engine, "casimir_commutes",
-     lambda mod, t: False),
 ], ids=["a-not-onto", "a-not-onto-2-workers", "not-contained",
-        "no-consistent-repair", "no-cocycle", "casimir-not-central"])
+        "no-consistent-repair", "no-cocycle"])
 def test_failed_checks_exit_1_with_one_line(tmp_path, capsys, monkeypatch,
                                             argv, target, name, value):
     # an exact check that fails on the way is a mismatch: one line
@@ -434,8 +422,7 @@ def test_failed_exact_checks_are_mismatches():
     for exc in (algebra.NoConsistentRepair, cochains.SolveFailed,
                 cochains.NoCocycle, engine.NotACocycle,
                 engine.HypothesisViolated, engine.NotProportional,
-                engine.CasimirNotCentral, linalg.NotContained,
-                weightmod.NonIntegralScale):
+                linalg.NotContained, weightmod.NonIntegralScale):
         assert issubclass(exc, ospcoho.Mismatch), exc
     for exc in (weightmod.TruncationViolation, cochains.TypeMismatch):
         assert not issubclass(exc, ospcoho.Mismatch), exc

@@ -159,7 +159,8 @@ def test_integer_coboundary_matches_fraction_reference():
         for universe in (GENS, SL2):
             for degree in (0, 1, 2):
                 for parity in (0, 1):
-                    f = random_cochain(mod, degree, parity, rng, universe)
+                    f = random_cochain(mod, degree, parity, rng,
+                                       universe=universe)
                     df = coboundary(f)
                     assert df == reference_coboundary(f, TABLE), \
                         (lam, mu, universe, degree, parity)
@@ -373,8 +374,8 @@ def test_coboundary_matches_the_per_block_reference(lam, mu):
     for universe in (GENS, SL2):
         for degree in range(4):
             for parity in (0, 1):
-                f = random_cochain(mod, degree, parity, rng, universe,
-                                   weights)
+                f = random_cochain(mod, degree, parity, rng,
+                                   universe=universe, weights=weights)
                 assert len(weight_components(f)) > 1
                 df = coboundary(f)
                 assert df == reference_block_coboundary(f), \

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
@@ -11,13 +13,14 @@ from ospcoho.cochains import _coords
 from ospcoho.engine import guard_K, zero_piece
 from ospcoho.superdiff import solve_realization_constants, \
     derived_module_action
-from ospcoho.weightmod import (FAMILIES, FAMILY_PARITY,
-                               TruncatedDlm, TruncationViolation,
-                               action_scale, from_oppoly,
-                               module_axiom_holds, to_oppoly)
-from tests_support_dense import (act, act_basis, action_compat_defect,
-                                 basis_weight, op_term, random_cochain,
-                                 rescaled_table, vec_from_json)
+from ospcoho.weightmod import (FAMILIES, TruncatedDlm,
+                               TruncationViolation, action_scale,
+                               from_oppoly, module_axiom_holds, to_oppoly)
+from tests_support_dense import (FAMILY_PARITY, act, act_basis,
+                                 action_compat_defect, basis_weight,
+                                 casimir, casimir_commutes, op_term,
+                                 random_cochain, rescaled_table,
+                                 vec_from_json)
 
 F = Fraction
 
@@ -482,36 +485,127 @@ def test_integer_table_matches_the_realization_oracle():
     assert ("B", ("d", 1, 1)) in bad and ("Y", ("d", 1, 1)) in bad
 
 
-@pytest.mark.parametrize("lam, mu", ACCEPTANCE_GRID)
+# The proof grid of the action's identities: 6 values of lambda and 6 of
+# p, each an arithmetic progression, at K = 6, so m, k in 0..6.
+PROOF_K = 6
+PROOF_LAMS = [F(j, 3) - 1 for j in range(6)]
+PROOF_PS = [F(j, 2) - 1 for j in range(6)]
+PROOF_GRID = [(lam, lam + p) for lam in PROOF_LAMS for p in PROOF_PS]
+# the degree, in each of m, k, lambda and p, of a coordinate of each
+# identity (derived in the proof's docstring)
+DEGREE_BOUNDS = {"module axiom": 4, "centrality": 5, "triangular form": 4}
+
+
+def test_the_action_table_is_affine_on_the_proof_grid():
+    # the premise of the degree bounds: each unscaled coefficient x / D of
+    # `scaled_act_basis`, as a function of (m, k, lambda, p) fixed by the
+    # generator, the source family and the target offset (an absent term
+    # counts as 0), has vanishing second and mixed differences on the
+    # proof grid, so it is affine there; and no term raises k
+    K, sizes = PROOF_K, (PROOF_K + 1, PROOF_K + 1, 6, 6)
+    assert (len(PROOF_LAMS), len(PROOF_PS)) == sizes[2:]
+    assert min(sizes) > max(DEGREE_BOUNDS.values())
+    mods = {(i, j): TruncatedDlm(lam, lam + p, K)
+            for i, lam in enumerate(PROOF_LAMS)
+            for j, p in enumerate(PROOF_PS)}
+    M = lcm(*map(action_scale, mods.values()))
+    coeffs = {}     # (gen, family, target offset) -> {point: M * x / D}
+    for (i, j), mod in mods.items():
+        scale = M // action_scale(mod)
+        for gen, f, m, k in product("HAB", FAMILIES, range(K + 1),
+                                    range(K + 1)):
+            for (g, m2, k2), x in mod.scaled_act_basis(gen, (f, m, k)):
+                assert k2 <= k, (gen, f, m, k)
+                coeffs.setdefault((gen, f, g, m2 - m, k2 - k), {})[
+                    (m, k, i, j)] = x * scale
+    assert len(coeffs) == 16
+    unit = [tuple(int(a == b) for b in range(4)) for a in range(4)]
+    corners = []    # (x, x + e_a, x + e_b, x + e_a + e_b)
+    for x in product(*map(range, sizes)):
+        for a in range(4):
+            for b in range(a, 4):
+                y = tuple(map(sum, zip(x, unit[a])))
+                z = tuple(map(sum, zip(x, unit[b])))
+                w = tuple(map(sum, zip(y, unit[b])))
+                if all(c < n for c, n in zip(w, sizes)):
+                    corners.append((x, y, z, w))
+    for key, c in coeffs.items():
+        for x, y, z, w in corners:
+            assert c.get(w, 0) - c.get(y, 0) - c.get(z, 0) + c.get(x, 0) \
+                == 0, (key, x, y, z)
+
+
+@pytest.mark.parametrize("lam, mu", PROOF_GRID)
 def test_casimir_is_triangular_in_k_with_the_proven_diagonal(lam, mu):
-    # the premise of `engine.zero_piece`, on D^{<=guard_K}: 2 D^2 z, for
-    # z = H^2 + XY + AB/2 - H/2, commutes with A and B, never raises k,
-    # and within one k maps only b -> a and d -> c besides its diagonal,
-    # (k - p)(k - p + 1/2) on a and c and (k - p + 1)(k - p + 1/2) on b
-    # and d. So z is invertible on every weight slice of a part whose k
-    # avoid the diagonal's roots, and such a part is acyclic: z acts by
-    # 0 on H(g; M) (it is central and eps(z) = 0) and invertibly through
-    # M. Cutting away D^{<=K0} below the piece and D^{<=K}/D^{<=K1} above
-    # it, the long exact sequences leave the piece's cohomology
-    mod = TruncatedDlm(lam, mu, guard_K(lam, mu))
-    D, p, half = action_scale(mod), mod.p, F(1, 2)
+    """The action's identities, proven for every (lambda, mu) by a grid.
+
+    On D^{<=K}, and on the cut D^{<=K}/D^{<=2}: the module axiom for the
+    adopted table (`module_axiom_holds`); the Casimir
+    z = H^2 + XY + AB/2 - H/2, as 2 D^2 z (`casimir`), commutes with A
+    and B on every slice (`casimir_commutes`); and z never raises k and
+    within one k maps only b -> a and d -> c besides its diagonal,
+    (k - p)(k - p + 1/2) on a and c and (k - p + 1)(k - p + 1/2) on b
+    and d. `engine.zero_piece` rests on the last two: z is invertible on
+    every weight slice of a part whose k avoid the diagonal's roots, so
+    such a part is acyclic (z is central, acts by eps(z) = 0 on H(g; M)
+    and invertibly through M), and the long exact sequences leave the
+    piece's cohomology.
+
+    Degree bounds, from the shape of the table (`scaled_act_basis`):
+    - A vector with m < 0 or k < 0 counts as 0. Every term that lowers m
+      or k has the coefficient D m or D k (A on a and d, B on a and c),
+      which vanishes where it would reach such a vector. So the `if m`
+      and `if k` guards drop only zero terms, and a path of the action
+      through such a vector has a zero factor.
+    - Each unscaled coefficient x / D is affine in (m, k, lambda, p)
+      (`test_the_action_table_is_affine_on_the_proof_grid` pins it); so
+      is H's, the weight k - m - p + shift.
+    - X = A o A and Y = -B o B, two steps each.
+    - Nothing raises k. So D^{<=K} is a submodule that holds every path
+      from its vectors, and a cut D^{<=K}/D^{<=K0} inherits every
+      identity as a quotient.
+    Fix the source family and the target offset (family, dm, dk). A
+    coordinate of a composite is then a sum over paths of products of
+    coefficients, each affine at the shifted (m, k): a polynomial in
+    (m, k, lambda, p) whose degree in each variable is at most the
+    number of steps. A bracket [u,v] is a constant combination of
+    generators, and u.(v.w) takes at most 4 steps (X.(Y.w)); z takes at
+    most 4 (XY), and H^2 and AB take 2. Hence each coordinate
+    - of a module-axiom defect has degree <= 4 in each variable;
+    - of z o g - g o z (g = A, B) has degree <= 5;
+    - of z minus its triangular form (a diagonal of degree 2) has
+      degree <= 4.
+
+    A polynomial of degree <= d_i in x_i that vanishes on a product of
+    sets with more than d_i values each is zero (Alon, Combinatorial
+    Nullstellensatz, 1999, Lemma 2.1). The grid has 6 values of lambda
+    and 6 of p (`PROOF_GRID`) and m, k in 0..6: at K = 6 the slices t in
+    [-2K-1, 2K+1] hold every vector with m, k <= K. So every coordinate
+    vanishes identically, and the identities hold for every (lambda, mu)
+    and all m, k >= 0; the scale 2 D^2 changes no zero.
+    """
     same_k = 0
-    for t in range(-2 * mod.K - 1, 2 * mod.K + 2):
-        assert wm.casimir_commutes(mod, t), t
-        basis = list(mod.slice(t))
-        for i, row in enumerate(wm.casimir(mod, t)):
-            f, _, k = basis[i]
-            diag = ((k - p) * (k - p + half) if f in "ac"
-                    else (k - p + 1) * (k - p + half))
-            assert dict(row).get(i, 0) == 2 * D * D * diag, basis[i]
-            for j, _ in row:
-                g, _, k2 = basis[j]
-                assert k2 <= k, (basis[i], basis[j])
-                if k2 == k:
-                    same_k += 1
-                    assert j == i or (f, g) in (("b", "a"), ("d", "c")), \
-                        (basis[i], basis[j])
-    assert same_k > 50
+    for mod in (TruncatedDlm(lam, mu, PROOF_K),
+                TruncatedDlm(lam, mu, PROOF_K, 2)):
+        assert module_axiom_holds(mod, adopted_table()), mod
+        D, p, half = action_scale(mod), mod.p, F(1, 2)
+        for t in range(-2 * mod.K - 1, 2 * mod.K + 2):
+            assert casimir_commutes(mod, t), (mod, t)
+            basis = list(mod.slice(t))
+            for i, row in enumerate(casimir(mod, t)):
+                f, _, k = basis[i]
+                diag = ((k - p) * (k - p + half) if f in "ac"
+                        else (k - p + 1) * (k - p + half))
+                assert dict(row).get(i, 0) == 2 * D * D * diag, basis[i]
+                for j, _ in row:
+                    g, _, k2 = basis[j]
+                    assert k2 <= k, (basis[i], basis[j])
+                    if k2 == k:
+                        same_k += 1
+                        assert j == i or (f, g) in (("b", "a"),
+                                                    ("d", "c")), \
+                            (basis[i], basis[j])
+    assert same_k > 300
 
 
 def test_the_cut_module_is_the_quotient():

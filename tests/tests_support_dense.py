@@ -8,6 +8,8 @@ it;
 the Fraction definitions that the program decides in integers (the
 action with X = A o A and Y = -B o B composed in Fractions, the module
 axiom defect, the Jacobi defect) and the rescaled bracket tables; the
+Casimir composed on a module's stencils, and its commutators with A and
+B, which the proof of the action's identities reads; the
 contact bracket and the check of the scaled contact fields against a
 bracket table; and the decoders of the program's printed formats
 (operators, monomials, cochains).
@@ -27,8 +29,13 @@ from ospcoho.cochains import (Cochain, _basis, _graded_monomials, _scales,
                               zero_cochain)
 from ospcoho.superdiff import (ETA, ETABAR, OpPoly, graded_commutator,
                                vector_field)
-from ospcoho.weightmod import (FAMILY_PARITY, FAMILY_SHIFT, TruncatedDlm,
-                               vec_add, vec_scale)
+from ospcoho.engine import _random_cochain as random_cochain  # noqa: F401
+from ospcoho.weightmod import (FAMILY_SHIFT, TWICE_WEIGHT, TruncatedDlm,
+                               _compose, vec_add, vec_scale)
+
+# the parity of each family, which the module's slices decide by the
+# family shifts (a slice t holds parity t mod 2)
+FAMILY_PARITY = {"a": 0, "b": 0, "c": 1, "d": 1}
 
 
 # --- the Fraction action ----------------------------------------------------
@@ -68,6 +75,43 @@ def action_compat_defect(mod, table, u, v, bv):
     sign = Fraction(-1 if PARITY[u] and PARITY[v] else 1)
     vec_add(out, act(mod, v, act(mod, u, w)), sign)
     return out
+
+
+# --- the Casimir on the module's stencils ----------------------------------
+
+def casimir(mod, t):
+    """2 D^2 z on the slice t, as stencil rows, for the Casimir
+    z = H^2 + XY + AB/2 - H/2 and D = action_scale(mod).
+
+    XY and AB are composed on the module's stencils by
+    `weightmod._compose`, and H acts on the slice by its weight
+    (`TruncatedDlm.scaled_weight`).
+    """
+    st, h = mod.stencil, mod.scaled_weight(t)
+    xy = _compose(st("Y", t), st("X", t + TWICE_WEIGHT["Y"]))
+    ab = _compose(st("B", t), st("A", t + TWICE_WEIGHT["B"]))
+    out = []
+    for i, (xy_i, ab_i) in enumerate(zip(xy, ab)):
+        row = {i: 2 * h * h - mod._ints[0] * h}
+        for k, x in xy_i.items():
+            row[k] = row.get(k, 0) + 2 * x
+        for k, x in ab_i.items():
+            row[k] = row.get(k, 0) + x
+        out.append(tuple(sorted((k, x) for k, x in row.items() if x)))
+    return tuple(out)
+
+
+def casimir_commutes(mod, t):
+    """z o g = g o z for g = A and B on the slice t, in integers on the
+    module's stencils and `casimir`."""
+    z = casimir(mod, t)
+    for g in ("A", "B"):
+        st = mod.stencil(g, t)
+        after = casimir(mod, t + TWICE_WEIGHT[g])
+        for zg, gz in zip(_compose(st, after), _compose(z, st)):
+            if any(zg.get(k, 0) != gz.get(k, 0) for k in {*zg, *gz}):
+                return False
+    return True
 
 
 # --- the Fraction Jacobi defect ---------------------------------------------
@@ -329,23 +373,6 @@ def weight_components(f):
             parts.setdefault(w, {}).setdefault(u, {})[bv] = c
     return {w: Cochain(f.mod, f.degree, f.parity, vals, f.universe)
             for w, vals in sorted(parts.items())}
-
-
-def random_cochain(mod, degree, parity, rng,
-                   universe=GENS, weights=(Fraction(0), Fraction(1, 2),
-                                           Fraction(-1))):
-    """A cochain with random small rational values at the given weights,
-    drawn from `rng`."""
-    vals = {}
-    for u in monomial_basis(degree, universe):
-        for w in weights:
-            bvpar = (parity + monomial_parity(u)) % 2
-            for bv in mod.weight_basis(w + monomial_weight(u), bvpar):
-                if rng.random() < 0.3:
-                    c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    if c:
-                        vals.setdefault(u, {})[bv] = c
-    return Cochain(mod, degree, parity, vals, universe)
 
 
 def delta_block(mod, n, w, parity, universe=GENS, skip=()):
