@@ -9,7 +9,9 @@ references, which fails the graded Jacobi identity on the triple
 (A, A, B), and the audited repair "repaired-V" ([A,B] = -2H,
 [Y,A] = +B) which `audit_and_repair` discovers by searching sign flips
 of the bracket rows and checking both the Jacobi identity and
-compatibility with the differential-operator module action.
+compatibility with the differential-operator module action. One
+expansion (`_signed_defects`) answers every Jacobi question, and one
+fill-in (`StructureTable.scaled_brackets`) every antisymmetric pair.
 """
 
 import itertools
@@ -76,12 +78,12 @@ def format_combo(combo):
 class StructureTable:
     """Bracket coefficients of a candidate osp(1|2) structure.
 
-    Rows are stored for the pairs in PAIR_ORDER; every other ordered
-    pair is filled in through graded antisymmetry
-    [U,V] = -(-1)^{UV} [V,U], and even diagonals are zero. The rows
-    are never changed after construction, so the key that equality and
-    the hash read is computed once, and the integer brackets that decide
-    the Jacobi identity are built once too, on first use. Tables vary
+    Rows are stored for the pairs in PAIR_ORDER. `scaled_brackets` is
+    the one fill-in of the other ordered pairs, through graded
+    antisymmetry [U,V] = -(-1)^{UV} [V,U], with even diagonals zero;
+    `bracket` reads it. The rows are never changed after construction,
+    so the key that equality and the hash read is computed once, and the
+    integer brackets are built once too, on first use. Tables vary
     only in the audit, the module-axiom check and the realization
     oracle; the cohomology layers use the adopted table as a constant.
     """
@@ -100,21 +102,18 @@ class StructureTable:
         return dict(self._rows[pair])
 
     def bracket(self, u, v):
-        """[u, v] as a {generator: Fraction} combination."""
-        if (u, v) in self._rows:
-            return dict(self._rows[(u, v)])
-        if (v, u) in self._rows:
-            sign = -1 if PARITY[u] * PARITY[v] == 0 else 1
-            return combo_scale(self._rows[(v, u)], Fraction(sign))
-        return {}  # even diagonal
+        """[u, v] as a {generator: Fraction} combination (`scaled_brackets`)."""
+        T, br = self.scaled_brackets()
+        return {g: Fraction(c, T) for g, c in br[(u, v)]}
 
     def scaled_brackets(self):
         """(T, {(u, v): ((g, T * c), ...)}) for all 25 ordered pairs.
 
         T is the lcm of the bracket denominators, so every scaled
         coefficient is an int; [u, v] = sum c g. Computed once: the rows
-        never change. The integer Jacobi test, the module-axiom check
-        and the differential's bracket terms all read these.
+        never change. `bracket`, the Jacobi expansion (`_signed_defects`),
+        the module-axiom check and the differential's bracket terms all
+        read these.
         """
         if self._scaled is None:
             T = lcm(*(c.denominator for row in self._rows.values()
@@ -128,44 +127,27 @@ class StructureTable:
             self._scaled = (T, br)
         return self._scaled
 
-    def jacobi_failures(self, stop_at_first=False):
-        """[((u, v, w), defect)] for the failing triples.
+    def jacobi_failures(self):
+        """[((u, v, w), defect)] for the failing triples, in product order.
 
         The defect is [[u,v],w] + (-1)^{uv} [v,[u,w]] - [u,[v,w]], zero on
         every triple iff ad_u is a graded derivation for all u, i.e. iff
-        the table is a Lie superalgebra. Decided in integers: T^2 * defect
-        is accumulated from the brackets scaled by T (`scaled_brackets`),
-        and only a nonzero defect is divided by T^2, so it equals the
+        the table is a Lie superalgebra. Read off `_signed_defects` with
+        no row flipped: the terms of a (triple, component) sum to T^2 *
+        defect, and only a nonzero sum is divided by T^2, so it equals the
         Fraction definition (`jacobi_defect` in tests_support_dense).
         """
-        T, br = self.scaled_brackets()
-        fails = []
-        for u, v, w in itertools.product(GENS, repeat=3):
-            sign = -1 if PARITY[u] and PARITY[v] else 1
-            acc = {}
-            for g, c in br[(u, v)]:
-                for h, d in br[(g, w)]:
-                    acc[h] = acc.get(h, 0) + c * d
-            for g, c in br[(u, w)]:
-                for h, d in br[(v, g)]:
-                    acc[h] = acc.get(h, 0) + sign * c * d
-            for g, c in br[(v, w)]:
-                for h, d in br[(u, g)]:
-                    acc[h] = acc.get(h, 0) - c * d
-            defect = {h: Fraction(x, T * T) for h, x in acc.items() if x}
-            if defect:
-                fails.append(((u, v, w), defect))
-                if stop_at_first:
-                    return fails
-        return fails
+        T, _ = self.scaled_brackets()
+        fails = {}
+        for (u, v, w, h), terms in _signed_defects(self)[1].items():
+            x = sum(x for _, x in terms)
+            if x:
+                fails.setdefault((u, v, w), {})[h] = Fraction(x, T * T)
+        return list(fails.items())
 
     def is_jacobi(self):
-        """True iff the graded Jacobi identity holds on all 125 triples.
-
-        Decided on integer brackets scaled by T (see `jacobi_failures`),
-        stopping at the first failing triple.
-        """
-        return not self.jacobi_failures(stop_at_first=True)
+        """True iff the graded Jacobi identity holds on all 125 triples."""
+        return not self.jacobi_failures()
 
     def check_weights(self):
         """Every term of [u,v] must carry weight wt(u)+wt(v)."""
@@ -235,18 +217,19 @@ def adopted_table():
 def _signed_defects(base):
     """(flippable, defects): T^2 * the Jacobi defects of all sign flips.
 
-    The variant `mask` negates the row flippable[i] for each bit i of
-    mask; T is the same for every variant. A product c * d of the defect
-    (`jacobi_failures`) takes the signs of its two rows, so each
-    (triple, component) is one entry of (bits, x) pairs, and its defect
-    in the variant `mask` is sum x * (-1)^popcount(mask & bits).
+    The one Jacobi evaluator. The variant `mask` negates the row
+    flippable[i] for each bit i of mask; T is the same for every variant.
+    A product c * d of the defect (`jacobi_failures`) takes the signs of
+    its two rows, so defects maps each (u, v, w, h), in product order, to
+    (bits, x) pairs, and its defect in the variant `mask` is
+    sum x * (-1)^popcount(mask & bits); mask 0 is `base` itself.
     """
     flippable = [p for p in OFF_DIAGONAL_PAIRS if base._rows[p]]
     bits = dict.fromkeys(itertools.product(GENS, repeat=2), 0)
     for i, (u, v) in enumerate(flippable):
         bits[(u, v)] = bits[(v, u)] = 1 << i
     _, br = base.scaled_brackets()
-    acc = {}        # (triple, component) -> {bits: x}
+    acc = {}        # (u, v, w, h) -> {bits: x}
     for u, v, w in itertools.product(GENS, repeat=3):
         sign = -1 if PARITY[u] and PARITY[v] else 1
         terms = [((u, v), (g, w), h, c * d)
@@ -258,14 +241,14 @@ def _signed_defects(base):
         for p, q, h, x in terms:
             entry, b = acc.setdefault((u, v, w, h), {}), bits[p] ^ bits[q]
             entry[b] = entry.get(b, 0) + x
-    return flippable, [[(b, x) for b, x in entry.items() if x]
-                       for entry in acc.values()]
+    return flippable, {key: [(b, x) for b, x in entry.items() if x]
+                       for key, entry in acc.items()}
 
 
 def _flip_is_jacobi(defects, mask):
     """True iff the variant `mask` has no Jacobi defect (`_signed_defects`)."""
     return not any(sum(-x if (mask & b).bit_count() & 1 else x
-                       for b, x in terms) for terms in defects)
+                       for b, x in terms) for terms in defects.values())
 
 
 def _flip_variants(base):

@@ -120,6 +120,13 @@ class Cochain:
                        self.universe)
 
     def add(self, other, coeff=Fraction(1)):
+        """self + coeff * other on one complex: the same module (by value),
+        degree, parity and universe (ValueError else)."""
+        ours, theirs = ((f.mod, f.degree, f.parity, f.universe)
+                        for f in (self, other))
+        if ours != theirs:
+            raise ValueError(f"cannot add {other!r} of {theirs} to "
+                             f"{self!r} of {ours}: not one complex")
         vals = {u: dict(v) for u, v in self.values.items()}
         for u, v in other.values.items():
             vec_add(vals.setdefault(u, {}), v, coeff)
@@ -146,9 +153,9 @@ def zero_cochain(mod, degree, parity, universe=GENS):
     return Cochain(mod, degree, parity, {}, universe)
 
 
-def _term1_sign(i, parities, prefix, q):
+def _term1_sign(i, parities, prefix):
     s = -1 if i % 2 else 1
-    if parities[i] and (q + prefix[i]) % 2:
+    if parities[i] and prefix[i] % 2:
         s = -s
     return s
 
@@ -193,7 +200,7 @@ def _koszul_skeleton(n, q, universe):
         for i, gen in enumerate(target):
             group = groups.setdefault(target[:i] + target[i + 1:],
                                       [gen, 0, 0])
-            group[1] += _term1_sign(i, parities, prefix, q)
+            group[1] += _term1_sign(i, parities, prefix)
         for i in range(n + 1):
             for k in range(i + 1, n + 1):
                 rest = target[:i] + target[i + 1:k] + target[k + 1:]

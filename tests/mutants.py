@@ -104,6 +104,12 @@ MUTANTS = (
      "target(monomials[r // S])",
      "target(monomials[r % S])",
      ENGINE + "test_stride_solves_equal_the_positional_reference"),
+    # the Jacobi expansion's third sum, -[u,[v,w]], added with its sign
+    # dropped: the one evaluator then disagrees with the Fraction defect
+    ("jacobi-third-sum-unsigned", "algebra.py",
+     "((v, w), (u, g), h, -c * d)",
+     "((v, w), (u, g), h, c * d)",
+     "tests/test_algebra.py::test_integer_jacobi_equals_fraction_defect"),
     # a failed exact check that escapes the CLI as a traceback
     ("cli-lets-a-mismatch-escape", "cli.py",
      "    except Mismatch as exc:\n"

@@ -94,7 +94,6 @@ def test_integer_jacobi_equals_fraction_defect(flips, scales, rescale):
             expected.append((triple, defect))
     assert table.jacobi_failures() == expected
     assert table.is_jacobi() == (not expected)
-    assert table.jacobi_failures(stop_at_first=True) == expected[:1]
 
 
 def test_jacobi_trivial_triples():
@@ -163,10 +162,15 @@ def test_audit_without_a_module_compatible_flip_raises():
     (printed_table(), 4), (adopted_table(), 4), (_broken_table(), 0)],
     ids=["printed", "adopted", "broken"])
 def test_flip_predicate_equals_is_jacobi(base, passing):
-    # the precomputed signed defects decide every sign-flip variant as
-    # is_jacobi() does on the variant's own table; with a passing mask
-    # present, a dropped or mis-signed product term shows
+    # the keyed signed expansion decides every sign-flip variant as
+    # is_jacobi() does on the variant's own table, and its signed sums
+    # are that table's own failures, component by component; with a
+    # passing mask present, a dropped or mis-signed product term shows
     flippable, defects = algebra._signed_defects(base)
+    triples = list(itertools.product(GENS, repeat=3))
+    places = [triples.index(key[:3]) for key in defects]
+    assert places == sorted(places)
+    T, _ = base.scaled_brackets()
     masks = range(1 << len(flippable))
     verdicts = [algebra._flip_is_jacobi(defects, mask) for mask in masks]
     assert len(flippable) == 8 and sum(verdicts) == passing
@@ -175,7 +179,15 @@ def test_flip_predicate_equals_is_jacobi(base, passing):
         for i, pair in enumerate(flippable):
             if mask >> i & 1:
                 rows[pair] = {g: -c for g, c in rows[pair].items()}
-        assert verdicts[mask] == StructureTable(rows, "flip").is_jacobi()
+        signed = {}
+        for (u, v, w, h), terms in defects.items():
+            x = sum(-x if (mask & b).bit_count() & 1 else x
+                    for b, x in terms)
+            if x:
+                signed.setdefault((u, v, w), {})[h] = Fraction(x, T * T)
+        table = StructureTable(rows, "flip")
+        assert list(signed.items()) == table.jacobi_failures()
+        assert verdicts[mask] == table.is_jacobi() == (not signed)
     assert [t.label for t in algebra._flip_variants(base)] == \
         [f"flip-{mask:#x}" for mask in masks if verdicts[mask]]
     if not passing:

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 
@@ -33,6 +34,23 @@ def test_audit_no_repair_lists_failures(capsys):
     data = json.loads(out)
     assert any(e["triple"] == ["A", "A", "B"]
                for e in data["jacobi_failures_printed"])
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (["--table", "printed"], 1,
+     "cd339ba4416f5fb999ea5ac0aee2fa7d29dc1b2f47212ff4e495aa36fee8d2a9"),
+    (["--table", "printed", "--format", "csv"], 1,
+     "9ab0f640abe3b6730e910dbbb1f01ca7606ffa0df899089521701743d66aa22d"),
+    (["--table", "repaired"], 0,
+     "4b060d72a74c40666fb1e95721fdc648cd5b57f3d575649298f135d1901dec8a"),
+    (["--table", "repaired", "--format", "csv"], 0,
+     "9c20cd96e495d50b9f48c576cadd6ce97531f66dad85a7b26af82924d031667c"),
+], ids=["printed-json", "printed-csv", "repaired-json", "repaired-csv"])
+def test_audit_no_repair_outputs_are_pinned(capsys, argv, code, digest):
+    # the Jacobi failures each table's report lists, byte for byte
+    got, out = run_cli(capsys, "audit", "--no-repair", *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_audit_csv_format(capsys):

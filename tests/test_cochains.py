@@ -314,6 +314,23 @@ def test_cochain_rejects_parity_mixing():
         Cochain(MOD, 1, 1, {("A",): {("c", 0, 1): F(2)}})
 
 
+def test_cochains_of_different_complexes_do_not_add():
+    f = Cochain(TruncatedDlm(0, F(1, 2), 3), 1, 0,
+                {("H",): {("a", 0, 0): 1}})
+    other = Cochain(TruncatedDlm(F(1, 3), F(5, 6), 3), 1, 0,
+                    {("H",): {("a", 0, 1): 2}})
+    with pytest.raises(ValueError, match=r"lam=1/3, mu=5/6.*lam=0, mu=1/2"):
+        f.add(other)
+    for degree, parity, universe in ((2, 0, GENS), (1, 1, GENS),
+                                     (1, 0, SL2)):
+        with pytest.raises(ValueError):
+            f.sub(Cochain(MOD, degree, parity, {}, universe))
+    # a module equal by value is the same complex
+    twin = Cochain(TruncatedDlm(0, F(1, 2), 3), 1, 0,
+                   {("H",): {("a", 0, 0): 2}})
+    assert f.add(twin).values == {("H",): {("a", 0, 0): F(3)}}
+
+
 def test_reduce_of_coboundary_stays_cohomologous():
     rng = random.Random(55)
     g0 = random_cochain(MOD, 1, 0, rng)

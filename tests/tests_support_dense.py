@@ -25,7 +25,7 @@ from ospcoho.algebra import (GENS, PAIR_ORDER, PARITY, SL2, StructureTable,
                              adopted_table, canonicalize, monomial_basis,
                              monomial_parity, monomial_weight)
 from ospcoho.cochains import (Cochain, _basis, _graded_monomials, _scales,
-                              _term1_sign, _term2_sign, _weight_chain,
+                              _term2_sign, _weight_chain,
                               zero_cochain)
 from ospcoho.superdiff import (ETA, ETABAR, OpPoly, graded_commutator,
                                vector_field)
@@ -529,8 +529,10 @@ def reference_koszul_terms(n, q, universe, table):
         prefix = [0]
         for p in parities:
             prefix.append(prefix[-1] + p)
+        # gen.f(source) carries (-1)^i (-1)^{|gen| (q + |target[:i]|)}:
+        # gen passes f, of parity q, and the generators before it
         acts = tuple((gen, target[:i] + target[i + 1:],
-                      _term1_sign(i, parities, prefix, q))
+                      (-1) ** (i + parities[i] * (q + prefix[i])))
                      for i, gen in enumerate(target))
         brackets = {}
         for i in range(n + 1):
