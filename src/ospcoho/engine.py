@@ -26,10 +26,11 @@ cohomology of D^{<=K} for every K >= p and at most 4 vectors per weight
 slice. These brute-force numbers are compared against two independent
 predictions:
 
-  * the kernel description  H^0 = ker A o+ ker B,
+  * the kernel description  H^0 = ker A ∩ ker B,
     H^1 ~ H^0 (+) (ker A)^{-1/2}/B((ker A)^0), H^2 ~ that quotient,
-    H^{>2} = 0, evaluated on the truncation in integers: the kernels
-    are integer null spaces of the module's action stencils, and the
+    H^{>2} = 0, evaluated on the truncation in integers on its slices
+    of weight 0 and -1/2 only (`_kernel_description`): the kernels are
+    integer null spaces of the module's action stencils, and the
     quotient is ranked with `linalg.greedy_independent`;
   * the closed-form dimension table for D_{lambda,mu}, decided by the
     case split on p = mu - lambda over exact rationals.
@@ -65,12 +66,13 @@ from .weightmod import (TWICE_WEIGHT, TruncatedDlm, action_scale,
 NMAX_DEFAULT = 4
 WMAX_DEFAULT = Fraction(2)
 # the deepest truncation `dims` builds, whether the guard or --kmax asks
-# for it; the predictions on it dominate a point: 0.25 s and 29 MB at
-# K = 128, 0.85 s and 76 MB at K = 256 (build_report(-3/2, 2, K, nmax=6),
-# fastest of 3 fresh interpreters; 2-CPU Intel Xeon, Python 3.11.7)
+# for it; the predictions' `check_a_onto` scan on it dominates a point:
+# 0.07 s and 22 MB at K = 128, 0.36 s and 45 MB at K = 256
+# (build_report(-3/2, 2, K, nmax=6) in process, fastest of 3 fresh
+# interpreters; 2-CPU Intel Xeon, Python 3.11.7)
 K_MAX = 128
 # the widest weight window `dims` takes: |w| <= W_MAX is 4 W_MAX + 1
-# weights per point for n <= 2. At K = K_MAX, |w| <= 8 took 0.28 s
+# weights per point for n <= 2. At K = K_MAX, |w| <= 8 took 0.07 s
 W_MAX = 8
 
 
@@ -119,15 +121,10 @@ class DimCount(namedtuple("DimCount", "total even odd")):
         return {"total": self.total, "even": self.even, "odd": self.odd}
 
 
-def h_dim(mod, n, w, universe=GENS):
-    """dim H^n at cochain weight w, split by cochain parity; w becomes
-    the int t = 2(w + p) once (`twice_h_dim`)."""
-    return twice_h_dim(mod, n, mod.twice_shifted(w), universe)
-
-
 def twice_h_dim(mod, n, t, universe=GENS):
-    """`h_dim` at t = 2(w + p) (`twice_shifted`: an int, or None when no
-    vector has weight w and every block is empty).
+    """dim H^n at cochain weight w, split by cochain parity, at
+    t = 2(w + p) (`twice_shifted`: an int, or None when no vector has
+    weight w and every block is empty).
 
     dim H^n_w = cols_n - rank d_n - rank d_{n-1}, all of cochain parity
     t mod 2. The ranks are chained on the weight chain of t (see
@@ -145,54 +142,52 @@ def twice_h_dim(mod, n, t, universe=GENS):
 
 # --- closed-form predictions ------------------------------------------------
 
-def _total_kernel_dim(mod, gens):
-    return sum(len(mod.kernel_slice(gens, t)) for t in mod.kernel_weights())
+def _kernel_description(mod, kernel_gen, image_gen, nmax):
+    """{n: dim} for n <= nmax from the kernel description of g = kernel_gen
+    and h = image_gen: H^0 = ker g ∩ ker h, Q = (ker g)^top / h((ker g)^0)
+    with top the weight of h, H^1 ~ H^0 (+) Q, H^2 ~ Q and H^{>2} = 0.
 
-
-def _kernel_quotient_dim(mod, kernel_gen, image_gen):
-    """dim (ker g)^top / h((ker g)^0) with g = kernel_gen, h = image_gen.
-
-    top is the weight of h. The (ker g)^0 vectors are mapped through the
-    module's h images; the quotient is ranked in integers
-    (`linalg.quotient_dim`), which raises NotContained when the image
-    does not lie in (ker g)^top. With 2p not an integer no vector has
-    weight 0 or top, and the quotient is 0.
+    Only the slices t0 = 2p (weight 0) and top are read. In the adopted
+    table [A, B] = -2H and [X, Y] = 2H, and the module axiom holds on
+    D^{<=K} and on its cuts (the tier-1 proof grid of
+    `test_casimir_is_triangular_in_k_with_the_proven_diagonal`). So a
+    vector killed by g and h is killed by H, which acts on the slice t by
+    its weight, and it lies in the slice t0. The (ker g)^0 vectors are
+    mapped through the module's h images; the quotient is ranked in
+    integers (`linalg.quotient_dim`), which raises NotContained when the
+    image does not lie in (ker g)^top. With 2p not an integer no vector
+    has weight 0 or top, and every dimension is 0.
     """
-    t = mod.twice_shifted(0)
-    if t is None:
-        return 0
+    t0 = mod.twice_shifted(0)
+    if t0 is None:
+        return dict.fromkeys(range(nmax + 1), 0)
+    top = t0 + TWICE_WEIGHT[image_gen]
+    d0 = len(mod.kernel_slice((kernel_gen, image_gen), t0))
     image = mod.image
     images = []
-    for vec in mod.kernel_slice((kernel_gen,), t):
+    for vec in mod.kernel_slice((kernel_gen,), t0):
         out = {}
         for bv, c in vec.items():
             for tbv, x in image(image_gen, bv):
                 out[tbv] = out.get(tbv, 0) + c * x
         images.append(out)
-    top = t + TWICE_WEIGHT[image_gen]
-    return linalg.quotient_dim(mod.kernel_slice((kernel_gen,), top), images)
-
-
-def _theorem_shape(d0, q, nmax):
+    q = linalg.quotient_dim(mod.kernel_slice((kernel_gen,), top), images)
     dims = {0: d0, 1: d0 + q, 2: q}
     return {n: dims.get(n, 0) for n in range(nmax + 1)}
 
 
 def predict_theorem(mod, nmax=NMAX_DEFAULT):
-    """Dimensions from the kernel description, on the truncation itself."""
+    """Dimensions from the kernel description of A and B, on the
+    truncation itself, once `check_a_onto` confirms its hypothesis."""
     if not mod.check_a_onto():
         raise HypothesisViolated(f"A is not onto on {mod}")
-    d0 = _total_kernel_dim(mod, ("A", "B"))
-    q = _kernel_quotient_dim(mod, "A", "B")
-    return _theorem_shape(d0, q, nmax)
+    return _kernel_description(mod, "A", "B", nmax)
 
 
 # no caller in the program yet: `ospcoho restrict` is to print it
 def predict_sl2(mod, nmax=NMAX_DEFAULT):
     """sl(2) dimensions from the ker X / Y((ker X)^0) description."""
-    d0 = _total_kernel_dim(mod, ("X", "Y"))
-    q = _kernel_quotient_dim(mod, "X", "Y")
-    return _theorem_shape(d0, q, nmax)
+    return _kernel_description(mod, "X", "Y", nmax)
 
 
 def special_k(lam, mu):

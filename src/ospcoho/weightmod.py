@@ -367,7 +367,8 @@ class TruncatedDlm:
         Kernels of the raising/odd generators consist of m = 0 vectors
         only (every action row on an m > 0 vector keeps an m >= 1 tail
         with a nonzero coefficient m), so scanning these slices sees
-        every kernel element.
+        every kernel element. Read by `check_a_onto` alone: the
+        predictions need no scan (`engine._kernel_description`).
         """
         return sorted({2 * k + s for s in _SHIFT2.values()
                        for k in range(self.K + 1)})

@@ -47,6 +47,12 @@ MUTANTS = (
      "    K = math.floor(p)\n",
      "    K = math.floor(p) - 1\n",
      ENGINE + "test_zero_piece_has_the_cohomology_of_the_truncation"),
+    # the joint kernel ker A ∩ ker B read on the slice of B's weight
+    # instead of the weight-0 slice that holds it
+    ("joint-kernel-read-at-top", "engine.py",
+     "    d0 = len(mod.kernel_slice((kernel_gen, image_gen), t0))\n",
+     "    d0 = len(mod.kernel_slice((kernel_gen, image_gen), top))\n",
+     ENGINE + "test_predict_theorem_matches_proposition_on_grid"),
     # weight chains, and the ranks filed with them, kept in one
     # module-global dict, shared by every module with the same
     # (t, universe)

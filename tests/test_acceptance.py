@@ -22,7 +22,7 @@ from ospcoho.superdiff import derived_module_action, \
     solve_realization_constants
 from ospcoho.weightmod import (FAMILIES, TruncatedDlm, from_oppoly,
                                module_axiom_holds, to_oppoly)
-from tests_support_dense import act, act_basis, delta_matrix
+from tests_support_dense import act, act_basis, delta_matrix, h_dim
 
 F = Fraction
 TABLE = adopted_table()
@@ -173,7 +173,7 @@ def test_criterion_09_restriction(grid_reports):
     for lam, mu in ORACLE_GRID:
         mod = TruncatedDlm(lam, mu, 3)
         predicted = engine.predict_sl2(mod, nmax=3)
-        computed = {n: engine.h_dim(mod, n, 0, universe=SL2).total
+        computed = {n: h_dim(mod, n, 0, universe=SL2).total
                     for n in range(4)}
         assert computed == predicted, (lam, mu)
     print("PASS criterion 9: sl(2) restriction injective; "

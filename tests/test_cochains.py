@@ -14,14 +14,15 @@ from ospcoho.cochains import (Cochain, NoCocycle, TypeMismatch, coboundary,
                               is_reduced, make_f_k, make_ftilde_k,
                               make_h_lambda, reduce_cochain, restrict_sl2,
                               zero_cochain)
-from ospcoho.engine import (guard_K, h_dim, is_coboundary, predict_sl2,
+from ospcoho.engine import (guard_K, is_coboundary, predict_sl2,
                             predict_theorem, zero_piece)
 from ospcoho.weightmod import (TruncatedDlm, TruncationViolation,
                                action_scale, to_oppoly, vec_add, vec_scale)
 from ospcoho.superdiff import OpPoly
 from tests_support_dense import (act, act_basis, basis_weight,
                                  cochain_coords, cochain_from_json,
-                                 delta_block, delta_matrix, random_cochain,
+                                 delta_block, delta_matrix, h_dim,
+                                 random_cochain,
                                  reference_block_coboundary,
                                  reference_delta_block,
                                  reference_koszul_terms, rescaled_table,

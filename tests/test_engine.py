@@ -16,13 +16,13 @@ from ospcoho.cochains import (Cochain, _basis, _weight_chain, coboundary,
                               restrict_sl2)
 from ospcoho.engine import (DimCount, NotACocycle, build_report,
                             class_representatives, gelfand_fuchs_check,
-                            grid_reports, h_dim, is_coboundary,
+                            grid_reports, is_coboundary,
                             predict_proposition, predict_sl2,
                             predict_theorem, restriction_injectivity_check,
                             run_audit, selftest)
 from ospcoho.weightmod import TruncatedDlm
 from tests_support_dense import (cochain_coords, cochain_from_coords,
-                                 delta_block)
+                                 delta_block, h_dim)
 
 F = Fraction
 TABLE = adopted_table()
@@ -644,9 +644,10 @@ def test_higher_cohomology_vanishes_on_the_piece():
 
 
 def test_outputs_are_pinned(tmp_path, capsys):
-    # the dims CSVs of the half-integer grid and of five other points,
-    # the restriction checks of the acceptance grid, and the stdout of
-    # selftest, audit and the f, ftilde and cup cocycles, byte for byte
+    # the dims CSVs of the half-integer grid, of five other points and of
+    # four points at K = 128, the restriction checks of the acceptance
+    # grid, and the stdout of selftest, audit and the f, ftilde and cup
+    # cocycles, byte for byte
     from ospcoho import cli
     out = tmp_path / "dims.csv"
     assert cli.main(["dims", "--grid", "halfints:-1..1", "--format", "csv",
@@ -659,6 +660,13 @@ def test_outputs_are_pinned(tmp_path, capsys):
                      "--threads", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "f4e2d8db7f8e0942ed5497bfbffab7e4cdb668ff3b642d890ce7081cdc59107e")
+    # deep truncations, where the predictions read D^{<=128}: a special
+    # point, lambda = mu, 2p not an integer and an integer p >= 1
+    assert cli.main(["dims", "--grid", "pairs:-3/2,2;0,0;1/3,0;0,2",
+                     "--kmax", "128", "--format", "csv", "--threads", "1",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "09dc16176256827da5a38411d2cfeaef6acb93896c227a0df0e9179570f48086")
     checks = [restriction_injectivity_check(lam, mu, K=8, nmax=2)
               for lam, mu in ACCEPTANCE_GRID]
     assert sum(len(c["classes"]) for c in checks) == 22

@@ -608,6 +608,27 @@ def test_casimir_is_triangular_in_k_with_the_proven_diagonal(lam, mu):
     assert same_k > 300
 
 
+@pytest.mark.parametrize("lam, mu", PROOF_GRID)
+def test_joint_kernels_lie_in_the_weight_zero_slice(lam, mu):
+    # `engine._kernel_description` reads ker A ∩ ker B and ker X ∩ ker Y
+    # on the slice t0 = 2p alone: [A, B] = -2H and [X, Y] = 2H with the
+    # module axiom proven above, so a joint kernel vector is killed by H,
+    # which acts on a slice by its weight. Every other slice of D^{<=K}
+    # and of the cut D^{<=K}/D^{<=2} has an empty joint kernel
+    checked = 0
+    for mod in (TruncatedDlm(lam, mu, PROOF_K),
+                TruncatedDlm(lam, mu, PROOF_K, 2)):
+        t0 = mod.twice_shifted(0)
+        slices = range(-2 * mod.K - 1, 2 * mod.K + 2)
+        assert t0 in slices
+        for t in slices:
+            for gens in (("A", "B"), ("X", "Y")):
+                if t != t0:
+                    assert mod.kernel_slice(gens, t) == [], (mod, gens, t)
+                    checked += 1
+    assert checked == 2 * 2 * 26
+
+
 def test_the_cut_module_is_the_quotient():
     # D^{<=K}/D^{<=K0}: its slices hold K0 < k <= K, its stencils are the
     # truncation's less the terms at k <= K0, and it is a module

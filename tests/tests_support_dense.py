@@ -4,7 +4,7 @@ Naive dense Gaussian elimination, the Fraction matrices of the
 differential, the per-block assembler the weight chains replaced and
 the coboundary built on it; the positional view of the program's
 blocks, which the tests read by position, and the primitive solved on
-it;
+it; the cohomology dimensions at a Fraction weight;
 the Fraction definitions that the program decides in integers (the
 action with X = A o A and Y = -B o B composed in Fractions, the module
 axiom defect, the Jacobi defect) and the rescaled bracket tables; the
@@ -30,6 +30,7 @@ from ospcoho.cochains import (Cochain, _basis, _graded_monomials, _scales,
 from ospcoho.superdiff import (ETA, ETABAR, OpPoly, graded_commutator,
                                vector_field)
 from ospcoho.engine import _random_cochain as random_cochain  # noqa: F401
+from ospcoho.engine import twice_h_dim
 from ospcoho.weightmod import (FAMILY_SHIFT, TWICE_WEIGHT, TruncatedDlm,
                                _compose, vec_add, vec_scale)
 
@@ -361,6 +362,12 @@ def basis_weight(mod, bv):
     """The weight k - m - p + shift(family) of a basis vector."""
     f, m, k = bv
     return k - m - mod.p + FAMILY_SHIFT[f]
+
+
+def h_dim(mod, n, w, universe=GENS):
+    """dim H^n at the cochain weight w, split by cochain parity:
+    `twice_h_dim` at the int t = 2(w + p) (`twice_shifted`)."""
+    return twice_h_dim(mod, n, mod.twice_shifted(w), universe)
 
 
 def weight_components(f):
