@@ -137,13 +137,7 @@ class StructureTable:
         defect, and only a nonzero sum is divided by T^2, so it equals the
         Fraction definition (`jacobi_defect` in tests_support_dense).
         """
-        T, _ = self.scaled_brackets()
-        fails = {}
-        for (u, v, w, h), terms in _signed_defects(self)[1].items():
-            x = sum(x for _, x in terms)
-            if x:
-                fails.setdefault((u, v, w), {})[h] = Fraction(x, T * T)
-        return list(fails.items())
+        return _unflipped_failures(self, _signed_defects(self)[1])
 
     def is_jacobi(self):
         """True iff the graded Jacobi identity holds on all 125 triples."""
@@ -245,19 +239,31 @@ def _signed_defects(base):
                        for key, entry in acc.items()}
 
 
+def _unflipped_failures(base, defects):
+    """`base.jacobi_failures()` read off its signed defects (mask 0)."""
+    T, _ = base.scaled_brackets()
+    fails = {}
+    for (u, v, w, h), terms in defects.items():
+        x = sum(x for _, x in terms)
+        if x:
+            fails.setdefault((u, v, w), {})[h] = Fraction(x, T * T)
+    return list(fails.items())
+
+
 def _flip_is_jacobi(defects, mask):
     """True iff the variant `mask` has no Jacobi defect (`_signed_defects`)."""
     return not any(sum(-x if (mask & b).bit_count() & 1 else x
                        for b, x in terms) for terms in defects.values())
 
 
-def _flip_variants(base):
+def _flip_variants(base, expansion):
     """The sign-flip variants of `base` that satisfy Jacobi, in mask order.
 
-    Each mask is decided on the signed defects; only a passing one
-    becomes a StructureTable, confirmed by `is_jacobi()`.
+    Each mask is decided on `expansion`, the signed defects of `base`
+    (`_signed_defects`); only a passing one becomes a StructureTable,
+    confirmed by `is_jacobi()` on its own expansion.
     """
-    flippable, defects = _signed_defects(base)
+    flippable, defects = expansion
     for mask in range(1 << len(flippable)):
         if _flip_is_jacobi(defects, mask):
             rows = {p: base.row(p) for p in PAIR_ORDER}
@@ -307,11 +313,15 @@ def audit_and_repair(printed, module_check):
     the Jacobi defect of (u, v, w) in component h by s_u s_v s_w / s_h,
     so a rescaled table fails Jacobi on exactly the triples its input
     fails on, and no rescaling repairs a table that fails Jacobi.
+
+    The printed table's failures and the sign-flip search read one
+    expansion of its defects (`_signed_defects`).
     """
-    failures = printed.jacobi_failures()
+    expansion = _signed_defects(printed)
+    failures = _unflipped_failures(printed, expansion[1])
     candidates = []
     consistent = []
-    for table in _flip_variants(printed):
+    for table in _flip_variants(printed, expansion):
         changes = table.changes_from(printed)
         consistent.append(changes)
         if module_check(table):

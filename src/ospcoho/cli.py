@@ -36,6 +36,9 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 _NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
+# the most points a halfints grid may list: 255^2, halfints:-64..63. A
+# grid holds every report until it writes, about 19 KB per point
+GRID_MAX = 255 ** 2
 
 
 def parse_rational(text):
@@ -52,14 +55,13 @@ def parse_rational(text):
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
-def parse_grid(spec, kmax=None):
+def parse_grid(spec):
     """'halfints:LO..HI' -> all half-integer pairs; 'pairs:l,m;l,m' -> list.
 
     Raises argparse.ArgumentTypeError on a malformed or empty grid, or
     on a halfints bound that is not a multiple of 1/2. A halfints grid
-    is also rejected, before any point is listed, when its corner
-    (LO, HI), the point with the largest |p|, needs a truncation deeper
-    than `engine.K_MAX` (`_require_depth`).
+    of more than GRID_MAX points is also rejected, before any point is
+    listed.
     """
     kind, _, body = spec.partition(":")
     if kind == "halfints":
@@ -72,13 +74,10 @@ def parse_grid(spec, kmax=None):
             if (2 * bound).denominator != 1:
                 raise argparse.ArgumentTypeError(
                     f"grid {spec!r}: bound {bound} is not a half-integer")
-        if lo <= hi:
-            _require_depth(lo, hi, kmax)
-        vals = []
-        v = lo
-        while v <= hi:
-            vals.append(v)
-            v += Fraction(1, 2)
+        n = int(2 * (hi - lo)) + 1
+        _require(n <= 0 or n * n <= GRID_MAX,
+                 f"grid {spec!r} has {n * n} points, above {GRID_MAX}")
+        vals = [lo + Fraction(j, 2) for j in range(n)]
         out = [(a, b) for a in vals for b in vals]
     elif kind == "pairs":
         out = []
@@ -103,12 +102,14 @@ def _require(ok, message):
         raise argparse.ArgumentTypeError(message)
 
 
-def _require_depth(lam, mu, kmax):
-    """Reject a point whose truncation depth is above `engine.K_MAX`."""
-    K = engine.guard_K(lam, mu, kmax)
-    _require(K <= engine.K_MAX,
+def _require_depth(lam, mu):
+    """Reject a point whose predictions would rank a long weight-0 slice:
+    with p < 0 and 2p an integer it holds every k <= guard_K of two
+    families, so its guard depth is capped by `engine.K_MAX_NEGATIVE_P`."""
+    p, K, cap = mu - lam, engine.guard_K(lam, mu), engine.K_MAX_NEGATIVE_P
+    _require(p >= 0 or (2 * p).denominator != 1 or K <= cap,
              f"truncation depth K = {K} at lambda = {lam}, mu = {mu} "
-             f"is above {engine.K_MAX}")
+             f"is above {cap}")
 
 
 def _check_out(path):
@@ -179,6 +180,8 @@ def cmd_audit(args):
 def cmd_dims(args):
     _require(args.kmax is None or args.kmax >= 0,
              f"--kmax must be >= 0, got {args.kmax}")
+    _require(args.kmax is None or args.kmax <= engine.K_MAX,
+             f"--kmax {args.kmax} is above {engine.K_MAX}")
     _require(args.threads >= 1,
              f"--threads must be >= 1, got {args.threads}")
     _require(0 <= args.wmax <= engine.W_MAX
@@ -189,10 +192,9 @@ def cmd_dims(args):
              "--grid cannot be combined with --lambda/--mu")
     _require(args.grid or (args.lam is not None and args.mu is not None),
              "provide --lambda/--mu or --grid")
-    pairs = (parse_grid(args.grid, args.kmax) if args.grid
-             else [(args.lam, args.mu)])
+    pairs = parse_grid(args.grid) if args.grid else [(args.lam, args.mu)]
     for lam, mu in pairs:
-        _require_depth(lam, mu, args.kmax)
+        _require_depth(lam, mu)
     reports = engine.grid_reports(pairs, K=args.kmax, nmax=args.nmax,
                                   wmax=args.wmax, threads=args.threads)
     ok = all(r.match for r in reports)

@@ -31,7 +31,11 @@ predictions:
     H^{>2} = 0, evaluated on the truncation in integers on its slices
     of weight 0 and -1/2 only (`_kernel_description`): the kernels are
     integer null spaces of the module's action stencils, and the
-    quotient is ranked with `linalg.greedy_independent`;
+    quotient is ranked with `linalg.greedy_independent`. Its hypothesis,
+    that A maps each weight slice onto the next, is a theorem of the
+    action table (`TruncatedDlm.check_a_onto`), so a report scans no
+    slice for it, and nothing in a report grows with K but those two
+    slices;
   * the closed-form dimension table for D_{lambda,mu}, decided by the
     case split on p = mu - lambda over exact rationals.
 
@@ -65,14 +69,19 @@ from .weightmod import (TWICE_WEIGHT, TruncatedDlm, action_scale,
 
 NMAX_DEFAULT = 4
 WMAX_DEFAULT = Fraction(2)
-# the deepest truncation `dims` builds, whether the guard or --kmax asks
-# for it; the predictions' `check_a_onto` scan on it dominates a point:
-# 0.07 s and 22 MB at K = 128, 0.36 s and 45 MB at K = 256
-# (build_report(-3/2, 2, K, nmax=6) in process, fastest of 3 fresh
-# interpreters; 2-CPU Intel Xeon, Python 3.11.7)
+# the deepest truncation --kmax asks for. A report ranks the weight-0
+# slice of D^{<=K}, about 2(K - max(p, 0)) vectors, so its cost is
+# linear in K: about 20 us and 3.5 KB per unit, 0.014 s at K = 128 and
+# 1.6 s and 242 MB at K = 65,536 (build_report(-3/2, 2, K, nmax=6), one
+# fresh interpreter each; 2-CPU Intel Xeon, Python 3.11.7)
 K_MAX = 128
+# the deepest guard depth ceil|p| + 1 of a point with p < 0 and 2p an
+# integer, whose weight-0 slice then holds every k <= K of two families:
+# build_report(16384, 0) at K = 16,385 took 0.27 s and 62 MB. Every other
+# point's guard depth is free: its weight-0 slice holds a few vectors
+K_MAX_NEGATIVE_P = 2 ** 14
 # the widest weight window `dims` takes: |w| <= W_MAX is 4 W_MAX + 1
-# weights per point for n <= 2. At K = K_MAX, |w| <= 8 took 0.07 s
+# weights per point for n <= 2. At K = K_MAX, |w| <= 8 took 0.016 s
 W_MAX = 8
 
 
@@ -178,7 +187,11 @@ def _kernel_description(mod, kernel_gen, image_gen, nmax):
 
 def predict_theorem(mod, nmax=NMAX_DEFAULT):
     """Dimensions from the kernel description of A and B, on the
-    truncation itself, once `check_a_onto` confirms its hypothesis."""
+    truncation itself, once `check_a_onto` confirms its hypothesis that
+    A maps each weight slice onto the next: by a proof for the table's
+    own action, with no stencil built, and by a scan for a module that
+    overrides it. Only the slices of weight 0 and -1/2 are read and
+    ranked, so the cost is linear in K at most."""
     if not mod.check_a_onto():
         raise HypothesisViolated(f"A is not onto on {mod}")
     return _kernel_description(mod, "A", "B", nmax)
@@ -405,11 +418,6 @@ def run_audit(printed=None):
 
 # --- reports ------------------------------------------------------------------
 
-def _half_range(wmax):
-    m = int(2 * Fraction(wmax))
-    return [Fraction(j, 2) for j in range(-m, m + 1)]
-
-
 class CohomologyReport:
     def __init__(self, lam, mu, K, nmax, computed, theorem, proposition,
                  match):
@@ -504,16 +512,18 @@ def build_report(lam, mu, K=None, nmax=NMAX_DEFAULT, wmax=WMAX_DEFAULT):
     theorem = predict_theorem(mod, nmax)
     proposition = predict_proposition(lam, mu, nmax)
     piece = zero_piece(lam, mu)
+    # the window in integer offsets j = 2w from the weight-0 slice t0
+    t0 = mod.twice_shifted(0)
     computed = {n: {} for n in range(nmax + 1)}
-    for w in _half_range(wmax):
-        top = nmax if w == 0 else min(nmax, 2)
-        t = mod.twice_shifted(w)
-        for n in range(top + 1):
-            computed[n][w] = (DimCount(0, 0, 0) if piece is None
-                              else twice_h_dim(piece, n, t))
-    match = theorem == proposition and all(
-        dc.total == (theorem[n] if w == 0 else 0)
-        for n, row in computed.items() for w, dc in row.items())
+    match = theorem == proposition
+    zero = DimCount(0, 0, 0)
+    m = int(2 * Fraction(wmax))
+    for j in range(-m, m + 1):
+        w = Fraction(j, 2)
+        for n in range((nmax if j == 0 else min(nmax, 2)) + 1):
+            dc = zero if piece is None else twice_h_dim(piece, n, t0 + j)
+            computed[n][w] = dc
+            match &= dc.total == (theorem[n] if j == 0 else 0)
     return CohomologyReport(lam, mu, K_eff, nmax, computed, theorem,
                             proposition, match)
 
@@ -609,7 +619,7 @@ def selftest(suite="all"):
                         (Fraction(0), Fraction(1, 2))):
             mod = TruncatedDlm(lam, mu, 3)
             check(f"module-axiom-{lam}-{mu}", module_axiom_holds(mod, table))
-            check(f"a-onto-{lam}-{mu}", mod.check_a_onto())
+            check(f"a-onto-{lam}-{mu}", mod._a_onto_scan())
 
     def oracle_suite():
         consts = solve_realization_constants(table)

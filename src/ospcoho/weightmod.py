@@ -59,8 +59,9 @@ action in the program: X and Y are built on it, and so is
 `module_axiom_holds`, which checks the module axiom one slice at a time
 on the stencils, each defect scaled by T * D^2, with T the lcm of the
 bracket table's denominators, so that it is an integer vector.
-`kernel_slice` and `check_a_onto`, which the closed-form predictions
-read, rank the same stencils in integers on the int-keyed slices.
+`kernel_slice`, which the closed-form predictions read, ranks the same
+stencils in integers on the int-keyed slices; `check_a_onto` answers by
+a proof for this table's action and ranks them only for another one.
 
 Every coefficient of the table is affine in (m, k, lambda, p), so the
 module axiom and the Casimir identities that `engine.zero_piece` rests
@@ -367,17 +368,39 @@ class TruncatedDlm:
         Kernels of the raising/odd generators consist of m = 0 vectors
         only (every action row on an m > 0 vector keeps an m >= 1 tail
         with a nonzero coefficient m), so scanning these slices sees
-        every kernel element. Read by `check_a_onto` alone: the
+        every kernel element. Read by `_a_onto_scan` alone: the
         predictions need no scan (`engine._kernel_description`).
         """
         return sorted({2 * k + s for s in _SHIFT2.values()
                        for k in range(self.K + 1)})
 
     def check_a_onto(self):
-        """rank(A : M^t -> M^{t+1}) == dim M^{t+1} on the kernel slices.
+        """A maps every weight slice onto the next: True by a proof for
+        the table's own action, by `_a_onto_scan` for any other.
 
-        Ranked in integers on the A stencils.
+        Divided by D, A's rows in `scaled_act_basis` are single terms
+        that involve neither lambda nor p:
+
+            c_{m,k} -> a_{m,k},        b_{m,k} -> d_{m,k},
+            a_{m,k} -> m c_{m-1,k},    d_{m,k} -> m b_{m-1,k}.
+
+        None changes k, and a slice holds every m >= 0 at each of its k.
+        So every vector of the slice t + 1 has exactly one preimage in
+        the slice t, with a nonzero coefficient: a_{m,k} <- c_{m,k} and
+        d_{m,k} <- b_{m,k} with 1, c_{m,k} <- a_{m+1,k} and
+        b_{m,k} <- d_{m+1,k} with m + 1. This holds on D^{<=K} and on
+        every cut D^{<=K}/D^{<=K0}, for every (lambda, mu); the tier-1
+        test `test_a_stencils_are_a_covering_matching` pins both the
+        matching and the independence of (lambda, p) on the proof grid.
+        A subclass that overrides the action is scanned.
         """
+        if type(self).scaled_act_basis is TruncatedDlm.scaled_act_basis:
+            return True
+        return self._a_onto_scan()
+
+    def _a_onto_scan(self):
+        """rank(A : M^t -> M^{t+1}) == dim M^{t+1} on the kernel slices,
+        ranked in integers on the A stencils."""
         for t in self.kernel_weights():
             rows = [dict(row) for row in self.stencil("A", t)]
             if len(linalg.int_pivots(rows)) != len(self.slice(t + 1)):

@@ -79,6 +79,13 @@ MUTANTS = (
      "for t in range(-2 * mod.K, 2 * mod.K + 2, 2):",
      "tests/test_weightmod.py::"
      "test_module_axiom_check_reads_the_lowest_slice"),
+    # A's image of b_{m,k} scaled by m, so b_{0,k} has none and d_{0,k}
+    # no preimage: A is no longer onto, which `check_a_onto` answers by
+    # the proof that the new test pins
+    ("a-image-of-b-scaled-by-m", "weightmod.py",
+     "                return (((\"d\", m, k), D),)\n",
+     "                return (((\"d\", m, k), D * m),) if m else ()\n",
+     "tests/test_weightmod.py::test_a_stencils_are_a_covering_matching"),
     # a composition that drops each row's first term
     ("compose-drops-a-term", "weightmod.py",
      "        for j, x in row:\n",

@@ -188,7 +188,8 @@ def test_flip_predicate_equals_is_jacobi(base, passing):
         table = StructureTable(rows, "flip")
         assert list(signed.items()) == table.jacobi_failures()
         assert verdicts[mask] == table.is_jacobi() == (not signed)
-    assert [t.label for t in algebra._flip_variants(base)] == \
+    assert [t.label for t in algebra._flip_variants(
+        base, (flippable, defects))] == \
         [f"flip-{mask:#x}" for mask in masks if verdicts[mask]]
     if not passing:
         with pytest.raises(NoConsistentRepair):
@@ -201,6 +202,26 @@ def test_audit_json_schema():
     assert {"pair": "[A,B]", "from": "2H", "to": "-2H"} in payload["changes"]
     assert all({"triple", "defect"} <= set(e)
                for e in payload["jacobi_failures_printed"])
+
+
+def test_an_audit_expands_the_defects_at_most_five_times(monkeypatch):
+    # the printed table's failures and the sign-flip search share one
+    # expansion, and each of the 4 consistent variants confirms itself
+    # on its own: 5 in all, with the printed failures unchanged
+    from ospcoho import engine
+    counted = []
+    expand = algebra._signed_defects
+
+    def spy(base):
+        counted.append(base)
+        return expand(base)
+    monkeypatch.setattr(algebra, "_signed_defects", spy)
+    report = engine.run_audit()
+    assert report.table == adopted_table()
+    assert len(report.consistent_variants) == 4
+    assert len(counted) <= 5
+    assert report.jacobi_failures_printed == \
+        printed_table().jacobi_failures()
 
 
 def test_canonicalize_examples():

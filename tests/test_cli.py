@@ -102,13 +102,12 @@ def test_grid_halfints_parser():
     pairs = cli.parse_grid("halfints:-1..0")
     assert len(pairs) == 9
     assert all(-1 <= a <= 0 and -1 <= b <= 0 for a, b in pairs)
-    # the corner (LO, HI) has the largest |p|: a grid too deep there is
-    # rejected before any point is listed, and one at the cap is listed
-    K_MAX = cli.engine.K_MAX
-    with pytest.raises(argparse.ArgumentTypeError, match="above"):
+    # a grid of more than GRID_MAX points is rejected for its point count
+    # before any point is listed, and one of GRID_MAX points is listed
+    assert cli.GRID_MAX == 255 ** 2
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match="has 66049 points, above 65025"):
         cli.parse_grid("halfints:-64..64")
-    with pytest.raises(argparse.ArgumentTypeError, match="above"):
-        cli.parse_grid("halfints:0..1", kmax=K_MAX + 1)
     assert len(cli.parse_grid("halfints:-64..63")) == 255 ** 2
 
 
@@ -231,12 +230,11 @@ def test_threads_flag_same_output(capsys):
     ["dims", "--grid", "pairs:0,1/2", "--mu", "1"],
     ["cocycles", "--kind", "f", "--lambda", "1/3"],
     ["cocycles", "--kind", "cup", "--lambda", "0"],
-    # a truncation deeper than K_MAX, from the guard or from --kmax
-    ["dims", "--lambda", "10000001/3", "--mu", "1/7", "--nmax", "1",
-     "--wmax", "0"],
-    ["dims", "--grid", "pairs:0,1/2;0,200", "--nmax", "1"],
+    # a --kmax above K_MAX, and a guard depth above K_MAX_NEGATIVE_P at
+    # p < 0 with 2p an integer, where the weight-0 slice holds every k
     ["dims", "--lambda", "0", "--mu", "0",
      "--kmax", str(cli.engine.K_MAX + 1)],
+    ["dims", "--grid", f"pairs:0,1/2;{cli.engine.K_MAX_NEGATIVE_P},0"],
     # --k with --kind h, which has no k
     ["cocycles", "--kind", "h", "--lambda", "0", "--k", "3"],
     ["cocycles", "--kind", "h", "--lambda", "0", "--k", "0"],
@@ -244,9 +242,10 @@ def test_threads_flag_same_output(capsys):
     ["dims", "--lambda", "0", "--mu", "1/2", "--wmax", "1000000"],
     ["dims", "--lambda", "0", "--mu", "1/2",
      "--wmax", f"{2 * cli.engine.W_MAX + 1}/2"],
-    # a halfints grid too deep at its corner, rejected before its 5.8
-    # million points are listed
+    # halfints grids of 5.8 million points and of one row past GRID_MAX,
+    # rejected before they are listed
     ["dims", "--grid", "halfints:-600..600"],
+    ["dims", "--grid", "halfints:-64..64"],
 ])
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv):
     # bad input is rejected before any computation, an unwritable --out
@@ -307,15 +306,37 @@ def test_depth_at_the_cap_is_accepted(capsys, monkeypatch):
     K_MAX = cli.engine.K_MAX
     assert cli.main(["dims", "--lambda", "0", "--mu", "0",
                      "--kmax", str(K_MAX)]) == 0
-    # the guard's depth ceil|p| + 1 reaches K_MAX at p = K_MAX - 1
-    assert cli.main(["dims", "--lambda", "0", "--mu", str(K_MAX - 1)]) == 0
-    assert cli.main(["dims", "--lambda", "0", "--mu", str(K_MAX)]) == 2
-    assert seen == [K_MAX, None]
+    # a point's own guard depth ceil|p| + 1 is not capped at p >= 0
+    assert cli.main(["dims", "--lambda", "0", "--mu", str(K_MAX)]) == 0
+    # at p < 0 with 2p an integer it is capped at K_MAX_NEGATIVE_P,
+    # reached at p = 1 - K_MAX_NEGATIVE_P
+    cap = cli.engine.K_MAX_NEGATIVE_P
+    assert cli.main(["dims", "--lambda", str(cap - 1), "--mu", "0"]) == 0
+    assert cli.main(["dims", "--lambda", str(cap), "--mu", "0"]) == 2
+    assert cli.main(["dims", "--lambda", f"{2 * cap - 1}/2",
+                     "--mu", "0"]) == 2
+    assert seen == [K_MAX, None, None]
     # and so is the widest weight window, at the deepest truncation
     assert cli.main(["dims", "--lambda", "0", "--mu", "0",
                      "--kmax", str(K_MAX),
                      "--wmax", str(cli.engine.W_MAX)]) == 0
-    assert seen == [K_MAX, None, K_MAX]
+    assert seen == [K_MAX, None, None, K_MAX]
+
+
+@pytest.mark.parametrize("argv, depths", [
+    (["dims", "--lambda", "10000001/3", "--mu", "1/7", "--nmax", "1",
+      "--wmax", "0"], {"3333335"}),
+    (["dims", "--grid", "pairs:0,1/2;0,200", "--nmax", "1"], {"3", "201"}),
+])
+def test_a_far_point_is_computed_at_its_own_guard_depth(capsys, argv,
+                                                        depths):
+    # guard depths ceil|p| + 1 of 3,333,335 and 201: A is onto by a
+    # proof, so no slice is scanned for it, and every point matches
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert {row[2] for row in rows} == depths
+    assert all(row[-1] == "True" for row in rows)
 
 
 @pytest.mark.parametrize("cmd, flag, value", [

@@ -644,10 +644,10 @@ def test_higher_cohomology_vanishes_on_the_piece():
 
 
 def test_outputs_are_pinned(tmp_path, capsys):
-    # the dims CSVs of the half-integer grid, of five other points and of
-    # four points at K = 128, the restriction checks of the acceptance
-    # grid, and the stdout of selftest, audit and the f, ftilde and cup
-    # cocycles, byte for byte
+    # the dims CSVs of the half-integer grid, of five other points, of
+    # four points at K = 128 and of four far points, the restriction
+    # checks of the acceptance grid, and the stdout of selftest, audit
+    # and the f, ftilde and cup cocycles, byte for byte
     from ospcoho import cli
     out = tmp_path / "dims.csv"
     assert cli.main(["dims", "--grid", "halfints:-1..1", "--format", "csv",
@@ -667,6 +667,13 @@ def test_outputs_are_pinned(tmp_path, capsys):
                      "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "09dc16176256827da5a38411d2cfeaef6acb93896c227a0df0e9179570f48086")
+    # far points at their own guard depths, up to K = 1002, where no
+    # stencil is scanned for A's surjectivity
+    assert cli.main(["dims", "--grid", "pairs:0,200;-1/2,1000;-400,0;-3/2,2",
+                     "--format", "csv", "--threads", "1",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "a79d32161b29551d09c7ce6d69da363d8ea756fc177d9f3b58b24302456de19f")
     checks = [restriction_injectivity_check(lam, mu, K=8, nmax=2)
               for lam, mu in ACCEPTANCE_GRID]
     assert sum(len(c["classes"]) for c in checks) == 22

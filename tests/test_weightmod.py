@@ -159,7 +159,8 @@ def test_module_axiom_check_reads_the_lowest_slice():
 
 def test_integer_axiom_check_matches_fraction_oracle():
     printed = printed_table()
-    tables = list(algebra._flip_variants(printed))
+    tables = list(algebra._flip_variants(
+        printed, algebra._signed_defects(printed)))
     rng = random.Random(2024)
     for i in range(50):
         rows = {p: printed.row(p) for p in algebra.PAIR_ORDER}
@@ -627,6 +628,34 @@ def test_joint_kernels_lie_in_the_weight_zero_slice(lam, mu):
                     assert mod.kernel_slice(gens, t) == [], (mod, gens, t)
                     checked += 1
     assert checked == 2 * 2 * 26
+
+
+def _unscaled_a_stencils(mod):
+    D = action_scale(mod)
+    return [tuple(tuple((i, Fraction(x, D)) for i, x in row)
+                  for row in mod.stencil("A", t))
+            for t in range(-2 * mod.K - 1, 2 * mod.K + 2)]
+
+
+@pytest.mark.parametrize("lam, mu", PROOF_GRID)
+def test_a_stencils_are_a_covering_matching(lam, mu):
+    # the proof behind `check_a_onto`, which answers without a scan for
+    # the table's own action: on every slice t in [-13, 13] of D^{<=6}
+    # and of the cut D^{<=6}/D^{<=2}, each A stencil row has at most one
+    # term, with a nonzero coefficient, no two rows share a target, and
+    # the targets cover the slice t + 1, so A maps the slice t onto it;
+    # and A's stencil divided by D is the same at every (lambda, p)
+    for K0 in (-1, 2):
+        mod = TruncatedDlm(lam, mu, PROOF_K, K0)
+        for t in range(-2 * mod.K - 1, 2 * mod.K + 2):
+            rows = mod.stencil("A", t)
+            assert all(len(row) <= 1 and all(x for _, x in row)
+                       for row in rows), (mod, t)
+            targets = sorted(i for row in rows for i, _ in row)
+            assert targets == list(range(len(mod.slice(t + 1)))), (mod, t)
+        assert _unscaled_a_stencils(mod) == _unscaled_a_stencils(
+            TruncatedDlm(0, 0, PROOF_K, K0))
+        assert mod.check_a_onto() and mod._a_onto_scan()
 
 
 def test_the_cut_module_is_the_quotient():
