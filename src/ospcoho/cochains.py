@@ -406,21 +406,22 @@ def _weight_chain(mod, t, universe):
 
 
 def _kernel_cochains(mod, n, t, universe, skip):
-    """Integer kernel of d_n at t = 2(w + p) on the columns whose stride
-    index is outside `skip`, as Cochains: only those columns are
-    assembled, and each kernel vector (`linalg.int_kernel_basis`) is
-    divided by its lead."""
+    """((rank, columns, pivots), kernel) of d_n at t = 2(w + p) on the
+    columns whose stride index is outside `skip`: only they are
+    assembled and reduced, once (`linalg.int_kernel_basis`), and each
+    kernel vector is a Cochain divided by its lead."""
     cols = _weight_chain(mod, t, universe).block(mod, n, skip)[0]
     keep = [(index, col) for (index, _, _), col
             in zip(_basis(mod, t, n, universe), cols)
             if index not in skip]
+    pivots, kernel = linalg.int_kernel_basis([col for _, col in keep])
     out = []
-    for vec in linalg.int_kernel_basis([col for _, col in keep]):
+    for vec in kernel:
         lead = vec[min(vec)]
         out.append(_from_coords(mod, n, t, {
             keep[i][0]: Fraction(v, lead) for i, v in vec.items()},
             universe))
-    return out
+    return (len(pivots), len(cols), frozenset(pivots)), out
 
 
 # --- reduction --------------------------------------------------------------
@@ -552,7 +553,7 @@ def _reduced_cocycle_space(mod, slots):
     t = mod.twice_shifted(0)
     skip = {index for index, u, _ in _basis(mod, t, 1, GENS)
             if u[0] not in slots}
-    return _kernel_cochains(mod, 1, t, GENS, skip)
+    return _kernel_cochains(mod, 1, t, GENS, skip)[1]
 
 
 def _normalized(f, slot, bv):

@@ -29,9 +29,9 @@ predictions:
   * the kernel description  H^0 = ker A ∩ ker B,
     H^1 ~ H^0 (+) (ker A)^{-1/2}/B((ker A)^0), H^2 ~ that quotient,
     H^{>2} = 0, evaluated on the truncation in integers on its slices
-    of weight 0 and -1/2 only (`_kernel_description`): the kernels are
-    integer null spaces of the module's action stencils, and the
-    quotient is ranked with `linalg.greedy_independent`. Its hypothesis,
+    of weight 0 and -1/2 only (`_kernel_description`): one integer
+    kernel of A's stencil on each, the quotient ranked with
+    `linalg.greedy_independent` and H^0 by rank-nullity. Its hypothesis,
     that A maps each weight slice onto the next, is a theorem of the
     action table (`TruncatedDlm.check_a_onto`), so a report scans no
     slice for it, and nothing in a report grows with K but those two
@@ -156,31 +156,35 @@ def _kernel_description(mod, kernel_gen, image_gen, nmax):
     and h = image_gen: H^0 = ker g ∩ ker h, Q = (ker g)^top / h((ker g)^0)
     with top the weight of h, H^1 ~ H^0 (+) Q, H^2 ~ Q and H^{>2} = 0.
 
-    Only the slices t0 = 2p (weight 0) and top are read. In the adopted
-    table [A, B] = -2H and [X, Y] = 2H, and the module axiom holds on
-    D^{<=K} and on its cuts (the tier-1 proof grid of
-    `test_casimir_is_triangular_in_k_with_the_proven_diagonal`). So a
+    One kernel of g is taken on each of the slices t0 = 2p (weight 0)
+    and top. In the adopted table [A, B] = -2H and [X, Y] = 2H, and the
+    module axiom holds on D^{<=K} and on its cuts (the tier-1 proof grid
+    of `test_casimir_is_triangular_in_k_with_the_proven_diagonal`). So a
     vector killed by g and h is killed by H, which acts on the slice t by
-    its weight, and it lies in the slice t0. The (ker g)^0 vectors are
-    mapped through the module's h images; the quotient is ranked in
-    integers (`linalg.quotient_dim`), which raises NotContained when the
-    image does not lie in (ker g)^top. With 2p not an integer no vector
-    has weight 0 or top, and every dimension is 0.
+    its weight, and H^0 is the kernel of h on (ker g)^0. The (ker g)^0
+    vectors are mapped through the module's h images; the quotient is
+    ranked in integers (`linalg.quotient_dim`), which raises
+    NotContained when the image does not lie in (ker g)^top. By
+    rank-nullity dim H^0 = dim (ker g)^0 - rank h((ker g)^0), and that
+    rank is dim (ker g)^top - dim Q, the kernel basis being independent.
+    With 2p not an integer no vector has weight 0 or top: all dims are 0.
     """
     t0 = mod.twice_shifted(0)
     if t0 is None:
         return dict.fromkeys(range(nmax + 1), 0)
     top = t0 + TWICE_WEIGHT[image_gen]
-    d0 = len(mod.kernel_slice((kernel_gen, image_gen), t0))
+    ker0 = mod.kernel_slice(kernel_gen, t0)
+    kertop = mod.kernel_slice(kernel_gen, top)
     image = mod.image
     images = []
-    for vec in mod.kernel_slice((kernel_gen,), t0):
+    for vec in ker0:
         out = {}
         for bv, c in vec.items():
             for tbv, x in image(image_gen, bv):
                 out[tbv] = out.get(tbv, 0) + c * x
         images.append(out)
-    q = linalg.quotient_dim(mod.kernel_slice((kernel_gen,), top), images)
+    q = linalg.quotient_dim(kertop, images)
+    d0 = len(ker0) - (len(kertop) - q)
     dims = {0: d0, 1: d0 + q, 2: q}
     return {n: dims.get(n, 0) for n in range(nmax + 1)}
 
@@ -254,23 +258,24 @@ def is_coboundary(f):
 
 def class_representatives(mod, n, t, universe=GENS):
     """Cocycle representatives of a basis of H^n_w, at t = 2(w + p)
-    (`twice_shifted`), all of parity t mod 2.
+    (`twice_shifted`), all of parity t mod 2; [] when t is None.
 
-    Where the chained ranks (`twice_h_dim`) give 0, the answer is [] and
-    no kernel is taken; they have still assembled and ranked d_{n-1} and
-    d_n (cleared) to say so. Otherwise it is the integer kernel
-    (`linalg.int_kernel_basis`) of d_n[:, N], N being the coordinates
-    outside the pivots P of an echelon basis of im d_{n-1}: a cocycle
-    reduces modulo that basis to one that is zero on P, and a nonzero
-    vector zero on P is not in im d_{n-1} (a nonzero combination of the
-    echelon rows is nonzero at its smallest pivot), so v -> [v] maps
-    ker d_n[:, N] onto H^n_w isomorphically. Both steps presume d^2 = 0.
+    They are the integer kernel of d_n[:, N], N being the coordinates
+    outside the pivots P of an echelon basis of im d_{n-1}
+    (`_chain_rank`): a cocycle reduces modulo that basis to one that is
+    zero on P, and a nonzero vector zero on P is not in im d_{n-1} (a
+    nonzero combination of the echelon rows is nonzero at its smallest
+    pivot), so v -> [v] maps ker d_n[:, N] onto H^n_w isomorphically.
+    Both steps presume d^2 = 0. The one reduction of d_n[:, N]
+    (`cochains._kernel_cochains`) files d_n's rank with the chain too.
     """
-    if not twice_h_dim(mod, n, t, universe).total:
+    if t is None:
         return []
     chain = _weight_chain(mod, t, universe)
     skip = _chain_rank(mod, chain, n - 1)[2] if n > 0 else ()
-    return _kernel_cochains(mod, n, t, universe, skip)
+    ranked, reps = _kernel_cochains(mod, n, t, universe, skip)
+    chain.ranks.setdefault(n, ranked)
+    return reps
 
 
 # --- localization and restriction checks -------------------------------------
@@ -308,8 +313,7 @@ def restriction_injectivity_check(lam, mu, K=None, nmax=2):
     nontrivially iff its vector alone lies outside that image, as every
     vector that enlarged the span does. The representatives come from
     `class_representatives` (premise d^2 = 0), all of parity t mod 2:
-    where H^n_0 is zero, its chained ranks of d_{n-1} and d_n are still
-    taken, and only the kernel and the sl(2) ranking are skipped.
+    where H^n_0 is zero, only the sl(2) ranking is skipped.
     """
     mod = TruncatedDlm(lam, mu, guard_K(lam, mu, K))
     t = mod.twice_shifted(0)

@@ -3,9 +3,10 @@
 Every computation is one pass of the in-order reducer of
 `ospcoho._kernels_py`. The weight blocks of the differential arrive as
 integer rows or columns: `int_pivots` takes the rank of rows (or of
-columns), `int_kernel_basis` the null space of columns and `solve` a
-solution of (cols / scale) x = b for a rational right-hand side; the
-last two read their answers off the records of the columns that vanish.
+columns), `int_kernel_basis` the pivots and the null space of columns
+from one reduction, and `solve` a solution of (cols / scale) x = b for
+a rational right-hand side; the last two read their answers off the
+records of the columns that vanish.
 `greedy_independent` picks, in order, the vectors that enlarge a span,
 and `quotient_dim` decides a subspace inclusion with it. Rows with
 Fraction entries are scaled to integer rows first (`_to_int_row`),
@@ -59,13 +60,13 @@ def _reduce_recorded(cols):
 
 
 def int_kernel_basis(cols):
-    """Integer basis of the null space of integer {row: int} columns.
-
-    One vector per column j in the span of the columns before it, in
-    increasing j: its primitive record, positive at j and supported on
-    j and the pivot columns before it, i.e. the reduced row echelon
-    form's null vector of the free column j, cleared of denominators.
-    The columns are consumed.
+    """(pivots, basis) of integer {row: int} columns: `int_pivots` of the
+    columns (the records only scale each row part) and an integer basis
+    of their null space, one vector per column j in the span of the
+    columns before it, in increasing j: its primitive record, positive
+    at j and supported on j and the pivot columns before it, i.e. the
+    reduced row echelon form's null vector of the free column j, cleared
+    of denominators. The columns are consumed.
     """
     top, leads = _reduce_recorded(cols)
     basis = []
@@ -74,7 +75,7 @@ def int_kernel_basis(cols):
             rec = cols[j]
             sign = 1 if rec[top + j] > 0 else -1
             basis.append({c - top: sign * x for c, x in sorted(rec.items())})
-    return basis
+    return sorted(lead for lead in leads if lead < top), basis
 
 
 def solve(cols, scale, b):

@@ -59,9 +59,9 @@ action in the program: X and Y are built on it, and so is
 `module_axiom_holds`, which checks the module axiom one slice at a time
 on the stencils, each defect scaled by T * D^2, with T the lcm of the
 bracket table's denominators, so that it is an integer vector.
-`kernel_slice`, which the closed-form predictions read, ranks the same
-stencils in integers on the int-keyed slices; `check_a_onto` answers by
-a proof for this table's action and ranks them only for another one.
+`kernel_slice`, which the closed-form predictions read, takes one
+generator's integer kernel on an int-keyed slice; `check_a_onto` answers
+by a proof for this table's action and ranks stencils only for another.
 
 Every coefficient of the table is affine in (m, k, lambda, p), so the
 module axiom and the Casimir identities that `engine.zero_piece` rests
@@ -340,26 +340,19 @@ class TruncatedDlm:
             out.append(tuple(img))
         return tuple(out)
 
-    def kernel_slice(self, gens, t):
-        """Integer basis of the joint kernel of `gens` on the slice t.
+    def kernel_slice(self, gen, t):
+        """Integer basis of the kernel of `gen` on the slice t.
 
-        t = 2(alpha + p) is an int (`twice_shifted`). The stencils of
-        `gens` on the slice give each basis vector one integer column (a
-        row per generator and target position), and the null space of
-        those columns is taken in integers (`linalg.int_kernel_basis`);
-        the scale D changes no kernel. Returns {BasisVector: int} vectors,
-        one per free column of the unique reduced echelon form.
+        t = 2(alpha + p) is an int (`twice_shifted`). Each stencil row is
+        an integer column, and their null space is taken in integers
+        (`linalg.int_kernel_basis`); the scale D changes no kernel.
+        Returns {BasisVector: int} vectors, one per free column of the
+        unique reduced echelon form.
         """
         basis = list(self.slice(t))
-        cols = [{} for _ in basis]
-        row0 = 0
-        for g in gens:
-            for col, row in zip(cols, self.stencil(g, t)):
-                for i, x in row:
-                    col[row0 + i] = x
-            row0 += len(self.slice(t + TWICE_WEIGHT[g]))
+        cols = [dict(row) for row in self.stencil(gen, t)]
         return [{basis[c]: x for c, x in v.items()}
-                for v in linalg.int_kernel_basis(cols)]
+                for v in linalg.int_kernel_basis(cols)[1]]
 
     def kernel_weights(self):
         """The slices t = 2(alpha + p) that hold m = 0 vectors (k <= K),

@@ -47,12 +47,24 @@ MUTANTS = (
      "    K = math.floor(p)\n",
      "    K = math.floor(p) - 1\n",
      ENGINE + "test_zero_piece_has_the_cohomology_of_the_truncation"),
-    # the joint kernel ker A ∩ ker B read on the slice of B's weight
-    # instead of the weight-0 slice that holds it
-    ("joint-kernel-read-at-top", "engine.py",
-     "    d0 = len(mod.kernel_slice((kernel_gen, image_gen), t0))\n",
-     "    d0 = len(mod.kernel_slice((kernel_gen, image_gen), top))\n",
+    # H^0 counted as dim (ker A)^0 - dim Q instead of by rank-nullity,
+    # dim (ker A)^0 - rank B((ker A)^0)
+    ("h0-subtracts-the-quotient", "engine.py",
+     "    d0 = len(ker0) - (len(kertop) - q)\n",
+     "    d0 = len(ker0) - q\n",
      ENGINE + "test_predict_theorem_matches_proposition_on_grid"),
+    # the rank that class_representatives files from its one reduction
+    # of the cleared d_n, one too large
+    ("recorded-rank-off-by-one", "cochains.py",
+     "    return (len(pivots), len(cols), frozenset(pivots)), out\n",
+     "    return (len(pivots) + 1, len(cols), frozenset(pivots)), out\n",
+     ENGINE + "test_ranks_filed_by_representatives_equal_fresh_ranks"),
+    # the same reduction filed with no pivots: the next degree clears no
+    # column, and its kernel takes coboundaries in as classes
+    ("recorded-reduction-files-no-pivots", "cochains.py",
+     "    return (len(pivots), len(cols), frozenset(pivots)), out\n",
+     "    return (len(pivots), len(cols), frozenset()), out\n",
+     ENGINE + "test_representatives_only_where_classes_are"),
     # weight chains, and the ranks filed with them, kept in one
     # module-global dict, shared by every module with the same
     # (t, universe)
@@ -86,6 +98,13 @@ MUTANTS = (
      "                return (((\"d\", m, k), D),)\n",
      "                return (((\"d\", m, k), D * m),) if m else ()\n",
      "tests/test_weightmod.py::test_a_stencils_are_a_covering_matching"),
+    # B's coefficient on b -> c shifted by D - 2, which is 0 where D = 2
+    # (lam and p half-integers), so only a module with a larger scale
+    # sees it
+    ("b-coefficient-shifted-by-d-minus-2", "weightmod.py",
+     "            c1 = lam2 + D * k\n",
+     "            c1 = lam2 + D * k + (D - 2)\n",
+     "tests/test_weightmod.py::test_the_cut_module_is_the_quotient"),
     # a composition that drops each row's first term
     ("compose-drops-a-term", "weightmod.py",
      "        for j, x in row:\n",
@@ -110,6 +129,16 @@ MUTANTS = (
      "            if sign or coeff:\n",
      "            if sign:\n",
      ENGINE + "test_delta_block_equals_the_per_block_reference"),
+    # a cup product of two cocycles returned without certifying that it
+    # is a cocycle
+    ("cup-certification-skipped", "cochains.py",
+     "    if (coboundary(f).is_zero() and coboundary(h).is_zero()\n"
+     "            and not coboundary(result).is_zero()):\n"
+     "        raise NoCocycle(\"the cup product of two cocycles is not a "
+     "cocycle\")\n",
+     "",
+     "tests/test_cochains.py::"
+     "test_cup_of_cocycles_that_is_not_a_cocycle_raises"),
     # a primitive's target rows chosen by the monomial of the slice
     # position r % S instead of the monomial place r // S of the stride
     # index r

@@ -202,9 +202,9 @@ def test_criterion_11_b_image_lemma():
             mu = lam + k0 + F(1, 2)
             mod = TruncatedDlm(lam, mu, max(3, k0 + 1))
             t = mod.twice_shifted(0)     # kernel slices are keyed by t
-            ker_half = mod.kernel_slice(("A",), t - 1)
-            y_img = [act(mod, "Y", v) for v in mod.kernel_slice(("X",), t)]
-            b_img = [act(mod, "B", v) for v in mod.kernel_slice(("A",), t)]
+            ker_half = mod.kernel_slice("A", t - 1)
+            y_img = [act(mod, "Y", v) for v in mod.kernel_slice("X", t)]
+            b_img = [act(mod, "B", v) for v in mod.kernel_slice("A", t)]
             for vec in ker_half:
                 bw = act(mod, "B", vec)
                 if not bw or linalg.greedy_independent(y_img, [bw]) == []:
@@ -229,7 +229,7 @@ def test_criterion_12_exact_linalg_oracle():
         m = SparseMatrix.from_entries(nrows, ncols, entries)
         r = len(linalg.int_pivots([linalg._to_int_row(x) for x in m.rows]))
         assert r == dense_rank(m)
-        kern = linalg.int_kernel_basis(int_columns(m)[0])
+        kern = linalg.int_kernel_basis(int_columns(m)[0])[1]
         assert len(kern) == ncols - r
         for v in kern:
             assert m.apply(v) == {}

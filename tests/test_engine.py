@@ -231,6 +231,34 @@ def test_theorem_boundary_guard():
     assert predict_theorem(deep) == predict_proposition(lam, mu)
 
 
+def test_each_prediction_takes_one_kernel_per_slice(monkeypatch):
+    # the kernel description takes ker g on the weight-0 slice and on
+    # the slice of h's weight, once each and of one generator, and
+    # counts H^0 by rank-nullity: the joint kernel, stacked here, agrees
+    from tests_support_dense import joint_kernel
+    from ospcoho.weightmod import TWICE_WEIGHT
+    calls = []
+    kernel_slice = TruncatedDlm.kernel_slice
+
+    def counted(mod, gen, t):
+        calls.append((gen, t))
+        return kernel_slice(mod, gen, t)
+
+    monkeypatch.setattr(TruncatedDlm, "kernel_slice", counted)
+    for lam, mu in GRID + [(F(-3, 2), F(2)), (F(2), F(1, 2))]:
+        mod = TruncatedDlm(lam, mu, engine.guard_K(lam, mu))
+        t0 = mod.twice_shifted(0)
+        for predict, g, h in ((predict_theorem, "A", "B"),
+                              (predict_sl2, "X", "Y")):
+            calls.clear()
+            dims = predict(mod)
+            if t0 is None:          # no vector has weight 0
+                assert calls == [] and not any(dims.values())
+                continue
+            assert calls == [(g, t0), (g, t0 + TWICE_WEIGHT[h])]
+            assert dims[0] == len(joint_kernel(mod, (g, h), t0)), (lam, mu)
+
+
 def test_sl2_brute_force_matches_remark_formula():
     for lam, mu in [(F(0), F(0)), (F(1), F(1)), (F(0), F(1, 2)),
                     (F(-1, 2), F(1)), (F(1, 3), F(0)), (F(-1), F(3, 2))]:
@@ -315,7 +343,7 @@ def _reference_representatives(mod, n, w, parity):
         prev = delta_matrix(mod, n - 1, w, parity)[2]
         image = [prev.column(j) for j in range(prev.ncols)]
     kernel = [{c: F(x, v[min(v)]) for c, x in v.items()}
-              for v in linalg.int_kernel_basis(int_columns(mat)[0])]
+              for v in linalg.int_kernel_basis(int_columns(mat)[0])[1]]
     return [cochain_from_coords(mod, n, parity, dom, kernel[i])
             for i in linalg.greedy_independent(image, kernel)]
 
@@ -359,21 +387,28 @@ def test_class_representatives_match_reference_greedy():
 
 
 def test_representatives_only_where_classes_are(monkeypatch):
-    # the chained ranks gate the kernels: over the acceptance grid the
-    # restriction checks take 18 kernels, one per nonzero H^n_0, and the
-    # representatives are pinned
+    # the restriction checks ask every degree for its classes, and the
+    # cleared kernel is empty exactly where H^n_0 is 0: over the
+    # acceptance grid 18 of the 27 kernels are not ((1/3, 0) has no
+    # vector of weight 0 and takes none), each as long as dim H^n_0 on a
+    # fresh module, and the representatives are pinned
     from ospcoho.cochains import cochain_to_json
     calls = []
     kernel_cochains = engine._kernel_cochains
 
-    def counted(*args):
-        calls.append(args)
-        return kernel_cochains(*args)
+    def counted(mod, n, t, universe, skip):
+        ranked, reps = kernel_cochains(mod, n, t, universe, skip)
+        calls.append((mod, n, len(reps)))
+        return ranked, reps
 
     monkeypatch.setattr(engine, "_kernel_cochains", counted)
     for lam, mu in ACCEPTANCE_GRID:
         restriction_injectivity_check(lam, mu, K=8, nmax=2)
-    assert len(calls) == 18
+    assert len(calls) == 27
+    assert sum(1 for *_, got in calls if got) == 18
+    for mod, n, got in calls:
+        fresh = TruncatedDlm(mod.lam, mod.mu, mod.K)
+        assert got == h_dim(fresh, n, 0).total, (mod, n)
     digest = hashlib.sha256()
     count = 0
     for lam, mu in ACCEPTANCE_GRID:
@@ -388,45 +423,94 @@ def test_representatives_only_where_classes_are(monkeypatch):
         "5650c9426d5b49eb7e6c4023af3f3d37d06298e0a3ef10d6585d383a540a7406")
 
 
-def test_representatives_assemble_one_cleared_block(monkeypatch):
-    # with the chain's ranks filed, class_representatives assembles one
-    # block per class-carrying part: d_n without the columns at the
-    # pivots of im d_{n-1}, and no d_{n-1} block
+def _counted_blocks(monkeypatch):
+    # every assembly of a weight block, as (module, chain, degree, skip)
     import ospcoho.cochains as cc
     calls = []
     block = cc._WeightChain.block
 
     def counted(chain, mod, n, skip):
-        calls.append((n, chain.t, chain.universe, frozenset(skip)))
+        calls.append((mod, chain.t, chain.universe, n, frozenset(skip)))
         return block(chain, mod, n, skip)
 
     monkeypatch.setattr(cc._WeightChain, "block", counted)
-    parts = 0
+    return calls
+
+
+def test_representatives_assemble_one_cleared_block(monkeypatch):
+    # class_representatives assembles one block per degree, d_n without
+    # the columns at the pivots of im d_{n-1}, whether the chain's ranks
+    # were filed before (by h_dim) or not; asked in order n = 0, 1, 2 on
+    # a fresh module, each degree's reduction files the pivots the next
+    # one clears
+    calls = _counted_blocks(monkeypatch)
     for lam, mu in ACCEPTANCE_GRID:
-        mod = TruncatedDlm(lam, mu, engine.guard_K(lam, mu, 8))
-        dims = [h_dim(mod, n, 0) for n in range(3)]  # files the ranks
+        K = engine.guard_K(lam, mu, 8)
+        for filed in (False, True):
+            mod = TruncatedDlm(lam, mu, K)
+            if filed:
+                dims = [h_dim(mod, n, 0) for n in range(3)]
+            calls.clear()
+            t = mod.twice_shifted(0)
+            want = []
+            for n in range(3):
+                reps = class_representatives(mod, n, t)
+                if filed:
+                    assert len(reps) == dims[n].total
+                if t is None:       # no vector has weight 0
+                    assert reps == []
+                    continue
+                assert all(rep.parity == t % 2 for rep in reps)
+                skip = chain_rank(mod, n - 1, 0, GENS)[2] if n else frozenset()
+                want.append((mod, t, GENS, n, skip))
+            assert calls == want, (lam, mu, filed)
+
+
+def test_restriction_checks_assemble_each_block_once(monkeypatch):
+    # over the acceptance grid's restriction checks no (module, chain,
+    # degree, skip set) is assembled twice within a point: 38 blocks, the
+    # 27 cleared d_n and the 11 sl(2) d_{n-1} of the degrees n > 0 that
+    # carry classes
+    calls = _counted_blocks(monkeypatch)
+    total = 0
+    for lam, mu in ACCEPTANCE_GRID:
         calls.clear()
-        want = []
-        t = mod.twice_shifted(0)
-        for n in range(3):
-            reps = class_representatives(mod, n, t)
-            assert len(reps) == dims[n].total
-            assert all(rep.parity == t % 2 for rep in reps)
-            if reps:
-                skip = frozenset()
-                if n > 0:
-                    skip = chain_rank(mod, n - 1, 0, GENS)[2]
-                want.append((n, t, GENS, skip))
-        assert calls == want, (lam, mu)
-        parts += len(want)
-    assert parts == 18
+        restriction_injectivity_check(lam, mu, K=8, nmax=2)
+        assert len(set(calls)) == len(calls), (lam, mu)
+        total += len(calls)
+    assert total == 38
 
 
-def test_gated_representatives_equal_ungated_sl2():
-    # the gate reads the sl(2) chained ranks when asked for sl(2) classes;
-    # at (-1, 1) H^n_0(sl(2)) has classes where H^n_0(osp(1|2)) has none.
-    # Ungated, the cleared kernel is empty wherever the gate answers []
-    found = 0
+def test_ranks_filed_by_representatives_equal_fresh_ranks():
+    # the (rank, columns, pivots) that class_representatives files from
+    # its one reduction are those _chain_rank takes on a fresh module,
+    # and twice_h_dim reads them unchanged
+    for lam, mu in GRID:
+        for w in (F(0), F(1, 2), F(-1)):
+            for universe in (GENS, SL2):
+                mod = TruncatedDlm(lam, mu, 3)
+                fresh = TruncatedDlm(lam, mu, 3)
+                t = mod.twice_shifted(w)
+                for n in range(4):
+                    class_representatives(mod, n, t, universe)
+                    if t is None:
+                        continue
+                    filed = _weight_chain(mod, t, universe).ranks[n]
+                    assert filed == chain_rank(fresh, n, w, universe), \
+                        (lam, mu, w, n)
+                got = [engine.twice_h_dim(mod, n, t, universe)
+                       for n in range(4)]
+                want = [engine.twice_h_dim(fresh, n, t, universe)
+                        for n in range(4)]
+                assert got == want, (lam, mu, w, universe)
+
+
+def test_sl2_representatives_count_the_sl2_classes():
+    # class_representatives reads the sl(2) chain when asked for sl(2)
+    # classes: as many as dim H^n_w(sl(2)), cocycles of the sl(2)
+    # complex; at (-1, 1) H^n_0(sl(2)) has classes where H^n_0(osp(1|2))
+    # has none
+    found = only_sl2 = 0
     for lam, mu in ((F(0), F(1, 2)), (F(-1, 2), F(1)), (F(1, 3), F(0)),
                     (F(-1), F(1))):
         mod = TruncatedDlm(lam, mu, 3)
@@ -437,13 +521,13 @@ def test_gated_representatives_equal_ungated_sl2():
                 if t is None:       # no vector has weight w
                     assert got == []
                     continue
-                skip = ()
-                if n > 0:
-                    skip = chain_rank(mod, n - 1, w, SL2)[2]
-                want = engine._kernel_cochains(mod, n, t, SL2, skip)
-                assert got == want, (lam, mu, n, w)
+                want = h_dim(TruncatedDlm(lam, mu, 3), n, w, SL2).total
+                assert len(got) == want, (lam, mu, n, w)
+                assert all(coboundary(rep).is_zero() for rep in got)
                 found += len(got)
-    assert found
+                if (lam, mu) == (F(-1), F(1)) and w == 0 and got:
+                    only_sl2 += not class_representatives(mod, n, t)
+    assert found and only_sl2
 
 
 def test_localization_kernel_zero():
@@ -544,7 +628,7 @@ def test_reduced_cocycle_vanishing_on_HB_is_coboundary():
                     extra.append({col: F(1)})
             stacked = SparseMatrix(mat.nrows + len(extra), mat.ncols,
                                    mat.rows + extra)
-            for v in linalg.int_kernel_basis(int_columns(stacked)[0]):
+            for v in linalg.int_kernel_basis(int_columns(stacked)[0])[1]:
                 kv = {c: F(x) for c, x in v.items()}
                 f = cochain_from_coords(mod, n, parity, dom, kv)
                 assert is_coboundary(f) is not None, (n, parity)
@@ -585,8 +669,8 @@ def test_restriction_check_rejects_dependent_restrictions(monkeypatch):
     kernel_cochains = engine._kernel_cochains
 
     def doubled(*args):
-        reps = kernel_cochains(*args)
-        return reps + [rep.scale(2) for rep in reps]
+        ranked, reps = kernel_cochains(*args)
+        return ranked, reps + [rep.scale(2) for rep in reps]
 
     monkeypatch.setattr(engine, "_kernel_cochains", doubled)
     rep = restriction_injectivity_check(0, F(1, 2))

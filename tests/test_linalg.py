@@ -40,12 +40,12 @@ def test_identity_and_zero_rank():
 
 def test_kernel_of_identity_is_empty():
     ident = SparseMatrix.from_entries(3, 3, [(i, i, 1) for i in range(3)])
-    assert linalg.int_kernel_basis(int_columns(ident)[0]) == []
+    assert linalg.int_kernel_basis(int_columns(ident)[0]) == ([0, 1, 2], [])
 
 
 def test_kernel_one_one_matrix():
     m = SparseMatrix.from_entries(1, 2, [(0, 0, 1), (0, 1, 1)])
-    assert linalg.int_kernel_basis(int_columns(m)[0]) == [{0: -1, 1: 1}]
+    assert linalg.int_kernel_basis(int_columns(m)[0]) == ([0], [{0: -1, 1: 1}])
 
 
 def test_rank_matches_dense_oracle_on_100_matrices():
@@ -61,10 +61,21 @@ def test_kernel_annihilates_and_rank_nullity():
     rng = random.Random(777)
     for _ in range(25):
         m = random_sparse(rng, rng.randint(1, 20), rng.randint(1, 30))
-        kern = linalg.int_kernel_basis(int_columns(m)[0])
+        kern = linalg.int_kernel_basis(int_columns(m)[0])[1]
         assert len(kern) == m.ncols - len(linalg.int_pivots(int_rows(m)))
         for v in kern:
             assert m.apply(v) == {}
+
+
+def test_kernel_pivots_are_the_int_pivots_of_the_columns():
+    # the records only scale each column's row part, so the reduction
+    # that gives the kernel files the leads that the plain one files
+    rng = random.Random(778)
+    for _ in range(25):
+        m = random_sparse(rng, rng.randint(1, 20), rng.randint(1, 30))
+        pivots, kern = linalg.int_kernel_basis(int_columns(m)[0])
+        assert pivots == linalg.int_pivots(int_columns(m)[0])
+        assert len(pivots) + len(kern) == m.ncols
 
 
 def test_solve_constructed_systems():
@@ -117,7 +128,7 @@ def test_rank_nullity_property(rows):
                for j, v in enumerate(row) if v]
     m = SparseMatrix.from_entries(len(rows), 4, entries)
     assert (len(linalg.int_pivots(int_rows(m)))
-            + len(linalg.int_kernel_basis(int_columns(m)[0]))) == 4
+            + len(linalg.int_kernel_basis(int_columns(m)[0])[1])) == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,7 +155,7 @@ def test_int_kernel_basis_is_an_integer_null_space_basis():
     rng = random.Random(4242)
     for _ in range(25):
         m = random_sparse(rng, rng.randint(1, 12), rng.randint(1, 15))
-        ints = linalg.int_kernel_basis(int_columns(m)[0])
+        ints = linalg.int_kernel_basis(int_columns(m)[0])[1]
         assert len(ints) == m.ncols - dense_rank(m)
         for v in ints:
             assert all(isinstance(x, int) and x for x in v.values())
@@ -173,7 +184,7 @@ def test_reducer_reads_the_rref_of_dense_oracle():
         pivots = [min(r) for r in rref]
         assert linalg.int_pivots(int_rows(m)) == pivots
         free = [f for f in range(ncols) if f not in pivots]
-        kern = linalg.int_kernel_basis(int_columns(m)[0])
+        kern = linalg.int_kernel_basis(int_columns(m)[0])[1]
         assert [max(v) for v in kern] == free
         for f, v in zip(free, kern):
             null = {f: Fraction(1)}

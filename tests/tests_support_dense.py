@@ -7,7 +7,8 @@ blocks, which the tests read by position, and the primitive solved on
 it; the cohomology dimensions at a Fraction weight;
 the Fraction definitions that the program decides in integers (the
 action with X = A o A and Y = -B o B composed in Fractions, the module
-axiom defect, the Jacobi defect) and the rescaled bracket tables; the
+axiom defect, the Jacobi defect) and the joint kernel of several
+generators on a slice and the rescaled bracket tables; the
 Casimir composed on a module's stencils, and its commutators with A and
 B, which the proof of the action's identities reads; the
 contact bracket and the check of the scaled contact fields against a
@@ -76,6 +77,24 @@ def action_compat_defect(mod, table, u, v, bv):
     sign = Fraction(-1 if PARITY[u] and PARITY[v] else 1)
     vec_add(out, act(mod, v, act(mod, u, w)), sign)
     return out
+
+
+def joint_kernel(mod, gens, t):
+    """Integer basis of the joint kernel of `gens` on the slice t: each
+    generator's stencil stacked below the one before it, at a row offset
+    of that generator's target slice length, and the null space of the
+    stacked columns taken in integers. The program takes the kernel of
+    one generator at a time (`TruncatedDlm.kernel_slice`)."""
+    basis = list(mod.slice(t))
+    cols = [{} for _ in basis]
+    row0 = 0
+    for g in gens:
+        for col, row in zip(cols, mod.stencil(g, t)):
+            for i, x in row:
+                col[row0 + i] = x
+        row0 += len(mod.slice(t + TWICE_WEIGHT[g]))
+    return [{basis[c]: x for c, x in v.items()}
+            for v in linalg.int_kernel_basis(cols)[1]]
 
 
 # --- the Casimir on the module's stencils ----------------------------------
