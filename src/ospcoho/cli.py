@@ -102,16 +102,6 @@ def _require(ok, message):
         raise argparse.ArgumentTypeError(message)
 
 
-def _require_depth(lam, mu):
-    """Reject a point whose predictions would rank a long weight-0 slice:
-    with p < 0 and 2p an integer it holds every k <= guard_K of two
-    families, so its guard depth is capped by `engine.K_MAX_NEGATIVE_P`."""
-    p, K, cap = mu - lam, engine.guard_K(lam, mu), engine.K_MAX_NEGATIVE_P
-    _require(p >= 0 or (2 * p).denominator != 1 or K <= cap,
-             f"truncation depth K = {K} at lambda = {lam}, mu = {mu} "
-             f"is above {cap}")
-
-
 def _check_out(path):
     """Reject, with `_emit`'s message, an --out path that cannot be
     written; checked before any work, nothing is created or truncated."""
@@ -193,8 +183,6 @@ def cmd_dims(args):
     _require(args.grid or (args.lam is not None and args.mu is not None),
              "provide --lambda/--mu or --grid")
     pairs = parse_grid(args.grid) if args.grid else [(args.lam, args.mu)]
-    for lam, mu in pairs:
-        _require_depth(lam, mu)
     reports = engine.grid_reports(pairs, K=args.kmax, nmax=args.nmax,
                                   wmax=args.wmax, threads=args.threads)
     ok = all(r.match for r in reports)

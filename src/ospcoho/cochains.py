@@ -538,7 +538,8 @@ def cup(f, h):
             ops[mono] = op
             max_k = max(max_k, op.max_dx_order() + 1)
     mod_out = TruncatedDlm(h.mod.lam, f.mod.mu, max(3, max_k))
-    vals = {mono: from_oppoly(op, mod_out) for mono, op in ops.items()}
+    vals = {mono: from_oppoly(op.terms, mod_out)
+            for mono, op in ops.items()}
     result = Cochain(mod_out, 2, f.parity, vals)
     if (coboundary(f).is_zero() and coboundary(h).is_zero()
             and not coboundary(result).is_zero()):

@@ -69,17 +69,15 @@ from .weightmod import (TWICE_WEIGHT, TruncatedDlm, action_scale,
 
 NMAX_DEFAULT = 4
 WMAX_DEFAULT = Fraction(2)
-# the deepest truncation --kmax asks for. A report ranks the weight-0
-# slice of D^{<=K}, about 2(K - max(p, 0)) vectors, so its cost is
+# the deepest truncation --kmax asks for. A report at p >= 0 ranks the
+# weight-0 slice of D^{<=K}, about 2(K - p) vectors, so its cost is
 # linear in K: about 20 us and 3.5 KB per unit, 0.014 s at K = 128 and
 # 1.6 s and 242 MB at K = 65,536 (build_report(-3/2, 2, K, nmax=6), one
-# fresh interpreter each; 2-CPU Intel Xeon, Python 3.11.7)
+# fresh interpreter each; 2-CPU Intel Xeon, Python 3.11.7). A point's
+# own guard depth ceil|p| + 1 is not capped: at p < 0 the slices of
+# weight 0 and -1/2 hold no m = 0 vector, so `kernel_slice` builds
+# neither, and build_report(16384, 0) at K = 16,385 takes 0.3 ms
 K_MAX = 128
-# the deepest guard depth ceil|p| + 1 of a point with p < 0 and 2p an
-# integer, whose weight-0 slice then holds every k <= K of two families:
-# build_report(16384, 0) at K = 16,385 took 0.27 s and 62 MB. Every other
-# point's guard depth is free: its weight-0 slice holds a few vectors
-K_MAX_NEGATIVE_P = 2 ** 14
 # the widest weight window `dims` takes: |w| <= W_MAX is 4 W_MAX + 1
 # weights per point for n <= 2. At K = K_MAX, |w| <= 8 took 0.016 s
 W_MAX = 8
@@ -578,6 +576,26 @@ def _random_cochain(mod, degree, parity, rng, *, universe=GENS,
     return Cochain(mod, degree, parity, vals, universe)
 
 
+def _realized_image(mod, gen, bv, consts, D):
+    """D * gen.bv by the realization oracle, as {BasisVector: int}, or
+    None when a coefficient is not in (1/D)Z.
+
+    The oracle's numerators (`derived_module_action`) are mapped to the
+    basis in integers (`from_oppoly`), multiplied by D and divided by
+    the oracle's denominator with divmod: a remainder refuses, and
+    nothing is rounded. Of the table it reads only D.
+    """
+    ints, den = derived_module_action(gen, to_oppoly({bv: Fraction(1)}),
+                                      mod.lam, mod.mu, consts)
+    out = {}
+    for v, c in from_oppoly(ints, mod).items():
+        q, r = divmod(D * c, den)
+        if r:
+            return None
+        out[v] = q
+    return out
+
+
 SELFTEST_SUITES = ("algebra", "module", "complex", "oracle", "all")
 
 
@@ -634,14 +652,9 @@ def selftest(suite="all"):
         # integers) must be D times the oracle's commutator action
         mod = TruncatedDlm(Fraction(-1, 2), Fraction(1), 3)
         D = action_scale(mod)
-
-        def realized(gen, bv):
-            oracle = derived_module_action(gen, to_oppoly({bv: Fraction(1)}),
-                                           mod.lam, mod.mu, consts)
-            return {v: D * c for v, c in from_oppoly(oracle, mod).items()}
         check("table-action-equals-realization", all([
-            dict(mod.image(gen, bv)) == realized(gen, bv)
-            for gen in GENS for bv in product("abcd", range(3), range(3))]))
+            dict(mod.image(g, bv)) == _realized_image(mod, g, bv, consts, D)
+            for g in GENS for bv in product("abcd", range(3), range(3))]))
 
     def complex_suite():
         mod = TruncatedDlm(Fraction(0), Fraction(1, 2), 3)

@@ -17,30 +17,29 @@ X_G = G dx + 1/2 eta(G) etabar, and [X_F, X_G] = X_{F,G} for the bracket
 `contact_bracket`). Scaled copies of X_1, X_x, X_{x^2}, X_theta and
 X_{x theta} realize osp(1|2); the scaling constants are solved from the
 adopted bracket table, not assumed.
+
+An OpPoly keeps its coefficients as Fractions, but composition runs in
+integers: `compose`, `graded_commutator` and `derived_module_action`
+take each operand's int numerators over the lcm of its own denominators
+(`OpPoly.numerators`), accumulate the products in ints in the one
+composition loop (`_compose_into`), and make one Fraction per output
+term at most. `derived_module_action`, the realization oracle, returns
+its numerators and their denominator as they are, so the self-test
+compares them with the integer action table by divmod and makes no
+Fraction. The oracle stays independent of the table: it is built from
+the contact fields alone, and of the table the comparison reads only
+the scale D.
 """
 
 import itertools
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, perm
 
 from .algebra import PARITY
 
 _ZERO = Fraction(0)
-
-
-def _falling(n, j):
-    out = 1
-    for i in range(j):
-        out *= n - i
-    return out
-
-
-def _binom(n, j):
-    out = 1
-    for i in range(j):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def _dict_add(target, key, coeff):
@@ -51,13 +50,17 @@ def _dict_add(target, key, coeff):
         target.pop(key, None)
 
 
+def _exact(v):
+    return v if type(v) is Fraction else Fraction(v)
+
+
 class SFun:
     """Superline function: {(m, eps): Fraction} for x^m theta^eps."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
+        self.terms = {k: _exact(v) for k, v in (terms or {}).items() if v}
 
     @classmethod
     def term(cls, m, eps, coeff=1):
@@ -102,18 +105,76 @@ class SFun:
         return f"SFun({self.terms})"
 
 
+def _theta_terms(a1, b1, a2, b2):
+    """theta^a1 dtheta^b1 o theta^a2 dtheta^b2 in normal order, as
+    (e1, e2, sign) terms: dtheta^b1 is resolved against theta^a2, the
+    remaining theta power merges into theta^a1 and the remaining dtheta
+    power into dtheta^b2."""
+    if b1 and a2:
+        # dtheta theta = 1 - theta dtheta
+        cross = ((1, 1, -1),) if not a1 and not b2 else ()
+        return ((a1, b2, 1),) + cross
+    if b1:
+        return () if b2 else ((a1, 1, 1),)
+    if a2:
+        return () if a1 else ((1, b2, 1),)
+    return ((a1, b2, 1),)
+
+
+_THETA_TERMS = {key: _theta_terms(*key)
+                for key in itertools.product((0, 1), repeat=4)}
+
+
+def _compose_into(out, p, q, scale=1):
+    """out += scale * (p o q) for {(m, e1, e2, k): int} operators.
+
+    The one composition loop. By Leibniz, x^m1 dx^k1 o x^m2 dx^k2 is
+    sum_j binom(k1, j) falling(m2, j) x^(m1+m2-j) dx^(k1-j+k2); each
+    coefficient is the previous one times (k1-j+1)(m2-j+1), divided
+    exactly by j. The theta part is read off `_THETA_TERMS`. A sum that
+    cancels stays in `out` as 0.
+    """
+    get = out.get
+    for (m1, a1, b1, k1), v1 in p.items():
+        v1 *= scale
+        for (m2, a2, b2, k2), v2 in q.items():
+            thetas = _THETA_TERMS[a1, b1, a2, b2]
+            if not thetas:
+                continue
+            c = v1 * v2
+            m, k = m1 + m2, k1 + k2
+            for j in range(min(k1, m2) + 1):
+                if j:
+                    c = c * (k1 - j + 1) * (m2 - j + 1) // j
+                for e1, e2, sign in thetas:
+                    key = (m - j, e1, e2, k - j)
+                    out[key] = get(key, 0) + sign * c
+
+
 class OpPoly:
     """Operator polynomial: {(m, e1, e2, k): Fraction} in normal order."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
+        self.terms = {k: _exact(v) for k, v in (terms or {}).items() if v}
 
     @classmethod
     def multiplication(cls, f):
         """The operator 'multiply by the superfunction f'."""
         return cls({(m, e, 0, 0): c for (m, e), c in f.terms.items()})
+
+    @classmethod
+    def from_numerators(cls, ints, den):
+        """The operator ints / den, one Fraction per nonzero term."""
+        return cls({key: Fraction(n, den) for key, n in ints.items() if n})
+
+    def numerators(self):
+        """(ints, den): the terms as int numerators over den, the lcm of
+        their denominators."""
+        den = lcm(*(v.denominator for v in self.terms.values()))
+        return {key: v.numerator * (den // v.denominator)
+                for key, v in self.terms.items()}, den
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -129,36 +190,13 @@ class OpPoly:
         return OpPoly({k: c * v for k, v in self.terms.items()})
 
     def compose(self, other):
-        """Normal-ordered operator product self o other."""
+        """Normal-ordered operator product self o other, composed in
+        integers over the product of the two denominators."""
+        p, dp = self.numerators()
+        q, dq = other.numerators()
         out = {}
-        for (m1, a1, b1, k1), v1 in self.terms.items():
-            for (m2, a2, b2, k2), v2 in other.terms.items():
-                coeff0 = v1 * v2
-                for j in range(min(k1, m2) + 1):
-                    c = coeff0
-                    if j:       # binom * falling is 1 at j = 0
-                        c *= _binom(k1, j) * _falling(m2, j)
-                    if not c:
-                        continue
-                    m = m1 + m2 - j
-                    k = k1 - j + k2
-                    # resolve dtheta^b1 against theta^a2, then merge the
-                    # remaining theta power into theta^a1 and the
-                    # remaining dtheta power into dtheta^b2
-                    if b1 and a2:
-                        # dtheta theta = 1 - theta dtheta
-                        _dict_add(out, (m, a1, b2, k), c)
-                        if not a1 and not b2:
-                            _dict_add(out, (m, 1, 1, k), -c)
-                    elif b1:
-                        if not b2:
-                            _dict_add(out, (m, a1, 1, k), c)
-                    elif a2:
-                        if not a1:
-                            _dict_add(out, (m, 1, b2, k), c)
-                    else:
-                        _dict_add(out, (m, a1, b2, k), c)
-        return OpPoly(out)
+        _compose_into(out, p, q)
+        return OpPoly.from_numerators(out, dp * dq)
 
     def apply(self, f):
         """Evaluate the operator on a superfunction."""
@@ -167,7 +205,7 @@ class OpPoly:
             for (u, v), cf in f.terms.items():
                 if k > u:
                     continue
-                coeff = c * cf * _falling(u, k)
+                coeff = c * cf * perm(u, k)
                 eps = v
                 if e2:
                     if not eps:
@@ -200,9 +238,15 @@ class OpPoly:
 
 
 def graded_commutator(p, q):
-    """[p, q] = p o q - (-1)^{pq} q o p for parity-homogeneous p, q."""
+    """[p, q] = p o q - (-1)^{pq} q o p for parity-homogeneous p, q,
+    composed in integers over the product of the two denominators."""
     sign = -1 if p.parity() and q.parity() else 1
-    return p.compose(q) - q.compose(p).scale(sign)
+    a, da = p.numerators()
+    b, db = q.numerators()
+    out = {}
+    _compose_into(out, a, b)
+    _compose_into(out, b, a, -sign)
+    return OpPoly.from_numerators(out, da * db)
 
 
 ETA = OpPoly({(0, 0, 1, 0): 1, (0, 1, 0, 1): 1})
@@ -261,28 +305,27 @@ def solve_realization_constants(table):
     Backtracking over candidate rationals (+-1, +-2, +-4, +-1/2, +-1/4
     per generator); each partial assignment is pruned against every
     bracket row it already determines, and a full assignment is accepted
-    only if all 25 commutators reproduce the table exactly. Each
-    candidate field and each commutator of two is built once per solve.
+    only if all 25 commutators reproduce the table exactly. The five
+    unscaled fields X_symbol(g), and each commutator of two, are built
+    once per solve and scaled for each trial: vector_field is linear and
+    the graded commutator bilinear, so [c_u X_u, c_v X_v] is
+    c_u c_v [X_u, X_v] exactly.
     """
     order = ("X", "H", "Y", "A", "B")  # gauge first, cheap prunes early
-    fields, commutators = {}, {}        # built once per solve
-
-    def field(g, c):
-        if (g, c) not in fields:
-            fields[(g, c)] = vector_field(_BASE_SYMBOLS[g].scale(c))
-        return fields[(g, c)]
+    fields = {g: vector_field(_BASE_SYMBOLS[g]) for g in order}
+    commutators = {}                   # of the unscaled fields
 
     def matches(scales):
         for u, v in itertools.product(scales, repeat=2):
             row = table.bracket(u, v)
             if any(g not in scales for g in row):
                 continue
-            key = (u, scales[u], v, scales[v])
-            if key not in commutators:
-                commutators[key] = graded_commutator(field(u, scales[u]),
-                                                     field(v, scales[v]))
-            if commutators[key] != sum((field(g, scales[g]).scale(c)
-                                        for g, c in row.items()), OpPoly()):
+            if (u, v) not in commutators:
+                commutators[(u, v)] = graded_commutator(fields[u],
+                                                        fields[v])
+            lhs = commutators[(u, v)].scale(scales[u] * scales[v])
+            if lhs != sum((fields[g].scale(c * scales[g])
+                           for g, c in row.items()), OpPoly()):
                 return False
         return True
 
@@ -308,20 +351,32 @@ def solve_realization_constants(table):
 
 @lru_cache(maxsize=16)
 def _generator_action(gen, lam, consts):
-    """density_action of gen's field at weight lam; the 16 latest kept."""
-    return density_action(consts.symbol(gen), lam)
+    """density_action of gen's field at weight lam, as its numerators
+    (`OpPoly.numerators`); the 16 latest kept. The dict is shared by
+    every caller, which reads it only."""
+    return density_action(consts.symbol(gen), lam).numerators()
 
 
 def derived_module_action(gen, op, lam, mu, consts):
-    """Action of a generator on an operator from lam- to mu-densities.
+    """Action of a generator on an operator from lam- to mu-densities,
+    as (ints, den): the action is ints / den (`OpPoly.from_numerators`).
 
     This is the commutator construction
     L^mu_G o T - (-1)^{T G} T o L^lam_G, a representation by
-    construction; it serves as the oracle for the tabulated action.
+    construction; it serves as the oracle for the tabulated action. The
+    two cached density actions are brought to the lcm of their
+    denominators and composed with T's numerators in integers, so a call
+    makes no Fraction; a term that cancels is returned as 0.
     """
     sign = -1 if PARITY[gen] and op.parity() else 1
-    return (_generator_action(gen, mu, consts).compose(op)
-            - op.compose(_generator_action(gen, lam, consts)).scale(sign))
+    left, dl = _generator_action(gen, mu, consts)
+    right, dr = _generator_action(gen, lam, consts)
+    t, dt = op.numerators()
+    d = lcm(dl, dr)
+    out = {}
+    _compose_into(out, left, t, d // dl)
+    _compose_into(out, t, right, -sign * (d // dr))
+    return out, d * dt
 
 
 # --- pretty-printing -----------------------------------------------------

@@ -348,11 +348,28 @@ class TruncatedDlm:
         (`linalg.int_kernel_basis`); the scale D changes no kernel.
         Returns {BasisVector: int} vectors, one per free column of the
         unique reduced echelon form.
+
+        For the table's own action the kernels of A and X hold m = 0
+        vectors only (`kernel_weights`), so a slice with no m = 0 vector
+        answers [] with nothing built, whatever its length; a module that
+        overrides the action is ranked.
         """
+        if (gen in ("A", "X") and not self._holds_m0(t)
+                and type(self).scaled_act_basis
+                is TruncatedDlm.scaled_act_basis):
+            return []
         basis = list(self.slice(t))
         cols = [dict(row) for row in self.stencil(gen, t)]
         return [{basis[c]: x for c, x in v.items()}
                 for v in linalg.int_kernel_basis(cols)[1]]
+
+    def _holds_m0(self, t):
+        """Whether the slice t holds an m = 0 vector, decided from t, K
+        and K0 without building the slice: family f's would have
+        k = (t - 2 shift_f) / 2, and it is there when K0 < k <= K."""
+        lo = max(0, self.K0 + 1)
+        return any(not (t - s) % 2 and lo <= (t - s) // 2 <= self.K
+                   for s in _SHIFT2.values())
 
     def kernel_weights(self):
         """The slices t = 2(alpha + p) that hold m = 0 vectors (k <= K),
@@ -361,8 +378,13 @@ class TruncatedDlm:
         Kernels of the raising/odd generators consist of m = 0 vectors
         only (every action row on an m > 0 vector keeps an m >= 1 tail
         with a nonzero coefficient m), so scanning these slices sees
-        every kernel element. Read by `_a_onto_scan` alone: the
-        predictions need no scan (`engine._kernel_description`).
+        every kernel element. For the table's own action this is exact
+        for A and X: A maps distinct vectors to multiples of distinct
+        vectors, by 0 exactly at a_{0,k} and d_{0,k} (`check_a_onto`),
+        and X = A o A / D maps each family's x_{m,k} to m x_{m-1,k}; so
+        a slice with no m = 0 vector has neither kernel (`kernel_slice`,
+        by `_holds_m0`). Scanned by `_a_onto_scan` alone: the predictions
+        need no scan (`engine._kernel_description`).
         """
         return sorted({2 * k + s for s in _SHIFT2.values()
                        for k in range(self.K + 1)})
@@ -511,22 +533,33 @@ def to_oppoly(vec):
     return OpPoly(terms)
 
 
-def from_oppoly(op, mod):
-    """Operator polynomial -> ModuleVector in the a/b/c/d basis.
+def from_oppoly(terms, mod):
+    """Operator terms {(m, e1, e2, k): number} -> ModuleVector in the
+    a/b/c/d basis, summed in the numbers given: Fractions stay
+    Fractions, and ints stay ints.
 
     The dtheta monomials are resolved as (m,0,1,k) = d_{m,k} + c_{m,k+1}.
     Raises TruncationViolation when a required k exceeds mod.K.
     """
     vec = {}
-    for (m, e1, e2, k), c in op.terms.items():
-        if e1 and e2:
-            vec_add(vec, {("b", m, k): c})
-        elif e2:
-            vec_add(vec, {("d", m, k): c, ("c", m, k + 1): c})
-        elif e1:
-            vec_add(vec, {("c", m, k): c})
+
+    def add(bv, c):
+        s = vec.get(bv, 0) + c
+        if s:
+            vec[bv] = s
         else:
-            vec_add(vec, {("a", m, k): c})
+            vec.pop(bv, None)
+
+    for (m, e1, e2, k), c in terms.items():
+        if e1 and e2:
+            add(("b", m, k), c)
+        elif e2:
+            add(("d", m, k), c)
+            add(("c", m, k + 1), c)
+        elif e1:
+            add(("c", m, k), c)
+        else:
+            add(("a", m, k), c)
     for (f, m, k) in vec:
         if k > mod.K:
             raise TruncationViolation(

@@ -152,6 +152,13 @@ MUTANTS = (
      "((v, w), (u, g), h, -c * d)",
      "((v, w), (u, g), h, c * d)",
      "tests/test_algebra.py::test_integer_jacobi_equals_fraction_defect"),
+    # the dtheta o theta cross term of the integer composition, the
+    # -theta dtheta of dtheta theta = 1 - theta dtheta, added with its
+    # sign flipped
+    ("compose-cross-term-sign-flipped", "superdiff.py",
+     "cross = ((1, 1, -1),)",
+     "cross = ((1, 1, 1),)",
+     "tests/test_superdiff.py::test_compose_equals_the_fraction_reference"),
     # a failed exact check that escapes the CLI as a traceback
     ("cli-lets-a-mismatch-escape", "cli.py",
      "    except Mismatch as exc:\n"

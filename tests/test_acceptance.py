@@ -18,11 +18,11 @@ from ospcoho.cochains import (coboundary, cup, is_reduced, make_f_k,
                               make_ftilde_k, make_h_lambda, reduce_cochain,
                               restrict_sl2)
 from ospcoho.engine import _random_cochain
-from ospcoho.superdiff import derived_module_action, \
-    solve_realization_constants
+from ospcoho.superdiff import solve_realization_constants
 from ospcoho.weightmod import (FAMILIES, TruncatedDlm, from_oppoly,
                                module_axiom_holds, to_oppoly)
-from tests_support_dense import act, act_basis, delta_matrix, h_dim
+from tests_support_dense import (act, act_basis, delta_matrix, h_dim,
+                                 realized)
 
 F = Fraction
 TABLE = adopted_table()
@@ -74,9 +74,9 @@ def test_criterion_02_oracle_equivalence():
                 for m in range(5):
                     for k in range(5):
                         bv = (fam, m, k)
-                        oracle = derived_module_action(
+                        oracle = realized(
                             gen, to_oppoly({bv: F(1)}), lam, mu, consts)
-                        assert from_oppoly(oracle, mod) == \
+                        assert from_oppoly(oracle.terms, mod) == \
                             act_basis(mod, gen, bv), (lam, mu, gen, bv)
     print("PASS criterion 2: table action equals realization commutator")
 

@@ -230,11 +230,10 @@ def test_threads_flag_same_output(capsys):
     ["dims", "--grid", "pairs:0,1/2", "--mu", "1"],
     ["cocycles", "--kind", "f", "--lambda", "1/3"],
     ["cocycles", "--kind", "cup", "--lambda", "0"],
-    # a --kmax above K_MAX, and a guard depth above K_MAX_NEGATIVE_P at
-    # p < 0 with 2p an integer, where the weight-0 slice holds every k
+    # a --kmax above K_MAX, and a point with no mu
     ["dims", "--lambda", "0", "--mu", "0",
      "--kmax", str(cli.engine.K_MAX + 1)],
-    ["dims", "--grid", f"pairs:0,1/2;{cli.engine.K_MAX_NEGATIVE_P},0"],
+    ["dims", "--lambda", "1/3"],
     # --k with --kind h, which has no k
     ["cocycles", "--kind", "h", "--lambda", "0", "--k", "3"],
     ["cocycles", "--kind", "h", "--lambda", "0", "--k", "0"],
@@ -306,21 +305,18 @@ def test_depth_at_the_cap_is_accepted(capsys, monkeypatch):
     K_MAX = cli.engine.K_MAX
     assert cli.main(["dims", "--lambda", "0", "--mu", "0",
                      "--kmax", str(K_MAX)]) == 0
-    # a point's own guard depth ceil|p| + 1 is not capped at p >= 0
+    # a point's own guard depth ceil|p| + 1 is not capped, at p >= 0
+    # nor at p < 0 with 2p an integer, where the weight-0 slice holds
+    # every k <= K of two families and none at m = 0
     assert cli.main(["dims", "--lambda", "0", "--mu", str(K_MAX)]) == 0
-    # at p < 0 with 2p an integer it is capped at K_MAX_NEGATIVE_P,
-    # reached at p = 1 - K_MAX_NEGATIVE_P
-    cap = cli.engine.K_MAX_NEGATIVE_P
-    assert cli.main(["dims", "--lambda", str(cap - 1), "--mu", "0"]) == 0
-    assert cli.main(["dims", "--lambda", str(cap), "--mu", "0"]) == 2
-    assert cli.main(["dims", "--lambda", f"{2 * cap - 1}/2",
-                     "--mu", "0"]) == 2
-    assert seen == [K_MAX, None, None]
+    for lam in ("16383", "16384", "32767/2", "10000000"):
+        assert cli.main(["dims", "--lambda", lam, "--mu", "0"]) == 0
+    assert seen == [K_MAX] + [None] * 5
     # and so is the widest weight window, at the deepest truncation
     assert cli.main(["dims", "--lambda", "0", "--mu", "0",
                      "--kmax", str(K_MAX),
                      "--wmax", str(cli.engine.W_MAX)]) == 0
-    assert seen == [K_MAX, None, None, K_MAX]
+    assert seen == [K_MAX] + [None] * 5 + [K_MAX]
 
 
 @pytest.mark.parametrize("argv, depths", [

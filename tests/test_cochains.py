@@ -588,9 +588,11 @@ def test_cup_of_cocycles_that_is_not_a_cocycle_raises(monkeypatch):
     from_oppoly = cc.from_oppoly
     calls = []
 
-    def one_slot_doubled(op, mod):
-        calls.append(op)
-        return from_oppoly(op.scale(2) if len(calls) == 1 else op, mod)
+    def one_slot_doubled(terms, mod):
+        calls.append(terms)
+        if len(calls) == 1:
+            terms = {key: 2 * c for key, c in terms.items()}
+        return from_oppoly(terms, mod)
 
     monkeypatch.setattr(cc, "from_oppoly", one_slot_doubled)
     with pytest.raises(NoCocycle):

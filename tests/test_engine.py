@@ -729,9 +729,10 @@ def test_higher_cohomology_vanishes_on_the_piece():
 
 def test_outputs_are_pinned(tmp_path, capsys):
     # the dims CSVs of the half-integer grid, of five other points, of
-    # four points at K = 128 and of four far points, the restriction
-    # checks of the acceptance grid, and the stdout of selftest, audit
-    # and the f, ftilde and cup cocycles, byte for byte
+    # four points at K = 128, of four far points and of three far points
+    # at p < 0, the restriction checks of the acceptance grid, and the
+    # stdout of selftest, audit and the f, ftilde and cup cocycles, byte
+    # for byte
     from ospcoho import cli
     out = tmp_path / "dims.csv"
     assert cli.main(["dims", "--grid", "halfints:-1..1", "--format", "csv",
@@ -758,6 +759,13 @@ def test_outputs_are_pinned(tmp_path, capsys):
                      "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "a79d32161b29551d09c7ce6d69da363d8ea756fc177d9f3b58b24302456de19f")
+    # far points at p < 0, up to K = 10,000,001, where the slices of
+    # weight 0 and -1/2 hold no m = 0 vector and no slice is built
+    assert cli.main(["dims", "--grid", "pairs:16384,0;10000000,0;5/2,-1/2",
+                     "--format", "csv", "--threads", "1",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8423633aa72c980f4a8c483a9531a1966167622e2dd18ddc70dfa5b7758992eb")
     checks = [restriction_injectivity_check(lam, mu, K=8, nmax=2)
               for lam, mu in ACCEPTANCE_GRID]
     assert sum(len(c["classes"]) for c in checks) == 22

@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings, strategies as st
+
 from ospcoho import engine
 from ospcoho.algebra import GENS, PARITY, adopted_table
 from ospcoho.superdiff import (ETA, ETABAR, OpPoly, RealizationConstants,
@@ -11,10 +13,12 @@ from ospcoho.superdiff import (ETA, ETABAR, OpPoly, RealizationConstants,
                                derived_module_action, graded_commutator,
                                op_str, solve_realization_constants,
                                vector_field)
-from ospcoho.weightmod import FAMILIES, to_oppoly
+from ospcoho.weightmod import (FAMILIES, TruncatedDlm, action_scale,
+                               from_oppoly, to_oppoly)
 from tests_support_dense import (contact_bracket, fields_match_table,
-                                 op_term, parse_op, sfun_is_zero,
-                                 sfun_parity)
+                                 op_term, parse_op, realized,
+                                 reference_commutator, reference_compose,
+                                 sfun_is_zero, sfun_parity)
 
 X_ = lambda: op_term(1, 0, 0, 0)
 DX = lambda: op_term(0, 0, 0, 1)
@@ -147,16 +151,16 @@ def test_derived_action_examples():
     consts = solve_realization_constants(table)
     # A on x^m dx^k gives m x^{m-1} theta dx^k
     for m, k in ((1, 0), (3, 2), (0, 1)):
-        out = derived_module_action("A", op_term(m, 0, 0, k),
-                                    Fraction(1, 3), Fraction(1, 5), consts)
+        out = realized("A", op_term(m, 0, 0, k),
+                       Fraction(1, 3), Fraction(1, 5), consts)
         assert out == OpPoly({(m - 1, 1, 0, k): m} if m else {})
     # A on the identity
     ident = op_term(0, 0, 0, 0)
-    assert derived_module_action("A", ident, Fraction(2), Fraction(5, 2),
-                                 consts).is_zero()
+    assert realized("A", ident, Fraction(2), Fraction(5, 2),
+                    consts).is_zero()
     # B on (theta .) within lam = mu gives (x .)
-    out = derived_module_action("B", op_term(0, 1, 0, 0),
-                                Fraction(3), Fraction(3), consts)
+    out = realized("B", op_term(0, 1, 0, 0), Fraction(3), Fraction(3),
+                   consts)
     assert out == op_term(1, 0, 0, 0)
 
 
@@ -176,7 +180,7 @@ def test_derived_action_equals_fresh_commutator():
             sign = -1 if PARITY[gen] and op.parity() else 1
             fresh = density_action(g, mu).compose(op) - \
                 op.compose(density_action(g, lam)).scale(sign)
-            assert derived_module_action(gen, op, lam, mu, consts) == fresh
+            assert realized(gen, op, lam, mu, consts) == fresh
 
 
 def test_density_action_cache_is_bounded():
@@ -203,3 +207,109 @@ def test_op_str_and_parse_roundtrip():
                      for _ in range(3)})
         assert parse_op(op_str(op)) == op
     assert parse_op("dtheta dx^2") == op_term(0, 0, 1, 2)
+
+
+# --- the integer composition against the Fraction reference --------------
+
+_COEFFS = st.builds(Fraction, st.integers(-20, 20).filter(bool),
+                    st.integers(1, 12))
+
+
+def operators(parity=None):
+    """Random operators of dx-order and x-degree up to 4, coefficients
+    with denominators up to 12; homogeneous of `parity` if given."""
+    keys = st.tuples(st.integers(0, 4), st.integers(0, 1),
+                     st.integers(0, 1), st.integers(0, 4))
+    if parity is not None:
+        keys = keys.filter(lambda key: (key[1] + key[2]) % 2 == parity)
+    return st.dictionaries(keys, _COEFFS, max_size=5).map(OpPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operators(), operators())
+@example(DTH(), TH())
+@example(op_term(0, 0, 1, 2, Fraction(3, 4)),
+         op_term(3, 1, 0, 1, Fraction(-5, 6)))
+def test_compose_equals_the_fraction_reference(p, q):
+    assert p.compose(q) == reference_compose(p, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 1), st.integers(0, 1), st.data())
+def test_graded_commutator_equals_the_fraction_reference(pp, qp, data):
+    p, q = data.draw(operators(pp)), data.draw(operators(qp))
+    assert graded_commutator(p, q) == reference_commutator(p, q)
+
+
+_WEIGHTS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(GENS), st.integers(0, 1), _WEIGHTS, _WEIGHTS,
+       st.data())
+def test_derived_action_equals_the_fraction_reference(gen, parity, lam, mu,
+                                                      data):
+    # the commutator L^mu_G o T - (-1)^{TG} T o L^lam_G composed term by
+    # term in Fractions
+    op = data.draw(operators(parity))
+    consts = solve_realization_constants(adopted_table())
+    g = consts.symbol(gen)
+    sign = -1 if PARITY[gen] and op.parity() else 1
+    want = reference_compose(density_action(g, mu), op) - \
+        reference_compose(op, density_action(g, lam)).scale(sign)
+    assert realized(gen, op, lam, mu, consts) == want
+
+
+def test_integer_oracle_comparison_refuses_rather_than_rounds(monkeypatch):
+    # on a module with L = 3 (D = 18), the integer comparison of the
+    # self-test decides every (gen, bv) pair as the Fraction comparison
+    # does: on the table's images, on each image with one coefficient
+    # changed by one unit, and at the scale D = 1, where some realized
+    # coefficients are not integers and the integer side refuses
+    consts = solve_realization_constants(adopted_table())
+    mod = TruncatedDlm(Fraction(1, 3), Fraction(5, 6), 3)
+    D = action_scale(mod)
+    assert D == 18
+
+    def fraction_image(gen, bv, scale):
+        op = realized(gen, to_oppoly({bv: Fraction(1)}), mod.lam, mod.mu,
+                      consts)
+        return {v: scale * c for v, c in from_oppoly(op.terms, mod).items()}
+
+    pairs = [(gen, bv) for gen in GENS
+             for bv in itertools.product(FAMILIES, range(3), range(3))]
+    assert len(pairs) == 180
+    refused = 0
+    for gen, bv in pairs:
+        image = dict(mod.image(gen, bv))
+        off = dict(image)
+        v = next(iter(off), bv)
+        off[v] = off.get(v, 0) + 1
+        assert engine._realized_image(mod, gen, bv, consts, D) == image
+        for scale in (D, 1):
+            exact = engine._realized_image(mod, gen, bv, consts, scale)
+            frac = fraction_image(gen, bv, scale)
+            if exact is None:
+                refused += 1
+                assert any(c.denominator != 1 for c in frac.values())
+            else:
+                assert exact == frac
+            for img in (image, off):
+                assert (img == exact) == (img == frac)
+    assert refused > 0
+
+    # one image changed by one unit fails the self-test's check
+    checks = {name: ok for name, ok, _ in engine.selftest("oracle")}
+    assert checks["table-action-equals-realization"]
+    image = TruncatedDlm.image
+
+    def one_unit_off(self, gen, bv):
+        img = image(self, gen, bv)
+        if (gen, bv) == ("B", ("c", 1, 1)):
+            (t0, c0), *rest = img
+            img = ((t0, c0 + 1), *rest)
+        return img
+    monkeypatch.setattr(TruncatedDlm, "image", one_unit_off)
+    checks = {name: ok for name, ok, _ in engine.selftest("oracle")}
+    assert checks["realization-constants"]
+    assert not checks["table-action-equals-realization"]

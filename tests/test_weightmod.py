@@ -11,16 +11,15 @@ from ospcoho import algebra, linalg, weightmod as wm
 from ospcoho.algebra import GENS, WEIGHT, adopted_table, printed_table
 from ospcoho.cochains import _coords
 from ospcoho.engine import guard_K, zero_piece
-from ospcoho.superdiff import solve_realization_constants, \
-    derived_module_action
+from ospcoho.superdiff import solve_realization_constants
 from ospcoho.weightmod import (FAMILIES, TruncatedDlm,
                                TruncationViolation, action_scale,
                                from_oppoly, module_axiom_holds, to_oppoly)
 from tests_support_dense import (FAMILY_PARITY, act, act_basis,
                                  action_compat_defect, basis_weight,
                                  casimir, casimir_commutes, joint_kernel,
-                                 op_term, random_cochain, rescaled_table,
-                                 vec_from_json)
+                                 op_term, random_cochain, realized,
+                                 rescaled_table, vec_from_json)
 
 F = Fraction
 
@@ -203,9 +202,9 @@ def test_oracle_equivalence_sample():
                 for m in range(5):
                     for k in range(5):
                         bv = (fam, m, k)
-                        oracle = derived_module_action(
+                        oracle = realized(
                             gen, to_oppoly({bv: F(1)}), lam, mu, consts)
-                        assert from_oppoly(oracle, mod) == \
+                        assert from_oppoly(oracle.terms, mod) == \
                             act_basis(mod, gen, bv)
 
 
@@ -331,12 +330,12 @@ def test_oppoly_roundtrip():
     mod = TruncatedDlm(0, 0, 4)
     vec = {("a", 1, 2): F(3), ("b", 0, 1): F(-1, 2),
            ("c", 2, 0): F(1), ("d", 0, 3): F(5, 3)}
-    assert from_oppoly(to_oppoly(vec), mod) == vec
+    assert from_oppoly(to_oppoly(vec).terms, mod) == vec
     # d_{0,4} reaches exactly K = 4; a bare dtheta dx^4 needs c_{0,5}
-    assert from_oppoly(to_oppoly({("d", 0, 4): F(1)}), mod) == \
+    assert from_oppoly(to_oppoly({("d", 0, 4): F(1)}).terms, mod) == \
         {("d", 0, 4): F(1)}
     with pytest.raises(TruncationViolation):
-        from_oppoly(op_term(0, 0, 1, 4), mod)
+        from_oppoly(op_term(0, 0, 1, 4).terms, mod)
 
 
 def test_vec_serialization_roundtrip():
@@ -450,9 +449,9 @@ def _table_mismatches(mod, consts, max_m=2):
             for m in range(max_m + 1):
                 for k in range(mod.K + 1):
                     bv = (f, m, k)
-                    oracle = from_oppoly(derived_module_action(
-                        gen, to_oppoly({bv: F(1)}), mod.lam, mod.mu, consts),
-                        mod)
+                    oracle = from_oppoly(realized(
+                        gen, to_oppoly({bv: F(1)}), mod.lam, mod.mu,
+                        consts).terms, mod)
                     if dict(mod.image(gen, bv)) != {
                             t: c * D for t, c in oracle.items()}:
                         bad.append((gen, bv))
@@ -656,6 +655,40 @@ def test_a_stencils_are_a_covering_matching(lam, mu):
         assert _unscaled_a_stencils(mod) == _unscaled_a_stencils(
             TruncatedDlm(0, 0, PROOF_K, K0))
         assert mod.check_a_onto() and mod._a_onto_scan()
+
+
+class _Ranked(TruncatedDlm):
+    """The table's own action, overridden by itself: every kernel of it
+    is ranked on its stencils."""
+
+    __slots__ = ()
+
+    def scaled_act_basis(self, gen, bv):
+        return super().scaled_act_basis(gen, bv)
+
+
+@pytest.mark.parametrize("lam, mu", PROOF_GRID)
+def test_kernels_of_a_and_x_lie_at_m_zero(lam, mu):
+    # the proof behind `kernel_slice`'s [] on a slice with no m = 0
+    # vector: on every slice t in [-15, 15] of D^{<=6} and of its cuts
+    # D^{<=6}/D^{<=2} and D^{<=6}/D^{<=5}, the ranked kernels of A and X
+    # hold m = 0 vectors only and equal the table's answer, `_holds_m0`
+    # tells the slices with an m = 0 vector, and a slice without one is
+    # neither built nor given a stencil
+    for K0 in (-1, 2, 5):
+        mod = TruncatedDlm(lam, mu, PROOF_K, K0)
+        ranked = _Ranked(lam, mu, PROOF_K, K0)
+        for t in range(-2 * PROOF_K - 3, 2 * PROOF_K + 4):
+            has_m0 = any(m == 0 for _, m, _ in ranked.slice(t))
+            assert mod._holds_m0(t) == has_m0, (mod, t)
+            for gen in ("A", "X"):
+                ker = ranked.kernel_slice(gen, t)
+                assert all(m == 0 for v in ker for _, m, _ in v), (gen, t)
+                assert mod.kernel_slice(gen, t) == ker, (mod, gen, t)
+                if not has_m0:
+                    fresh = TruncatedDlm(lam, mu, PROOF_K, K0)
+                    assert fresh.kernel_slice(gen, t) == []
+                    assert not fresh.slices and not fresh._stencils
 
 
 def test_the_cut_module_is_the_quotient():

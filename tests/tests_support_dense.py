@@ -13,13 +13,15 @@ Casimir composed on a module's stencils, and its commutators with A and
 B, which the proof of the action's identities reads; the
 contact bracket and the check of the scaled contact fields against a
 bracket table; and the decoders of the program's printed formats
-(operators, monomials, cochains).
+(operators, monomials, cochains); the Fraction composition of
+operators that the program does in integers, and the realization
+oracle's action read back as an operator.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm, perm
 
 from ospcoho import linalg
 from ospcoho.algebra import (GENS, PAIR_ORDER, PARITY, SL2, StructureTable,
@@ -28,8 +30,8 @@ from ospcoho.algebra import (GENS, PAIR_ORDER, PARITY, SL2, StructureTable,
 from ospcoho.cochains import (Cochain, _basis, _graded_monomials, _scales,
                               _term2_sign, _weight_chain,
                               zero_cochain)
-from ospcoho.superdiff import (ETA, ETABAR, OpPoly, graded_commutator,
-                               vector_field)
+from ospcoho.superdiff import (ETA, ETABAR, OpPoly, derived_module_action,
+                               graded_commutator, vector_field)
 from ospcoho.engine import _random_cochain as random_cochain  # noqa: F401
 from ospcoho.engine import twice_h_dim
 from ospcoho.weightmod import (FAMILY_SHIFT, TWICE_WEIGHT, TruncatedDlm,
@@ -205,6 +207,62 @@ def fields_match_table(consts, table):
         if graded_commutator(fields[u], fields[v]) != rhs:
             return False
     return True
+
+
+def realized(gen, op, lam, mu, consts):
+    """The realization oracle's action as an OpPoly: the program's
+    `derived_module_action` returns it as (ints, den)."""
+    return OpPoly.from_numerators(*derived_module_action(gen, op, lam, mu,
+                                                         consts))
+
+
+# --- the Fraction composition -----------------------------------------------
+
+def _reference_dict_add(target, key, coeff):
+    s = target.get(key, Fraction(0)) + coeff
+    if s:
+        target[key] = s
+    else:
+        target.pop(key, None)
+
+
+def reference_compose(p, q):
+    """p o q in normal order, term by term in Fractions.
+
+    The program composes in integers over one denominator
+    (`superdiff._compose_into`); this is the Fraction loop it replaced,
+    with the rewriting rules of the `superdiff` docstring spelled out.
+    """
+    out = {}
+    for (m1, a1, b1, k1), v1 in p.terms.items():
+        for (m2, a2, b2, k2), v2 in q.terms.items():
+            for j in range(min(k1, m2) + 1):
+                c = v1 * v2 * comb(k1, j) * perm(m2, j)
+                m = m1 + m2 - j
+                k = k1 - j + k2
+                # resolve dtheta^b1 against theta^a2, then merge the
+                # remaining theta power into theta^a1 and the
+                # remaining dtheta power into dtheta^b2
+                if b1 and a2:
+                    # dtheta theta = 1 - theta dtheta
+                    _reference_dict_add(out, (m, a1, b2, k), c)
+                    if not a1 and not b2:
+                        _reference_dict_add(out, (m, 1, 1, k), -c)
+                elif b1:
+                    if not b2:
+                        _reference_dict_add(out, (m, a1, 1, k), c)
+                elif a2:
+                    if not a1:
+                        _reference_dict_add(out, (m, 1, b2, k), c)
+                else:
+                    _reference_dict_add(out, (m, a1, b2, k), c)
+    return OpPoly(out)
+
+
+def reference_commutator(p, q):
+    """[p, q] = p o q - (-1)^{pq} q o p on `reference_compose`."""
+    sign = -1 if p.parity() and q.parity() else 1
+    return reference_compose(p, q) - reference_compose(q, p).scale(sign)
 
 
 # --- superline helpers the program does not call ----------------------------
