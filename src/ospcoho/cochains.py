@@ -137,10 +137,11 @@ class Cochain:
         return self.add(other, Fraction(-1))
 
     def __eq__(self, other):
+        """Equal on one complex, the key that `add` checks, and value by
+        value."""
         return (isinstance(other, Cochain)
-                and self.degree == other.degree
-                and self.mod == other.mod
-                and self.universe == other.universe
+                and (self.mod, self.degree, self.parity, self.universe)
+                == (other.mod, other.degree, other.parity, other.universe)
                 and self.values == other.values)
 
     def __repr__(self):

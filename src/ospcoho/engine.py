@@ -30,7 +30,8 @@ predictions:
     H^1 ~ H^0 (+) (ker A)^{-1/2}/B((ker A)^0), H^2 ~ that quotient,
     H^{>2} = 0, evaluated on the truncation in integers on its slices
     of weight 0 and -1/2 only (`_kernel_description`): one integer
-    kernel of A's stencil on each, the quotient ranked with
+    kernel of A's stencil on each, the weight-0 one mapped through B's
+    stencil, the quotient ranked with
     `linalg.greedy_independent` and H^0 by rank-nullity. Its hypothesis,
     that A maps each weight slice onto the next, is a theorem of the
     action table (`TruncatedDlm.check_a_onto`), so a report scans no
@@ -64,7 +65,7 @@ from .cochains import (Cochain, _a_monomial, _basis, _coords,
                        restrict_sl2, zero_cochain)
 from .superdiff import OpPoly, derived_module_action, op_str, \
     solve_realization_constants
-from .weightmod import (TWICE_WEIGHT, TruncatedDlm, action_scale,
+from .weightmod import (TWICE_WEIGHT, TruncatedDlm, _compose, action_scale,
                         from_oppoly, module_axiom_holds, to_oppoly)
 
 NMAX_DEFAULT = 4
@@ -159,10 +160,13 @@ def _kernel_description(mod, kernel_gen, image_gen, nmax):
     module axiom holds on D^{<=K} and on its cuts (the tier-1 proof grid
     of `test_casimir_is_triangular_in_k_with_the_proven_diagonal`). So a
     vector killed by g and h is killed by H, which acts on the slice t by
-    its weight, and H^0 is the kernel of h on (ker g)^0. The (ker g)^0
-    vectors are mapped through the module's h images; the quotient is
-    ranked in integers (`linalg.quotient_dim`), which raises
-    NotContained when the image does not lie in (ker g)^top. By
+    its weight, and H^0 is the kernel of h on (ker g)^0. The kernels
+    are at slice positions, and the (ker g)^0 vectors are mapped through
+    h's stencil on t0 by `weightmod._compose`, built only when there is
+    one, so the images and (ker g)^top share the positions of the slice
+    top. The quotient is ranked in integers (`linalg.quotient_dim`),
+    which raises NotContained when the image does not lie in
+    (ker g)^top. By
     rank-nullity dim H^0 = dim (ker g)^0 - rank h((ker g)^0), and that
     rank is dim (ker g)^top - dim Q, the kernel basis being independent.
     With 2p not an integer no vector has weight 0 or top: all dims are 0.
@@ -173,14 +177,8 @@ def _kernel_description(mod, kernel_gen, image_gen, nmax):
     top = t0 + TWICE_WEIGHT[image_gen]
     ker0 = mod.kernel_slice(kernel_gen, t0)
     kertop = mod.kernel_slice(kernel_gen, top)
-    image = mod.image
-    images = []
-    for vec in ker0:
-        out = {}
-        for bv, c in vec.items():
-            for tbv, x in image(image_gen, bv):
-                out[tbv] = out.get(tbv, 0) + c * x
-        images.append(out)
+    images = _compose([v.items() for v in ker0],
+                      mod.stencil(image_gen, t0)) if ker0 else []
     q = linalg.quotient_dim(kertop, images)
     d0 = len(ker0) - (len(kertop) - q)
     dims = {0: d0, 1: d0 + q, 2: q}
@@ -648,12 +646,20 @@ def selftest(suite="all"):
         check("realization-constants",
               (consts.cH, consts.cX, consts.cY, consts.cA, consts.cB)
               == (-1, 1, -1, 2, 2), str(consts))
-        # the images every complex is built on (X and Y composed in
-        # integers) must be D times the oracle's commutator action
+        # the stencil rows every complex is built on (X and Y composed
+        # in integers), read in the basis, must be D times the oracle's
+        # commutator action
         mod = TruncatedDlm(Fraction(-1, 2), Fraction(1), 3)
         D = action_scale(mod)
+
+        def row(g, bv):
+            t = mod.twice_shifted_weight(bv)
+            target = list(mod.slice(t + TWICE_WEIGHT[g]))
+            return {target[i]: x
+                    for i, x in mod.stencil(g, t)[mod.slice(t)[bv]]}
+
         check("table-action-equals-realization", all([
-            dict(mod.image(g, bv)) == _realized_image(mod, g, bv, consts, D)
+            row(g, bv) == _realized_image(mod, g, bv, consts, D)
             for g in GENS for bv in product("abcd", range(3), range(3))]))
 
     def complex_suite():

@@ -31,8 +31,8 @@ definition of the action; a module with another action overrides it.
 
 A module keeps, in its own slots, everything its blocks read: the
 weight slices, the weight chains built on them (`cochains`, which files
-each degree's ranks with its chain), the integer stencils of the action
-on the slices, and the images read back off them. Nothing of it is
+each degree's ranks with its chain) and the integer stencils of the
+action on the slices, its one view of the action. Nothing of it is
 shared between modules, so nothing in it is keyed by more than the
 slice, and it is freed with the module. A stencil holds a generator's
 images on one slice by slice positions; for H, A and B it is read off
@@ -48,20 +48,21 @@ coefficients are integers and B's lie in (1/L)Z, so B o B needs only L^2.
 Every quotient is still checked with divmod, and a remainder raises
 NonIntegralScale, as does a table entry that is not an int; nothing is
 rounded. The composition uses nothing but the odd action, so it serves
-any osp(1|2) module that tabulates H, A and B. `image` reads it back,
-and the self-test compares those images, scale included, with the
-realization oracle (`superdiff.derived_module_action`), the independent
-check of the table, so the oracle sees exactly the entries the blocks
-use.
+any osp(1|2) module that tabulates H, A and B. The self-test compares
+the stencil rows, scale included, with the realization oracle
+(`superdiff.derived_module_action`), the independent check of the
+table, so the oracle sees exactly the entries the blocks use.
 
 The stencil composition (`_compose`) is the only composition of the
 action in the program: X and Y are built on it, and so is
 `module_axiom_holds`, which checks the module axiom one slice at a time
 on the stencils, each defect scaled by T * D^2, with T the lcm of the
-bracket table's denominators, so that it is an integer vector.
-`kernel_slice`, which the closed-form predictions read, takes one
-generator's integer kernel on an int-keyed slice; `check_a_onto` answers
-by a proof for this table's action and ranks stencils only for another.
+bracket table's denominators, so that it is an integer vector, and the
+closed-form predictions map a kernel through a stencil with it.
+`kernel_slice`, which the predictions read, takes one generator's
+integer kernel on an int-keyed slice, at slice positions;
+`check_a_onto` answers by a proof for this table's action and ranks
+stencils only for another.
 
 Every coefficient of the table is affine in (m, k, lambda, p), so the
 module axiom and the Casimir identities that `engine.zero_piece` rests
@@ -133,14 +134,14 @@ class TruncatedDlm:
 
     The module keeps everything its blocks read, built on first use: its
     weight slices (`slice`, filed in `slices`), the integer stencils of
-    the action on them (`stencil`), the images read back off those
-    (`image`), and the weight chains that `cochains` files in `chains`.
+    the action on them (`stencil`), and the weight chains that
+    `cochains` files in `chains`.
     Nothing of it is shared with another module, and nothing in it
     refers back to the module, so it goes with the module.
     """
 
     __slots__ = ("lam", "mu", "K", "K0", "p", "_ints", "stride", "slices",
-                 "chains", "_stencils", "_images")
+                 "chains", "_stencils")
 
     def __init__(self, lam, mu, K, K0=-1):
         self.lam = Fraction(lam)
@@ -153,8 +154,7 @@ class TruncatedDlm:
         D = action_scale(self)
         self._ints = (D, (D * 2 * self.lam).numerator,
                       (D * 2 * self.p).numerator)
-        self.slices, self.chains, self._stencils, self._images = \
-            {}, {}, {}, {}
+        self.slices, self.chains, self._stencils = {}, {}, {}
 
     def __repr__(self):
         cut = f", K0={self.K0}" if self.K0 >= 0 else ""
@@ -300,22 +300,6 @@ class TruncatedDlm:
             self._stencils[(gen, t)] = hit
         return hit
 
-    def image(self, gen, bv):
-        """D * gen.bv as (BasisVector, int) pairs, read back off the
-        stencil of bv's slice (for the whole slice at once)."""
-        img = self._images.get((gen, bv))
-        if img is None:
-            t = self.twice_shifted_weight(bv)
-            source = self.slice(t)
-            if bv not in source:
-                raise TruncationViolation(f"{bv} is not a vector of {self}")
-            target = tuple(self.slice(t + TWICE_WEIGHT[gen]))
-            for b, row in zip(source, self.stencil(gen, t)):
-                self._images[(gen, b)] = tuple((target[i], x)
-                                               for i, x in row)
-            img = self._images[(gen, bv)]
-        return img
-
     def _square_stencil(self, gen, t):
         # D * gen.bv = sign * (odd_D o odd_D)(bv) / D on the slice, in
         # integers on slice positions
@@ -346,22 +330,23 @@ class TruncatedDlm:
         t = 2(alpha + p) is an int (`twice_shifted`). Each stencil row is
         an integer column, and their null space is taken in integers
         (`linalg.int_kernel_basis`); the scale D changes no kernel.
-        Returns {BasisVector: int} vectors, one per free column of the
-        unique reduced echelon form.
+        Returns {position: int} vectors at the slice's positions, one per
+        free column of the unique reduced echelon form.
 
         For the table's own action the kernels of A and X hold m = 0
-        vectors only (`kernel_weights`), so a slice with no m = 0 vector
-        answers [] with nothing built, whatever its length; a module that
-        overrides the action is ranked.
+        vectors only: A maps distinct vectors to multiples of distinct
+        vectors, by 0 exactly at a_{0,k} and d_{0,k} (`check_a_onto`),
+        and X = A o A / D maps each family's x_{m,k} to m x_{m-1,k}. So a
+        slice with no m = 0 vector (`_holds_m0`) answers [] with nothing
+        built, whatever its length; a module that overrides the action is
+        ranked.
         """
         if (gen in ("A", "X") and not self._holds_m0(t)
                 and type(self).scaled_act_basis
                 is TruncatedDlm.scaled_act_basis):
             return []
-        basis = list(self.slice(t))
         cols = [dict(row) for row in self.stencil(gen, t)]
-        return [{basis[c]: x for c, x in v.items()}
-                for v in linalg.int_kernel_basis(cols)[1]]
+        return linalg.int_kernel_basis(cols)[1]
 
     def _holds_m0(self, t):
         """Whether the slice t holds an m = 0 vector, decided from t, K
@@ -370,24 +355,6 @@ class TruncatedDlm:
         lo = max(0, self.K0 + 1)
         return any(not (t - s) % 2 and lo <= (t - s) // 2 <= self.K
                    for s in _SHIFT2.values())
-
-    def kernel_weights(self):
-        """The slices t = 2(alpha + p) that hold m = 0 vectors (k <= K),
-        increasing.
-
-        Kernels of the raising/odd generators consist of m = 0 vectors
-        only (every action row on an m > 0 vector keeps an m >= 1 tail
-        with a nonzero coefficient m), so scanning these slices sees
-        every kernel element. For the table's own action this is exact
-        for A and X: A maps distinct vectors to multiples of distinct
-        vectors, by 0 exactly at a_{0,k} and d_{0,k} (`check_a_onto`),
-        and X = A o A / D maps each family's x_{m,k} to m x_{m-1,k}; so
-        a slice with no m = 0 vector has neither kernel (`kernel_slice`,
-        by `_holds_m0`). Scanned by `_a_onto_scan` alone: the predictions
-        need no scan (`engine._kernel_description`).
-        """
-        return sorted({2 * k + s for s in _SHIFT2.values()
-                       for k in range(self.K + 1)})
 
     def check_a_onto(self):
         """A maps every weight slice onto the next: True by a proof for
@@ -407,16 +374,19 @@ class TruncatedDlm:
         every cut D^{<=K}/D^{<=K0}, for every (lambda, mu); the tier-1
         test `test_a_stencils_are_a_covering_matching` pins both the
         matching and the independence of (lambda, p) on the proof grid.
-        A subclass that overrides the action is scanned.
+        A subclass that overrides the action is scanned, on the finite
+        window of `_a_onto_scan` only.
         """
         if type(self).scaled_act_basis is TruncatedDlm.scaled_act_basis:
             return True
         return self._a_onto_scan()
 
     def _a_onto_scan(self):
-        """rank(A : M^t -> M^{t+1}) == dim M^{t+1} on the kernel slices,
-        ranked in integers on the A stencils."""
-        for t in self.kernel_weights():
+        """rank(A : M^t -> M^{t+1}) == dim M^{t+1}, ranked in integers on
+        the A stencils, for the targets t + 1 with t in the finite window
+        -1 <= t <= 2K + 1 only: the slices that hold the m = 0 vectors
+        of D^{<=K}. A slice below the window is not scanned."""
+        for t in range(-1, 2 * self.K + 2):
             rows = [dict(row) for row in self.stencil("A", t)]
             if len(linalg.int_pivots(rows)) != len(self.slice(t + 1)):
                 return False

@@ -53,6 +53,12 @@ MUTANTS = (
      "    d0 = len(ker0) - (len(kertop) - q)\n",
      "    d0 = len(ker0) - q\n",
      ENGINE + "test_predict_theorem_matches_proposition_on_grid"),
+    # (ker g)^0 mapped through the kernel generator's stencil instead of
+    # h's: the images vanish, so B((ker A)^0) is counted as 0
+    ("prediction-images-through-the-kernel-generator", "engine.py",
+     "mod.stencil(image_gen, t0)) if ker0 else []",
+     "mod.stencil(kernel_gen, t0)) if ker0 else []",
+     ENGINE + "test_predict_theorem_matches_proposition_on_grid"),
     # the rank that class_representatives files from its one reduction
     # of the cleared d_n, one too large
     ("recorded-rank-off-by-one", "cochains.py",

@@ -22,7 +22,7 @@ from ospcoho.superdiff import solve_realization_constants
 from ospcoho.weightmod import (FAMILIES, TruncatedDlm, from_oppoly,
                                module_axiom_holds, to_oppoly)
 from tests_support_dense import (act, act_basis, delta_matrix, h_dim,
-                                 realized)
+                                 kernel_vectors, realized)
 
 F = Fraction
 TABLE = adopted_table()
@@ -202,9 +202,9 @@ def test_criterion_11_b_image_lemma():
             mu = lam + k0 + F(1, 2)
             mod = TruncatedDlm(lam, mu, max(3, k0 + 1))
             t = mod.twice_shifted(0)     # kernel slices are keyed by t
-            ker_half = mod.kernel_slice("A", t - 1)
-            y_img = [act(mod, "Y", v) for v in mod.kernel_slice("X", t)]
-            b_img = [act(mod, "B", v) for v in mod.kernel_slice("A", t)]
+            ker_half = kernel_vectors(mod, "A", t - 1)
+            y_img = [act(mod, "Y", v) for v in kernel_vectors(mod, "X", t)]
+            b_img = [act(mod, "B", v) for v in kernel_vectors(mod, "A", t)]
             for vec in ker_half:
                 bw = act(mod, "B", vec)
                 if not bw or linalg.greedy_independent(y_img, [bw]) == []:

@@ -201,9 +201,9 @@ def test_integer_paths_never_use_the_fraction_action(monkeypatch):
     monkeypatch.setattr(cc, "delta_matrix", counted_delta_matrix,
                         raising=False)
     mod = TruncatedDlm(F(1, 3), F(5, 6), 4)
-    for bv in mod.weight_basis(F(1, 2)) + mod.weight_basis(F(-1, 2)):
-        mod.image("X", bv)
-        mod.image("Y", bv)
+    for alpha in (F(1, 2), F(-1, 2)):
+        mod.stencil("X", mod.twice_shifted(alpha))
+        mod.stencil("Y", mod.twice_shifted(alpha))
     assert set(table_calls) == {"A", "B"}
     mod = phase_done()
     rng = random.Random(5)
@@ -330,6 +330,23 @@ def test_cochains_of_different_complexes_do_not_add():
     twin = Cochain(TruncatedDlm(0, F(1, 2), 3), 1, 0,
                    {("H",): {("a", 0, 0): 2}})
     assert f.add(twin).values == {("H",): {("a", 0, 0): F(3)}}
+
+
+def test_cochains_are_equal_only_on_one_complex():
+    # equality reads the key that `add` checks: module by value, degree,
+    # parity and universe; the zero cochains of the two parities are not
+    # equal, as they do not add
+    mod = TruncatedDlm(0, 0, 3)
+    even, odd = zero_cochain(mod, 1, 0), zero_cochain(mod, 1, 1)
+    assert even != odd
+    with pytest.raises(ValueError, match="not one complex"):
+        even.add(odd)
+    assert even == zero_cochain(TruncatedDlm(0, 0, 3), 1, 0)
+    for other in (zero_cochain(mod, 2, 0), zero_cochain(mod, 1, 0, SL2),
+                  zero_cochain(TruncatedDlm(0, 0, 4), 1, 0)):
+        assert even != other
+    f = Cochain(mod, 1, 0, {("H",): {("a", 0, 0): F(1)}})
+    assert f == f.scale(1) and f != f.scale(2) and f != even
 
 
 def test_reduce_of_coboundary_stays_cohomologous():

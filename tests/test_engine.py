@@ -3,8 +3,10 @@
 import concurrent.futures
 import hashlib
 import json
+import pathlib
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -201,6 +203,29 @@ def test_a_not_onto_violates_the_hypothesis():
     assert base.check_a_onto() and not sub.check_a_onto()
     with pytest.raises(engine.HypothesisViolated):
         predict_theorem(sub)
+
+
+class _AZeroOnB33(TruncatedDlm):
+    """The table's action with A zeroed on b_{3,3} alone."""
+
+    __slots__ = ()
+
+    def scaled_act_basis(self, gen, bv):
+        if (gen, bv) == ("A", ("b", 3, 3)):
+            return ()
+        return super().scaled_act_basis(gen, bv)
+
+
+def test_a_not_onto_on_a_slice_without_m_zero_is_seen():
+    # on D^{<=6}/D^{<=2} the slice t = 0 holds b_{3,3} and no m = 0
+    # vector; with A zeroed there, d_{3,3} in the slice 1 has no
+    # preimage, and the scan over -1 <= t <= 2K + 1 must see it
+    mod = _AZeroOnB33(0, 0, 6, 2)
+    t = mod.twice_shifted_weight(("b", 3, 3))
+    assert t == 0 and not mod._holds_m0(t)
+    assert not mod.check_a_onto()
+    with pytest.raises(engine.HypothesisViolated):
+        predict_theorem(mod)
 
 
 def test_predict_proposition_cases():
@@ -728,17 +753,21 @@ def test_higher_cohomology_vanishes_on_the_piece():
 
 
 def test_outputs_are_pinned(tmp_path, capsys):
-    # the dims CSVs of the half-integer grid, of five other points, of
-    # four points at K = 128, of four far points and of three far points
-    # at p < 0, the restriction checks of the acceptance grid, and the
-    # stdout of selftest, audit and the f, ftilde and cup cocycles, byte
-    # for byte
+    # the dims CSVs of the half-integer grids -1..1 and -2..2, of five
+    # other points, of four points at K = 128, of four far points and of
+    # three far points at p < 0, the restriction checks of the acceptance
+    # grid, and the stdout of selftest, audit (JSON and CSV), the f,
+    # ftilde and cup cocycles and the h cocycles, byte for byte
     from ospcoho import cli
     out = tmp_path / "dims.csv"
     assert cli.main(["dims", "--grid", "halfints:-1..1", "--format", "csv",
                      "--threads", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "3a8916cc9b0dfeaad039de0359b86cde03debf109050368029d61b45027f4d5b")
+    assert cli.main(["dims", "--grid", "halfints:-2..2", "--format", "csv",
+                     "--threads", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "bd1ac5ba73ab5567d255ef060f0d61c7c4df090923298f96a500f47f3914738b")
     # points off the half-integer lattice: action scales D = 18 and 50
     assert cli.main(["dims", "--grid", "pairs:1/3,0;1/3,5/6;2/5,-1/10;"
                      "-1/3,7/6;1/6,1/6", "--format", "csv",
@@ -784,9 +813,27 @@ def test_outputs_are_pinned(tmp_path, capsys):
         "764ddd5350532a28ab1171898c2d7b60ea9d2ea76abe3087608af830984a1e58")
     assert stdout(["audit"]) == (
         "60ec0617cea8b02d3434d7b99c388b9087d599588685833e70fcf469e3100454")
+    assert stdout(["audit", "--format", "csv"]) == (
+        "73890cfc3b68c39416500b29c17691fb8f2534c76debfc5d70ccdc7a78c297f7")
     assert stdout(*(["cocycles", "--kind", kind, "--k", str(k)]
                     for k in range(3) for kind in ("f", "ftilde", "cup"))) == (
         "4388a8626a844bc6d352c4e44e0ca418783a397b1f3799d35d1d2173a573d1e6")
+    assert stdout(*(["cocycles", "--kind", "h", f"--lambda={lam}"]
+                    for lam in ("0", "1/3", "1", "-1/2"))) == (
+        "fe1a27199e95f3cfda206e79a6a02b200bb5a1919852a0ebfe207ede698c5919")
+
+
+def test_every_ci_pin_is_pinned_in_tier1():
+    # each sha256 that the CI workflow checks is pinned by a test too, so
+    # a local tier-1 run sees every change that CI would refuse
+    root = pathlib.Path(__file__).resolve().parent.parent
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(
+        encoding="utf-8")
+    ci = set(re.findall(r"\b[0-9a-f]{64}\b", workflow))
+    assert len(ci) >= 10
+    tests = "".join(path.read_text(encoding="utf-8")
+                    for path in sorted((root / "tests").rglob("*.py")))
+    assert sorted(h for h in ci if h not in tests) == []
 
 
 def test_report_json_schema_and_match():

@@ -18,7 +18,7 @@ from ospcoho.weightmod import (FAMILIES, TruncatedDlm, action_scale,
 from tests_support_dense import (contact_bracket, fields_match_table,
                                  op_term, parse_op, realized,
                                  reference_commutator, reference_compose,
-                                 sfun_is_zero, sfun_parity)
+                                 sfun_is_zero, sfun_parity, stencil_image)
 
 X_ = lambda: op_term(1, 0, 0, 0)
 DX = lambda: op_term(0, 0, 0, 1)
@@ -281,7 +281,7 @@ def test_integer_oracle_comparison_refuses_rather_than_rounds(monkeypatch):
     assert len(pairs) == 180
     refused = 0
     for gen, bv in pairs:
-        image = dict(mod.image(gen, bv))
+        image = stencil_image(mod, gen, bv)
         off = dict(image)
         v = next(iter(off), bv)
         off[v] = off.get(v, 0) + 1
@@ -298,18 +298,21 @@ def test_integer_oracle_comparison_refuses_rather_than_rounds(monkeypatch):
                 assert (img == exact) == (img == frac)
     assert refused > 0
 
-    # one image changed by one unit fails the self-test's check
+    # one stencil row changed by one unit fails the self-test's check;
+    # H's, which no other stencil is composed from
     checks = {name: ok for name, ok, _ in engine.selftest("oracle")}
     assert checks["table-action-equals-realization"]
-    image = TruncatedDlm.image
+    stencil = TruncatedDlm.stencil
 
-    def one_unit_off(self, gen, bv):
-        img = image(self, gen, bv)
-        if (gen, bv) == ("B", ("c", 1, 1)):
-            (t0, c0), *rest = img
-            img = ((t0, c0 + 1), *rest)
-        return img
-    monkeypatch.setattr(TruncatedDlm, "image", one_unit_off)
+    def one_unit_off(self, gen, t):
+        rows = stencil(self, gen, t)
+        bv = ("c", 1, 1)
+        if gen == "H" and t == self.twice_shifted_weight(bv):
+            i = self.slice(t)[bv]
+            (j, x), *rest = rows[i]
+            rows = rows[:i] + (((j, x + 1), *rest),) + rows[i + 1:]
+        return rows
+    monkeypatch.setattr(TruncatedDlm, "stencil", one_unit_off)
     checks = {name: ok for name, ok, _ in engine.selftest("oracle")}
     assert checks["realization-constants"]
     assert not checks["table-action-equals-realization"]

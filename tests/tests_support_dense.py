@@ -6,8 +6,9 @@ the coboundary built on it; the positional view of the program's
 blocks, which the tests read by position, and the primitive solved on
 it; the cohomology dimensions at a Fraction weight;
 the Fraction definitions that the program decides in integers (the
-action with X = A o A and Y = -B o B composed in Fractions, the module
-axiom defect, the Jacobi defect) and the joint kernel of several
+action with X = A o A and Y = -B o B composed in Fractions, and scaled
+by D, the module axiom defect, the Jacobi defect); the stencil rows and
+kernels of a module read in its basis, and the joint kernel of several
 generators on a slice and the rescaled bracket tables; the
 Casimir composed on a module's stencils, and its commutators with A and
 B, which the proof of the action's identities reads; the
@@ -58,6 +59,36 @@ def act_basis(mod, gen, bv):
     return {t: Fraction(c, D) for t, c in mod.scaled_act_basis(gen, bv)}
 
 
+def scaled_act(mod, gen, bv):
+    """D * gen.bv as {BasisVector: int} from `act_basis`, less the terms
+    at k <= K0 that the quotient D^{<=K}/D^{<=K0} drops, for
+    D = action_scale(mod): the Fraction action, scaled, for the tests
+    that check the program's stencils and blocks against it."""
+    D = mod._ints[0]
+    out = {}
+    for v, c in act_basis(mod, gen, bv).items():
+        if v[2] > mod.K0:
+            assert (D * c).denominator == 1, (gen, bv, c)
+            out[v] = int(D * c)
+    return out
+
+
+def stencil_image(mod, gen, bv):
+    """D * gen.bv read off bv's row of the module's stencil, in the
+    basis: the row's slice positions decoded by `list(mod.slice(t))`."""
+    t = mod.twice_shifted_weight(bv)
+    target = list(mod.slice(t + TWICE_WEIGHT[gen]))
+    return {target[i]: x for i, x in mod.stencil(gen, t)[mod.slice(t)[bv]]}
+
+
+def kernel_vectors(mod, gen, t):
+    """`TruncatedDlm.kernel_slice` read in the basis: its vectors at the
+    positions of the slice t, decoded by `list(mod.slice(t))`."""
+    basis = list(mod.slice(t))
+    return [{basis[c]: x for c, x in v.items()}
+            for v in mod.kernel_slice(gen, t)]
+
+
 def act(mod, gen, vec):
     """Linear extension of act_basis to {BasisVector: Fraction}."""
     out = {}
@@ -85,8 +116,9 @@ def joint_kernel(mod, gens, t):
     """Integer basis of the joint kernel of `gens` on the slice t: each
     generator's stencil stacked below the one before it, at a row offset
     of that generator's target slice length, and the null space of the
-    stacked columns taken in integers. The program takes the kernel of
-    one generator at a time (`TruncatedDlm.kernel_slice`)."""
+    stacked columns taken in integers, read in the basis. The program
+    takes the kernel of one generator at a time
+    (`TruncatedDlm.kernel_slice`)."""
     basis = list(mod.slice(t))
     cols = [{} for _ in basis]
     row0 = 0
@@ -661,7 +693,9 @@ def reference_delta_block(mod, n, w, parity, universe=GENS, skip=()):
     domain_basis[c]. The columns whose domain index is in `skip` are
     left empty and never assembled. The
     scale is the lcm of the module's action scale (`action_scale`)
-    and the denominators of the bracket coefficients.
+    and the denominators of the bracket coefficients. The action terms
+    are the tests' own Fraction action, scaled (`scaled_act`), so the
+    reference shares no stencil with the program's blocks.
     """
     w = Fraction(w)
     dom = reference_block_basis(mod, n, w, parity, universe)
@@ -685,7 +719,7 @@ def reference_delta_block(mod, n, w, parity, universe=GENS, skip=()):
                 continue
             sgn *= act_factor
             for bv, col in entries:
-                for tbv, c in mod.image(gen, bv):
+                for tbv, c in scaled_act(mod, gen, bv).items():
                     r = cod_index[(target, tbv)]
                     v = col.get(r, 0) + sgn * c
                     if v:
