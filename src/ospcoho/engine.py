@@ -32,7 +32,7 @@ predictions:
     of weight 0 and -1/2 only (`_kernel_description`): one integer
     kernel of A's stencil on each, the weight-0 one mapped through B's
     stencil, the quotient ranked with
-    `linalg.greedy_independent` and H^0 by rank-nullity. Its hypothesis,
+    `linalg.quotient_dim` and H^0 by rank-nullity. Its hypothesis,
     that A maps each weight slice onto the next, is a theorem of the
     action table (`TruncatedDlm.check_a_onto`), so a report scans no
     slice for it, and nothing in a report grows with K but those two

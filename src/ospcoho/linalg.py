@@ -130,14 +130,14 @@ def quotient_dim(u_rows, w_rows):
     """dim(span u / span w); raises NotContained if w is not in span u.
 
     Rows are {col: Fraction|int} dicts over mutually ordered column keys
-    and are not modified. w lies in span u iff `greedy_independent`
-    keeps none of its rows; the dimension is the difference of the
-    integer ranks.
+    and are not modified. `greedy_independent` scans u's rows and then
+    w's: the u rows it keeps number rank u, and w lies in span u iff it
+    keeps none of w's. The dimension is rank u - rank w.
     """
-    if greedy_independent(u_rows, w_rows):
+    kept = greedy_independent([], u_rows + w_rows)
+    if kept and kept[-1] >= len(u_rows):
         raise NotContained("quotient by a non-subspace")
-    return (len(int_pivots([_to_int_row(r) for r in u_rows]))
-            - len(int_pivots([_to_int_row(r) for r in w_rows])))
+    return len(kept) - len(int_pivots([_to_int_row(r) for r in w_rows]))
 
 
 class NotContained(Mismatch):

@@ -1,18 +1,22 @@
 """Symbolic differential operators on the superline R^{1|1}.
 
-Functions F(x, theta) = f0(x) + f1(x) theta have polynomial coefficients
-and theta^2 = 0. Operators are kept in the normal order
+Operators have polynomial coefficients and are kept in the normal order
 x^m theta^e1 dtheta^e2 dx^k; composition rewrites with
 
     dx o x^m   = x^m dx + m x^{m-1}      (Leibniz)
     dtheta o theta = 1 - theta o dtheta  (left-derivative convention)
     theta o theta = 0,  dtheta o dtheta = 0
 
-while x and dx commute past theta and dtheta.
+while x and dx commute past theta and dtheta. A function
+G(x, theta) = g0(x) + g1(x) theta is the operator of order 0 that
+multiplies by it, the one whose terms all have e2 = k = 0. For such a
+G, P o G is P(G) plus terms that end in dtheta or dx, so the value
+P(G) is the zeroth-order part of P o G (`zeroth`).
 
 The contact structure enters through eta = dtheta + theta dx and
 etabar = dtheta - theta dx: the contact field of G is
-X_G = G dx + 1/2 eta(G) etabar, and [X_F, X_G] = X_{F,G} for the bracket
+X_G = G dx + 1/2 eta(G) etabar, with eta(G) = zeroth(eta o G), and
+[X_F, X_G] = X_{F,G} for the bracket
 {F,G} = F G' - F' G + 1/2 eta(F) etabar(G) (checked in the tests,
 `contact_bracket`). Scaled copies of X_1, X_x, X_{x^2}, X_theta and
 X_{x theta} realize osp(1|2); the scaling constants are solved from the
@@ -35,7 +39,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, perm
+from math import lcm
 
 from .algebra import PARITY
 
@@ -52,57 +56,6 @@ def _dict_add(target, key, coeff):
 
 def _exact(v):
     return v if type(v) is Fraction else Fraction(v)
-
-
-class SFun:
-    """Superline function: {(m, eps): Fraction} for x^m theta^eps."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: _exact(v) for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def term(cls, m, eps, coeff=1):
-        return cls({(m, eps): Fraction(coeff)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _dict_add(out, k, v)
-        return SFun(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return SFun({k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for (m1, e1), v1 in self.terms.items():
-            for (m2, e2), v2 in other.terms.items():
-                if e1 and e2:
-                    continue  # theta^2 = 0
-                _dict_add(out, (m1 + m2, e1 + e2), v1 * v2)
-        return SFun(out)
-
-    def dx(self):
-        out = {}
-        for (m, e), v in self.terms.items():
-            if m:
-                _dict_add(out, (m - 1, e), m * v)
-        return SFun(out)
-
-    def __eq__(self, other):
-        return isinstance(other, SFun) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"SFun({self.terms})"
 
 
 def _theta_terms(a1, b1, a2, b2):
@@ -160,11 +113,6 @@ class OpPoly:
         self.terms = {k: _exact(v) for k, v in (terms or {}).items() if v}
 
     @classmethod
-    def multiplication(cls, f):
-        """The operator 'multiply by the superfunction f'."""
-        return cls({(m, e, 0, 0): c for (m, e), c in f.terms.items()})
-
-    @classmethod
     def from_numerators(cls, ints, den):
         """The operator ints / den, one Fraction per nonzero term."""
         return cls({key: Fraction(n, den) for key, n in ints.items() if n})
@@ -198,25 +146,6 @@ class OpPoly:
         _compose_into(out, p, q)
         return OpPoly.from_numerators(out, dp * dq)
 
-    def apply(self, f):
-        """Evaluate the operator on a superfunction."""
-        out = {}
-        for (m, e1, e2, k), c in self.terms.items():
-            for (u, v), cf in f.terms.items():
-                if k > u:
-                    continue
-                coeff = c * cf * perm(u, k)
-                eps = v
-                if e2:
-                    if not eps:
-                        continue
-                    eps = 0
-                eps += e1
-                if eps > 1:
-                    continue
-                _dict_add(out, (u - k + m, eps), coeff)
-        return SFun(out)
-
     def parity(self):
         ps = {(e1 + e2) % 2 for (_, e1, e2, _) in self.terms}
         return ps.pop() if len(ps) == 1 else None
@@ -229,9 +158,6 @@ class OpPoly:
 
     def __eq__(self, other):
         return isinstance(other, OpPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         return f"OpPoly({op_str(self)})"
@@ -251,27 +177,36 @@ def graded_commutator(p, q):
 
 ETA = OpPoly({(0, 0, 1, 0): 1, (0, 1, 0, 1): 1})
 ETABAR = OpPoly({(0, 0, 1, 0): 1, (0, 1, 0, 1): -1})
+DX = OpPoly({(0, 0, 0, 1): 1})
+
+
+def zeroth(op):
+    """The zeroth-order part of op: its terms with no dtheta and no dx.
+
+    For a function G (an operator of order 0), zeroth(P o G) is P(G).
+    """
+    return OpPoly({(m, e1, e2, k): c for (m, e1, e2, k), c
+                   in op.terms.items() if not e2 and not k})
 
 
 def vector_field(g):
     """X_G = G dx + 1/2 eta(G) etabar."""
-    gdx = OpPoly({(m, e, 0, 1): c for (m, e), c in g.terms.items()})
-    half_eta = OpPoly.multiplication(ETA.apply(g)).scale(Fraction(1, 2))
-    return gdx + half_eta.compose(ETABAR)
+    half_eta = zeroth(ETA.compose(g)).scale(Fraction(1, 2))
+    return g.compose(DX) + half_eta.compose(ETABAR)
 
 
 def density_action(g, lam):
-    """First-order action of X_G on weight-lam densities."""
-    return vector_field(g) + OpPoly.multiplication(g.dx()).scale(lam)
+    """First-order action of X_G on weight-lam densities: X_G + lam G'."""
+    return vector_field(g) + zeroth(DX.compose(g)).scale(lam)
 
 
-# symbols of the base contact fields, in generator order
+# symbols of the base contact fields, functions as operators of order 0
 _BASE_SYMBOLS = {
-    "X": SFun.term(0, 0),   # 1
-    "A": SFun.term(0, 1),   # theta
-    "H": SFun.term(1, 0),   # x
-    "B": SFun.term(1, 1),   # x theta
-    "Y": SFun.term(2, 0),   # x^2
+    "X": OpPoly({(0, 0, 0, 0): 1}),   # 1
+    "A": OpPoly({(0, 1, 0, 0): 1}),   # theta
+    "H": OpPoly({(1, 0, 0, 0): 1}),   # x
+    "B": OpPoly({(1, 1, 0, 0): 1}),   # x theta
+    "Y": OpPoly({(2, 0, 0, 0): 1}),   # x^2
 }
 
 

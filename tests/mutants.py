@@ -165,6 +165,13 @@ MUTANTS = (
      "cross = ((1, 1, -1),)",
      "cross = ((1, 1, 1),)",
      "tests/test_superdiff.py::test_compose_equals_the_fraction_reference"),
+    # the zeroth-order part of an operator read with its dtheta terms:
+    # eta(G) keeps the terms of eta o G that end in dtheta, and every
+    # contact field built on it changes
+    ("zeroth-order-part-keeps-dtheta-terms", "superdiff.py",
+     "if not e2 and not k",
+     "if not k",
+     "tests/test_superdiff.py::test_zeroth_order_part_is_the_application"),
     # a failed exact check that escapes the CLI as a traceback
     ("cli-lets-a-mismatch-escape", "cli.py",
      "    except Mismatch as exc:\n"

@@ -119,6 +119,25 @@ def test_quotient_dim():
         linalg.quotient_dim([], [{0: Fraction(1)}])
 
 
+def test_quotient_dim_makes_three_reductions(monkeypatch):
+    # rank u is read off the scan that decides the inclusion: one pass
+    # for the empty base, one for u's rows then w's, one for rank w
+    passes = []
+    reduce = linalg.reduce_in_order
+
+    def spy(vectors, basis, top=None):
+        passes.append(len(vectors))
+        return reduce(vectors, basis, top)
+    monkeypatch.setattr(linalg, "reduce_in_order", spy)
+    rng = random.Random(8)
+    u = _subspace(rng, 6, 3)
+    w = u[:2]
+    want = (dense_rank(SparseMatrix(len(u), 6, u))
+            - dense_rank(SparseMatrix(len(w), 6, w)))
+    assert linalg.quotient_dim(u, w) == want
+    assert passes == [0, len(u) + len(w), len(w)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.fractions(min_value=-5, max_value=5),
                          min_size=4, max_size=4),

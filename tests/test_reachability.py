@@ -8,6 +8,13 @@ live definitions, and the dunder methods of live classes. Import
 statements are not references. Names count by name alone, whatever
 object they are looked up on, so the check errs towards live.
 
+Every dunder of a live class counts as live, since Python calls
+dunders without naming them. So an operator that only the tests apply
+(`+`, `==`, `hash` of a class the program uses) is invisible here; that
+is how the arithmetic of a superline function type that only the tests
+combined once stayed in src/. Only a runtime trace of what the program
+runs can see such a dunder.
+
 The roots are `cli.main` (the console script), every name that the
 benchmark harness in perfbench/ references (its tracer addresses
 functions by strings, so identifier strings count there), and ALLOWED.

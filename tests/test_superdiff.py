@@ -9,16 +9,17 @@ from hypothesis import example, given, settings, strategies as st
 from ospcoho import engine
 from ospcoho.algebra import GENS, PARITY, adopted_table
 from ospcoho.superdiff import (ETA, ETABAR, OpPoly, RealizationConstants,
-                               SFun, _generator_action, density_action,
+                               _generator_action, density_action,
                                derived_module_action, graded_commutator,
                                op_str, solve_realization_constants,
-                               vector_field)
+                               vector_field, zeroth)
 from ospcoho.weightmod import (FAMILIES, TruncatedDlm, action_scale,
                                from_oppoly, to_oppoly)
-from tests_support_dense import (contact_bracket, fields_match_table,
-                                 op_term, parse_op, realized,
+from tests_support_dense import (as_operator, contact_bracket,
+                                 fields_match_table, op_term, parse_op,
+                                 realized, reference_apply,
                                  reference_commutator, reference_compose,
-                                 sfun_is_zero, sfun_parity, stencil_image)
+                                 stencil_image)
 
 X_ = lambda: op_term(1, 0, 0, 0)
 DX = lambda: op_term(0, 0, 0, 1)
@@ -26,8 +27,23 @@ TH = lambda: op_term(0, 1, 0, 0)
 DTH = lambda: op_term(0, 0, 1, 0)
 
 
-def sfun_monomials(max_m):
-    return [SFun.term(m, e) for m in range(max_m + 1) for e in (0, 1)]
+def fn(m, e, coeff=1):
+    """The function coeff x^m theta^e, an operator of order 0."""
+    return op_term(m, e, 0, 0, coeff)
+
+
+def monomials(max_m):
+    """The functions x^m theta^e with m <= max_m, as {(m, e): Fraction}."""
+    return [{(m, e): Fraction(1)} for m in range(max_m + 1) for e in (0, 1)]
+
+
+def random_operators(seed, count):
+    rng = random.Random(seed)
+    return [OpPoly({(rng.randint(0, 3), rng.randint(0, 1),
+                     rng.randint(0, 1), rng.randint(0, 3)):
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(3)})
+            for _ in range(count)]
 
 
 def test_compose_leibniz():
@@ -54,16 +70,18 @@ def test_compose_d_family_with_x():
                           {(1, 0, 1, 0): 1, (1, 1, 0, 1): -1,
                            (0, 1, 0, 0): -1})
         assert composed == expected
-        for f in sfun_monomials(4):
-            assert composed.apply(f) == d_op.apply(X_().apply(f))
+        for f in monomials(4):
+            assert reference_apply(composed, f) == \
+                reference_apply(d_op, reference_apply(X_(), f))
 
 
 def test_apply_examples():
-    theta = SFun.term(0, 1)
-    assert ETA.apply(theta) == SFun.term(0, 0)
-    assert ETABAR.apply(SFun.term(1, 1)) == SFun.term(1, 0)
-    assert sfun_is_zero(op_term(2, 1, 1, 1).apply(SFun({})))
-    assert sfun_parity(theta) == 1 and sfun_parity(SFun({})) is None
+    theta = {(0, 1): Fraction(1)}
+    assert reference_apply(ETA, theta) == {(0, 0): 1}
+    assert reference_apply(ETABAR, {(1, 1): Fraction(1)}) == {(1, 0): 1}
+    assert reference_apply(op_term(2, 1, 1, 1), {}) == {}
+    assert reference_apply(DX(), {(3, 1): Fraction(1, 2)}) == \
+        {(2, 1): Fraction(3, 2)}
 
 
 def test_apply_compose_consistency():
@@ -71,8 +89,19 @@ def test_apply_compose_consistency():
             op_term(0, 1, 1, 1)]
     for a, b in itertools.product(gens, repeat=2):
         ab = a.compose(b)
-        for f in sfun_monomials(5):
-            assert ab.apply(f) == a.apply(b.apply(f))
+        for f in monomials(5):
+            assert reference_apply(ab, f) == \
+                reference_apply(a, reference_apply(b, f))
+
+
+def test_zeroth_order_part_is_the_application():
+    # for a function G, an operator of order 0, P o G is P(G) plus terms
+    # that end in dtheta or dx: its zeroth-order part is P(G)
+    ops = [ETA, ETABAR, DX(), DTH(), TH(), X_()] + random_operators(35, 40)
+    for p in ops:
+        for f in monomials(5):
+            assert zeroth(p.compose(as_operator(f))) == \
+                as_operator(reference_apply(p, f))
 
 
 def test_compose_associative_random():
@@ -88,17 +117,15 @@ def test_compose_associative_random():
 
 
 def test_contact_bracket_examples():
-    one, x = SFun.term(0, 0), SFun.term(1, 0)
-    theta, xtheta = SFun.term(0, 1), SFun.term(1, 1)
+    one, x = fn(0, 0), fn(1, 0)
+    theta, xtheta = fn(0, 1), fn(1, 1)
     assert contact_bracket(one, x) == one
     assert contact_bracket(theta, theta) == one.scale(Fraction(1, 2))
     assert contact_bracket(theta, xtheta) == x.scale(Fraction(1, 2))
 
 
 def test_vector_field_examples():
-    one = SFun.term(0, 0)
-    theta = SFun.term(0, 1)
-    x2 = SFun.term(2, 0)
+    one, theta, x2 = fn(0, 0), fn(0, 1), fn(2, 0)
     assert vector_field(one) == DX()
     assert vector_field(theta) == OpPoly(
         {(0, 0, 1, 0): Fraction(1, 2), (0, 1, 0, 1): Fraction(1, 2)})
@@ -106,9 +133,7 @@ def test_vector_field_examples():
 
 
 def test_density_action_examples():
-    one = SFun.term(0, 0)
-    theta = SFun.term(0, 1)
-    x2 = SFun.term(2, 0)
+    one, theta, x2 = fn(0, 0), fn(0, 1), fn(2, 0)
     lam = Fraction(5, 7)
     assert density_action(theta, lam) == vector_field(theta)
     assert density_action(one, lam) == DX()
@@ -117,8 +142,7 @@ def test_density_action_examples():
 
 
 def test_fields_bracket_matches_symbol_bracket():
-    symbols = [SFun.term(0, 0), SFun.term(1, 0), SFun.term(2, 0),
-               SFun.term(0, 1), SFun.term(1, 1)]
+    symbols = [fn(0, 0), fn(1, 0), fn(2, 0), fn(0, 1), fn(1, 1)]
     for f, g in itertools.product(symbols, repeat=2):
         lhs = graded_commutator(vector_field(f), vector_field(g))
         rhs = vector_field(contact_bracket(f, g))
@@ -143,7 +167,7 @@ def test_realization_constants_are_a_value():
     assert repr(consts) == (
         "RealizationConstants(cH=Fraction(-1, 1), cX=Fraction(1, 1), "
         "cY=Fraction(-1, 1), cA=Fraction(2, 1), cB=Fraction(2, 1))")
-    assert consts.scale_of("A") == 2 and consts.symbol("X") == SFun.term(0, 0)
+    assert consts.scale_of("A") == 2 and consts.symbol("X") == fn(0, 0)
 
 
 def test_derived_action_examples():
@@ -196,15 +220,10 @@ def test_density_action_cache_is_bounded():
 
 
 def test_op_str_and_parse_roundtrip():
-    rng = random.Random(27)
     assert op_str(op_term(2, 1, 0, 3)) == "x^2 θ ∂x^3"
     assert parse_op("x^2 θ ∂x^3") == op_term(2, 1, 0, 3)
     assert parse_op("0").is_zero()
-    for _ in range(40):
-        op = OpPoly({(rng.randint(0, 3), rng.randint(0, 1),
-                      rng.randint(0, 1), rng.randint(0, 3)):
-                     Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                     for _ in range(3)})
+    for op in random_operators(27, 40):
         assert parse_op(op_str(op)) == op
     assert parse_op("dtheta dx^2") == op_term(0, 0, 1, 2)
 

@@ -12,9 +12,10 @@ kernels of a module read in its basis, and the joint kernel of several
 generators on a slice and the rescaled bracket tables; the
 Casimir composed on a module's stencils, and its commutators with A and
 B, which the proof of the action's identities reads; the
-contact bracket and the check of the scaled contact fields against a
-bracket table; and the decoders of the program's printed formats
-(operators, monomials, cochains); the Fraction composition of
+application of an operator to a function (`reference_apply`), the
+contact bracket evaluated with it and the check of the scaled contact
+fields against a bracket table; and the decoders of the program's
+printed formats (operators, monomials, cochains); the Fraction composition of
 operators that the program does in integers, and the realization
 oracle's action read back as an operator.
 """
@@ -31,8 +32,9 @@ from ospcoho.algebra import (GENS, PAIR_ORDER, PARITY, SL2, StructureTable,
 from ospcoho.cochains import (Cochain, _basis, _graded_monomials, _scales,
                               _term2_sign, _weight_chain,
                               zero_cochain)
-from ospcoho.superdiff import (ETA, ETABAR, OpPoly, derived_module_action,
-                               graded_commutator, vector_field)
+from ospcoho.superdiff import (DX, ETA, ETABAR, OpPoly,
+                               derived_module_action, graded_commutator,
+                               vector_field)
 from ospcoho.engine import _random_cochain as random_cochain  # noqa: F401
 from ospcoho.engine import twice_h_dim
 from ospcoho.weightmod import (FAMILY_SHIFT, TWICE_WEIGHT, TruncatedDlm,
@@ -219,10 +221,52 @@ def rescaled_table(base, scales):
 
 # --- the contact realization ------------------------------------------------
 
+def reference_apply(op, f):
+    """The operator op applied to the function f, both by their terms:
+    f and the result are {(m, e): Fraction} for x^m theta^e.
+
+    Each term x^m theta^e1 dtheta^e2 dx^k takes x^u theta^v to
+    falling(u, k) x^(u-k+m) theta^e1 (dtheta^e2 theta^v), the semantics
+    that `OpPoly.compose` and the zeroth-order reading of
+    `superdiff.zeroth` are checked against.
+    """
+    out = {}
+    for (m, e1, e2, k), c in op.terms.items():
+        for (u, v), cf in f.items():
+            if k > u:
+                continue
+            coeff = c * cf * perm(u, k)
+            eps = v
+            if e2:
+                if not eps:
+                    continue
+                eps = 0
+            eps += e1
+            if eps > 1:
+                continue
+            _reference_dict_add(out, (u - k + m, eps), coeff)
+    return out
+
+
+def as_function(g):
+    """The function {(m, e): Fraction} of an operator g of order 0."""
+    assert all(not e2 and not k for (_, _, e2, k) in g.terms), g
+    return {(m, e): c for (m, e, _, _), c in g.terms.items()}
+
+
+def as_operator(f):
+    """The operator of order 0 that multiplies by the function f."""
+    return OpPoly({(m, e, 0, 0): c for (m, e), c in f.items()})
+
+
 def contact_bracket(f, g):
-    """{F,G} = F G' - F' G + 1/2 eta(F) etabar(G)."""
-    out = f * g.dx() - f.dx() * g
-    return out + (ETA.apply(f) * ETABAR.apply(g)).scale(Fraction(1, 2))
+    """{F,G} = F G' - F' G + 1/2 eta(F) etabar(G) for functions F, G
+    given as operators of order 0, evaluated with `reference_apply`:
+    F G is F applied to G."""
+    def ap(p, h):
+        return as_operator(reference_apply(p, as_function(h)))
+    out = ap(f, ap(DX, g)) - ap(ap(DX, f), g)
+    return out + ap(ap(ETA, f), ap(ETABAR, g)).scale(Fraction(1, 2))
 
 
 def field(consts, gen):
@@ -302,16 +346,6 @@ def reference_commutator(p, q):
 def op_term(m, e1, e2, k, coeff=1):
     """The single-term operator coeff x^m theta^e1 dtheta^e2 dx^k."""
     return OpPoly({(m, e1, e2, k): Fraction(coeff)})
-
-
-def sfun_parity(f):
-    """0 or 1 when the SFun f is homogeneous, None for mixed or zero."""
-    ps = {e for (_, e) in f.terms}
-    return ps.pop() if len(ps) == 1 else None
-
-
-def sfun_is_zero(f):
-    return not f.terms
 
 
 # --- decoders of the printed formats ----------------------------------------
