@@ -82,10 +82,11 @@ class StructureTable:
     the one fill-in of the other ordered pairs, through graded
     antisymmetry [U,V] = -(-1)^{UV} [V,U], with even diagonals zero;
     `bracket` reads it. The rows are never changed after construction,
-    so the key that equality and the hash read is computed once, and the
-    integer brackets are built once too, on first use. Tables vary
-    only in the audit, the module-axiom check and the realization
-    oracle; the cohomology layers use the adopted table as a constant.
+    so the integer brackets are built once, on first use. Two tables are
+    equal when their rows are; a table is not hashable, and nothing
+    hashes one. Tables vary only in the audit, the module-axiom check
+    and the realization oracle; the cohomology layers use the adopted
+    table as a constant.
     """
 
     def __init__(self, rows, label):
@@ -94,8 +95,6 @@ class StructureTable:
         for pair in PAIR_ORDER:
             row = {g: Fraction(v) for g, v in rows.get(pair, {}).items() if v}
             self._rows[pair] = row
-        self._key = tuple(tuple(sorted(self._rows[p].items()))
-                          for p in PAIR_ORDER)
         self._scaled = None
 
     def row(self, pair):
@@ -171,13 +170,7 @@ class StructureTable:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, StructureTable) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        return f"StructureTable({self.label!r})"
+        return isinstance(other, StructureTable) and self._rows == other._rows
 
 
 _PRINTED_ROWS = {

@@ -120,8 +120,9 @@ class Cochain:
                        self.universe)
 
     def add(self, other, coeff=Fraction(1)):
-        """self + coeff * other on one complex: the same module (by value),
-        degree, parity and universe (ValueError else)."""
+        """self + coeff * other on one complex: equal modules, degree,
+        parity and universe (ValueError else). The program only adds
+        cochains of one module object."""
         ours, theirs = ((f.mod, f.degree, f.parity, f.universe)
                         for f in (self, other))
         if ours != theirs:
@@ -138,7 +139,8 @@ class Cochain:
 
     def __eq__(self, other):
         """Equal on one complex, the key that `add` checks, and value by
-        value."""
+        value. The program never compares cochains: the benchmark
+        harness's seed check compares two draws on two equal modules."""
         return (isinstance(other, Cochain)
                 and (self.mod, self.degree, self.parity, self.universe)
                 == (other.mod, other.degree, other.parity, other.universe)

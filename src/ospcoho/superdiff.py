@@ -159,9 +159,6 @@ class OpPoly:
     def __eq__(self, other):
         return isinstance(other, OpPoly) and self.terms == other.terms
 
-    def __repr__(self):
-        return f"OpPoly({op_str(self)})"
-
 
 def graded_commutator(p, q):
     """[p, q] = p o q - (-1)^{pq} q o p for parity-homogeneous p, q,

@@ -161,13 +161,12 @@ class TruncatedDlm:
         return f"TruncatedDlm(lam={self.lam}, mu={self.mu}, K={self.K}{cut})"
 
     def __eq__(self, other):
-        # exact types: a subclass may override the action
+        # the program compares modules only in `Cochain.__eq__`; exact
+        # types: a subclass may override the action. Nothing hashes a
+        # module, so none is hashable
         return (type(other) is type(self)
                 and (self.lam, self.mu, self.K, self.K0)
                 == (other.lam, other.mu, other.K, other.K0))
-
-    def __hash__(self):
-        return hash((self.lam, self.mu, self.K, self.K0))
 
     def scaled_act_basis(self, gen, bv):
         """D * gen.bv for gen in H, A and B, as (BasisVector, int) pairs.

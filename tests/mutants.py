@@ -179,6 +179,13 @@ MUTANTS = (
      "        return EXIT_MISMATCH\n",
      "",
      "tests/test_cli.py::test_failed_checks_exit_1_with_one_line"),
+    # a module method that nothing in the program calls
+    ("module-gains-an-uncalled-method", "weightmod.py",
+     "    def scaled_act_basis(self, gen, bv):\n",
+     "    def parameters(self):\n"
+     "        return self.lam, self.mu, self.K, self.K0\n\n"
+     "    def scaled_act_basis(self, gen, bv):\n",
+     "tests/test_reachability.py::test_the_program_enters_every_function"),
 )
 
 

@@ -44,13 +44,11 @@ def test_adopted_table_passes_jacobi_everywhere():
     assert t.jacobi_failures() == []
 
 
-def test_tables_are_equal_and_hashed_by_their_rows():
+def test_tables_are_equal_by_their_rows():
     t = printed_table()
-    key = tuple(tuple(sorted(t.row(p).items())) for p in PAIR_ORDER)
     rows = {p: t.row(p) for p in PAIR_ORDER}
     twin = StructureTable(rows, "twin")
-    assert twin == t and hash(twin) == hash(t) == hash(key)
-    assert twin != adopted_table()
+    assert twin == t and twin != adopted_table()
 
 
 @settings(max_examples=30, deadline=None)

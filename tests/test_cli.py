@@ -245,6 +245,10 @@ def test_threads_flag_same_output(capsys):
     # rejected before they are listed
     ["dims", "--grid", "halfints:-600..600"],
     ["dims", "--grid", "halfints:-64..64"],
+    # a grid bound that is no rational, and an --out that is a directory
+    ["dims", "--grid", "halfints:a..b"],
+    ["dims", "--lambda", "0", "--mu", "0", "--out", "/"],
+    ["selftest", "--out", "/"],
 ])
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv):
     # bad input is rejected before any computation, an unwritable --out
@@ -260,7 +264,8 @@ def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len(captured.err.strip().splitlines()) == 1
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"ospcoho {argv[0]}: ")
     assert "Traceback" not in captured.err
 
 
@@ -271,6 +276,13 @@ def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv):
     (["cocycles", "--k", "1"], "ospcoho cocycles: "),
     (["nosuchcommand"], "ospcoho: "),
     ([], "ospcoho: "),
+    # values that are no exact rational, and an int in exponent form
+    (["dims", "--lambda", "nan", "--mu", "1"], "ospcoho dims: "),
+    (["dims", "--lambda", "inf", "--mu", "1"], "ospcoho dims: "),
+    (["dims", "--lambda", "1/-2", "--mu", "1"], "ospcoho dims: "),
+    (["cocycles", "--kind", "h", "--lambda", "nan"], "ospcoho cocycles: "),
+    (["dims", "--lambda", "0", "--mu", "0", "--kmax", "1e3"],
+     "ospcoho dims: "),
 ])
 def test_parser_errors_exit_2_with_one_line(capsys, argv, prefix):
     # argparse's own errors: no usage block, the same one-line form as

@@ -709,7 +709,7 @@ def test_the_cut_module_is_the_quotient():
     # truncation's less the terms at k <= K0, and it is a module
     full, cut = TruncatedDlm(F(1, 3), F(7, 3), 3), TruncatedDlm(
         F(1, 3), F(7, 3), 3, 1)
-    assert cut != full and hash(cut) != hash(full)
+    assert cut != full
     assert repr(cut) == "TruncatedDlm(lam=1/3, mu=7/3, K=3, K0=1)"
     assert cut.slices is not full.slices
     for gen in GENS:

@@ -17,7 +17,8 @@ contact bracket evaluated with it and the check of the scaled contact
 fields against a bracket table; and the decoders of the program's
 printed formats (operators, monomials, cochains); the Fraction composition of
 operators that the program does in integers, and the realization
-oracle's action read back as an operator.
+oracle's action read back as an operator; and `same_cochain`, the
+comparison of two cochains on one module object, value by value.
 """
 
 import itertools
@@ -423,6 +424,16 @@ def cochain_from_json(data):
     return Cochain(mod, data["degree"], data["parity"], vals, universe)
 
 
+def same_cochain(f, g):
+    """True when f and g lie on one complex, the key that `Cochain.add`
+    checks, with the module object for the module (degree, parity and
+    universe), and agree value by value."""
+    return (f.mod is g.mod
+            and (f.degree, f.parity, f.universe)
+            == (g.degree, g.parity, g.universe)
+            and f.values == g.values)
+
+
 # --- dense matrices ---------------------------------------------------------
 
 class SparseMatrix:
@@ -661,10 +672,10 @@ def int_columns(m):
 # they do not assume that a slice holds one parity.
 
 @lru_cache(maxsize=64)
-def reference_koszul_terms(n, q, universe, table):
+def reference_koszul_terms(n, q, universe):
     """The two sums of the differential on n-cochains of parity q.
 
-    Returns (T, terms), T being the lcm of the table's bracket
+    Returns (T, terms), T being the lcm of the adopted table's bracket
     denominators (`StructureTable.scaled_brackets`), with one entry per
     target monomial of degree n+1 in terms:
     (target, [(gen, source monomial, sign)], [(source monomial, coeff)]),
@@ -672,7 +683,7 @@ def reference_koszul_terms(n, q, universe, table):
     + sum (coeff / T) * f(source), every coeff an int. The bracket terms
     of one source monomial are already added up.
     """
-    T, scaled = table.scaled_brackets()
+    T, scaled = adopted_table().scaled_brackets()
     out = []
     for target in monomial_basis(n + 1, universe):
         parities = [PARITY[g] for g in target]
@@ -729,14 +740,16 @@ def reference_delta_block(mod, n, w, parity, universe=GENS, skip=()):
     scale is the lcm of the module's action scale (`action_scale`)
     and the denominators of the bracket coefficients. The action terms
     are the tests' own Fraction action, scaled (`scaled_act`), so the
-    reference shares no stencil with the program's blocks.
+    reference shares no stencil with the program's blocks; each
+    (gen, basis vector) is acted on once per build, and the memo goes
+    with the build.
     """
     w = Fraction(w)
     dom = reference_block_basis(mod, n, w, parity, universe)
     cod = reference_block_basis(mod, n + 1, w, parity, universe)
     cols = [dict() for _ in dom]
     T, terms = reference_koszul_terms(n, parity if parity is not None else 0,
-                             universe, adopted_table())
+                                      universe)
     scale, act_factor, bracket_factor = _scales(mod, T)
     if not dom or not cod:
         return dom, cod, cols, scale
@@ -746,6 +759,7 @@ def reference_delta_block(mod, n, w, parity, universe=GENS, skip=()):
         if c not in skip:
             dom_slice.setdefault(u, []).append((bv, cols[c]))
     cod_index = {pair: r for r, pair in enumerate(cod)}
+    images = {}
     for target, acts, brackets in terms:
         for gen, sub, sgn in acts:
             entries = dom_slice.get(sub)
@@ -753,7 +767,10 @@ def reference_delta_block(mod, n, w, parity, universe=GENS, skip=()):
                 continue
             sgn *= act_factor
             for bv, col in entries:
-                for tbv, c in scaled_act(mod, gen, bv).items():
+                image = images.get((gen, bv))
+                if image is None:
+                    image = images[gen, bv] = scaled_act(mod, gen, bv)
+                for tbv, c in image.items():
                     r = cod_index[(target, tbv)]
                     v = col.get(r, 0) + sgn * c
                     if v:
